@@ -25,10 +25,10 @@ verify:
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
 # in isolation, each at 1/2/8 workers.
 bench:
-	$(GO) test -bench='PathEval|Evaluate|GraphPartition|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
+	$(GO) test -bench='PathEval|Evaluate|GraphPartition|RouterNew|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
 	$(GO) test -bench='BenchmarkPartition' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
-	$(GO) test -bench='EvaluateParallel|NavCacheWarm' -benchmem -run=^$$ ./internal/eval/
+	$(GO) test -bench='EvaluateParallel' -benchmem -run=^$$ ./internal/eval/
 
 # bench-export writes BENCH_obs.json, the machine-readable perf
 # trajectory (ns/op, allocs/op, B/op per micro-benchmark),

@@ -59,6 +59,7 @@ func TestBenchExport(t *testing.T) {
 		{"Evaluate", BenchmarkEvaluate},
 		{"EvaluateLegacy", BenchmarkEvaluateLegacy},
 		{"GraphPartition", BenchmarkGraphPartition},
+		{"RouterNew", BenchmarkRouterNew},
 		{"ValueHash", BenchmarkValueHash},
 		{"HDRObserve", BenchmarkHDRObserve},
 		{"TraceEvent", BenchmarkTraceEvent},

@@ -20,7 +20,9 @@ import (
 	"repro/internal/graphpart"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/router"
 	"repro/internal/schism"
+	"repro/internal/sqlparse"
 	"repro/internal/trace"
 	"repro/internal/value"
 	"repro/internal/workloads"
@@ -254,17 +256,24 @@ func mustTPCERun(b *testing.B) *tpceRun {
 
 // --- Micro-benchmarks of the hot substrates ------------------------------
 
-// BenchmarkPathEval measures memoized join-path evaluation, the inner
-// loop of every cost evaluation.
+// BenchmarkPathEval measures compiled join-path navigation from a key,
+// the inner loop of every cost evaluation.
 func BenchmarkPathEval(b *testing.B) {
 	d := fixture.CustInfoDB()
-	ev := db.NewPathEval(d, fixture.TradePath())
+	nav, err := d.Compile(fixture.TradePath())
+	if err != nil {
+		b.Fatal(err)
+	}
 	keys := d.Table("TRADE").Keys()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.Eval(keys[i%len(keys)])
+		navSink, _ = nav.FromKey(keys[i%len(keys)])
 	}
 }
+
+// navSink keeps BenchmarkPathEval's navigations live.
+var navSink value.Value
 
 // benchSolution is the hand-built join-path solution the evaluation
 // benchmarks score.
@@ -363,6 +372,41 @@ func BenchmarkJECBTPCE(b *testing.B) {
 		if _, _, err := core.Partition(context.Background(), core.Input{
 			DB: r.d, Procedures: workloads.Procedures(r.b), Train: r.train, Test: r.test,
 		}, core.Options{K: 8}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouterNew measures building the router for the JECB solution
+// of TPC-C: the SQL analysis is done once, so each iteration plans every
+// class and builds its lookup tables, one scan per routing column.
+func BenchmarkRouterNew(b *testing.B) {
+	bench, _ := workloads.Get("tpcc")
+	d, err := bench.Load(workloads.Config{Scale: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := workloads.GenerateTrace(bench, d, 2000, 2)
+	train, test := tr.TrainTest(0.5, rand.New(rand.NewSource(3)))
+	procs := workloads.Procedures(bench)
+	sol, _, err := core.Partition(context.Background(), core.Input{
+		DB: d, Procedures: procs, Train: train, Test: test,
+	}, core.Options{K: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	analyses := make([]*sqlparse.Analysis, 0, len(procs))
+	for _, proc := range procs {
+		a, err := sqlparse.Analyze(proc, d.Schema())
+		if err != nil {
+			b.Fatal(err)
+		}
+		analyses = append(analyses, a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := router.New(d, sol, analyses); err != nil {
 			b.Fatal(err)
 		}
 	}

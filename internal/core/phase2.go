@@ -221,32 +221,29 @@ func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class s
 // transactions touching none of the covered tables do not constrain the
 // result. Transactions with unmappable tuples count as multi-valued.
 // The scan shards the stream into contiguous ranges counted concurrently
-// (db.PathEval memo caches are per shard: they are not safe to share);
-// the per-shard counts fold by integer addition, so the fraction is
-// identical for any worker count.
+// over one set of compiled join paths; the per-shard counts fold by
+// integer addition, so the fraction is identical for any worker count.
 func (p *Partitioner) singleValueFraction(ctx context.Context, tree *joingraph.Tree, stream *trace.Trace, tables map[string]bool) (float64, error) {
 	if stream.Len() == 0 {
 		return 1, nil
 	}
+	navs, err := p.compileTree(tree, tables)
+	if err != nil {
+		return 0, err
+	}
 	workers := p.opts.parallelism()
 	counts := make([]int, workers)
 	_, shardErr := forEachShard(ctx, workers, stream.Len(), func(shard, lo, hi int) {
-		evals := map[string]*db.PathEval{}
-		for tbl, path := range tree.Paths {
-			if tables == nil || tables[tbl] {
-				evals[tbl] = db.NewPathEval(p.in.DB, path)
-			}
-		}
 		single := 0
 		for i := lo; i < hi; i++ {
 			var first value.Value
 			seen, multi := false, false
 			for _, acc := range stream.At(i).Accesses {
-				ev, ok := evals[acc.Table]
+				nav, ok := navs[acc.Table]
 				if !ok {
 					continue
 				}
-				v, ok := ev.Eval(acc.Key)
+				v, ok := nav.FromKey(acc.Key)
 				if !ok {
 					multi = true
 					break
@@ -290,22 +287,22 @@ func (p *Partitioner) mappingIndependent(ctx context.Context, tree *joingraph.Tr
 // the whole fallback byte-stable across runs and worker counts.
 //
 // Transactions shard across workers into contiguous ranges; each shard
-// writes only its own out[i] slots with a private PathEval memo.
+// writes only its own out[i] slots.
 func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, stream *trace.Trace) ([][]value.Value, error) {
+	navs, err := p.compileTree(tree, nil)
+	if err != nil {
+		return nil, err
+	}
 	out := make([][]value.Value, stream.Len())
 	_, shardErr := forEachShard(ctx, p.opts.parallelism(), stream.Len(), func(_, lo, hi int) {
-		evals := map[string]*db.PathEval{}
-		for tbl, path := range tree.Paths {
-			evals[tbl] = db.NewPathEval(p.in.DB, path)
-		}
 		for i := lo; i < hi; i++ {
 			set := map[value.Value]bool{}
 			for _, acc := range stream.At(i).Accesses {
-				ev, ok := evals[acc.Table]
+				nav, ok := navs[acc.Table]
 				if !ok {
 					continue
 				}
-				if v, ok := ev.Eval(acc.Key); ok {
+				if v, ok := nav.FromKey(acc.Key); ok {
 					set[v] = true
 				}
 			}
@@ -321,6 +318,23 @@ func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, s
 		return nil, shardErr
 	}
 	return out, nil
+}
+
+// compileTree compiles the join path of every table of the tree — only
+// those in tables, when non-nil — for concurrent navigation.
+func (p *Partitioner) compileTree(tree *joingraph.Tree, tables map[string]bool) (map[string]*db.Nav, error) {
+	navs := make(map[string]*db.Nav, len(tree.Paths))
+	for tbl, path := range tree.Paths {
+		if tables != nil && !tables[tbl] {
+			continue
+		}
+		nav, err := p.in.DB.Compile(path)
+		if err != nil {
+			return nil, err
+		}
+		navs[tbl] = nav
+	}
+	return navs, nil
 }
 
 // sortValues orders values by Compare, breaking cross-kind ties (distinct

@@ -74,12 +74,6 @@ func (p *Partitioner) phase3(ctx context.Context, pre *preprocessed, classes map
 		return sol, rep, nil
 	}
 
-	// One FK-navigation cache backs every candidate scored this phase:
-	// candidates overwhelmingly route tables through the same join paths,
-	// so each (path, key) navigation is walked once across the whole
-	// search instead of once per candidate.
-	nav := eval.NewNavCache()
-
 	// Warm start: a previously deployed solution seeds the incumbent.
 	// Every enumerated combination must now *beat* the deployed trees on
 	// the current training window, so a stable workload keeps its
@@ -87,7 +81,7 @@ func (p *Partitioner) phase3(ctx context.Context, pre *preprocessed, classes map
 	var best *partition.Solution
 	bestCost := 0.0
 	if w := p.opts.Warm; w != nil && w.K == p.opts.K && w.Validate(sc) == nil {
-		if a, err := eval.NewAssignerCached(p.in.DB, w, nav); err == nil {
+		if a, err := eval.NewAssigner(p.in.DB, w); err == nil {
 			// Copy the shell so renaming the winner cannot mutate the
 			// caller's deployed solution.
 			best = &partition.Solution{Name: w.Name, K: w.K, Tables: w.Tables}
@@ -124,7 +118,7 @@ func (p *Partitioner) phase3(ctx context.Context, pre *preprocessed, classes map
 	costs := make([]float64, len(cands))
 	errs := make([]error, len(cands))
 	poolErr := forEachIndexed(ctx, workers, len(cands), gPhase3Queue, func(i int) {
-		a, err := eval.NewAssignerCached(p.in.DB, cands[i].sol, nav)
+		a, err := eval.NewAssigner(p.in.DB, cands[i].sol)
 		if err != nil {
 			errs[i] = err
 			return

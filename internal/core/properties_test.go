@@ -160,6 +160,16 @@ func TestProperty1Monotonicity(t *testing.T) {
 	}
 }
 
+// mustNav compiles a join path against the world's database.
+func mustNav(t *testing.T, d *db.DB, p schema.JoinPath) *db.Nav {
+	t.Helper()
+	nav, err := d.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nav
+}
+
 // TestProperty3CompatiblePathsAgree checks Property 3: for compatible
 // paths p1 (finer) and p2 (coarser) of the same table, tuples that agree
 // under p1 agree under p2.
@@ -174,15 +184,15 @@ func TestProperty3CompatiblePathsAgree(t *testing.T) {
 			if comparePaths(p1, p2, compat) != pathSecondCoarser {
 				return false // precondition: p2 coarser than p1
 			}
-			e1 := db.NewPathEval(w.d, p1)
-			e2 := db.NewPathEval(w.d, p2)
+			e1 := mustNav(t, w.d, p1)
+			e2 := mustNav(t, w.d, p2)
 			// Compare all tuple pairs of A (bounded world size).
 			keys := w.d.Table("A").Keys()
 			vals1 := make([]value.Value, len(keys))
 			vals2 := make([]value.Value, len(keys))
 			for i, k := range keys {
-				v1, ok1 := e1.Eval(k)
-				v2, ok2 := e2.Eval(k)
+				v1, ok1 := e1.FromKey(k)
+				v2, ok2 := e2.FromKey(k)
 				if !ok1 || !ok2 {
 					return false
 				}
@@ -215,22 +225,22 @@ func TestProperty4MergedSolutionsInterchangeable(t *testing.T) {
 		// Coarser solution: A by C_G under hash. Finer path: A by B_ID.
 		// Property 4's composed mapping for the finer solution is
 		// f1 = p(B_ID → C_G) ∘ f2.
-		eG := db.NewPathEval(w.d, toG)
-		eB := db.NewPathEval(w.d, toB)
+		eG := mustNav(t, w.d, toG)
+		eB := mustNav(t, w.d, toB)
 		ext := schema.NewJoinPath(toG.Nodes[2:]...) // {B_ID} -> ... -> {C_G}
 		if err := ext.Validate(w.d.Schema()); err != nil {
 			return false
 		}
-		eExt := db.NewPathEval(w.d, ext)
+		eExt := mustNav(t, w.d, ext)
 		for _, k := range w.d.Table("A").Keys() {
-			direct, ok1 := eG.Eval(k)
-			bVal, ok2 := eB.Eval(k)
+			direct, ok1 := eG.FromKey(k)
+			bVal, ok2 := eB.FromKey(k)
 			if !ok1 || !ok2 {
 				return false
 			}
 			// Composition: evaluate the extension from the B row keyed by
 			// the finer path's value.
-			composed, ok3 := eExt.Eval(value.MakeKey(bVal))
+			composed, ok3 := eExt.FromKey(value.MakeKey(bVal))
 			if !ok3 || composed != direct {
 				return false // Property 4's equality P1(t) = P2(t) fails
 			}

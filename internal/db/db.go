@@ -13,7 +13,7 @@ package db
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -71,12 +71,14 @@ func (d *DB) TotalRows() int {
 // the same table. Mutators are mutually serialized per table; cross-table
 // atomicity is the Tx API's job (tx.go), not the lock's.
 type Table struct {
-	mu   sync.RWMutex
-	meta *schema.Table
-	rows []value.Tuple
-	free []int // indexes of deleted slots available for reuse
-	pk   map[value.Key]int
-	sec  map[string]map[value.Value][]int
+	mu     sync.RWMutex
+	meta   *schema.Table
+	pkCols []int // meta.PKIndexes(), resolved once
+	rows   []value.Tuple
+	free   []int // indexes of deleted slots available for reuse
+	pk     map[value.Key]int
+	sorted []value.Key // Keys' sorted list; nil until first asked for
+	sec    map[string]map[value.Value][]int
 	// graveyard keeps the last version of deleted rows so join paths can
 	// still be evaluated for tuples a traced transaction deleted (the
 	// trace references them, but the live table no longer does).
@@ -92,7 +94,7 @@ type Table struct {
 }
 
 func newTable(meta *schema.Table) *Table {
-	return &Table{meta: meta, pk: make(map[value.Key]int)}
+	return &Table{meta: meta, pkCols: meta.PKIndexes(), pk: make(map[value.Key]int)}
 }
 
 // Meta returns the table's schema declaration.
@@ -110,12 +112,12 @@ func (t *Table) Len() int {
 
 // PKOf computes the primary-key encoding of a tuple of this table.
 func (t *Table) PKOf(row value.Tuple) value.Key {
-	idx := t.meta.PKIndexes()
-	vals := make([]value.Value, len(idx))
-	for i, ci := range idx {
-		vals[i] = row[ci]
+	var buf [keyBufSize]byte
+	key := buf[:0]
+	for _, ci := range t.pkCols {
+		key = row[ci].Encode(key)
 	}
-	return value.KeyOf(vals)
+	return value.Key(key)
 }
 
 // Insert adds a row. It returns the row's primary key, or an error on
@@ -149,6 +151,7 @@ func (t *Table) Insert(row value.Tuple) (value.Key, error) {
 		t.rows = append(t.rows, row.Clone())
 	}
 	t.pk[k] = slot
+	t.keyAdded(k)
 	t.indexInsert(slot, row)
 	cRowsInserted.Inc()
 	return k, nil
@@ -179,7 +182,7 @@ func (t *Table) EnsureKey(k value.Key) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("db: %s: ensure key: %v", t.meta.Name, err)
 	}
-	idx := t.meta.PKIndexes()
+	idx := t.pkCols
 	if len(vals) != len(idx) {
 		return false, fmt.Errorf("db: %s: ensure key: key encodes %d values, primary key has %d columns",
 			t.meta.Name, len(vals), len(idx))
@@ -258,6 +261,7 @@ func (t *Table) deleteLocked(k value.Key) bool {
 	t.graveyard[k] = t.rows[slot]
 	t.indexDelete(slot, t.rows[slot])
 	delete(t.pk, k)
+	t.keyRemoved(k)
 	t.rows[slot] = nil
 	t.free = append(t.free, slot)
 	return true
@@ -273,6 +277,19 @@ func (t *Table) GetAny(k value.Key) (value.Tuple, bool) {
 		return t.rows[slot], true
 	}
 	row, ok := t.graveyard[k]
+	return row, ok
+}
+
+// getAnyEncoded is GetAny for a key still in its encoded byte form: the
+// map probes convert without copying, so join-path navigation looks rows
+// up without allocating a Key.
+func (t *Table) getAnyEncoded(k []byte) (value.Tuple, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if slot, ok := t.pk[value.Key(k)]; ok {
+		return t.rows[slot], true
+	}
+	row, ok := t.graveyard[value.Key(k)]
 	return row, ok
 }
 
@@ -293,15 +310,44 @@ func (t *Table) Scan(fn func(k value.Key, row value.Tuple) bool) {
 // Keys returns the primary keys of all live rows in sorted (encoded-key)
 // order. The deterministic order matters: workload generators sample from
 // it, and map-iteration order would make traces differ between runs.
+// The sorted list is built on the first call and kept in step by every
+// later insert and delete: generators call Keys once per transaction, and
+// re-sorting a large table each time dominated trace generation.
 func (t *Table) Keys() []value.Key {
 	t.mu.RLock()
-	out := make([]value.Key, 0, len(t.pk))
-	for k := range t.pk {
-		out = append(out, k)
+	if t.sorted != nil {
+		out := slices.Clone(t.sorted)
+		t.mu.RUnlock()
+		return out
 	}
 	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.sorted == nil {
+		t.sorted = make([]value.Key, 0, len(t.pk))
+		for k := range t.pk {
+			t.sorted = append(t.sorted, k)
+		}
+		slices.Sort(t.sorted)
+	}
+	return slices.Clone(t.sorted)
+}
+
+// keyAdded and keyRemoved keep the sorted key list, once built, in step
+// with the primary-key index; the caller holds the write lock.
+func (t *Table) keyAdded(k value.Key) {
+	if t.sorted != nil {
+		i, _ := slices.BinarySearch(t.sorted, k)
+		t.sorted = slices.Insert(t.sorted, i, k)
+	}
+}
+
+func (t *Table) keyRemoved(k value.Key) {
+	if t.sorted != nil {
+		if i, ok := slices.BinarySearch(t.sorted, k); ok {
+			t.sorted = slices.Delete(t.sorted, i, i+1)
+		}
+	}
 }
 
 // Touch records one committed write to the tuple identified by k,

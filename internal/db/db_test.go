@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/schema"
@@ -165,6 +166,51 @@ func TestScanAndKeys(t *testing.T) {
 	if got := len(tr.Keys()); got != 8 {
 		t.Errorf("Keys() len = %d", got)
 	}
+}
+
+// TestKeysTracksMutations checks the sorted key list Keys maintains
+// against a fresh sort after inserts on both ends, a delete, a
+// re-insert, and transaction commits that roll back an insert and a
+// delete; and that callers get their own copy.
+func TestKeysTracksMutations(t *testing.T) {
+	d := loadFigure1(t)
+	tr := d.Table("TRADE")
+	check := func(step string) {
+		t.Helper()
+		var want []value.Key
+		tr.Scan(func(k value.Key, _ value.Tuple) bool {
+			want = append(want, k)
+			return true
+		})
+		slices.Sort(want)
+		if got := tr.Keys(); !slices.Equal(got, want) {
+			t.Fatalf("%s: Keys() = %q, want %q", step, got, want)
+		}
+	}
+	row := func(id int64) value.Tuple {
+		return value.Tuple{value.NewInt(id), value.NewInt(1), value.NewInt(1)}
+	}
+	check("initial")
+	tr.MustInsert(row(-5)...)
+	tr.MustInsert(row(50)...)
+	check("insert")
+	tr.Delete(value.MakeKey(value.NewInt(3)))
+	check("delete")
+	tr.MustInsert(row(3)...)
+	check("re-insert")
+
+	tx := d.Begin()
+	_ = tx.Insert("TRADE", row(60))
+	_ = tx.Delete("TRADE", value.MakeKey(value.NewInt(4)))
+	_ = tx.Insert("TRADE", row(1)) // duplicate key: Commit rolls back
+	if err := tx.Commit(); err == nil {
+		t.Fatal("duplicate insert must fail the commit")
+	}
+	check("rollback")
+
+	keys := tr.Keys()
+	keys[0] = "mutated by caller"
+	check("caller copy")
 }
 
 func TestSecondaryIndex(t *testing.T) {

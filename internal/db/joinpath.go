@@ -2,134 +2,164 @@ package db
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
 
-// Path-evaluation metrics, cached in package vars: Eval is the single
-// hottest call in the evaluator (once per access per trace transaction).
-var (
-	cPathEvals      = obs.Default.Counter("db.path_evals")
-	cPathCacheHits  = obs.Default.Counter("db.path_cache_hits")
-	cPathCacheMiss  = obs.Default.Counter("db.path_cache_misses")
-	cPathEvalsBuilt = obs.Default.Counter("db.path_evaluators_built")
-)
+// cNavsCompiled counts compiled join-path navigators. Navigations
+// themselves are not counted: they are the innermost loop of the search,
+// the evaluator and the router, and a shared atomic counter there would
+// cost more than the navigation.
+var cNavsCompiled = obs.Default.Counter("db.path_evaluators_built")
 
-// EvalPathFromRow follows a join path starting from a row of the path's
-// source table and returns the destination attribute's value. The boolean
-// result is false when the chain dangles: a hop hits a NULL foreign key or
-// a referenced row that does not exist.
-func (d *DB) EvalPathFromRow(p schema.JoinPath, row value.Tuple) (value.Value, bool, error) {
+// keyBufSize is the stack buffer a navigation encodes lookup keys into.
+// Keys longer than this (long string key columns) still work; they spill
+// the buffer to the heap.
+const keyBufSize = 128
+
+// Nav is a join path compiled against one database: the source table,
+// the column indexes of X_0 in it, and one step per within-table hop.
+// Key–foreign-key hops compile away — the FK values *are* the referenced
+// primary-key values, so they carry over unchanged to the next step.
+// Following the path then costs one primary-key probe per within-table
+// hop and allocates nothing.
+//
+// A Nav is immutable and safe for concurrent use. It reads the tables it
+// was compiled against (live rows first, then the graveyard of deleted
+// rows, as Table.GetAny does), so it sees later mutations of those rows.
+type Nav struct {
+	path schema.JoinPath
+	src  *Table
+	cols []int // X_0's column indexes in src
+	hops []navHop
+}
+
+// navHop is one within-table hop X_i -> X_{i+1}: the values carried so
+// far form the primary key of t; the row they locate projects cols. A
+// nil t marks a leading hop whose X_0 is the source table's primary key
+// in key order: the row it would locate is the source row itself, so the
+// hop projects from that row without a lookup.
+type navHop struct {
+	t    *Table
+	cols []int
+}
+
+// Compile resolves a join path against the database. It fails on an
+// empty path, an unknown table or column, or a destination that is not
+// a single attribute.
+func (d *DB) Compile(p schema.JoinPath) (*Nav, error) {
 	if p.Len() == 0 {
-		return value.Value{}, false, fmt.Errorf("db: empty join path")
+		return nil, fmt.Errorf("db: empty join path")
 	}
-	vals, err := d.project(p.Nodes[0], row)
+	src := d.Table(p.SourceTable())
+	if src == nil {
+		return nil, fmt.Errorf("db: join path source table %q unknown", p.SourceTable())
+	}
+	cols, err := columnIndexes(src, p.Nodes[0])
 	if err != nil {
-		return value.Value{}, false, err
+		return nil, err
 	}
+	n := &Nav{path: p, src: src, cols: cols}
 	for i := 0; i+1 < p.Len(); i++ {
 		cur, next := p.Nodes[i], p.Nodes[i+1]
 		if cur.Table != next.Table {
-			// Key–foreign-key hop: the FK values *are* the referenced
-			// primary-key values, so they carry over unchanged.
 			continue
 		}
-		// Within-table hop: cur is the table's primary key; locate the row
-		// and project the next attribute set.
-		for _, v := range vals {
-			if v.IsNull() {
-				return value.Value{}, false, nil
-			}
-		}
 		t := d.Table(cur.Table)
-		r, ok := t.GetAny(value.KeyOf(vals))
-		if !ok {
-			return value.Value{}, false, nil
+		if t == nil {
+			return nil, fmt.Errorf("db: join path table %q unknown", cur.Table)
 		}
-		vals, err = d.project(next, r)
-		if err != nil {
-			return value.Value{}, false, err
+		if cols, err = columnIndexes(t, next); err != nil {
+			return nil, err
 		}
+		if i == 0 && slices.Equal(cur.Columns, t.meta.PrimaryKey) {
+			t = nil
+		}
+		n.hops = append(n.hops, navHop{t: t, cols: cols})
 	}
-	if len(vals) != 1 {
-		return value.Value{}, false, fmt.Errorf("db: join path %v did not end in a single attribute", p)
+	if len(cols) != 1 {
+		return nil, fmt.Errorf("db: join path %v did not end in a single attribute", p)
 	}
-	if vals[0].IsNull() {
-		return value.Value{}, false, nil
-	}
-	return vals[0], true, nil
+	cNavsCompiled.Inc()
+	return n, nil
 }
 
-// EvalPath follows a join path from the tuple of the source table whose
-// primary key is srcKey.
-func (d *DB) EvalPath(p schema.JoinPath, srcKey value.Key) (value.Value, bool, error) {
-	t := d.Table(p.SourceTable())
-	if t == nil {
-		return value.Value{}, false, fmt.Errorf("db: join path source table %q unknown", p.SourceTable())
-	}
-	row, ok := t.GetAny(srcKey)
-	if !ok {
-		return value.Value{}, false, nil
-	}
-	return d.EvalPathFromRow(p, row)
-}
-
-func (d *DB) project(cs schema.ColumnSet, row value.Tuple) ([]value.Value, error) {
-	meta := d.Table(cs.Table).Meta()
-	out := make([]value.Value, len(cs.Columns))
+func columnIndexes(t *Table, cs schema.ColumnSet) ([]int, error) {
+	out := make([]int, len(cs.Columns))
 	for i, c := range cs.Columns {
-		ci := meta.ColumnIndex(c)
-		if ci < 0 {
+		if out[i] = t.meta.ColumnIndex(c); out[i] < 0 {
 			return nil, fmt.Errorf("db: %s: unknown column %s in join path", cs.Table, c)
 		}
-		out[i] = row[ci]
 	}
 	return out, nil
 }
 
-// PathEval evaluates one join path repeatedly with memoization. The
-// partitioning evaluator follows the same path for every accessed tuple of
-// a table across the whole trace, so caching by source key is the dominant
-// cost saver.
-type PathEval struct {
-	db   *DB
-	path schema.JoinPath
-	// cache maps source primary key -> (value, ok). A cached !ok records a
-	// dangling chain so it is not re-walked.
-	cache map[value.Key]cachedVal
-}
+// Path returns the compiled join path.
+func (n *Nav) Path() schema.JoinPath { return n.path }
 
-type cachedVal struct {
-	v  value.Value
-	ok bool
-}
-
-// NewPathEval builds a memoizing evaluator for one path. The path should
-// already be validated against the database's schema.
-func NewPathEval(d *DB, p schema.JoinPath) *PathEval {
-	cPathEvalsBuilt.Inc()
-	return &PathEval{db: d, path: p, cache: make(map[value.Key]cachedVal)}
-}
-
-// Path returns the evaluated join path.
-func (e *PathEval) Path() schema.JoinPath { return e.path }
-
-// Eval maps a source-table primary key to the destination attribute value.
-func (e *PathEval) Eval(srcKey value.Key) (value.Value, bool) {
-	cPathEvals.Inc()
-	if c, hit := e.cache[srcKey]; hit {
-		cPathCacheHits.Inc()
-		return c.v, c.ok
+// FromKey follows the path from the source tuple whose primary key is k
+// and returns the destination attribute's value. The boolean result is
+// false when the chain dangles: the source row, or a row a hop
+// references, does not exist, or a hop hits a NULL foreign key.
+func (n *Nav) FromKey(k value.Key) (value.Value, bool) {
+	row, ok := n.src.GetAny(k)
+	if !ok {
+		return value.Value{}, false
 	}
-	cPathCacheMiss.Inc()
-	v, ok, err := e.db.EvalPath(e.path, srcKey)
+	return n.FromRow(row)
+}
+
+// FromRow follows the path from a row of the source table, with
+// FromKey's result semantics. The row itself is the source tuple: a path
+// leaving its table's primary key does not look the row up again.
+func (n *Nav) FromRow(row value.Tuple) (value.Value, bool) {
+	var buf [keyBufSize]byte
+	cols := n.cols
+	for _, h := range n.hops {
+		key := buf[:0]
+		for _, c := range cols {
+			if row[c].IsNull() {
+				return value.Value{}, false
+			}
+			if h.t != nil {
+				key = row[c].Encode(key)
+			}
+		}
+		if h.t != nil {
+			var ok bool
+			if row, ok = h.t.getAnyEncoded(key); !ok {
+				return value.Value{}, false
+			}
+		}
+		cols = h.cols
+	}
+	v := row[cols[0]]
+	return v, !v.IsNull()
+}
+
+// EvalPathFromRow follows a join path starting from a row of the path's
+// source table and returns the destination attribute's value; see
+// Nav.FromRow. It compiles the path on every call: repeated navigation
+// of one path should Compile it once.
+func (d *DB) EvalPathFromRow(p schema.JoinPath, row value.Tuple) (value.Value, bool, error) {
+	n, err := d.Compile(p)
 	if err != nil {
-		// Structural errors mean the path does not match the schema; the
-		// callers validate paths first, so treat as a dangling chain.
-		ok = false
+		return value.Value{}, false, err
 	}
-	e.cache[srcKey] = cachedVal{v: v, ok: ok}
-	return v, ok
+	v, ok := n.FromRow(row)
+	return v, ok, nil
+}
+
+// EvalPath follows a join path from the tuple of the source table whose
+// primary key is srcKey; see Nav.FromKey and EvalPathFromRow.
+func (d *DB) EvalPath(p schema.JoinPath, srcKey value.Key) (value.Value, bool, error) {
+	n, err := d.Compile(p)
+	if err != nil {
+		return value.Value{}, false, err
+	}
+	v, ok := n.FromKey(srcKey)
+	return v, ok, nil
 }

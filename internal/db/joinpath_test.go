@@ -119,32 +119,38 @@ func TestEvalPathErrors(t *testing.T) {
 	if _, _, err := d.EvalPath(bad, value.MakeKey(value.NewInt(1))); err == nil {
 		t.Error("unknown source table must error")
 	}
+	multi := schema.NewJoinPath(
+		schema.ColumnSet{Table: "TRADE", Columns: []string{"T_ID"}},
+		schema.ColumnSet{Table: "TRADE", Columns: []string{"T_CA_ID", "T_QTY"}},
+	)
+	if _, _, err := d.EvalPath(multi, value.MakeKey(value.NewInt(1))); err == nil {
+		t.Error("multi-attribute destination must error")
+	}
 }
 
-func TestPathEvalMemoizes(t *testing.T) {
+// TestNavZeroAlloc gates navigation at zero allocations, from a row and
+// from a key, through a composite-key source and two within-table hops.
+func TestNavZeroAlloc(t *testing.T) {
 	d := loadFigure1(t)
-	e := NewPathEval(d, tradePath())
-	k := value.MakeKey(value.NewInt(3))
-	v1, ok1 := e.Eval(k)
-	if !ok1 || v1 != value.NewInt(2) {
-		t.Fatalf("first eval = %v, %v", v1, ok1)
-	}
-	// Mutate the underlying chain: memoized result must be stable (the
-	// evaluator snapshots the mapping for the duration of a run).
-	d.Table("TRADE").Update(k, []string{"T_CA_ID"}, []value.Value{value.NewInt(1)})
-	v2, ok2 := e.Eval(k)
-	if !ok2 || v2 != v1 {
-		t.Errorf("memoized eval = %v, %v; want %v", v2, ok2, v1)
-	}
-	if !e.Path().Equal(tradePath()) {
-		t.Error("Path() must return the constructed path")
-	}
-	// Negative results are memoized too.
-	missing := value.MakeKey(value.NewInt(777))
-	if _, ok := e.Eval(missing); ok {
-		t.Error("missing row must be !ok")
-	}
-	if _, ok := e.Eval(missing); ok {
-		t.Error("memoized missing row must stay !ok")
+	for _, p := range []schema.JoinPath{tradePath(), hsPath()} {
+		n, err := d.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := d.Table(p.SourceTable()).Keys()
+		row, _ := d.Table(p.SourceTable()).Get(keys[0])
+		if _, ok := n.FromRow(row); !ok {
+			t.Fatalf("%v: row does not resolve", p)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { n.FromRow(row) }); allocs != 0 {
+			t.Errorf("%v: FromRow = %.0f allocs/op, want 0", p, allocs)
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(100, func() {
+			n.FromKey(keys[i%len(keys)])
+			i++
+		}); allocs != 0 {
+			t.Errorf("%v: FromKey = %.0f allocs/op, want 0", p, allocs)
+		}
 	}
 }

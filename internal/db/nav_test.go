@@ -1,0 +1,224 @@
+package db_test
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/db"
+	"repro/internal/fixture"
+	"repro/internal/schema"
+	"repro/internal/value"
+	"repro/internal/workloads"
+	"repro/internal/workloads/auctionmark"
+	"repro/internal/workloads/seats"
+	"repro/internal/workloads/tatp"
+	"repro/internal/workloads/tpcc"
+	"repro/internal/workloads/tpce"
+)
+
+// refWalk is the reference join-path walk the compiled navigator must
+// reproduce: project X_0 from the row, carry values across key–foreign-key
+// hops, and on each within-table hop locate the row the carried values
+// key (live or deleted) and project the next attribute set. Any NULL
+// carried into a lookup, any missing row, and a NULL destination dangle.
+func refWalk(t *testing.T, d *db.DB, p schema.JoinPath, row value.Tuple) (value.Value, bool) {
+	t.Helper()
+	project := func(cs schema.ColumnSet, row value.Tuple) []value.Value {
+		meta := d.Table(cs.Table).Meta()
+		out := make([]value.Value, len(cs.Columns))
+		for i, c := range cs.Columns {
+			ci := meta.ColumnIndex(c)
+			if ci < 0 {
+				t.Fatalf("%s: unknown column %s", cs.Table, c)
+			}
+			out[i] = row[ci]
+		}
+		return out
+	}
+	vals := project(p.Nodes[0], row)
+	for i := 0; i+1 < p.Len(); i++ {
+		cur, next := p.Nodes[i], p.Nodes[i+1]
+		if cur.Table != next.Table {
+			continue
+		}
+		for _, v := range vals {
+			if v.IsNull() {
+				return value.Value{}, false
+			}
+		}
+		r, ok := d.Table(cur.Table).GetAny(value.KeyOf(vals))
+		if !ok {
+			return value.Value{}, false
+		}
+		vals = project(next, r)
+	}
+	if len(vals) != 1 {
+		t.Fatalf("%v: destination is not a single attribute", p)
+	}
+	return vals[0], !vals[0].IsNull()
+}
+
+// refWalkKey is refWalk from the source tuple keyed k.
+func refWalkKey(t *testing.T, d *db.DB, p schema.JoinPath, k value.Key) (value.Value, bool) {
+	t.Helper()
+	row, ok := d.Table(p.SourceTable()).GetAny(k)
+	if !ok {
+		return value.Value{}, false
+	}
+	return refWalk(t, d, p, row)
+}
+
+// checkNavKeys compares the navigator with the reference walk from each
+// key, and from each key's row (live or deleted). It returns how many
+// keys resolved.
+func checkNavKeys(t *testing.T, d *db.DB, n *db.Nav, keys []value.Key) int {
+	t.Helper()
+	p := n.Path()
+	src := d.Table(p.SourceTable())
+	resolved := 0
+	for _, k := range keys {
+		want, wantOK := refWalkKey(t, d, p, k)
+		got, ok := n.FromKey(k)
+		if ok != wantOK || got != want {
+			t.Fatalf("%v: FromKey(%q) = %v, %v; reference %v, %v", p, k, got, ok, want, wantOK)
+		}
+		if ok {
+			resolved++
+		}
+		row, live := src.GetAny(k)
+		if !live {
+			continue
+		}
+		want, wantOK = refWalk(t, d, p, row)
+		if got, ok = n.FromRow(row); ok != wantOK || got != want {
+			t.Fatalf("%v: FromRow(%v) = %v, %v; reference %v, %v", p, row, got, ok, want, wantOK)
+		}
+	}
+	return resolved
+}
+
+// TestNavMatchesReferenceWalk checks the compiled navigator against the
+// reference walk on every row of every partitioned table of the JECB
+// solution, on all five paper benchmarks — first on the loaded database,
+// then after deleting every third row of each partitioned table, so
+// sources and hops resolve through the graveyard — plus a key no row has.
+func TestNavMatchesReferenceWalk(t *testing.T) {
+	benches := []struct {
+		name  string
+		bench workloads.Benchmark
+		scale int
+	}{
+		{"tpcc", tpcc.New(), 2},
+		{"tatp", tatp.New(), 200},
+		{"tpce", tpce.New(), 100},
+		{"seats", seats.New(), 150},
+		{"auctionmark", auctionmark.New(), 150},
+	}
+	for _, pb := range benches {
+		pb := pb
+		t.Run(pb.name, func(t *testing.T) {
+			t.Parallel()
+			d, err := pb.bench.Load(workloads.Config{Scale: pb.scale, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := workloads.GenerateTrace(pb.bench, d, 400, 2)
+			train, test := full.TrainTest(0.5, rand.New(rand.NewSource(3)))
+			sol, _, err := core.Partition(context.Background(), core.Input{
+				DB: d, Procedures: workloads.Procedures(pb.bench), Train: train, Test: test,
+			}, core.Options{K: 4, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			navs := map[string]*db.Nav{}
+			keys := map[string][]value.Key{}
+			for name, ts := range sol.Tables {
+				if ts.Replicate {
+					continue
+				}
+				if navs[name], err = d.Compile(ts.Path); err != nil {
+					t.Fatal(err)
+				}
+				keys[name] = append(d.Table(name).Keys(), value.MakeKey(value.NewString("no such row")))
+			}
+			if len(navs) == 0 {
+				t.Fatal("JECB solution partitions no table")
+			}
+			for name, n := range navs {
+				if checkNavKeys(t, d, n, keys[name]) == 0 {
+					t.Errorf("%s: no key resolves through %v", name, n.Path())
+				}
+			}
+			for name := range navs {
+				for i, k := range keys[name] {
+					if i%3 == 0 {
+						d.Table(name).Delete(k)
+					}
+				}
+			}
+			for name, n := range navs {
+				checkNavKeys(t, d, n, keys[name])
+			}
+		})
+	}
+}
+
+// TestNavDanglingAndGraveyard covers the edge cases on the Figure 1
+// fixture: a NULL foreign key (even with a row keyed NULL present), a
+// reference to a missing row, a missing source row, sources and hop
+// targets that were deleted, and a source node listing a composite
+// primary key out of key order.
+func TestNavDanglingAndGraveyard(t *testing.T) {
+	d := fixture.CustInfoDB()
+	p := fixture.TradePath()
+	n, err := d.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A row keyed NULL must not catch a NULL foreign key.
+	d.Table("CUSTOMER_ACCOUNT").MustInsert(value.NewNull(), value.NewInt(1))
+	trade := d.Table("TRADE")
+	nullFK := trade.MustInsert(value.NewInt(9001), value.NewNull(), value.NewInt(1))
+	missingFK := trade.MustInsert(value.NewInt(9002), value.NewInt(99999), value.NewInt(1))
+	missingSrc := value.MakeKey(value.NewInt(9003))
+	for _, k := range []value.Key{nullFK, missingFK, missingSrc} {
+		if _, ok := n.FromKey(k); ok {
+			t.Errorf("FromKey(%q) resolved a dangling chain", k)
+		}
+	}
+
+	// Delete a trade and the account it references: both the source row
+	// and the hop target now live only in the graveyard.
+	k := trade.Keys()[0]
+	want, ok := n.FromKey(k)
+	if !ok {
+		t.Fatal("fixture trade does not resolve")
+	}
+	row, _ := trade.Get(k)
+	caKey := value.MakeKey(row[1])
+	if !trade.Delete(k) || !d.Table("CUSTOMER_ACCOUNT").Delete(caKey) {
+		t.Fatal("delete failed")
+	}
+	if got, ok := n.FromKey(k); !ok || got != want {
+		t.Errorf("graveyard FromKey = %v, %v; want %v", got, ok, want)
+	}
+	if got, ok := n.FromRow(row); !ok || got != want {
+		t.Errorf("graveyard FromRow = %v, %v; want %v", got, ok, want)
+	}
+	checkNavKeys(t, d, n, append(trade.Keys(), nullFK, missingFK, missingSrc, k))
+
+	swapped := fixture.HSPath()
+	swapped.Nodes[0].Columns = []string{"HS_CA_ID", "HS_S_SYMB"}
+	if err := swapped.Validate(d.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []schema.JoinPath{fixture.HSPath(), swapped} {
+		n, err := d.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkNavKeys(t, d, n, d.Table("HOLDING_SUMMARY").Keys())
+	}
+}

@@ -219,6 +219,7 @@ func (t *Table) undoInsert(k value.Key) {
 	}
 	t.indexDelete(slot, t.rows[slot])
 	delete(t.pk, k)
+	t.keyRemoved(k)
 	t.rows[slot] = nil
 	t.free = append(t.free, slot)
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/db"
 	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/schema"
 	"repro/internal/trace"
 )
 
@@ -87,55 +86,45 @@ func (r *Result) String() string {
 		r.Solution, r.K, 100*r.Cost(), r.Distributed, r.Total)
 }
 
-// tableBinding is the prepared placement machinery of one partitioned
-// table: its join path, the path's cache identity, and its mapper.
+// tableBinding is the prepared placement of one covered table: a
+// compiled join path and its mapper, or a nil nav for a replicated table.
 type tableBinding struct {
-	path   schema.JoinPath
-	pathID string // path.String(): the NavCache key prefix
+	nav    *db.Nav
 	mapper partition.Mapper
 }
 
-// Assigner binds a solution to a database, memoizing FK navigation
-// (join-path evaluation) per (table join path, key) in a sharded,
-// concurrency-safe NavCache. Partition queries drive both the evaluator
-// and the router. An Assigner is safe for concurrent use: PlaceKey,
+// Assigner binds a solution to a database: each partitioned table's join
+// path is compiled once, so placing a tuple is one allocation-free
+// navigation plus a mapper call. Partition queries drive both the
+// evaluator and the router. The bindings are immutable after
+// construction, so an Assigner is safe for concurrent use: PlaceKey,
 // TxnPartitions, Distributed and Evaluate may be called from any number
 // of goroutines, and the parallel JECB search hammers one shared Assigner
 // from its whole worker pool.
 type Assigner struct {
-	d        *db.DB
 	sol      *partition.Solution
 	bindings map[string]tableBinding
-	nav      *NavCache
 }
 
 // NewAssigner validates the solution against the database schema and
-// prepares per-table placement bindings backed by a private NavCache.
+// compiles the join path of every partitioned table. The Assigner places
+// tuples by the solution's table placements as they are at this call;
+// build a new one after changing them.
 func NewAssigner(d *db.DB, sol *partition.Solution) (*Assigner, error) {
-	return NewAssignerCached(d, sol, nil)
-}
-
-// NewAssignerCached is NewAssigner with a shared FK-navigation cache: all
-// Assigners over the same (unmutated) database may share one NavCache, so
-// scoring many candidate solutions that route tables through the same
-// join paths re-walks each (path, key) navigation only once. A nil cache
-// allocates a private one.
-func NewAssignerCached(d *db.DB, sol *partition.Solution, nav *NavCache) (*Assigner, error) {
 	if err := sol.Validate(d.Schema()); err != nil {
 		return nil, err
 	}
-	if nav == nil {
-		nav = NewNavCache()
-	}
-	a := &Assigner{d: d, sol: sol, bindings: make(map[string]tableBinding), nav: nav}
+	a := &Assigner{sol: sol, bindings: make(map[string]tableBinding, len(sol.Tables))}
 	for name, ts := range sol.Tables {
-		if !ts.Replicate {
-			a.bindings[name] = tableBinding{
-				path:   ts.Path,
-				pathID: ts.Path.String(),
-				mapper: ts.Mapper,
-			}
+		if ts.Replicate {
+			a.bindings[name] = tableBinding{}
+			continue
 		}
+		nav, err := d.Compile(ts.Path)
+		if err != nil {
+			return nil, err
+		}
+		a.bindings[name] = tableBinding{nav: nav, mapper: ts.Mapper}
 	}
 	cAssigners.Inc()
 	return a, nil
@@ -144,40 +133,25 @@ func NewAssignerCached(d *db.DB, sol *partition.Solution, nav *NavCache) (*Assig
 // Solution returns the bound solution.
 func (a *Assigner) Solution() *partition.Solution { return a.sol }
 
-// NavCache returns the assigner's FK-navigation cache (for sharing with
-// further assigners over the same database).
-func (a *Assigner) NavCache() *NavCache { return a.nav }
-
 // PlaceKey returns the partition of an accessed tuple:
 // partition.Replicated for replicated tables, a partition in [0..k)
 // otherwise. ok is false when the solution does not cover the table or the
 // tuple's join path dangles (the tuple cannot be placed, so any
-// transaction touching it is distributed). Safe for concurrent use.
+// transaction touching it is distributed). Safe for concurrent use; it
+// does not allocate.
 func (a *Assigner) PlaceKey(acc trace.Access) (int, bool) {
-	ts := a.sol.Table(acc.Table)
-	if ts == nil {
+	b, ok := a.bindings[acc.Table]
+	if !ok {
 		return 0, false
 	}
-	if ts.Replicate {
+	if b.nav == nil {
 		return partition.Replicated, true
 	}
-	b := a.bindings[acc.Table]
-	nk := navKey{path: b.pathID, key: acc.Key}
-	nv, hit := a.nav.get(nk)
-	if !hit {
-		v, ok, err := a.d.EvalPath(b.path, acc.Key)
-		if err != nil {
-			// Structural errors mean the path does not match the schema;
-			// solutions are validated up front, so treat as dangling.
-			ok = false
-		}
-		nv = navVal{v: v, ok: ok}
-		a.nav.put(nk, nv)
-	}
-	if !nv.ok {
+	v, ok := b.nav.FromKey(acc.Key)
+	if !ok {
 		return 0, false
 	}
-	return b.mapper.Map(nv.v), true
+	return b.mapper.Map(v), true
 }
 
 // TxnPartitions classifies a transaction under the bound solution: the set

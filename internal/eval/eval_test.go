@@ -219,6 +219,33 @@ func TestAssignerPlaceKey(t *testing.T) {
 	}
 }
 
+// TestPlaceKeyZeroAlloc gates placement at zero allocations: a compiled
+// navigation plus a mapper call, for partitioned, replicated and
+// uncovered tables alike.
+func TestPlaceKeyZeroAlloc(t *testing.T) {
+	d := fixture.CustInfoDB()
+	tr := fixture.MixedTrace(d, 50, 3)
+	sol := joinExtensionSolution(4)
+	sol.Set(partition.NewReplicated("CUSTOMER_ACCOUNT"))
+	a, err := NewAssigner(d, sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accs []trace.Access
+	for _, txn := range tr.All() {
+		accs = append(accs, txn.Accesses...)
+	}
+	accs = append(accs, trace.Access{Table: "NOPE", Key: value.MakeKey(value.NewInt(1))})
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		a.PlaceKey(accs[i%len(accs)])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("PlaceKey = %.2f allocs/op, want 0", allocs)
+	}
+}
+
 func TestEvaluateRejectsInvalidSolution(t *testing.T) {
 	d := fixture.CustInfoDB()
 	bad := partition.NewSolution("bad", 0)

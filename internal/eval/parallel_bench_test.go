@@ -1,10 +1,10 @@
 package eval
 
 // Benchmarks of the sharded evaluator: the same Assigner scoring the same
-// trace at a sweep of worker counts, plus the cold-vs-warm navigation
-// cache. TPC-C/SEATS full-pipeline numbers live in bench_parallel_test.go
-// at the repository root (this package cannot import workloads without a
-// dependency cycle in the test build graph worth avoiding for a bench).
+// trace at a sweep of worker counts. TPC-C/SEATS full-pipeline numbers
+// live in bench_parallel_test.go at the repository root (this package
+// cannot import workloads without a dependency cycle in the test build
+// graph worth avoiding for a bench).
 //
 // Run: go test -bench=EvaluateParallel -benchmem ./internal/eval/
 
@@ -31,22 +31,5 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkNavCacheWarm measures the steady state the phase-3 combination
-// search runs in: every FK navigation served from the shared cache.
-func BenchmarkNavCacheWarm(b *testing.B) {
-	d := fixture.CustInfoDB()
-	tr := fixture.MixedTrace(d, 4000, 7)
-	nav := NewNavCache()
-	a, err := NewAssignerCached(d, joinExtensionSolution(8), nav)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a.Evaluate(tr) // warm the cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Evaluate(tr)
 	}
 }

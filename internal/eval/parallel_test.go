@@ -69,7 +69,7 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 // TestAssignerSharedStress hammers one shared Assigner from 16 goroutines
 // mixing PlaceKey, Distributed, and full EvaluateParallel calls — the
 // access pattern of the parallel phase-3 search. Run under -race this is
-// the concurrency-safety proof for Assigner + NavCache.
+// the concurrency-safety proof for Assigner.
 func TestAssignerSharedStress(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 400, 11)
@@ -112,43 +112,6 @@ func TestAssignerSharedStress(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	if a.NavCache().Len() == 0 {
-		t.Fatal("NavCache empty after stress: memoization not engaged")
-	}
-}
-
-// TestNavCacheSharedAcrossAssigners verifies the phase-3 sharing contract:
-// assigners over the same database reuse one NavCache, and placements stay
-// correct when solutions differ only in mapper (same join paths).
-func TestNavCacheSharedAcrossAssigners(t *testing.T) {
-	d := fixture.CustInfoDB()
-	tr := fixture.MixedTrace(d, 200, 3)
-	nav := NewNavCache()
-	a1, err := NewAssignerCached(d, joinExtensionSolution(4), nav)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := a1.Evaluate(tr)
-	filled := nav.Len()
-	if filled == 0 {
-		t.Fatal("first evaluation did not fill the shared cache")
-	}
-	a2, err := NewAssignerCached(d, joinExtensionSolution(8), nav)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := a2.Evaluate(tr)
-	if nav.Len() != filled {
-		t.Fatalf("same join paths re-filled cache: %d -> %d entries", filled, nav.Len())
-	}
-	// Both are the paper's perfect partitioning; costs must both be 0 on
-	// the pure CustInfo portion and equal overall class totals.
-	if r1.Total != r2.Total {
-		t.Fatalf("totals diverged: %d vs %d", r1.Total, r2.Total)
-	}
-	if a1.NavCache() != a2.NavCache() {
-		t.Fatal("assigners do not share the NavCache")
 	}
 }
 

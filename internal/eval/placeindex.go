@@ -21,10 +21,8 @@ const (
 // every distinct (table, key) pair in a columnar trace, resolved once
 // into a dense array indexed by the trace's interned key ids. Scoring a
 // transaction then costs one array load per access — no string hashing,
-// no navigation, no allocation. It replaces per-access NavCache probes
-// on the evaluator's hot path; the NavCache still backs the build, so
-// indexes built chunk-by-chunk over a streaming trace re-walk each join
-// path only once.
+// no navigation, no allocation. The build navigates each distinct key
+// once through the Assigner's compiled join paths.
 type PlaceIndex struct {
 	a     *Assigner
 	c     *trace.Columnar
@@ -143,11 +141,10 @@ func (a *Assigner) EvaluateColumnar(c *trace.Columnar) *Result {
 }
 
 // EvaluateStream scores the bound solution on a streaming columnar
-// trace, one chunk at a time: each chunk gets a fresh PlaceIndex (the
-// shared NavCache memoizes join-path navigations across chunks) and its
-// tallies merge in chunk order, so the Result is identical to loading
-// the whole trace and evaluating it in memory — without ever holding
-// more than one chunk.
+// trace, one chunk at a time: each chunk gets a fresh PlaceIndex over
+// its own key table and its tallies merge in chunk order, so the Result
+// is identical to loading the whole trace and evaluating it in memory —
+// without ever holding more than one chunk.
 func (a *Assigner) EvaluateStream(s *trace.Stream) (*Result, error) {
 	r := &Result{Solution: a.sol.Name, K: a.sol.K, ByClass: make(map[string]*ClassResult)}
 	for chunk, err := range s.Chunks() {

@@ -93,7 +93,7 @@ func TestEvaluateAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := trace.Columnarize(tr)
-	idx := a.Index(c) // build (and NavCache warm-up) excluded from the budget
+	idx := a.Index(c) // build excluded from the budget
 	allocs := testing.AllocsPerRun(20, func() {
 		idx.Evaluate()
 	})

@@ -133,32 +133,37 @@ func (p *Plan) Hybrid(old, new *partition.Solution) *partition.Solution {
 	return out
 }
 
-// placer resolves one table's serving node for a key under a solution:
+// placer resolves one table's serving node for a row under a solution:
 // node >= 0, Replicated, or not placeable.
 type placer struct {
-	ts *partition.TableSolution
-	ev *db.PathEval
+	ts  *partition.TableSolution
+	nav *db.Nav
 }
 
 func newPlacer(d *db.DB, sol *partition.Solution, table string) *placer {
 	ts := sol.Table(table)
 	p := &placer{ts: ts}
 	if ts != nil && !ts.Replicate {
-		p.ev = db.NewPathEval(d, ts.Path)
+		// The solution is validated, so the path compiles; a nil nav
+		// would leave the table unplaceable.
+		p.nav, _ = d.Compile(ts.Path)
 	}
 	return p
 }
 
-// place returns the tuple's node (partition.Replicated for replicated
+// place returns the row's node (partition.Replicated for replicated
 // tables) and whether it is placeable.
-func (p *placer) place(k value.Key) (int, bool) {
+func (p *placer) place(row value.Tuple) (int, bool) {
 	if p.ts == nil {
 		return 0, false
 	}
 	if p.ts.Replicate {
 		return partition.Replicated, true
 	}
-	v, ok := p.ev.Eval(k)
+	if p.nav == nil {
+		return 0, false
+	}
+	v, ok := p.nav.FromRow(row)
 	if !ok {
 		return 0, false
 	}
@@ -178,8 +183,8 @@ func tableDelta(d *db.DB, old, new *partition.Solution, table string) Unit {
 	}
 	flows := map[[2]int]int{}
 	d.Table(table).Scan(func(k value.Key, row value.Tuple) bool {
-		from, okOld := po.place(k)
-		to, okNew := pn.place(k)
+		from, okOld := po.place(row)
+		to, okNew := pn.place(row)
 		switch {
 		case !okOld || !okNew:
 			// Unplaceable under either epoch: it has no single home to

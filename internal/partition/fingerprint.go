@@ -7,29 +7,49 @@ package partition
 // router derives from them (replication flag, join path, mapper family
 // and partition count).
 
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // fnv1a accumulates FNV-1a over s.
 func fnv1a(h uint64, s string) uint64 {
-	const prime64 = 1099511628211
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return h
 }
 
-const fnvOffset64 = 14695981039346656037
+// fnvField accumulates one tagged field. Identifiers never contain the
+// tag bytes (1-4), so the field boundaries stay unambiguous.
+func fnvField(h uint64, tag byte, s string) uint64 {
+	return fnv1a((h^uint64(tag))*fnvPrime64, s)
+}
 
 // Fingerprint hashes the placement-shape of one table solution: the
-// table, the replication flag, the join path, and the mapper family and
-// k. Lookup-table contents are intentionally excluded — those change
-// with incremental placement updates that do not invalidate which table
-// the router scans (the router rebuilds value-level entries itself).
+// table, the replication flag, the join path (every node's table and
+// columns), and the mapper family and k. Two table solutions fingerprint
+// alike exactly when their String renderings and mapper k agree.
+// Lookup-table contents are intentionally excluded — those change with
+// incremental placement updates that do not invalidate which table the
+// router scans (the router rebuilds value-level entries itself). The
+// fields are hashed in place, without building a string: the router
+// checks every table's fingerprint on every Route.
 func (ts *TableSolution) Fingerprint() uint64 {
-	h := fnv1a(fnvOffset64, ts.String())
-	if !ts.Replicate && ts.Mapper != nil {
-		h = fnv1a(h, ts.Mapper.Name())
-		h ^= uint64(ts.Mapper.K())
-		h *= 1099511628211
+	h := fnv1a(fnvOffset64, ts.Table)
+	if ts.Replicate {
+		return fnvField(h, 1, "")
+	}
+	for _, n := range ts.Path.Nodes {
+		h = fnvField(h, 2, n.Table)
+		for _, c := range n.Columns {
+			h = fnvField(h, 3, c)
+		}
+	}
+	if ts.Mapper != nil {
+		h = fnvField(h, 4, ts.Mapper.Name())
+		h = (h ^ uint64(ts.Mapper.K())) * fnvPrime64
 	}
 	return h
 }

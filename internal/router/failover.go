@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -173,6 +174,7 @@ func (r *Router) Refresh() ([]string, error) {
 		return nil, err
 	}
 	var rebuilt []string
+	built := map[schema.ColumnRef]*lookupTable{}
 	for class, route := range r.routes {
 		need := route.broadcast // a new placement may unlock routing
 		for dep := range route.deps {
@@ -200,7 +202,7 @@ func (r *Router) Refresh() ([]string, error) {
 		if a == nil {
 			continue
 		}
-		fresh, err := r.plan(a)
+		fresh, err := r.plan(a, built)
 		if err != nil {
 			return nil, err
 		}

@@ -82,3 +82,30 @@ func TestEpochRouteMatchesRouteSafe(t *testing.T) {
 			parts, epoch, gotDec.Partitions, gotEpoch)
 	}
 }
+
+// TestRouteAllocBudget gates Route's healthy path at 3 allocations per
+// call — the returned partition slice (plus the full list on broadcast)
+// — for local hits, lookup misses and unknown classes. The staleness
+// check fingerprints every table on every call, so it must not allocate.
+func TestRouteAllocBudget(t *testing.T) {
+	r, _ := custInfoSetup(t, 4)
+	ctx := context.Background()
+	reqs := []Request{
+		{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(1)}},
+		{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(99)}},
+		{Class: "Nope"},
+	}
+	for _, req := range reqs {
+		if _, err := r.Route(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := r.Route(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("Route(%s, %v) = %.0f allocs/op, budget is 3", req.Class, req.Params, allocs)
+		}
+	}
+}

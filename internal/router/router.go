@@ -100,8 +100,9 @@ func New(d *db.DB, sol *partition.Solution, analyses []*sqlparse.Analysis) (*Rou
 			r.fwd[src] = append(r.fwd[src], dst)
 		}
 	}
+	built := map[schema.ColumnRef]*lookupTable{}
 	for _, a := range analyses {
-		route, err := r.plan(a)
+		route, err := r.plan(a, built)
 		if err != nil {
 			return nil, err
 		}
@@ -122,12 +123,25 @@ func (r *Router) snapshotFingerprints() {
 	}
 }
 
+// lookupTable is a built routing lookup table: each value of the routing
+// column mapped to the ascending partition set holding the matching
+// data, plus the tables whose placement it derives from — the staleness
+// dependencies of any plan built on it. Both maps are read-only once
+// built, so plans of different classes share them.
+type lookupTable struct {
+	parts map[value.Value][]int
+	deps  map[string]bool
+}
+
 // plan picks the routing attribute for one class: among all (parameter,
 // filtered column) candidates it builds each lookup table and keeps the
 // one whose values map to the fewest partitions on average — the
 // "compatible and finer than the partitioning attribute" criterion of §3.
-// A candidate no better than broadcasting is rejected.
-func (r *Router) plan(a *sqlparse.Analysis) (*classRoute, error) {
+// A candidate no better than broadcasting is rejected. Lookup tables
+// already in built are reused, and new ones are added to it, so one
+// planning pass scans each (table, column) once however many classes
+// and parameters filter on it.
+func (r *Router) plan(a *sqlparse.Analysis, built map[schema.ColumnRef]*lookupTable) (*classRoute, error) {
 	route := &classRoute{class: a.Proc.Name, writes: len(a.WriteTables) > 0}
 	// A class that reads only replicated tables can be served by any
 	// single healthy node — the replica-fallback property the degraded
@@ -148,23 +162,27 @@ func (r *Router) plan(a *sqlparse.Analysis) (*classRoute, error) {
 	bestScore := float64(r.sol.K) // broadcast baseline
 	for _, p := range params {
 		for _, col := range a.InputFilters[p] {
-			lookup, deps, err := r.buildLookup(col)
-			if err != nil {
-				return nil, err
+			lt, ok := built[col]
+			if !ok {
+				var err error
+				if lt, err = r.buildLookup(col); err != nil {
+					return nil, err
+				}
+				built[col] = lt
 			}
-			if len(lookup) == 0 {
+			if len(lt.parts) == 0 {
 				continue
 			}
 			total := 0
-			for _, ps := range lookup {
+			for _, ps := range lt.parts {
 				total += len(ps)
 			}
-			score := float64(total) / float64(len(lookup))
+			score := float64(total) / float64(len(lt.parts))
 			if score < bestScore-1e-9 {
 				bestScore = score
 				route.param = p
-				route.lookup = lookup
-				route.deps = deps
+				route.lookup = lt.parts
+				route.deps = lt.deps
 			}
 		}
 	}
@@ -179,66 +197,69 @@ func (r *Router) plan(a *sqlparse.Analysis) (*classRoute, error) {
 }
 
 // buildLookup maps each value of the routing column to the set of
-// partitions holding the matching data. For a partitioned table it places
-// every row under the solution's join path. For a replicated or uncovered
-// table it still routes when some column of the table carries the same
-// values as a partitioned table's attribute (connected by FK-component
-// chains): the paper's "compatible and finer" criterion — a CUSTOMER
-// filter pins the partition of the customer's accounts even though
-// CUSTOMER itself is replicated. Returns a nil map when neither applies.
-// The second result names the tables whose placement the lookup derives
-// from — the staleness dependencies of any plan built on it.
-func (r *Router) buildLookup(col schema.ColumnRef) (map[value.Value][]int, map[string]bool, error) {
+// partitions holding the matching data, in one scan of the column's
+// table. For a partitioned table it places every row under the
+// solution's join path, navigating from the scanned row. For a
+// replicated or uncovered table it still routes when some column of the
+// table carries the same values as a partitioned table's attribute
+// (connected by FK-component chains): the paper's "compatible and finer"
+// criterion — a CUSTOMER filter pins the partition of the customer's
+// accounts even though CUSTOMER itself is replicated. The table has no
+// entries when neither applies.
+func (r *Router) buildLookup(col schema.ColumnRef) (*lookupTable, error) {
 	t := r.d.Table(col.Table)
 	ci := t.Meta().ColumnIndex(col.Column)
 	if ci < 0 {
-		return nil, nil, fmt.Errorf("router: %s has no column %s", col.Table, col.Column)
+		return nil, fmt.Errorf("router: %s has no column %s", col.Table, col.Column)
 	}
-	deps := map[string]bool{col.Table: true}
+	lt := &lookupTable{deps: map[string]bool{col.Table: true}}
 	ts := r.sol.Table(col.Table)
-	var place func(k value.Key, row value.Tuple) (int, bool)
+	var place func(row value.Tuple) (int, bool)
 	if ts != nil && !ts.Replicate {
-		ev := db.NewPathEval(r.d, ts.Path)
-		place = func(k value.Key, row value.Tuple) (int, bool) {
-			v, ok := ev.Eval(k)
+		nav, err := r.d.Compile(ts.Path)
+		if err != nil {
+			return nil, err
+		}
+		place = func(row value.Tuple) (int, bool) {
+			v, ok := nav.FromRow(row)
 			if !ok {
 				return 0, false
 			}
 			return ts.Mapper.Map(v), true
 		}
 	} else if mapper, vi, srcTable, ok := r.equivalentAttribute(t.Meta()); ok {
-		deps[srcTable] = true
-		place = func(k value.Key, row value.Tuple) (int, bool) {
+		lt.deps[srcTable] = true
+		place = func(row value.Tuple) (int, bool) {
 			return mapper.Map(row[vi]), true
 		}
 	} else {
-		return nil, nil, nil
+		return lt, nil
 	}
-	sets := map[value.Value]map[int]bool{}
-	t.Scan(func(k value.Key, row value.Tuple) bool {
-		p, ok := place(k, row)
+	sets := map[value.Value]partition.Set{}
+	members := 0
+	t.Scan(func(_ value.Key, row value.Tuple) bool {
+		p, ok := place(row)
 		if !ok {
 			return true // unplaceable row: ignore for routing
 		}
-		set, ok := sets[row[ci]]
-		if !ok {
-			set = map[int]bool{}
+		if set := sets[row[ci]]; !set.Has(p) {
+			set.Add(p)
 			sets[row[ci]] = set
+			members++
 		}
-		set[p] = true
 		return true
 	})
-	out := make(map[value.Value][]int, len(sets))
+	// One backing array holds every value's partition list; the capped
+	// slices keep an append to one list from overwriting the next.
+	all := make([]int, 0, members)
+	lt.parts = make(map[value.Value][]int, len(sets))
 	for v, set := range sets {
-		ps := make([]int, 0, len(set))
-		for p := range set {
-			ps = append(ps, p)
-		}
-		sort.Ints(ps)
-		out[v] = ps
+		lo := len(all)
+		all = set.AppendTo(all)
+		lt.parts[v] = all[lo:len(all):len(all)]
 	}
 	cLookupsBuilt.Inc()
-	return out, deps, nil
+	return lt, nil
 }
 
 // equivalentAttribute finds a column of meta whose values coincide (via
