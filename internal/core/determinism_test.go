@@ -10,6 +10,7 @@ import (
 	"repro/internal/workloads/seats"
 	"repro/internal/workloads/tatp"
 	"repro/internal/workloads/tpcc"
+	"repro/internal/workloads/tpce"
 )
 
 // runFingerprint executes one full JECB run and returns the canonical
@@ -45,7 +46,9 @@ func runFingerprint(t *testing.T, b workloads.Benchmark, scale, txns int, opts O
 
 // TestDeterminismMatrix is the cross-worker-count half of the contract:
 // the same seed at Parallelism 1, 2 and 8 produces byte-identical
-// Solution and Report JSON on the TPC-C, TATP and SEATS fixtures.
+// Solution and Report JSON on the TPC-C, TATP, SEATS and TPC-E fixtures.
+// TPC-E is the case with min-cut fallbacks, so it covers lookup mappers
+// through phases 2 and 3.
 func TestDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-workload matrix; skipped in -short")
@@ -59,6 +62,7 @@ func TestDeterminismMatrix(t *testing.T) {
 		{"tpcc", tpcc.New(), 4, 600},
 		{"tatp", tatp.New(), 400, 600},
 		{"seats", seats.New(), 300, 600},
+		{"tpce", tpce.New(), 100, 600},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

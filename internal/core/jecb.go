@@ -71,10 +71,11 @@ type Options struct {
 
 	// Parallelism is the worker count of the parallel search: phase 2
 	// solves transaction classes on a pool of this many workers (and
-	// shards per-class trace scans across it), and phase 3 evaluates
-	// candidate combinations concurrently. 0 or negative means
-	// runtime.GOMAXPROCS(0). Results are bit-identical for any value —
-	// see DESIGN.md, "Determinism contract".
+	// shards per-class trace scans across it), and phase 3 places its
+	// distinct table options and costs candidate combinations
+	// concurrently. 0 or negative means runtime.GOMAXPROCS(0). Results
+	// are bit-identical for any value — see DESIGN.md, "Determinism
+	// contract".
 	Parallelism int
 
 	// Warm seeds Phase 3 with a previously deployed solution: the warm

@@ -1,8 +1,9 @@
 package core
 
 // Phase-level benchmarks of the parallel search: phase 2 (per-class join
-// trees) and phase 3 (combination search) on TPC-C and SEATS, each at a
-// sweep of worker counts. The full-pipeline counterparts — and the
+// trees) and phase 3 (combination search) on TPC-C and SEATS — plus phase
+// 3 on TPC-E, the workload with the most combinations and table options —
+// each at a sweep of worker counts. The full-pipeline counterparts — and the
 // BENCH_parallel.json exporter recording the 1-vs-8 worker speedup —
 // live in bench_parallel_test.go at the repository root.
 //
@@ -17,6 +18,7 @@ import (
 	"repro/internal/workloads"
 	"repro/internal/workloads/seats"
 	"repro/internal/workloads/tpcc"
+	"repro/internal/workloads/tpce"
 )
 
 // benchPartitioner loads a benchmark and constructs a ready-to-run
@@ -80,3 +82,4 @@ func BenchmarkPhase2TPCC(b *testing.B)  { benchPhase2(b, tpcc.New(), 8, 2000) }
 func BenchmarkPhase2SEATS(b *testing.B) { benchPhase2(b, seats.New(), 300, 2000) }
 func BenchmarkPhase3TPCC(b *testing.B)  { benchPhase3(b, tpcc.New(), 8, 2000) }
 func BenchmarkPhase3SEATS(b *testing.B) { benchPhase3(b, seats.New(), 300, 2000) }
+func BenchmarkPhase3TPCE(b *testing.B)  { benchPhase3(b, tpce.New(), 200, 2000) }

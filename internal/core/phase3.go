@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/eval"
 	"repro/internal/partition"
 	"repro/internal/schema"
 )
@@ -23,31 +22,14 @@ type tableCandidate struct {
 }
 
 // phase3 combines per-class solutions into the global solution (§6).
-// Cancelling ctx aborts the candidate-costing pool between items and
-// surfaces the context's error before any fold touches the cost slots.
+// Cancelling ctx aborts the option-placement and candidate-costing pools
+// between items and surfaces the context's error before any fold touches
+// the cost slots.
 func (p *Partitioner) phase3(ctx context.Context, pre *preprocessed, classes map[string]*ClassResult) (*partition.Solution, *Report, error) {
 	sc := p.in.DB.Schema()
 	compat := newAttrCompat(sc)
 
-	// Harvest per-table candidates from every class solution.
-	byTable := map[string][]*tableCandidate{}
-	var classNames []string
-	for name := range classes {
-		classNames = append(classNames, name)
-	}
-	sort.Strings(classNames)
-	for _, name := range classNames {
-		cr := classes[name]
-		for _, sol := range append(append([]*ClassSolution{}, cr.Total...), cr.Partial...) {
-			for tbl, path := range sol.Tree.Paths {
-				byTable[tbl] = append(byTable[tbl], &tableCandidate{
-					table: tbl, path: path, attr: sol.Tree.Root,
-					mi: sol.MappingIndependent, mapper: sol.Mapper, class: name,
-				})
-			}
-		}
-	}
-
+	byTable := harvestTableCandidates(classes)
 	rep := &Report{
 		K:          p.opts.K,
 		Replicated: pre.Replicated,
@@ -74,56 +56,56 @@ func (p *Partitioner) phase3(ctx context.Context, pre *preprocessed, classes map
 		return sol, rep, nil
 	}
 
+	cands, err := p.enumerateCandidates(pre, byTable, attrs, compat)
+	if err != nil {
+		return nil, nil, err
+	}
+	sols := make([]*partition.Solution, 0, len(cands)+1)
+	for _, c := range cands {
+		sols = append(sols, c.sol)
+	}
+
 	// Warm start: a previously deployed solution seeds the incumbent.
 	// Every enumerated combination must now *beat* the deployed trees on
 	// the current training window, so a stable workload keeps its
 	// placements (and the migration planner sees a zero-move delta).
-	var best *partition.Solution
-	bestCost := 0.0
-	if w := p.opts.Warm; w != nil && w.K == p.opts.K && w.Validate(sc) == nil {
-		if a, err := eval.NewAssigner(p.in.DB, w); err == nil {
-			// Copy the shell so renaming the winner cannot mutate the
-			// caller's deployed solution.
-			best = &partition.Solution{Name: w.Name, K: w.K, Tables: w.Tables}
-			bestCost = a.EvaluateParallel(p.in.Train, p.opts.parallelism()).Cost()
-			rep.WarmSeeded = true
-			rep.WarmCost = bestCost
-		}
+	warm := p.opts.Warm
+	if warm != nil && (warm.K != p.opts.K || warm.Validate(sc) != nil) {
+		warm = nil
+	}
+	if warm != nil {
+		sols = append(sols, warm)
 	}
 
-	// Steps 2–3: per attribute, build reduced per-table solution sets and
-	// enumerate combinations — sequentially: enumeration is cheap and its
-	// order defines the tie-break (first strictly-better candidate wins).
-	type candidate struct {
-		attr schema.ColumnRef
-		sol  *partition.Solution
-	}
-	var cands []candidate
-	for _, attr := range attrs {
-		combos, err := p.combosForAttribute(pre, byTable, attr, compat)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, sol := range combos {
-			cands = append(cands, candidate{attr: attr, sol: sol})
-		}
-	}
-
-	// Cost every candidate concurrently (each into its own slot), then
-	// fold the argmin sequentially in enumeration order with a strict <,
+	// Place every distinct table option on the training trace once, then
+	// cost the warm incumbent and every candidate by scanning the option
+	// columns — candidates concurrently, each into its own slot. The
+	// argmin is folded sequentially in enumeration order with a strict <,
 	// which reproduces the sequential search's winner exactly: the first
 	// candidate achieving the minimum cost.
 	workers := p.opts.parallelism()
 	gPhase3Workers.Set(float64(workers))
+	scorer := newComboScorer(p.in.Train)
+	if err := scorer.place(ctx, p.in.DB, p.in.Train, workers, sols); err != nil {
+		return nil, nil, fmt.Errorf("core: phase 3: %w", err)
+	}
+	var best *partition.Solution
+	bestCost := 0.0
+	if warm != nil {
+		// A warm solution whose paths no longer compile is not seeded.
+		if c, err := scorer.cost(sc, warm); err == nil {
+			// Copy the shell so renaming the winner cannot mutate the
+			// caller's deployed solution.
+			best = &partition.Solution{Name: warm.Name, K: warm.K, Tables: warm.Tables}
+			bestCost = c
+			rep.WarmSeeded = true
+			rep.WarmCost = bestCost
+		}
+	}
 	costs := make([]float64, len(cands))
 	errs := make([]error, len(cands))
 	poolErr := forEachIndexed(ctx, workers, len(cands), gPhase3Queue, func(i int) {
-		a, err := eval.NewAssigner(p.in.DB, cands[i].sol)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		costs[i] = a.Evaluate(p.in.Train).Cost()
+		costs[i], errs[i] = scorer.cost(sc, cands[i].sol)
 	})
 	if poolErr != nil {
 		// Cancelled: unclaimed slots hold a zero cost that must never reach
@@ -150,6 +132,54 @@ func (p *Partitioner) phase3(ctx context.Context, pre *preprocessed, classes map
 	rep.Solution = best
 	rep.TrainCost = bestCost
 	return best, rep, nil
+}
+
+// harvestTableCandidates collects the per-table candidates of every
+// class solution, classes in name order.
+func harvestTableCandidates(classes map[string]*ClassResult) map[string][]*tableCandidate {
+	byTable := map[string][]*tableCandidate{}
+	var classNames []string
+	for name := range classes {
+		classNames = append(classNames, name)
+	}
+	sort.Strings(classNames)
+	for _, name := range classNames {
+		cr := classes[name]
+		for _, sol := range append(append([]*ClassSolution{}, cr.Total...), cr.Partial...) {
+			for tbl, path := range sol.Tree.Paths {
+				byTable[tbl] = append(byTable[tbl], &tableCandidate{
+					table: tbl, path: path, attr: sol.Tree.Root,
+					mi: sol.MappingIndependent, mapper: sol.Mapper, class: name,
+				})
+			}
+		}
+	}
+	return byTable
+}
+
+// candidate is one enumerated cross-table combination and the candidate
+// attribute it was enumerated for.
+type candidate struct {
+	attr schema.ColumnRef
+	sol  *partition.Solution
+}
+
+// enumerateCandidates implements §6 steps 2–3: per attribute, build the
+// reduced per-table solution sets and enumerate their combinations. The
+// order is the search's tie-break: the first strictly-better candidate
+// wins.
+func (p *Partitioner) enumerateCandidates(pre *preprocessed, byTable map[string][]*tableCandidate, attrs []schema.ColumnRef, compat *attrCompat) ([]candidate, error) {
+	var cands []candidate
+	for _, attr := range attrs {
+		combos, err := p.combosForAttribute(pre, byTable, attr, compat)
+		if err != nil {
+			return nil, err
+		}
+		for _, sol := range combos {
+			cands = append(cands, candidate{attr: attr, sol: sol})
+		}
+	}
+	return cands, nil
 }
 
 // candidateAttributes implements §6 step 1: all partitioning attributes of
@@ -343,11 +373,6 @@ func mergeCandidates(cands []*tableCandidate, compat *attrCompat) []*tableCandid
 					}
 					winner = a
 				}
-				loser := a
-				if winner == a {
-					loser = b
-				}
-				_ = loser
 				// Remove the non-winner.
 				out := kept[:0:0]
 				for _, c := range kept {
