@@ -23,12 +23,16 @@ verify:
 # bench runs the micro-benchmarks (experiment-scale benches run via
 # `go test -bench=BenchmarkFigure7 -benchtime=1x` etc), then the
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
-# in isolation, each at 1/2/8 workers.
+# in isolation, each at 1/2/8 workers, then the commit path: one store
+# commit, one WAL protocol step, and a small TPC-C commit window through
+# networked 2PC and through quorum replica groups.
 bench:
 	$(GO) test -bench='PathEval|Evaluate|GraphPartition|RouterNew|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
 	$(GO) test -bench='BenchmarkPartition' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
 	$(GO) test -bench='EvaluateParallel' -benchmem -run=^$$ ./internal/eval/
+	$(GO) test -bench='CommitOps|LogAppendTxn' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
+	$(GO) test -bench='TwoPCWindow|ReplQuorumWindow' -benchmem -run=^$$ ./internal/twopc/ ./internal/repl/
 
 # bench-export writes BENCH_obs.json, the machine-readable perf
 # trajectory (ns/op, allocs/op, B/op per micro-benchmark),
@@ -87,7 +91,8 @@ recover:
 # over the chaos bus with a standby coordinator), then checks the
 # determinism contract end-to-end: two same-seed chaos-over-bus pipeline
 # runs must write byte-identical flight-recorder dumps even though every
-# frame crosses a real concurrent transport.
+# frame crosses a real concurrent transport, and byte-identical WAL
+# directories.
 twopc:
 	$(GO) run ./cmd/experiments -run twopc -quick
 	rm -rf /tmp/jecb-twopc-a /tmp/jecb-twopc-b
@@ -98,12 +103,14 @@ twopc:
 		-chaos-scenario coord-crash -wal-dir /tmp/jecb-twopc-b -transport bus -standby \
 		-flight-dump /tmp/jecb-twopc-b/flight.json
 	cmp /tmp/jecb-twopc-a/flight.json /tmp/jecb-twopc-b/flight.json
+	diff -r /tmp/jecb-twopc-a /tmp/jecb-twopc-b
 
 # repl runs the replication experiment table (replica groups under every
 # crash scenario, async vs quorum commit rules — the quorum rows must
 # lose zero acknowledged commits), then checks the determinism contract:
 # two same-seed replicated pipeline runs with a primary crash and a
-# promotion must write byte-identical flight-recorder dumps.
+# promotion must write byte-identical flight-recorder dumps and WAL
+# directories.
 repl:
 	$(GO) run ./cmd/experiments -run replication -quick
 	rm -rf /tmp/jecb-repl-a /tmp/jecb-repl-b
@@ -114,6 +121,7 @@ repl:
 		-chaos-scenario single-crash -wal-dir /tmp/jecb-repl-b -replicate -commit-rule quorum \
 		-flight-dump /tmp/jecb-repl-b/flight.json
 	cmp /tmp/jecb-repl-a/flight.json /tmp/jecb-repl-b/flight.json
+	diff -r /tmp/jecb-repl-a /tmp/jecb-repl-b
 
 # serve runs the live-serving experiment table (scenario x offered load
 # x admission on/off; the printer errors the run if overload protection

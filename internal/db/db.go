@@ -35,6 +35,10 @@ var (
 type DB struct {
 	sc     *schema.Schema
 	tables map[string]*Table
+
+	// commitMu serializes CommitOps, which reuses undo as its undo log.
+	commitMu sync.Mutex
+	undo     []undo
 }
 
 // New creates an empty database for the schema.
@@ -366,9 +370,10 @@ func (t *Table) touchLocked(k value.Key) uint64 {
 	if t.versions == nil {
 		t.versions = make(map[value.Key]uint64)
 	}
-	t.versions[k]++
+	v := t.versions[k] + 1
+	t.versions[k] = v
 	cTouches.Inc()
-	return t.versions[k]
+	return v
 }
 
 // untouch reverses one Touch (the Tx undo path).

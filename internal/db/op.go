@@ -111,14 +111,14 @@ func (op Op) Encode(dst []byte) []byte {
 	case OpInsert:
 		dst = encodeTuple(dst, op.Row)
 	case OpUpdate:
-		dst = appendBytes(dst, []byte(op.Key))
+		dst = appendString(dst, string(op.Key))
 		dst = appendUvarint(dst, uint64(len(op.Cols)))
 		for i, c := range op.Cols {
 			dst = appendString(dst, c)
 			dst = appendBytes(dst, op.Vals[i].Encode(nil))
 		}
 	case OpDelete, OpTouch:
-		dst = appendBytes(dst, []byte(op.Key))
+		dst = appendString(dst, string(op.Key))
 	}
 	return dst
 }

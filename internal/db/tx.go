@@ -28,10 +28,11 @@ var ErrTxDone = errors.New("db: transaction already finished")
 // — the atomicity guarantee the durable 2PC replay and its consistency
 // oracle build on.
 //
-// A Tx is not safe for concurrent use, and Commit is not atomic with
-// respect to concurrent writers of the same tables (single-writer per
-// store is the simulation's execution model; the Table locks protect
-// concurrent readers).
+// A Tx is not safe for concurrent use. Commits on one store are
+// serialized (CommitOps), but a commit is not atomic with respect to
+// direct Table mutations of the same tables (single-writer per store is
+// the simulation's execution model; the Table locks protect concurrent
+// readers).
 type Tx struct {
 	d    *DB
 	ops  []Op
@@ -41,12 +42,26 @@ type Tx struct {
 // Begin starts a transaction against the database.
 func (d *DB) Begin() *Tx { return &Tx{d: d} }
 
-// stage validates the target table exists and appends the op.
+// stage validates the op and appends it.
 func (tx *Tx) stage(op Op) error {
 	if tx.done {
 		return ErrTxDone
 	}
-	t := tx.d.Table(op.Table)
+	if err := tx.d.checkOp(op); err != nil {
+		return err
+	}
+	tx.ops = append(tx.ops, op)
+	return nil
+}
+
+// checkOp is the staging-time validation of one op: a known kind, a
+// known table, insert arity and column types, update arity. Duplicate
+// and missing keys surface only when the op applies.
+func (d *DB) checkOp(op Op) error {
+	if op.Kind < OpInsert || op.Kind > OpTouch {
+		return fmt.Errorf("%w: stage unknown op kind %d", ErrOpDecode, uint8(op.Kind))
+	}
+	t := d.Table(op.Table)
 	if t == nil {
 		return fmt.Errorf("db: tx: unknown table %q", op.Table)
 	}
@@ -68,7 +83,6 @@ func (tx *Tx) stage(op Op) error {
 	if op.Kind == OpUpdate && len(op.Cols) != len(op.Vals) {
 		return fmt.Errorf("db: tx: %s: update arity mismatch", op.Table)
 	}
-	tx.ops = append(tx.ops, op)
 	return nil
 }
 
@@ -100,9 +114,8 @@ func (tx *Tx) Touch(table string, k value.Key) error {
 // returned slice.
 func (tx *Tx) Ops() []Op { return tx.ops }
 
-// StageOp stages a decoded op — the WAL redo path: recovery rebuilds a
-// committed transaction by staging its logged WRITE ops and committing
-// them atomically.
+// StageOp stages a decoded op through the typed staging call of its
+// kind.
 func (tx *Tx) StageOp(op Op) error {
 	switch op.Kind {
 	case OpInsert:
@@ -132,79 +145,126 @@ func (tx *Tx) Abort() {
 	cTxAborts.Inc()
 }
 
-// Commit applies the staged ops in order, all-or-nothing. On the first
-// failing op the already-applied prefix is undone in reverse order and the
-// error is returned; the database state is then identical to the
-// pre-commit state (per-table Digest equality is the test contract).
+// Commit applies the staged ops in order, all-or-nothing (CommitOps).
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone
 	}
 	tx.done = true
-	var undos []func()
-	rollback := func() {
-		for i := len(undos) - 1; i >= 0; i-- {
-			undos[i]()
+	return tx.d.CommitOps(tx.ops)
+}
+
+// CommitOps applies ops atomically without staging them in a Tx — the
+// redo path of WAL recovery, replica appliers and the commit engines,
+// which already hold a committed transaction's ops. Every op is first
+// validated as Tx staging would (a failure applies nothing and counts
+// as an abort); then the ops apply in order. On the first failing op
+// the already-applied prefix is undone in reverse order and the error
+// is returned; the database state is then identical to the pre-commit
+// state (per-table Digest equality is the test contract). The ops are
+// neither copied nor retained, and the undo log is the store's own,
+// reused across commits: CommitOps calls on one store are serialized.
+func (d *DB) CommitOps(ops []Op) error {
+	for _, op := range ops {
+		if err := d.checkOp(op); err != nil {
+			cTxAborts.Inc()
+			return err
 		}
-		cTxRollbacks.Inc()
 	}
-	for _, op := range tx.ops {
-		t := tx.d.Table(op.Table)
-		if t == nil { // table validated at staging; re-check defensively
-			rollback()
-			return fmt.Errorf("db: tx commit: unknown table %q", op.Table)
-		}
-		undo, err := t.applyWithUndo(op)
+	d.commitMu.Lock()
+	undos := d.undo[:0]
+	defer func() {
+		clear(undos) // drop row and key references between commits
+		d.undo = undos[:0]
+		d.commitMu.Unlock()
+	}()
+	for _, op := range ops {
+		u, err := d.Table(op.Table).applyWithUndo(op)
 		if err != nil {
-			rollback()
+			rollback(undos)
 			return fmt.Errorf("db: tx commit: %w", err)
 		}
-		undos = append(undos, undo)
+		undos = append(undos, u)
 	}
 	cTxCommits.Inc()
-	hTxCommitOps.Observe(int64(len(tx.ops)))
+	hTxCommitOps.Observe(int64(len(ops)))
 	return nil
 }
 
-// applyWithUndo applies one op and returns its inverse.
-func (t *Table) applyWithUndo(op Op) (func(), error) {
+// undo is the inverse of one applied op, by value: the op's target and
+// whatever prior state the op destroyed.
+type undo struct {
+	t    *Table
+	kind OpKind
+	// key is the op's target row: the inserted row's primary key for an
+	// insert, op.Key otherwise.
+	key value.Key
+	// cols and prev are the updated columns and their prior values
+	// (update).
+	cols []string
+	prev []value.Value
+	// row and grave are the deleted row and the graveyard entry its
+	// deletion displaced (delete).
+	row, grave value.Tuple
+	hadGrave   bool
+}
+
+// rollback undoes applied ops in reverse order.
+func rollback(undos []undo) {
+	for i := len(undos) - 1; i >= 0; i-- {
+		undos[i].t.revert(&undos[i])
+	}
+	cTxRollbacks.Inc()
+}
+
+// applyWithUndo applies one op, of a kind checkOp accepted, and returns
+// its inverse.
+func (t *Table) applyWithUndo(op Op) (undo, error) {
+	u := undo{t: t, kind: op.Kind, key: op.Key}
 	switch op.Kind {
 	case OpInsert:
 		k, err := t.Insert(op.Row)
 		if err != nil {
-			return nil, err
+			return u, err
 		}
-		return func() { t.undoInsert(k) }, nil
+		u.key = k
 	case OpUpdate:
 		prev, err := t.captureColumns(op.Key, op.Cols)
 		if err != nil {
-			return nil, err
+			return u, err
 		}
 		if err := t.Update(op.Key, op.Cols, op.Vals); err != nil {
-			return nil, err
+			return u, err
 		}
-		cols := op.Cols
-		return func() {
-			if err := t.Update(op.Key, cols, prev); err != nil {
-				panic(fmt.Sprintf("db: tx undo update %s: %v", t.meta.Name, err))
-			}
-		}, nil
+		u.cols, u.prev = op.Cols, prev
 	case OpDelete:
 		row, grave, hadGrave, ok := t.deleteCapture(op.Key)
 		if !ok {
-			return nil, fmt.Errorf("%s: delete of missing key", t.meta.Name)
+			return u, fmt.Errorf("%s: delete of missing key", t.meta.Name)
 		}
-		return func() {
-			if _, err := t.Insert(row); err != nil {
-				panic(fmt.Sprintf("db: tx undo delete %s: %v", t.meta.Name, err))
-			}
-			t.restoreGraveyard(op.Key, grave, hadGrave)
-		}, nil
+		u.row, u.grave, u.hadGrave = row, grave, hadGrave
 	case OpTouch:
 		t.Touch(op.Key)
-		return func() { t.untouch(op.Key) }, nil
-	default:
-		return nil, fmt.Errorf("%s: unknown op kind %d", t.meta.Name, uint8(op.Kind))
+	}
+	return u, nil
+}
+
+// revert applies the inverse recorded in u.
+func (t *Table) revert(u *undo) {
+	switch u.kind {
+	case OpInsert:
+		t.undoInsert(u.key)
+	case OpUpdate:
+		if err := t.Update(u.key, u.cols, u.prev); err != nil {
+			panic(fmt.Sprintf("db: tx undo update %s: %v", t.meta.Name, err))
+		}
+	case OpDelete:
+		if _, err := t.Insert(u.row); err != nil {
+			panic(fmt.Sprintf("db: tx undo delete %s: %v", t.meta.Name, err))
+		}
+		t.restoreGraveyard(u.key, u.grave, u.hadGrave)
+	case OpTouch:
+		t.untouch(u.key)
 	}
 }
 

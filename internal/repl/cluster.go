@@ -684,7 +684,11 @@ func coordinatorOf(parts *partition.Set, k, txnIndex int) int {
 
 // flattenOps serializes per-group write effects in group order.
 func flattenOps(parts []int, opsAt map[int][]db.Op) []partOp {
-	var out []partOp
+	n := 0
+	for _, p := range parts {
+		n += len(opsAt[p])
+	}
+	out := make([]partOp, 0, n)
 	for _, p := range parts {
 		for _, op := range opsAt[p] {
 			out = append(out, partOp{part: p, op: op})

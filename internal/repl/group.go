@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
+	"repro/internal/db"
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/transport"
@@ -75,6 +76,42 @@ func (p *primary) append(typ wal.RecType, txn uint64, payload []byte) error {
 	}
 	p.records = append(p.records, rec)
 	p.seq++
+	return nil
+}
+
+// appendTxn extends the chain with one transaction's protocol step:
+// BEGIN, one WRITE per op and, when tail is nonzero, the PREPARE or
+// COMMIT tail — one log write, then the applier and the ship history
+// record by record, exactly as the equivalent append calls would.
+func (p *primary) appendTxn(txn uint64, ops []db.Op, tail wal.RecType, tailPayload []byte) error {
+	recs := make([]wal.Record, 0, len(ops)+2)
+	recs = append(recs, wal.Record{Type: wal.RecBegin, Txn: txn})
+	// The WRITE payloads share one encode buffer. A payload slice stays
+	// valid if a later op outgrows the buffer: the old backing array is
+	// never written again.
+	enc := make([]byte, 0, 32*len(ops))
+	for _, op := range ops {
+		start := len(enc)
+		enc = op.Encode(enc)
+		recs = append(recs, wal.Record{Type: wal.RecWrite, Txn: txn, Payload: enc[start:len(enc):len(enc)]})
+	}
+	if tail != 0 {
+		rec := wal.Record{Type: tail, Txn: txn}
+		if len(tailPayload) > 0 {
+			rec.Payload = append([]byte(nil), tailPayload...)
+		}
+		recs = append(recs, rec)
+	}
+	if err := p.log.AppendBatch(recs); err != nil {
+		return err
+	}
+	for _, rec := range recs {
+		if err := p.app.Apply(rec); err != nil {
+			return err
+		}
+	}
+	p.records = append(p.records, recs...)
+	p.seq += int64(len(recs))
 	return nil
 }
 
@@ -260,10 +297,10 @@ func (b *backup) handleAppend(ctx context.Context, m transport.Msg) (bool, error
 	if armed {
 		fresh = fresh[:(len(fresh)+1)/2]
 	}
+	if err := b.log.AppendBatch(fresh); err != nil {
+		return false, err
+	}
 	for _, rec := range fresh {
-		if err := b.log.Append(rec.Type, rec.Txn, rec.Payload); err != nil {
-			return false, err
-		}
 		if err := b.app.Apply(rec); err != nil {
 			return false, err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/schema"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wal"
@@ -260,39 +262,23 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 	if !distributed {
 		g := writeParts[0]
 		pr := h.groups[g].pr
-		if err := pr.append(wal.RecBegin, txn, nil); err != nil {
+		if err := pr.appendTxn(txn, opsAt[g], wal.RecCommit, nil); err != nil {
 			return false, err
 		}
-		for _, op := range opsAt[g] {
-			if err := pr.append(wal.RecWrite, txn, op.Encode(nil)); err != nil {
-				return false, err
-			}
-		}
+		entry := journalEntry{ops: flattenOps(writeParts, opsAt), seqs: map[int]int64{g: pr.seq}}
 		if fire != nil && fire.cp.Phase == faults.PhasePrimaryMidShip && fire.cp.Node == g {
 			// The primary commits locally and dies before shipping a single
 			// record of the round.
-			if err := pr.append(wal.RecCommit, txn, nil); err != nil {
-				return false, err
-			}
 			acked := h.cfg.CommitRule == RuleAsync
 			if acked {
-				h.journal = append(h.journal, journalEntry{
-					ops:  flattenOps(writeParts, opsAt),
-					seqs: map[int]int64{g: pr.seq},
-				})
+				h.journal = append(h.journal, entry)
 			}
 			if err := h.crashFire(ctx, g, fire.cp.Phase, traceID, attempt, now); err != nil {
 				return false, err
 			}
 			return acked, nil
 		}
-		if err := pr.append(wal.RecCommit, txn, nil); err != nil {
-			return false, err
-		}
-		h.journal = append(h.journal, journalEntry{
-			ops:  flattenOps(writeParts, opsAt),
-			seqs: map[int]int64{g: pr.seq},
-		})
+		h.journal = append(h.journal, entry)
 		h.shipRule(ctx, involved, traceID, now)
 		return true, nil
 	}
@@ -305,17 +291,12 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 			continue
 		}
 		pr := h.groups[p].pr
-		if err := pr.append(wal.RecBegin, txn, nil); err != nil {
-			return false, err
-		}
-		for _, op := range opsAt[p] {
-			if err := pr.append(wal.RecWrite, txn, op.Encode(nil)); err != nil {
-				return false, err
-			}
-		}
 		if fire != nil && fire.cp.Phase == faults.PhaseBeforePrepare && fire.cp.Node == p {
 			// The participant's primary dies with a torn prepare: the round
 			// aborts, and the dead chain's staged suffix dies with it.
+			if err := pr.appendTxn(txn, opsAt[p], 0, nil); err != nil {
+				return false, err
+			}
 			if err := pr.appendTorn(wal.RecPrepare, txn, coordPayload(coord), 3); err != nil {
 				return false, err
 			}
@@ -327,7 +308,7 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 			}
 			return false, nil
 		}
-		if err := pr.append(wal.RecPrepare, txn, coordPayload(coord)); err != nil {
+		if err := pr.appendTxn(txn, opsAt[p], wal.RecPrepare, coordPayload(coord)); err != nil {
 			return false, err
 		}
 		h.rec.Record(traceID, obs.EvPrepare, h.primID(p), attempt, now, 0)
@@ -336,15 +317,10 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 
 	// Decision on the coordinator's chain.
 	cpr := h.groups[coord].pr
-	if err := cpr.append(wal.RecBegin, txn, nil); err != nil {
-		return false, err
-	}
-	for _, op := range opsAt[coord] {
-		if err := cpr.append(wal.RecWrite, txn, op.Encode(nil)); err != nil {
+	if fire != nil && fire.cp.Phase == faults.PhaseBeforeCommit && fire.cp.Node == coord {
+		if err := cpr.appendTxn(txn, opsAt[coord], 0, nil); err != nil {
 			return false, err
 		}
-	}
-	if fire != nil && fire.cp.Phase == faults.PhaseBeforeCommit && fire.cp.Node == coord {
 		if err := cpr.appendTorn(wal.RecCommit, txn, nil, 5); err != nil {
 			return false, err
 		}
@@ -356,7 +332,7 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 		}
 		return false, nil
 	}
-	if err := cpr.append(wal.RecCommit, txn, nil); err != nil {
+	if err := cpr.appendTxn(txn, opsAt[coord], wal.RecCommit, nil); err != nil {
 		return false, err
 	}
 	seqs := map[int]int64{coord: cpr.seq}
@@ -716,36 +692,44 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	// surviving (acknowledged and not lost) writes on fault-free stores.
 	// Observed state: every member's recovered store, which must equal
 	// its group's expected store — promotion, rejoin, and drain have made
-	// the group converge.
+	// the group converge. The k expected replays and the k·(R+1) member
+	// recoveries are independent, so they run concurrently; the fold
+	// below is sequential, in (group, member) order.
+	n := cfg.Replicas + 1
 	expected := make([]*db.DB, k)
-	for g := range expected {
-		expected[g] = db.New(d.Schema())
+	replayErr := make([]journalErr, k)
+	members := make([]memberRecovery, k*n)
+	forEach(k+k*n, func(i int) {
+		if i < k {
+			expected[i], replayErr[i] = h.replayExpected(d.Schema(), i)
+			return
+		}
+		i -= k
+		members[i] = h.recoverMember(d.Schema(), i/n, i%n)
+	})
+	var firstErr journalErr
+	for _, je := range replayErr {
+		if je.err != nil && (firstErr.err == nil || je.before(firstErr)) {
+			firstErr = je
+		}
 	}
-	for _, e := range h.journal {
-		if e.lost {
-			continue
-		}
-		for _, po := range e.ops {
-			if err := expected[po.part].Apply(po.op); err != nil {
-				return nil, fmt.Errorf("repl: oracle replay: %w", err)
-			}
-		}
+	if firstErr.err != nil {
+		return nil, fmt.Errorf("repl: oracle replay: %w", firstErr.err)
 	}
 	res.OracleOK = true
 	primStores := make([]*db.DB, k)
 	for g := 0; g < k; g++ {
 		wantDg := expected[g].TableDigests()
-		for m := 0; m <= cfg.Replicas; m++ {
-			rc, err := wal.RecoverFile(d.Schema(), MemberLogPath(cfg.WALDir, g, m))
-			if err != nil {
-				return nil, fmt.Errorf("repl: recover group %d member %d: %w", g, m, err)
+		for m := 0; m < n; m++ {
+			mr := members[g*n+m]
+			if mr.err != nil {
+				return nil, fmt.Errorf("repl: recover group %d member %d: %w", g, m, mr.err)
 			}
-			rec.Record(0, obs.EvRecover, memberID(g, m, cfg.Replicas), 0, endVT, int64(len(rc.Committed)))
+			rec.Record(0, obs.EvRecover, memberID(g, m, cfg.Replicas), 0, endVT, int64(mr.committed))
 			res.TotalMembers++
-			gotDg := rc.DB.TableDigests()
-			converged := len(gotDg) == len(wantDg)
+			converged := len(mr.digests) == len(wantDg)
 			for name, dg := range wantDg {
-				if gotDg[name] != dg {
+				if mr.digests[name] != dg {
 					converged = false
 				}
 			}
@@ -754,8 +738,8 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 			} else {
 				res.OracleOK = false
 			}
-			if m == h.groups[g].pr.member {
-				primStores[g] = rc.DB
+			if mr.store != nil {
+				primStores[g] = mr.store
 			}
 		}
 	}
@@ -778,4 +762,75 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		cOracleFail.Inc()
 	}
 	return res, nil
+}
+
+// journalErr locates an expected-state replay failure: the journal entry
+// and the op within it.
+type journalErr struct {
+	entry, op int
+	err       error
+}
+
+func (a journalErr) before(b journalErr) bool {
+	return a.entry < b.entry || a.entry == b.entry && a.op < b.op
+}
+
+// replayExpected re-executes the surviving journal writes of group g on
+// a fresh store.
+func (h *harness) replayExpected(sc *schema.Schema, g int) (*db.DB, journalErr) {
+	d := db.New(sc)
+	for i, e := range h.journal {
+		if e.lost {
+			continue
+		}
+		for j, po := range e.ops {
+			if po.part != g {
+				continue
+			}
+			if err := d.Apply(po.op); err != nil {
+				return nil, journalErr{entry: i, op: j, err: err}
+			}
+		}
+	}
+	return d, journalErr{}
+}
+
+// memberRecovery is what the oracle keeps of one recovered member log:
+// its table digests, its replayed commit count and, for the group's
+// primary member only, its store.
+type memberRecovery struct {
+	digests   map[string]uint64
+	committed int
+	store     *db.DB
+	err       error
+}
+
+// recoverMember replays member m of group g's log from disk.
+func (h *harness) recoverMember(sc *schema.Schema, g, m int) memberRecovery {
+	rc, err := wal.RecoverFile(sc, MemberLogPath(h.cfg.WALDir, g, m))
+	if err != nil {
+		return memberRecovery{err: err}
+	}
+	mr := memberRecovery{digests: rc.DB.TableDigests(), committed: len(rc.Committed)}
+	if m == h.groups[g].pr.member {
+		mr.store = rc.DB
+	}
+	return mr
+}
+
+// forEach runs fn(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines. fn must write only index-i state.
+func forEach(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

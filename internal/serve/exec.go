@@ -85,21 +85,13 @@ func (e *executor) walBytes() int64 {
 	return n
 }
 
-// stage appends one transaction's BEGIN and WRITE records on partition p
-// (no-op when memory-only).
-func (e *executor) stage(p int, txn uint64, ops []db.Op) error {
+// appendTxn appends one transaction's BEGIN, WRITE and tail records on
+// partition p in one write (no-op when memory-only).
+func (e *executor) appendTxn(p int, txn uint64, ops []db.Op, tail wal.RecType, tailPayload []byte) error {
 	if e.logs[p] == nil {
 		return nil
 	}
-	if err := e.logs[p].Append(wal.RecBegin, txn, nil); err != nil {
-		return err
-	}
-	for _, op := range ops {
-		if err := e.logs[p].Append(wal.RecWrite, txn, op.Encode(nil)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.logs[p].AppendTxn(txn, ops, tail, tailPayload)
 }
 
 func (e *executor) append(p int, typ wal.RecType, txn uint64, payload []byte) error {
@@ -107,18 +99,6 @@ func (e *executor) append(p int, typ wal.RecType, txn uint64, payload []byte) er
 		return nil
 	}
 	return e.logs[p].Append(typ, txn, payload)
-}
-
-// apply commits ops on partition p's store atomically.
-func (e *executor) apply(p int, ops []db.Op) error {
-	tx := e.stores[p].Begin()
-	for _, op := range ops {
-		if err := tx.StageOp(op); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	return tx.Commit()
 }
 
 // commit executes one transaction's write effects for real: local
@@ -133,23 +113,17 @@ func (e *executor) commit(traceID uint64, vt float64, parts []int, opsAt map[int
 	txn := e.nextTxn
 	if len(parts) == 1 {
 		p := parts[0]
-		if err := e.stage(p, txn, opsAt[p]); err != nil {
+		if err := e.appendTxn(p, txn, opsAt[p], wal.RecCommit, nil); err != nil {
 			return err
 		}
-		if err := e.append(p, wal.RecCommit, txn, nil); err != nil {
-			return err
-		}
-		return e.apply(p, opsAt[p])
+		return e.stores[p].CommitOps(opsAt[p])
 	}
 	if coord < 0 || !hasWritePart(parts, coord) {
 		coord = parts[0]
 	}
 	payload := binary.AppendUvarint(nil, uint64(coord))
 	for _, p := range parts {
-		if err := e.stage(p, txn, opsAt[p]); err != nil {
-			return err
-		}
-		if err := e.append(p, wal.RecPrepare, txn, payload); err != nil {
+		if err := e.appendTxn(p, txn, opsAt[p], wal.RecPrepare, payload); err != nil {
 			return err
 		}
 		e.rec.Record(traceID, obs.EvPrepare, p, 0, vt, 0)
@@ -163,7 +137,7 @@ func (e *executor) commit(traceID uint64, vt float64, parts []int, opsAt map[int
 				return err
 			}
 		}
-		if err := e.apply(p, opsAt[p]); err != nil {
+		if err := e.stores[p].CommitOps(opsAt[p]); err != nil {
 			return err
 		}
 	}

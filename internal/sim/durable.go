@@ -213,30 +213,10 @@ func (e *durEngine) walBytes() int64 {
 	return n
 }
 
-// stage appends one transaction's BEGIN and WRITE records on partition p.
-func (e *durEngine) stage(p int, txn uint64, ops []db.Op) error {
-	if err := e.logs[p].Append(wal.RecBegin, txn, nil); err != nil {
-		return err
-	}
-	for _, op := range ops {
-		if err := e.logs[p].Append(wal.RecWrite, txn, op.Encode(nil)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // apply commits ops on partition p's store atomically and counts toward
 // the checkpoint cadence.
 func (e *durEngine) apply(p int, ops []db.Op) error {
-	tx := e.stores[p].Begin()
-	for _, op := range ops {
-		if err := tx.StageOp(op); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	if err := tx.Commit(); err != nil {
+	if err := e.stores[p].CommitOps(ops); err != nil {
 		return err
 	}
 	e.commitsSince[p]++
@@ -260,12 +240,9 @@ func (e *durEngine) maybeCheckpoint(p int) error {
 }
 
 // commitLocal runs the single-partition commit path: BEGIN/WRITE*/COMMIT
-// on one log, then the store apply.
+// on one log in one write, then the store apply.
 func (e *durEngine) commitLocal(p int, txn uint64, ops []db.Op) error {
-	if err := e.stage(p, txn, ops); err != nil {
-		return err
-	}
-	if err := e.logs[p].Append(wal.RecCommit, txn, nil); err != nil {
+	if err := e.logs[p].AppendTxn(txn, ops, wal.RecCommit, nil); err != nil {
 		return err
 	}
 	return e.apply(p, ops)
@@ -283,10 +260,7 @@ func (e *durEngine) prepareAll(txn uint64, coord int, parts []int, opsAt map[int
 		if p == skip {
 			continue
 		}
-		if err := e.stage(p, txn, opsAt[p]); err != nil {
-			return err
-		}
-		if err := e.logs[p].Append(wal.RecPrepare, txn, coordPayload(coord)); err != nil {
+		if err := e.logs[p].AppendTxn(txn, opsAt[p], wal.RecPrepare, coordPayload(coord)); err != nil {
 			return err
 		}
 		e.record(obs.EvPrepare, p, 0)
@@ -347,7 +321,7 @@ func (e *durEngine) crashBeforePrepare(node int, txn uint64, coord int, parts []
 	if err := e.prepareAll(txn, coord, parts, opsAt, node); err != nil {
 		return err
 	}
-	if err := e.stage(node, txn, opsAt[node]); err != nil {
+	if err := e.logs[node].AppendTxn(txn, opsAt[node], 0, nil); err != nil {
 		return err
 	}
 	if err := e.logs[node].AppendTorn(wal.RecPrepare, txn, coordPayload(coord), 3); err != nil {

@@ -181,7 +181,11 @@ type partOp struct {
 // flattenOps serializes per-partition write effects in partition order
 // for the oracle's committed-set journal.
 func flattenOps(parts []int, opsAt map[int][]db.Op) []partOp {
-	var out []partOp
+	n := 0
+	for _, p := range parts {
+		n += len(opsAt[p])
+	}
+	out := make([]partOp, 0, n)
 	for _, p := range parts {
 		for _, op := range opsAt[p] {
 			out = append(out, partOp{part: p, op: op})

@@ -72,8 +72,9 @@ var ErrPayload = errors.New("twopc: bad payload")
 // encodeOps appends a length-prefixed op list.
 func encodeOps(dst []byte, ops []db.Op) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ops)))
+	var enc []byte
 	for _, op := range ops {
-		enc := op.Encode(nil)
+		enc = op.Encode(enc[:0])
 		dst = binary.AppendUvarint(dst, uint64(len(enc)))
 		dst = append(dst, enc...)
 	}

@@ -318,7 +318,7 @@ func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool,
 	if p.crashArm.CompareAndSwap(crashBeforePrepare, crashNone) {
 		// Die mid-append of the PREPARE record: staged writes and a torn
 		// tail, no vote — the coordinator's vote timeout aborts the round.
-		if err := p.stage(m.Txn, ops); err != nil {
+		if err := p.log.AppendTxn(m.Txn, ops, 0, nil); err != nil {
 			return false, err
 		}
 		if err := p.log.AppendTorn(wal.RecPrepare, m.Txn, coordPayload(coord), 3); err != nil {
@@ -327,10 +327,7 @@ func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool,
 		p.crash()
 		return true, nil
 	}
-	if err := p.stage(m.Txn, ops); err != nil {
-		return false, err
-	}
-	if err := p.log.Append(wal.RecPrepare, m.Txn, coordPayload(coord)); err != nil {
+	if err := p.log.AppendTxn(m.Txn, ops, wal.RecPrepare, coordPayload(coord)); err != nil {
 		return false, err
 	}
 	cPrepares.Inc()
@@ -361,10 +358,7 @@ func (p *Participant) handleCommitLocal(ctx context.Context, m transport.Msg) er
 		p.reply(ctx, m, MsgVoteNo, []byte{ReasonBlocked})
 		return nil
 	}
-	if err := p.stage(m.Txn, ops); err != nil {
-		return err
-	}
-	if err := p.log.Append(wal.RecCommit, m.Txn, nil); err != nil {
+	if err := p.log.AppendTxn(m.Txn, ops, wal.RecCommit, nil); err != nil {
 		return err
 	}
 	p.decisions[m.Txn] = true
@@ -492,30 +486,10 @@ func (p *Participant) scanPairs() []inDoubtPair {
 	return pairs
 }
 
-// stage appends BEGIN and the WRITE records of one transaction.
-func (p *Participant) stage(txn uint64, ops []db.Op) error {
-	if err := p.log.Append(wal.RecBegin, txn, nil); err != nil {
-		return err
-	}
-	for _, op := range ops {
-		if err := p.log.Append(wal.RecWrite, txn, op.Encode(nil)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // apply commits ops on the store atomically and advances the checkpoint
 // cadence.
 func (p *Participant) apply(ops []db.Op) error {
-	tx := p.store.Begin()
-	for _, op := range ops {
-		if err := tx.StageOp(op); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	if err := tx.Commit(); err != nil {
+	if err := p.store.CommitOps(ops); err != nil {
 		return err
 	}
 	p.commitsSince++

@@ -22,6 +22,7 @@ type Applier struct {
 	sc        *schema.Schema
 	db        *db.DB
 	pending   map[uint64][]db.Op
+	spare     []db.Op // a decided transaction's op slice, for the next BEGIN
 	committed int
 }
 
@@ -58,7 +59,7 @@ func (a *Applier) Apply(rec Record) error {
 	switch rec.Type {
 	case RecBegin:
 		if _, ok := a.pending[rec.Txn]; !ok {
-			a.pending[rec.Txn] = nil
+			a.pending[rec.Txn], a.spare = a.spare, nil
 		}
 	case RecWrite:
 		op, err := db.DecodeOp(rec.Payload)
@@ -76,14 +77,23 @@ func (a *Applier) Apply(rec Record) error {
 		if err := applyOps(a.db, ops); err != nil {
 			return fmt.Errorf("%w: commit txn %d: %v", ErrCorrupt, rec.Txn, err)
 		}
-		delete(a.pending, rec.Txn)
+		a.drop(rec.Txn)
 		a.committed++
 	case RecAbort:
-		delete(a.pending, rec.Txn)
+		a.drop(rec.Txn)
 	case RecCheckpoint:
 		return a.Reset(rec.Payload)
 	default:
 		return fmt.Errorf("%w: record type %d", ErrCorrupt, uint8(rec.Type))
 	}
 	return nil
+}
+
+// drop forgets a decided transaction and keeps its op slice for reuse
+// (CommitOps never retains the ops it applies).
+func (a *Applier) drop(txn uint64) {
+	ops := a.pending[txn]
+	delete(a.pending, txn)
+	clear(ops)
+	a.spare = ops[:0]
 }

@@ -118,12 +118,23 @@ func Replay(sc *schema.Schema, recs []Record, cleanLen int64, tailErr error) *Re
 	}
 
 	pending := make(map[uint64]*pendingTxn)
+	// spare is a decided transaction's op slice, reused by the next
+	// BEGIN: applyOps never retains the ops it applies.
+	var spare []db.Op
+	drop := func(txn uint64) {
+		if p := pending[txn]; p != nil {
+			clear(p.ops)
+			spare = p.ops[:0]
+			delete(pending, txn)
+		}
+	}
 	for i := start; i < len(recs); i++ {
 		rec := recs[i]
 		r.Records++
 		switch rec.Type {
 		case RecBegin:
-			pending[rec.Txn] = &pendingTxn{order: i}
+			pending[rec.Txn] = &pendingTxn{ops: spare, order: i}
+			spare = nil
 		case RecWrite:
 			op, err := db.DecodeOp(rec.Payload)
 			if err != nil {
@@ -161,12 +172,12 @@ func Replay(sc *schema.Schema, recs []Record, cleanLen int64, tailErr error) *Re
 				}
 				r.Committed = append(r.Committed, rec.Txn)
 				cReplayedCommits.Inc()
-				delete(pending, rec.Txn)
+				drop(rec.Txn)
 			}
 			// A commit with no pending writes is a decision-only record
 			// (coordinator log, or writes folded into the checkpoint).
 		case RecAbort:
-			delete(pending, rec.Txn)
+			drop(rec.Txn)
 		case RecCheckpoint:
 			// Only reachable when a later checkpoint failed to decode;
 			// treat as a no-op (state already reflects an earlier base).
@@ -200,19 +211,13 @@ func (r *Recovery) finish(pending map[uint64]*pendingTxn) {
 	}
 }
 
-// applyOps applies one committed transaction's ops atomically.
+// applyOps applies one committed transaction's ops atomically; a
+// decision-only transaction (no ops) is not a store commit.
 func applyOps(d *db.DB, ops []db.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	tx := d.Begin()
-	for _, op := range ops {
-		if err := tx.StageOp(op); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	return tx.Commit()
+	return d.CommitOps(ops)
 }
 
 // RecoverData replays a raw log image.

@@ -31,6 +31,7 @@ import (
 	"hash/crc32"
 	"os"
 
+	"repro/internal/db"
 	"repro/internal/obs"
 )
 
@@ -99,13 +100,26 @@ const frameHeader = 8 // uint32 length + uint32 crc
 
 // EncodeRecord appends the framed encoding of one record to dst.
 func EncodeRecord(dst []byte, typ RecType, txn uint64, payload []byte) []byte {
-	body := make([]byte, 0, 1+binary.MaxVarintLen64+len(payload))
-	body = append(body, byte(typ))
-	body = binary.AppendUvarint(body, txn)
-	body = append(body, payload...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
-	return append(dst, body...)
+	dst, start := beginFrame(dst, typ, txn)
+	return endFrame(append(dst, payload...), start)
+}
+
+// beginFrame reserves a frame header at the end of dst and appends the
+// body prefix (type byte, txn id); the caller appends the payload in
+// place and endFrame patches the header, so no record is ever encoded
+// into a temporary body slice first.
+func beginFrame(dst []byte, typ RecType, txn uint64) ([]byte, int) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, byte(typ))
+	return binary.AppendUvarint(dst, txn), start
+}
+
+// endFrame patches the length and CRC of the frame starting at start.
+func endFrame(dst []byte, start int) []byte {
+	body := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(body))
+	return dst
 }
 
 // Parse decodes the longest valid record prefix of data. It returns the
@@ -162,17 +176,36 @@ func ParseFile(path string) ([]Record, int64, error) {
 
 // Log is an append-only record writer backed by a file. Appends are
 // written through immediately (the simulated crash model treats every
-// completed Append as durable); AppendTorn cuts a frame short to model a
-// crash mid-append.
+// completed append as durable); AppendTorn cuts a frame short to model a
+// crash mid-append. AppendTxn and AppendBatch frame one protocol step's
+// records into one buffer and issue a single write for all of them.
 type Log struct {
 	path string
 	f    *os.File
 	n    int64
 	obsv func(typ RecType, txn uint64, frameBytes int)
+
+	// buf and frames are the encode buffer and its per-record frame
+	// marks, reused across appends.
+	buf    []byte
+	frames []frameMark
 }
 
-// SetObserver installs a callback invoked after every successful Append
-// or AppendTorn with the record type, transaction id, and the frame
+// frameMark locates one record's frame in the encode buffer.
+type frameMark struct {
+	typ RecType
+	txn uint64
+	end int // offset just past the frame
+}
+
+// maxRetainedBuf caps the encode buffer kept between appends: a
+// checkpoint frame carries a whole snapshot and is not worth holding on
+// to.
+const maxRetainedBuf = 64 << 10
+
+// SetObserver installs a callback invoked once per record written —
+// by Append, AppendTorn, AppendTxn or AppendBatch, after the write and
+// in record order — with the record type, transaction id, and the frame
 // bytes written. The durable simulation uses it to emit one
 // flight-recorder event per WAL append without the wal package knowing
 // about trace ids. A nil observer (the default) costs one branch.
@@ -216,27 +249,93 @@ func (l *Log) Bytes() int64 { return l.n }
 
 // Append writes one framed record.
 func (l *Log) Append(typ RecType, txn uint64, payload []byte) error {
-	frame := EncodeRecord(nil, typ, txn, payload)
-	if _, err := l.f.Write(frame); err != nil {
-		return fmt.Errorf("wal: append %s: %w", typ, err)
+	l.reset()
+	l.add(typ, txn, payload)
+	return l.flush()
+}
+
+// AppendTxn writes one transaction's BEGIN, one WRITE per op, and — when
+// tail is nonzero — a closing tail record (PREPARE or COMMIT) carrying
+// tailPayload, all with a single write. The bytes, Bytes(), metrics and
+// observer calls are exactly those of the equivalent Append sequence.
+func (l *Log) AppendTxn(txn uint64, ops []db.Op, tail RecType, tailPayload []byte) error {
+	l.reset()
+	l.add(RecBegin, txn, nil)
+	for _, op := range ops {
+		var start int
+		l.buf, start = beginFrame(l.buf, RecWrite, txn)
+		l.buf = endFrame(op.Encode(l.buf), start)
+		l.mark(RecWrite, txn)
 	}
-	l.n += int64(len(frame))
-	cRecordsAppended.Inc()
-	hAppendBytes.Observe(int64(len(frame)))
-	if typ == RecCheckpoint {
-		cCheckpoints.Inc()
+	if tail != 0 {
+		l.add(tail, txn, tailPayload)
 	}
-	if l.obsv != nil {
-		l.obsv(typ, txn, len(frame))
+	return l.flush()
+}
+
+// AppendBatch writes records with a single write, equivalent to one
+// Append per record in order.
+func (l *Log) AppendBatch(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
 	}
-	return nil
+	l.reset()
+	for _, r := range recs {
+		l.add(r.Type, r.Txn, r.Payload)
+	}
+	return l.flush()
+}
+
+func (l *Log) reset() {
+	if cap(l.buf) > maxRetainedBuf {
+		l.buf = nil
+	}
+	l.buf, l.frames = l.buf[:0], l.frames[:0]
+}
+
+// add encodes one record into the buffer.
+func (l *Log) add(typ RecType, txn uint64, payload []byte) {
+	l.buf = EncodeRecord(l.buf, typ, txn, payload)
+	l.mark(typ, txn)
+}
+
+func (l *Log) mark(typ RecType, txn uint64) {
+	l.frames = append(l.frames, frameMark{typ: typ, txn: txn, end: len(l.buf)})
+}
+
+// flush writes the buffered frames with one write, then accounts each
+// record in order: log length, metrics, observer. A failed write
+// accounts only the frames that landed whole and names the first that
+// did not.
+func (l *Log) flush() error {
+	n, err := l.f.Write(l.buf)
+	prev := 0
+	for _, fm := range l.frames {
+		if fm.end > n {
+			return fmt.Errorf("wal: append %s: %w", fm.typ, err)
+		}
+		size := fm.end - prev
+		prev = fm.end
+		l.n += int64(size)
+		cRecordsAppended.Inc()
+		hAppendBytes.Observe(int64(size))
+		if fm.typ == RecCheckpoint {
+			cCheckpoints.Inc()
+		}
+		if l.obsv != nil {
+			l.obsv(fm.typ, fm.txn, size)
+		}
+	}
+	return err
 }
 
 // AppendTorn writes only the first keep bytes of the record's frame,
 // modeling a crash that cut the append short. keep is clamped to
 // [1, frameLen-1] so the tail is always genuinely torn.
 func (l *Log) AppendTorn(typ RecType, txn uint64, payload []byte, keep int) error {
-	frame := EncodeRecord(nil, typ, txn, payload)
+	l.reset()
+	l.buf = EncodeRecord(l.buf, typ, txn, payload)
+	frame := l.buf
 	if keep < 1 {
 		keep = 1
 	}
