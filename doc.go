@@ -55,7 +55,6 @@
 //
 //	Old form                                    Canonical replacement
 //	------------------------------------------  ------------------------------------------------
-//	trace.(*Trace).Txns() []Txn (Deprecated)    trace.(*Trace).All() / At(i); build with FromTxns
 //	func f(tr *trace.Trace)                     func f(w trace.Workload) — row, columnar & stream
 //	eval.Assigner.TxnPartitions → map[int]bool  … → partition.Set (inline bitset; Min() = coordinator)
 //	eval.Evaluate(d, sol, tr) per-txn maps      a.Index(c).Evaluate() — precomputed join-path index

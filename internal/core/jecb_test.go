@@ -356,14 +356,13 @@ func TestJECBSubtreePartials(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		g := rng.Int63n(4)
 		col.Begin("Chain", map[string]value.Value{"g": value.NewInt(g)})
-		for _, ck := range d.Table("C").LookupBy("C_G", value.NewInt(g)) {
-			col.Write("C", ck)
-			cRow, _ := d.Table("C").Get(ck)
-			for _, bk := range d.Table("B").LookupBy("B_C_ID", cRow[0]) {
-				col.Write("B", bk)
-				bRow, _ := d.Table("B").Get(bk)
-				for _, ak := range d.Table("A").LookupBy("A_B_ID", bRow[0]) {
-					col.Write("A", ak)
+		ct, bt, at := d.Table("C"), d.Table("B"), d.Table("A")
+		for _, cRow := range ct.LookupRows("C_G", value.NewInt(g)) {
+			col.Write("C", ct.PKOf(cRow))
+			for _, bRow := range bt.LookupRows("B_C_ID", cRow[0]) {
+				col.Write("B", bt.PKOf(bRow))
+				for _, aRow := range at.LookupRows("A_B_ID", bRow[0]) {
+					col.Write("A", at.PKOf(aRow))
 				}
 			}
 		}

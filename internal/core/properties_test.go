@@ -53,12 +53,10 @@ func newChainWorld(seed int64) *chainWorld {
 	for i := 0; i < 40; i++ {
 		g := value.NewInt(rng.Int63n(4))
 		col.Begin("ByGroup", map[string]value.Value{"g": g})
-		for _, ck := range d.Table("C").LookupBy("C_G", g) {
-			cRow, _ := d.Table("C").Get(ck)
-			for _, bk := range d.Table("B").LookupBy("B_C_ID", cRow[0]) {
-				bRow, _ := d.Table("B").Get(bk)
-				for _, ak := range d.Table("A").LookupBy("A_B_ID", bRow[0]) {
-					col.Write("A", ak)
+		for _, cRow := range d.Table("C").LookupRows("C_G", g) {
+			for _, bRow := range d.Table("B").LookupRows("B_C_ID", cRow[0]) {
+				for _, aRow := range d.Table("A").LookupRows("A_B_ID", bRow[0]) {
+					col.Write("A", d.Table("A").PKOf(aRow))
 				}
 			}
 		}

@@ -56,12 +56,13 @@ func mtonWorld(t *testing.T) (Input, *db.DB) {
 	col := trace.NewCollector()
 	for i := 0; i < 300; i++ {
 		a := rng.Int63n(accounts)
-		hks := d.Table("HOLDING_SUMMARY").LookupBy("HS_CA_ID", value.NewInt(a))
-		if len(hks) == 0 {
+		hs := d.Table("HOLDING_SUMMARY")
+		rows := hs.LookupRows("HS_CA_ID", value.NewInt(a))
+		if len(rows) == 0 {
 			continue
 		}
-		hk := hks[rng.Intn(len(hks))]
-		row, _ := d.Table("HOLDING_SUMMARY").Get(hk)
+		row := rows[rng.Intn(len(rows))]
+		hk := hs.PKOf(row)
 		col.Begin("MarketWatch", map[string]value.Value{"ca": row[0], "symb": row[1]})
 		col.Write("CUSTOMER_ACCOUNT", value.MakeKey(row[0]))
 		col.Write("HOLDING_SUMMARY", hk)

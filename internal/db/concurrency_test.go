@@ -8,8 +8,8 @@ import (
 )
 
 // TestTableConcurrentReadersAndWriters exercises the Table RWMutex under
-// the race detector: reader goroutines hammer Get/GetAny/Scan/Keys/Len/
-// LookupBy/Version/Digest while writers interleave Insert/Update/Delete/
+// the race detector: reader goroutines hammer Get/GetAny/Scan/Keys/KeyAt/
+// Len/LookupRows/Version/Digest while writers interleave Insert/Update/Delete/
 // Touch and Tx commits/aborts. `make verify` runs the suite with -race,
 // so any unguarded access fails CI.
 func TestTableConcurrentReadersAndWriters(t *testing.T) {
@@ -36,7 +36,8 @@ func TestTableConcurrentReadersAndWriters(t *testing.T) {
 				tr.Version(k)
 				tr.Len()
 				tr.Keys()
-				tr.LookupBy("T_CA_ID", value.NewInt(int64(1+(i%4))))
+				tr.KeyAt(0)
+				tr.LookupRows("T_CA_ID", value.NewInt(int64(1+(i%4))))
 				n := 0
 				tr.Scan(func(value.Key, value.Tuple) bool {
 					n++

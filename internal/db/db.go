@@ -69,7 +69,7 @@ func (d *DB) TotalRows() int {
 // lazily built single-column secondary indexes.
 //
 // Concurrency: a Table is safe for concurrent readers (Get, GetAny, Scan,
-// Keys, Len, LookupBy) against concurrent mutators (Insert, Update,
+// Keys, KeyAt, Len, LookupRows) against concurrent mutators (Insert, Update,
 // Delete, Touch) — an RWMutex guards the row store and indexes. Scan's
 // callback runs under the table's read lock and therefore must not mutate
 // the same table. Mutators are mutually serialized per table; cross-table
@@ -82,7 +82,7 @@ type Table struct {
 	free   []int // indexes of deleted slots available for reuse
 	pk     map[value.Key]int
 	sorted []value.Key // Keys' sorted list; nil until first asked for
-	sec    map[string]map[value.Value][]int
+	sec    map[string]secIndex
 	// graveyard keeps the last version of deleted rows so join paths can
 	// still be evaluated for tuples a traced transaction deleted (the
 	// trace references them, but the live table no longer does).
@@ -143,7 +143,9 @@ func (t *Table) Insert(row value.Tuple) (value.Key, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, dup := t.pk[k]; dup {
-		return "", fmt.Errorf("db: %s: duplicate primary key %v", t.meta.Name, row)
+		// row.String(), not row: handing fmt the tuple itself would make
+		// every caller's row escape, including MustInsert's argument list.
+		return "", fmt.Errorf("db: %s: duplicate primary key %s", t.meta.Name, row.String())
 	}
 	var slot int
 	if n := len(t.free); n > 0 {
@@ -311,12 +313,11 @@ func (t *Table) Scan(fn func(k value.Key, row value.Tuple) bool) {
 	}
 }
 
-// Keys returns the primary keys of all live rows in sorted (encoded-key)
-// order. The deterministic order matters: workload generators sample from
-// it, and map-iteration order would make traces differ between runs.
-// The sorted list is built on the first call and kept in step by every
-// later insert and delete: generators call Keys once per transaction, and
-// re-sorting a large table each time dominated trace generation.
+// Keys returns a copy of the primary keys of all live rows in sorted
+// (encoded-key) order. The deterministic order matters: workload
+// generators sample from it, and map-iteration order would make traces
+// differ between runs. The sorted list is built on the first call to Keys
+// or KeyAt and kept in step by every later insert and delete.
 func (t *Table) Keys() []value.Key {
 	t.mu.RLock()
 	if t.sorted != nil {
@@ -327,6 +328,28 @@ func (t *Table) Keys() []value.Key {
 	t.mu.RUnlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return slices.Clone(t.sortedLocked())
+}
+
+// KeyAt returns Keys()[i] without copying the key list: generators
+// sampling one random row call Len then KeyAt. It panics if i is out of
+// range.
+func (t *Table) KeyAt(i int) value.Key {
+	t.mu.RLock()
+	if t.sorted != nil {
+		k := t.sorted[i]
+		t.mu.RUnlock()
+		return k
+	}
+	t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sortedLocked()[i]
+}
+
+// sortedLocked builds the sorted key list if it does not exist yet; the
+// caller holds the write lock.
+func (t *Table) sortedLocked() []value.Key {
 	if t.sorted == nil {
 		t.sorted = make([]value.Key, 0, len(t.pk))
 		for k := range t.pk {
@@ -334,7 +357,7 @@ func (t *Table) Keys() []value.Key {
 		}
 		slices.Sort(t.sorted)
 	}
-	return slices.Clone(t.sorted)
+	return t.sorted
 }
 
 // keyAdded and keyRemoved keep the sorted key list, once built, in step
@@ -406,14 +429,26 @@ func (t *Table) ColumnValue(row value.Tuple, col string) (value.Value, error) {
 	return row[ci], nil
 }
 
-// LookupBy returns the primary keys of rows whose col equals v, using a
-// lazily built (and thereafter maintained) secondary hash index. The fast
-// path (index already built) runs under the read lock; the first lookup
-// per column upgrades to the write lock to build the index.
-func (t *Table) LookupBy(col string, v value.Value) []value.Key {
+// secIndex is a single-column secondary index: the column's position in
+// the row and, per value, the slots of the live rows holding it.
+type secIndex struct {
+	ci    int
+	slots map[value.Value][]int
+}
+
+// LookupRows returns the live rows whose col equals v, using a lazily
+// built (and thereafter maintained) secondary hash index. The rows are
+// references to the stored rows, as Get returns them, in the index's
+// deterministic order; no lock is held once LookupRows returns, so the
+// caller may mutate the table while walking the result. A caller that
+// needs a row's primary key computes it with PKOf. The fast path (index
+// already built) runs under the read lock; the first lookup per column
+// upgrades to the write lock to build the index. An unknown column
+// panics.
+func (t *Table) LookupRows(col string, v value.Value) []value.Tuple {
 	t.mu.RLock()
 	if idx, ok := t.sec[col]; ok {
-		out := t.keysForSlots(idx[v])
+		out := t.rowsAt(idx.slots[v])
 		t.mu.RUnlock()
 		return out
 	}
@@ -421,23 +456,25 @@ func (t *Table) LookupBy(col string, v value.Value) []value.Key {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx := t.secondaryIndexLocked(col)
-	return t.keysForSlots(idx[v])
+	return t.rowsAt(t.secondaryIndexLocked(col).slots[v])
 }
 
-// keysForSlots projects primary keys from row slots; the caller holds at
-// least the read lock.
-func (t *Table) keysForSlots(slots []int) []value.Key {
-	out := make([]value.Key, 0, len(slots))
-	for _, slot := range slots {
-		out = append(out, t.PKOf(t.rows[slot]))
+// rowsAt returns the rows in the given slots; the caller holds at least
+// the read lock.
+func (t *Table) rowsAt(slots []int) []value.Tuple {
+	if len(slots) == 0 {
+		return nil
+	}
+	out := make([]value.Tuple, len(slots))
+	for i, slot := range slots {
+		out[i] = t.rows[slot]
 	}
 	return out
 }
 
-func (t *Table) secondaryIndexLocked(col string) map[value.Value][]int {
+func (t *Table) secondaryIndexLocked(col string) secIndex {
 	if t.sec == nil {
-		t.sec = make(map[string]map[value.Value][]int)
+		t.sec = make(map[string]secIndex)
 	}
 	if idx, ok := t.sec[col]; ok {
 		return idx
@@ -448,10 +485,10 @@ func (t *Table) secondaryIndexLocked(col string) map[value.Value][]int {
 	}
 	// Build by slot order (not pk-map order) so lookup result order — and
 	// therefore any trace generated from it — is deterministic.
-	idx := make(map[value.Value][]int)
+	idx := secIndex{ci: ci, slots: make(map[value.Value][]int)}
 	for slot, row := range t.rows {
 		if row != nil {
-			idx[row[ci]] = append(idx[row[ci]], slot)
+			idx.slots[row[ci]] = append(idx.slots[row[ci]], slot)
 		}
 	}
 	t.sec[col] = idx
@@ -460,26 +497,27 @@ func (t *Table) secondaryIndexLocked(col string) map[value.Value][]int {
 }
 
 func (t *Table) indexInsert(slot int, row value.Tuple) {
-	for col, idx := range t.sec {
-		ci := t.meta.ColumnIndex(col)
-		idx[row[ci]] = append(idx[row[ci]], slot)
+	for _, idx := range t.sec {
+		v := row[idx.ci]
+		idx.slots[v] = append(idx.slots[v], slot)
 	}
 }
 
 func (t *Table) indexDelete(slot int, row value.Tuple) {
-	for col, idx := range t.sec {
-		ci := t.meta.ColumnIndex(col)
-		v := row[ci]
-		slots := idx[v]
+	for _, idx := range t.sec {
+		v := row[idx.ci]
+		slots := idx.slots[v]
 		for i, s := range slots {
 			if s == slot {
 				slots[i] = slots[len(slots)-1]
-				idx[v] = slots[:len(slots)-1]
+				slots = slots[:len(slots)-1]
 				break
 			}
 		}
-		if len(idx[v]) == 0 {
-			delete(idx, v)
+		if len(slots) == 0 {
+			delete(idx.slots, v)
+		} else {
+			idx.slots[v] = slots
 		}
 	}
 }

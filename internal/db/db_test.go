@@ -216,25 +216,177 @@ func TestKeysTracksMutations(t *testing.T) {
 func TestSecondaryIndex(t *testing.T) {
 	d := loadFigure1(t)
 	tr := d.Table("TRADE")
-	keys := tr.LookupBy("T_CA_ID", value.NewInt(8))
-	if len(keys) != 2 {
-		t.Fatalf("LookupBy(T_CA_ID=8) = %d keys", len(keys))
+	rows := tr.LookupRows("T_CA_ID", value.NewInt(8))
+	if len(rows) != 2 {
+		t.Fatalf("LookupRows(T_CA_ID=8) = %d rows", len(rows))
 	}
 	// Index must track subsequent mutations.
 	tr.Delete(value.MakeKey(value.NewInt(4))) // trade 4 had T_CA_ID=8
-	if got := tr.LookupBy("T_CA_ID", value.NewInt(8)); len(got) != 1 {
-		t.Errorf("after delete, LookupBy = %d keys", len(got))
+	if got := tr.LookupRows("T_CA_ID", value.NewInt(8)); len(got) != 1 {
+		t.Errorf("after delete, LookupRows = %d rows", len(got))
 	}
 	tr.MustInsert(value.NewInt(9), value.NewInt(8), value.NewInt(2))
-	if got := tr.LookupBy("T_CA_ID", value.NewInt(8)); len(got) != 2 {
-		t.Errorf("after insert, LookupBy = %d keys", len(got))
+	if got := tr.LookupRows("T_CA_ID", value.NewInt(8)); len(got) != 2 {
+		t.Errorf("after insert, LookupRows = %d rows", len(got))
 	}
 	if err := tr.Update(value.MakeKey(value.NewInt(9)), []string{"T_CA_ID"}, []value.Value{value.NewInt(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.LookupBy("T_CA_ID", value.NewInt(8)); len(got) != 1 {
-		t.Errorf("after update, LookupBy = %d keys", len(got))
+	if got := tr.LookupRows("T_CA_ID", value.NewInt(8)); len(got) != 1 {
+		t.Errorf("after update, LookupRows = %d rows", len(got))
 	}
+}
+
+// lookupByGet is the reference lookup: encode the primary key of every
+// row in the index's slot list, then fetch each row with Get.
+func lookupByGet(t *testing.T, tb *Table, col string, v value.Value) []value.Tuple {
+	t.Helper()
+	tb.mu.RLock()
+	var keys []value.Key
+	for _, slot := range tb.sec[col].slots[v] {
+		keys = append(keys, tb.PKOf(tb.rows[slot]))
+	}
+	tb.mu.RUnlock()
+	var out []value.Tuple
+	for _, k := range keys {
+		row, ok := tb.Get(k)
+		if !ok {
+			t.Fatalf("Get(%q) missed a row the index holds", k)
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// TestLookupRows checks LookupRows against lookupByGet: the same stored
+// rows (by identity) in the same order, across inserts, an
+// Update of the indexed column, deletes, slot reuse and a lazily built
+// index; and against a scan for the set of matching rows.
+func TestLookupRows(t *testing.T) {
+	d := loadFigure1(t)
+	tr := d.Table("TRADE")
+	row := func(id, ca int64) value.Tuple {
+		return value.Tuple{value.NewInt(id), value.NewInt(ca), value.NewInt(1)}
+	}
+	check := func(step string) {
+		t.Helper()
+		for ca := int64(0); ca <= 9; ca++ {
+			v := value.NewInt(ca)
+			got := tr.LookupRows("T_CA_ID", v)
+			want := lookupByGet(t, tr, "T_CA_ID", v)
+			if len(got) != len(want) {
+				t.Fatalf("%s: T_CA_ID=%d: %d rows, want %d", step, ca, len(got), len(want))
+			}
+			for i := range got {
+				if &got[i][0] != &want[i][0] {
+					t.Fatalf("%s: T_CA_ID=%d: row %d is %v, want stored row %v", step, ca, i, got[i], want[i])
+				}
+			}
+			n := 0
+			tr.Scan(func(_ value.Key, r value.Tuple) bool {
+				if r[1] == v {
+					n++
+				}
+				return true
+			})
+			if n != len(got) {
+				t.Fatalf("%s: T_CA_ID=%d: %d rows, scan finds %d", step, ca, len(got), n)
+			}
+		}
+	}
+	// Churn before the index exists: the lazy build orders by slot, and
+	// the deletes leave free slots that later inserts reuse.
+	tr.Delete(value.MakeKey(value.NewInt(2)))
+	tr.Delete(value.MakeKey(value.NewInt(5)))
+	tr.MustInsert(row(20, 8)...)
+	check("lazy build")
+	tr.MustInsert(row(21, 8)...)
+	tr.MustInsert(row(22, 7)...)
+	check("insert")
+	if err := tr.Update(value.MakeKey(value.NewInt(21)), []string{"T_CA_ID"}, []value.Value{value.NewInt(9)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Update(value.MakeKey(value.NewInt(1)), []string{"T_QTY"}, []value.Value{value.NewInt(5)}); err != nil {
+		t.Fatal(err)
+	}
+	check("update")
+	tr.Delete(value.MakeKey(value.NewInt(20)))
+	tr.Delete(value.MakeKey(value.NewInt(4)))
+	check("delete")
+	tr.MustInsert(row(23, 8)...) // reuses a freed slot
+	tr.MustInsert(row(4, 8)...)
+	check("slot reuse")
+
+	// Rows are the stored rows: an Update shows through.
+	k := value.MakeKey(value.NewInt(23))
+	got := tr.LookupRows("T_CA_ID", value.NewInt(8))
+	if err := tr.Update(k, []string{"T_QTY"}, []value.Value{value.NewInt(77)}); err != nil {
+		t.Fatal(err)
+	}
+	seen := false
+	for _, r := range got {
+		if tr.PKOf(r) == k {
+			seen = r[2] == value.NewInt(77)
+		}
+	}
+	if !seen {
+		t.Error("LookupRows result does not reference the stored row")
+	}
+	if got := tr.LookupRows("T_CA_ID", value.NewInt(12345)); got != nil {
+		t.Errorf("no match = %v, want nil", got)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("LookupRows on an unknown column must panic")
+		}
+	}()
+	tr.LookupRows("NOPE", value.NewInt(1))
+}
+
+// TestKeyAt checks KeyAt against Keys across inserts and deletes,
+// starting before the sorted key list exists, and that a warm KeyAt does
+// not allocate.
+func TestKeyAt(t *testing.T) {
+	d := loadFigure1(t)
+	tr := d.Table("TRADE")
+	check := func(step string) {
+		t.Helper()
+		keys := tr.Keys()
+		if len(keys) != tr.Len() {
+			t.Fatalf("%s: Keys() has %d keys, Len() = %d", step, len(keys), tr.Len())
+		}
+		for i, k := range keys {
+			if got := tr.KeyAt(i); got != k {
+				t.Fatalf("%s: KeyAt(%d) = %q, want %q", step, i, got, k)
+			}
+		}
+	}
+	// Cold: KeyAt builds the sorted list itself.
+	if tr.sorted != nil {
+		t.Fatal("sorted key list exists before the first Keys/KeyAt call")
+	}
+	first := tr.KeyAt(0)
+	if want := value.MakeKey(value.NewInt(1)); first != want {
+		t.Errorf("cold KeyAt(0) = %q, want %q", first, want)
+	}
+	check("initial")
+	tr.MustInsert(value.NewInt(-3), value.NewInt(1), value.NewInt(1))
+	tr.MustInsert(value.NewInt(50), value.NewInt(1), value.NewInt(1))
+	check("insert")
+	tr.Delete(value.MakeKey(value.NewInt(3)))
+	tr.Delete(value.MakeKey(value.NewInt(-3)))
+	check("delete")
+
+	if n := testing.AllocsPerRun(100, func() { _ = tr.KeyAt(tr.Len() - 1) }); n != 0 {
+		t.Errorf("warm KeyAt allocates %v times", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("KeyAt past the end must panic")
+		}
+	}()
+	tr.KeyAt(tr.Len())
 }
 
 func TestColumnValue(t *testing.T) {

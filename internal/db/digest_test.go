@@ -37,7 +37,7 @@ func TestDigestIgnoresGraveyardAndIndexes(t *testing.T) {
 	// Build a secondary index and a graveyard entry on d2 only, then
 	// restore the row: durable state is identical, digests must match.
 	tr2 := d2.Table("TRADE")
-	_ = tr2.LookupBy("T_CA_ID", value.NewInt(1))
+	_ = tr2.LookupRows("T_CA_ID", value.NewInt(1))
 	k := value.MakeKey(value.NewInt(2))
 	row, _ := tr2.Get(k)
 	saved := row.Clone()

@@ -137,7 +137,7 @@ func TPCCScaling(warehouses int, coverages []float64, partitions []int, seed int
 		testTxns = 1000
 	}
 	full := workloads.GenerateTrace(b, d, maxTrain+testTxns, seed+1)
-	test := trace.FromTxns(full.Txns()[maxTrain:])
+	test := full.Window(maxTrain, full.Len())
 
 	out := &ScalingResult{
 		Warehouses: warehouses,
@@ -147,7 +147,7 @@ func TPCCScaling(warehouses int, coverages []float64, partitions []int, seed int
 	for _, k := range partitions {
 		// JECB uses a fixed modest trace: its outcome is independent of
 		// coverage (the paper's flat line).
-		jecbTrain := trace.FromTxns(full.Txns()[:txnsFor(coverages[0])])
+		jecbTrain := full.Head(txnsFor(coverages[0]))
 		sol, _, err := core.Partition(context.Background(), core.Input{
 			DB: d, Procedures: workloads.Procedures(b), Train: jecbTrain, Test: test,
 		}, withParallelism(core.Options{K: k}))
@@ -162,7 +162,7 @@ func TPCCScaling(warehouses int, coverages []float64, partitions []int, seed int
 
 		for _, c := range coverages {
 			label := fmt.Sprintf("schism %g%%", c*100)
-			train := trace.FromTxns(full.Txns()[:txnsFor(c)])
+			train := full.Head(txnsFor(c))
 			out.TrainTxns[label] = train.Len()
 			ssol, _, err := schism.Partition(schism.Input{DB: d, Train: train},
 				schism.Options{K: k, Seed: seed})
@@ -222,7 +222,7 @@ func TPCCResources(warehouses int, sizes []TrainSize, k int, seed int64) ([]Reso
 
 	var rows []ResourceRow
 	for _, s := range sizes {
-		train := trace.FromTxns(full.Txns()[:s.Txns])
+		train := full.Head(s.Txns)
 		res, err := eval.Measure(func() error {
 			_, _, err := schism.Partition(schism.Input{DB: d, Train: train},
 				schism.Options{K: k, Seed: seed})
@@ -245,7 +245,7 @@ func TPCCResources(warehouses int, sizes []TrainSize, k int, seed int64) ([]Reso
 	if jecbTxns > full.Len() {
 		jecbTxns = full.Len()
 	}
-	train := trace.FromTxns(full.Txns()[:jecbTxns])
+	train := full.Head(jecbTxns)
 	res, err := eval.Measure(func() error {
 		_, _, err := core.Partition(context.Background(), core.Input{
 			DB: d, Procedures: workloads.Procedures(b), Train: train,

@@ -7,7 +7,6 @@
 package fixture
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/db"
@@ -135,14 +134,13 @@ func MixedTrace(d *db.DB, n int, seed int64) *trace.Trace {
 		cust := value.NewInt(1 + rng.Int63n(2))
 		if rng.Float64() < 0.7 {
 			col.Begin("CustInfo", map[string]value.Value{"cust_id": cust})
-			for _, caKey := range ca.LookupBy("CA_C_ID", cust) {
-				col.Read("CUSTOMER_ACCOUNT", caKey)
-				caRow, _ := ca.Get(caKey)
-				for _, k := range hs.LookupBy("HS_CA_ID", caRow[0]) {
-					col.Read("HOLDING_SUMMARY", k)
+			for _, caRow := range ca.LookupRows("CA_C_ID", cust) {
+				col.Read("CUSTOMER_ACCOUNT", ca.PKOf(caRow))
+				for _, row := range hs.LookupRows("HS_CA_ID", caRow[0]) {
+					col.Read("HOLDING_SUMMARY", hs.PKOf(row))
 				}
-				for _, k := range tr.LookupBy("T_CA_ID", caRow[0]) {
-					col.Read("TRADE", k)
+				for _, row := range tr.LookupRows("T_CA_ID", caRow[0]) {
+					col.Read("TRADE", tr.PKOf(row))
 				}
 			}
 			col.Commit()
@@ -151,12 +149,11 @@ func MixedTrace(d *db.DB, n int, seed int64) *trace.Trace {
 		col.Begin("TradeUpdate", map[string]value.Value{
 			"cust_id": cust, "qty": value.NewInt(rng.Int63n(10)),
 		})
-		accounts := ca.LookupBy("CA_C_ID", cust)
-		caKey := accounts[rng.Intn(len(accounts))]
-		col.Write("CUSTOMER_ACCOUNT", caKey)
-		caRow, _ := ca.Get(caKey)
-		for _, k := range tr.LookupBy("T_CA_ID", caRow[0]) {
-			col.Write("TRADE", k)
+		accounts := ca.LookupRows("CA_C_ID", cust)
+		caRow := accounts[rng.Intn(len(accounts))]
+		col.Write("CUSTOMER_ACCOUNT", ca.PKOf(caRow))
+		for _, row := range tr.LookupRows("T_CA_ID", caRow[0]) {
+			col.Write("TRADE", tr.PKOf(row))
 		}
 		col.Commit()
 	}
@@ -175,18 +172,14 @@ func CustInfoTrace(d *db.DB, n int, seed int64) *trace.Trace {
 	for i := 0; i < n; i++ {
 		cust := value.NewInt(1 + rng.Int63n(2))
 		col.Begin("CustInfo", map[string]value.Value{"cust_id": cust})
-		for _, caKey := range ca.LookupBy("CA_C_ID", cust) {
-			col.Read("CUSTOMER_ACCOUNT", caKey)
-			caRow, ok := ca.Get(caKey)
-			if !ok {
-				panic(fmt.Sprintf("fixture: missing CA row %v", caKey))
-			}
+		for _, caRow := range ca.LookupRows("CA_C_ID", cust) {
+			col.Read("CUSTOMER_ACCOUNT", ca.PKOf(caRow))
 			caID := caRow[0]
-			for _, k := range hs.LookupBy("HS_CA_ID", caID) {
-				col.Read("HOLDING_SUMMARY", k)
+			for _, row := range hs.LookupRows("HS_CA_ID", caID) {
+				col.Read("HOLDING_SUMMARY", hs.PKOf(row))
 			}
-			for _, k := range tr.LookupBy("T_CA_ID", caID) {
-				col.Read("TRADE", k)
+			for _, row := range tr.LookupRows("T_CA_ID", caID) {
+				col.Read("TRADE", tr.PKOf(row))
 			}
 		}
 		col.Commit()

@@ -203,8 +203,9 @@ func TestSkewedWorkloadPacking(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		g := pickGroup()
 		col.Begin("Touch", map[string]value.Value{"g": value.NewInt(g)})
-		for _, k := range d.Table("EVENTS").LookupBy("E_G", value.NewInt(g)) {
-			col.Write("EVENTS", k)
+		events := d.Table("EVENTS")
+		for _, row := range events.LookupRows("E_G", value.NewInt(g)) {
+			col.Write("EVENTS", events.PKOf(row))
 		}
 		col.Commit()
 	}

@@ -121,8 +121,8 @@ func TestRouterAgreesWithAssigner(t *testing.T) {
 		}
 		// All of this customer's account rows must map to ps[0].
 		ca := d.Table("CUSTOMER_ACCOUNT")
-		for _, k := range ca.LookupBy("CA_C_ID", value.NewInt(cust)) {
-			ev, ok, err := d.EvalPath(sol.Table("CUSTOMER_ACCOUNT").Path, k)
+		for _, row := range ca.LookupRows("CA_C_ID", value.NewInt(cust)) {
+			ev, ok, err := d.EvalPath(sol.Table("CUSTOMER_ACCOUNT").Path, ca.PKOf(row))
 			if err != nil || !ok {
 				t.Fatalf("eval: %v %v", ok, err)
 			}

@@ -151,7 +151,7 @@ func TestSchismStarFallbackForBigTxns(t *testing.T) {
 		col.Write("ORDERS", value.MakeKey(value.NewInt(i)))
 	}
 	col.Commit()
-	tr.Append(col.Trace().Txns()...)
+	tr = tr.Concat(col.Trace())
 	if _, st, err := Partition(Input{DB: d, Train: tr}, Options{K: 2, Seed: 1, MaxCliqueSize: 10}); err != nil {
 		t.Fatal(err)
 	} else if st.GraphNodes != 80 {

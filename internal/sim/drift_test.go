@@ -55,11 +55,10 @@ func mixFlipTrace(d *db.DB, half int) *trace.Trace {
 		cust := value.NewInt(1 + int64(i%2))
 		col.Begin("Audit", map[string]value.Value{"cust_id": cust})
 		ca := d.Table("CUSTOMER_ACCOUNT")
-		for _, caKey := range ca.LookupBy("CA_C_ID", cust) {
-			col.Read("CUSTOMER_ACCOUNT", caKey)
-			caRow, _ := ca.Get(caKey)
-			for _, k := range tr.LookupBy("T_CA_ID", caRow[0]) {
-				col.Write("TRADE", k)
+		for _, caRow := range ca.LookupRows("CA_C_ID", cust) {
+			col.Read("CUSTOMER_ACCOUNT", ca.PKOf(caRow))
+			for _, row := range tr.LookupRows("T_CA_ID", caRow[0]) {
+				col.Write("TRADE", tr.PKOf(row))
 			}
 		}
 		col.Commit()

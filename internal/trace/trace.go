@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/value"
@@ -89,9 +90,9 @@ func (t *Txn) Tables() []string {
 
 // Trace is a bag of transactions (paper Definition 1's workload), stored
 // row-oriented. Build one with FromTxns, Append, or a Collector; read it
-// through the cursor API (All, Class, At) or the deprecated Txns
-// accessor. For large workloads prefer the columnar forms (Columnarize,
-// OpenColumnar), which implement the same cursor contract.
+// through the cursor API (All, Class, At). For large workloads prefer
+// the columnar forms (Columnarize, OpenColumnar), which implement the
+// same cursor contract.
 type Trace struct {
 	txns []Txn
 
@@ -112,14 +113,6 @@ type traceCache struct {
 // FromTxns wraps a transaction slice as a Trace, taking ownership of the
 // slice.
 func FromTxns(txns []Txn) *Trace { return &Trace{txns: txns} }
-
-// Txns returns the underlying transaction slice.
-//
-// Deprecated: walk the trace through All, Class or At instead — they are
-// implemented by every trace representation (row, columnar, streaming),
-// while Txns exists only on the materialized row form. Callers must not
-// grow the returned slice; use Append.
-func (tr *Trace) Txns() []Txn { return tr.txns }
 
 // Append adds transactions to the trace.
 func (tr *Trace) Append(txns ...Txn) { tr.txns = append(tr.txns, txns...) }
@@ -353,11 +346,17 @@ func (tr *Trace) Stats() map[string]*TableStats {
 // (drivers are single-threaded per stream, as in the paper's framework).
 type Collector struct {
 	nextID int
-	cur    *Txn
-	// curIdx deduplicates accesses within the open transaction: a tuple
-	// read then written is recorded once with Write=true.
-	curIdx map[Access]int
-	done   []Txn
+	open   bool
+	// cur is the open transaction. Its accesses collect in acc, a buffer
+	// reused across transactions; Commit copies them out at their exact
+	// length, so each transaction costs one access allocation.
+	cur Txn
+	acc []Access
+	// idx deduplicates accesses within the open transaction: a tuple read
+	// then written is recorded once with Write=true. One map serves every
+	// transaction; Begin clears it.
+	idx  map[Access]int
+	done []Txn
 }
 
 // NewCollector returns an empty collector.
@@ -366,7 +365,7 @@ func NewCollector() *Collector { return &Collector{} }
 // Begin opens a transaction of the given class. Params are the stored
 // procedure's input arguments (copied).
 func (c *Collector) Begin(class string, params map[string]value.Value) {
-	if c.cur != nil {
+	if c.open {
 		panic(fmt.Errorf("%w: Begin with open transaction", ErrCollectorMisuse))
 	}
 	var p map[string]value.Value
@@ -376,8 +375,13 @@ func (c *Collector) Begin(class string, params map[string]value.Value) {
 			p[k] = v
 		}
 	}
-	c.cur = &Txn{ID: c.nextID, Class: class, Params: p}
-	c.curIdx = make(map[Access]int)
+	c.open = true
+	c.cur = Txn{ID: c.nextID, Class: class, Params: p}
+	c.acc = c.acc[:0]
+	if c.idx == nil {
+		c.idx = make(map[Access]int)
+	}
+	clear(c.idx)
 	c.nextID++
 }
 
@@ -388,35 +392,38 @@ func (c *Collector) Read(table string, key value.Key) { c.access(table, key, fal
 func (c *Collector) Write(table string, key value.Key) { c.access(table, key, true) }
 
 func (c *Collector) access(table string, key value.Key, write bool) {
-	if c.cur == nil {
+	if !c.open {
 		panic(fmt.Errorf("%w: access outside transaction", ErrCollectorMisuse))
 	}
 	probe := Access{Table: table, Key: key}
-	if i, seen := c.curIdx[probe]; seen {
+	if i, seen := c.idx[probe]; seen {
 		if write {
-			c.cur.Accesses[i].Write = true
+			c.acc[i].Write = true
 		}
 		return
 	}
-	c.curIdx[probe] = len(c.cur.Accesses)
-	c.cur.Accesses = append(c.cur.Accesses, Access{Table: table, Key: key, Write: write})
+	c.idx[probe] = len(c.acc)
+	c.acc = append(c.acc, Access{Table: table, Key: key, Write: write})
 }
 
 // Commit closes the open transaction and appends it to the trace.
 func (c *Collector) Commit() {
-	if c.cur == nil {
+	if !c.open {
 		panic(fmt.Errorf("%w: Commit without open transaction", ErrCollectorMisuse))
 	}
-	c.done = append(c.done, *c.cur)
-	c.cur, c.curIdx = nil, nil
+	if len(c.acc) > 0 {
+		c.cur.Accesses = slices.Clone(c.acc)
+	}
+	c.done = append(c.done, c.cur)
+	c.open, c.cur = false, Txn{}
 }
 
 // Abort discards the open transaction.
 func (c *Collector) Abort() {
-	if c.cur == nil {
+	if !c.open {
 		panic(fmt.Errorf("%w: Abort without open transaction", ErrCollectorMisuse))
 	}
-	c.cur, c.curIdx = nil, nil
+	c.open, c.cur = false, Txn{}
 	c.nextID--
 }
 

@@ -81,6 +81,59 @@ func TestCollectorAbort(t *testing.T) {
 	}
 }
 
+// TestCollectorReusesDedupState checks that the dedup map one collector
+// reuses across transactions carries nothing from one to the next: the
+// same key is recorded again in each transaction, a read-then-write
+// upgrade indexes only the open transaction's accesses, and an aborted
+// transaction leaves no entries behind.
+func TestCollectorReusesDedupState(t *testing.T) {
+	c := NewCollector()
+	c.Begin("A", nil)
+	c.Read("T", key(1))
+	c.Write("T", key(2))
+	c.Commit()
+	c.Begin("A", nil)
+	c.Read("T", key(3)) // shifts key(1)'s position relative to txn 0
+	c.Read("T", key(1))
+	c.Write("T", key(1)) // upgrade must hit this txn's access 1, not txn 0's
+	c.Commit()
+	c.Begin("B", nil)
+	c.Write("T", key(4))
+	c.Read("T", key(5))
+	c.Abort()
+	c.Begin("C", nil)
+	c.Read("T", key(4)) // aborted write must not upgrade or suppress this
+	c.Read("T", key(5))
+	c.Write("T", key(5))
+	c.Commit()
+
+	got := c.Trace()
+	want := [][]Access{
+		{{Table: "T", Key: key(1)}, {Table: "T", Key: key(2), Write: true}},
+		{{Table: "T", Key: key(3)}, {Table: "T", Key: key(1), Write: true}},
+		{{Table: "T", Key: key(4)}, {Table: "T", Key: key(5), Write: true}},
+	}
+	if got.Len() != len(want) {
+		t.Fatalf("trace has %d txns, want %d", got.Len(), len(want))
+	}
+	for i, w := range want {
+		if txn := got.At(i); !reflect.DeepEqual(txn.Accesses, w) {
+			t.Errorf("txn %d (%s) accesses = %+v, want %+v", i, txn.Class, txn.Accesses, w)
+		}
+	}
+	if got.At(2).ID != 2 {
+		t.Errorf("txn after abort has ID %d, want 2", got.At(2).ID)
+	}
+	c.Begin("D", nil)
+	c.Read("T", key(6))
+	c.Abort()
+	c.Begin("E", nil)
+	if len(c.idx) != 0 {
+		t.Errorf("dedup map holds %d stale entries at Begin", len(c.idx))
+	}
+	c.Abort()
+}
+
 func TestCollectorPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()

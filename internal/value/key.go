@@ -11,13 +11,20 @@ import (
 // Keys built from distinct value tuples are guaranteed distinct.
 type Key string
 
-// MakeKey encodes a tuple of values into a Key.
+// keyBufSize is the stack buffer MakeKey encodes into. Every key the
+// benchmarks build fits; a longer one (long string columns) still works,
+// through ordinary append growth.
+const keyBufSize = 64
+
+// MakeKey encodes a tuple of values into a Key. It allocates once, for
+// the returned string.
 func MakeKey(vs ...Value) Key {
-	var buf []byte
+	var buf [keyBufSize]byte
+	b := buf[:0]
 	for _, v := range vs {
-		buf = v.Encode(buf)
+		b = v.Encode(b)
 	}
-	return Key(buf)
+	return Key(b)
 }
 
 // KeyOf is a convenience wrapper over MakeKey for a slice.

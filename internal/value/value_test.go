@@ -3,6 +3,7 @@ package value
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -199,6 +200,23 @@ func TestKeyInjectivityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMakeKeyAllocs checks MakeKey allocates only the returned string,
+// and that a key longer than its stack buffer still encodes correctly.
+func TestMakeKeyAllocs(t *testing.T) {
+	a, b, c, d := NewInt(1), NewInt(2), NewInt(3), NewInt(4)
+	var k Key
+	if n := testing.AllocsPerRun(100, func() { k = MakeKey(a, b, c, d) }); n > 1 {
+		t.Errorf("4-int MakeKey: %v allocations, want <= 1", n)
+	}
+	if got, err := DecodeKey(k); err != nil || !reflect.DeepEqual(got, []Value{a, b, c, d}) {
+		t.Errorf("DecodeKey(4-int key) = %v, %v", got, err)
+	}
+	long := []Value{NewString(strings.Repeat("x", 3*keyBufSize)), NewInt(7)}
+	if got, err := DecodeKey(KeyOf(long)); err != nil || !reflect.DeepEqual(got, long) {
+		t.Errorf("long key round trip = %v, %v", got, err)
 	}
 }
 

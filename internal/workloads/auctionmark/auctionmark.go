@@ -182,11 +182,11 @@ func users(d *db.DB) int64 { return int64(d.Table("USERACCT").Len()) }
 // randomItem returns a random live item key plus its id and seller.
 func randomItem(d *db.DB, rng *rand.Rand) (value.Key, int64, int64, bool) {
 	it := d.Table("ITEM")
-	keys := it.Keys()
-	if len(keys) == 0 {
+	n := it.Len()
+	if n == 0 {
 		return "", 0, 0, false
 	}
-	k := keys[rng.Intn(len(keys))]
+	k := it.KeyAt(rng.Intn(n))
 	row, _ := it.Get(k)
 	return k, row[0].Int(), row[1].Int(), true
 }
@@ -206,11 +206,12 @@ func runGetUserInfo(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	u := rng.Int63n(users(d))
 	col.Begin("GetUserInfo", map[string]value.Value{"u_id": iv(u)})
 	col.Read("USERACCT", value.MakeKey(iv(u)))
-	for _, k := range d.Table("USER_FEEDBACK").LookupBy("UF_U_ID", iv(u)) {
-		col.Read("USER_FEEDBACK", k)
+	uf, it := d.Table("USER_FEEDBACK"), d.Table("ITEM")
+	for _, row := range uf.LookupRows("UF_U_ID", iv(u)) {
+		col.Read("USER_FEEDBACK", uf.PKOf(row))
 	}
-	for _, k := range d.Table("ITEM").LookupBy("I_U_ID", iv(u)) {
-		col.Read("ITEM", k)
+	for _, row := range it.LookupRows("I_U_ID", iv(u)) {
+		col.Read("ITEM", it.PKOf(row))
 	}
 	col.Commit()
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/schism"
 	"repro/internal/sqlparse"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -85,7 +84,7 @@ func TestJECBBeatsSchismAtLowCoverage(t *testing.T) {
 	}
 	full := workloads.GenerateTrace(b, d, 3000, 2)
 	train := full.Head(300) // ~10% coverage of a 400-user database
-	test := trace.FromTxns(full.Txns()[300:])
+	test := full.Window(300, full.Len())
 	js, _, err := core.Partition(context.Background(), core.Input{
 		DB: d, Procedures: workloads.Procedures(b), Train: train,
 	}, core.Options{K: 8})

@@ -217,10 +217,10 @@ func runFindFlights(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 		"depart_ap_id": iv(dep), "arrive_ap_id": iv(arr),
 	})
 	col.Read("AIRPORT", value.MakeKey(iv(dep)))
-	for _, k := range d.Table("FLIGHT").LookupBy("F_DEPART_AP_ID", iv(dep)) {
-		row, _ := d.Table("FLIGHT").Get(k)
+	ft := d.Table("FLIGHT")
+	for _, row := range ft.LookupRows("F_DEPART_AP_ID", iv(dep)) {
 		if row[3] == iv(arr) {
-			col.Read("FLIGHT", k)
+			col.Read("FLIGHT", ft.PKOf(row))
 		}
 	}
 	col.Commit()
@@ -244,9 +244,7 @@ func runNewReservation(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	col.Read("FLIGHT", value.MakeKey(iv(f)))
 	d.Table("RESERVATION").MustInsert(iv(rid), iv(c), iv(f), iv(rng.Int63n(150)), fv(100))
 	col.Write("RESERVATION", value.MakeKey(iv(rid)))
-	for _, k := range d.Table("FREQUENT_FLYER").LookupBy("FF_C_ID", iv(c)) {
-		col.Write("FREQUENT_FLYER", k)
-	}
+	writeFrequentFlyer(d, col, c)
 	col.Commit()
 }
 
@@ -256,20 +254,27 @@ func runUpdateCustomer(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 		"c_id": iv(c), "balance": fv(rng.Float64() * 1000),
 	})
 	col.Write("CUSTOMER", value.MakeKey(iv(c)))
-	for _, k := range d.Table("FREQUENT_FLYER").LookupBy("FF_C_ID", iv(c)) {
-		col.Write("FREQUENT_FLYER", k)
-	}
+	writeFrequentFlyer(d, col, c)
 	col.Commit()
+}
+
+// writeFrequentFlyer records a write of every frequent-flyer row of
+// customer c.
+func writeFrequentFlyer(d *db.DB, col *trace.Collector, c int64) {
+	ff := d.Table("FREQUENT_FLYER")
+	for _, row := range ff.LookupRows("FF_C_ID", iv(c)) {
+		col.Write("FREQUENT_FLYER", ff.PKOf(row))
+	}
 }
 
 // randomReservation picks one of a random customer's reservations,
 // retrying a few customers if the first has none.
 func randomReservation(d *db.DB, rng *rand.Rand) (value.Key, int64, bool) {
+	rt := d.Table("RESERVATION")
 	for attempt := 0; attempt < 8; attempt++ {
 		c := rng.Int63n(customers(d))
-		keys := d.Table("RESERVATION").LookupBy("R_C_ID", iv(c))
-		if len(keys) > 0 {
-			return keys[rng.Intn(len(keys))], c, true
+		if rows := rt.LookupRows("R_C_ID", iv(c)); len(rows) > 0 {
+			return rt.PKOf(rows[rng.Intn(len(rows))]), c, true
 		}
 	}
 	return "", 0, false
@@ -300,8 +305,6 @@ func runDeleteReservation(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	col.Write("RESERVATION", k)
 	d.Table("RESERVATION").Delete(k)
 	col.Write("CUSTOMER", value.MakeKey(iv(c)))
-	for _, kk := range d.Table("FREQUENT_FLYER").LookupBy("FF_C_ID", iv(c)) {
-		col.Write("FREQUENT_FLYER", kk)
-	}
+	writeFrequentFlyer(d, col, c)
 	col.Commit()
 }

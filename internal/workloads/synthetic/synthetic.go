@@ -164,11 +164,11 @@ func Tags(parents int) int { return tags(parents) }
 // registered benchmark mix.
 func ExecByGroup(d *db.DB, col *trace.Collector, g int64) {
 	col.Begin("ByGroup", map[string]value.Value{"group": iv(g)})
-	for _, pk := range d.Table("PARENT").LookupBy("P_GROUP", iv(g)) {
-		col.Write("PARENT", pk)
-		pRow, _ := d.Table("PARENT").Get(pk)
-		for _, ck := range d.Table("CHILD").LookupBy("C_P_ID", pRow[0]) {
-			col.Write("CHILD", ck)
+	parent, child := d.Table("PARENT"), d.Table("CHILD")
+	for _, pRow := range parent.LookupRows("P_GROUP", iv(g)) {
+		col.Write("PARENT", parent.PKOf(pRow))
+		for _, cRow := range child.LookupRows("C_P_ID", pRow[0]) {
+			col.Write("CHILD", child.PKOf(cRow))
 		}
 	}
 	col.Commit()
@@ -178,8 +178,9 @@ func ExecByGroup(d *db.DB, col *trace.Collector, g int64) {
 // recording its accesses through the collector.
 func ExecByTag(d *db.DB, col *trace.Collector, tag int64) {
 	col.Begin("ByTag", map[string]value.Value{"tag": iv(tag)})
-	for _, k := range d.Table("CHILD").LookupBy("C_TAG", iv(tag)) {
-		col.Write("CHILD", k)
+	child := d.Table("CHILD")
+	for _, row := range child.LookupRows("C_TAG", iv(tag)) {
+		col.Write("CHILD", child.PKOf(row))
 	}
 	col.Commit()
 }

@@ -173,11 +173,12 @@ func runGetNewDestination(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	col.Begin("GetNewDestination", map[string]value.Value{
 		"s_id": iv(s), "sf_type": iv(0), "start_time": iv(0),
 	})
-	for _, k := range d.Table("SPECIAL_FACILITY").LookupBy("SF_S_ID", iv(s)) {
-		col.Read("SPECIAL_FACILITY", k)
+	sf, cf := d.Table("SPECIAL_FACILITY"), d.Table("CALL_FORWARDING")
+	for _, row := range sf.LookupRows("SF_S_ID", iv(s)) {
+		col.Read("SPECIAL_FACILITY", sf.PKOf(row))
 	}
-	for _, k := range d.Table("CALL_FORWARDING").LookupBy("CF_S_ID", iv(s)) {
-		col.Read("CALL_FORWARDING", k)
+	for _, row := range cf.LookupRows("CF_S_ID", iv(s)) {
+		col.Read("CALL_FORWARDING", cf.PKOf(row))
 	}
 	col.Commit()
 }
@@ -185,8 +186,9 @@ func runGetNewDestination(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 func runGetAccessData(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	s := rng.Int63n(subscribers(d))
 	col.Begin("GetAccessData", map[string]value.Value{"s_id": iv(s), "ai_type": iv(0)})
-	for _, k := range d.Table("ACCESS_INFO").LookupBy("AI_S_ID", iv(s)) {
-		col.Read("ACCESS_INFO", k)
+	ai := d.Table("ACCESS_INFO")
+	for _, row := range ai.LookupRows("AI_S_ID", iv(s)) {
+		col.Read("ACCESS_INFO", ai.PKOf(row))
 	}
 	col.Commit()
 }
@@ -197,9 +199,9 @@ func runUpdateSubscriberData(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 		"s_id": iv(s), "sf_type": iv(0), "bit": iv(1), "active": iv(1),
 	})
 	col.Write("SUBSCRIBER", subKey(s))
-	for _, k := range d.Table("SPECIAL_FACILITY").LookupBy("SF_S_ID", iv(s)) {
-		col.Write("SPECIAL_FACILITY", k)
-		break // one facility type
+	sf := d.Table("SPECIAL_FACILITY")
+	if rows := sf.LookupRows("SF_S_ID", iv(s)); len(rows) > 0 {
+		col.Write("SPECIAL_FACILITY", sf.PKOf(rows[0])) // one facility type
 	}
 	col.Commit()
 }
@@ -221,10 +223,10 @@ func runInsertCallForwarding(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	})
 	col.Read("SUBSCRIBER", subKey(s))
 	var sfType int64 = -1
-	for _, k := range d.Table("SPECIAL_FACILITY").LookupBy("SF_S_ID", iv(s)) {
-		col.Read("SPECIAL_FACILITY", k)
+	sf := d.Table("SPECIAL_FACILITY")
+	for _, row := range sf.LookupRows("SF_S_ID", iv(s)) {
+		col.Read("SPECIAL_FACILITY", sf.PKOf(row))
 		if sfType < 0 {
-			row, _ := d.Table("SPECIAL_FACILITY").Get(k)
 			sfType = row[1].Int()
 		}
 	}
@@ -249,10 +251,11 @@ func runDeleteCallForwarding(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 		"sub_nbr": sv(fmt.Sprintf("%015d", s)), "sf_type": iv(0), "start_time": iv(0),
 	})
 	col.Read("SUBSCRIBER", subKey(s))
-	for _, k := range d.Table("CALL_FORWARDING").LookupBy("CF_S_ID", iv(s)) {
+	cf := d.Table("CALL_FORWARDING")
+	if rows := cf.LookupRows("CF_S_ID", iv(s)); len(rows) > 0 {
+		k := cf.PKOf(rows[0])
 		col.Write("CALL_FORWARDING", k)
-		d.Table("CALL_FORWARDING").Delete(k)
-		break
+		cf.Delete(k)
 	}
 	col.Commit()
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/schism"
 	"repro/internal/sqlparse"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -88,7 +87,7 @@ func TestSchismCoverageGap(t *testing.T) {
 	full := workloads.GenerateTrace(b, d, 3000, 2)
 	// Tiny training set relative to 1000 subscribers.
 	train := full.Head(400)
-	testTrace := trace.FromTxns(full.Txns()[400:])
+	testTrace := full.Window(400, full.Len())
 	schismSol, _, err := schism.Partition(schism.Input{DB: d, Train: train}, schism.Options{K: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

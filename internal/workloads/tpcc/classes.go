@@ -129,10 +129,8 @@ func runNewOrder(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	}
 	col.Read("CUSTOMER", cKey(w, di, c))
 	cnt := 1 + rng.Intn(maxLinesPerOrder)
-	d.Table("ORDERS").MustInsert(iv(w), iv(di), iv(oid), iv(c), iv(0), iv(int64(cnt)))
-	col.Write("ORDERS", oKey(w, di, oid))
-	d.Table("NEW_ORDER").MustInsert(iv(w), iv(di), iv(oid))
-	col.Write("NEW_ORDER", oKey(w, di, oid))
+	col.Write("ORDERS", d.Table("ORDERS").MustInsert(iv(w), iv(di), iv(oid), iv(c), iv(0), iv(int64(cnt))))
+	col.Write("NEW_ORDER", d.Table("NEW_ORDER").MustInsert(iv(w), iv(di), iv(oid)))
 	for l := 0; l < cnt; l++ {
 		item := int64(rng.Intn(Items))
 		supply := w
@@ -149,8 +147,7 @@ func runNewOrder(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 		if err := d.Table("STOCK").Update(sk, []string{"S_QUANTITY"}, []value.Value{iv(sRow[2].Int() - qty)}); err != nil {
 			panic(err)
 		}
-		d.Table("ORDER_LINE").MustInsert(iv(w), iv(di), iv(oid), iv(int64(l)), iv(item), iv(supply), iv(qty))
-		col.Write("ORDER_LINE", olKey(w, di, oid, int64(l)))
+		col.Write("ORDER_LINE", d.Table("ORDER_LINE").MustInsert(iv(w), iv(di), iv(oid), iv(int64(l)), iv(item), iv(supply), iv(qty)))
 	}
 	col.Commit()
 }
@@ -175,8 +172,7 @@ func runPayment(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	col.Write("DISTRICT", dKey(w, di))
 	col.Write("CUSTOMER", cKey(cw, cd, c))
 	hid := rng.Int63()
-	d.Table("HISTORY").MustInsert(iv(hid), iv(cw), iv(cd), iv(c), iv(w), iv(di), fv(10))
-	col.Write("HISTORY", value.MakeKey(iv(hid)))
+	col.Write("HISTORY", d.Table("HISTORY").MustInsert(iv(hid), iv(cw), iv(cd), iv(c), iv(w), iv(di), fv(10)))
 	col.Commit()
 }
 
@@ -190,18 +186,19 @@ func runOrderStatus(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	col.Read("CUSTOMER", cKey(w, di, c))
 	// Most recent order of the customer in this district.
 	best := int64(-1)
-	for _, k := range d.Table("ORDERS").LookupBy("O_C_ID", iv(c)) {
-		row, _ := d.Table("ORDERS").Get(k)
+	for _, row := range d.Table("ORDERS").LookupRows("O_C_ID", iv(c)) {
 		if row[0].Int() == w && row[1].Int() == di && row[2].Int() > best {
 			best = row[2].Int()
 		}
 	}
 	if best >= 0 {
-		col.Read("ORDERS", oKey(w, di, best))
-		oRow, _ := d.Table("ORDERS").Get(oKey(w, di, best))
+		ordKey := oKey(w, di, best)
+		col.Read("ORDERS", ordKey)
+		oRow, _ := d.Table("ORDERS").Get(ordKey)
 		for l := int64(0); l < oRow[5].Int(); l++ {
-			if _, ok := d.Table("ORDER_LINE").Get(olKey(w, di, best, l)); ok {
-				col.Read("ORDER_LINE", olKey(w, di, best, l))
+			olk := olKey(w, di, best, l)
+			if _, found := d.Table("ORDER_LINE").Get(olk); found {
+				col.Read("ORDER_LINE", olk)
 			}
 		}
 	}
@@ -215,8 +212,7 @@ func runDelivery(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	})
 	// Oldest undelivered order per district.
 	oldest := map[int64]int64{}
-	for _, k := range d.Table("NEW_ORDER").LookupBy("NO_W_ID", iv(w)) {
-		row, _ := d.Table("NEW_ORDER").Get(k)
+	for _, row := range d.Table("NEW_ORDER").LookupRows("NO_W_ID", iv(w)) {
 		di, oid := row[1].Int(), row[2].Int()
 		if cur, ok := oldest[di]; !ok || oid < cur {
 			oldest[di] = oid
@@ -227,20 +223,18 @@ func runDelivery(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 		if !ok {
 			continue
 		}
-		col.Write("NEW_ORDER", oKey(w, di, oid))
-		d.Table("NEW_ORDER").Delete(oKey(w, di, oid))
-		ok2 := false
-		var oRow []value.Value
-		if r, found := d.Table("ORDERS").Get(oKey(w, di, oid)); found {
-			oRow, ok2 = r, true
-		}
-		if !ok2 {
+		ordKey := oKey(w, di, oid)
+		col.Write("NEW_ORDER", ordKey)
+		d.Table("NEW_ORDER").Delete(ordKey)
+		oRow, found := d.Table("ORDERS").Get(ordKey)
+		if !found {
 			continue
 		}
-		col.Write("ORDERS", oKey(w, di, oid))
+		col.Write("ORDERS", ordKey)
 		for l := int64(0); l < oRow[5].Int(); l++ {
-			if _, found := d.Table("ORDER_LINE").Get(olKey(w, di, oid, l)); found {
-				col.Write("ORDER_LINE", olKey(w, di, oid, l))
+			olk := olKey(w, di, oid, l)
+			if _, found := d.Table("ORDER_LINE").Get(olk); found {
+				col.Write("ORDER_LINE", olk)
 			}
 		}
 		col.Write("CUSTOMER", cKey(w, di, oRow[3].Int()))
@@ -269,11 +263,12 @@ func runStockLevel(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 			continue
 		}
 		for l := int64(0); l < oRow[5].Int(); l++ {
-			olRow, ok := d.Table("ORDER_LINE").Get(olKey(w, di, oid, l))
+			olk := olKey(w, di, oid, l)
+			olRow, ok := d.Table("ORDER_LINE").Get(olk)
 			if !ok {
 				continue
 			}
-			col.Read("ORDER_LINE", olKey(w, di, oid, l))
+			col.Read("ORDER_LINE", olk)
 			item := olRow[4].Int()
 			if !seen[item] {
 				seen[item] = true

@@ -24,10 +24,9 @@ func randomAccount(d *db.DB, rng *rand.Rand) (value.Key, value.Tuple) {
 	row, ok := ca.Get(k)
 	if !ok {
 		// Defensive: fall back to an arbitrary live account.
-		for _, kk := range ca.Keys() {
-			row, _ = ca.Get(kk)
-			return kk, row
-		}
+		kk := ca.KeyAt(0)
+		row, _ = ca.Get(kk)
+		return kk, row
 	}
 	return k, row
 }
@@ -35,13 +34,21 @@ func randomAccount(d *db.DB, rng *rand.Rand) (value.Key, value.Tuple) {
 // randomTrade samples a random live trade.
 func randomTrade(d *db.DB, rng *rand.Rand) (value.Key, value.Tuple, bool) {
 	t := d.Table("TRADE")
-	keys := t.Keys()
-	if len(keys) == 0 {
+	n := t.Len()
+	if n == 0 {
 		return "", nil, false
 	}
-	k := keys[rng.Intn(len(keys))]
+	k := t.KeyAt(rng.Intn(n))
 	row, _ := t.Get(k)
 	return k, row, true
+}
+
+// readRows records a read of every row of table whose column equals v.
+func readRows(d *db.DB, col *trace.Collector, table, column string, v value.Value) {
+	t := d.Table(table)
+	for _, row := range t.LookupRows(column, v) {
+		col.Read(table, t.PKOf(row))
+	}
 }
 
 func runCustomerPosition(d *db.DB, col *trace.Collector, rng *rand.Rand) {
@@ -50,30 +57,25 @@ func runCustomerPosition(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 		"tax_id": sv(fmt.Sprintf("TAX%09d", c)),
 	})
 	col.Read("CUSTOMER", key1(iv(c)))
-	accounts := d.Table("CUSTOMER_ACCOUNT").LookupBy("CA_C_ID", iv(c))
+	ca, hs := d.Table("CUSTOMER_ACCOUNT"), d.Table("HOLDING_SUMMARY")
 	var lastAcct value.Value
-	for _, ak := range accounts {
-		col.Read("CUSTOMER_ACCOUNT", ak)
-		row, _ := d.Table("CUSTOMER_ACCOUNT").Get(ak)
+	for _, row := range ca.LookupRows("CA_C_ID", iv(c)) {
+		col.Read("CUSTOMER_ACCOUNT", ca.PKOf(row))
 		lastAcct = row[0]
-		for _, hk := range d.Table("HOLDING_SUMMARY").LookupBy("HS_CA_ID", row[0]) {
-			col.Read("HOLDING_SUMMARY", hk)
-			hsRow, _ := d.Table("HOLDING_SUMMARY").Get(hk)
+		for _, hsRow := range hs.LookupRows("HS_CA_ID", row[0]) {
+			col.Read("HOLDING_SUMMARY", hs.PKOf(hsRow))
 			col.Read("LAST_TRADE", key1(hsRow[1]))
 		}
 	}
 	// Frame 2: recent trades of one account.
 	if !lastAcct.IsNull() {
-		tks := d.Table("TRADE").LookupBy("T_CA_ID", lastAcct)
-		for i, tk := range tks {
+		trade := d.Table("TRADE")
+		for i, tRow := range trade.LookupRows("T_CA_ID", lastAcct) {
 			if i >= 5 {
 				break
 			}
-			col.Read("TRADE", tk)
-			tRow, _ := d.Table("TRADE").Get(tk)
-			for _, thk := range d.Table("TRADE_HISTORY").LookupBy("TH_T_ID", tRow[0]) {
-				col.Read("TRADE_HISTORY", thk)
-			}
+			col.Read("TRADE", trade.PKOf(tRow))
+			readRows(d, col, "TRADE_HISTORY", "TH_T_ID", tRow[0])
 			col.Read("STATUS_TYPE", key1(tRow[2]))
 		}
 	}
@@ -87,15 +89,14 @@ func runMarketWatch(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	cust := row[2]
 	col.Begin("Market-Watch", map[string]value.Value{"acct_id": acct, "c_id": cust})
 	col.Read("WATCH_LIST", key1(cust))
-	for _, wk := range d.Table("WATCH_ITEM").LookupBy("WI_WL_ID", cust) {
-		col.Read("WATCH_ITEM", wk)
-		wRow, _ := d.Table("WATCH_ITEM").Get(wk)
+	wi, hs := d.Table("WATCH_ITEM"), d.Table("HOLDING_SUMMARY")
+	for _, wRow := range wi.LookupRows("WI_WL_ID", cust) {
+		col.Read("WATCH_ITEM", wi.PKOf(wRow))
 		col.Read("LAST_TRADE", key1(wRow[1]))
 		col.Read("SECURITY", key1(wRow[1]))
 	}
-	for _, hk := range d.Table("HOLDING_SUMMARY").LookupBy("HS_CA_ID", acct) {
-		col.Read("HOLDING_SUMMARY", hk)
-		hRow, _ := d.Table("HOLDING_SUMMARY").Get(hk)
+	for _, hRow := range hs.LookupRows("HS_CA_ID", acct) {
+		col.Read("HOLDING_SUMMARY", hs.PKOf(hRow))
 		col.Read("LAST_TRADE", key1(hRow[1]))
 	}
 	col.Commit()
@@ -111,18 +112,12 @@ func runSecurityDetail(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	coRow, _ := d.Table("COMPANY").Get(key1(co))
 	col.Read("INDUSTRY", key1(coRow[2]))
 	col.Read("EXCHANGE", key1(sRow[3]))
-	for _, ck := range d.Table("COMPANY_COMPETITOR").LookupBy("CP_CO_ID", co) {
-		col.Read("COMPANY_COMPETITOR", ck)
-	}
-	for _, fk := range d.Table("FINANCIAL").LookupBy("FI_CO_ID", co) {
-		col.Read("FINANCIAL", fk)
-	}
-	for _, dk := range d.Table("DAILY_MARKET").LookupBy("DM_S_SYMB", sv(sy)) {
-		col.Read("DAILY_MARKET", dk)
-	}
-	for _, nk := range d.Table("NEWS_XREF").LookupBy("NX_CO_ID", co) {
-		col.Read("NEWS_XREF", nk)
-		nRow, _ := d.Table("NEWS_XREF").Get(nk)
+	readRows(d, col, "COMPANY_COMPETITOR", "CP_CO_ID", co)
+	readRows(d, col, "FINANCIAL", "FI_CO_ID", co)
+	readRows(d, col, "DAILY_MARKET", "DM_S_SYMB", sv(sy))
+	nx := d.Table("NEWS_XREF")
+	for _, nRow := range nx.LookupRows("NX_CO_ID", co) {
+		col.Read("NEWS_XREF", nx.PKOf(nRow))
 		col.Read("NEWS_ITEM", key1(nRow[0]))
 	}
 	col.Read("LAST_TRADE", key1(sv(sy)))
@@ -148,9 +143,7 @@ func runBrokerVolume(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	})
 	for _, b := range picks {
 		col.Read("BROKER", key1(iv(b)))
-		for _, tk := range d.Table("TRADE_REQUEST").LookupBy("TR_B_ID", iv(b)) {
-			col.Read("TRADE_REQUEST", tk)
-		}
+		readRows(d, col, "TRADE_REQUEST", "TR_B_ID", iv(b))
 	}
 	col.Commit()
 }
@@ -167,16 +160,18 @@ func runMarketFeed(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 		ltRow, _ := lt.Get(key1(sy))
 		_ = lt.Update(key1(sy), []string{"LT_PRICE"}, []value.Value{fv(ltRow[1].Float() + 0.1)})
 		// Trigger pending limit orders on this symbol.
-		for j, tk := range d.Table("TRADE_REQUEST").LookupBy("TR_S_SYMB", sy) {
+		trq := d.Table("TRADE_REQUEST")
+		for j, trRow := range trq.LookupRows("TR_S_SYMB", sy) {
 			if j >= 2 {
 				break
 			}
+			tk := trq.PKOf(trRow)
 			col.Write("TRADE_REQUEST", tk)
-			trRow, _ := d.Table("TRADE_REQUEST").Get(tk)
 			tid := trRow[0]
-			d.Table("TRADE_REQUEST").Delete(tk)
-			col.Write("TRADE", key1(tid))
-			_ = d.Table("TRADE").Update(key1(tid), []string{"T_ST_ID"}, []value.Value{sv("SBMT")})
+			trq.Delete(tk)
+			tradeKey := key1(tid)
+			col.Write("TRADE", tradeKey)
+			_ = d.Table("TRADE").Update(tradeKey, []string{"T_ST_ID"}, []value.Value{sv("SBMT")})
 			thk := value.MakeKey(tid, sv("SBMT"))
 			if _, dup := d.Table("TRADE_HISTORY").Get(thk); !dup {
 				d.Table("TRADE_HISTORY").MustInsert(tid, sv("SBMT"), iv(rng.Int63n(DateDomain)))
@@ -200,33 +195,27 @@ func runTradeOrder(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	col.Read("CUSTOMER_ACCOUNT", ak)
 	col.Read("CUSTOMER", key1(cust))
 	col.Read("BROKER", key1(broker))
-	for _, pk := range d.Table("ACCOUNT_PERMISSION").LookupBy("AP_CA_ID", acct) {
-		col.Read("ACCOUNT_PERMISSION", pk)
-	}
+	readRows(d, col, "ACCOUNT_PERMISSION", "AP_CA_ID", acct)
 	col.Read("LAST_TRADE", key1(sy))
 	col.Read("CHARGE", value.MakeKey(sv("TLB"), iv(1)))
-	d.Table("TRADE").MustInsert(iv(tid), dts, sv("PNDG"), sv("TLB"), sy, iv(100), acct, fv(0), sv("exec"))
-	col.Write("TRADE", key1(iv(tid)))
-	d.Table("TRADE_REQUEST").MustInsert(iv(tid), sv("TLB"), sy, iv(100), broker, fv(24))
-	col.Write("TRADE_REQUEST", key1(iv(tid)))
-	d.Table("TRADE_HISTORY").MustInsert(iv(tid), sv("PNDG"), dts)
-	col.Write("TRADE_HISTORY", value.MakeKey(iv(tid), sv("PNDG")))
+	col.Write("TRADE", d.Table("TRADE").MustInsert(iv(tid), dts, sv("PNDG"), sv("TLB"), sy, iv(100), acct, fv(0), sv("exec")))
+	col.Write("TRADE_REQUEST", d.Table("TRADE_REQUEST").MustInsert(iv(tid), sv("TLB"), sy, iv(100), broker, fv(24)))
+	col.Write("TRADE_HISTORY", d.Table("TRADE_HISTORY").MustInsert(iv(tid), sv("PNDG"), dts))
 	col.Commit()
 }
 
 func runTradeResult(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	tr := d.Table("TRADE_REQUEST")
-	keys := tr.Keys()
-	if len(keys) == 0 {
+	n := tr.Len()
+	if n == 0 {
 		// No pending request: place one first (keeps the class's
 		// broker-rooted access pattern) and process it immediately.
 		runTradeOrder(d, col, rng)
-		keys = tr.Keys()
-		if len(keys) == 0 {
+		if n = tr.Len(); n == 0 {
 			return
 		}
 	}
-	trk := keys[rng.Intn(len(keys))]
+	trk := tr.KeyAt(rng.Intn(n))
 	trRow, _ := tr.Get(trk)
 	tid, sy, qty, broker := trRow[0], trRow[2], trRow[3], trRow[4]
 	dts := iv(rng.Int63n(DateDomain))
@@ -235,59 +224,59 @@ func runTradeResult(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	})
 	col.Write("TRADE_REQUEST", trk)
 	tr.Delete(trk)
-	tRow, ok := d.Table("TRADE").GetAny(key1(tid))
+	tk := key1(tid) // TRADE's key, and HOLDING's, SETTLEMENT's, CASH_TRANSACTION's
+	tRow, ok := d.Table("TRADE").GetAny(tk)
 	if !ok {
 		col.Abort()
 		return
 	}
 	acct := tRow[6]
-	col.Write("TRADE", key1(tid))
-	_ = d.Table("TRADE").Update(key1(tid), []string{"T_ST_ID", "T_TRADE_PRICE"},
+	col.Write("TRADE", tk)
+	_ = d.Table("TRADE").Update(tk, []string{"T_ST_ID", "T_TRADE_PRICE"},
 		[]value.Value{sv("CMPT"), fv(25)})
 	thk := value.MakeKey(tid, sv("CMPT"))
 	if _, dup := d.Table("TRADE_HISTORY").Get(thk); !dup {
 		d.Table("TRADE_HISTORY").MustInsert(tid, sv("CMPT"), dts)
 		col.Write("TRADE_HISTORY", thk)
 	}
-	caRow, _ := d.Table("CUSTOMER_ACCOUNT").Get(key1(acct))
+	ak := key1(acct)
+	caRow, _ := d.Table("CUSTOMER_ACCOUNT").Get(ak)
 	cust := caRow[2]
-	col.Write("CUSTOMER_ACCOUNT", key1(acct))
+	col.Write("CUSTOMER_ACCOUNT", ak)
 	col.Read("CUSTOMER", key1(cust))
-	for _, cxk := range d.Table("CUSTOMER_TAXRATE").LookupBy("CX_C_ID", cust) {
-		col.Read("CUSTOMER_TAXRATE", cxk)
-	}
+	readRows(d, col, "CUSTOMER_TAXRATE", "CX_C_ID", cust)
 	col.Read("COMMISSION_RATE", value.MakeKey(iv(1), sv("TLB"), sv("NYSE")))
-	col.Write("BROKER", key1(broker))
-	bRow, _ := d.Table("BROKER").Get(key1(broker))
-	_ = d.Table("BROKER").Update(key1(broker), []string{"B_NUM_TRADES"},
+	bk := key1(broker)
+	col.Write("BROKER", bk)
+	bRow, _ := d.Table("BROKER").Get(bk)
+	_ = d.Table("BROKER").Update(bk, []string{"B_NUM_TRADES"},
 		[]value.Value{iv(bRow[2].Int() + 1)})
 	// Holding summary and holdings.
 	hsk := value.MakeKey(acct, sy)
-	if _, ok := d.Table("HOLDING_SUMMARY").Get(hsk); ok {
+	if hsRow, ok := d.Table("HOLDING_SUMMARY").Get(hsk); ok {
 		col.Write("HOLDING_SUMMARY", hsk)
-		hsRow, _ := d.Table("HOLDING_SUMMARY").Get(hsk)
 		_ = d.Table("HOLDING_SUMMARY").Update(hsk, []string{"HS_QTY"},
 			[]value.Value{iv(hsRow[2].Int() + qty.Int())})
 	} else {
 		d.Table("HOLDING_SUMMARY").MustInsert(acct, sy, qty)
 		col.Write("HOLDING_SUMMARY", hsk)
 	}
-	if _, dup := d.Table("HOLDING").Get(key1(tid)); !dup {
+	if _, dup := d.Table("HOLDING").Get(tk); !dup {
 		d.Table("HOLDING").MustInsert(tid, acct, sy, dts, qty)
-		col.Write("HOLDING", key1(tid))
+		col.Write("HOLDING", tk)
 	}
 	hhk := value.MakeKey(tid, tid)
 	if _, dup := d.Table("HOLDING_HISTORY").Get(hhk); !dup {
 		d.Table("HOLDING_HISTORY").MustInsert(tid, tid, iv(0), qty)
 		col.Write("HOLDING_HISTORY", hhk)
 	}
-	if _, dup := d.Table("SETTLEMENT").Get(key1(tid)); !dup {
+	if _, dup := d.Table("SETTLEMENT").Get(tk); !dup {
 		d.Table("SETTLEMENT").MustInsert(tid, sv("cash"), fv(100))
-		col.Write("SETTLEMENT", key1(tid))
+		col.Write("SETTLEMENT", tk)
 	}
-	if _, dup := d.Table("CASH_TRANSACTION").Get(key1(tid)); !dup {
+	if _, dup := d.Table("CASH_TRANSACTION").Get(tk); !dup {
 		d.Table("CASH_TRANSACTION").MustInsert(tid, dts, fv(100))
-		col.Write("CASH_TRANSACTION", key1(tid))
+		col.Write("CASH_TRANSACTION", tk)
 	}
 	col.Commit()
 }
@@ -298,16 +287,13 @@ func runTradeStatus(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	col.Begin("Trade-Status", map[string]value.Value{"acct_id": acct})
 	col.Read("CUSTOMER_ACCOUNT", ak)
 	col.Read("BROKER", key1(broker))
-	tks := d.Table("TRADE").LookupBy("T_CA_ID", acct)
-	for i, tk := range tks {
+	trade := d.Table("TRADE")
+	for i, tRow := range trade.LookupRows("T_CA_ID", acct) {
 		if i >= 8 {
 			break
 		}
-		col.Read("TRADE", tk)
-		tRow, _ := d.Table("TRADE").Get(tk)
-		for _, thk := range d.Table("TRADE_HISTORY").LookupBy("TH_T_ID", tRow[0]) {
-			col.Read("TRADE_HISTORY", thk)
-		}
+		col.Read("TRADE", trade.PKOf(tRow))
+		readRows(d, col, "TRADE_HISTORY", "TH_T_ID", tRow[0])
 		col.Read("STATUS_TYPE", key1(tRow[2]))
 	}
 	col.Commit()
@@ -330,16 +316,15 @@ func runTradeLookup1(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 // readTradeChain reads a trade's settlement / cash transaction / history
 // rows when they exist.
 func readTradeChain(d *db.DB, col *trace.Collector, tid value.Value, withHistory bool) {
-	if _, ok := d.Table("SETTLEMENT").Get(key1(tid)); ok {
-		col.Read("SETTLEMENT", key1(tid))
+	tk := key1(tid)
+	if _, ok := d.Table("SETTLEMENT").Get(tk); ok {
+		col.Read("SETTLEMENT", tk)
 	}
-	if _, ok := d.Table("CASH_TRANSACTION").Get(key1(tid)); ok {
-		col.Read("CASH_TRANSACTION", key1(tid))
+	if _, ok := d.Table("CASH_TRANSACTION").Get(tk); ok {
+		col.Read("CASH_TRANSACTION", tk)
 	}
 	if withHistory {
-		for _, thk := range d.Table("TRADE_HISTORY").LookupBy("TH_T_ID", tid) {
-			col.Read("TRADE_HISTORY", thk)
-		}
+		readRows(d, col, "TRADE_HISTORY", "TH_T_ID", tid)
 	}
 }
 
@@ -352,10 +337,10 @@ func runTradeLookup2(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 		"acct_id": acct, "start_dts": iv(start), "end_dts": iv(end),
 	})
 	col.Read("CUSTOMER_ACCOUNT", ak)
-	for _, tk := range d.Table("TRADE").LookupBy("T_CA_ID", acct) {
-		tRow, _ := d.Table("TRADE").Get(tk)
+	trade := d.Table("TRADE")
+	for _, tRow := range trade.LookupRows("T_CA_ID", acct) {
 		if dts := tRow[1].Int(); dts >= start && dts <= end {
-			col.Read("TRADE", tk)
+			col.Read("TRADE", trade.PKOf(tRow))
 			readTradeChain(d, col, tRow[0], false)
 		}
 	}
@@ -371,10 +356,10 @@ func runTradeLookup3(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 		sy, dts = tRow[4], tRow[1].Int()
 	}
 	col.Begin("Trade-Lookup Frame3", map[string]value.Value{"symb": sy, "dts": iv(dts)})
-	for _, tk := range d.Table("TRADE").LookupBy("T_S_SYMB", sy) {
-		tRow, _ := d.Table("TRADE").Get(tk)
+	trade := d.Table("TRADE")
+	for _, tRow := range trade.LookupRows("T_S_SYMB", sy) {
 		if tRow[1].Int() == dts {
-			col.Read("TRADE", tk)
+			col.Read("TRADE", trade.PKOf(tRow))
 			readTradeChain(d, col, tRow[0], true)
 		}
 	}
@@ -384,13 +369,11 @@ func runTradeLookup3(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 func runTradeLookup4(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	acct, dts := anchorAccountDate(d, rng)
 	col.Begin("Trade-Lookup Frame4", map[string]value.Value{"acct_id": acct, "dts": iv(dts)})
-	for _, tk := range d.Table("TRADE").LookupBy("T_CA_ID", acct) {
-		tRow, _ := d.Table("TRADE").Get(tk)
+	trade := d.Table("TRADE")
+	for _, tRow := range trade.LookupRows("T_CA_ID", acct) {
 		if tRow[1].Int() == dts {
-			col.Read("TRADE", tk)
-			for _, hhk := range d.Table("HOLDING_HISTORY").LookupBy("HH_T_ID", tRow[0]) {
-				col.Read("HOLDING_HISTORY", hhk)
-			}
+			col.Read("TRADE", trade.PKOf(tRow))
+			readRows(d, col, "HOLDING_HISTORY", "HH_T_ID", tRow[0])
 		}
 	}
 	col.Commit()
@@ -416,9 +399,8 @@ func anchorAccountDate(d *db.DB, rng *rand.Rand) (value.Value, int64) {
 	_, row := randomAccount(d, rng)
 	acct := row[0]
 	dts := rng.Int63n(DateDomain)
-	if tks := d.Table("TRADE").LookupBy("T_CA_ID", acct); len(tks) > 0 {
-		tRow, _ := d.Table("TRADE").Get(tks[rng.Intn(len(tks))])
-		dts = tRow[1].Int()
+	if rows := d.Table("TRADE").LookupRows("T_CA_ID", acct); len(rows) > 0 {
+		dts = rows[rng.Intn(len(rows))][1].Int()
 	}
 	return acct, dts
 }
@@ -428,13 +410,14 @@ func runTradeUpdate2(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 	col.Begin("Trade-Update Frame2", map[string]value.Value{
 		"acct_id": acct, "dts": iv(dts), "cash_type": sv("margin"),
 	})
-	for _, tk := range d.Table("TRADE").LookupBy("T_CA_ID", acct) {
-		tRow, _ := d.Table("TRADE").Get(tk)
+	trade := d.Table("TRADE")
+	for _, tRow := range trade.LookupRows("T_CA_ID", acct) {
 		if tRow[1].Int() == dts {
+			tk := trade.PKOf(tRow) // SETTLEMENT shares TRADE's key
 			col.Read("TRADE", tk)
-			if _, ok := d.Table("SETTLEMENT").Get(key1(tRow[0])); ok {
-				col.Write("SETTLEMENT", key1(tRow[0]))
-				_ = d.Table("SETTLEMENT").Update(key1(tRow[0]), []string{"SE_CASH_TYPE"},
+			if _, ok := d.Table("SETTLEMENT").Get(tk); ok {
+				col.Write("SETTLEMENT", tk)
+				_ = d.Table("SETTLEMENT").Update(tk, []string{"SE_CASH_TYPE"},
 					[]value.Value{sv("margin")})
 			}
 		}
@@ -448,15 +431,16 @@ func runTradeUpdate3(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 		sy, dts = tRow[4], tRow[1].Int()
 	}
 	col.Begin("Trade-Update Frame3", map[string]value.Value{"symb": sy, "dts": iv(dts)})
-	for _, tk := range d.Table("TRADE").LookupBy("T_S_SYMB", sy) {
-		tRow, _ := d.Table("TRADE").Get(tk)
+	trade := d.Table("TRADE")
+	for _, tRow := range trade.LookupRows("T_S_SYMB", sy) {
 		if tRow[1].Int() == dts {
+			tk := trade.PKOf(tRow) // the trade chain shares TRADE's key
 			col.Read("TRADE", tk)
-			if _, ok := d.Table("CASH_TRANSACTION").Get(key1(tRow[0])); ok {
-				col.Write("CASH_TRANSACTION", key1(tRow[0]))
+			if _, ok := d.Table("CASH_TRANSACTION").Get(tk); ok {
+				col.Write("CASH_TRANSACTION", tk)
 			}
-			if _, ok := d.Table("SETTLEMENT").Get(key1(tRow[0])); ok {
-				col.Read("SETTLEMENT", key1(tRow[0]))
+			if _, ok := d.Table("SETTLEMENT").Get(tk); ok {
+				col.Read("SETTLEMENT", tk)
 			}
 		}
 	}
