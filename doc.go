@@ -21,6 +21,7 @@
 //	------------------------------------------  ------------------------------------------------
 //	core.PartitionContext(ctx, in, opts)        core.Partition(ctx, in, opts)
 //	core.RepartitionContext(ctx, in, o, p, t)   core.Repartition(ctx, in, o, p, t)
+//	sim.Run(d, sol, tr, cfg)                    sim.New(sim.Scenario{Mode: sim.ModePlain, Cost: cfg, …}).Run(ctx)
 //	sim.RunChaos[Context](…)                    sim.New(sim.Scenario{Mode: sim.ModeChaos, …}).Run(ctx)
 //	sim.RunChaosDurable[Context](…)             sim.New(sim.Scenario{Mode: sim.ModeDurable, WALDir:…}).Run(ctx)
 //	sim.RunDriftStatic(…)                       sim.New(sim.Scenario{Mode: sim.ModeDriftStatic, …}).Run(ctx)
@@ -39,9 +40,7 @@
 //
 // (Router.Route's old health-oblivious signature was renamed
 // RoutePartitions to free the canonical name; a nil Request.Health
-// routes as if every node were up and reproduces its partition sets.
-// sim.Run(d, sol, tr, cfg), the fault-free analytic replay, also
-// remains — it is the ModePlain engine.)
+// routes as if every node were up and reproduces its partition sets.)
 // The search itself is parallel behind core.Options.Parallelism with
 // bit-identical results for any worker count — see DESIGN.md, "Parallel
 // search & the determinism contract".

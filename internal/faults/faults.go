@@ -105,10 +105,22 @@ const (
 	PhaseBackupMidCatchup = "backup-mid-catchup"
 )
 
+var crashPhases = [...]string{PhaseBeforePrepare, PhaseBeforeCommit, PhaseAfterDecision,
+	PhasePrimaryMidShip, PhaseBackupMidCatchup}
+
 // CrashPhases lists the valid crash-point phases.
-func CrashPhases() []string {
-	return []string{PhaseBeforePrepare, PhaseBeforeCommit, PhaseAfterDecision,
-		PhasePrimaryMidShip, PhaseBackupMidCatchup}
+func CrashPhases() []string { return append([]string(nil), crashPhases[:]...) }
+
+// PhaseCode returns the phase's 1-based position in CrashPhases, 0 for
+// an unknown phase. It is the EvCrash flight-event argument and the code
+// a twopc participant is armed with.
+func PhaseCode(phase string) int64 {
+	for i, p := range crashPhases {
+		if p == phase {
+			return int64(i + 1)
+		}
+	}
+	return 0
 }
 
 // CrashPoint scripts one mid-2PC node crash in the durable replay. The
@@ -122,17 +134,6 @@ type CrashPoint struct {
 	Node  int    `json:"node"`
 	Phase string `json:"phase"`
 	Seq   int    `json:"seq"`
-}
-
-// validPhase reports whether the phase names a defined crash point.
-func validPhase(p string) bool {
-	switch p {
-	case PhaseBeforePrepare, PhaseBeforeCommit, PhaseAfterDecision,
-		PhasePrimaryMidShip, PhaseBackupMidCatchup:
-		return true
-	default:
-		return false
-	}
 }
 
 // Scenario is a scripted failure schedule. All times are virtual seconds
@@ -202,7 +203,7 @@ func (sc *Scenario) Validate(k int) error {
 		if k > 0 && cp.Node >= k {
 			return scenarioErrorf("crash point %d: node %d out of range [0,%d)", i, cp.Node, k)
 		}
-		if !validPhase(cp.Phase) {
+		if PhaseCode(cp.Phase) == 0 {
 			return scenarioErrorf("crash point %d: unknown phase %q (have: %v)", i, cp.Phase, CrashPhases())
 		}
 		if cp.Seq < 1 {

@@ -331,6 +331,25 @@ func TestCrashPointValidation(t *testing.T) {
 	}
 }
 
+// TestPhaseCode pins the flight-dump codes: 1–5 in CrashPhases order, 0
+// for anything else.
+func TestPhaseCode(t *testing.T) {
+	want := map[string]int64{
+		PhaseBeforePrepare: 1, PhaseBeforeCommit: 2, PhaseAfterDecision: 3,
+		PhasePrimaryMidShip: 4, PhaseBackupMidCatchup: 5, "": 0, "mid-flight": 0,
+	}
+	for phase, code := range want {
+		if got := PhaseCode(phase); got != code {
+			t.Errorf("PhaseCode(%q) = %d, want %d", phase, got, code)
+		}
+	}
+	phases := CrashPhases()
+	phases[0] = "mutated"
+	if PhaseCode(PhaseBeforePrepare) != 1 || CrashPhases()[0] != PhaseBeforePrepare {
+		t.Error("CrashPhases result aliases the phase table")
+	}
+}
+
 func TestCrashBuiltinsScriptPoints(t *testing.T) {
 	for name, phase := range map[string]string{
 		"part-crash":               PhaseBeforePrepare,

@@ -2,19 +2,16 @@ package repl
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/db"
+	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/partition"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -208,19 +205,12 @@ func (r *Result) String() string {
 		r.LostCommits, r.Promotions, r.ConvergedMembers, r.TotalMembers, oracle)
 }
 
-// partOp is one committed write effect routed to a partition group
-// (mirrors twopc's journal shape).
-type partOp struct {
-	part int
-	op   db.Op
-}
-
 // journalEntry is one client-acknowledged transaction: its write effects
 // and, per involved group, the chain sequence of its COMMIT record. A
 // promotion at watermark w loses every entry whose sequence in that
 // group exceeds w.
 type journalEntry struct {
-	ops  []partOp
+	ops  []cluster.PartOp
 	seqs map[int]int64
 	lost bool
 }
@@ -247,13 +237,6 @@ func (g *group) liveBackups() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// cpState tracks one scripted crash point's qualifying-round counter.
-type cpState struct {
-	cp    faults.CrashPoint
-	count int
-	fired bool
 }
 
 // harness is the wired-up state of one replicated replay.
@@ -379,7 +362,7 @@ func (h *harness) shipTo(ctx context.Context, g, mem int, target int64, maxAttem
 		if b.crashed.Load() {
 			<-b.done
 			grp.dead[mem] = true
-			h.rec.Record(traceID, obs.EvCrash, b.id, attempt, vt, crashPhaseCode(faults.PhaseBackupMidCatchup))
+			h.rec.Record(traceID, obs.EvCrash, b.id, attempt, vt, faults.PhaseCode(faults.PhaseBackupMidCatchup))
 			return false
 		}
 		if ctx.Err() != nil {
@@ -600,112 +583,4 @@ func (h *harness) rejoinMember(ctx context.Context, g, mem int, vt float64) erro
 	}
 	h.rec.Record(0, obs.EvCatchup, memberID(g, mem, h.cfg.Replicas), 0, vt, grp.pr.seq-before)
 	return nil
-}
-
-// crashPhaseCode maps a crash-point phase to its EvCrash arg (extending
-// the twopc vocabulary with the replication phases).
-func crashPhaseCode(phase string) int64 {
-	switch phase {
-	case faults.PhaseBeforePrepare:
-		return 1
-	case faults.PhaseBeforeCommit:
-		return 2
-	case faults.PhaseAfterDecision:
-		return 3
-	case faults.PhasePrimaryMidShip:
-		return 4
-	case faults.PhaseBackupMidCatchup:
-		return 5
-	default:
-		return 0
-	}
-}
-
-// writeEffects routes a transaction's writes to owning groups as touch
-// ops (mirrors twopc.writeEffects: placed keys to their group,
-// replicated-table writes to every group, unplaceable keys to the
-// coordinator). Parts is sorted.
-func writeEffects(a *eval.Assigner, t *trace.Txn, k, coord int) ([]int, map[int][]db.Op) {
-	opsAt := map[int][]db.Op{}
-	add := func(p int, acc trace.Access) {
-		opsAt[p] = append(opsAt[p], db.Op{Kind: db.OpTouch, Table: acc.Table, Key: acc.Key})
-	}
-	for _, acc := range t.Accesses {
-		if !acc.Write {
-			continue
-		}
-		p, ok := a.PlaceKey(acc)
-		switch {
-		case !ok:
-			add(coord, acc)
-		case p == partition.Replicated:
-			for n := 0; n < k; n++ {
-				add(n, acc)
-			}
-		default:
-			add(p, acc)
-		}
-	}
-	parts := make([]int, 0, len(opsAt))
-	for p := range opsAt {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	return parts, opsAt
-}
-
-// participants mirrors the simulator's transaction classification.
-func participants(a *eval.Assigner, t *trace.Txn, k, txnIndex int) (nodes []int, coord int, distributed bool) {
-	parts, writesReplicated, allPlaced := a.TxnPartitions(t)
-	switch {
-	case writesReplicated || !allPlaced:
-		nodes = make([]int, k)
-		for n := range nodes {
-			nodes[n] = n
-		}
-		return nodes, coordinatorOf(&parts, k, txnIndex), true
-	case parts.Empty():
-		return nil, coordinatorOf(&parts, k, txnIndex), false
-	case parts.Len() == 1:
-		c := coordinatorOf(&parts, k, txnIndex)
-		return []int{c}, c, false
-	default:
-		nodes = parts.AppendTo(make([]int, 0, parts.Len()))
-		return nodes, coordinatorOf(&parts, k, txnIndex), true
-	}
-}
-
-func coordinatorOf(parts *partition.Set, k, txnIndex int) int {
-	if m := parts.Min(); m >= 0 {
-		return m
-	}
-	return txnIndex % k
-}
-
-// flattenOps serializes per-group write effects in group order.
-func flattenOps(parts []int, opsAt map[int][]db.Op) []partOp {
-	n := 0
-	for _, p := range parts {
-		n += len(opsAt[p])
-	}
-	out := make([]partOp, 0, n)
-	for _, p := range parts {
-		for _, op := range opsAt[p] {
-			out = append(out, partOp{part: p, op: op})
-		}
-	}
-	return out
-}
-
-func coordPayload(coord int) []byte {
-	return binary.AppendUvarint(nil, uint64(coord))
-}
-
-func contains(parts []int, n int) bool {
-	for _, p := range parts {
-		if p == n {
-			return true
-		}
-	}
-	return false
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/faults"
@@ -223,13 +224,28 @@ func (h *harness) abortStaged(ctx context.Context, staged []int, txn uint64, tra
 	return nil
 }
 
+// crashRules extends the 2PC phase rules with the replication phases:
+// primary-mid-ship counts single-group rounds on the point's group;
+// backup-mid-catchup counts rounds that write the point's group while it
+// still has a live backup.
+func (h *harness) crashRules() cluster.PhaseRules {
+	rules := cluster.TwoPCRules()
+	rules[faults.PhasePrimaryMidShip] = func(g int, r cluster.Round) bool {
+		return !r.Distributed && r.WriteParts[0] == g
+	}
+	rules[faults.PhaseBackupMidCatchup] = func(g int, r cluster.Round) bool {
+		return cluster.Has(r.WriteParts, g) && len(h.groups[g].liveBackups()) > 0
+	}
+	return rules
+}
+
 // crashFire realizes a primary crash point on group g: the chain dies
 // as-is (the caller already tore a tail record if the phase calls for
 // one), the group promotes, and the journal loses the unreplicated
 // suffix.
 func (h *harness) crashFire(ctx context.Context, g int, phase string, traceID uint64, attempt int, vt float64) error {
-	h.rec.Record(traceID, obs.EvCrash, h.primID(g), attempt, vt, crashPhaseCode(phase))
-	if !contains(h.res.CrashedGroups, g) {
+	h.rec.Record(traceID, obs.EvCrash, h.primID(g), attempt, vt, faults.PhaseCode(phase))
+	if !cluster.Has(h.res.CrashedGroups, g) {
 		h.res.CrashedGroups = append(h.res.CrashedGroups, g)
 	}
 	h.killPrimary(g)
@@ -244,18 +260,18 @@ func (h *harness) crashFire(ctx context.Context, g int, phase string, traceID ui
 // point may kill a primary mid-protocol; the group promotes and the
 // round's fate follows the rule.
 func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt int, now float64,
-	coord int, writeParts []int, opsAt map[int][]db.Op, distributed bool, fire *cpState) (bool, error) {
+	coord int, writeParts []int, opsAt map[int][]db.Op, distributed bool, fire *cluster.Crash) (bool, error) {
 
 	// The involved groups: every write participant plus the coordinator
 	// (whose chain carries the decision even when it stages no writes).
 	involved := writeParts
-	if distributed && !contains(involved, coord) {
+	if distributed && !cluster.Has(involved, coord) {
 		involved = append(append([]int(nil), writeParts...), coord)
 		sort.Ints(involved)
 	}
-	if fire != nil && fire.cp.Phase == faults.PhaseBackupMidCatchup {
-		if !h.armMidBatch(fire.cp.Node) {
-			fire.fired = false // no live backup: the point cannot realize yet
+	if fire != nil && fire.Phase == faults.PhaseBackupMidCatchup {
+		if !h.armMidBatch(fire.Node) {
+			fire.Rearm() // no live backup: the point cannot realize yet
 		}
 	}
 
@@ -265,15 +281,15 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 		if err := pr.appendTxn(txn, opsAt[g], wal.RecCommit, nil); err != nil {
 			return false, err
 		}
-		entry := journalEntry{ops: flattenOps(writeParts, opsAt), seqs: map[int]int64{g: pr.seq}}
-		if fire != nil && fire.cp.Phase == faults.PhasePrimaryMidShip && fire.cp.Node == g {
+		entry := journalEntry{ops: cluster.FlattenOps(writeParts, opsAt), seqs: map[int]int64{g: pr.seq}}
+		if fire != nil && fire.Phase == faults.PhasePrimaryMidShip && fire.Node == g {
 			// The primary commits locally and dies before shipping a single
 			// record of the round.
 			acked := h.cfg.CommitRule == RuleAsync
 			if acked {
 				h.journal = append(h.journal, entry)
 			}
-			if err := h.crashFire(ctx, g, fire.cp.Phase, traceID, attempt, now); err != nil {
+			if err := h.crashFire(ctx, g, fire.Phase, traceID, attempt, now); err != nil {
 				return false, err
 			}
 			return acked, nil
@@ -291,16 +307,16 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 			continue
 		}
 		pr := h.groups[p].pr
-		if fire != nil && fire.cp.Phase == faults.PhaseBeforePrepare && fire.cp.Node == p {
+		if fire != nil && fire.Phase == faults.PhaseBeforePrepare && fire.Node == p {
 			// The participant's primary dies with a torn prepare: the round
 			// aborts, and the dead chain's staged suffix dies with it.
 			if err := pr.appendTxn(txn, opsAt[p], 0, nil); err != nil {
 				return false, err
 			}
-			if err := pr.appendTorn(wal.RecPrepare, txn, coordPayload(coord), 3); err != nil {
+			if err := pr.appendTorn(wal.RecPrepare, txn, cluster.CoordPayload(coord), 3); err != nil {
 				return false, err
 			}
-			if err := h.crashFire(ctx, p, fire.cp.Phase, traceID, attempt, now); err != nil {
+			if err := h.crashFire(ctx, p, fire.Phase, traceID, attempt, now); err != nil {
 				return false, err
 			}
 			if err := h.abortStaged(ctx, staged, txn, traceID, now); err != nil {
@@ -308,7 +324,7 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 			}
 			return false, nil
 		}
-		if err := pr.appendTxn(txn, opsAt[p], wal.RecPrepare, coordPayload(coord)); err != nil {
+		if err := pr.appendTxn(txn, opsAt[p], wal.RecPrepare, cluster.CoordPayload(coord)); err != nil {
 			return false, err
 		}
 		h.rec.Record(traceID, obs.EvPrepare, h.primID(p), attempt, now, 0)
@@ -317,14 +333,14 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 
 	// Decision on the coordinator's chain.
 	cpr := h.groups[coord].pr
-	if fire != nil && fire.cp.Phase == faults.PhaseBeforeCommit && fire.cp.Node == coord {
+	if fire != nil && fire.Phase == faults.PhaseBeforeCommit && fire.Node == coord {
 		if err := cpr.appendTxn(txn, opsAt[coord], 0, nil); err != nil {
 			return false, err
 		}
 		if err := cpr.appendTorn(wal.RecCommit, txn, nil, 5); err != nil {
 			return false, err
 		}
-		if err := h.crashFire(ctx, coord, fire.cp.Phase, traceID, attempt, now); err != nil {
+		if err := h.crashFire(ctx, coord, fire.Phase, traceID, attempt, now); err != nil {
 			return false, err
 		}
 		if err := h.abortStaged(ctx, staged, txn, traceID, now); err != nil {
@@ -336,7 +352,7 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 		return false, err
 	}
 	seqs := map[int]int64{coord: cpr.seq}
-	if fire != nil && fire.cp.Phase == faults.PhaseAfterDecision && fire.cp.Node == coord {
+	if fire != nil && fire.Phase == faults.PhaseAfterDecision && fire.Node == coord {
 		// The decision is durable on the coordinator's chain — and dies
 		// with it: the promoted backup never saw it, so the suffix is
 		// discarded Raft-style. Under async the client was already
@@ -345,11 +361,11 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 		acked := h.cfg.CommitRule == RuleAsync
 		if acked {
 			h.journal = append(h.journal, journalEntry{
-				ops:  flattenOps(writeParts, opsAt),
+				ops:  cluster.FlattenOps(writeParts, opsAt),
 				seqs: seqs,
 			})
 		}
-		if err := h.crashFire(ctx, coord, fire.cp.Phase, traceID, attempt, now); err != nil {
+		if err := h.crashFire(ctx, coord, fire.Phase, traceID, attempt, now); err != nil {
 			return false, err
 		}
 		if err := h.abortStaged(ctx, staged, txn, traceID, now); err != nil {
@@ -365,7 +381,7 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 		}
 		seqs[p] = h.groups[p].pr.seq
 	}
-	h.journal = append(h.journal, journalEntry{ops: flattenOps(writeParts, opsAt), seqs: seqs})
+	h.journal = append(h.journal, journalEntry{ops: cluster.FlattenOps(writeParts, opsAt), seqs: seqs})
 	h.shipRule(ctx, involved, traceID, now)
 	return true, nil
 }
@@ -468,10 +484,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	rec := cfg.Recorder
 	var allLat obs.HDR
 
-	cps := make([]cpState, len(sc.CrashPoints))
-	for i, cp := range sc.CrashPoints {
-		cps[i] = cpState{cp: cp}
-	}
+	crashes := cluster.NewCrashScript(sc.CrashPoints, h.crashRules())
 	windowDown := make([]bool, k)
 
 	// applyWindows reinterprets scripted crash windows for replica
@@ -507,7 +520,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	var nextTxn uint64
 	for i, t := range tr.All() {
 		arrival := float64(i) / cfg.ArrivalRateTPS
-		nodes, coord, distributed := participants(a, t, k, i)
+		nodes, coord, distributed := cluster.Participants(a, t, k, i)
 		traceID := obs.TxnID(cfg.Seed, i)
 		rec.Record(traceID, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
 		dist := int64(0)
@@ -527,7 +540,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 			if len(nodes) == 0 {
 				execCoord = i % k
 			}
-			writeParts, opsAt := writeEffects(a, t, k, execCoord)
+			writeParts, opsAt := cluster.WriteEffects(a, t, k, execCoord)
 
 			if len(writeParts) == 0 {
 				// Read-only (or fully-replicated read): no wire round — the
@@ -546,34 +559,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 				}
 			} else {
 				// Crash points fire on rounds where they qualify.
-				var fire *cpState
-				for idx := range cps {
-					s := &cps[idx]
-					if s.fired {
-						continue
-					}
-					qualifies := false
-					switch s.cp.Phase {
-					case faults.PhaseBeforePrepare:
-						qualifies = distributed && s.cp.Node != execCoord && contains(writeParts, s.cp.Node)
-					case faults.PhaseBeforeCommit, faults.PhaseAfterDecision:
-						qualifies = distributed && s.cp.Node == execCoord
-					case faults.PhasePrimaryMidShip:
-						qualifies = !distributed && writeParts[0] == s.cp.Node
-					case faults.PhaseBackupMidCatchup:
-						qualifies = contains(writeParts, s.cp.Node) &&
-							len(h.groups[s.cp.Node].liveBackups()) > 0
-					}
-					if !qualifies {
-						continue
-					}
-					s.count++
-					if fire == nil && s.count >= s.cp.Seq {
-						s.fired = true
-						fire = s
-					}
-				}
-
+				fire := crashes.Next(cluster.Round{Coord: execCoord, WriteParts: writeParts, Distributed: distributed}, nil)
 				nextTxn++
 				ok, err := h.writeRound(srvCtx, nextTxn, traceID, attempt, now,
 					execCoord, writeParts, opsAt, distributed, fire)
@@ -784,10 +770,10 @@ func (h *harness) replayExpected(sc *schema.Schema, g int) (*db.DB, journalErr) 
 			continue
 		}
 		for j, po := range e.ops {
-			if po.part != g {
+			if po.Part != g {
 				continue
 			}
-			if err := d.Apply(po.op); err != nil {
+			if err := d.Apply(po.Op); err != nil {
 				return nil, journalErr{entry: i, op: j, err: err}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/faults"
@@ -127,7 +128,7 @@ type engine struct {
 	rt     *router.Router
 	asg    *eval.Assigner
 	inj    *faults.Injector
-	exec   *executor
+	local  *cluster.LocalWAL
 	adm    *admission
 	brs    []*breaker
 	slo    *obs.SLOMonitor
@@ -147,6 +148,7 @@ type engine struct {
 	lat         obs.HDR
 	res         *Result
 	nextIdx     int
+	nextTxn     uint64
 }
 
 func newEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace,
@@ -184,7 +186,7 @@ func newEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace
 	if err != nil {
 		return nil, err
 	}
-	exec, err := newExecutor(d.Schema(), sol.K, cfg.WALDir, cfg.Recorder)
+	local, err := cluster.NewLocalWAL(d.Schema(), sol.K, cfg.WALDir, cfg.Recorder)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +198,7 @@ func newEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace
 		rt:     rt,
 		asg:    asg,
 		inj:    inj,
-		exec:   exec,
+		local:  local,
 		adm:    newAdmission(cfg.Admission),
 		slo:    obs.NewSLOMonitor(cfg.SLO),
 		rec:    cfg.Recorder,
@@ -483,8 +485,8 @@ func (e *engine) resolve(info *doneInfo, now float64) error {
 		return nil
 	}
 	coord := info.dec.Partitions[0]
-	writeParts, opsAt := writeEffects(e.asg, req.t, e.sol.K, coord)
-	if err := e.exec.commit(req.traceID, now, writeParts, opsAt, coord); err != nil {
+	writeParts, opsAt := cluster.WriteEffects(e.asg, req.t, e.sol.K, coord)
+	if err := e.commit(req.traceID, now, writeParts, opsAt, coord); err != nil {
 		return err
 	}
 	for _, p := range info.dec.Partitions {
@@ -618,8 +620,8 @@ func (e *engine) finishRun() (*Result, error) {
 		res.BreakerTrips += res.Breakers[p].Trips
 	}
 	cServeTrips.Add(int64(res.BreakerTrips))
-	res.WALBytes = e.exec.walBytes()
-	res.StateDigest = e.exec.stateDigest()
+	res.WALBytes = e.local.WALBytes()
+	res.StateDigest = stateDigest(e.local.Stores)
 	cServeRuns.Inc()
 	obs.Set("serve.goodput_tps", res.GoodputTPS)
 	obs.Set("serve.admit_rate_tps", res.AdmitRateFinal)

@@ -14,7 +14,7 @@
 // The engine is a single-threaded discrete-event simulation in virtual
 // time: every event (arrival, retry re-admission, service completion)
 // is ordered by (virtual time, sequence), every random draw comes from
-// one seeded source consumed in replay order, and the executor commits
+// one seeded source consumed in replay order, and commits execute
 // for real into per-partition stores and write-ahead logs. A (config,
 // seed) pair therefore marshals to byte-identical JSON reports across
 // runs — the same determinism contract every other sim mode pins — while
@@ -380,6 +380,6 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	if err != nil {
 		return nil, err
 	}
-	defer e.exec.closeAll()
+	defer e.local.Close()
 	return e.run()
 }

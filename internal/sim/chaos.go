@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/faults"
@@ -167,7 +168,7 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 	// Failure-free baseline under the same arrival process and cost
 	// shape: every transaction commits on first attempt, so the run ends
 	// at max(last arrival, bottleneck busy time).
-	base, err := Run(d, sol, tr, cfg.Config)
+	base, err := runPlain(d, sol, tr, cfg.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +198,7 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 
 	for i, t := range tr.All() {
 		arrival := float64(i) / cfg.ArrivalRateTPS
-		nodes, coord, distributed := participants(a, t, sol.K, i)
+		nodes, coord, distributed := cluster.Participants(a, t, sol.K, i)
 		txn := obs.TxnID(seed, i)
 		rec.Record(txn, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
 		dist := int64(0)
@@ -341,35 +342,7 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 	return res, nil
 }
 
-// participants resolves a transaction's executing nodes under the
-// solution, mirroring Run's classification: replicated-write or
-// unplaceable transactions span every node; multi-partition transactions
-// span their partitions; local transactions run on their coordinator
-// only. A fully-replicated read returns no pinned nodes (any node
-// serves it).
-func participants(a *eval.Assigner, t *trace.Txn, k, txnIndex int) (nodes []int, coord int, distributed bool) {
-	parts, writesReplicated, allPlaced := a.TxnPartitions(t)
-	switch {
-	case writesReplicated || !allPlaced:
-		nodes = make([]int, k)
-		for n := range nodes {
-			nodes[n] = n
-		}
-		return nodes, coordinator(&parts, k, txnIndex), true
-	case parts.Empty():
-		// Fully-replicated read: no pinned participant.
-		return nil, coordinator(&parts, k, txnIndex), false
-	case parts.Len() == 1:
-		c := coordinator(&parts, k, txnIndex)
-		return []int{c}, c, false
-	default:
-		nodes = parts.AppendTo(make([]int, 0, parts.Len()))
-		return nodes, coordinator(&parts, k, txnIndex), true
-	}
-}
-
-// chargeCommit applies the analytic cost model of Run to one committed
-// attempt.
+// chargeCommit applies the analytic cost model to one committed attempt.
 func chargeCommit(work []float64, nodes []int, coord int, distributed bool, cfg Config) {
 	if !distributed {
 		work[coord] += cfg.LocalWork

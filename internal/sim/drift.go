@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/drift"
 	"repro/internal/eval"
@@ -14,7 +15,7 @@ import (
 )
 
 // Drift replay: the closed-loop half of the drift-adaptation work. The
-// analytic replay of Run is extended with a window loop: each fixed-size
+// analytic plain replay is extended with a window loop: each fixed-size
 // trace window is replayed under the currently deployed solution, the
 // drift detector (internal/drift) scores the window, and — in adaptive
 // mode — a drift trigger warm-re-runs the partitioner, plans a bounded
@@ -228,7 +229,7 @@ func windowStats(a *eval.Assigner, w *trace.Trace, k int) (distFrac float64, hea
 				heat[n]++
 			})
 		default:
-			heat[coordinator(&parts, k, i)]++
+			heat[cluster.Coordinator(&parts, k, i)]++
 		}
 	}
 	return float64(dist) / float64(w.Len()), heat
@@ -309,17 +310,17 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 				for n := 0; n < sol.K; n++ {
 					res.NodeWork[n] += cfg.ParticipantWork
 				}
-				res.NodeWork[coordinator(&parts, sol.K, gi)] += cfg.CoordWork
+				res.NodeWork[cluster.Coordinator(&parts, sol.K, gi)] += cfg.CoordWork
 				txnWork = float64(sol.K)*cfg.ParticipantWork + cfg.CoordWork
 			case parts.Len() <= 1:
-				res.NodeWork[coordinator(&parts, sol.K, gi)] += cfg.LocalWork
+				res.NodeWork[cluster.Coordinator(&parts, sol.K, gi)] += cfg.LocalWork
 				txnWork = cfg.LocalWork
 			default:
 				distributed = true
 				parts.ForEach(func(n int) {
 					res.NodeWork[n] += cfg.ParticipantWork
 				})
-				res.NodeWork[coordinator(&parts, sol.K, gi)] += cfg.CoordWork
+				res.NodeWork[cluster.Coordinator(&parts, sol.K, gi)] += cfg.CoordWork
 				txnWork = float64(parts.Len())*cfg.ParticipantWork + cfg.CoordWork
 			}
 			if distributed {
@@ -350,7 +351,7 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 					}
 				}
 				if touchesMoved && touchesOther {
-					res.NodeWork[coordinator(&parts, sol.K, gi)] += cfg.DualRouteWork
+					res.NodeWork[cluster.Coordinator(&parts, sol.K, gi)] += cfg.DualRouteWork
 					txnWork += cfg.DualRouteWork
 					res.DualRouted++
 					cDriftDual.Inc()

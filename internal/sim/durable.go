@@ -2,10 +2,9 @@ package sim
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/faults"
@@ -115,67 +114,32 @@ func (r *DurableResult) String() string {
 		r.Checkpoints, r.WALBytes, oracle)
 }
 
-// partOp is one durable write effect routed to a partition.
-type partOp struct {
-	part int
-	op   db.Op
-}
-
-// durEngine owns the per-partition durable state of one replay: stores,
-// logs, liveness, and the in-doubt blocks a mid-2PC crash leaves behind.
+// durEngine is the durable replay's local-WAL cluster plus what only the
+// replay scripts: node deaths, the in-doubt blocks a mid-2PC crash
+// leaves behind, and the checkpoint cadence.
 type durEngine struct {
-	k            int
-	stores       []*db.DB
-	logs         []*wal.Log
+	*cluster.LocalWAL
 	dead         faults.NodeSet
 	inDoubt      faults.NodeSet
 	commitsSince []int
 	ckptEvery    int
 	checkpoints  int
-
-	// Flight-recorder context: rec is nil when tracing is off; curTrace,
-	// curAttempt and curVT name the transaction currently driving the
-	// engine so WAL observers and 2PC phases can stamp their events.
-	rec        *obs.Recorder
-	curTrace   uint64
-	curAttempt int
-	curVT      float64
 }
 
 func newDurEngine(sc *schema.Schema, k int, dir string, ckptEvery int, rec *obs.Recorder) (*durEngine, error) {
+	l, err := cluster.NewLocalWAL(sc, k, dir, rec)
+	if err != nil {
+		return nil, err
+	}
 	e := &durEngine{
-		k:            k,
-		stores:       make([]*db.DB, k),
-		logs:         make([]*wal.Log, k),
+		LocalWAL:     l,
 		dead:         faults.NodeSet{},
 		inDoubt:      faults.NodeSet{},
 		commitsSince: make([]int, k),
 		ckptEvery:    ckptEvery,
-		rec:          rec,
 	}
-	for p := 0; p < k; p++ {
-		e.stores[p] = db.New(sc)
-		l, err := wal.Create(wal.PartitionLogPath(dir, p))
-		if err != nil {
-			e.closeAll()
-			return nil, err
-		}
-		e.logs[p] = l
-		if rec != nil {
-			p := p
-			l.SetObserver(func(typ wal.RecType, _ uint64, frameBytes int) {
-				e.rec.Record(e.curTrace, obs.EvWALAppend, p, e.curAttempt, e.curVT,
-					int64(frameBytes)<<8|int64(typ))
-			})
-		}
-	}
+	l.AfterApply = e.maybeCheckpoint
 	return e, nil
-}
-
-// record emits one flight-recorder event under the engine's current
-// transaction context (no-op when tracing is off).
-func (e *durEngine) record(kind obs.EventKind, node int, arg int64) {
-	e.rec.Record(e.curTrace, kind, node, e.curAttempt, e.curVT, arg)
 }
 
 // kill marks a node dead and closes its log: nothing is ever appended to
@@ -185,132 +149,24 @@ func (e *durEngine) kill(n int) {
 		return
 	}
 	e.dead[n] = true
-	if e.logs[n] != nil {
-		e.logs[n].Close()
-		e.logs[n] = nil
-	}
+	e.CloseLog(n)
 }
 
-// closeAll simulates the end-of-run full-cluster crash: every log is
-// closed; in-memory stores are discarded.
-func (e *durEngine) closeAll() {
-	for p, l := range e.logs {
-		if l != nil {
-			l.Close()
-			e.logs[p] = nil
-		}
-	}
-}
-
-// walBytes totals the durable log length across live partitions.
-func (e *durEngine) walBytes() int64 {
-	var n int64
-	for _, l := range e.logs {
-		if l != nil {
-			n += l.Bytes()
-		}
-	}
-	return n
-}
-
-// apply commits ops on partition p's store atomically and counts toward
-// the checkpoint cadence.
-func (e *durEngine) apply(p int, ops []db.Op) error {
-	if err := e.stores[p].CommitOps(ops); err != nil {
-		return err
-	}
-	e.commitsSince[p]++
-	return e.maybeCheckpoint(p)
-}
-
-// maybeCheckpoint snapshots partition p when its commit cadence is due.
-// Partitions holding an in-doubt transaction never checkpoint: a snapshot
-// must not bury a pending PREPARE that resolution still needs to replay.
+// maybeCheckpoint counts an applied commit toward partition p's cadence
+// and snapshots p when it is due. Partitions holding an in-doubt
+// transaction never checkpoint: a snapshot must not bury a pending
+// PREPARE that resolution still needs to replay.
 func (e *durEngine) maybeCheckpoint(p int) error {
+	e.commitsSince[p]++
 	if e.commitsSince[p] < e.ckptEvery || e.inDoubt[p] || e.dead[p] {
 		return nil
 	}
-	if err := wal.WriteCheckpoint(e.logs[p], e.stores[p]); err != nil {
+	if err := wal.WriteCheckpoint(e.Logs[p], e.Stores[p]); err != nil {
 		return err
 	}
-	e.record(obs.EvCheckpoint, p, int64(e.ckptEvery))
+	e.Record(obs.EvCheckpoint, p, int64(e.ckptEvery))
 	e.commitsSince[p] = 0
 	e.checkpoints++
-	return nil
-}
-
-// commitLocal runs the single-partition commit path: BEGIN/WRITE*/COMMIT
-// on one log in one write, then the store apply.
-func (e *durEngine) commitLocal(p int, txn uint64, ops []db.Op) error {
-	if err := e.logs[p].AppendTxn(txn, ops, wal.RecCommit, nil); err != nil {
-		return err
-	}
-	return e.apply(p, ops)
-}
-
-// coordPayload encodes the PREPARE payload naming the coordinator.
-func coordPayload(coord int) []byte {
-	return binary.AppendUvarint(nil, uint64(coord))
-}
-
-// prepareAll stages and prepares txn on every write participant (the
-// first phase of 2PC). skip < 0 prepares everyone.
-func (e *durEngine) prepareAll(txn uint64, coord int, parts []int, opsAt map[int][]db.Op, skip int) error {
-	for _, p := range parts {
-		if p == skip {
-			continue
-		}
-		if err := e.logs[p].AppendTxn(txn, opsAt[p], wal.RecPrepare, coordPayload(coord)); err != nil {
-			return err
-		}
-		e.record(obs.EvPrepare, p, 0)
-	}
-	return nil
-}
-
-// commit2PC runs the full two-phase commit: every write participant
-// prepares, the coordinator durably logs the COMMIT decision, then each
-// participant commits and applies. The coordinator's decision record
-// doubles as its own participant commit.
-func (e *durEngine) commit2PC(txn uint64, coord int, parts []int, opsAt map[int][]db.Op) error {
-	if err := e.prepareAll(txn, coord, parts, opsAt, -1); err != nil {
-		return err
-	}
-	if err := e.logs[coord].Append(wal.RecCommit, txn, nil); err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if p != coord {
-			if err := e.logs[p].Append(wal.RecCommit, txn, nil); err != nil {
-				return err
-			}
-		}
-		if err := e.apply(p, opsAt[p]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// abort2PC runs a 2PC round that reaches prepare and then aborts (a lost
-// coordination message): participants prepare, the coordinator logs the
-// ABORT decision, participants abort. Stores are untouched — the
-// regression the digest oracle pins.
-func (e *durEngine) abort2PC(txn uint64, coord int, parts []int, opsAt map[int][]db.Op) error {
-	if err := e.prepareAll(txn, coord, parts, opsAt, -1); err != nil {
-		return err
-	}
-	if err := e.logs[coord].Append(wal.RecAbort, txn, nil); err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if p == coord {
-			continue
-		}
-		if err := e.logs[p].Append(wal.RecAbort, txn, nil); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -318,18 +174,18 @@ func (e *durEngine) abort2PC(txn uint64, coord int, parts []int, opsAt map[int][
 // PREPARE record (torn tail); the coordinator aborts the round and the
 // survivors log the abort decision.
 func (e *durEngine) crashBeforePrepare(node int, txn uint64, coord int, parts []int, opsAt map[int][]db.Op) error {
-	if err := e.prepareAll(txn, coord, parts, opsAt, node); err != nil {
+	if err := e.Prepare(txn, coord, parts, opsAt, node); err != nil {
 		return err
 	}
-	if err := e.logs[node].AppendTxn(txn, opsAt[node], 0, nil); err != nil {
+	if err := e.Logs[node].AppendTxn(txn, opsAt[node], 0, nil); err != nil {
 		return err
 	}
-	if err := e.logs[node].AppendTorn(wal.RecPrepare, txn, coordPayload(coord), 3); err != nil {
+	if err := e.Logs[node].AppendTorn(wal.RecPrepare, txn, cluster.CoordPayload(coord), 3); err != nil {
 		return err
 	}
 	e.kill(node)
 	if !e.dead[coord] {
-		if err := e.logs[coord].Append(wal.RecAbort, txn, nil); err != nil {
+		if err := e.Logs[coord].Append(wal.RecAbort, txn, nil); err != nil {
 			return err
 		}
 	}
@@ -337,7 +193,7 @@ func (e *durEngine) crashBeforePrepare(node int, txn uint64, coord int, parts []
 		if p == node || p == coord || e.dead[p] {
 			continue
 		}
-		if err := e.logs[p].Append(wal.RecAbort, txn, nil); err != nil {
+		if err := e.Logs[p].Append(wal.RecAbort, txn, nil); err != nil {
 			return err
 		}
 	}
@@ -349,10 +205,10 @@ func (e *durEngine) crashBeforePrepare(node int, txn uint64, coord int, parts []
 // torn). Every surviving participant is left in doubt; presumed abort
 // resolves the transaction as aborted at recovery.
 func (e *durEngine) crashBeforeCommit(txn uint64, coord int, parts []int, opsAt map[int][]db.Op) error {
-	if err := e.prepareAll(txn, coord, parts, opsAt, -1); err != nil {
+	if err := e.Prepare(txn, coord, parts, opsAt, -1); err != nil {
 		return err
 	}
-	if err := e.logs[coord].AppendTorn(wal.RecCommit, txn, nil, 5); err != nil {
+	if err := e.Logs[coord].AppendTorn(wal.RecCommit, txn, nil, 5); err != nil {
 		return err
 	}
 	e.kill(coord)
@@ -369,10 +225,10 @@ func (e *durEngine) crashBeforeCommit(txn uint64, coord int, parts []int, opsAt 
 // committed, the survivors are in doubt, and recovery replays their
 // prepared writes from the coordinator's logged decision.
 func (e *durEngine) crashAfterDecision(txn uint64, coord int, parts []int, opsAt map[int][]db.Op) error {
-	if err := e.prepareAll(txn, coord, parts, opsAt, -1); err != nil {
+	if err := e.Prepare(txn, coord, parts, opsAt, -1); err != nil {
 		return err
 	}
-	if err := e.logs[coord].Append(wal.RecCommit, txn, nil); err != nil {
+	if err := e.Logs[coord].Append(wal.RecCommit, txn, nil); err != nil {
 		return err
 	}
 	e.kill(coord)
@@ -382,56 +238,6 @@ func (e *durEngine) crashAfterDecision(txn uint64, coord int, parts []int, opsAt
 		}
 	}
 	return nil
-}
-
-// hasPart reports membership in a sorted partition list.
-func hasPart(parts []int, n int) bool {
-	for _, p := range parts {
-		if p == n {
-			return true
-		}
-	}
-	return false
-}
-
-// writeEffects routes a transaction's writes to owning partitions as
-// touch ops: placed keys go to their partition, replicated-table writes
-// fan out to every partition, unplaceable keys execute at the
-// coordinator. The returned partition list is sorted.
-func writeEffects(a *eval.Assigner, t *trace.Txn, k, coord int) ([]int, map[int][]db.Op) {
-	opsAt := map[int][]db.Op{}
-	add := func(p int, acc trace.Access) {
-		opsAt[p] = append(opsAt[p], db.Op{Kind: db.OpTouch, Table: acc.Table, Key: acc.Key})
-	}
-	for _, acc := range t.Accesses {
-		if !acc.Write {
-			continue
-		}
-		p, ok := a.PlaceKey(acc)
-		switch {
-		case !ok:
-			add(coord, acc)
-		case p == partition.Replicated:
-			for n := 0; n < k; n++ {
-				add(n, acc)
-			}
-		default:
-			add(p, acc)
-		}
-	}
-	parts := make([]int, 0, len(opsAt))
-	for p := range opsAt {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	return parts, opsAt
-}
-
-// cpState tracks one scripted crash point's qualifying-round counter.
-type cpState struct {
-	cp    faults.CrashPoint
-	count int
-	fired bool
 }
 
 // runChaosDurable replays the trace through a real durable 2PC state
@@ -456,22 +262,16 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 	if err != nil {
 		return nil, err
 	}
-	if err := wal.RemoveLogs(walDir); err != nil {
-		return nil, err
-	}
 	rec := cfg.Recorder
 	eng, err := newDurEngine(d.Schema(), sol.K, walDir, cfg.CheckpointEvery, rec)
 	if err != nil {
 		return nil, err
 	}
-	defer eng.closeAll()
+	defer eng.Close()
 	slo := obs.NewSLOMonitor(cfg.SLO)
 	var allLat obs.HDR // per-run latencies, virtual nanoseconds
 
-	cps := make([]cpState, len(sc.CrashPoints))
-	for i, cp := range sc.CrashPoints {
-		cps[i] = cpState{cp: cp}
-	}
+	crashes := cluster.NewCrashScript(sc.CrashPoints, cluster.TwoPCRules())
 
 	res := &DurableResult{
 		Scenario: sc.Name,
@@ -480,6 +280,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 		Offered:  tr.Len(),
 	}
 	// down reports unreachability: scripted windows plus crash-point kills.
+	dead := func(n int) bool { return eng.dead[n] }
 	down := func(n int, now float64) bool { return eng.dead[n] || inj.Down(n, now) }
 	upNodes := func(now float64) []int {
 		var up []int
@@ -491,11 +292,11 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 		return up
 	}
 
-	var nextTxn uint64          // monotonically increasing per-attempt txn id
-	var committedOps [][]partOp // committed write effects, in commit order
+	var nextTxn uint64                  // monotonically increasing per-attempt txn id
+	var committedOps [][]cluster.PartOp // committed write effects, in commit order
 	for i, t := range tr.All() {
 		arrival := float64(i) / cfg.ArrivalRateTPS
-		nodes, coord, distributed := participants(a, t, sol.K, i)
+		nodes, coord, distributed := cluster.Participants(a, t, sol.K, i)
 		traceID := obs.TxnID(seed, i)
 		rec.Record(traceID, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
 		dist := int64(0)
@@ -508,7 +309,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 		committed := false
 		for attempt := 1; attempt <= cfg.Retry.MaxAttempts; attempt++ {
 			now += inj.SampleLatency()
-			eng.curTrace, eng.curAttempt, eng.curVT = traceID, attempt, now
+			eng.At(traceID, attempt, now)
 			execNodes, execCoord := nodes, coord
 			if len(nodes) == 0 {
 				// Fully-replicated read: degrade to any reachable node.
@@ -519,7 +320,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 					execNodes, execCoord = []int{coord}, coord
 				}
 			}
-			writeParts, opsAt := writeEffects(a, t, sol.K, execCoord)
+			writeParts, opsAt := cluster.WriteEffects(a, t, sol.K, execCoord)
 
 			blocked := false
 			for _, n := range execNodes {
@@ -550,38 +351,18 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 			}
 
 			// Crash points fire on rounds that would otherwise proceed.
-			var fire *cpState
-			if !blocked && !lost && distributed && len(writeParts) > 0 {
-				for idx := range cps {
-					s := &cps[idx]
-					if s.fired || eng.dead[s.cp.Node] {
-						continue
-					}
-					qualifies := false
-					switch s.cp.Phase {
-					case faults.PhaseBeforePrepare:
-						qualifies = s.cp.Node != execCoord && hasPart(writeParts, s.cp.Node)
-					case faults.PhaseBeforeCommit, faults.PhaseAfterDecision:
-						qualifies = s.cp.Node == execCoord
-					}
-					if !qualifies {
-						continue
-					}
-					s.count++
-					if fire == nil && s.count >= s.cp.Seq {
-						s.fired = true
-						fire = s
-					}
-				}
+			var fire *cluster.Crash
+			if !blocked && !lost && len(writeParts) > 0 {
+				fire = crashes.Next(cluster.Round{Coord: execCoord, WriteParts: writeParts, Distributed: distributed}, dead)
 			}
 
 			switch {
 			case fire != nil:
 				nextTxn++
-				rec.Record(traceID, obs.EvCrash, fire.cp.Node, attempt, now, crashPhaseCode(fire.cp.Phase))
-				switch fire.cp.Phase {
+				rec.Record(traceID, obs.EvCrash, fire.Node, attempt, now, faults.PhaseCode(fire.Phase))
+				switch fire.Phase {
 				case faults.PhaseBeforePrepare:
-					if err := eng.crashBeforePrepare(fire.cp.Node, nextTxn, execCoord, writeParts, opsAt); err != nil {
+					if err := eng.crashBeforePrepare(fire.Node, nextTxn, execCoord, writeParts, opsAt); err != nil {
 						return nil, err
 					}
 				case faults.PhaseBeforeCommit:
@@ -598,7 +379,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 					committed = true
 					res.Committed++
 					res.Distributed++
-					committedOps = append(committedOps, flattenOps(writeParts, opsAt))
+					committedOps = append(committedOps, cluster.FlattenOps(writeParts, opsAt))
 					if now > res.MakespanSec {
 						res.MakespanSec = now
 					}
@@ -608,13 +389,13 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 				if len(writeParts) > 0 {
 					nextTxn++
 					if !distributed {
-						if err := eng.commitLocal(writeParts[0], nextTxn, opsAt[writeParts[0]]); err != nil {
+						if err := eng.CommitLocal(writeParts[0], nextTxn, opsAt[writeParts[0]]); err != nil {
 							return nil, err
 						}
-					} else if err := eng.commit2PC(nextTxn, execCoord, writeParts, opsAt); err != nil {
+					} else if err := eng.Commit2PC(nextTxn, execCoord, writeParts, opsAt); err != nil {
 						return nil, err
 					}
-					committedOps = append(committedOps, flattenOps(writeParts, opsAt))
+					committedOps = append(committedOps, cluster.FlattenOps(writeParts, opsAt))
 				}
 				committed = true
 				res.Committed++
@@ -630,7 +411,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 				// The round reached prepare before the coordination
 				// message was lost: a full logged abort.
 				nextTxn++
-				if err := eng.abort2PC(nextTxn, execCoord, writeParts, opsAt); err != nil {
+				if err := eng.Abort2PC(nextTxn, execCoord, writeParts, opsAt); err != nil {
 					return nil, err
 				}
 			}
@@ -684,55 +465,17 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 		}
 	}
 	res.Checkpoints = eng.checkpoints
-	res.WALBytes = eng.walBytes()
+	res.WALBytes = eng.WALBytes()
 
 	// End of run: the whole cluster crashes (in-memory state lost), then
-	// recovery replays every partition log and resolves in-doubt
-	// transactions with the presumed-abort rule.
-	eng.closeAll()
-	cr, err := wal.RecoverDir(d.Schema(), walDir)
+	// recovery replays every partition log and the oracle checks it.
+	eng.Close()
+	rc, err := cluster.RecoverAndCheck(d.Schema(), walDir, sol.K, committedOps, rec, res.MakespanSec)
 	if err != nil {
 		return nil, err
 	}
-	res.TornTails = cr.TornTails
-	res.InDoubtCommitted = cr.InDoubtCommitted
-	res.InDoubtAborted = cr.InDoubtAborted
-	partIDs := make([]int, 0, len(cr.Parts))
-	for p := range cr.Parts {
-		partIDs = append(partIDs, p)
-	}
-	sort.Ints(partIDs)
-	for _, p := range partIDs {
-		res.RecoveredCommits += len(cr.Parts[p].Committed)
-		// Run-level recovery events (txn 0): one per partition, in
-		// partition order so dumps stay deterministic.
-		rec.Record(0, obs.EvRecover, p, 0, res.MakespanSec, int64(len(cr.Parts[p].Committed)))
-	}
-
-	// Consistency oracle: re-execute exactly the committed set on
-	// fault-free stores and compare combined per-table digests with the
-	// recovered cluster.
-	oracle := make([]*db.DB, sol.K)
-	for p := range oracle {
-		oracle[p] = db.New(d.Schema())
-	}
-	for _, ops := range committedOps {
-		for _, po := range ops {
-			if err := oracle[po.part].Apply(po.op); err != nil {
-				return nil, fmt.Errorf("sim: oracle replay: %w", err)
-			}
-		}
-	}
-	want := wal.CombineDigests(oracle)
-	got := cr.TableDigests()
-	res.OracleOK = len(want) == len(got)
-	res.TableDigests = make(map[string]string, len(got))
-	for name, dg := range got {
-		res.TableDigests[name] = fmt.Sprintf("%016x", dg)
-		if want[name] != dg {
-			res.OracleOK = false
-		}
-	}
+	res.TornTails, res.InDoubtCommitted, res.InDoubtAborted = rc.TornTails, rc.InDoubtCommitted, rc.InDoubtAborted
+	res.RecoveredCommits, res.TableDigests, res.OracleOK = rc.RecoveredCommits, rc.TableDigests, rc.OracleOK
 
 	cDurableRuns.Inc()
 	cDurableCommits.Add(int64(res.Committed))
@@ -742,30 +485,4 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 	obs.Set("sim.durable_availability_pct", res.AvailabilityPct)
 	obs.Set("sim.durable_wal_bytes", float64(res.WALBytes))
 	return res, nil
-}
-
-// crashPhaseCode maps a crash-point phase to its EvCrash arg code.
-func crashPhaseCode(phase string) int64 {
-	switch phase {
-	case faults.PhaseBeforePrepare:
-		return 1
-	case faults.PhaseBeforeCommit:
-		return 2
-	case faults.PhaseAfterDecision:
-		return 3
-	default:
-		return 0
-	}
-}
-
-// flattenOps serializes the per-partition write effects in partition
-// order for the oracle's committed-set journal.
-func flattenOps(parts []int, opsAt map[int][]db.Op) []partOp {
-	var out []partOp
-	for _, p := range parts {
-		for _, op := range opsAt[p] {
-			out = append(out, partOp{part: p, op: op})
-		}
-	}
-	return out
 }

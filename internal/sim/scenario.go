@@ -28,16 +28,16 @@ import (
 //	    Seed:     42,
 //	}).Run(ctx)
 //
-// The deprecated wrappers (RunChaos, RunChaosDurable, RunDrift*) have
-// been removed after a release of grace; their engines live on as the
-// unexported runChaos/runChaosDurable/runDrift behind the dispatch. See
+// The deprecated wrappers (Run, RunChaos, RunChaosDurable, RunDrift*)
+// have been removed; their engines live on as the unexported
+// runPlain/runChaos/runChaosDurable/runDrift behind the dispatch. See
 // doc.go at the repository root for the migration table.
 
 // Mode selects which replay a Scenario describes.
 type Mode int
 
 const (
-	// ModePlain is the fault-free analytic replay (sim.Run).
+	// ModePlain is the fault-free analytic replay.
 	ModePlain Mode = iota
 	// ModeChaos is the fault-injected analytic replay.
 	ModeChaos
@@ -230,7 +230,7 @@ func (r *Runner) Run(ctx context.Context) (*RunResult, error) {
 	case ModePlain:
 		_, span := obs.StartSpan(ctx, "sim/plain")
 		defer span.End()
-		res, err := Run(sc.DB, sc.Solution, sc.Trace, sc.Cost)
+		res, err := runPlain(sc.DB, sc.Solution, sc.Trace, sc.Cost)
 		if err != nil {
 			return nil, err
 		}

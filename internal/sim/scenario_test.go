@@ -83,7 +83,7 @@ func TestScenarioMatchesEngines(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("plain", func(t *testing.T) {
-		want, err := Run(d, sol, tr, Config{})
+		want, err := runPlain(d, sol, tr, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestScenarioMatchesEngines(t *testing.T) {
 			t.Fatalf("plain result missing: %+v", got)
 		}
 		if !bytes.Equal(mustJSON(t, want), mustJSON(t, got.Plain)) {
-			t.Error("scenario plain result diverged from sim.Run")
+			t.Error("scenario plain result diverged from runPlain")
 		}
 	})
 

@@ -18,6 +18,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/obs"
@@ -86,12 +87,9 @@ func (r *Result) String() string {
 		r.Nodes, r.ThroughputTPS, r.Speedup, r.Local, r.Distributed)
 }
 
-// Run simulates the trace under the solution.
-//
-// Deprecated: use the config-first entry point —
-// New(Scenario{Mode: ModePlain, DB: d, Solution: sol, Trace: tr,
-// Cost: cfg}).Run(ctx). Run remains as the implementation behind it.
-func Run(d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg Config) (*Result, error) {
+// runPlain simulates the trace under the solution: the engine behind
+// New(Scenario{Mode: ModePlain, ...}).Run(ctx).
+func runPlain(d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	a, err := eval.NewAssigner(d, sol)
 	if err != nil {
@@ -99,25 +97,13 @@ func Run(d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg Config) (*Resul
 	}
 	res := &Result{Nodes: sol.K, NodeWork: make([]float64, sol.K)}
 	for i, t := range tr.All() {
-		parts, writesReplicated, allPlaced := a.TxnPartitions(t)
-		switch {
-		case writesReplicated || !allPlaced:
-			// Spans every node: coordinator plus k participants.
+		nodes, coord, distributed := cluster.Participants(a, t, sol.K, i)
+		if distributed {
 			res.Distributed++
-			for n := 0; n < sol.K; n++ {
-				res.NodeWork[n] += cfg.ParticipantWork
-			}
-			res.NodeWork[coordinator(&parts, sol.K, i)] += cfg.CoordWork
-		case parts.Len() <= 1:
+		} else {
 			res.Local++
-			res.NodeWork[coordinator(&parts, sol.K, i)] += cfg.LocalWork
-		default:
-			res.Distributed++
-			parts.ForEach(func(n int) {
-				res.NodeWork[n] += cfg.ParticipantWork
-			})
-			res.NodeWork[coordinator(&parts, sol.K, i)] += cfg.CoordWork
 		}
+		chargeCommit(res.NodeWork, nodes, coord, distributed, cfg)
 	}
 	cSimRuns.Inc()
 	cSimTxns.Add(int64(tr.Len()))
@@ -159,16 +145,6 @@ func finalize(res *Result, traceLen int, cfg Config) {
 	res.Speedup = res.ThroughputTPS / (cfg.NodeCapacity / cfg.LocalWork)
 }
 
-// coordinator picks a deterministic coordinator: the lowest participating
-// partition. Fully-replicated reads have no participant constraint — any
-// node can serve them — so they round-robin by transaction index.
-func coordinator(parts *partition.Set, k, txnIndex int) int {
-	if m := parts.Min(); m >= 0 {
-		return m
-	}
-	return txnIndex % k
-}
-
 // Sweep simulates a solution-per-k factory across partition counts,
 // returning one Result per k — the "throughput vs parallelism" curve the
 // paper's introduction motivates.
@@ -180,7 +156,7 @@ func Sweep(d *db.DB, tr *trace.Trace, ks []int, cfg Config,
 		if err != nil {
 			return nil, fmt.Errorf("sim: solve k=%d: %w", k, err)
 		}
-		r, err := Run(d, sol, tr, cfg)
+		r, err := runPlain(d, sol, tr, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -3,11 +3,11 @@ package twopc
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/faults"
@@ -172,95 +172,6 @@ func (r *Result) String() string {
 		r.TornTails, oracle)
 }
 
-// partOp is one committed write effect routed to a partition.
-type partOp struct {
-	part int
-	op   db.Op
-}
-
-// flattenOps serializes per-partition write effects in partition order
-// for the oracle's committed-set journal.
-func flattenOps(parts []int, opsAt map[int][]db.Op) []partOp {
-	n := 0
-	for _, p := range parts {
-		n += len(opsAt[p])
-	}
-	out := make([]partOp, 0, n)
-	for _, p := range parts {
-		for _, op := range opsAt[p] {
-			out = append(out, partOp{part: p, op: op})
-		}
-	}
-	return out
-}
-
-// writeEffects routes a transaction's writes to owning partitions as
-// touch ops: placed keys to their partition, replicated-table writes to
-// every partition, unplaceable keys to the coordinator. Parts is sorted.
-func writeEffects(a *eval.Assigner, t *trace.Txn, k, coord int) ([]int, map[int][]db.Op) {
-	opsAt := map[int][]db.Op{}
-	add := func(p int, acc trace.Access) {
-		opsAt[p] = append(opsAt[p], db.Op{Kind: db.OpTouch, Table: acc.Table, Key: acc.Key})
-	}
-	for _, acc := range t.Accesses {
-		if !acc.Write {
-			continue
-		}
-		p, ok := a.PlaceKey(acc)
-		switch {
-		case !ok:
-			add(coord, acc)
-		case p == partition.Replicated:
-			for n := 0; n < k; n++ {
-				add(n, acc)
-			}
-		default:
-			add(p, acc)
-		}
-	}
-	parts := make([]int, 0, len(opsAt))
-	for p := range opsAt {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	return parts, opsAt
-}
-
-// participants mirrors the simulator's transaction classification.
-func participants(a *eval.Assigner, t *trace.Txn, k, txnIndex int) (nodes []int, coord int, distributed bool) {
-	parts, writesReplicated, allPlaced := a.TxnPartitions(t)
-	switch {
-	case writesReplicated || !allPlaced:
-		nodes = make([]int, k)
-		for n := range nodes {
-			nodes[n] = n
-		}
-		return nodes, coordinatorOf(&parts, k, txnIndex), true
-	case parts.Empty():
-		return nil, coordinatorOf(&parts, k, txnIndex), false
-	case parts.Len() == 1:
-		c := coordinatorOf(&parts, k, txnIndex)
-		return []int{c}, c, false
-	default:
-		nodes = parts.AppendTo(make([]int, 0, parts.Len()))
-		return nodes, coordinatorOf(&parts, k, txnIndex), true
-	}
-}
-
-func coordinatorOf(parts *partition.Set, k, txnIndex int) int {
-	if m := parts.Min(); m >= 0 {
-		return m
-	}
-	return txnIndex % k
-}
-
-// cpState tracks one scripted crash point's qualifying-round counter.
-type cpState struct {
-	cp    faults.CrashPoint
-	count int
-	fired bool
-}
-
 // exemptType lists the frames the chaos layer never drops: the
 // single-partition fast path (the in-process engine's loss only hits
 // distributed rounds), decision acks (so "no ack" provably means "never
@@ -274,14 +185,14 @@ func exemptType(m transport.Msg) bool {
 	return false
 }
 
-// cluster is the wired-up topology of one run.
-type cluster struct {
+// topology is the wired-up set of endpoints and participants of one run.
+type topology struct {
 	bus   *transport.Bus // nil under tcp
 	eps   []transport.Transport
 	parts []*Participant
 }
 
-func (cl *cluster) closeEndpoints() {
+func (cl *topology) closeEndpoints() {
 	for _, ep := range cl.eps {
 		if ep != nil {
 			ep.Close()
@@ -291,8 +202,8 @@ func (cl *cluster) closeEndpoints() {
 
 // buildCluster wires k participants, the driver (id k), and the standby
 // (id k+1) over the configured transport, chaos-wrapped per scenario.
-func buildCluster(d *db.DB, k int, cfg Config) (*cluster, error) {
-	cl := &cluster{eps: make([]transport.Transport, k+2)}
+func buildCluster(d *db.DB, k int, cfg Config) (*topology, error) {
+	cl := &topology{eps: make([]transport.Transport, k+2)}
 	pol := transport.FaultPolicy{
 		Seed:       cfg.Seed,
 		LossProb:   cfg.Scenario.MsgLossProb,
@@ -404,7 +315,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	var leaderAlive atomic.Bool
 	leaderAlive.Store(true)
 	if cfg.Standby {
-		sb = NewStandby(k+1, cl.eps[k+1], cfg.WALDir, partitionIDs(k), cfg.LeaseTimeout, dcfg)
+		sb = NewStandby(k+1, cl.eps[k+1], cfg.WALDir, cluster.PartitionIDs(k), cfg.LeaseTimeout, dcfg)
 		sb.SetLeader(k)
 		wg.Add(1)
 		go func() {
@@ -435,10 +346,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	slo := obs.NewSLOMonitor(cfg.SLO)
 	var allLat obs.HDR
 
-	cps := make([]cpState, len(sc.CrashPoints))
-	for i, cp := range sc.CrashPoints {
-		cps[i] = cpState{cp: cp}
-	}
+	crashes := cluster.NewCrashScript(sc.CrashPoints, cluster.TwoPCRules())
 
 	res := &Result{
 		Scenario:  sc.Name,
@@ -478,10 +386,10 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	}
 
 	var nextTxn uint64
-	var committedOps [][]partOp
+	var committedOps [][]cluster.PartOp
 	for i, t := range tr.All() {
 		arrival := float64(i) / cfg.ArrivalRateTPS
-		nodes, coord, distributed := participants(a, t, k, i)
+		nodes, coord, distributed := cluster.Participants(a, t, k, i)
 		traceID := obs.TxnID(cfg.Seed, i)
 		rec.Record(traceID, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
 		dist := int64(0)
@@ -509,7 +417,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 					execNodes, execCoord = []int{coord}, coord
 				}
 			}
-			writeParts, opsAt := writeEffects(a, t, k, execCoord)
+			writeParts, opsAt := cluster.WriteEffects(a, t, k, execCoord)
 
 			blocked := false
 			for _, n := range execNodes {
@@ -530,36 +438,16 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 			}
 
 			// Crash points fire on rounds that would otherwise proceed.
-			var fire *cpState
-			if !blocked && distributed && len(writeParts) > 0 {
-				for idx := range cps {
-					s := &cps[idx]
-					if s.fired || dead(s.cp.Node) {
-						continue
-					}
-					qualifies := false
-					switch s.cp.Phase {
-					case faults.PhaseBeforePrepare:
-						qualifies = s.cp.Node != execCoord && contains(writeParts, s.cp.Node)
-					case faults.PhaseBeforeCommit, faults.PhaseAfterDecision:
-						qualifies = s.cp.Node == execCoord
-					}
-					if !qualifies {
-						continue
-					}
-					s.count++
-					if fire == nil && s.count >= s.cp.Seq {
-						s.fired = true
-						fire = s
-					}
-				}
+			var fire *cluster.Crash
+			if !blocked && len(writeParts) > 0 {
+				fire = crashes.Next(cluster.Round{Coord: execCoord, WriteParts: writeParts, Distributed: distributed}, dead)
 			}
 
 			if !blocked && len(writeParts) > 0 {
 				nextTxn++
 				txn := nextTxn
 				if fire != nil {
-					cl.parts[fire.cp.Node].ArmCrash(fire.cp.Phase)
+					cl.parts[fire.Node].ArmCrash(fire.Phase)
 				}
 				var out roundOutcome
 				if distributed {
@@ -570,24 +458,24 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 				for _, p := range out.yes {
 					rec.Record(traceID, obs.EvPrepare, p, attempt, now, 0)
 				}
-				if fire != nil && !cl.parts[fire.cp.Node].Crashed() {
+				if fire != nil && !cl.parts[fire.Node].Crashed() {
 					// The armed message never arrived (every frame of the
 					// phase was lost): the crash did not realize. Disarm and
 					// treat the round at face value.
-					cl.parts[fire.cp.Node].ArmCrash("")
+					cl.parts[fire.Node].ArmCrash("")
 					fire = nil
 				}
 				if fire != nil {
-					deadSet[fire.cp.Node] = true
-					rec.Record(traceID, obs.EvCrash, fire.cp.Node, attempt, now, crashPhaseCode(fire.cp.Phase))
-					if fire.cp.Phase == faults.PhaseAfterDecision {
+					deadSet[fire.Node] = true
+					rec.Record(traceID, obs.EvCrash, fire.Node, attempt, now, faults.PhaseCode(fire.Phase))
+					if fire.Phase == faults.PhaseAfterDecision {
 						// The decision is durable on the crashed coordinator:
 						// the transaction IS committed even though nobody
 						// heard it.
 						committed = true
 						res.Committed++
 						res.Distributed++
-						committedOps = append(committedOps, flattenOps(writeParts, opsAt))
+						committedOps = append(committedOps, cluster.FlattenOps(writeParts, opsAt))
 						if now > res.MakespanSec {
 							res.MakespanSec = now
 						}
@@ -597,7 +485,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 							inDoubtSet[p] = true
 						}
 					}
-					coordCrash := fire.cp.Phase != faults.PhaseBeforePrepare
+					coordCrash := fire.Phase != faults.PhaseBeforePrepare
 					if coordCrash && sb != nil {
 						failover()
 					}
@@ -609,7 +497,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 					} else {
 						res.Local++
 					}
-					committedOps = append(committedOps, flattenOps(writeParts, opsAt))
+					committedOps = append(committedOps, cluster.FlattenOps(writeParts, opsAt))
 					if now > res.MakespanSec {
 						res.MakespanSec = now
 					}
@@ -693,46 +581,12 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		res.WALBytes += p.WALBytes()
 	}
 
-	cr, err := wal.RecoverDir(d.Schema(), cfg.WALDir)
+	rc, err := cluster.RecoverAndCheck(d.Schema(), cfg.WALDir, k, committedOps, rec, res.MakespanSec)
 	if err != nil {
 		return nil, err
 	}
-	res.TornTails = cr.TornTails
-	res.InDoubtCommitted = cr.InDoubtCommitted
-	res.InDoubtAborted = cr.InDoubtAborted
-	partIDs := make([]int, 0, len(cr.Parts))
-	for p := range cr.Parts {
-		partIDs = append(partIDs, p)
-	}
-	sort.Ints(partIDs)
-	for _, p := range partIDs {
-		res.RecoveredCommits += len(cr.Parts[p].Committed)
-		rec.Record(0, obs.EvRecover, p, 0, res.MakespanSec, int64(len(cr.Parts[p].Committed)))
-	}
-
-	// Consistency oracle: re-execute exactly the committed set on
-	// fault-free stores and compare per-table digests.
-	oracle := make([]*db.DB, k)
-	for p := range oracle {
-		oracle[p] = db.New(d.Schema())
-	}
-	for _, ops := range committedOps {
-		for _, po := range ops {
-			if err := oracle[po.part].Apply(po.op); err != nil {
-				return nil, fmt.Errorf("twopc: oracle replay: %w", err)
-			}
-		}
-	}
-	want := wal.CombineDigests(oracle)
-	got := cr.TableDigests()
-	res.OracleOK = len(want) == len(got)
-	res.TableDigests = make(map[string]string, len(got))
-	for name, dg := range got {
-		res.TableDigests[name] = fmt.Sprintf("%016x", dg)
-		if want[name] != dg {
-			res.OracleOK = false
-		}
-	}
+	res.TornTails, res.InDoubtCommitted, res.InDoubtAborted = rc.TornTails, rc.InDoubtCommitted, rc.InDoubtAborted
+	res.RecoveredCommits, res.TableDigests, res.OracleOK = rc.RecoveredCommits, rc.TableDigests, rc.OracleOK
 
 	cRuns.Inc()
 	cCommits.Add(int64(res.Committed))
@@ -740,27 +594,4 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		cOracleFail.Inc()
 	}
 	return res, nil
-}
-
-func partitionIDs(k int) []int {
-	ids := make([]int, k)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
-// crashPhaseCode maps a crash-point phase to its EvCrash arg code
-// (shared vocabulary with the in-process engine's flight dumps).
-func crashPhaseCode(phase string) int64 {
-	switch phase {
-	case faults.PhaseBeforePrepare:
-		return 1
-	case faults.PhaseBeforeCommit:
-		return 2
-	case faults.PhaseAfterDecision:
-		return 3
-	default:
-		return 0
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/faults"
 	"repro/internal/transport"
@@ -214,7 +215,7 @@ func (d *driver) round2PC(ctx context.Context, txn uint64, coord int, parts []in
 // participant at must-deliver persistence; a target that stays silent
 // past that is left for the termination protocol or the standby.
 func (d *driver) fanOut(ctx context.Context, txn uint64, typ uint8, coord int, parts []int, dead func(int) bool) {
-	if !contains(parts, coord) {
+	if !cluster.Has(parts, coord) {
 		d.decide(ctx, txn, typ, coord, dead, 0)
 	}
 	for _, pt := range parts {
@@ -254,13 +255,4 @@ func deadOf(parts []int, dead func(int) bool) []int {
 		}
 	}
 	return out
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -2,11 +2,11 @@ package twopc
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -24,32 +24,6 @@ var (
 	cPresumedAborts = obs.Default.Counter("twopc.presumed_aborts")
 	cFailovers      = obs.Default.Counter("twopc.failovers")
 )
-
-// Crash phases a participant can be armed with (atomically, by the
-// harness realizing a faults.CrashPoint). The participant dies on the
-// next protocol message the phase scripts, leaving exactly the WAL shape
-// the in-process engine produced: a torn PREPARE, a torn COMMIT
-// decision, or a durable decision nobody heard.
-const (
-	crashNone int32 = iota
-	crashBeforePrepare
-	crashBeforeCommit
-	crashAfterDecision
-)
-
-// crashCode maps a faults crash phase to the arm code.
-func crashCode(phase string) int32 {
-	switch phase {
-	case faults.PhaseBeforePrepare:
-		return crashBeforePrepare
-	case faults.PhaseBeforeCommit:
-		return crashBeforeCommit
-	case faults.PhaseAfterDecision:
-		return crashAfterDecision
-	default:
-		return crashNone
-	}
-}
 
 // ParticipantConfig shapes one partition server's timeout behavior.
 type ParticipantConfig struct {
@@ -116,7 +90,7 @@ type Participant struct {
 	inDoubtOrder []uint64
 	commitsSince int
 
-	crashArm atomic.Int32
+	crashArm atomic.Int64 // faults.PhaseCode of the armed crash, 0 when disarmed
 	crashed  atomic.Bool
 
 	// Post-run accounting, read only after Serve returns.
@@ -148,9 +122,17 @@ func (p *Participant) ID() int { return p.id }
 
 // ArmCrash schedules a scripted crash: the participant dies on the next
 // message the phase targets (before-prepare on a PREPARE, before-commit
-// and after-decision on a commit decision). Safe to call concurrently
-// with Serve.
-func (p *Participant) ArmCrash(phase string) { p.crashArm.Store(crashCode(phase)) }
+// and after-decision on a commit decision), leaving exactly the WAL
+// shape the in-process engine produces: a torn PREPARE, a torn COMMIT
+// decision, or a durable decision nobody heard. An empty phase disarms.
+// Safe to call concurrently with Serve.
+func (p *Participant) ArmCrash(phase string) { p.crashArm.Store(faults.PhaseCode(phase)) }
+
+// disarm reports whether the participant was armed with phase, and
+// clears the arm if so.
+func (p *Participant) disarm(phase string) bool {
+	return p.crashArm.CompareAndSwap(faults.PhaseCode(phase), 0)
+}
 
 // Crashed reports whether a scripted crash fired.
 func (p *Participant) Crashed() bool { return p.crashed.Load() }
@@ -315,19 +297,19 @@ func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool,
 		p.reply(ctx, m, MsgVoteNo, []byte{ReasonBlocked})
 		return false, nil
 	}
-	if p.crashArm.CompareAndSwap(crashBeforePrepare, crashNone) {
+	if p.disarm(faults.PhaseBeforePrepare) {
 		// Die mid-append of the PREPARE record: staged writes and a torn
 		// tail, no vote — the coordinator's vote timeout aborts the round.
 		if err := p.log.AppendTxn(m.Txn, ops, 0, nil); err != nil {
 			return false, err
 		}
-		if err := p.log.AppendTorn(wal.RecPrepare, m.Txn, coordPayload(coord), 3); err != nil {
+		if err := p.log.AppendTorn(wal.RecPrepare, m.Txn, cluster.CoordPayload(coord), 3); err != nil {
 			return false, err
 		}
 		p.crash()
 		return true, nil
 	}
-	if err := p.log.AppendTxn(m.Txn, ops, wal.RecPrepare, coordPayload(coord)); err != nil {
+	if err := p.log.AppendTxn(m.Txn, ops, wal.RecPrepare, cluster.CoordPayload(coord)); err != nil {
 		return false, err
 	}
 	cPrepares.Inc()
@@ -371,7 +353,7 @@ func (p *Participant) handleCommitLocal(ctx context.Context, m transport.Msg) er
 
 func (p *Participant) handleDecideCommit(ctx context.Context, m transport.Msg) (bool, error) {
 	switch {
-	case p.crashArm.CompareAndSwap(crashBeforeCommit, crashNone):
+	case p.disarm(faults.PhaseBeforeCommit):
 		// Die mid-append of the decision: the COMMIT record is torn, so
 		// recovery finds no decision — presumed abort.
 		if err := p.log.AppendTorn(wal.RecCommit, m.Txn, nil, 5); err != nil {
@@ -379,7 +361,7 @@ func (p *Participant) handleDecideCommit(ctx context.Context, m transport.Msg) (
 		}
 		p.crash()
 		return true, nil
-	case p.crashArm.CompareAndSwap(crashAfterDecision, crashNone):
+	case p.disarm(faults.PhaseAfterDecision):
 		// Die right after the decision is durable: nobody hears it, but
 		// the transaction IS committed — resolution replays it.
 		if err := p.log.Append(wal.RecCommit, m.Txn, nil); err != nil {
@@ -508,10 +490,4 @@ func (p *Participant) maybeCheckpoint() error {
 	p.commitsSince = 0
 	p.checkpoints++
 	return nil
-}
-
-// coordPayload encodes the PREPARE payload naming the coordinator
-// partition (the id recovery and the standby read back).
-func coordPayload(coord int) []byte {
-	return binary.AppendUvarint(nil, uint64(coord))
 }
