@@ -21,7 +21,9 @@ verify:
 	$(GO) test -race ./...
 
 # bench runs the micro-benchmarks (experiment-scale benches run via
-# `go test -bench=BenchmarkFigure7 -benchtime=1x` etc), then the
+# `go test -bench=BenchmarkFigure7 -benchtime=1x` etc) — among them the
+# per-layer rows BenchmarkEvaluateRow/{tpcc,tpce} and
+# BenchmarkRouterNew/{tpcc,tpce} — then the
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
 # in isolation, each at 1/2/8 workers, then the commit path: one store
 # commit, one WAL protocol step, and a small TPC-C commit window through

@@ -59,7 +59,7 @@ func TestBenchExport(t *testing.T) {
 		{"Evaluate", BenchmarkEvaluate},
 		{"EvaluateLegacy", BenchmarkEvaluateLegacy},
 		{"GraphPartition", BenchmarkGraphPartition},
-		{"RouterNew", BenchmarkRouterNew},
+		{"RouterNew", func(b *testing.B) { benchRouterNew(b, "tpcc", 8) }},
 		{"ValueHash", BenchmarkValueHash},
 		{"HDRObserve", BenchmarkHDRObserve},
 		{"TraceEvent", BenchmarkTraceEvent},

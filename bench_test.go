@@ -377,12 +377,21 @@ func BenchmarkJECBTPCE(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterNew measures building the router for the JECB solution
-// of TPC-C: the SQL analysis is done once, so each iteration plans every
-// class and builds its lookup tables, one scan per routing column.
-func BenchmarkRouterNew(b *testing.B) {
-	bench, _ := workloads.Get("tpcc")
-	d, err := bench.Load(workloads.Config{Scale: 8, Seed: 1})
+// solvedBench is a benchmark's JECB solution with the data and traces
+// it was found on: the database loaded at the given scale (0 = the
+// benchmark's default), a 2000-transaction trace split in halves, the
+// K=8 solution of the training half, and every procedure's SQL analysis.
+type solvedBench struct {
+	d        *db.DB
+	sol      *partition.Solution
+	test     *trace.Trace
+	analyses []*sqlparse.Analysis
+}
+
+func newSolvedBench(b *testing.B, name string, scale int) solvedBench {
+	b.Helper()
+	bench, _ := workloads.Get(name)
+	d, err := bench.Load(workloads.Config{Scale: scale, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -403,12 +412,56 @@ func BenchmarkRouterNew(b *testing.B) {
 		}
 		analyses = append(analyses, a)
 	}
+	return solvedBench{d: d, sol: sol, test: test, analyses: analyses}
+}
+
+// solvedBenchCases are the per-layer benchmark inputs: TPC-C at 8
+// warehouses and TPC-E at its default size.
+var solvedBenchCases = []struct {
+	name  string
+	scale int
+}{{"tpcc", 8}, {"tpce", 0}}
+
+// BenchmarkRouterNew measures building the router for a benchmark's JECB
+// solution: the SQL analysis is done once, so each iteration plans every
+// class and builds its lookup tables, placing each partitioned table's
+// rows once however many routing columns it has.
+func BenchmarkRouterNew(b *testing.B) {
+	for _, c := range solvedBenchCases {
+		b.Run(c.name, func(b *testing.B) { benchRouterNew(b, c.name, c.scale) })
+	}
+}
+
+func benchRouterNew(b *testing.B, name string, scale int) {
+	s := newSolvedBench(b, name, scale)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := router.New(d, sol, analyses); err != nil {
+		if _, err := router.New(s.d, s.sol, s.analyses); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEvaluateRow measures eval.Evaluate, the row-trace evaluator
+// jecb and jecbbench score the test half with, on a benchmark's JECB
+// solution: assigner construction plus one placement per test access.
+func BenchmarkEvaluateRow(b *testing.B) {
+	for _, c := range solvedBenchCases {
+		b.Run(c.name, func(b *testing.B) {
+			s := newSolvedBench(b, c.name, c.scale)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := eval.Evaluate(s.d, s.sol, s.test)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r.Total != s.test.Len() {
+					b.Fatalf("scored %d of %d", r.Total, s.test.Len())
+				}
+			}
+		})
 	}
 }
 

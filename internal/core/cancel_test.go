@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestForEachIndexedCancellation pins the pool's cancellation contract:
@@ -75,15 +78,77 @@ func TestForEachShardCancellation(t *testing.T) {
 // cancelled context surfaces context.Canceled from the full pipeline,
 // identically for any worker count (the satellite determinism contract —
 // no partial fold ever masks the cancellation).
+//
+// Every goroutine the run started has exited once Partition returns,
+// whether the context was cancelled before the run or partway through
+// it (countdownCtx), where the pools are mid-flight.
 func TestPartitionCancelled(t *testing.T) {
 	in, _ := custInfoInput(t, 200)
 	for _, par := range []int{1, 4} {
+		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		_, _, err := Partition(ctx, in, Options{K: 2, Parallelism: par})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("parallelism=%d: err = %v, want context.Canceled", par, err)
 		}
+		waitGoroutines(t, before)
+	}
+	// Cancel at each successive check until a run gets through, so every
+	// cancellation point of every phase is hit.
+	big, _ := custInfoInput(t, 2000)
+	for _, par := range []int{1, 4} {
+		for after := int64(1); ; after++ {
+			if after > 1000 {
+				t.Fatalf("parallelism=%d: no run finished within 1000 cancellation checks", par)
+			}
+			before := runtime.NumGoroutine()
+			ctx := &countdownCtx{Context: context.Background()}
+			ctx.left.Store(after)
+			_, _, err := Partition(ctx, big, Options{K: 2, Parallelism: par})
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("parallelism=%d cancel after %d checks: err = %v", par, after, err)
+			}
+			waitGoroutines(t, before)
+			if err == nil {
+				break
+			}
+		}
+	}
+}
+
+// countdownCtx is a context whose Err turns to context.Canceled after
+// left calls: it cancels a run partway through at a point that depends
+// on the number of cancellation checks, not on timing.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// waitGoroutines fails the test unless the goroutine count drops back to
+// before within two seconds: a pool goroutine may still be returning
+// when the call that waited on it returns.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("goroutine leak: %d running after the call, %d before\n%s", n, before, buf)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -95,7 +160,7 @@ func TestPhase3Cancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1()
+	pre, err := p.phase1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

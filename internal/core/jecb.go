@@ -169,7 +169,7 @@ func (p *Partitioner) Run() (*partition.Solution, *Report, error) {
 func (p *Partitioner) RunContext(ctx context.Context) (*partition.Solution, *Report, error) {
 	cRuns.Inc()
 	_, s1 := obs.StartSpan(ctx, "jecb/phase1")
-	pre, err := p.phase1()
+	pre, err := p.phase1(ctx)
 	s1.End()
 	if err != nil {
 		return nil, nil, err

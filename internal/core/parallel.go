@@ -86,9 +86,19 @@ func forEachIndexed(ctx context.Context, workers, n int, queue *obs.Gauge, fn fu
 	return ctx.Err()
 }
 
+// minShardItems is the fewest items forEachShard hands one worker. Its
+// items are transactions, each a few navigations: below this many, a
+// shard's goroutine costs more than it saves, and small class streams
+// (SEATS's) ran slower sharded than serial. forEachIndexed has no such
+// cutoff: each of its items (a class, a table option, a candidate
+// solution) is a whole scan of a stream.
+const minShardItems = 128
+
 // forEachShard splits [0, n) into at most `workers` contiguous half-open
-// ranges and runs fn(shard, lo, hi) for each concurrently. Shard
-// boundaries depend only on (workers, n) — never on scheduling — so
+// ranges of at least minShardItems (one range when n is smaller) and
+// runs fn(shard, lo, hi) for each concurrently. It returns the number of
+// ranges. Shard boundaries depend only on (workers, n) — never on
+// scheduling — so
 // callers that fold per-shard accumulators in shard order get identical
 // results for any actual interleaving; callers whose accumulation is
 // commutative (integer sums, disjoint index writes) get identical results
@@ -101,9 +111,7 @@ func forEachShard(ctx context.Context, workers, n int, fn func(shard, lo, hi int
 	if n <= 0 {
 		return 0, ctx.Err()
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n/minShardItems)
 	if workers <= 1 {
 		if err := ctx.Err(); err != nil {
 			return 0, err

@@ -38,7 +38,7 @@ func benchPartitioner(tb testing.TB, b workloads.Benchmark, scale, txns, workers
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pre, err := p.phase1()
+	pre, err := p.phase1(context.Background())
 	if err != nil {
 		tb.Fatal(err)
 	}

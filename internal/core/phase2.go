@@ -122,7 +122,7 @@ func (p *Partitioner) phase2(ctx context.Context, pre *preprocessed) (map[string
 	return out, nil
 }
 
-func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class string, stream, testStream *trace.Trace) (*ClassResult, error) {
+func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class string, stream resolvedStream, testStream *trace.Trace) (*ClassResult, error) {
 	res := &ClassResult{Class: class, Mix: pre.Mix[class]}
 	a := pre.Analyses[class]
 	g := joingraph.Build(a, p.in.DB.Schema(), pre.Replicated)
@@ -220,10 +220,11 @@ func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class s
 // check is restricted to that subset (for partial solutions);
 // transactions touching none of the covered tables do not constrain the
 // result. Transactions with unmappable tuples count as multi-valued.
-// The scan shards the stream into contiguous ranges counted concurrently
-// over one set of compiled join paths; the per-shard counts fold by
-// integer addition, so the fraction is identical for any worker count.
-func (p *Partitioner) singleValueFraction(ctx context.Context, tree *joingraph.Tree, stream *trace.Trace, tables map[string]bool) (float64, error) {
+// Each access navigates from the row phase 1 resolved it to. The scan
+// shards the stream into contiguous ranges counted concurrently over one
+// set of compiled join paths; the per-shard counts fold by integer
+// addition, so the fraction is identical for any worker count.
+func (p *Partitioner) singleValueFraction(ctx context.Context, tree *joingraph.Tree, stream resolvedStream, tables map[string]bool) (float64, error) {
 	if stream.Len() == 0 {
 		return 1, nil
 	}
@@ -238,12 +239,13 @@ func (p *Partitioner) singleValueFraction(ctx context.Context, tree *joingraph.T
 		for i := lo; i < hi; i++ {
 			var first value.Value
 			seen, multi := false, false
-			for _, acc := range stream.At(i).Accesses {
-				nav, ok := navs[acc.Table]
+			codes := stream.txnCodes(i)
+			for a, acc := range stream.At(i).Accesses {
+				tn, ok := navs[acc.Table]
 				if !ok {
 					continue
 				}
-				v, ok := nav.FromKey(acc.Key)
+				v, ok := tn.nav.FromRow(stream.row(tn.t, codes[a]))
 				if !ok {
 					multi = true
 					break
@@ -272,7 +274,7 @@ func (p *Partitioner) singleValueFraction(ctx context.Context, tree *joingraph.T
 }
 
 // mappingIndependent is the exact Definition 7 predicate.
-func (p *Partitioner) mappingIndependent(ctx context.Context, tree *joingraph.Tree, stream *trace.Trace, tables map[string]bool) (bool, error) {
+func (p *Partitioner) mappingIndependent(ctx context.Context, tree *joingraph.Tree, stream resolvedStream, tables map[string]bool) (bool, error) {
 	f, err := p.singleValueFraction(ctx, tree, stream, tables)
 	return f == 1, err
 }
@@ -288,7 +290,7 @@ func (p *Partitioner) mappingIndependent(ctx context.Context, tree *joingraph.Tr
 //
 // Transactions shard across workers into contiguous ranges; each shard
 // writes only its own out[i] slots.
-func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, stream *trace.Trace) ([][]value.Value, error) {
+func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, stream resolvedStream) ([][]value.Value, error) {
 	navs, err := p.compileTree(tree, nil)
 	if err != nil {
 		return nil, err
@@ -297,12 +299,13 @@ func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, s
 	_, shardErr := forEachShard(ctx, p.opts.parallelism(), stream.Len(), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			set := map[value.Value]bool{}
-			for _, acc := range stream.At(i).Accesses {
-				nav, ok := navs[acc.Table]
+			codes := stream.txnCodes(i)
+			for a, acc := range stream.At(i).Accesses {
+				tn, ok := navs[acc.Table]
 				if !ok {
 					continue
 				}
-				if v, ok := nav.FromKey(acc.Key); ok {
+				if v, ok := tn.nav.FromRow(stream.row(tn.t, codes[a])); ok {
 					set[v] = true
 				}
 			}
@@ -320,10 +323,17 @@ func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, s
 	return out, nil
 }
 
+// tableNav is a table's compiled join path together with the table, so
+// a resolved access's row can be read from its slot.
+type tableNav struct {
+	nav *db.Nav
+	t   *db.Table
+}
+
 // compileTree compiles the join path of every table of the tree — only
 // those in tables, when non-nil — for concurrent navigation.
-func (p *Partitioner) compileTree(tree *joingraph.Tree, tables map[string]bool) (map[string]*db.Nav, error) {
-	navs := make(map[string]*db.Nav, len(tree.Paths))
+func (p *Partitioner) compileTree(tree *joingraph.Tree, tables map[string]bool) (map[string]tableNav, error) {
+	navs := make(map[string]tableNav, len(tree.Paths))
 	for tbl, path := range tree.Paths {
 		if tables != nil && !tables[tbl] {
 			continue
@@ -332,7 +342,7 @@ func (p *Partitioner) compileTree(tree *joingraph.Tree, tables map[string]bool) 
 		if err != nil {
 			return nil, err
 		}
-		navs[tbl] = nav
+		navs[tbl] = tableNav{nav: nav, t: p.in.DB.Table(tbl)}
 	}
 	return navs, nil
 }
@@ -354,9 +364,9 @@ func sortValues(vals []value.Value) {
 // accept the lookup mapping only if it is "meaningful" — cheaper on the
 // test stream than both hash and range mappings. It returns the best
 // meaningful solution across trees, or nil.
-func (p *Partitioner) minCutSolution(ctx context.Context, class string, trees []*joingraph.Tree, stream, testStream *trace.Trace) (*ClassSolution, error) {
+func (p *Partitioner) minCutSolution(ctx context.Context, class string, trees []*joingraph.Tree, stream resolvedStream, testStream *trace.Trace) (*ClassSolution, error) {
 	if testStream == nil {
-		testStream = stream
+		testStream = stream.Trace
 	}
 	var best *ClassSolution
 	for _, tree := range trees {
@@ -457,7 +467,7 @@ func (p *Partitioner) classCost(tree *joingraph.Tree, m partition.Mapper, stream
 
 // addPartialsFromSubtrees walks the sub-join trees of a total solution,
 // adding every mapping-independent one as a partial solution (§5.3 end).
-func (p *Partitioner) addPartialsFromSubtrees(ctx context.Context, res *ClassResult, tree *joingraph.Tree, stream *trace.Trace) error {
+func (p *Partitioner) addPartialsFromSubtrees(ctx context.Context, res *ClassResult, tree *joingraph.Tree, stream resolvedStream) error {
 	queue := subTrees(tree)
 	for len(queue) > 0 {
 		sub := queue[len(queue)-1]
@@ -483,7 +493,7 @@ func (p *Partitioner) addPartialsFromSubtrees(ctx context.Context, res *ClassRes
 
 // addPartialsFromSplit handles §5.2 case 2: split the rootless graph and
 // keep mapping-independent trees of each subgraph as partial solutions.
-func (p *Partitioner) addPartialsFromSplit(ctx context.Context, res *ClassResult, g *joingraph.Graph, stream *trace.Trace) {
+func (p *Partitioner) addPartialsFromSplit(ctx context.Context, res *ClassResult, g *joingraph.Graph, stream resolvedStream) {
 	for _, sub := range g.Split() {
 		if len(sub.Tables) == 0 {
 			continue

@@ -85,8 +85,8 @@ func (p *Partitioner) phase3(ctx context.Context, pre *preprocessed, classes map
 	// candidate achieving the minimum cost.
 	workers := p.opts.parallelism()
 	gPhase3Workers.Set(float64(workers))
-	scorer := newComboScorer(p.in.Train)
-	if err := scorer.place(ctx, p.in.DB, p.in.Train, workers, sols); err != nil {
+	scorer := newComboScorer(pre.Train)
+	if err := scorer.place(ctx, p.in.DB, workers, sols); err != nil {
 		return nil, nil, fmt.Errorf("core: phase 3: %w", err)
 	}
 	var best *partition.Solution

@@ -30,11 +30,21 @@ func evaluatorCost(t *testing.T, d *db.DB, sol *partition.Solution, tr *trace.Tr
 	return a.Evaluate(tr).Cost()
 }
 
+// resolved resolves tr's accesses against d, as phase 1 does.
+func resolved(t *testing.T, d *db.DB, tr *trace.Trace) resolvedStream {
+	t.Helper()
+	rs, err := resolveTrace(context.Background(), d, tr, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
 // scoreAll places every option of sols and returns each solution's cost.
 func scoreAll(t *testing.T, d *db.DB, tr *trace.Trace, sols ...*partition.Solution) (*comboScorer, []float64) {
 	t.Helper()
-	s := newComboScorer(tr)
-	if err := s.place(context.Background(), d, tr, 2, sols); err != nil {
+	s := newComboScorer(resolved(t, d, tr))
+	if err := s.place(context.Background(), d, 2, sols); err != nil {
 		t.Fatal(err)
 	}
 	costs := make([]float64, len(sols))
@@ -88,7 +98,7 @@ func TestComboScorerMatchesEvaluator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pre, err := p.phase1()
+			pre, err := p.phase1(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,12 +223,12 @@ func TestComboScorerErrors(t *testing.T) {
 	uncompiled := partition.NewSolution("uncompiled", 2)
 	uncompiled.Set(partition.NewByPath("CUSTOMER_ACCOUNT", fixture.CAPath(), partition.NewHash(2)))
 
-	s := newComboScorer(tr)
+	s := newComboScorer(resolved(t, d, tr))
 	ctx := context.Background()
-	if err := s.place(ctx, d, tr, 2, []*partition.Solution{good, badK}); err != nil {
+	if err := s.place(ctx, d, 2, []*partition.Solution{good, badK}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.place(ctx, noTables, tr, 2, []*partition.Solution{uncompiled}); err != nil {
+	if err := s.place(ctx, noTables, 2, []*partition.Solution{uncompiled}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.cost(d.Schema(), badK); err == nil {
@@ -237,7 +247,7 @@ func TestComboScorerErrors(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := newComboScorer(tr).place(cancelled, d, tr, 2, []*partition.Solution{good}); err == nil {
+	if err := newComboScorer(resolved(t, d, tr)).place(cancelled, d, 2, []*partition.Solution{good}); err == nil {
 		t.Error("cancelled placement: want the context's error")
 	}
 }

@@ -401,3 +401,51 @@ func TestColumnValue(t *testing.T) {
 		t.Error("unknown column must error")
 	}
 }
+
+// TestResolveSlotsAndRows pins the slot API: Resolve reports a live
+// row's slot and the row RowAt returns for it, -1 with the last version
+// for a deleted row, and nothing for a key that never existed; Rows
+// walks live rows in slot order, skipping freed slots, and Slots bounds
+// every slot it yields.
+func TestResolveSlotsAndRows(t *testing.T) {
+	d := loadFigure1(t)
+	tr := d.Table("TRADE")
+	k3 := tr.PKOf(value.Tuple{value.NewInt(3), value.Value{}, value.Value{}})
+	slot, row, ok := tr.Resolve(k3)
+	if !ok || slot < 0 || row[0] != value.NewInt(3) {
+		t.Fatalf("Resolve(live) = %d, %v, %v", slot, row, ok)
+	}
+	if got := tr.RowAt(slot); got[0] != value.NewInt(3) {
+		t.Fatalf("RowAt(%d) = %v", slot, got)
+	}
+
+	tr.Delete(k3)
+	gslot, grow, ok := tr.Resolve(k3)
+	if !ok || gslot != -1 || grow[0] != value.NewInt(3) {
+		t.Fatalf("Resolve(deleted) = %d, %v, %v; want -1 and the last version", gslot, grow, ok)
+	}
+	if got := tr.RowAt(slot); got != nil {
+		t.Fatalf("RowAt(freed slot) = %v, want nil", got)
+	}
+	if _, _, ok := tr.Resolve(value.MakeKey(value.NewInt(99))); ok {
+		t.Fatal("Resolve(missing key) reported a row")
+	}
+	if tr.RowAt(-1) != nil || tr.RowAt(tr.Slots()) != nil {
+		t.Fatal("RowAt out of range returned a row")
+	}
+
+	var slots []int
+	for s, r := range tr.Rows() {
+		if s >= tr.Slots() || r == nil || tr.RowAt(s)[0] != r[0] {
+			t.Fatalf("Rows yielded slot %d row %v", s, r)
+		}
+		slots = append(slots, s)
+	}
+	if len(slots) != tr.Len() || !slices.IsSorted(slots) || slices.Contains(slots, slot) {
+		t.Fatalf("Rows slots = %v (len %d), want %d sorted live slots without %d", slots, len(slots), tr.Len(), slot)
+	}
+	for range tr.Rows() {
+		break // an early exit releases the read lock
+	}
+	tr.MustInsert(value.NewInt(9), value.NewInt(1), value.NewInt(1))
+}

@@ -8,6 +8,7 @@ package eval
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -193,10 +194,11 @@ func Evaluate(d *db.DB, sol *partition.Solution, tr *trace.Trace) (*Result, erro
 	return a.Evaluate(tr), nil
 }
 
-// Evaluate scores the bound solution on a trace (sequentially; see
-// EvaluateParallel for the sharded form — both produce identical Results).
+// Evaluate scores the bound solution on a trace, sharded over
+// runtime.GOMAXPROCS(0) workers; see EvaluateParallel, whose Result is
+// identical for any worker count.
 func (a *Assigner) Evaluate(tr *trace.Trace) *Result {
-	return a.EvaluateParallel(tr, 1)
+	return a.EvaluateParallel(tr, runtime.GOMAXPROCS(0))
 }
 
 // evalShard scores the half-open transaction range [lo, hi) of a trace
@@ -255,18 +257,29 @@ func (r *Result) merge(o *Result) {
 	}
 }
 
-// EvaluateParallel scores the bound solution on a trace with the given
-// worker count, sharding the transactions into contiguous ranges scored
-// concurrently and merged deterministically in shard order. The result is
-// bit-identical for any workers >= 1 (workers <= 1, or traces too small
-// to shard, take the sequential path). Safe for concurrent use: many
-// EvaluateParallel calls may run against one shared Assigner.
+// minShardTxns is the fewest transactions EvaluateParallel hands one
+// worker: below it, starting the goroutine and merging its Result cost
+// more than scoring the transactions.
+const minShardTxns = 128
+
+// shardCount is the number of shards EvaluateParallel splits n
+// transactions into for the given worker count: at most workers, each of
+// at least minShardTxns, and at least one.
+func shardCount(workers, n int) int {
+	return max(1, min(workers, n/minShardTxns))
+}
+
+// EvaluateParallel scores the bound solution on a trace with at most the
+// given worker count, sharding the transactions into contiguous ranges
+// of at least minShardTxns, scored concurrently and merged
+// deterministically in shard order. The result is bit-identical for any
+// workers >= 1 (workers <= 1, or traces too small to shard, take the
+// sequential path). Safe for concurrent use: many EvaluateParallel calls
+// may run against one shared Assigner.
 func (a *Assigner) EvaluateParallel(tr *trace.Trace, workers int) *Result {
 	n := tr.Len()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	workers = shardCount(workers, n)
+	if workers == 1 {
 		r := a.evalShard(tr, 0, n)
 		cEvaluations.Inc()
 		cTxnsScored.Add(int64(r.Total))

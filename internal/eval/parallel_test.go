@@ -3,8 +3,10 @@ package eval
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fixture"
 )
@@ -39,7 +41,7 @@ func resultFingerprint(t *testing.T, r *Result) string {
 // TestEvaluateParallelMatchesSequential is the evaluator half of the
 // determinism contract: sharded evaluation is bit-identical to the
 // sequential loop for any worker count, including counts larger than
-// the trace.
+// the trace, and leaves no goroutine running.
 func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 500, 7)
@@ -55,9 +57,11 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := resultFingerprint(t, a.Evaluate(tr))
+		want := resultFingerprint(t, a.EvaluateParallel(tr, 1))
 		for _, workers := range []int{1, 2, 3, 8, 16, 1000} {
+			before := runtime.NumGoroutine()
 			got := resultFingerprint(t, a.EvaluateParallel(tr, workers))
+			waitGoroutines(t, before)
 			if got != want {
 				t.Fatalf("%s k=%d workers=%d: result diverged\n got %s\nwant %s",
 					sol.name, sol.k, workers, got, want)
@@ -132,5 +136,66 @@ func TestEvaluatePackageLevelUnchanged(t *testing.T) {
 	r2 := a.EvaluateParallel(tr, 4)
 	if resultFingerprint(t, r1) != resultFingerprint(t, r2) {
 		t.Fatal("package-level Evaluate diverged from EvaluateParallel")
+	}
+}
+
+// TestEvaluateShardCutoff pins the small-input serial cutoff: a trace of
+// fewer than 2*minShardTxns transactions is scored as one shard whatever
+// the worker count, a longer one splits into at most n/minShardTxns
+// shards, and the Result is identical at workers 1, 2 and 8 on either
+// side of the cutoff, as it is from Evaluate's GOMAXPROCS default. No
+// goroutine outlives a sharded call.
+func TestEvaluateShardCutoff(t *testing.T) {
+	d := fixture.CustInfoDB()
+	a, err := NewAssigner(d, joinExtensionSolution(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{minShardTxns - 1, 2*minShardTxns - 1, 20 * minShardTxns} {
+		tr := fixture.MixedTrace(d, n, 3)
+		if tr.Len() != n {
+			t.Fatalf("fixture trace has %d transactions, want %d", tr.Len(), n)
+		}
+		want := resultFingerprint(t, a.EvaluateParallel(tr, 1))
+		for _, workers := range []int{1, 2, 8} {
+			wantShards := 1
+			if n >= 2*minShardTxns {
+				wantShards = min(workers, n/minShardTxns)
+			}
+			if got := shardCount(workers, n); got != wantShards {
+				t.Errorf("n=%d workers=%d: %d shards, want %d", n, workers, got, wantShards)
+			}
+			before := runtime.NumGoroutine()
+			got := resultFingerprint(t, a.EvaluateParallel(tr, workers))
+			waitGoroutines(t, before)
+			if got != want {
+				t.Errorf("n=%d workers=%d: result diverged\n got %s\nwant %s", n, workers, got, want)
+			}
+		}
+		before := runtime.NumGoroutine()
+		if got := resultFingerprint(t, a.Evaluate(tr)); got != want {
+			t.Errorf("n=%d: Evaluate diverged from the sequential loop", n)
+		}
+		waitGoroutines(t, before)
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count drops back to
+// before within two seconds: a shard goroutine may still be returning
+// when the call that waited on it returns.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("goroutine leak: %d running after the call, %d before\n%s", n, before, buf)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -174,7 +173,7 @@ func (r *Router) Refresh() ([]string, error) {
 		return nil, err
 	}
 	var rebuilt []string
-	built := map[schema.ColumnRef]*lookupTable{}
+	b := newBuild()
 	for class, route := range r.routes {
 		need := route.broadcast // a new placement may unlock routing
 		for dep := range route.deps {
@@ -202,7 +201,7 @@ func (r *Router) Refresh() ([]string, error) {
 		if a == nil {
 			continue
 		}
-		fresh, err := r.plan(a, built)
+		fresh, err := r.plan(a, b)
 		if err != nil {
 			return nil, err
 		}

@@ -81,7 +81,9 @@ type classRoute struct {
 // New builds a router. For each class it scans the input-parameter
 // filters discovered by the SQL analysis, keeps those whose filtered
 // column belongs to a partitioned table, and materializes a lookup table
-// column-value → partitions by scanning that table once.
+// column-value → partitions from that table's rows. Each partitioned
+// table's rows are placed once per build, whatever number of routing
+// columns it has, and every lookup table over it reads that placement.
 func New(d *db.DB, sol *partition.Solution, analyses []*sqlparse.Analysis) (*Router, error) {
 	if err := sol.Validate(d.Schema()); err != nil {
 		return nil, err
@@ -100,9 +102,9 @@ func New(d *db.DB, sol *partition.Solution, analyses []*sqlparse.Analysis) (*Rou
 			r.fwd[src] = append(r.fwd[src], dst)
 		}
 	}
-	built := map[schema.ColumnRef]*lookupTable{}
+	b := newBuild()
 	for _, a := range analyses {
-		route, err := r.plan(a, built)
+		route, err := r.plan(a, b)
 		if err != nil {
 			return nil, err
 		}
@@ -133,15 +135,30 @@ type lookupTable struct {
 	deps  map[string]bool
 }
 
+// build is the state one New or Refresh call shares across its plans:
+// the lookup tables built so far, by routing column, and the placement
+// column of each partitioned table placed so far. It is dropped when the
+// call returns.
+type build struct {
+	lookups map[schema.ColumnRef]*lookupTable
+	// places holds, per partitioned table, each row slot's partition
+	// under the solution, or -1 for a free slot or an unplaceable row.
+	places map[string][]int32
+}
+
+func newBuild() *build {
+	return &build{lookups: map[schema.ColumnRef]*lookupTable{}, places: map[string][]int32{}}
+}
+
 // plan picks the routing attribute for one class: among all (parameter,
 // filtered column) candidates it builds each lookup table and keeps the
 // one whose values map to the fewest partitions on average — the
 // "compatible and finer than the partitioning attribute" criterion of §3.
 // A candidate no better than broadcasting is rejected. Lookup tables
-// already in built are reused, and new ones are added to it, so one
-// planning pass scans each (table, column) once however many classes
-// and parameters filter on it.
-func (r *Router) plan(a *sqlparse.Analysis, built map[schema.ColumnRef]*lookupTable) (*classRoute, error) {
+// already in b are reused, and new ones are added to it, so one planning
+// pass builds each (table, column) once however many classes and
+// parameters filter on it.
+func (r *Router) plan(a *sqlparse.Analysis, b *build) (*classRoute, error) {
 	route := &classRoute{class: a.Proc.Name, writes: len(a.WriteTables) > 0}
 	// A class that reads only replicated tables can be served by any
 	// single healthy node — the replica-fallback property the degraded
@@ -162,13 +179,13 @@ func (r *Router) plan(a *sqlparse.Analysis, built map[schema.ColumnRef]*lookupTa
 	bestScore := float64(r.sol.K) // broadcast baseline
 	for _, p := range params {
 		for _, col := range a.InputFilters[p] {
-			lt, ok := built[col]
+			lt, ok := b.lookups[col]
 			if !ok {
 				var err error
-				if lt, err = r.buildLookup(col); err != nil {
+				if lt, err = r.buildLookup(col, b); err != nil {
 					return nil, err
 				}
-				built[col] = lt
+				b.lookups[col] = lt
 			}
 			if len(lt.parts) == 0 {
 				continue
@@ -197,16 +214,15 @@ func (r *Router) plan(a *sqlparse.Analysis, built map[schema.ColumnRef]*lookupTa
 }
 
 // buildLookup maps each value of the routing column to the set of
-// partitions holding the matching data, in one scan of the column's
-// table. For a partitioned table it places every row under the
-// solution's join path, navigating from the scanned row. For a
-// replicated or uncovered table it still routes when some column of the
-// table carries the same values as a partitioned table's attribute
-// (connected by FK-component chains): the paper's "compatible and finer"
-// criterion — a CUSTOMER filter pins the partition of the customer's
-// accounts even though CUSTOMER itself is replicated. The table has no
-// entries when neither applies.
-func (r *Router) buildLookup(col schema.ColumnRef) (*lookupTable, error) {
+// partitions holding the matching data, in one pass over the column's
+// table. For a partitioned table it reads each row's partition from the
+// table's placement column. For a replicated or uncovered table it still
+// routes when some column of the table carries the same values as a
+// partitioned table's attribute (connected by FK-component chains): the
+// paper's "compatible and finer" criterion — a CUSTOMER filter pins the
+// partition of the customer's accounts even though CUSTOMER itself is
+// replicated. The table has no entries when neither applies.
+func (r *Router) buildLookup(col schema.ColumnRef, b *build) (*lookupTable, error) {
 	t := r.d.Table(col.Table)
 	ci := t.Meta().ColumnIndex(col.Column)
 	if ci < 0 {
@@ -214,41 +230,39 @@ func (r *Router) buildLookup(col schema.ColumnRef) (*lookupTable, error) {
 	}
 	lt := &lookupTable{deps: map[string]bool{col.Table: true}}
 	ts := r.sol.Table(col.Table)
-	var place func(row value.Tuple) (int, bool)
+	var place func(slot int, row value.Tuple) int
 	if ts != nil && !ts.Replicate {
-		nav, err := r.d.Compile(ts.Path)
+		places, err := r.placement(t, ts, b)
 		if err != nil {
 			return nil, err
 		}
-		place = func(row value.Tuple) (int, bool) {
-			v, ok := nav.FromRow(row)
-			if !ok {
-				return 0, false
+		place = func(slot int, _ value.Tuple) int {
+			if slot >= len(places) {
+				return -1 // inserted after the placement pass
 			}
-			return ts.Mapper.Map(v), true
+			return int(places[slot])
 		}
 	} else if mapper, vi, srcTable, ok := r.equivalentAttribute(t.Meta()); ok {
 		lt.deps[srcTable] = true
-		place = func(row value.Tuple) (int, bool) {
-			return mapper.Map(row[vi]), true
+		place = func(_ int, row value.Tuple) int {
+			return mapper.Map(row[vi])
 		}
 	} else {
 		return lt, nil
 	}
 	sets := map[value.Value]partition.Set{}
 	members := 0
-	t.Scan(func(_ value.Key, row value.Tuple) bool {
-		p, ok := place(row)
-		if !ok {
-			return true // unplaceable row: ignore for routing
+	for slot, row := range t.Rows() {
+		p := place(slot, row)
+		if p < 0 {
+			continue // unplaceable row: ignore for routing
 		}
 		if set := sets[row[ci]]; !set.Has(p) {
 			set.Add(p)
 			sets[row[ci]] = set
 			members++
 		}
-		return true
-	})
+	}
 	// One backing array holds every value's partition list; the capped
 	// slices keep an append to one list from overwriting the next.
 	all := make([]int, 0, members)
@@ -260,6 +274,33 @@ func (r *Router) buildLookup(col schema.ColumnRef) (*lookupTable, error) {
 	}
 	cLookupsBuilt.Inc()
 	return lt, nil
+}
+
+// placement returns the placement column of partitioned table t under
+// its table solution ts, building it on the table's first use in b: one
+// navigation per live row, in slot order.
+func (r *Router) placement(t *db.Table, ts *partition.TableSolution, b *build) ([]int32, error) {
+	if places, ok := b.places[t.Name()]; ok {
+		return places, nil
+	}
+	nav, err := r.d.Compile(ts.Path)
+	if err != nil {
+		return nil, err
+	}
+	places := make([]int32, t.Slots())
+	for i := range places {
+		places[i] = -1
+	}
+	for slot, row := range t.Rows() {
+		if slot >= len(places) {
+			break // inserted after Slots: the lookup skips it too
+		}
+		if v, ok := nav.FromRow(row); ok {
+			places[slot] = int32(ts.Mapper.Map(v))
+		}
+	}
+	b.places[t.Name()] = places
+	return places, nil
 }
 
 // equivalentAttribute finds a column of meta whose values coincide (via
