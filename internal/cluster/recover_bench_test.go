@@ -1,0 +1,91 @@
+package cluster
+
+import (
+	"hash/fnv"
+	"testing"
+
+	"repro/internal/db"
+	"repro/internal/schema"
+	"repro/internal/wal"
+	"repro/internal/workloads"
+	"repro/internal/workloads/tpcc"
+)
+
+// recoverFixture commits the writes of a 1,500-txn TPC-C trace (4
+// warehouses) on a k=8 LocalWAL under dir, each write placed by a hash
+// of its key, with a CHECKPOINT every 64 commits per partition, closes
+// the logs and returns the committed journal: the state the end-of-run
+// recover-and-check starts from.
+func recoverFixture(tb testing.TB, dir string) (*schema.Schema, int, [][]PartOp) {
+	tb.Helper()
+	const k = 8
+	bm := tpcc.New()
+	d, err := bm.Load(workloads.Config{Scale: 4, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr := workloads.GenerateTrace(bm, d, 1500, 2)
+	l, err := NewLocalWAL(d.Schema(), k, dir, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	commits := make([]int, k)
+	l.AfterApply = func(p int) error {
+		if commits[p]++; commits[p]%64 == 0 {
+			return wal.WriteCheckpoint(l.Logs[p], l.Stores[p])
+		}
+		return nil
+	}
+	var committed [][]PartOp
+	var txn uint64
+	for _, t := range tr.All() {
+		opsAt := map[int][]db.Op{}
+		var parts []int
+		for _, acc := range t.Accesses {
+			if !acc.Write {
+				continue
+			}
+			h := fnv.New32a()
+			h.Write([]byte(acc.Key))
+			p := int(h.Sum32() % k)
+			if _, ok := opsAt[p]; !ok {
+				parts = append(parts, p)
+			}
+			opsAt[p] = append(opsAt[p], db.Op{Kind: db.OpTouch, Table: acc.Table, Key: acc.Key})
+		}
+		if len(parts) == 0 {
+			continue
+		}
+		txn++
+		if len(parts) == 1 {
+			err = l.CommitLocal(parts[0], txn, opsAt[parts[0]])
+		} else {
+			err = l.Commit2PC(txn, parts[0], parts, opsAt)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		committed = append(committed, FlattenOps(parts, opsAt))
+	}
+	l.Close()
+	return d.Schema(), k, committed
+}
+
+// BenchmarkRecoverAndCheck times the end-of-run epilogue on a TPC-C
+// commit window's logs: recovery of every partition log, the oracle's
+// re-execution of the committed journal, and the digest comparison.
+func BenchmarkRecoverAndCheck(b *testing.B) {
+	dir := b.TempDir()
+	sc, k, committed := recoverFixture(b, dir)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rc, err := RecoverAndCheck(sc, dir, k, committed, nil, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rc.OracleOK {
+			b.Fatal("oracle diverged")
+		}
+	}
+}
