@@ -10,13 +10,27 @@ import (
 	"repro/internal/trace"
 )
 
-// Participants classifies a transaction under the solution:
-// replicated-write or unplaceable transactions span every node;
-// multi-partition transactions span their partitions; local
-// transactions run on their coordinator only. A fully-replicated read
-// returns no pinned nodes (any node serves it).
-func Participants(a *eval.Assigner, t *trace.Txn, k, txnIndex int) (nodes []int, coord int, distributed bool) {
-	parts, writesReplicated, allPlaced := a.TxnPartitions(t)
+// Participants classifies a transaction from its accesses' placements
+// (eval.Assigner.PlaceTxn order and sentinels): replicated-write or
+// unplaceable transactions span every node; multi-partition
+// transactions span their partitions; local transactions run on their
+// coordinator only. A fully-replicated read returns no pinned nodes (any
+// node serves it).
+func Participants(t *trace.Txn, place []int32, k, txnIndex int) (nodes []int, coord int, distributed bool) {
+	var parts partition.Set
+	writesReplicated, allPlaced := false, true
+	for j, p := range place {
+		switch p {
+		case eval.PlaceUnplaced:
+			allPlaced = false
+		case eval.PlaceReplicated:
+			if t.Accesses[j].Write {
+				writesReplicated = true
+			}
+		default:
+			parts.Add(int(p))
+		}
+	}
 	coord = Coordinator(&parts, k, txnIndex)
 	switch {
 	case writesReplicated || !allPlaced:
@@ -51,28 +65,28 @@ func PartitionIDs(k int) []int {
 }
 
 // WriteEffects routes a transaction's writes to owning partitions as
-// touch ops: placed keys go to their partition, replicated-table writes
-// fan out to every partition, unplaceable keys execute at the
-// coordinator. The returned partition list is sorted.
-func WriteEffects(a *eval.Assigner, t *trace.Txn, k, coord int) ([]int, map[int][]db.Op) {
+// touch ops, from its accesses' placements: placed keys go to their
+// partition, replicated-table writes fan out to every partition,
+// unplaceable keys execute at the coordinator. The returned partition
+// list is sorted.
+func WriteEffects(t *trace.Txn, place []int32, k, coord int) ([]int, map[int][]db.Op) {
 	opsAt := map[int][]db.Op{}
 	add := func(p int, acc trace.Access) {
 		opsAt[p] = append(opsAt[p], db.Op{Kind: db.OpTouch, Table: acc.Table, Key: acc.Key})
 	}
-	for _, acc := range t.Accesses {
+	for j, acc := range t.Accesses {
 		if !acc.Write {
 			continue
 		}
-		p, ok := a.PlaceKey(acc)
-		switch {
-		case !ok:
+		switch p := place[j]; p {
+		case eval.PlaceUnplaced:
 			add(coord, acc)
-		case p == partition.Replicated:
+		case eval.PlaceReplicated:
 			for n := 0; n < k; n++ {
 				add(n, acc)
 			}
 		default:
-			add(p, acc)
+			add(int(p), acc)
 		}
 	}
 	parts := make([]int, 0, len(opsAt))

@@ -4,17 +4,9 @@ import (
 	"context"
 
 	"repro/internal/db"
+	"repro/internal/eval"
 	"repro/internal/partition"
 	"repro/internal/schema"
-)
-
-// Placement sentinels of an option column. Real partitions are >= 0;
-// placeReplicated mirrors partition.Replicated and placeUnplaced marks an
-// access whose table the solution does not cover or whose join path
-// dangles (the same encoding as eval.PlaceIndex).
-const (
-	placeReplicated int32 = partition.Replicated
-	placeUnplaced   int32 = -2
 )
 
 // comboScorer costs phase-3 solutions on the training trace by scanning
@@ -113,8 +105,8 @@ func newComboScorer(tr resolvedStream) *comboScorer {
 	s.replicated = make([]int32, longest)
 	s.unplaced = make([]int32, longest)
 	for i := range s.replicated {
-		s.replicated[i] = placeReplicated
-		s.unplaced[i] = placeUnplaced
+		s.replicated[i] = eval.PlaceReplicated
+		s.unplaced[i] = eval.PlaceUnplaced
 	}
 	return s
 }
@@ -195,7 +187,7 @@ func (s *comboScorer) placeTable(d *db.DB, table string, opts []*partition.Table
 		}
 		row := s.rows.row(t, code)
 		for _, k := range placed {
-			p := placeUnplaced
+			p := eval.PlaceUnplaced
 			if v, ok := navs[k].FromRow(row); ok {
 				p = int32(opts[k].Mapper.Map(v))
 			}
@@ -259,10 +251,10 @@ func (s *comboScorer) distributed(cols [][]int32) int {
 	dist := 0
 	lo := int32(0)
 	for _, hi := range s.txnEnd {
-		first := placeUnplaced // no real partition seen yet
+		first := eval.PlaceUnplaced // no real partition seen yet
 		for j := lo; j < hi; j++ {
 			p := cols[s.table[j]][s.ord[j]]
-			if p == placeUnplaced || (p == placeReplicated && s.write[j]) ||
+			if p == eval.PlaceUnplaced || (p == eval.PlaceReplicated && s.write[j]) ||
 				(p >= 0 && first >= 0 && p != first) {
 				dist++
 				break

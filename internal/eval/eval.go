@@ -155,6 +155,69 @@ func (a *Assigner) PlaceKey(acc trace.Access) (int, bool) {
 	return b.mapper.Map(v), true
 }
 
+// place is PlaceKey in PlaceIndex's encoding: a partition,
+// PlaceReplicated, or PlaceUnplaced.
+func (a *Assigner) place(acc trace.Access) int32 {
+	p, ok := a.PlaceKey(acc)
+	switch {
+	case !ok:
+		return PlaceUnplaced
+	case p == partition.Replicated:
+		return PlaceReplicated
+	default:
+		return int32(p)
+	}
+}
+
+// PlaceTxn appends the placement of each of t's accesses, in access
+// order, to dst and returns the extended slice: a partition in [0..k),
+// PlaceReplicated, or PlaceUnplaced, as PlaceKey decides. It does not
+// allocate when dst has room.
+func (a *Assigner) PlaceTxn(t *trace.Txn, dst []int32) []int32 {
+	for _, acc := range t.Accesses {
+		dst = append(dst, a.place(acc))
+	}
+	return dst
+}
+
+// TracePlacement is the placement of every access of one trace, computed
+// once by PlaceTrace.
+type TracePlacement struct {
+	place []int32
+	end   []int // end[i] is one past transaction i's last placement
+}
+
+// Txn returns transaction i's placements, as PlaceTxn appends them.
+func (p *TracePlacement) Txn(i int) []int32 {
+	lo := 0
+	if i > 0 {
+		lo = p.end[i-1]
+	}
+	return p.place[lo:p.end[i]:p.end[i]]
+}
+
+// PlaceTrace places every access of tr with PlaceTxn into one array,
+// sharded like EvaluateParallel: contiguous transaction ranges of at
+// least minShardTxns on at most workers goroutines, each filling its own
+// part of the array, so the placements are identical for any worker
+// count. Safe for concurrent use.
+func (a *Assigner) PlaceTrace(tr *trace.Trace, workers int) *TracePlacement {
+	n := tr.Len()
+	p := &TracePlacement{end: make([]int, n)}
+	total := 0
+	for i := 0; i < n; i++ {
+		total += len(tr.At(i).Accesses)
+		p.end[i] = total
+	}
+	p.place = make([]int32, total)
+	forShards(shardCount(workers, n), n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a.PlaceTxn(tr.At(i), p.Txn(i)[:0])
+		}
+	})
+	return p
+}
+
 // TxnPartitions classifies a transaction under the bound solution: the set
 // of distinct real partitions its non-replicated accesses touch, whether it
 // writes a replicated tuple, and whether every access could be placed. The
@@ -269,6 +332,26 @@ func shardCount(workers, n int) int {
 	return max(1, min(workers, n/minShardTxns))
 }
 
+// forShards splits [0, n) into the given number of contiguous ranges,
+// shard w being [w·n/shards, (w+1)·n/shards), and runs fn on each: on
+// the caller's goroutine when there is one shard, else one goroutine per
+// shard. It returns once every shard is done.
+func forShards(shards, n int, fn func(w, lo, hi int)) {
+	if shards <= 1 {
+		fn(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < shards; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fn(w, w*n/shards, (w+1)*n/shards)
+		}(w)
+	}
+	wg.Wait()
+}
+
 // EvaluateParallel scores the bound solution on a trace with at most the
 // given worker count, sharding the transactions into contiguous ranges
 // of at least minShardTxns, scored concurrently and merged
@@ -288,17 +371,9 @@ func (a *Assigner) EvaluateParallel(tr *trace.Trace, workers int) *Result {
 	}
 	gEvalWorkers.Set(float64(workers))
 	shards := make([]*Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			shards[w] = a.evalShard(tr, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	forShards(workers, n, func(w, lo, hi int) {
+		shards[w] = a.evalShard(tr, lo, hi)
+	})
 	r := shards[0]
 	for _, s := range shards[1:] {
 		r.merge(s)

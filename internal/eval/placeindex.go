@@ -8,13 +8,13 @@ import (
 
 var cIndexBuilds = obs.Default.Counter("eval.place_index_builds")
 
-// Placement sentinels in a PlaceIndex. Real partitions are >= 0;
-// placeReplicated mirrors partition.Replicated and placeUnplaced marks a
-// tuple whose table the solution does not cover or whose join path
-// dangles.
+// Placement sentinels of PlaceIndex and PlaceTxn. Real partitions are
+// >= 0; PlaceReplicated mirrors partition.Replicated and PlaceUnplaced
+// marks a tuple whose table the solution does not cover or whose join
+// path dangles.
 const (
-	placeReplicated int32 = -1
-	placeUnplaced   int32 = -2
+	PlaceReplicated int32 = -1
+	PlaceUnplaced   int32 = -2
 )
 
 // PlaceIndex is the join-path index: the bound solution's placement of
@@ -26,7 +26,7 @@ const (
 type PlaceIndex struct {
 	a     *Assigner
 	c     *trace.Columnar
-	place []int32 // per key id: partition, placeReplicated, or placeUnplaced
+	place []int32 // per key id: partition, PlaceReplicated, or PlaceUnplaced
 }
 
 // Index resolves every distinct key of the columnar trace through the
@@ -38,15 +38,7 @@ func (a *Assigner) Index(c *trace.Columnar) *PlaceIndex {
 		tid, key := c.KeyOf(uint32(keyID))
 		acc.Table = c.TableName(tid)
 		acc.Key = key
-		p, ok := a.PlaceKey(acc)
-		switch {
-		case !ok:
-			idx.place[keyID] = placeUnplaced
-		case p == partition.Replicated:
-			idx.place[keyID] = placeReplicated
-		default:
-			idx.place[keyID] = int32(p)
-		}
+		idx.place[keyID] = a.place(acc)
 	}
 	cIndexBuilds.Inc()
 	return idx
@@ -59,9 +51,9 @@ func (idx *PlaceIndex) TxnPartitions(i int) (parts partition.Set, writesReplicat
 	lo, hi := idx.c.AccessRange(i)
 	for j := lo; j < hi; j++ {
 		switch p := idx.place[idx.c.AccessKey(j)]; p {
-		case placeUnplaced:
+		case PlaceUnplaced:
 			allPlaced = false
-		case placeReplicated:
+		case PlaceReplicated:
 			if idx.c.AccessWrite(j) {
 				writesReplicated = true
 			}
@@ -100,9 +92,9 @@ func (idx *PlaceIndex) evaluate() *Result {
 		lo, hi := c.AccessRange(i)
 		for j := lo; j < hi; j++ {
 			switch p := idx.place[c.AccessKey(j)]; p {
-			case placeUnplaced:
+			case PlaceUnplaced:
 				allPlaced = false
-			case placeReplicated:
+			case PlaceReplicated:
 				if c.AccessWrite(j) {
 					writesReplicated = true
 				}

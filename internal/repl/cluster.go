@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/eval"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -244,7 +243,6 @@ type harness struct {
 	cfg Config
 	k   int
 	sc  *faults.Scenario
-	a   *eval.Assigner
 	inj *faults.Injector
 	rec *obs.Recorder
 

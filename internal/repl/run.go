@@ -47,14 +47,13 @@ func removeGroupLogs(dir string) error {
 // buildHarness wires k replica groups (each N=R+1 member endpoints), the
 // driver, and one detector endpoint per group over the configured
 // transport, chaos-wrapped per scenario.
-func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, a *eval.Assigner, inj *faults.Injector, res *Result) (*harness, error) {
+func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Injector, res *Result) (*harness, error) {
 	k := sol.K
 	nEp := k*(cfg.Replicas+1) + 1 + k
 	h := &harness{
 		cfg:      cfg,
 		k:        k,
 		sc:       cfg.Scenario,
-		a:        a,
 		inj:      inj,
 		rec:      cfg.Recorder,
 		eps:      make([]transport.Transport, nEp),
@@ -429,7 +428,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		Transport:  cfg.Transport,
 		Offered:    tr.Len(),
 	}
-	h, err := buildHarness(d, sol, cfg, a, inj, res)
+	h, err := buildHarness(d, sol, cfg, inj, res)
 	if err != nil {
 		return nil, err
 	}
@@ -518,9 +517,11 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	}
 
 	var nextTxn uint64
+	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
 	for i, t := range tr.All() {
 		arrival := float64(i) / cfg.ArrivalRateTPS
-		nodes, coord, distributed := cluster.Participants(a, t, k, i)
+		place := placed.Txn(i)
+		nodes, coord, distributed := cluster.Participants(t, place, k, i)
 		traceID := obs.TxnID(cfg.Seed, i)
 		rec.Record(traceID, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
 		dist := int64(0)
@@ -540,7 +541,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 			if len(nodes) == 0 {
 				execCoord = i % k
 			}
-			writeParts, opsAt := cluster.WriteEffects(a, t, k, execCoord)
+			writeParts, opsAt := cluster.WriteEffects(t, place, k, execCoord)
 
 			if len(writeParts) == 0 {
 				// Read-only (or fully-replicated read): no wire round — the

@@ -127,6 +127,7 @@ type engine struct {
 	tr     *trace.Trace
 	rt     *router.Router
 	asg    *eval.Assigner
+	place  []int32 // the resolving request's access placements
 	inj    *faults.Injector
 	local  *cluster.LocalWAL
 	adm    *admission
@@ -485,7 +486,8 @@ func (e *engine) resolve(info *doneInfo, now float64) error {
 		return nil
 	}
 	coord := info.dec.Partitions[0]
-	writeParts, opsAt := cluster.WriteEffects(e.asg, req.t, e.sol.K, coord)
+	e.place = e.asg.PlaceTxn(req.t, e.place[:0])
+	writeParts, opsAt := cluster.WriteEffects(req.t, e.place, e.sol.K, coord)
 	if err := e.commit(req.traceID, now, writeParts, opsAt, coord); err != nil {
 		return err
 	}

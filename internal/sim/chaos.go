@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/cluster"
 	"repro/internal/db"
@@ -168,10 +169,8 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 	// Failure-free baseline under the same arrival process and cost
 	// shape: every transaction commits on first attempt, so the run ends
 	// at max(last arrival, bottleneck busy time).
-	base, err := runPlain(d, sol, tr, cfg.Config)
-	if err != nil {
-		return nil, err
-	}
+	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
+	base := replayPlain(tr, placed, sol.K, cfg.Config)
 	res := &ChaosResult{
 		Scenario: sc.Name,
 		Seed:     seed,
@@ -198,7 +197,7 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 
 	for i, t := range tr.All() {
 		arrival := float64(i) / cfg.ArrivalRateTPS
-		nodes, coord, distributed := cluster.Participants(a, t, sol.K, i)
+		nodes, coord, distributed := cluster.Participants(t, placed.Txn(i), sol.K, i)
 		txn := obs.TxnID(seed, i)
 		rec.Record(txn, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
 		dist := int64(0)

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/cluster"
 	"repro/internal/db"
@@ -294,9 +295,11 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 
 	var nextTxn uint64                  // monotonically increasing per-attempt txn id
 	var committedOps [][]cluster.PartOp // committed write effects, in commit order
+	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
 	for i, t := range tr.All() {
 		arrival := float64(i) / cfg.ArrivalRateTPS
-		nodes, coord, distributed := cluster.Participants(a, t, sol.K, i)
+		place := placed.Txn(i)
+		nodes, coord, distributed := cluster.Participants(t, place, sol.K, i)
 		traceID := obs.TxnID(seed, i)
 		rec.Record(traceID, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
 		dist := int64(0)
@@ -320,7 +323,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 					execNodes, execCoord = []int{coord}, coord
 				}
 			}
-			writeParts, opsAt := cluster.WriteEffects(a, t, sol.K, execCoord)
+			writeParts, opsAt := cluster.WriteEffects(t, place, sol.K, execCoord)
 
 			blocked := false
 			for _, n := range execNodes {

@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/cluster"
 	"repro/internal/db"
@@ -90,14 +91,20 @@ func (r *Result) String() string {
 // runPlain simulates the trace under the solution: the engine behind
 // New(Scenario{Mode: ModePlain, ...}).Run(ctx).
 func runPlain(d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	a, err := eval.NewAssigner(d, sol)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Nodes: sol.K, NodeWork: make([]float64, sol.K)}
+	return replayPlain(tr, a.PlaceTrace(tr, runtime.GOMAXPROCS(0)), sol.K, cfg), nil
+}
+
+// replayPlain is runPlain over the trace's placements, computed once by
+// the caller.
+func replayPlain(tr *trace.Trace, placed *eval.TracePlacement, k int, cfg Config) *Result {
+	cfg = cfg.withDefaults()
+	res := &Result{Nodes: k, NodeWork: make([]float64, k)}
 	for i, t := range tr.All() {
-		nodes, coord, distributed := cluster.Participants(a, t, sol.K, i)
+		nodes, coord, distributed := cluster.Participants(t, placed.Txn(i), k, i)
 		if distributed {
 			res.Distributed++
 		} else {
@@ -113,7 +120,7 @@ func runPlain(d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg Config) (*
 		obs.Observe("sim.node_work", w)
 	}
 	finalize(res, tr.Len(), cfg)
-	return res, nil
+	return res
 }
 
 // finalize derives throughput and speedup from the accumulated node work.

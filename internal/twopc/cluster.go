@@ -3,6 +3,7 @@ package twopc
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -387,9 +388,11 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 
 	var nextTxn uint64
 	var committedOps [][]cluster.PartOp
+	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
 	for i, t := range tr.All() {
 		arrival := float64(i) / cfg.ArrivalRateTPS
-		nodes, coord, distributed := cluster.Participants(a, t, k, i)
+		place := placed.Txn(i)
+		nodes, coord, distributed := cluster.Participants(t, place, k, i)
 		traceID := obs.TxnID(cfg.Seed, i)
 		rec.Record(traceID, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
 		dist := int64(0)
@@ -417,7 +420,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 					execNodes, execCoord = []int{coord}, coord
 				}
 			}
-			writeParts, opsAt := cluster.WriteEffects(a, t, k, execCoord)
+			writeParts, opsAt := cluster.WriteEffects(t, place, k, execCoord)
 
 			blocked := false
 			for _, n := range execNodes {
