@@ -95,9 +95,10 @@ func txnRecords(txn uint64, ops []db.Op, tail RecType, tailPayload []byte) []Rec
 }
 
 // TestAppendTxnMatchesAppend pins the batched appends to the per-record
-// path: AppendTxn and AppendBatch must leave the same file bytes, log
-// length, counter and HDR deltas and observer call sequence as a loop of
-// Append — on a fresh log and on one reopened with OpenAt.
+// path: AppendTxn, AppendBatch and WriteCheckpoint must leave the same
+// file bytes, log length, counter and HDR deltas and observer call
+// sequence as a loop of Append — on a fresh log and on one reopened with
+// OpenAt.
 func TestAppendTxnMatchesAppend(t *testing.T) {
 	sc := testSchema()
 	snap := db.New(sc)
@@ -115,6 +116,12 @@ func TestAppendTxnMatchesAppend(t *testing.T) {
 	batch := append(txnRecords(6, ops[:1], RecCommit, nil),
 		Record{Type: RecCheckpoint, Payload: snap.EncodeSnapshot()},
 		Record{Type: RecAbort, Txn: 7})
+	big := db.New(sc)
+	for i := int64(0); i < 5000; i++ {
+		big.Table("ORDERS").Touch(key(i))
+	}
+	ckpts := append([]Record{{Type: RecCheckpoint, Payload: big.EncodeSnapshot()}},
+		append(txnRecords(8, ops, RecCommit, nil), Record{Type: RecCheckpoint, Payload: snap.EncodeSnapshot()})...)
 	cases := []batchCase{
 		{"zero-ops-no-tail", txnRecords(1, nil, 0, nil),
 			func(l *Log) error { return l.AppendTxn(1, nil, 0, nil) }},
@@ -128,6 +135,17 @@ func TestAppendTxnMatchesAppend(t *testing.T) {
 			func(l *Log) error { return l.AppendTxn(5, ops, RecCommit, nil) }},
 		{"batch-with-checkpoint", batch, func(l *Log) error { return l.AppendBatch(batch) }},
 		{"empty-batch", nil, func(l *Log) error { return l.AppendBatch(nil) }},
+		{"checkpoints", ckpts, func(l *Log) error {
+			// A large checkpoint, a protocol step, then a smaller
+			// checkpoint in the reused checkpoint buffer.
+			if err := WriteCheckpoint(l, big); err != nil {
+				return err
+			}
+			if err := l.AppendTxn(8, ops, RecCommit, nil); err != nil {
+				return err
+			}
+			return WriteCheckpoint(l, snap)
+		}},
 	}
 	for _, reopened := range []bool{false, true} {
 		for _, tc := range cases {

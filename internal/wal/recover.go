@@ -408,9 +408,15 @@ func RecoverDir(sc *schema.Schema, dir string) (*ClusterRecovery, error) {
 }
 
 // WriteCheckpoint appends a CHECKPOINT record carrying the store's
-// snapshot to the log.
+// snapshot to the log. The snapshot is encoded straight into the frame,
+// in a buffer the log keeps for its next checkpoint; the bytes are those
+// of Append(RecCheckpoint, 0, d.EncodeSnapshot()).
 func WriteCheckpoint(l *Log, d *db.DB) error {
-	return l.Append(RecCheckpoint, 0, d.EncodeSnapshot())
+	var start int
+	l.ckpt, start = beginFrame(l.ckpt[:0], RecCheckpoint, 0)
+	l.ckpt = endFrame(d.AppendSnapshot(l.ckpt), start)
+	l.frames = append(l.frames[:0], frameMark{typ: RecCheckpoint, end: len(l.ckpt)})
+	return l.write(l.ckpt)
 }
 
 // RemoveLogs deletes every partition log in dir (fresh-run setup).
