@@ -25,15 +25,34 @@ type Recovery struct {
 
 // RecoverAndCheck runs after the end-of-run full-cluster crash, once
 // every partition log under dir is closed. It replays the logs with
-// presumed-abort resolution, records one run-level EvRecover event per
-// partition in partition order at virtual time vt, re-executes exactly
-// the committed journal on k fresh stores, and compares the combined
-// per-table digests.
+// presumed-abort resolution and, beside it on a second goroutine,
+// re-executes exactly the committed journal on k fresh stores; then it
+// records one run-level EvRecover event per partition in partition order
+// at virtual time vt and compares the combined per-table digests. When
+// both sides fail, the recovery error is the one returned.
 func RecoverAndCheck(sc *schema.Schema, dir string, k int, committed [][]PartOp, rec *obs.Recorder, vt float64) (*Recovery, error) {
+	type oracleResult struct {
+		want map[string]uint64
+		err  error
+	}
+	oracleDone := make(chan oracleResult, 1)
+	go func() {
+		want, err := replayOracle(sc, k, committed)
+		oracleDone <- oracleResult{want, err}
+	}()
 	cr, err := wal.RecoverDir(sc, dir)
+	var got map[string]uint64
+	if err == nil {
+		got = cr.TableDigests()
+	}
+	oracle := <-oracleDone
 	if err != nil {
 		return nil, err
 	}
+	if oracle.err != nil {
+		return nil, oracle.err
+	}
+
 	out := &Recovery{
 		TornTails:        cr.TornTails,
 		InDoubtCommitted: cr.InDoubtCommitted,
@@ -49,6 +68,20 @@ func RecoverAndCheck(sc *schema.Schema, dir string, k int, committed [][]PartOp,
 		rec.Record(0, obs.EvRecover, p, 0, vt, int64(len(cr.Parts[p].Committed)))
 	}
 
+	out.OracleOK = len(oracle.want) == len(got)
+	out.TableDigests = make(map[string]string, len(got))
+	for name, dg := range got {
+		out.TableDigests[name] = fmt.Sprintf("%016x", dg)
+		if oracle.want[name] != dg {
+			out.OracleOK = false
+		}
+	}
+	return out, nil
+}
+
+// replayOracle re-executes the committed journal on k fresh stores and
+// returns their combined per-table digests.
+func replayOracle(sc *schema.Schema, k int, committed [][]PartOp) (map[string]uint64, error) {
 	oracle := make([]*db.DB, k)
 	for p := range oracle {
 		oracle[p] = db.New(sc)
@@ -60,15 +93,5 @@ func RecoverAndCheck(sc *schema.Schema, dir string, k int, committed [][]PartOp,
 			}
 		}
 	}
-	want := wal.CombineDigests(oracle)
-	got := cr.TableDigests()
-	out.OracleOK = len(want) == len(got)
-	out.TableDigests = make(map[string]string, len(got))
-	for name, dg := range got {
-		out.TableDigests[name] = fmt.Sprintf("%016x", dg)
-		if want[name] != dg {
-			out.OracleOK = false
-		}
-	}
-	return out, nil
+	return wal.CombineDigests(oracle), nil
 }
