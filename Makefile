@@ -26,17 +26,18 @@ verify:
 # BenchmarkRouterNew/{tpcc,tpce} — then the
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
 # in isolation, each at 1/2/8 workers, then the commit path: one store
-# commit, one WAL protocol step, and a small TPC-C commit window through
-# networked 2PC and through quorum replica groups; last, trace generation
-# at the jecbbench sizes.
+# commit, one WAL protocol step, one checkpoint encoding and digest fold,
+# one end-of-run recover-and-check, and a small TPC-C commit window
+# through networked 2PC and through quorum replica groups; last, trace
+# generation at the jecbbench sizes.
 bench:
 	$(GO) test -bench='PathEval|Evaluate|GraphPartition|RouterNew|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
 	$(GO) test -bench='BenchmarkPartition' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
 	$(GO) test -bench='EvaluateParallel' -benchmem -run=^$$ ./internal/eval/
-	$(GO) test -bench='CommitOps|LogAppendTxn' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
+	$(GO) test -bench='CommitOps|LogAppendTxn|EncodeSnapshot|TableDigest' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
 	$(GO) test -bench='GenerateTrace' -benchmem -benchtime=3x -run=^$$ ./internal/workloads/
-	$(GO) test -bench='TwoPCWindow|ReplQuorumWindow' -benchmem -run=^$$ ./internal/twopc/ ./internal/repl/
+	$(GO) test -bench='RecoverAndCheck|TwoPCWindow|ReplQuorumWindow' -benchmem -run=^$$ ./internal/cluster/ ./internal/twopc/ ./internal/repl/
 
 # bench-export writes BENCH_obs.json, the machine-readable perf
 # trajectory (ns/op, allocs/op, B/op per micro-benchmark),
