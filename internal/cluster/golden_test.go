@@ -38,8 +38,19 @@ const (
 )
 
 // goldenEngines lists each run's SHA-256 triple: Result JSON, flight
-// dump, and every WAL file under the run's directory.
+// dump, and every WAL file under the run's directory. The chaos runs
+// write no WAL, so their third hash is that of an empty directory.
 var goldenEngines = map[string][3]string{
+	"chaos/rolling": {
+		"04be8b12b316ff642e92cdc7b7a9d3f5d6f2e6d116826cc7c1dd313b4635469b",
+		"ba972223871ceac92fa76f7fd5f0f895684a0ea17e25c20f6b8b820799d90b1e",
+		"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+	},
+	"chaos/flaky-network": {
+		"c69272435f6e2ca4d7d290b6704414b33f0289e5711fb4d6b5282812801ead17",
+		"cb24d4fb74e9638553f50acf595486f63ad4446d6ee771b9ec551c736fd39c22",
+		"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+	},
 	"durable/part-crash": {
 		"3eabb624683ba9eaf5264cff997ce660397a357e72bd81343fa6ea4c3a1415f0",
 		"3cbaf8704bcf7973ad4a60f513e41e822b76c2600e2a71e875c47a48825b8b91",
@@ -60,6 +71,11 @@ var goldenEngines = map[string][3]string{
 		"6ce39956af1b4c73a1bfeece5da1a3a3fccf31e81b19597082000dab582e5695",
 		"add1a23e82e9dc9a5fabc212884b430e006f1a15953c6a914e1d75cc0d0c1172",
 	},
+	"twopc/bus/prep-crash": {
+		"016d2a4467a271c180a70ac63e4bcf83a4d62077748cc836fe4f30e3f8cf9041",
+		"91d3f9a0859295f1c4e86c13ab546e2febf0dcea37cb5549ccc714106512308d",
+		"355ad0a8a222c93d9fd71ba94a7a0af67b790512515b59402e3629928c857fd3",
+	},
 	"twopc/bus-standby/coord-crash": {
 		"a5225b34a868bf5d74b073c49a4312d1fa0bbf2ee9a7342baff0505108a3f8a3",
 		"61144b686167c2ffe86c49bbe43f5fd8a44647a4a1ea27d01d48c5e4f10dab32",
@@ -74,6 +90,11 @@ var goldenEngines = map[string][3]string{
 		"77a46a4442cd45c93493ab6832d0df63d12141c3306f8bb9ce3af8abdd2694ce",
 		"4e6ec3a312eecc4742f136da701467768b24bb094d27c438881176bf9ccf375f",
 		"68db11eddf21cea1580c82a4776923c83a3e9adffb34cb3d649c8dc3989ebc60",
+	},
+	"repl/async/single-crash": {
+		"419ac94e127a3aacdeb28ca74ffdef7244051bee76a63a403354d30a7c9b503a",
+		"0d340e461fc945b4a12cca89bd5bb2799b70a90d453c5c0c040782308c04413d",
+		"a6bf1b01b39fd87a49126220224d1eba315be2681987ccf0f622c86a7707db21",
 	},
 	"serve/wal/flaky-network": {
 		"38683e6ad3cebfcc8c5fa2ff24f4567dfedea9bc3f04fac91170e39285ad9a32",
@@ -112,15 +133,22 @@ type engineRun struct {
 
 func engineRuns() []engineRun {
 	var runs []engineRun
+	for _, f := range []string{"rolling", "flaky-network"} {
+		runs = append(runs, engineRun{name: "chaos/" + f, mode: sim.ModeChaos, faults: f})
+	}
 	for _, f := range []string{"part-crash", "prep-crash", "coord-crash", "flaky-network"} {
 		runs = append(runs, engineRun{name: "durable/" + f, mode: sim.ModeDurable, faults: f})
 	}
+	runs = append(runs, engineRun{name: "twopc/bus/prep-crash", mode: sim.ModeTwoPC,
+		faults: "prep-crash", twopc: twopc.Config{Transport: "bus"}})
 	runs = append(runs, engineRun{name: "twopc/bus-standby/coord-crash", mode: sim.ModeTwoPC,
 		faults: "coord-crash", twopc: twopc.Config{Transport: "bus", Standby: true}})
 	for _, f := range []string{"primary-crash-mid-ship", "backup-crash-mid-catchup"} {
 		runs = append(runs, engineRun{name: "repl/quorum/" + f, mode: sim.ModeReplicated,
 			faults: f, repl: repl.Config{CommitRule: repl.RuleQuorum}})
 	}
+	runs = append(runs, engineRun{name: "repl/async/single-crash", mode: sim.ModeReplicated,
+		faults: "single-crash", repl: repl.Config{CommitRule: repl.RuleAsync}})
 	runs = append(runs, engineRun{name: "serve/wal/flaky-network", mode: sim.ModeServe,
 		faults: "flaky-network", serve: true})
 	return runs
@@ -203,6 +231,8 @@ func resultHash(t *testing.T, r *sim.RunResult) string {
 	t.Helper()
 	var v any
 	switch {
+	case r.Chaos != nil:
+		v = r.Chaos
 	case r.Durable != nil:
 		v = r.Durable
 	case r.TwoPC != nil:
