@@ -28,19 +28,6 @@
 //	sim.RunDriftAdaptive(…)                     sim.New(sim.Scenario{Mode: sim.ModeDriftAdaptive, Repartition:…}).Run(ctx)
 //	sim.RunDriftOracle(…)                       sim.New(sim.Scenario{Mode: sim.ModeDriftOracle, Repartition:…}).Run(ctx)
 //
-// Two router entry points remain as deprecated-but-working wrappers
-// (they are the implementation behind the canonical call):
-//
-//	Deprecated entry point                      Canonical replacement
-//	------------------------------------------  ------------------------------------------------
-//	router.(*Router).RoutePartitions(c, p)      router.(*Router).Route(ctx, router.Request{Class: c, Params: p})
-//	router.(*Router).RouteSafe(c, p, h)         router.(*Router).Route(ctx, router.Request{Class: c, Params: p, Health: h})
-//	router.(*EpochRouter).RoutePartitions(c,p)  router.(*EpochRouter).Route(ctx, router.Request{…})
-//	router.(*EpochRouter).RouteSafe(c, p, h)    router.(*EpochRouter).Route(ctx, router.Request{…})
-//
-// (Router.Route's old health-oblivious signature was renamed
-// RoutePartitions to free the canonical name; a nil Request.Health
-// routes as if every node were up and reproduces its partition sets.)
 // The search itself is parallel behind core.Options.Parallelism with
 // bit-identical results for any worker count — see DESIGN.md, "Parallel
 // search & the determinism contract".

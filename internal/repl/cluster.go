@@ -95,12 +95,7 @@ func (c Config) withDefaults(traceLen int) Config {
 	if c.SnapshotLag <= 0 {
 		c.SnapshotLag = 512
 	}
-	if c.ArrivalRateTPS <= 0 {
-		c.ArrivalRateTPS = float64(traceLen) / 8
-		if c.ArrivalRateTPS <= 0 {
-			c.ArrivalRateTPS = 1
-		}
-	}
+	c.ArrivalRateTPS = cluster.ArrivalRate(c.ArrivalRateTPS, traceLen)
 	c.Retry = c.Retry.WithDefaults()
 	c.Wire = c.Wire.WithDefaults()
 	if c.Wire.BaseBackoffSec == 0.010 { // faults default is tuned for txn retries

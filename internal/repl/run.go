@@ -49,60 +49,33 @@ func removeGroupLogs(dir string) error {
 // transport, chaos-wrapped per scenario.
 func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Injector, res *Result) (*harness, error) {
 	k := sol.K
-	nEp := k*(cfg.Replicas+1) + 1 + k
+	bus, eps, err := transport.NewChaosEndpoints(cfg.Transport, k*(cfg.Replicas+1)+1+k, transport.FaultPolicy{
+		Seed:       cfg.Seed,
+		LossProb:   cfg.Scenario.MsgLossProb,
+		SpikeProb:  cfg.Scenario.LatencySpikeProb,
+		SpikeDelay: cfg.SpikeDelay,
+		Exempt:     exemptType,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("repl: %w", err)
+	}
 	h := &harness{
 		cfg:      cfg,
 		k:        k,
 		sc:       cfg.Scenario,
 		inj:      inj,
 		rec:      cfg.Recorder,
-		eps:      make([]transport.Transport, nEp),
+		bus:      bus,
+		eps:      eps,
 		driverID: k * (cfg.Replicas + 1),
 		res:      res,
 		wg:       &sync.WaitGroup{},
 	}
-	pol := transport.FaultPolicy{
-		Seed:       cfg.Seed,
-		LossProb:   cfg.Scenario.MsgLossProb,
-		SpikeProb:  cfg.Scenario.LatencySpikeProb,
-		SpikeDelay: cfg.SpikeDelay,
-		Exempt:     exemptType,
-	}
-	switch cfg.Transport {
-	case "bus":
-		h.bus = transport.NewBus()
-		for id := 0; id < nEp; id++ {
-			ep, err := h.bus.Endpoint(id)
-			if err != nil {
-				return nil, err
-			}
-			h.eps[id] = transport.WithChaos(ep, pol)
-		}
-	case "tcp":
-		tcps := make([]*transport.TCPEndpoint, nEp)
-		peers := make(map[int]string, nEp)
-		for id := 0; id < nEp; id++ {
-			ep, err := transport.ListenTCP(id, "127.0.0.1:0")
-			if err != nil {
-				h.closeEndpoints()
-				return nil, err
-			}
-			tcps[id] = ep
-			h.eps[id] = transport.WithChaos(ep, pol)
-			peers[id] = ep.Addr()
-		}
-		for _, ep := range tcps {
-			ep.SetPeers(peers)
-		}
-	default:
-		return nil, fmt.Errorf("repl: unknown transport %q", cfg.Transport)
-	}
-
 	h.groups = make([]*group, k)
 	for g := 0; g < k; g++ {
 		log, err := wal.Create(MemberLogPath(cfg.WALDir, g, 0))
 		if err != nil {
-			h.closeEndpoints()
+			transport.CloseAll(h.eps)
 			return nil, err
 		}
 		grp := &group{
@@ -121,7 +94,7 @@ func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Inj
 		for m := 1; m <= cfg.Replicas; m++ {
 			b, err := newBackup(g, m, cfg.Replicas, d.Schema(), cfg.WALDir, h.eps[memberID(g, m, cfg.Replicas)])
 			if err != nil {
-				h.closeEndpoints()
+				transport.CloseAll(h.eps)
 				return nil, err
 			}
 			grp.members[m] = b
@@ -132,14 +105,6 @@ func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Inj
 	h.det = make([]*detector, k)
 	h.alive = make([]atomic.Bool, k)
 	return h, nil
-}
-
-func (h *harness) closeEndpoints() {
-	for _, ep := range h.eps {
-		if ep != nil {
-			ep.Close()
-		}
-	}
 }
 
 func (h *harness) primID(g int) int {
@@ -209,6 +174,22 @@ func (h *harness) shipRule(ctx context.Context, involved []int, traceID uint64, 
 		}
 		h.trackLag(g)
 	}
+}
+
+// rejoinDead rejoins group g's dead members, in slot order.
+func (h *harness) rejoinDead(g int, vt float64) error {
+	grp := h.groups[g]
+	slots := make([]int, 0, len(grp.dead))
+	for m := range grp.dead {
+		slots = append(slots, m)
+	}
+	sort.Ints(slots)
+	for _, m := range slots {
+		if err := h.rejoinMember(h.srvCtx, g, m, vt); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // abortStaged appends the abort decision on every staged group and ships
@@ -432,7 +413,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	if err != nil {
 		return nil, err
 	}
-	defer h.closeEndpoints()
+	defer transport.CloseAll(h.eps)
 
 	// Server goroutines: every backup serves, every group gets a leased
 	// detector, and one ticker heartbeats each live group's lease.
@@ -479,142 +460,51 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		}
 	}()
 
-	sc := cfg.Scenario
 	rec := cfg.Recorder
-	var allLat obs.HDR
-
-	crashes := cluster.NewCrashScript(sc.CrashPoints, h.crashRules())
+	crashes := cluster.NewCrashScript(cfg.Scenario.CrashPoints, h.crashRules())
 	windowDown := make([]bool, k)
-
-	// applyWindows reinterprets scripted crash windows for replica
-	// groups: a window opening over group g kills its current primary
-	// (the failure detector promotes a backup — the group stays
-	// available); the window closing rejoins the dead member.
-	applyWindows := func(now float64, traceID uint64) error {
-		for g := 0; g < k; g++ {
-			downNow := inj.Down(g, now)
-			if downNow && !windowDown[g] {
-				windowDown[g] = true
-				if err := h.crashFire(srvCtx, g, "", traceID, 0, now); err != nil {
-					return err
-				}
-			} else if !downNow && windowDown[g] {
-				windowDown[g] = false
-				grp := h.groups[g]
-				deadSlots := make([]int, 0, len(grp.dead))
-				for m := range grp.dead {
-					deadSlots = append(deadSlots, m)
-				}
-				sort.Ints(deadSlots)
-				for _, m := range deadSlots {
-					if err := h.rejoinMember(srvCtx, g, m, now); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-
 	var nextTxn uint64
-	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
-	for i, t := range tr.All() {
-		arrival := float64(i) / cfg.ArrivalRateTPS
-		place := placed.Txn(i)
-		nodes, coord, distributed := cluster.Participants(t, place, k, i)
-		traceID := obs.TxnID(cfg.Seed, i)
-		rec.Record(traceID, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
-		dist := int64(0)
-		if distributed {
-			dist = 1
-		}
-		rec.Record(traceID, obs.EvRoute, coord, 0, arrival, int64(len(nodes))<<8|dist)
-
-		now := arrival
-		committed := false
-		for attempt := 1; attempt <= cfg.Retry.MaxAttempts; attempt++ {
-			now += inj.SampleLatency()
-			if err := applyWindows(now, traceID); err != nil {
-				return nil, err
-			}
-			execCoord := coord
-			if len(nodes) == 0 {
-				execCoord = i % k
-			}
-			writeParts, opsAt := cluster.WriteEffects(t, place, k, execCoord)
-
-			if len(writeParts) == 0 {
-				// Read-only (or fully-replicated read): no wire round — the
-				// read is served by the coordinator group, from a backup
-				// when one is inside the staleness budget.
-				h.replicaRead(execCoord)
-				committed = true
-				res.Committed++
-				if distributed {
-					res.Distributed++
-				} else {
-					res.Local++
+	t, err := cluster.Replay(tr, a.PlaceTrace(tr, runtime.GOMAXPROCS(0)), cluster.ReplayConfig{
+		Seed: cfg.Seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
+		Recorder: rec,
+	}, func(at *cluster.Attempt) (bool, error) {
+		// Scripted crash windows, reinterpreted for replica groups: a
+		// window opening over group g kills its current primary (the
+		// failure detector promotes a backup — the group stays
+		// available); the window closing rejoins the dead member.
+		for g := 0; g < k; g++ {
+			switch down := inj.Down(g, at.Now); {
+			case down && !windowDown[g]:
+				windowDown[g] = true
+				if err := h.crashFire(srvCtx, g, "", at.TraceID, 0, at.Now); err != nil {
+					return false, err
 				}
-				if now > res.MakespanSec {
-					res.MakespanSec = now
+			case !down && windowDown[g]:
+				windowDown[g] = false
+				if err := h.rejoinDead(g, at.Now); err != nil {
+					return false, err
 				}
-			} else {
-				// Crash points fire on rounds where they qualify.
-				fire := crashes.Next(cluster.Round{Coord: execCoord, WriteParts: writeParts, Distributed: distributed}, nil)
-				nextTxn++
-				ok, err := h.writeRound(srvCtx, nextTxn, traceID, attempt, now,
-					execCoord, writeParts, opsAt, distributed, fire)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					committed = true
-					res.Committed++
-					if distributed {
-						res.Distributed++
-					} else {
-						res.Local++
-					}
-					if now > res.MakespanSec {
-						res.MakespanSec = now
-					}
-				}
-			}
-
-			if committed {
-				latency := now - arrival
-				allLat.Observe(int64(latency * 1e9))
-				rec.Record(traceID, obs.EvCommit, execCoord, attempt, now, int64(latency*1e9))
-				break
-			}
-			res.Aborts++
-			rec.Record(traceID, obs.EvAbort, execCoord, attempt, now, 0)
-			if attempt == cfg.Retry.MaxAttempts {
-				break
-			}
-			res.Retries++
-			backoff := cfg.Retry.Backoff(attempt, inj)
-			rec.Record(traceID, obs.EvBackoff, -1, attempt, now, int64(backoff*1e9))
-			now += backoff
-		}
-		if !committed {
-			res.PermanentFailures++
-			latency := now - arrival
-			allLat.Observe(int64(latency * 1e9))
-			rec.Record(traceID, obs.EvGiveUp, -1, cfg.Retry.MaxAttempts, now, int64(latency*1e9))
-			if now > res.MakespanSec {
-				res.MakespanSec = now
 			}
 		}
+		if len(at.WriteParts) == 0 {
+			// Read-only (or fully-replicated read): no wire round — the
+			// read is served by the coordinator group, from a backup when
+			// one is inside the staleness budget.
+			h.replicaRead(at.Coord)
+			return true, nil
+		}
+		// Crash points fire on rounds where they qualify.
+		fire := crashes.Next(cluster.Round{Coord: at.Coord, WriteParts: at.WriteParts, Distributed: at.Distributed}, nil)
+		nextTxn++
+		return h.writeRound(srvCtx, nextTxn, at.TraceID, at.Num, at.Now,
+			at.Coord, at.WriteParts, at.OpsAt, at.Distributed, fire)
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	latSnap := allLat.Snapshot()
-	res.LatencyP50 = float64(latSnap.P50) / 1e9
-	res.LatencyP99 = float64(latSnap.P99) / 1e9
-	res.LatencyP999 = float64(latSnap.P999) / 1e9
-	if res.Offered > 0 {
-		res.AvailabilityPct = 100 * float64(res.Committed) / float64(res.Offered)
-	}
+	res.Committed, res.PermanentFailures, res.Local, res.Distributed = t.Committed, t.PermanentFailures, t.Local, t.Distributed
+	res.Aborts, res.Retries, res.AvailabilityPct, res.MakespanSec = t.Aborts, t.Retries, t.AvailabilityPct, t.MakespanSec
+	res.LatencyP50, res.LatencyP99, res.LatencyP999 = t.LatencyP50, t.LatencyP99, t.LatencyP999
 
 	// Pre-drain replication lag: what a bounded-staleness router would
 	// see at the end of the replay. Dead members are absent — unknown lag
@@ -634,16 +524,8 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	h.catchup = true
 	endVT := res.MakespanSec
 	for g := 0; g < k; g++ {
-		grp := h.groups[g]
-		deadSlots := make([]int, 0, len(grp.dead))
-		for m := range grp.dead {
-			deadSlots = append(deadSlots, m)
-		}
-		sort.Ints(deadSlots)
-		for _, m := range deadSlots {
-			if err := h.rejoinMember(srvCtx, g, m, endVT); err != nil {
-				return nil, err
-			}
+		if err := h.rejoinDead(g, endVT); err != nil {
+			return nil, err
 		}
 	}
 	for g := 0; g < k; g++ {

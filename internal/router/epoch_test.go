@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -43,7 +44,7 @@ func TestEpochSwapChangesRouting(t *testing.T) {
 	er, _, rtB := epochSetup(t, 4)
 	params := map[string]value.Value{"cust_id": value.NewInt(1)}
 
-	dec, ep, err := er.RouteSafe("CustInfo", params, nil)
+	dec, ep, err := er.Route(context.Background(), Request{Class: "CustInfo", Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestEpochSwapChangesRouting(t *testing.T) {
 	if next != 1 || er.Epoch() != 1 {
 		t.Fatalf("swap -> epoch %d (Epoch()=%d), want 1", next, er.Epoch())
 	}
-	dec, ep, err = er.RouteSafe("CustInfo", params, nil)
+	dec, ep, err = er.Route(context.Background(), Request{Class: "CustInfo", Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestEpochSwapSolution(t *testing.T) {
 	if ep != 1 {
 		t.Fatalf("SwapSolution -> epoch %d, want 1", ep)
 	}
-	dec, _, err := er.RouteSafe("CustInfo", map[string]value.Value{"cust_id": value.NewInt(2)}, nil)
+	dec, _, err := er.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestEpochCatchUpResolvesStale(t *testing.T) {
 	if !rtA.Stale() {
 		t.Fatal("placement change must mark the inner router stale")
 	}
-	dec, ep, err := er.RouteSafe("CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)}, nil)
+	dec, ep, err := er.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(1)}})
 	if err != nil {
 		t.Fatalf("catch-up must resolve staleness, got %v", err)
 	}
@@ -133,7 +134,7 @@ func TestEpochCatchUpResolvesStale(t *testing.T) {
 		t.Errorf("post-catch-up route = %v (%s), want [0] (local)", dec.Partitions, dec.Mode)
 	}
 	// Subsequent calls serve from the caught-up epoch without rebuilding.
-	_, ep2, err := er.RouteSafe("CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)}, nil)
+	_, ep2, err := er.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(1)}})
 	if err != nil || ep2 != 1 {
 		t.Fatalf("second call: epoch %d err %v, want epoch 1", ep2, err)
 	}
@@ -151,13 +152,13 @@ func TestEpochCatchUpImpossible(t *testing.T) {
 	// mapper's k=3 no longer matches the solution's k=4 (invalid), so the
 	// rebuild inside catch-up cannot succeed.
 	sol.Set(partition.NewByPath("TRADE", fixture.TradePath(), partition.NewHash(3)))
-	_, _, err = er.RouteSafe("CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)}, nil)
+	_, _, err = er.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(1)}})
 	if !errors.Is(err, ErrStaleLookup) {
 		t.Fatalf("impossible catch-up: err = %v, want ErrStaleLookup", err)
 	}
 }
 
-// TestEpochSwapNoTornDecisions hammers RouteSafe from many goroutines
+// TestEpochSwapNoTornDecisions hammers Route from many goroutines
 // while the main goroutine swaps between two solutions. Every decision
 // must be exactly one epoch's answer — [0] under the original solution,
 // [3] under the flipped one — never a mix, and the reported epoch parity
@@ -180,7 +181,7 @@ func TestEpochSwapNoTornDecisions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				dec, ep, err := er.RouteSafe("CustInfo", params, nil)
+				dec, ep, err := er.Route(context.Background(), Request{Class: "CustInfo", Params: params})
 				if err != nil {
 					bad.Add(1)
 					return

@@ -10,8 +10,7 @@ import (
 	"repro/internal/value"
 )
 
-// Failure-aware routing: the runtime half of the chaos work. Route (the
-// fast path) assumes a healthy cluster and fresh lookup tables; RouteSafe
+// Failure-aware routing: the runtime half of the chaos work. Route
 // consumes node-health state and the solution's placement fingerprints,
 // degrades routing instead of silently misrouting, and returns typed
 // errors when no safe route exists.
@@ -215,7 +214,7 @@ func (r *Router) Refresh() ([]string, error) {
 	return rebuilt, nil
 }
 
-// RouteSafe routes an invocation under a node-health view. It returns
+// routeSafe is the failure-aware routing core behind Route. It returns
 // ErrStaleLookup when the solution's partition map changed underneath the
 // lookup tables (call Refresh), and ErrPartitionDown when the required
 // data is only on unreachable nodes. A nil health routes as if every node
@@ -228,18 +227,9 @@ func (r *Router) Refresh() ([]string, error) {
 //  3. broadcast reads shrink to the reachable nodes;
 //  4. writes never drop participants — they fail with ErrPartitionDown.
 //
-// Deprecated: new code should call Route(ctx, Request); RouteSafe remains
-// as the implementation behind it. It routes without a replica-lag view,
-// so the replica fallback accepts any healthy node regardless of
-// staleness.
-func (r *Router) RouteSafe(class string, params map[string]value.Value, h faults.Health) (Decision, error) {
-	return r.routeSafe(class, params, h, nil, 0)
-}
-
-// routeSafe is the failure-aware routing core. A nil lag view keeps the
-// historical replica fallback (first healthy node); a non-nil view bounds
-// it to replicas whose lag is within budget, picking deterministically:
-// smallest lag, ties to the lowest node id.
+// A nil lag view keeps the historical replica fallback (first healthy
+// node); a non-nil view bounds it to replicas whose lag is within budget,
+// picking deterministically: smallest lag, ties to the lowest node id.
 func (r *Router) routeSafe(class string, params map[string]value.Value, h faults.Health, lag ReplicaLag, budget int64) (Decision, error) {
 	cRoutes.Inc()
 	if h == nil {

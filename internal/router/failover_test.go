@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -19,7 +20,7 @@ func (d downSet) Down(n int) bool { return d[n] }
 func TestRouteSafeHealthyParity(t *testing.T) {
 	r, _ := custInfoSetup(t, 4)
 	// Nil health routes exactly like Route.
-	dec, err := r.RouteSafe("CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)}, nil)
+	dec, err := r.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestRouteSafeHealthyParity(t *testing.T) {
 		t.Error("single-partition decision must report Local")
 	}
 	// Broadcast classes stay broadcast when everything is up.
-	dec, err = r.RouteSafe("CustInfo", nil, downSet{})
+	dec, err = r.Route(context.Background(), Request{Class: "CustInfo", Health: downSet{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,16 +44,12 @@ func TestRouteSafeWriteOnDownPartitionFails(t *testing.T) {
 	r, _ := custInfoSetup(t, 4)
 	// TradeUpdate (a write) pins customer 2 to partition 3. Writes never
 	// drop participants: a down pinned partition is a hard error.
-	_, err := r.RouteSafe("TradeUpdate",
-		map[string]value.Value{"cust_id": value.NewInt(2), "qty": value.NewInt(5)},
-		downSet{3: true})
+	_, err := r.Route(context.Background(), Request{Class: "TradeUpdate", Params: map[string]value.Value{"cust_id": value.NewInt(2), "qty": value.NewInt(5)}, Health: downSet{3: true}})
 	if !errors.Is(err, ErrPartitionDown) {
 		t.Fatalf("write to down partition: err = %v, want ErrPartitionDown", err)
 	}
 	// The same write routes fine when an unrelated node is down.
-	dec, err := r.RouteSafe("TradeUpdate",
-		map[string]value.Value{"cust_id": value.NewInt(2), "qty": value.NewInt(5)},
-		downSet{1: true})
+	dec, err := r.Route(context.Background(), Request{Class: "TradeUpdate", Params: map[string]value.Value{"cust_id": value.NewInt(2), "qty": value.NewInt(5)}, Health: downSet{1: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +62,7 @@ func TestRouteSafeUnknownClassConservative(t *testing.T) {
 	r, _ := custInfoSetup(t, 3)
 	// Without code analysis the router must assume writes: any down node
 	// inside the broadcast target is fatal.
-	_, err := r.RouteSafe("Mystery", nil, downSet{1: true})
+	_, err := r.Route(context.Background(), Request{Class: "Mystery", Health: downSet{1: true}})
 	if !errors.Is(err, ErrPartitionDown) {
 		t.Fatalf("unknown class with down node: err = %v, want ErrPartitionDown", err)
 	}
@@ -87,8 +84,7 @@ func TestRouteSafeReplicaFallback(t *testing.T) {
 	}
 	// CustInfo reads only replicated tables: when part of the cluster is
 	// down, any single healthy node serves the read.
-	dec, err := r.RouteSafe("CustInfo",
-		map[string]value.Value{"cust_id": value.NewInt(1)}, downSet{0: true})
+	dec, err := r.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(1)}, Health: downSet{0: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +92,7 @@ func TestRouteSafeReplicaFallback(t *testing.T) {
 		t.Errorf("replica fallback = %v (%s), want one healthy node", dec.Partitions, dec.Mode)
 	}
 	// With every node down there is no replica left.
-	_, err = r.RouteSafe("CustInfo",
-		map[string]value.Value{"cust_id": value.NewInt(1)},
-		downSet{0: true, 1: true, 2: true})
+	_, err = r.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(1)}, Health: downSet{0: true, 1: true, 2: true}})
 	if !errors.Is(err, ErrPartitionDown) {
 		t.Fatalf("all nodes down: err = %v, want ErrPartitionDown", err)
 	}
@@ -108,8 +102,7 @@ func TestRouteSafeDegradedRead(t *testing.T) {
 	r, _ := custInfoSetup(t, 4)
 	// CustInfo with an unseen value broadcasts; a read may shrink to the
 	// reachable subset and serve partial data.
-	dec, err := r.RouteSafe("CustInfo",
-		map[string]value.Value{"cust_id": value.NewInt(99)}, downSet{2: true})
+	dec, err := r.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(99)}, Health: downSet{2: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +110,7 @@ func TestRouteSafeDegradedRead(t *testing.T) {
 		t.Errorf("degraded broadcast = %v (%s), want [0 1 3] (degraded)", dec.Partitions, dec.Mode)
 	}
 	// A read pinned to a single down partition has nothing reachable left.
-	_, err = r.RouteSafe("CustInfo",
-		map[string]value.Value{"cust_id": value.NewInt(1)}, downSet{0: true})
+	_, err = r.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(1)}, Health: downSet{0: true}})
 	if !errors.Is(err, ErrPartitionDown) {
 		t.Fatalf("pinned partition down: err = %v, want ErrPartitionDown", err)
 	}
@@ -135,7 +127,7 @@ func TestRouteSafeStaleAndRefresh(t *testing.T) {
 	if !r.Stale() {
 		t.Fatal("placement change must mark the router stale")
 	}
-	_, err := r.RouteSafe("CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)}, nil)
+	_, err := r.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(1)}})
 	if !errors.Is(err, ErrStaleLookup) {
 		t.Fatalf("stale route: err = %v, want ErrStaleLookup", err)
 	}
@@ -151,7 +143,7 @@ func TestRouteSafeStaleAndRefresh(t *testing.T) {
 	}
 	// CUSTOMER_ACCOUNT is still partitioned, so CustInfo keeps a usable
 	// routing attribute after the rebuild.
-	dec, err := r.RouteSafe("CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)}, nil)
+	dec, err := r.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}

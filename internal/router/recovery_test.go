@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -58,11 +59,11 @@ func TestRouteSafeInDoubtPartitionLifecycle(t *testing.T) {
 
 	// A write pinned to the in-doubt partition is refused outright.
 	params2 := map[string]value.Value{"cust_id": value.NewInt(2), "qty": value.NewInt(5)}
-	if _, err := r.RouteSafe("TradeUpdate", params2, health); !errors.Is(err, ErrPartitionDown) {
+	if _, err := r.Route(context.Background(), Request{Class: "TradeUpdate", Params: params2, Health: health}); !errors.Is(err, ErrPartitionDown) {
 		t.Fatalf("write to in-doubt partition: err = %v, want ErrPartitionDown", err)
 	}
 	// A broadcast read degrades to the healthy subset instead of failing.
-	dec, err := r.RouteSafe("CustInfo", map[string]value.Value{"cust_id": value.NewInt(99)}, health)
+	dec, err := r.Route(context.Background(), Request{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(99)}, Health: health})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestRouteSafeInDoubtPartitionLifecycle(t *testing.T) {
 	}
 	// Writes pinned elsewhere are unaffected.
 	params1 := map[string]value.Value{"cust_id": value.NewInt(1), "qty": value.NewInt(5)}
-	if dec, err := r.RouteSafe("TradeUpdate", params1, health); err != nil || !dec.Local() {
+	if dec, err := r.Route(context.Background(), Request{Class: "TradeUpdate", Params: params1, Health: health}); err != nil || !dec.Local() {
 		t.Fatalf("unrelated write: dec = %v, err = %v", dec, err)
 	}
 
@@ -95,7 +96,7 @@ func TestRouteSafeInDoubtPartitionLifecycle(t *testing.T) {
 		t.Fatalf("in-doubt nodes after resolution: %v", post.InDoubtNodes())
 	}
 	health = faults.Overlay(faults.AllUp, post.InDoubtNodes())
-	dec, err = r.RouteSafe("TradeUpdate", params2, health)
+	dec, err = r.Route(context.Background(), Request{Class: "TradeUpdate", Params: params2, Health: health})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,10 @@ import (
 
 // Request is one routing request: the transaction class, its invocation
 // parameters, and (optionally) the cluster-health view the decision must
-// respect. It unifies the two historical entry points — the
-// health-oblivious fast path Route(class, params) []int and the
-// failure-aware RouteSafe(class, params, health) — behind one canonical
-// call: Route(ctx, Request) (Decision, error). A nil Health routes as if
-// every node were up, which reproduces the old fast path's partition
-// sets (broadcast on unknown classes and unseen values) while still
-// surfacing staleness as ErrStaleLookup instead of silently routing
-// against outdated lookup tables.
+// respect. A nil Health routes as if every node were up — the lookup
+// table's partition set on a hit, broadcast on unknown classes and
+// unseen values — while still surfacing staleness as ErrStaleLookup
+// instead of silently routing against outdated lookup tables.
 type Request struct {
 	// Class is the transaction class to route.
 	Class string
@@ -78,10 +74,9 @@ func (req *Request) traceDecision(d Decision, err error) {
 		int64(len(d.Partitions))<<8|int64(d.Mode))
 }
 
-// Route is the canonical routing entry point: context-first, config-first
-// (Request), with the full failure-aware fallback ladder of the old
-// RouteSafe. See RouteSafe for the ladder's semantics; see doc.go at the
-// repository root for the migration table from the old entry points.
+// Route is the routing entry point: context-first, config-first
+// (Request), with the full failure-aware fallback ladder (see
+// routeSafe).
 func (r *Router) Route(ctx context.Context, req Request) (Decision, error) {
 	_ = ctx // reserved: cancellation; routing is on the hot path
 	d, err := r.routeSafe(req.Class, req.Params, req.Health, req.Replicas, req.StalenessBudget)
@@ -91,7 +86,7 @@ func (r *Router) Route(ctx context.Context, req Request) (Decision, error) {
 
 // Route is EpochRouter's canonical entry point: Route against the
 // current epoch, returning the epoch the decision was made under.
-// Stale epochs catch up and retry once (see RouteSafe).
+// Stale epochs catch up and retry once (see EpochRouter.routeSafe).
 func (e *EpochRouter) Route(ctx context.Context, req Request) (Decision, uint64, error) {
 	_ = ctx
 	d, epoch, err := e.routeSafe(req.Class, req.Params, req.Health, req.Replicas, req.StalenessBudget)

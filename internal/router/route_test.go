@@ -9,55 +9,52 @@ import (
 	"repro/internal/value"
 )
 
-// TestRouteMatchesFastPath pins the unification contract: the canonical
-// Route(ctx, Request) with a nil Health returns the same partition sets
-// as the deprecated health-oblivious RoutePartitions fast path, for
-// hits, misses, unknown classes, and broadcast classes alike.
+// TestRouteMatchesFastPath pins the health-oblivious contract: Route
+// with a nil Health returns the lookup table's partition set on a hit
+// and broadcasts on misses, missing parameters and unknown classes.
 func TestRouteMatchesFastPath(t *testing.T) {
 	r, _ := custInfoSetup(t, 4)
-	ctx := context.Background()
+	all := []int{0, 1, 2, 3}
 	cases := []struct {
 		name   string
 		class  string
 		params map[string]value.Value
+		want   []int
 	}{
-		{"hit", "CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)}},
-		{"hit-2", "CustInfo", map[string]value.Value{"cust_id": value.NewInt(2)}},
-		{"miss", "CustInfo", map[string]value.Value{"cust_id": value.NewInt(99)}},
-		{"no-param", "CustInfo", nil},
-		{"unknown-class", "Nope", nil},
+		{"hit", "CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)}, []int{0}},
+		{"hit-2", "CustInfo", map[string]value.Value{"cust_id": value.NewInt(2)}, []int{3}},
+		{"miss", "CustInfo", map[string]value.Value{"cust_id": value.NewInt(99)}, all},
+		{"no-param", "CustInfo", nil, all},
+		{"unknown-class", "Nope", nil, all},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := r.RoutePartitions(c.class, c.params)
-			dec, err := r.Route(ctx, Request{Class: c.class, Params: c.params})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(dec.Partitions, want) {
-				t.Errorf("Route = %v, RoutePartitions = %v", dec.Partitions, want)
+			if got := routeParts(t, r, c.class, c.params); !reflect.DeepEqual(got, c.want) {
+				t.Errorf("Route = %v, want %v", got, c.want)
 			}
 		})
 	}
 }
 
 // TestRouteMatchesRouteSafe: with an explicit health view the canonical
-// entry point is RouteSafe verbatim — same decision, same error.
+// entry point is the failure-aware core verbatim — same decision, same
+// error.
 func TestRouteMatchesRouteSafe(t *testing.T) {
 	r, _ := custInfoSetup(t, 4)
 	ctx := context.Background()
 	h := faults.NodeSet{0: true} // partition 0 down
 	params := map[string]value.Value{"cust_id": value.NewInt(1)}
 
-	wantDec, wantErr := r.RouteSafe("CustInfo", params, h)
+	wantDec, wantErr := r.routeSafe("CustInfo", params, h, nil, 0)
 	gotDec, gotErr := r.Route(ctx, Request{Class: "CustInfo", Params: params, Health: h})
 	if !reflect.DeepEqual(gotDec, wantDec) || !reflect.DeepEqual(gotErr, wantErr) {
-		t.Errorf("Route = (%+v, %v), RouteSafe = (%+v, %v)", gotDec, gotErr, wantDec, wantErr)
+		t.Errorf("Route = (%+v, %v), routeSafe = (%+v, %v)", gotDec, gotErr, wantDec, wantErr)
 	}
 }
 
 // TestEpochRouteMatchesRouteSafe pins the EpochRouter unification the
-// same way: Route(ctx, Request) is RouteSafe against the current epoch.
+// same way: Route(ctx, Request) is the failure-aware core against the
+// current epoch, and agrees with the epoch's own router.
 func TestEpochRouteMatchesRouteSafe(t *testing.T) {
 	r, _ := custInfoSetup(t, 4)
 	e, err := NewEpochRouter(r)
@@ -67,18 +64,19 @@ func TestEpochRouteMatchesRouteSafe(t *testing.T) {
 	ctx := context.Background()
 	params := map[string]value.Value{"cust_id": value.NewInt(2)}
 
-	wantDec, wantEpoch, wantErr := e.RouteSafe("CustInfo", params, nil)
+	wantDec, wantEpoch, wantErr := e.routeSafe("CustInfo", params, nil, nil, 0)
 	gotDec, gotEpoch, gotErr := e.Route(ctx, Request{Class: "CustInfo", Params: params})
 	if !reflect.DeepEqual(gotDec, wantDec) || gotEpoch != wantEpoch ||
 		!reflect.DeepEqual(gotErr, wantErr) {
-		t.Errorf("Route = (%+v, %d, %v), RouteSafe = (%+v, %d, %v)",
+		t.Errorf("Route = (%+v, %d, %v), routeSafe = (%+v, %d, %v)",
 			gotDec, gotEpoch, gotErr, wantDec, wantEpoch, wantErr)
 	}
 
-	// The deprecated fast path stays consistent with the canonical one.
-	parts, epoch := e.RoutePartitions("CustInfo", params)
+	// The current epoch's router makes the same decision.
+	cur, epoch := e.Current()
+	parts := routeParts(t, cur, "CustInfo", params)
 	if !reflect.DeepEqual(parts, gotDec.Partitions) || epoch != gotEpoch {
-		t.Errorf("RoutePartitions = (%v, %d), Route = (%v, %d)",
+		t.Errorf("current router = (%v, %d), Route = (%v, %d)",
 			parts, epoch, gotDec.Partitions, gotEpoch)
 	}
 }

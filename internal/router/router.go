@@ -29,10 +29,6 @@ var (
 	cLookupsBuilt   = obs.Default.Counter("router.lookup_tables_built")
 	cLookupEntries  = obs.Default.Counter("router.lookup_entries")
 	cRoutes         = obs.Default.Counter("router.routes")
-	cRouteLocal     = obs.Default.Counter("router.route_local")
-	cRouteBroadcast = obs.Default.Counter("router.route_broadcast")
-	cRouteLookupHit = obs.Default.Counter("router.lookup_hits")
-	cRouteLookupMis = obs.Default.Counter("router.lookup_misses")
 )
 
 // Router routes transaction invocations (class name + parameter values)
@@ -356,40 +352,6 @@ func (r *Router) fwdReach(from, to schema.ColumnRef) bool {
 		}
 	}
 	return false
-}
-
-// RoutePartitions returns the partitions an invocation must run on. A
-// single-element result is a single-partition (local) execution; the full
-// partition list means broadcast. Unknown classes and unseen routing
-// values broadcast.
-//
-// Deprecated: use Route(ctx, Request) — with a nil Health it produces the
-// same partition sets via Decision.Partitions, while also surfacing stale
-// lookup tables as an error. RoutePartitions remains for callers that
-// need the allocation-free health-oblivious fast path.
-func (r *Router) RoutePartitions(class string, params map[string]value.Value) []int {
-	cRoutes.Inc()
-	route, ok := r.routes[class]
-	if !ok || route.broadcast {
-		cRouteBroadcast.Inc()
-		return r.all()
-	}
-	v, ok := params[route.param]
-	if !ok {
-		cRouteBroadcast.Inc()
-		return r.all()
-	}
-	ps, ok := route.lookup[v]
-	if !ok || len(ps) == 0 {
-		cRouteLookupMis.Inc()
-		cRouteBroadcast.Inc()
-		return r.all()
-	}
-	cRouteLookupHit.Inc()
-	if len(ps) == 1 {
-		cRouteLocal.Inc()
-	}
-	return ps
 }
 
 // RoutingParam reports the parameter a class routes on ("" when the class

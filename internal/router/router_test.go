@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -36,16 +37,27 @@ func custInfoSetup(t *testing.T, k int) (*Router, *partition.Solution) {
 	return r, sol
 }
 
+// routeParts routes one invocation with every node up and returns its
+// partition set.
+func routeParts(t *testing.T, r *Router, class string, params map[string]value.Value) []int {
+	t.Helper()
+	dec, err := r.Route(context.Background(), Request{Class: class, Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec.Partitions
+}
+
 func TestRouteSinglePartition(t *testing.T) {
 	r, _ := custInfoSetup(t, 4)
 	if got := r.RoutingParam("CustInfo"); got != "cust_id" {
 		t.Errorf("routing param = %q", got)
 	}
-	p1 := r.RoutePartitions("CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)})
+	p1 := routeParts(t, r, "CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)})
 	if !reflect.DeepEqual(p1, []int{0}) {
 		t.Errorf("customer 1 -> %v, want [0]", p1)
 	}
-	p2 := r.RoutePartitions("CustInfo", map[string]value.Value{"cust_id": value.NewInt(2)})
+	p2 := routeParts(t, r, "CustInfo", map[string]value.Value{"cust_id": value.NewInt(2)})
 	if !reflect.DeepEqual(p2, []int{3}) {
 		t.Errorf("customer 2 -> %v, want [3]", p2)
 	}
@@ -55,15 +67,15 @@ func TestRouteBroadcastFallbacks(t *testing.T) {
 	r, _ := custInfoSetup(t, 4)
 	all := []int{0, 1, 2, 3}
 	// Unknown class.
-	if got := r.RoutePartitions("Nope", nil); !reflect.DeepEqual(got, all) {
+	if got := routeParts(t, r, "Nope", nil); !reflect.DeepEqual(got, all) {
 		t.Errorf("unknown class -> %v", got)
 	}
 	// Missing parameter.
-	if got := r.RoutePartitions("CustInfo", nil); !reflect.DeepEqual(got, all) {
+	if got := routeParts(t, r, "CustInfo", nil); !reflect.DeepEqual(got, all) {
 		t.Errorf("missing param -> %v", got)
 	}
 	// Unseen value.
-	if got := r.RoutePartitions("CustInfo", map[string]value.Value{"cust_id": value.NewInt(99)}); !reflect.DeepEqual(got, all) {
+	if got := routeParts(t, r, "CustInfo", map[string]value.Value{"cust_id": value.NewInt(99)}); !reflect.DeepEqual(got, all) {
 		t.Errorf("unseen value -> %v", got)
 	}
 }
@@ -71,7 +83,7 @@ func TestRouteBroadcastFallbacks(t *testing.T) {
 func TestRouteTradeUpdate(t *testing.T) {
 	r, _ := custInfoSetup(t, 2)
 	// TradeUpdate routes on cust_id too (filters CA_C_ID).
-	got := r.RoutePartitions("TradeUpdate", map[string]value.Value{
+	got := routeParts(t, r, "TradeUpdate", map[string]value.Value{
 		"cust_id": value.NewInt(2), "qty": value.NewInt(5),
 	})
 	if !reflect.DeepEqual(got, []int{1}) {
@@ -96,7 +108,7 @@ func TestRouterAllReplicatedBroadcasts(t *testing.T) {
 	if r.RoutingParam("CustInfo") != "" {
 		t.Error("replicated-only solution must broadcast")
 	}
-	if got := r.RoutePartitions("CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)}); len(got) != 3 {
+	if got := routeParts(t, r, "CustInfo", map[string]value.Value{"cust_id": value.NewInt(1)}); len(got) != 3 {
 		t.Errorf("route = %v", got)
 	}
 }
@@ -115,7 +127,7 @@ func TestRouterAgreesWithAssigner(t *testing.T) {
 	r, sol := custInfoSetup(t, 4)
 	d := fixture.CustInfoDB()
 	for cust := int64(1); cust <= 2; cust++ {
-		ps := r.RoutePartitions("CustInfo", map[string]value.Value{"cust_id": value.NewInt(cust)})
+		ps := routeParts(t, r, "CustInfo", map[string]value.Value{"cust_id": value.NewInt(cust)})
 		if len(ps) != 1 {
 			t.Fatalf("customer %d: route = %v", cust, ps)
 		}

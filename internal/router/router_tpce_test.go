@@ -64,7 +64,7 @@ func TestRouterOnTPCE(t *testing.T) {
 			continue // routing soundness only meaningful for local txns
 		}
 		actual := parts.Min()
-		routed := rt.RoutePartitions(txn.Class, txn.Params)
+		routed := routeParts(t, rt, txn.Class, txn.Params)
 		checked++
 		if len(routed) == 1 {
 			singleRouted++

@@ -117,7 +117,7 @@ func TestEpochSwapRefreshUnderOverlay(t *testing.T) {
 	if !r.Stale() {
 		t.Fatal("placement change must mark the router stale")
 	}
-	if _, err := r.RouteSafe("CustInfo", params, health); !errors.Is(err, ErrStaleLookup) {
+	if _, err := r.Route(context.Background(), Request{Class: "CustInfo", Params: params, Health: health}); !errors.Is(err, ErrStaleLookup) {
 		t.Fatalf("stale plain route: err = %v, want ErrStaleLookup", err)
 	}
 	// ...but the epoch router catches up to a fresh epoch and serves the

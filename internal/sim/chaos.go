@@ -56,12 +56,7 @@ type ChaosConfig struct {
 
 func (c ChaosConfig) withDefaults(traceLen int) ChaosConfig {
 	c.Config = c.Config.withDefaults()
-	if c.ArrivalRateTPS <= 0 {
-		c.ArrivalRateTPS = float64(traceLen) / 8
-		if c.ArrivalRateTPS <= 0 {
-			c.ArrivalRateTPS = 1
-		}
-	}
+	c.ArrivalRateTPS = cluster.ArrivalRate(c.ArrivalRateTPS, traceLen)
 	c.Retry = c.Retry.WithDefaults()
 	if c.AbortWork <= 0 {
 		c.AbortWork = 0.5
@@ -171,12 +166,41 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 	// at max(last arrival, bottleneck busy time).
 	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
 	base := replayPlain(tr, placed, sol.K, cfg.Config)
+	work := make([]float64, sol.K)
+	t, err := cluster.Replay(tr, placed, cluster.ReplayConfig{
+		Seed: seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
+		Down: inj.Down, Recorder: cfg.Recorder, SLO: obs.NewSLOMonitor(cfg.SLO),
+		Latency: hChaosLatency, RetryLatency: hChaosRetryLatency,
+	}, func(at *cluster.Attempt) (bool, error) {
+		// An attempt commits only when every participant is reachable
+		// and no coordination message is lost.
+		if !at.Blocked && !sampleLoss(inj, cfg.Recorder, at) {
+			chargeCommit(work, at.Nodes, at.Coord, at.Distributed, cfg.Config)
+			return true, nil
+		}
+		// Abort: reachable participants waste the prepare/rollback work.
+		for _, n := range at.Nodes {
+			if !inj.Down(n, at.Now) {
+				work[n] += cfg.AbortWork
+			}
+		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &ChaosResult{
-		Scenario: sc.Name,
-		Seed:     seed,
-		Nodes:    sol.K,
-		Offered:  tr.Len(),
-		NodeWork: make([]float64, sol.K),
+		Scenario: sc.Name, Seed: seed, Nodes: sol.K,
+		Offered: t.Offered, Committed: t.Committed, PermanentFailures: t.PermanentFailures,
+		PermanentByClass: t.PermanentByClass, Local: t.Local, Distributed: t.Distributed,
+		Aborts: t.Aborts, Retries: t.Retries, AvailabilityPct: t.AvailabilityPct,
+		LatencyP50: t.LatencyP50, LatencyP99: t.LatencyP99, LatencyP999: t.LatencyP999,
+		RetryLatencyP50: t.RetryLatencyP50, RetryLatencyP99: t.RetryLatencyP99,
+		SLO: t.SLO, MakespanSec: t.MakespanSec,
+		NodeWork: work, NodeDownSec: inj.DownNodeSeconds(t.MakespanSec),
+	}
+	if t.Attempts > 0 {
+		res.AbortRate = float64(t.Aborts) / float64(t.Attempts)
 	}
 	if n := tr.Len(); n > 0 {
 		baseBottleneck := 0.0
@@ -190,127 +214,6 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 			res.BaselineTPS = float64(n) / baseElapsed
 		}
 	}
-	attempts := 0
-	rec := cfg.Recorder // nil keeps every Record a no-op
-	slo := obs.NewSLOMonitor(cfg.SLO)
-	var allLat, retriedLat obs.HDR // per-run HDRs, virtual nanoseconds
-
-	for i, t := range tr.All() {
-		arrival := float64(i) / cfg.ArrivalRateTPS
-		nodes, coord, distributed := cluster.Participants(t, placed.Txn(i), sol.K, i)
-		txn := obs.TxnID(seed, i)
-		rec.Record(txn, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
-		dist := int64(0)
-		if distributed {
-			dist = 1
-		}
-		rec.Record(txn, obs.EvRoute, coord, 0, arrival, int64(len(nodes))<<8|dist)
-
-		now := arrival
-		committed := false
-		for attempt := 1; attempt <= cfg.Retry.MaxAttempts; attempt++ {
-			attempts++
-			now += inj.SampleLatency()
-			// Fully-replicated reads (no pinned participant) degrade to any
-			// reachable node instead of their round-robin home.
-			execNodes, execCoord := nodes, coord
-			if len(nodes) == 0 {
-				if up := inj.UpNodes(now); len(up) > 0 {
-					execCoord = up[i%len(up)]
-					execNodes = []int{execCoord}
-				} else {
-					execNodes = []int{coord} // cluster fully down: blocked
-					execCoord = coord
-				}
-			}
-			blocked := false
-			for _, n := range execNodes {
-				if inj.Down(n, now) {
-					blocked = true
-					rec.Record(txn, obs.EvFault, n, attempt, now, obs.FaultNodeDown)
-					break
-				}
-			}
-			lost := false
-			if !blocked && distributed {
-				lost = inj.SampleLoss()
-				if lost {
-					rec.Record(txn, obs.EvFault, execCoord, attempt, now, obs.FaultMsgLoss)
-				}
-			}
-			if !blocked && !lost {
-				// Commit: charge the analytic cost model's work.
-				chargeCommit(res.NodeWork, execNodes, execCoord, distributed, cfg.Config)
-				res.Committed++
-				if distributed {
-					res.Distributed++
-				} else {
-					res.Local++
-				}
-				latency := now - arrival
-				allLat.Observe(int64(latency * 1e9))
-				hChaosLatency.Observe(int64(latency * 1e9))
-				if attempt > 1 {
-					retriedLat.Observe(int64(latency * 1e9))
-					hChaosRetryLatency.Observe(int64(latency * 1e9))
-				}
-				slo.Record(latency, true)
-				rec.Record(txn, obs.EvCommit, execCoord, attempt, now, int64(latency*1e9))
-				if now > res.MakespanSec {
-					res.MakespanSec = now
-				}
-				committed = true
-				break
-			}
-			// Abort: reachable participants waste the prepare/rollback work.
-			res.Aborts++
-			rec.Record(txn, obs.EvAbort, execCoord, attempt, now, 0)
-			for _, n := range execNodes {
-				if !inj.Down(n, now) {
-					res.NodeWork[n] += cfg.AbortWork
-				}
-			}
-			if attempt == cfg.Retry.MaxAttempts {
-				break
-			}
-			res.Retries++
-			backoff := cfg.Retry.Backoff(attempt, inj)
-			rec.Record(txn, obs.EvBackoff, -1, attempt, now, int64(backoff*1e9))
-			now += backoff
-		}
-		if !committed {
-			res.PermanentFailures++
-			if res.PermanentByClass == nil {
-				res.PermanentByClass = map[string]int{}
-			}
-			res.PermanentByClass[t.Class]++
-			latency := now - arrival
-			allLat.Observe(int64(latency * 1e9))
-			hChaosLatency.Observe(int64(latency * 1e9))
-			slo.Record(latency, false)
-			rec.Record(txn, obs.EvGiveUp, -1, cfg.Retry.MaxAttempts, now, int64(latency*1e9))
-			if now > res.MakespanSec {
-				res.MakespanSec = now
-			}
-		}
-	}
-
-	if attempts > 0 {
-		res.AbortRate = float64(res.Aborts) / float64(attempts)
-	}
-	if res.Offered > 0 {
-		res.AvailabilityPct = 100 * float64(res.Committed) / float64(res.Offered)
-	}
-	latSnap := allLat.Snapshot()
-	res.LatencyP50 = float64(latSnap.P50) / 1e9
-	res.LatencyP99 = float64(latSnap.P99) / 1e9
-	res.LatencyP999 = float64(latSnap.P999) / 1e9
-	retrySnap := retriedLat.Snapshot()
-	res.RetryLatencyP50 = float64(retrySnap.P50) / 1e9
-	res.RetryLatencyP99 = float64(retrySnap.P99) / 1e9
-	slo.Flush()
-	res.SLO = slo.Status()
-	res.NodeDownSec = inj.DownNodeSeconds(res.MakespanSec)
 
 	bottleneck := 0.0
 	for _, w := range res.NodeWork {
@@ -339,6 +242,16 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 	obs.Set("sim.chaos_effective_tps", res.EffectiveTPS)
 	obs.Set("sim.chaos_degradation_pct", res.DegradationPct)
 	return res, nil
+}
+
+// sampleLoss draws whether a distributed attempt loses a coordination
+// message, recording the fault. Local attempts draw nothing.
+func sampleLoss(inj *faults.Injector, rec *obs.Recorder, at *cluster.Attempt) bool {
+	if !at.Distributed || !inj.SampleLoss() {
+		return false
+	}
+	rec.Record(at.TraceID, obs.EvFault, at.Coord, at.Num, at.Now, obs.FaultMsgLoss)
+	return true
 }
 
 // chargeCommit applies the analytic cost model to one committed attempt.

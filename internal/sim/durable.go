@@ -269,196 +269,65 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 		return nil, err
 	}
 	defer eng.Close()
-	slo := obs.NewSLOMonitor(cfg.SLO)
-	var allLat obs.HDR // per-run latencies, virtual nanoseconds
-
 	crashes := cluster.NewCrashScript(sc.CrashPoints, cluster.TwoPCRules())
-
+	var nextTxn uint64 // monotonically increasing per-attempt txn id
+	t, err := cluster.Replay(tr, a.PlaceTrace(tr, runtime.GOMAXPROCS(0)), cluster.ReplayConfig{
+		Seed: seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
+		// Unreachable: scripted windows plus crash-point kills.
+		Down:     func(n int, now float64) bool { return eng.dead[n] || inj.Down(n, now) },
+		InDoubt:  func(p int) bool { return eng.inDoubt[p] },
+		Recorder: rec, SLO: obs.NewSLOMonitor(cfg.SLO), Latency: hDurableLatency, Journal: true,
+	}, func(at *cluster.Attempt) (bool, error) {
+		eng.At(at.TraceID, at.Num, at.Now)
+		if at.Blocked {
+			return false, nil
+		}
+		coord, parts, opsAt := at.Coord, at.WriteParts, at.OpsAt
+		lost := sampleLoss(inj, rec, at)
+		if len(parts) == 0 {
+			return !lost, nil
+		}
+		nextTxn++
+		if lost {
+			// The round reached prepare before the coordination message
+			// was lost: a full logged abort.
+			return false, eng.Abort2PC(nextTxn, coord, parts, opsAt)
+		}
+		// Crash points fire on rounds that would otherwise proceed.
+		fire := crashes.Next(cluster.Round{Coord: coord, WriteParts: parts, Distributed: at.Distributed}, eng.dead.Down)
+		if fire == nil {
+			// Durable commit.
+			if at.Distributed {
+				return true, eng.Commit2PC(nextTxn, coord, parts, opsAt)
+			}
+			return true, eng.CommitLocal(parts[0], nextTxn, opsAt[parts[0]])
+		}
+		rec.Record(at.TraceID, obs.EvCrash, fire.Node, at.Num, at.Now, faults.PhaseCode(fire.Phase))
+		switch fire.Phase {
+		case faults.PhaseBeforePrepare:
+			return false, eng.crashBeforePrepare(fire.Node, nextTxn, coord, parts, opsAt)
+		case faults.PhaseBeforeCommit:
+			return false, eng.crashBeforeCommit(nextTxn, coord, parts, opsAt)
+		case faults.PhaseAfterDecision:
+			// The decision is durable: the transaction IS committed even
+			// though no participant applied it — recovery replays it from
+			// the prepared writes.
+			return true, eng.crashAfterDecision(nextTxn, coord, parts, opsAt)
+		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &DurableResult{
-		Scenario: sc.Name,
-		Seed:     seed,
-		Nodes:    sol.K,
-		Offered:  tr.Len(),
-	}
-	// down reports unreachability: scripted windows plus crash-point kills.
-	dead := func(n int) bool { return eng.dead[n] }
-	down := func(n int, now float64) bool { return eng.dead[n] || inj.Down(n, now) }
-	upNodes := func(now float64) []int {
-		var up []int
-		for n := 0; n < sol.K; n++ {
-			if !down(n, now) {
-				up = append(up, n)
-			}
-		}
-		return up
+		Scenario: sc.Name, Seed: seed, Nodes: sol.K,
+		Offered: t.Offered, Committed: t.Committed, PermanentFailures: t.PermanentFailures,
+		Local: t.Local, Distributed: t.Distributed,
+		Aborts: t.Aborts, Retries: t.Retries, AvailabilityPct: t.AvailabilityPct, MakespanSec: t.MakespanSec,
+		LatencyP50: t.LatencyP50, LatencyP99: t.LatencyP99, LatencyP999: t.LatencyP999,
+		SLO: t.SLO,
 	}
 
-	var nextTxn uint64                  // monotonically increasing per-attempt txn id
-	var committedOps [][]cluster.PartOp // committed write effects, in commit order
-	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
-	for i, t := range tr.All() {
-		arrival := float64(i) / cfg.ArrivalRateTPS
-		place := placed.Txn(i)
-		nodes, coord, distributed := cluster.Participants(t, place, sol.K, i)
-		traceID := obs.TxnID(seed, i)
-		rec.Record(traceID, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
-		dist := int64(0)
-		if distributed {
-			dist = 1
-		}
-		rec.Record(traceID, obs.EvRoute, coord, 0, arrival, int64(len(nodes))<<8|dist)
-
-		now := arrival
-		committed := false
-		for attempt := 1; attempt <= cfg.Retry.MaxAttempts; attempt++ {
-			now += inj.SampleLatency()
-			eng.At(traceID, attempt, now)
-			execNodes, execCoord := nodes, coord
-			if len(nodes) == 0 {
-				// Fully-replicated read: degrade to any reachable node.
-				if up := upNodes(now); len(up) > 0 {
-					execCoord = up[i%len(up)]
-					execNodes = []int{execCoord}
-				} else {
-					execNodes, execCoord = []int{coord}, coord
-				}
-			}
-			writeParts, opsAt := cluster.WriteEffects(t, place, sol.K, execCoord)
-
-			blocked := false
-			for _, n := range execNodes {
-				if down(n, now) {
-					blocked = true
-					rec.Record(traceID, obs.EvFault, n, attempt, now, obs.FaultNodeDown)
-					break
-				}
-			}
-			// A partition holding an in-doubt transaction blocks new
-			// writes (its keys are conservatively locked until
-			// resolution); reads degrade through.
-			if !blocked {
-				for _, p := range writeParts {
-					if eng.inDoubt[p] {
-						blocked = true
-						rec.Record(traceID, obs.EvFault, p, attempt, now, obs.FaultInDoubtBlock)
-						break
-					}
-				}
-			}
-			lost := false
-			if !blocked && distributed {
-				lost = inj.SampleLoss()
-				if lost {
-					rec.Record(traceID, obs.EvFault, execCoord, attempt, now, obs.FaultMsgLoss)
-				}
-			}
-
-			// Crash points fire on rounds that would otherwise proceed.
-			var fire *cluster.Crash
-			if !blocked && !lost && len(writeParts) > 0 {
-				fire = crashes.Next(cluster.Round{Coord: execCoord, WriteParts: writeParts, Distributed: distributed}, dead)
-			}
-
-			switch {
-			case fire != nil:
-				nextTxn++
-				rec.Record(traceID, obs.EvCrash, fire.Node, attempt, now, faults.PhaseCode(fire.Phase))
-				switch fire.Phase {
-				case faults.PhaseBeforePrepare:
-					if err := eng.crashBeforePrepare(fire.Node, nextTxn, execCoord, writeParts, opsAt); err != nil {
-						return nil, err
-					}
-				case faults.PhaseBeforeCommit:
-					if err := eng.crashBeforeCommit(nextTxn, execCoord, writeParts, opsAt); err != nil {
-						return nil, err
-					}
-				case faults.PhaseAfterDecision:
-					if err := eng.crashAfterDecision(nextTxn, execCoord, writeParts, opsAt); err != nil {
-						return nil, err
-					}
-					// The decision is durable: the transaction IS
-					// committed even though no participant applied it —
-					// recovery replays it from the prepared writes.
-					committed = true
-					res.Committed++
-					res.Distributed++
-					committedOps = append(committedOps, cluster.FlattenOps(writeParts, opsAt))
-					if now > res.MakespanSec {
-						res.MakespanSec = now
-					}
-				}
-			case !blocked && !lost:
-				// Durable commit.
-				if len(writeParts) > 0 {
-					nextTxn++
-					if !distributed {
-						if err := eng.CommitLocal(writeParts[0], nextTxn, opsAt[writeParts[0]]); err != nil {
-							return nil, err
-						}
-					} else if err := eng.Commit2PC(nextTxn, execCoord, writeParts, opsAt); err != nil {
-						return nil, err
-					}
-					committedOps = append(committedOps, cluster.FlattenOps(writeParts, opsAt))
-				}
-				committed = true
-				res.Committed++
-				if distributed {
-					res.Distributed++
-				} else {
-					res.Local++
-				}
-				if now > res.MakespanSec {
-					res.MakespanSec = now
-				}
-			case lost && len(writeParts) > 0:
-				// The round reached prepare before the coordination
-				// message was lost: a full logged abort.
-				nextTxn++
-				if err := eng.Abort2PC(nextTxn, execCoord, writeParts, opsAt); err != nil {
-					return nil, err
-				}
-			}
-			if committed {
-				latency := now - arrival
-				allLat.Observe(int64(latency * 1e9))
-				hDurableLatency.Observe(int64(latency * 1e9))
-				slo.Record(latency, true)
-				rec.Record(traceID, obs.EvCommit, execCoord, attempt, now, int64(latency*1e9))
-				break
-			}
-			res.Aborts++
-			rec.Record(traceID, obs.EvAbort, execCoord, attempt, now, 0)
-			if attempt == cfg.Retry.MaxAttempts {
-				break
-			}
-			res.Retries++
-			backoff := cfg.Retry.Backoff(attempt, inj)
-			rec.Record(traceID, obs.EvBackoff, -1, attempt, now, int64(backoff*1e9))
-			now += backoff
-		}
-		if !committed {
-			res.PermanentFailures++
-			latency := now - arrival
-			allLat.Observe(int64(latency * 1e9))
-			hDurableLatency.Observe(int64(latency * 1e9))
-			slo.Record(latency, false)
-			rec.Record(traceID, obs.EvGiveUp, -1, cfg.Retry.MaxAttempts, now, int64(latency*1e9))
-			if now > res.MakespanSec {
-				res.MakespanSec = now
-			}
-		}
-	}
-
-	slo.Flush()
-	res.SLO = slo.Status()
-	latSnap := allLat.Snapshot()
-	res.LatencyP50 = float64(latSnap.P50) / 1e9
-	res.LatencyP99 = float64(latSnap.P99) / 1e9
-	res.LatencyP999 = float64(latSnap.P999) / 1e9
-
-	if res.Offered > 0 {
-		res.AvailabilityPct = 100 * float64(res.Committed) / float64(res.Offered)
-	}
 	for n := 0; n < sol.K; n++ {
 		if eng.dead[n] {
 			res.CrashedNodes = append(res.CrashedNodes, n)
@@ -473,7 +342,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 	// End of run: the whole cluster crashes (in-memory state lost), then
 	// recovery replays every partition log and the oracle checks it.
 	eng.Close()
-	rc, err := cluster.RecoverAndCheck(d.Schema(), walDir, sol.K, committedOps, rec, res.MakespanSec)
+	rc, err := cluster.RecoverAndCheck(d.Schema(), walDir, sol.K, t.Journal, rec, res.MakespanSec)
 	if err != nil {
 		return nil, err
 	}

@@ -30,6 +30,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/obs"
 )
@@ -67,4 +68,51 @@ type Transport interface {
 	Recv(ctx context.Context) (Msg, error)
 	// Close tears the endpoint down; subsequent sends to it are dropped.
 	Close() error
+}
+
+// NewChaosEndpoints builds endpoints 0..n-1 over the named wire, each
+// wrapped by WithChaos under pol: "bus" returns the in-proc Bus (whose
+// health view gates delivery) with its endpoints; "tcp" returns loopback
+// listeners that know each other's addresses, and a nil Bus. On error
+// every endpoint built so far is closed.
+func NewChaosEndpoints(wire string, n int, pol FaultPolicy) (*Bus, []Transport, error) {
+	eps := make([]Transport, n)
+	switch wire {
+	case "bus":
+		bus := NewBus()
+		for id := range eps {
+			ep, err := bus.Endpoint(id)
+			if err != nil {
+				CloseAll(eps)
+				return nil, nil, err
+			}
+			eps[id] = WithChaos(ep, pol)
+		}
+		return bus, eps, nil
+	case "tcp":
+		tcps := make([]*TCPEndpoint, n)
+		peers := make(map[int]string, n)
+		for id := range eps {
+			ep, err := ListenTCP(id, "127.0.0.1:0")
+			if err != nil {
+				CloseAll(eps)
+				return nil, nil, err
+			}
+			tcps[id], eps[id], peers[id] = ep, WithChaos(ep, pol), ep.Addr()
+		}
+		for _, ep := range tcps {
+			ep.SetPeers(peers)
+		}
+		return nil, eps, nil
+	}
+	return nil, nil, fmt.Errorf("transport: unknown transport %q", wire)
+}
+
+// CloseAll closes every non-nil endpoint of eps.
+func CloseAll(eps []Transport) {
+	for _, ep := range eps {
+		if ep != nil {
+			ep.Close()
+		}
+	}
 }

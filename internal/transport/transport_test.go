@@ -355,3 +355,36 @@ func TestTCPPeerRestartResume(t *testing.T) {
 		t.Fatal("no frame reached the restarted peer: dead connection never evicted")
 	}
 }
+
+func TestNewChaosEndpoints(t *testing.T) {
+	for _, wire := range []string{"bus", "tcp"} {
+		t.Run(wire, func(t *testing.T) {
+			bus, eps, err := NewChaosEndpoints(wire, 3, FaultPolicy{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer CloseAll(eps)
+			if (bus != nil) != (wire == "bus") || len(eps) != 3 {
+				t.Fatalf("bus %v, %d endpoints", bus, len(eps))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			for id, ep := range eps {
+				if ep.ID() != id {
+					t.Fatalf("endpoint %d has id %d", id, ep.ID())
+				}
+				to := (id + 1) % len(eps)
+				if err := ep.Send(ctx, Msg{Type: 1, From: id, To: to, Txn: uint64(id)}); err != nil {
+					t.Fatal(err)
+				}
+				m, err := eps[to].Recv(ctx)
+				if err != nil || m.From != id || m.Txn != uint64(id) {
+					t.Fatalf("%d -> %d: got %s, %v", id, to, m, err)
+				}
+			}
+		})
+	}
+	if _, _, err := NewChaosEndpoints("carrier-pigeon", 2, FaultPolicy{}); err == nil {
+		t.Error("unknown wire must be rejected")
+	}
+}

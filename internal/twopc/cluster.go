@@ -87,12 +87,7 @@ func (c Config) withDefaults(traceLen int) Config {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 64
 	}
-	if c.ArrivalRateTPS <= 0 {
-		c.ArrivalRateTPS = float64(traceLen) / 8
-		if c.ArrivalRateTPS <= 0 {
-			c.ArrivalRateTPS = 1
-		}
-	}
+	c.ArrivalRateTPS = cluster.ArrivalRate(c.ArrivalRateTPS, traceLen)
 	c.Retry = c.Retry.WithDefaults()
 	if c.DecisionTimeout <= 0 {
 		c.DecisionTimeout = 3 * time.Second
@@ -193,54 +188,20 @@ type topology struct {
 	parts []*Participant
 }
 
-func (cl *topology) closeEndpoints() {
-	for _, ep := range cl.eps {
-		if ep != nil {
-			ep.Close()
-		}
-	}
-}
-
 // buildCluster wires k participants, the driver (id k), and the standby
 // (id k+1) over the configured transport, chaos-wrapped per scenario.
 func buildCluster(d *db.DB, k int, cfg Config) (*topology, error) {
-	cl := &topology{eps: make([]transport.Transport, k+2)}
-	pol := transport.FaultPolicy{
+	bus, eps, err := transport.NewChaosEndpoints(cfg.Transport, k+2, transport.FaultPolicy{
 		Seed:       cfg.Seed,
 		LossProb:   cfg.Scenario.MsgLossProb,
 		SpikeProb:  cfg.Scenario.LatencySpikeProb,
 		SpikeDelay: cfg.SpikeDelay,
 		Exempt:     exemptType,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("twopc: %w", err)
 	}
-	switch cfg.Transport {
-	case "bus":
-		cl.bus = transport.NewBus()
-		for id := 0; id < k+2; id++ {
-			ep, err := cl.bus.Endpoint(id)
-			if err != nil {
-				return nil, err
-			}
-			cl.eps[id] = transport.WithChaos(ep, pol)
-		}
-	case "tcp":
-		tcps := make([]*transport.TCPEndpoint, k+2)
-		peers := make(map[int]string, k+2)
-		for id := 0; id < k+2; id++ {
-			ep, err := transport.ListenTCP(id, "127.0.0.1:0")
-			if err != nil {
-				cl.closeEndpoints()
-				return nil, err
-			}
-			tcps[id] = ep
-			cl.eps[id] = transport.WithChaos(ep, pol)
-			peers[id] = ep.Addr()
-		}
-		for _, ep := range tcps {
-			ep.SetPeers(peers)
-		}
-	default:
-		return nil, fmt.Errorf("twopc: unknown transport %q", cfg.Transport)
-	}
+	cl := &topology{bus: bus, eps: eps}
 	pcfg := ParticipantConfig{
 		DecisionTimeout: cfg.DecisionTimeout,
 		CheckpointEvery: cfg.CheckpointEvery,
@@ -249,7 +210,7 @@ func buildCluster(d *db.DB, k int, cfg Config) (*topology, error) {
 	for id := 0; id < k; id++ {
 		p, err := NewParticipant(id, d.Schema(), cfg.WALDir, cl.eps[id], pcfg)
 		if err != nil {
-			cl.closeEndpoints()
+			transport.CloseAll(cl.eps)
 			return nil, err
 		}
 		cl.parts[id] = p
@@ -285,7 +246,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	if err != nil {
 		return nil, err
 	}
-	defer cl.closeEndpoints()
+	defer transport.CloseAll(cl.eps)
 
 	k := sol.K
 	dcfg := driverConfig{wire: cfg.Wire, voteWait: cfg.VoteWait, ackWait: cfg.AckWait}
@@ -342,34 +303,13 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		}()
 	}
 
-	sc := cfg.Scenario
 	rec := cfg.Recorder
-	slo := obs.NewSLOMonitor(cfg.SLO)
-	var allLat obs.HDR
-
-	crashes := cluster.NewCrashScript(sc.CrashPoints, cluster.TwoPCRules())
-
-	res := &Result{
-		Scenario:  sc.Name,
-		Seed:      cfg.Seed,
-		Nodes:     k,
-		Transport: cfg.Transport,
-		Offered:   tr.Len(),
-	}
+	crashes := cluster.NewCrashScript(cfg.Scenario.CrashPoints, cluster.TwoPCRules())
+	res := &Result{Scenario: cfg.Scenario.Name, Seed: cfg.Seed, Nodes: k, Transport: cfg.Transport}
 
 	deadSet := map[int]bool{}
 	inDoubtSet := map[int]bool{} // live partitions blocked on an in-doubt txn
 	dead := func(n int) bool { return deadSet[n] || cl.parts[n].Crashed() }
-	down := func(n int, now float64) bool { return dead(n) || inj.Down(n, now) }
-	upNodes := func(now float64) []int {
-		var up []int
-		for n := 0; n < k; n++ {
-			if !down(n, now) {
-				up = append(up, n)
-			}
-		}
-		return up
-	}
 
 	// failover hands the trace to the standby: heartbeats stop, the
 	// lease lapses, the takeover resolves every live in-doubt holder,
@@ -380,184 +320,77 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		res.Failovers++
 		res.ResolvedCommits += rep.ResolvedCommits
 		res.ResolvedAborts += rep.ResolvedAborts
-		for n := range inDoubtSet {
-			delete(inDoubtSet, n)
-		}
+		clear(inDoubtSet)
 		drv = newDriver(k+1, sb.Endpoint(), dcfg)
 	}
 
 	var nextTxn uint64
-	var committedOps [][]cluster.PartOp
-	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
-	for i, t := range tr.All() {
-		arrival := float64(i) / cfg.ArrivalRateTPS
-		place := placed.Txn(i)
-		nodes, coord, distributed := cluster.Participants(t, place, k, i)
-		traceID := obs.TxnID(cfg.Seed, i)
-		rec.Record(traceID, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
-		dist := int64(0)
-		if distributed {
-			dist = 1
+	t, err := cluster.Replay(tr, a.PlaceTrace(tr, runtime.GOMAXPROCS(0)), cluster.ReplayConfig{
+		Seed: cfg.Seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
+		Down:     func(n int, now float64) bool { return dead(n) || inj.Down(n, now) },
+		InDoubt:  func(p int) bool { return inDoubtSet[p] },
+		Recorder: rec, SLO: obs.NewSLOMonitor(cfg.SLO), Journal: true,
+	}, func(at *cluster.Attempt) (bool, error) {
+		if cl.bus != nil {
+			// Scripted crash windows gate real frames for this round's
+			// virtual instant.
+			cl.bus.SetHealth(inj.At(at.Now))
 		}
-		rec.Record(traceID, obs.EvRoute, coord, 0, arrival, int64(len(nodes))<<8|dist)
-
-		now := arrival
-		committed := false
-		for attempt := 1; attempt <= cfg.Retry.MaxAttempts; attempt++ {
-			now += inj.SampleLatency()
-			if cl.bus != nil {
-				// Scripted crash windows gate real frames for this round's
-				// virtual instant.
-				cl.bus.SetHealth(inj.At(now))
-			}
-			execNodes, execCoord := nodes, coord
-			if len(nodes) == 0 {
-				// Fully-replicated read: degrade to any reachable node.
-				if up := upNodes(now); len(up) > 0 {
-					execCoord = up[i%len(up)]
-					execNodes = []int{execCoord}
-				} else {
-					execNodes, execCoord = []int{coord}, coord
-				}
-			}
-			writeParts, opsAt := cluster.WriteEffects(t, place, k, execCoord)
-
-			blocked := false
-			for _, n := range execNodes {
-				if down(n, now) {
-					blocked = true
-					rec.Record(traceID, obs.EvFault, n, attempt, now, obs.FaultNodeDown)
-					break
-				}
-			}
-			if !blocked {
-				for _, p := range writeParts {
-					if inDoubtSet[p] {
-						blocked = true
-						rec.Record(traceID, obs.EvFault, p, attempt, now, obs.FaultInDoubtBlock)
-						break
-					}
-				}
-			}
-
-			// Crash points fire on rounds that would otherwise proceed.
-			var fire *cluster.Crash
-			if !blocked && len(writeParts) > 0 {
-				fire = crashes.Next(cluster.Round{Coord: execCoord, WriteParts: writeParts, Distributed: distributed}, dead)
-			}
-
-			if !blocked && len(writeParts) > 0 {
-				nextTxn++
-				txn := nextTxn
-				if fire != nil {
-					cl.parts[fire.Node].ArmCrash(fire.Phase)
-				}
-				var out roundOutcome
-				if distributed {
-					out = drv.round2PC(srvCtx, txn, execCoord, writeParts, opsAt, dead)
-				} else if drv.commitLocal(srvCtx, txn, writeParts[0], opsAt[writeParts[0]]) {
-					out.committed = true
-				}
-				for _, p := range out.yes {
-					rec.Record(traceID, obs.EvPrepare, p, attempt, now, 0)
-				}
-				if fire != nil && !cl.parts[fire.Node].Crashed() {
-					// The armed message never arrived (every frame of the
-					// phase was lost): the crash did not realize. Disarm and
-					// treat the round at face value.
-					cl.parts[fire.Node].ArmCrash("")
-					fire = nil
-				}
-				if fire != nil {
-					deadSet[fire.Node] = true
-					rec.Record(traceID, obs.EvCrash, fire.Node, attempt, now, faults.PhaseCode(fire.Phase))
-					if fire.Phase == faults.PhaseAfterDecision {
-						// The decision is durable on the crashed coordinator:
-						// the transaction IS committed even though nobody
-						// heard it.
-						committed = true
-						res.Committed++
-						res.Distributed++
-						committedOps = append(committedOps, cluster.FlattenOps(writeParts, opsAt))
-						if now > res.MakespanSec {
-							res.MakespanSec = now
-						}
-					}
-					for _, p := range out.unresolved {
-						if !dead(p) {
-							inDoubtSet[p] = true
-						}
-					}
-					coordCrash := fire.Phase != faults.PhaseBeforePrepare
-					if coordCrash && sb != nil {
-						failover()
-					}
-				} else if out.committed {
-					committed = true
-					res.Committed++
-					if distributed {
-						res.Distributed++
-					} else {
-						res.Local++
-					}
-					committedOps = append(committedOps, cluster.FlattenOps(writeParts, opsAt))
-					if now > res.MakespanSec {
-						res.MakespanSec = now
-					}
-				}
-			} else if !blocked {
-				// No write effects (read-only / fully-replicated read):
-				// nothing touches the wire.
-				committed = true
-				res.Committed++
-				if distributed {
-					res.Distributed++
-				} else {
-					res.Local++
-				}
-				if now > res.MakespanSec {
-					res.MakespanSec = now
-				}
-			}
-
-			if committed {
-				latency := now - arrival
-				allLat.Observe(int64(latency * 1e9))
-				slo.Record(latency, true)
-				rec.Record(traceID, obs.EvCommit, execCoord, attempt, now, int64(latency*1e9))
-				break
-			}
-			res.Aborts++
-			rec.Record(traceID, obs.EvAbort, execCoord, attempt, now, 0)
-			if attempt == cfg.Retry.MaxAttempts {
-				break
-			}
-			res.Retries++
-			backoff := cfg.Retry.Backoff(attempt, inj)
-			rec.Record(traceID, obs.EvBackoff, -1, attempt, now, int64(backoff*1e9))
-			now += backoff
+		if at.Blocked {
+			return false, nil
 		}
-		if !committed {
-			res.PermanentFailures++
-			latency := now - arrival
-			allLat.Observe(int64(latency * 1e9))
-			slo.Record(latency, false)
-			rec.Record(traceID, obs.EvGiveUp, -1, cfg.Retry.MaxAttempts, now, int64(latency*1e9))
-			if now > res.MakespanSec {
-				res.MakespanSec = now
+		coord, parts, opsAt := at.Coord, at.WriteParts, at.OpsAt
+		if len(parts) == 0 {
+			// No write effects (read-only / fully-replicated read):
+			// nothing touches the wire.
+			return true, nil
+		}
+		// Crash points fire on rounds that would otherwise proceed.
+		fire := crashes.Next(cluster.Round{Coord: coord, WriteParts: parts, Distributed: at.Distributed}, dead)
+		nextTxn++
+		if fire != nil {
+			cl.parts[fire.Node].ArmCrash(fire.Phase)
+		}
+		var out roundOutcome
+		if at.Distributed {
+			out = drv.round2PC(srvCtx, nextTxn, coord, parts, opsAt, dead)
+		} else {
+			out.committed = drv.commitLocal(srvCtx, nextTxn, parts[0], opsAt[parts[0]])
+		}
+		for _, p := range out.yes {
+			rec.Record(at.TraceID, obs.EvPrepare, p, at.Num, at.Now, 0)
+		}
+		if fire != nil && !cl.parts[fire.Node].Crashed() {
+			// The armed message never arrived (every frame of the phase
+			// was lost): the crash did not realize. Disarm and treat the
+			// round at face value.
+			cl.parts[fire.Node].ArmCrash("")
+			fire = nil
+		}
+		if fire == nil {
+			return out.committed, nil
+		}
+		deadSet[fire.Node] = true
+		rec.Record(at.TraceID, obs.EvCrash, fire.Node, at.Num, at.Now, faults.PhaseCode(fire.Phase))
+		for _, p := range out.unresolved {
+			if !dead(p) {
+				inDoubtSet[p] = true
 			}
 		}
+		if fire.Phase != faults.PhaseBeforePrepare && sb != nil {
+			failover() // a coordinator crash
+		}
+		// After the decision, it is durable on the crashed coordinator:
+		// the transaction IS committed even though nobody heard it.
+		return fire.Phase == faults.PhaseAfterDecision, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	slo.Flush()
-	res.SLO = slo.Status()
-	latSnap := allLat.Snapshot()
-	res.LatencyP50 = float64(latSnap.P50) / 1e9
-	res.LatencyP99 = float64(latSnap.P99) / 1e9
-	res.LatencyP999 = float64(latSnap.P999) / 1e9
-	if res.Offered > 0 {
-		res.AvailabilityPct = 100 * float64(res.Committed) / float64(res.Offered)
-	}
+	res.Offered, res.Committed, res.PermanentFailures = t.Offered, t.Committed, t.PermanentFailures
+	res.Local, res.Distributed, res.Aborts, res.Retries = t.Local, t.Distributed, t.Aborts, t.Retries
+	res.AvailabilityPct, res.MakespanSec = t.AvailabilityPct, t.MakespanSec
+	res.LatencyP50, res.LatencyP99, res.LatencyP999, res.SLO = t.LatencyP50, t.LatencyP99, t.LatencyP999, t.SLO
 
 	// End of run: the whole cluster crashes. Server goroutines unwind
 	// (closing their logs as-is), then recovery replays every log.
@@ -584,7 +417,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		res.WALBytes += p.WALBytes()
 	}
 
-	rc, err := cluster.RecoverAndCheck(d.Schema(), cfg.WALDir, k, committedOps, rec, res.MakespanSec)
+	rc, err := cluster.RecoverAndCheck(d.Schema(), cfg.WALDir, k, t.Journal, rec, res.MakespanSec)
 	if err != nil {
 		return nil, err
 	}
