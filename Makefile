@@ -27,9 +27,10 @@ verify:
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
 # in isolation, each at 1/2/8 workers, then the commit path: one store
 # commit, one WAL protocol step, one checkpoint encoding and digest fold,
-# one end-of-run recover-and-check, and a small TPC-C commit window
-# through networked 2PC and through quorum replica groups; last, trace
-# generation at the jecbbench sizes.
+# one end-of-run recover-and-check, a small TPC-C commit window
+# through networked 2PC and through quorum replica groups, and one
+# replica ship/ack round trip; last, trace generation at the jecbbench
+# sizes.
 bench:
 	$(GO) test -bench='PathEval|Evaluate|GraphPartition|RouterNew|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
 	$(GO) test -bench='BenchmarkPartition' -benchtime=1x -run=^$$ .
@@ -37,7 +38,7 @@ bench:
 	$(GO) test -bench='EvaluateParallel' -benchmem -run=^$$ ./internal/eval/
 	$(GO) test -bench='CommitOps|LogAppendTxn|EncodeSnapshot|TableDigest' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
 	$(GO) test -bench='GenerateTrace' -benchmem -benchtime=3x -run=^$$ ./internal/workloads/
-	$(GO) test -bench='RecoverAndCheck|TwoPCWindow|ReplQuorumWindow' -benchmem -run=^$$ ./internal/cluster/ ./internal/twopc/ ./internal/repl/
+	$(GO) test -bench='RecoverAndCheck|TwoPCWindow|ReplQuorumWindow|ShipAck' -benchmem -run=^$$ ./internal/cluster/ ./internal/twopc/ ./internal/repl/
 
 # bench-export writes BENCH_obs.json, the machine-readable perf
 # trajectory (ns/op, allocs/op, B/op per micro-benchmark),

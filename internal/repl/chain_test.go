@@ -91,19 +91,18 @@ func newTestPrimary(t *testing.T, sc *schema.Schema, dir string) *primary {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { log.Close() })
-	return &primary{log: log, app: wal.NewApplier(sc), acked: map[int]int64{}}
+	return &primary{chain: newChain(sc, log), acked: map[int]int64{}}
 }
 
-// primaryStore returns the encoded store snapshotTo would ship.
-func primaryStore(t *testing.T, p *primary) []byte {
+// chainStore materializes a member's store and encodes it, as
+// snapshotTo does.
+func chainStore(t *testing.T, c *chain) []byte {
 	t.Helper()
-	return p.app.DB().EncodeSnapshot()
-}
-
-// backupStore returns the encoded store a promotion would adopt.
-func backupStore(t *testing.T, b *backup) []byte {
-	t.Helper()
-	return b.app.DB().EncodeSnapshot()
+	st, err := c.store()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.EncodeSnapshot()
 }
 
 // TestMemberStoreMatchesEagerApply pins the store a replica member
@@ -116,13 +115,13 @@ func TestMemberStoreMatchesEagerApply(t *testing.T) {
 	t.Run("primary", func(t *testing.T) {
 		p := newTestPrimary(t, sc, t.TempDir())
 		ref := &eagerStore{t: t, app: wal.NewApplier(sc)}
-		ref.check("empty chain", primaryStore(t, p))
+		ref.check("empty chain", chainStore(t, &p.chain))
 		for i, rec := range protocolChain(1) {
 			if err := p.append(rec.Type, rec.Txn, rec.Payload); err != nil {
 				t.Fatalf("append %d: %v", i, err)
 			}
 			ref.apply(rec)
-			ref.check("single-record prefix", primaryStore(t, p))
+			ref.check("single-record prefix", chainStore(t, &p.chain))
 		}
 		// One protocol step per appendTxn, as writeRound logs them.
 		ops := []db.Op{
@@ -149,14 +148,14 @@ func TestMemberStoreMatchesEagerApply(t *testing.T) {
 			if s.tail != 0 {
 				ref.apply(wal.Record{Type: s.tail, Txn: s.txn, Payload: s.payload})
 			}
-			ref.check("transaction step", primaryStore(t, p))
+			ref.check("transaction step", chainStore(t, &p.chain))
 		}
 		for _, txn := range []uint64{51, 52} {
 			if err := p.append(wal.RecCommit, txn, nil); err != nil {
 				t.Fatal(err)
 			}
 			ref.apply(wal.Record{Type: wal.RecCommit, Txn: txn})
-			ref.check("decision", primaryStore(t, p))
+			ref.check("decision", chainStore(t, &p.chain))
 		}
 	})
 
@@ -177,7 +176,9 @@ func TestMemberStoreMatchesEagerApply(t *testing.T) {
 		ctx := context.Background()
 		ref := &eagerStore{t: t, app: wal.NewApplier(sc)}
 		var seq int64
-		ship := func(recs []wal.Record) {
+		// ship logs recs as one batch; read checks the store afterwards,
+		// and a batch shipped without it stays in the unapplied backlog.
+		ship := func(recs []wal.Record, read bool) {
 			t.Helper()
 			if _, err := b.handleAppend(ctx, transport.Msg{Type: MsgAppend, From: 9, To: 1,
 				Payload: encodeAppend(0, seq, recs)}); err != nil {
@@ -187,12 +188,20 @@ func TestMemberStoreMatchesEagerApply(t *testing.T) {
 			for _, rec := range recs {
 				ref.apply(rec)
 			}
-			ref.check("shipped prefix", backupStore(t, b))
+			if read {
+				ref.check("shipped prefix", chainStore(t, &b.chain))
+			}
 		}
 
-		ref.check("empty chain", backupStore(t, b))
-		for _, rec := range protocolChain(1) {
-			ship([]wal.Record{rec})
+		ref.check("empty chain", chainStore(t, &b.chain))
+		head := protocolChain(1)
+		for _, rec := range head[:12] {
+			ship([]wal.Record{rec}, true)
+		}
+		// The rest is never read before the snapshot install, which must
+		// drop the unapplied backlog with the history.
+		for _, rec := range head[12:] {
+			ship([]wal.Record{rec}, false)
 		}
 		// A snapshot install resets the chain at its base.
 		snap := fixture.CustInfoDB().EncodeSnapshot()
@@ -202,13 +211,14 @@ func TestMemberStoreMatchesEagerApply(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref.apply(wal.Record{Type: wal.RecCheckpoint, Payload: snap})
-		ref.check("snapshot install", backupStore(t, b))
+		ref.check("snapshot install", chainStore(t, &b.chain))
 		// The tail after the install: single records, then one batch.
 		tail := protocolChain(20)
 		for _, rec := range tail[:10] {
-			ship([]wal.Record{rec})
+			ship([]wal.Record{rec}, true)
 		}
-		ship(tail[10:])
+		ship(tail[10:16], false)
+		ship(tail[16:], true)
 	})
 }
 

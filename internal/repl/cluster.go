@@ -256,6 +256,9 @@ type harness struct {
 	journal []journalEntry
 	res     *Result
 	catchup bool // acked records count as anti-entropy, not round ship
+	// storeErr is the first failure to materialize a primary's store for
+	// a snapshot install; the replay and its epilogue stop on it.
+	storeErr error
 }
 
 func (h *harness) detID(g int) int { return h.k*(h.cfg.Replicas+1) + 1 + g }
@@ -272,19 +275,19 @@ func (h *harness) send(ctx context.Context, to int, typ uint8, txn uint64, paylo
 	})
 }
 
-func (h *harness) recvBy(ctx context.Context, deadline time.Time) (transport.Msg, bool) {
-	rctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	m, err := h.eps[h.driverID].Recv(rctx)
-	return m, err == nil
-}
-
-func (h *harness) window(attempt int) time.Duration {
+// attemptCtx bounds one send attempt's reply window: every receive of
+// the attempt shares its deadline.
+func (h *harness) attemptCtx(ctx context.Context, attempt int) (context.Context, context.CancelFunc) {
 	w := time.Duration(h.cfg.Wire.BackoffAt(attempt) * float64(time.Second))
 	if w < h.cfg.AckWait {
 		w = h.cfg.AckWait
 	}
-	return w
+	return context.WithDeadline(ctx, time.Now().Add(w))
+}
+
+func (h *harness) recv(ctx context.Context) (transport.Msg, bool) {
+	m, err := h.eps[h.driverID].Recv(ctx)
+	return m, err == nil
 }
 
 // handleAck folds any append-ack into the owning group's watermark book.
@@ -338,9 +341,9 @@ func (h *harness) shipTo(ctx context.Context, g, mem int, target int64, maxAttem
 		}
 		h.send(ctx, b.id, MsgAppend, traceID, encodeAppend(grp.pr.epoch, base, recs))
 		h.rec.Record(traceID, obs.EvShip, b.id, attempt, vt, int64(len(recs))<<16|base&0xffff)
-		deadline := time.Now().Add(h.window(attempt))
+		actx, cancel := h.attemptCtx(ctx, attempt)
 		for grp.pr.acked[mem] < target {
-			m, got := h.recvBy(ctx, deadline)
+			m, got := h.recv(actx)
 			if !got {
 				break
 			}
@@ -349,6 +352,7 @@ func (h *harness) shipTo(ctx context.Context, g, mem int, target int64, maxAttem
 				h.rec.Record(traceID, obs.EvReplAck, b.id, attempt, vt, grp.pr.acked[mem])
 			}
 		}
+		cancel()
 		if grp.pr.acked[mem] >= target {
 			return true
 		}
@@ -366,23 +370,31 @@ func (h *harness) shipTo(ctx context.Context, g, mem int, target int64, maxAttem
 }
 
 // snapshotTo installs the primary's current snapshot on a member
-// (must-deliver) and counts the rejoin.
+// (must-deliver) and counts the rejoin. The snapshot is the primary's
+// store, materialized through the chain head.
 func (h *harness) snapshotTo(ctx context.Context, g, mem int, traceID uint64, vt float64) bool {
 	grp := h.groups[g]
 	b := grp.members[mem]
 	base := grp.pr.seq
-	snap := grp.pr.app.DB().EncodeSnapshot()
-	payload := encodeSnapshot(grp.pr.epoch, base, snap)
+	st, err := grp.pr.store()
+	if err != nil {
+		if h.storeErr == nil {
+			h.storeErr = fmt.Errorf("repl: group %d primary store: %w", g, err)
+		}
+		return false
+	}
+	payload := encodeSnapshot(grp.pr.epoch, base, st.EncodeSnapshot())
 	for attempt := 1; attempt <= 4*h.cfg.Wire.MaxAttempts; attempt++ {
 		h.send(ctx, b.id, MsgSnapshotOffer, traceID, payload)
-		deadline := time.Now().Add(h.window(attempt))
+		actx, cancel := h.attemptCtx(ctx, attempt)
 		for grp.pr.acked[mem] < base {
-			m, got := h.recvBy(ctx, deadline)
+			m, got := h.recv(actx)
 			if !got {
 				break
 			}
 			h.handleAck(m)
 		}
+		cancel()
 		if grp.pr.acked[mem] >= base {
 			h.res.SnapshotRejoins++
 			cSnapshotRejoins.Inc()
@@ -492,17 +504,9 @@ func (h *harness) promoteGroup(ctx context.Context, g int, traceID uint64, vt fl
 		}
 		acked[m] = was
 	}
-	grp.pr = &primary{
-		group:   g,
-		member:  pm,
-		epoch:   prom.Epoch,
-		log:     b.log,
-		app:     b.app,
-		seq:     b.applied,
-		base:    b.base,
-		records: b.records,
-		acked:   acked,
-	}
+	// The winner's chain — its unapplied backlog included — is the
+	// group's chain now.
+	grp.pr = &primary{group: g, member: pm, epoch: prom.Epoch, chain: b.chain, acked: acked}
 	delete(grp.members, pm)
 
 	h.res.Promotions++
@@ -542,7 +546,7 @@ func (h *harness) rejoinMember(ctx context.Context, g, mem int, vt float64) erro
 		// endpoint. Creating the backup truncates the old log file —
 		// discarding the diverged suffix is the point.
 		var err error
-		b, err = newBackup(g, mem, h.cfg.Replicas, grp.pr.app.DB().Schema(), h.cfg.WALDir, h.eps[memberID(g, mem, h.cfg.Replicas)])
+		b, err = newBackup(g, mem, h.cfg.Replicas, grp.pr.sc, h.cfg.WALDir, h.eps[memberID(g, mem, h.cfg.Replicas)])
 		if err != nil {
 			return err
 		}
@@ -566,6 +570,9 @@ func (h *harness) rejoinMember(ctx context.Context, g, mem int, vt float64) erro
 		}
 		grp.pr.acked[mem] = 0
 		if !h.snapshotTo(ctx, g, mem, 0, vt) {
+			if h.storeErr != nil {
+				return h.storeErr
+			}
 			return fmt.Errorf("repl: group %d member %d snapshot rejoin failed", g, mem)
 		}
 		return nil

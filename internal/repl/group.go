@@ -2,6 +2,7 @@ package repl
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -39,6 +40,103 @@ func MemberLogPath(dir string, g, m int) string {
 // members occupy [g·(R+1), (g+1)·(R+1)).
 func memberID(g, m, replicas int) int { return g*(replicas+1) + m }
 
+// chain is one replica member's copy of its group's record chain: the
+// log, the record history since base, and the member's store. A record
+// is checked as it is logged — the checks that need no store: its type,
+// a WRITE's op decode and table, a PREPARE's coordinator — and counts as
+// held from then on, so a member acknowledges once a record is logged,
+// as Raft followers do. The store (an Applier) catches up with the
+// logged chain only when it is read: store applies the unapplied tail.
+// State-dependent apply errors (a duplicate insert, an update of a
+// missing row) therefore surface when a store is materialized, or at
+// the end-of-run recovery, which replays every member log.
+type chain struct {
+	sc  *schema.Schema
+	log *wal.Log
+	app *wal.Applier
+
+	// seq is the logged watermark: chain records ever logged and checked.
+	// base is the sequence of records[0] (nonzero after a snapshot install
+	// truncated history), so seq == base+len(records).
+	seq     int64
+	base    int64
+	records []wal.Record
+	// unapplied counts the records at the tail of records that app has
+	// not applied yet.
+	unapplied int
+}
+
+func newChain(sc *schema.Schema, log *wal.Log) chain {
+	return chain{sc: sc, log: log, app: wal.NewApplier(sc)}
+}
+
+// accept extends the chain with records its log already holds, checking
+// each in order; the first failing record and those after it are not
+// added.
+func (c *chain) accept(recs []wal.Record) error {
+	for _, rec := range recs {
+		switch rec.Type {
+		case wal.RecBegin, wal.RecCommit, wal.RecAbort:
+		case wal.RecWrite:
+			op, err := db.DecodeOp(rec.Payload)
+			if err != nil {
+				return fmt.Errorf("%w: write record txn %d: %v", wal.ErrCorrupt, rec.Txn, err)
+			}
+			if c.sc.Table(op.Table) == nil {
+				return fmt.Errorf("%w: write record txn %d: unknown table %q", wal.ErrCorrupt, rec.Txn, op.Table)
+			}
+		case wal.RecPrepare:
+			if _, w := binary.Uvarint(rec.Payload); w <= 0 {
+				return fmt.Errorf("%w: prepare record txn %d: bad coordinator", wal.ErrCorrupt, rec.Txn)
+			}
+		default:
+			// A checkpoint (or a type Apply rejects) takes effect at once,
+			// over the applied backlog, as on an eagerly-applied store.
+			if _, err := c.store(); err != nil {
+				return err
+			}
+			if err := c.app.Apply(rec); err != nil {
+				return err
+			}
+			c.records = append(c.records, rec)
+			c.seq++
+			continue
+		}
+		c.records = append(c.records, rec)
+		c.seq++
+		c.unapplied++
+	}
+	return nil
+}
+
+// store applies the unapplied tail and returns the member's store: the
+// state RecoverFile would rebuild from the logged chain.
+func (c *chain) store() (*db.DB, error) {
+	for ; c.unapplied > 0; c.unapplied-- {
+		if err := c.app.Apply(c.records[len(c.records)-c.unapplied]); err != nil {
+			return nil, err
+		}
+	}
+	return c.app.DB(), nil
+}
+
+// install restarts the chain at base from a snapshot, logged as a
+// CHECKPOINT record. The checkpoint lives in the log only: records[i]
+// is chain sequence base+i, and the snapshot summarizes everything
+// before base, so the unapplied backlog is dropped with the history.
+func (c *chain) install(base int64, snap []byte) error {
+	rec := wal.Record{Type: wal.RecCheckpoint, Payload: append([]byte(nil), snap...)}
+	if err := c.log.Append(rec.Type, rec.Txn, rec.Payload); err != nil {
+		return err
+	}
+	if err := c.app.Apply(rec); err != nil {
+		return err
+	}
+	c.base, c.seq = base, base
+	c.records, c.unapplied = nil, 0
+	return nil
+}
+
 // primary is a group's authoritative chain, driver-local: the replay
 // appends records directly (no wire on the primary path — mirroring
 // twopc, where the driver is the protocol's sequencer) and ships them to
@@ -48,21 +146,14 @@ type primary struct {
 	member int // which member slot holds the chain (changes on promotion)
 	epoch  int
 
-	log *wal.Log
-	app *wal.Applier
-
-	// seq counts chain records ever appended; base is the sequence of
-	// records[0] (nonzero after a snapshot install truncated history).
-	seq     int64
-	base    int64
-	records []wal.Record
+	chain
 
 	// acked tracks each backup member's durably-acknowledged watermark.
 	acked map[int]int64
 }
 
-// append extends the chain: durable log append, then the applier (the
-// primary's own store) and the in-memory history the shipper reads.
+// append extends the chain by one record: durable log append, then the
+// in-memory history the shipper reads.
 func (p *primary) append(typ wal.RecType, txn uint64, payload []byte) error {
 	if err := p.log.Append(typ, txn, payload); err != nil {
 		return err
@@ -71,18 +162,13 @@ func (p *primary) append(typ wal.RecType, txn uint64, payload []byte) error {
 	if len(payload) > 0 {
 		rec.Payload = append([]byte(nil), payload...)
 	}
-	if err := p.app.Apply(rec); err != nil {
-		return err
-	}
-	p.records = append(p.records, rec)
-	p.seq++
-	return nil
+	return p.accept([]wal.Record{rec})
 }
 
 // appendTxn extends the chain with one transaction's protocol step:
 // BEGIN, one WRITE per op and, when tail is nonzero, the PREPARE or
-// COMMIT tail — one log write, then the applier and the ship history
-// record by record, exactly as the equivalent append calls would.
+// COMMIT tail — one log write, then the ship history, exactly as the
+// equivalent append calls would.
 func (p *primary) appendTxn(txn uint64, ops []db.Op, tail wal.RecType, tailPayload []byte) error {
 	recs := make([]wal.Record, 0, len(ops)+2)
 	recs = append(recs, wal.Record{Type: wal.RecBegin, Txn: txn})
@@ -105,18 +191,11 @@ func (p *primary) appendTxn(txn uint64, ops []db.Op, tail wal.RecType, tailPaylo
 	if err := p.log.AppendBatch(recs); err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		if err := p.app.Apply(rec); err != nil {
-			return err
-		}
-	}
-	p.records = append(p.records, recs...)
-	p.seq += int64(len(recs))
-	return nil
+	return p.accept(recs)
 }
 
 // appendTorn writes a torn record: durable only as a partial frame, so it
-// is not part of the chain (recovery discards it) and neither the applier
+// is not part of the chain (recovery discards it) and neither the store
 // nor the ship history sees it.
 func (p *primary) appendTorn(typ wal.RecType, txn uint64, payload []byte, keep int) error {
 	return p.log.AppendTorn(typ, txn, payload, keep)
@@ -137,14 +216,14 @@ func (p *primary) lag(m int) int64 { return p.seq - p.acked[m] }
 // Backup crash-arm codes.
 const (
 	armNone int32 = iota
-	// armMidCatchup: die after applying only half of the next append
+	// armMidCatchup: die after logging only half of the next append
 	// batch, without acking — the scripted backup-crash-mid-catchup
-	// point. The log keeps the half-applied prefix.
+	// point. The log keeps the half-logged prefix.
 	armMidCatchup
 )
 
-// backup is one replica-group member server: its own log and applier
-// behind an endpoint, speaking the repl protocol. It is driven entirely
+// backup is one replica-group member server: its own chain behind an
+// endpoint, speaking the repl protocol. It is driven entirely
 // by messages; all state is goroutine-local until serve exits (done
 // closed), after which the driver may adopt it.
 type backup struct {
@@ -152,15 +231,11 @@ type backup struct {
 	member int
 	id     int // flat endpoint id
 	ep     transport.Transport
-	sc     *schema.Schema
 
-	log *wal.Log
-	app *wal.Applier
-
-	epoch   int
-	base    int64 // sequence of records[0]
-	applied int64 // durable watermark: chain records applied
-	records []wal.Record
+	// chain.seq is the member's watermark: the chain records it has
+	// logged, which is what it acknowledges.
+	chain
+	epoch int
 
 	crashArm atomic.Int32
 	crashed  atomic.Bool
@@ -180,15 +255,13 @@ func newBackup(g, m, replicas int, sc *schema.Schema, dir string, ep transport.T
 		member: m,
 		id:     memberID(g, m, replicas),
 		ep:     ep,
-		sc:     sc,
-		log:    log,
-		app:    wal.NewApplier(sc),
+		chain:  newChain(sc, log),
 		done:   make(chan struct{}),
 	}, nil
 }
 
 // restart re-arms an exited backup for a rejoin: fresh done channel,
-// crash state cleared. The log, applier and watermark carry over — a
+// crash state cleared. The chain and its watermark carry over — a
 // crashed backup's durable prefix is exactly what anti-entropy resumes
 // from.
 func (b *backup) restart() {
@@ -200,16 +273,14 @@ func (b *backup) restart() {
 
 // reset discards the backup's chain for a snapshot rejoin: the log file
 // is recreated (dropping any divergent suffix a deposed primary wrote)
-// and the applier empties until the offer arrives.
+// and the store empties until the offer arrives.
 func (b *backup) reset() error {
 	b.log.Close()
 	log, err := wal.Create(b.log.Path())
 	if err != nil {
 		return err
 	}
-	b.log = log
-	b.app = wal.NewApplier(b.sc)
-	b.base, b.applied, b.records = 0, 0, nil
+	b.chain = newChain(b.sc, log)
 	return nil
 }
 
@@ -247,7 +318,7 @@ func (b *backup) handle(ctx context.Context, m transport.Msg) (exit bool, err er
 	case MsgSnapshotOffer:
 		return false, b.handleSnapshot(ctx, m)
 	case MsgWatermarkQuery:
-		b.reply(ctx, m, MsgWatermarkResp, encodeSeq(b.epoch, b.applied))
+		b.reply(ctx, m, MsgWatermarkResp, encodeSeq(b.epoch, b.seq))
 	case MsgPromote:
 		epoch, _, err := decodeSeq(m.Payload)
 		if err != nil || epoch <= b.epoch {
@@ -255,14 +326,17 @@ func (b *backup) handle(ctx context.Context, m transport.Msg) (exit bool, err er
 		}
 		b.epoch = epoch
 		b.promoted = true
-		b.reply(ctx, m, MsgPromoteAck, encodeSeq(b.epoch, b.applied))
+		b.reply(ctx, m, MsgPromoteAck, encodeSeq(b.epoch, b.seq))
 		return true, nil
 	}
 	return false, nil
 }
 
-// handleAppend applies a ship batch: records beyond the durable watermark
-// append to the log and the store, then the watermark is acknowledged.
+// handleAppend logs a ship batch: records beyond the watermark append to
+// the log and the chain, then the watermark is acknowledged — the store
+// applies them only when it is read. A batch holding a record the chain
+// rejects stays logged as received, but gets no ack and stops the
+// server.
 // A batch from the future (base beyond the watermark — its predecessors
 // were lost) is answered with the current watermark so the shipper
 // resends from there: anti-entropy is built into the ship path.
@@ -279,12 +353,12 @@ func (b *backup) handleAppend(ctx context.Context, m transport.Msg) (bool, error
 		// with the watermark below.
 		b.epoch = epoch
 	}
-	if base > b.applied {
-		b.reply(ctx, m, MsgAppendAck, encodeSeq(b.epoch, b.applied))
+	if base > b.seq {
+		b.reply(ctx, m, MsgAppendAck, encodeSeq(b.epoch, b.seq))
 		return false, nil
 	}
 	fresh := recs
-	if skip := b.applied - base; skip > 0 {
+	if skip := b.seq - base; skip > 0 {
 		if skip >= int64(len(recs)) {
 			fresh = nil
 		} else {
@@ -300,19 +374,15 @@ func (b *backup) handleAppend(ctx context.Context, m transport.Msg) (bool, error
 	if err := b.log.AppendBatch(fresh); err != nil {
 		return false, err
 	}
-	for _, rec := range fresh {
-		if err := b.app.Apply(rec); err != nil {
-			return false, err
-		}
-		b.records = append(b.records, rec)
-		b.applied++
+	if err := b.accept(fresh); err != nil {
+		return false, err
 	}
 	if armed {
 		// Mid-catchup crash: half the batch is durable, no ack goes out.
 		b.crashed.Store(true)
 		return true, nil
 	}
-	b.reply(ctx, m, MsgAppendAck, encodeSeq(b.epoch, b.applied))
+	b.reply(ctx, m, MsgAppendAck, encodeSeq(b.epoch, b.seq))
 	return false, nil
 }
 
@@ -321,23 +391,14 @@ func (b *backup) handleAppend(ctx context.Context, m transport.Msg) (bool, error
 // log has, so recovery needs no new cases).
 func (b *backup) handleSnapshot(ctx context.Context, m transport.Msg) error {
 	epoch, base, snap, err := decodeSnapshot(m.Payload)
-	if err != nil || epoch < b.epoch || base < b.applied {
+	if err != nil || epoch < b.epoch || base < b.seq {
 		return nil // stale: we already hold a longer durable prefix
 	}
-	rec := wal.Record{Type: wal.RecCheckpoint, Payload: append([]byte(nil), snap...)}
-	if err := b.log.Append(rec.Type, rec.Txn, rec.Payload); err != nil {
-		return err
-	}
-	if err := b.app.Apply(rec); err != nil {
+	if err := b.install(base, snap); err != nil {
 		return err
 	}
 	b.epoch = epoch
-	b.base = base
-	b.applied = base
-	// The checkpoint lives in the log only: records[i] is chain sequence
-	// base+i, and the snapshot summarizes everything before base.
-	b.records = nil
-	b.reply(ctx, m, MsgAppendAck, encodeSeq(b.epoch, b.applied))
+	b.reply(ctx, m, MsgAppendAck, encodeSeq(b.epoch, b.seq))
 	return nil
 }
 

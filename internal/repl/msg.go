@@ -39,8 +39,8 @@ const (
 	// MsgAppend ships a batch of chain records to a backup
 	// (driver → backup): epoch, base sequence, records.
 	MsgAppend uint8 = 32 + iota
-	// MsgAppendAck acknowledges durable application through a sequence
-	// (backup → driver): epoch, applied sequence. Also acknowledges a
+	// MsgAppendAck acknowledges the durably logged chain through a
+	// sequence (backup → driver): epoch, logged sequence. Also acknowledges a
 	// snapshot install.
 	MsgAppendAck
 	// MsgReplHeartbeat renews a group detector's lease (driver → detector).
@@ -51,12 +51,12 @@ const (
 	// snapshot.
 	MsgSnapshotOffer
 	// MsgWatermarkQuery asks a backup for its durable watermark
-	// (detector → backup); MsgWatermarkResp answers with epoch, applied.
+	// (detector → backup); MsgWatermarkResp answers with epoch, logged.
 	MsgWatermarkQuery
 	MsgWatermarkResp
 	// MsgPromote tells a backup it is the group's new primary
 	// (detector → backup): the new epoch. Answered by MsgPromoteAck
-	// (epoch, applied), after which the backup's serve loop exits and the
+	// (epoch, logged), after which the backup's serve loop exits and the
 	// driver adopts its chain.
 	MsgPromote
 	MsgPromoteAck

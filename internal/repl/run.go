@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -83,8 +84,7 @@ func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Inj
 			pr: &primary{
 				group:  g,
 				member: 0,
-				log:    log,
-				app:    wal.NewApplier(d.Schema()),
+				chain:  newChain(d.Schema(), log),
 				acked:  make(map[int]int64, cfg.Replicas),
 			},
 			members:  make(map[int]*backup, cfg.Replicas),
@@ -112,8 +112,8 @@ func (h *harness) primID(g int) int {
 }
 
 // armMidBatch arms a live backup of group g for the mid-catchup crash:
-// it will die halfway through applying its next multi-record ship batch,
-// leaving a half-applied durable prefix. A member already behind the
+// it will die halfway through logging its next multi-record ship batch,
+// leaving a half-logged durable prefix. A member already behind the
 // chain head is preferred (its next batch is a genuine catch-up), else
 // the lowest live member (whose batch is the current round's records).
 func (h *harness) armMidBatch(g int) bool {
@@ -496,8 +496,12 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		// Crash points fire on rounds where they qualify.
 		fire := crashes.Next(cluster.Round{Coord: at.Coord, WriteParts: at.WriteParts, Distributed: at.Distributed}, nil)
 		nextTxn++
-		return h.writeRound(srvCtx, nextTxn, at.TraceID, at.Num, at.Now,
+		ok, err := h.writeRound(srvCtx, nextTxn, at.TraceID, at.Num, at.Now,
 			at.Coord, at.WriteParts, at.OpsAt, at.Distributed, fire)
+		if err == nil {
+			err = h.storeErr
+		}
+		return ok, err
 	})
 	if err != nil {
 		return nil, err
@@ -542,6 +546,9 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 				}
 			}
 			if !h.shipTo(srvCtx, g, m, grp.pr.seq, 4*cfg.Wire.MaxAttempts, 0, endVT) {
+				if h.storeErr != nil {
+					return nil, h.storeErr
+				}
 				return nil, fmt.Errorf("repl: group %d member %d failed to drain to %d (acked %d)",
 					g, m, grp.pr.seq, grp.pr.acked[m])
 			}
@@ -561,20 +568,34 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	// surviving (acknowledged and not lost) writes on fault-free stores.
 	// Observed state: every member's recovered store, which must equal
 	// its group's expected store — promotion, rejoin, and drain have made
-	// the group converge. The k expected replays and the k·(R+1) member
-	// recoveries are independent, so they run concurrently; the fold
-	// below is sequential, in (group, member) order.
+	// the group converge. A group's member logs are usually
+	// byte-identical, so each distinct log is recovered once and its
+	// identical members share its digests and commit count. The k
+	// expected replays and the distinct recoveries are independent, so
+	// they run concurrently; the fold below is sequential, in (group,
+	// member) order.
 	n := cfg.Replicas + 1
+	members, same, logs := h.readMemberLogs()
+	var distinct []int
+	for i := range members {
+		if same[i] == i && members[i].err == nil {
+			distinct = append(distinct, i)
+		}
+	}
 	expected := make([]*db.DB, k)
 	replayErr := make([]journalErr, k)
-	members := make([]memberRecovery, k*n)
-	forEach(k+k*n, func(i int) {
+	forEach(k+len(distinct), func(i int) {
 		if i < k {
 			expected[i], replayErr[i] = h.replayExpected(d.Schema(), i)
 			return
 		}
-		i -= k
-		members[i] = h.recoverMember(d.Schema(), i/n, i%n)
+		i = distinct[i-k]
+		rc := wal.RecoverData(d.Schema(), logs[i])
+		logs[i] = nil
+		members[i].digests, members[i].committed = rc.DB.TableDigests(), len(rc.Committed)
+		if g := i / n; same[g*n+h.groups[g].pr.member] == i {
+			members[i].store = rc.DB
+		}
 	})
 	var firstErr journalErr
 	for _, je := range replayErr {
@@ -590,7 +611,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	for g := 0; g < k; g++ {
 		wantDg := expected[g].TableDigests()
 		for m := 0; m < n; m++ {
-			mr := members[g*n+m]
+			mr := members[same[g*n+m]]
 			if mr.err != nil {
 				return nil, fmt.Errorf("repl: recover group %d member %d: %w", g, m, mr.err)
 			}
@@ -607,10 +628,8 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 			} else {
 				res.OracleOK = false
 			}
-			if mr.store != nil {
-				primStores[g] = mr.store
-			}
 		}
+		primStores[g] = members[same[g*n+h.groups[g].pr.member]].store
 	}
 	want := wal.CombineDigests(expected)
 	got := wal.CombineDigests(primStores)
@@ -665,8 +684,8 @@ func (h *harness) replayExpected(sc *schema.Schema, g int) (*db.DB, journalErr) 
 }
 
 // memberRecovery is what the oracle keeps of one recovered member log:
-// its table digests, its replayed commit count and, for the group's
-// primary member only, its store.
+// its table digests, its replayed commit count and, when the group's
+// primary member has the same log, its store.
 type memberRecovery struct {
 	digests   map[string]uint64
 	committed int
@@ -674,17 +693,33 @@ type memberRecovery struct {
 	err       error
 }
 
-// recoverMember replays member m of group g's log from disk.
-func (h *harness) recoverMember(sc *schema.Schema, g, m int) memberRecovery {
-	rc, err := wal.RecoverFile(sc, MemberLogPath(h.cfg.WALDir, g, m))
-	if err != nil {
-		return memberRecovery{err: err}
+// readMemberLogs reads every member log, indexed group·(R+1)+member (a
+// missing file is an empty log, as for wal.RecoverFile). same[i] is the
+// lowest member of i's group whose log bytes equal i's; logs keeps only
+// those first copies, and a read error lands in its member's entry.
+func (h *harness) readMemberLogs() (members []memberRecovery, same []int, logs [][]byte) {
+	n := h.cfg.Replicas + 1
+	members = make([]memberRecovery, h.k*n)
+	same = make([]int, h.k*n)
+	logs = make([][]byte, h.k*n)
+	for i := range members {
+		same[i] = i
+		data, err := os.ReadFile(MemberLogPath(h.cfg.WALDir, i/n, i%n))
+		if err != nil && !os.IsNotExist(err) {
+			members[i].err = err
+			continue
+		}
+		for j := i - i%n; j < i; j++ {
+			if same[j] == j && members[j].err == nil && bytes.Equal(logs[j], data) {
+				same[i] = j
+				break
+			}
+		}
+		if same[i] == i {
+			logs[i] = data
+		}
 	}
-	mr := memberRecovery{digests: rc.DB.TableDigests(), committed: len(rc.Committed)}
-	if m == h.groups[g].pr.member {
-		mr.store = rc.DB
-	}
-	return mr
+	return members, same, logs
 }
 
 // forEach runs fn(i) for every i in [0, n) on at most GOMAXPROCS

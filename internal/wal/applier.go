@@ -10,10 +10,12 @@ import (
 
 // Applier is the incremental form of Replay: it redoes one record at a
 // time into a live store, carrying the same pending-transaction state a
-// full-log replay would hold at that point. Replica backups apply
-// shipped WAL records through it — the record stream a primary ships is
-// exactly its log, so a backup's store is always what RecoverFile would
-// rebuild from the record prefix it has applied.
+// full-log replay would hold at that point. Replica group members build
+// their stores through it — the record stream a primary ships is
+// exactly its log, so a member's store is always what RecoverFile would
+// rebuild from the record prefix it has applied. Members log and
+// acknowledge records first and apply them only when the store is read,
+// so the applied prefix may trail the logged one.
 //
 // Apply is total on structurally-valid records: a payload that does not
 // decode (malformed op, bad snapshot) returns an ErrCorrupt-wrapped
