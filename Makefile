@@ -27,8 +27,10 @@ verify:
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
 # in isolation, each at 1/2/8 workers, then the commit path: one store
 # commit, one WAL protocol step, one checkpoint encoding and digest fold,
-# one end-of-run recover-and-check, a small TPC-C commit window
-# through networked 2PC and through quorum replica groups, and one
+# one participant checkpoint cycle (64 commits, then the snapshot), one
+# end-of-run recover-and-check, a small TPC-C commit window through
+# networked 2PC and through quorum replica groups, one 2PC round (a
+# distributed NewOrder: prepare, vote, decide, ack over the bus), and one
 # replica ship/ack round trip; last, trace generation at the jecbbench
 # sizes.
 bench:
@@ -36,9 +38,9 @@ bench:
 	$(GO) test -bench='BenchmarkPartition' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
 	$(GO) test -bench='EvaluateParallel' -benchmem -run=^$$ ./internal/eval/
-	$(GO) test -bench='CommitOps|LogAppendTxn|EncodeSnapshot|TableDigest' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
+	$(GO) test -bench='CommitOps|LogAppendTxn|EncodeSnapshot|TableDigest|CheckpointCadence' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
 	$(GO) test -bench='GenerateTrace' -benchmem -benchtime=3x -run=^$$ ./internal/workloads/
-	$(GO) test -bench='RecoverAndCheck|TwoPCWindow|ReplQuorumWindow|ShipAck' -benchmem -run=^$$ ./internal/cluster/ ./internal/twopc/ ./internal/repl/
+	$(GO) test -bench='RecoverAndCheck|TwoPCWindow|ReplQuorumWindow|TwoPCRound|ShipAck' -benchmem -run=^$$ ./internal/cluster/ ./internal/twopc/ ./internal/repl/
 
 # bench-export writes BENCH_obs.json, the machine-readable perf
 # trajectory (ns/op, allocs/op, B/op per micro-benchmark),
@@ -157,6 +159,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=20s ./internal/faults/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=20s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/transport/
+	$(GO) test -run='^$$' -fuzz=FuzzCheckOp -fuzztime=20s ./internal/db/
+	$(GO) test -run='^$$' -fuzz=FuzzTwoPCPayload -fuzztime=20s ./internal/twopc/
+	$(GO) test -run='^$$' -fuzz=FuzzReplAppend -fuzztime=20s ./internal/repl/
+	$(GO) test -run='^$$' -fuzz=FuzzSolutionRoundTrip -fuzztime=20s ./internal/partition/
 
 clean:
 	rm -f BENCH_obs.json BENCH_drift.json BENCH_parallel.json BENCH_serve.json BENCH_mem.json experiments_obs.json

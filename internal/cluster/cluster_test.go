@@ -55,7 +55,7 @@ func TestLocalWALMemoryOnly(t *testing.T) {
 	if len(l.Stores) != 2 || l.Logs[0] != nil || l.Logs[1] != nil {
 		t.Fatalf("memory-only cluster: %d stores, logs %v", len(l.Stores), l.Logs)
 	}
-	if err := l.Abort2PC(1, 0, []int{0, 1}, nil); err != nil {
+	if err := l.Abort2PC(1, 0, &Writes{Parts: []int{0, 1}, ends: []int{0, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if n := l.WALBytes(); n != 0 {

@@ -97,11 +97,11 @@ func (l *LocalWAL) WALBytes() int64 {
 	return n
 }
 
-func (l *LocalWAL) appendTxn(p int, txn uint64, ops []db.Op, tail wal.RecType, payload []byte) error {
+func (l *LocalWAL) appendTxn(p int, txn uint64, bodies [][]byte, tail wal.RecType, payload []byte) error {
 	if l.Logs[p] == nil {
 		return nil
 	}
-	return l.Logs[p].AppendTxn(txn, ops, tail, payload)
+	return l.Logs[p].AppendTxn(txn, bodies, tail, payload)
 }
 
 func (l *LocalWAL) append(p int, typ wal.RecType, txn uint64) error {
@@ -111,9 +111,9 @@ func (l *LocalWAL) append(p int, typ wal.RecType, txn uint64) error {
 	return l.Logs[p].Append(typ, txn, nil)
 }
 
-// apply commits ops on partition p's store atomically.
-func (l *LocalWAL) apply(p int, ops []db.Op) error {
-	if err := l.Stores[p].CommitOps(ops); err != nil {
+// apply commits partition p's write bodies on its store atomically.
+func (l *LocalWAL) apply(p int, bodies [][]byte) error {
+	if err := l.Stores[p].CommitBodies(bodies); err != nil {
 		return err
 	}
 	if l.AfterApply != nil {
@@ -124,23 +124,23 @@ func (l *LocalWAL) apply(p int, ops []db.Op) error {
 
 // CommitLocal runs the single-partition commit path: BEGIN/WRITE*/COMMIT
 // on one log in one write, then the store apply.
-func (l *LocalWAL) CommitLocal(p int, txn uint64, ops []db.Op) error {
-	if err := l.appendTxn(p, txn, ops, wal.RecCommit, nil); err != nil {
+func (l *LocalWAL) CommitLocal(p int, txn uint64, bodies [][]byte) error {
+	if err := l.appendTxn(p, txn, bodies, wal.RecCommit, nil); err != nil {
 		return err
 	}
-	return l.apply(p, ops)
+	return l.apply(p, bodies)
 }
 
 // Prepare logs txn's writes and a PREPARE naming coord on every write
 // participant except skip (the first phase of 2PC). skip < 0 prepares
 // everyone.
-func (l *LocalWAL) Prepare(txn uint64, coord int, parts []int, opsAt map[int][]db.Op, skip int) error {
+func (l *LocalWAL) Prepare(txn uint64, coord int, w *Writes, skip int) error {
 	payload := CoordPayload(coord)
-	for _, p := range parts {
+	for i, p := range w.Parts {
 		if p == skip {
 			continue
 		}
-		if err := l.appendTxn(p, txn, opsAt[p], wal.RecPrepare, payload); err != nil {
+		if err := l.appendTxn(p, txn, w.Of(i), wal.RecPrepare, payload); err != nil {
 			return err
 		}
 		l.Record(obs.EvPrepare, p, 0)
@@ -152,20 +152,20 @@ func (l *LocalWAL) Prepare(txn uint64, coord int, parts []int, opsAt map[int][]d
 // prepares, the coordinator durably logs the COMMIT decision, then each
 // participant commits and applies. The coordinator's decision record
 // doubles as its own participant commit.
-func (l *LocalWAL) Commit2PC(txn uint64, coord int, parts []int, opsAt map[int][]db.Op) error {
-	if err := l.Prepare(txn, coord, parts, opsAt, -1); err != nil {
+func (l *LocalWAL) Commit2PC(txn uint64, coord int, w *Writes) error {
+	if err := l.Prepare(txn, coord, w, -1); err != nil {
 		return err
 	}
 	if err := l.append(coord, wal.RecCommit, txn); err != nil {
 		return err
 	}
-	for _, p := range parts {
+	for i, p := range w.Parts {
 		if p != coord {
 			if err := l.append(p, wal.RecCommit, txn); err != nil {
 				return err
 			}
 		}
-		if err := l.apply(p, opsAt[p]); err != nil {
+		if err := l.apply(p, w.Of(i)); err != nil {
 			return err
 		}
 	}
@@ -175,14 +175,14 @@ func (l *LocalWAL) Commit2PC(txn uint64, coord int, parts []int, opsAt map[int][
 // Abort2PC runs a 2PC round that reaches prepare and then aborts:
 // participants prepare, the coordinator logs the ABORT decision,
 // participants abort. Stores are untouched.
-func (l *LocalWAL) Abort2PC(txn uint64, coord int, parts []int, opsAt map[int][]db.Op) error {
-	if err := l.Prepare(txn, coord, parts, opsAt, -1); err != nil {
+func (l *LocalWAL) Abort2PC(txn uint64, coord int, w *Writes) error {
+	if err := l.Prepare(txn, coord, w, -1); err != nil {
 		return err
 	}
 	if err := l.append(coord, wal.RecAbort, txn); err != nil {
 		return err
 	}
-	for _, p := range parts {
+	for _, p := range w.Parts {
 		if p == coord {
 			continue
 		}

@@ -30,7 +30,7 @@ type Recovery struct {
 // records one run-level EvRecover event per partition in partition order
 // at virtual time vt and compares the combined per-table digests. When
 // both sides fail, the recovery error is the one returned.
-func RecoverAndCheck(sc *schema.Schema, dir string, k int, committed [][]PartOp, rec *obs.Recorder, vt float64) (*Recovery, error) {
+func RecoverAndCheck(sc *schema.Schema, dir string, k int, committed *Journal, rec *obs.Recorder, vt float64) (*Recovery, error) {
 	type oracleResult struct {
 		want map[string]uint64
 		err  error
@@ -79,16 +79,23 @@ func RecoverAndCheck(sc *schema.Schema, dir string, k int, committed [][]PartOp,
 	return out, nil
 }
 
-// replayOracle re-executes the committed journal on k fresh stores and
-// returns their combined per-table digests.
-func replayOracle(sc *schema.Schema, k int, committed [][]PartOp) (map[string]uint64, error) {
+// replayOracle re-executes the committed journal on k fresh stores —
+// decoding each body where it applies — and returns their combined
+// per-table digests.
+func replayOracle(sc *schema.Schema, k int, committed *Journal) (map[string]uint64, error) {
 	oracle := make([]*db.DB, k)
 	for p := range oracle {
 		oracle[p] = db.New(sc)
 	}
-	for _, ops := range committed {
-		for _, po := range ops {
-			if err := oracle[po.Part].Apply(po.Op); err != nil {
+	for i := 0; i < committed.Len(); i++ {
+		lo, hi := committed.Writes(i)
+		for n := lo; n < hi; n++ {
+			p, body := committed.Write(n)
+			op, err := oracle[p].DecodeOp(body)
+			if err == nil {
+				err = oracle[p].Apply(op)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("cluster: oracle replay: %w", err)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"repro/internal/db"
 	"repro/internal/schema"
 	"repro/internal/wal"
 	"repro/internal/workloads"
@@ -16,7 +15,7 @@ import (
 // of its key, with a CHECKPOINT every 64 commits per partition, closes
 // the logs and returns the committed journal: the state the end-of-run
 // recover-and-check starts from.
-func recoverFixture(tb testing.TB, dir string) (*schema.Schema, int, [][]PartOp) {
+func recoverFixture(tb testing.TB, dir string) (*schema.Schema, int, *Journal) {
 	tb.Helper()
 	const k = 8
 	bm := tpcc.New()
@@ -36,36 +35,31 @@ func recoverFixture(tb testing.TB, dir string) (*schema.Schema, int, [][]PartOp)
 		}
 		return nil
 	}
-	var committed [][]PartOp
+	committed := &Journal{}
+	var w Writes
+	var place []int32
 	var txn uint64
 	for _, t := range tr.All() {
-		opsAt := map[int][]db.Op{}
-		var parts []int
+		place = place[:0]
 		for _, acc := range t.Accesses {
-			if !acc.Write {
-				continue
-			}
 			h := fnv.New32a()
 			h.Write([]byte(acc.Key))
-			p := int(h.Sum32() % k)
-			if _, ok := opsAt[p]; !ok {
-				parts = append(parts, p)
-			}
-			opsAt[p] = append(opsAt[p], db.Op{Kind: db.OpTouch, Table: acc.Table, Key: acc.Key})
+			place = append(place, int32(h.Sum32()%k))
 		}
-		if len(parts) == 0 {
+		WriteEffects(&w, t, place, k, 0)
+		if len(w.Parts) == 0 {
 			continue
 		}
 		txn++
-		if len(parts) == 1 {
-			err = l.CommitLocal(parts[0], txn, opsAt[parts[0]])
+		if len(w.Parts) == 1 {
+			err = l.CommitLocal(w.Parts[0], txn, w.Of(0))
 		} else {
-			err = l.Commit2PC(txn, parts[0], parts, opsAt)
+			err = l.Commit2PC(txn, w.Parts[0], &w)
 		}
 		if err != nil {
 			tb.Fatal(err)
 		}
-		committed = append(committed, FlattenOps(parts, opsAt))
+		committed.Add(&w)
 	}
 	l.Close()
 	return d.Schema(), k, committed

@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/db"
 	"repro/internal/fixture"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
@@ -24,12 +24,19 @@ func TestRecoverAndCheckErrors(t *testing.T) {
 	const k = 2
 	// A long journal keeps the oracle busy while recovery fails; the bad
 	// journal ends in an op on a table the schema does not have.
-	var good [][]cluster.PartOp
-	for i := 0; i < 20000; i++ {
-		op := db.Op{Kind: db.OpTouch, Table: "TRADE", Key: value.MakeKey(value.NewInt(int64(i % 500)))}
-		good = append(good, []cluster.PartOp{{Part: i % k, Op: op}})
+	good, bad := &cluster.Journal{}, &cluster.Journal{}
+	var w cluster.Writes
+	touch := func(j *cluster.Journal, table string, key value.Key, p int) {
+		txn := &trace.Txn{Accesses: []trace.Access{{Table: table, Key: key, Write: true}}}
+		cluster.WriteEffects(&w, txn, []int32{int32(p)}, k, p)
+		j.Add(&w)
 	}
-	bad := append(good[:len(good):len(good)], []cluster.PartOp{{Part: 1, Op: db.Op{Kind: db.OpTouch, Table: "NOPE"}}})
+	for i := 0; i < 20000; i++ {
+		key := value.MakeKey(value.NewInt(int64(i % 500)))
+		touch(good, "TRADE", key, i%k)
+		touch(bad, "TRADE", key, i%k)
+	}
+	touch(bad, "NOPE", "", 1)
 
 	cleanDir := func(t *testing.T) string { return t.TempDir() }
 	corruptDir := func(t *testing.T) string {
@@ -43,7 +50,7 @@ func TestRecoverAndCheckErrors(t *testing.T) {
 	cases := []struct {
 		name    string
 		dir     func(*testing.T) string
-		journal [][]cluster.PartOp
+		journal *cluster.Journal
 		prefix  string
 	}{
 		{"oracle replay fails", cleanDir, bad, `cluster: oracle replay: db: malformed op encoding: apply touch: unknown table "NOPE"`},

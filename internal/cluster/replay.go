@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -57,9 +56,9 @@ type Attempt struct {
 	Nodes       []int
 	Coord       int
 	Distributed bool
-	// WriteParts and OpsAt are the write effects (see WriteEffects).
-	WriteParts []int
-	OpsAt      map[int][]db.Op
+	// Writes are the attempt's write effects (see WriteEffects), routed
+	// to its coordinator; the bodies are valid until the step returns.
+	Writes *Writes
 	// Blocked reports a down participant or an in-doubt written
 	// partition: the attempt must not commit.
 	Blocked bool
@@ -86,7 +85,7 @@ type Tally struct {
 	LatencyP50, LatencyP99, LatencyP999   float64
 	RetryLatencyP50, RetryLatencyP99      float64
 	SLO                                   obs.SLOStatus // zero without a monitor
-	Journal                               [][]PartOp    // with ReplayConfig.Journal, in commit order
+	Journal                               Journal       // with ReplayConfig.Journal, in commit order
 }
 
 // Replay drives every transaction of tr through step: transaction i
@@ -113,12 +112,13 @@ func Replay(tr *trace.Trace, placed *eval.TracePlacement, cfg ReplayConfig, step
 	}
 	up := make([]int, 0, k)
 	var a Attempt // one value for the whole run: step sees it by pointer
+	var w Writes  // one routing arena for the whole run
 
 	for i, txn := range tr.All() {
 		arrival := float64(i) / cfg.ArrivalRateTPS
 		place := placed.Txn(i)
 		nodes, coord, distributed := Participants(txn, place, k, i)
-		a = Attempt{TraceID: obs.TxnID(cfg.Seed, i), Distributed: distributed}
+		a = Attempt{TraceID: obs.TxnID(cfg.Seed, i), Distributed: distributed, Writes: &w}
 		rec.Record(a.TraceID, obs.EvBegin, -1, 0, arrival, int64(len(nodes)))
 		dist := int64(0)
 		if distributed {
@@ -147,7 +147,7 @@ func Replay(tr *trace.Trace, placed *eval.TracePlacement, cfg ReplayConfig, step
 				}
 				a.Nodes = []int{a.Coord}
 			}
-			a.WriteParts, a.OpsAt = WriteEffects(txn, place, k, a.Coord)
+			WriteEffects(&w, txn, place, k, a.Coord)
 			a.Blocked = false
 			for _, n := range a.Nodes {
 				if down(n, now) {
@@ -160,7 +160,7 @@ func Replay(tr *trace.Trace, placed *eval.TracePlacement, cfg ReplayConfig, step
 			// writes (its keys stay locked until resolution); reads
 			// degrade through.
 			if !a.Blocked && cfg.InDoubt != nil {
-				for _, p := range a.WriteParts {
+				for _, p := range w.Parts {
 					if cfg.InDoubt(p) {
 						a.Blocked = true
 						rec.Record(a.TraceID, obs.EvFault, p, attempt, now, obs.FaultInDoubtBlock)
@@ -190,8 +190,8 @@ func Replay(tr *trace.Trace, placed *eval.TracePlacement, cfg ReplayConfig, step
 					}
 				}
 				cfg.SLO.Record(latency, true)
-				if cfg.Journal && len(a.WriteParts) > 0 {
-					t.Journal = append(t.Journal, FlattenOps(a.WriteParts, a.OpsAt))
+				if cfg.Journal && len(w.Parts) > 0 {
+					t.Journal.Add(&w)
 				}
 				rec.Record(a.TraceID, obs.EvCommit, a.Coord, attempt, now, int64(latency*1e9))
 				t.MakespanSec = max(t.MakespanSec, now)

@@ -57,7 +57,7 @@ func TestReplayCommitsEveryFirstAttempt(t *testing.T) {
 		if a.Blocked || a.Num != 1 {
 			t.Fatalf("attempt %d blocked=%v in a fault-free replay", a.Num, a.Blocked)
 		}
-		if len(a.WriteParts) > 0 {
+		if len(a.Writes.Parts) > 0 {
 			writes++
 		}
 		return true, nil
@@ -76,8 +76,8 @@ func TestReplayCommitsEveryFirstAttempt(t *testing.T) {
 	if tally.AvailabilityPct != 100 || tally.PermanentByClass != nil {
 		t.Errorf("availability %.1f%%, permanent by class %v", tally.AvailabilityPct, tally.PermanentByClass)
 	}
-	if len(tally.Journal) != writes {
-		t.Errorf("journal holds %d commits, want the %d that wrote", len(tally.Journal), writes)
+	if tally.Journal.Len() != writes {
+		t.Errorf("journal holds %d commits, want the %d that wrote", tally.Journal.Len(), writes)
 	}
 	// Arrivals are i/rate apart and commits take no virtual time.
 	if want := float64(n-1) / 100; tally.MakespanSec != want {
@@ -101,7 +101,7 @@ func TestReplayGivesUpAfterRetryBudget(t *testing.T) {
 	}
 	n := tr.Len()
 	if tally.Committed != 0 || tally.PermanentFailures != n || tally.Attempts != 3*n ||
-		tally.Aborts != 3*n || tally.Retries != 2*n || tally.Journal != nil {
+		tally.Aborts != 3*n || tally.Retries != 2*n || tally.Journal.Len() != 0 {
 		t.Fatalf("tally = %+v, want %d give-ups after 3 attempts each", tally, n)
 	}
 	byClass := 0
@@ -132,9 +132,9 @@ func TestReplayBlocksDownAndInDoubtPartitions(t *testing.T) {
 		Recorder: rec,
 	}, func(a *cluster.Attempt) (bool, error) {
 		down := cluster.Has(a.Nodes, 0)
-		inDoubt := !down && cluster.Has(a.WriteParts, 1)
+		inDoubt := !down && cluster.Has(a.Writes.Parts, 1)
 		if a.Blocked != (down || inDoubt) {
-			t.Fatalf("nodes %v writes %v: blocked = %v", a.Nodes, a.WriteParts, a.Blocked)
+			t.Fatalf("nodes %v writes %v: blocked = %v", a.Nodes, a.Writes.Parts, a.Blocked)
 		}
 		if a.Blocked {
 			blocked++

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"repro/internal/db"
 	"repro/internal/eval"
@@ -64,59 +64,148 @@ func PartitionIDs(k int) []int {
 	return ids
 }
 
-// WriteEffects routes a transaction's writes to owning partitions as
-// touch ops, from its accesses' placements: placed keys go to their
-// partition, replicated-table writes fan out to every partition,
-// unplaceable keys execute at the coordinator. The returned partition
-// list is sorted.
-func WriteEffects(t *trace.Txn, place []int32, k, coord int) ([]int, map[int][]db.Op) {
-	opsAt := map[int][]db.Op{}
-	add := func(p int, acc trace.Access) {
-		opsAt[p] = append(opsAt[p], db.Op{Kind: db.OpTouch, Table: acc.Table, Key: acc.Key})
+// Writes is one transaction's write effects, routed: each write is
+// encoded once, as its WAL WRITE body (a db.Op encoding), and the bodies
+// are grouped by the partition that executes them. Everything
+// downstream — 2PC payloads, replica ship batches, log frames, the
+// committed-set journal — carries these bytes as they are; a store
+// decodes them only when it applies them. The bodies live in an arena
+// that the next WriteEffects into the same Writes overwrites, so a
+// holder that outlives the attempt copies them.
+type Writes struct {
+	// Parts lists the written partitions in ascending order.
+	Parts  []int
+	bodies [][]byte // grouped by partition, in Parts order
+	ends   []int    // ends[i] is the end of Parts[i]'s group in bodies
+	arena  []byte
+	next   []int // per-partition fill cursor, WriteEffects scratch
+}
+
+// Of returns the bodies of Parts[i], in access order.
+func (w *Writes) Of(i int) [][]byte {
+	lo := 0
+	if i > 0 {
+		lo = w.ends[i-1]
 	}
+	return w.bodies[lo:w.ends[i]:w.ends[i]]
+}
+
+// At returns partition p's bodies, nil when p writes nothing.
+func (w *Writes) At(p int) [][]byte {
+	for i, q := range w.Parts {
+		if q == p {
+			return w.Of(i)
+		}
+	}
+	return nil
+}
+
+// WriteEffects routes a transaction's writes to owning partitions as
+// touch ops, from its accesses' placements, into w: placed keys go to
+// their partition, replicated-table writes fan out to every partition
+// (sharing one body), unplaceable keys execute at the coordinator.
+func WriteEffects(w *Writes, t *trace.Txn, place []int32, k, coord int) {
+	next := slices.Grow(w.next[:0], k)[:k]
+	clear(next)
 	for j, acc := range t.Accesses {
 		if !acc.Write {
 			continue
 		}
 		switch p := place[j]; p {
 		case eval.PlaceUnplaced:
-			add(coord, acc)
+			next[coord]++
 		case eval.PlaceReplicated:
-			for n := 0; n < k; n++ {
-				add(n, acc)
+			for n := range next {
+				next[n]++
 			}
 		default:
-			add(int(p), acc)
+			next[p]++
 		}
 	}
-	parts := make([]int, 0, len(opsAt))
-	for p := range opsAt {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	return parts, opsAt
-}
-
-// PartOp is one committed write effect routed to a partition.
-type PartOp struct {
-	Part int
-	Op   db.Op
-}
-
-// FlattenOps serializes per-partition write effects in partition order
-// for an oracle's committed-set journal.
-func FlattenOps(parts []int, opsAt map[int][]db.Op) []PartOp {
-	n := 0
-	for _, p := range parts {
-		n += len(opsAt[p])
-	}
-	out := make([]PartOp, 0, n)
-	for _, p := range parts {
-		for _, op := range opsAt[p] {
-			out = append(out, PartOp{Part: p, Op: op})
+	// Counts become each partition's first slot in bodies.
+	w.Parts, w.ends = w.Parts[:0], w.ends[:0]
+	total := 0
+	for p, c := range next {
+		if c > 0 {
+			w.Parts = append(w.Parts, p)
+			next[p] = total
+			total += c
+			w.ends = append(w.ends, total)
 		}
 	}
-	return out
+	w.bodies = slices.Grow(w.bodies[:0], total)[:total]
+	w.arena = w.arena[:0]
+	add := func(p int, body []byte) {
+		w.bodies[next[p]] = body
+		next[p]++
+	}
+	for j, acc := range t.Accesses {
+		if !acc.Write {
+			continue
+		}
+		// A body stays valid if a later one outgrows the arena: the old
+		// backing array is never written again.
+		start := len(w.arena)
+		w.arena = db.Op{Kind: db.OpTouch, Table: acc.Table, Key: acc.Key}.Encode(w.arena)
+		body := w.arena[start:len(w.arena):len(w.arena)]
+		switch p := place[j]; p {
+		case eval.PlaceUnplaced:
+			add(coord, body)
+		case eval.PlaceReplicated:
+			for n := 0; n < k; n++ {
+				add(n, body)
+			}
+		default:
+			add(int(p), body)
+		}
+	}
+	w.next = next
+}
+
+// Journal is a committed-set journal: the routed write bodies of each
+// committed transaction, in commit order, copied out of the routing
+// arena into one buffer. An oracle re-executes it on fault-free stores.
+type Journal struct {
+	arena  []byte
+	writes []journalWrite
+	txns   []int // txns[i] is the end of transaction i's writes
+}
+
+type journalWrite struct {
+	part int
+	end  int // end of the body in arena
+}
+
+// Add appends one committed transaction's write effects, in partition
+// order.
+func (j *Journal) Add(w *Writes) {
+	for i, p := range w.Parts {
+		for _, body := range w.Of(i) {
+			j.arena = append(j.arena, body...)
+			j.writes = append(j.writes, journalWrite{part: p, end: len(j.arena)})
+		}
+	}
+	j.txns = append(j.txns, len(j.writes))
+}
+
+// Len returns the number of transactions journaled.
+func (j *Journal) Len() int { return len(j.txns) }
+
+// Writes returns the range [lo, hi) of transaction i's writes.
+func (j *Journal) Writes(i int) (lo, hi int) {
+	if i > 0 {
+		lo = j.txns[i-1]
+	}
+	return lo, j.txns[i]
+}
+
+// Write returns write n's partition and body.
+func (j *Journal) Write(n int) (part int, body []byte) {
+	start := 0
+	if n > 0 {
+		start = j.writes[n-1].end
+	}
+	return j.writes[n].part, j.arena[start:j.writes[n].end]
 }
 
 // Has reports whether n is in parts.

@@ -82,11 +82,28 @@ func refWriteEffects(a *eval.Assigner, t *trace.Txn, k, coord int) ([]int, map[i
 	return parts, opsAt
 }
 
+// opsOf decodes routed write bodies back into ops, per partition.
+func opsOf(t *testing.T, w *cluster.Writes) map[int][]db.Op {
+	t.Helper()
+	opsAt := map[int][]db.Op{}
+	for i, p := range w.Parts {
+		for _, body := range w.Of(i) {
+			op, err := db.DecodeOp(body)
+			if err != nil {
+				t.Fatalf("partition %d: body %x: %v", p, body, err)
+			}
+			opsAt[p] = append(opsAt[p], op)
+		}
+	}
+	return opsAt
+}
+
 // checkRoutes compares the window pass at each worker count against the
 // reference for every transaction of tr and returns how many
 // transactions were distributed and how many wrote.
 func checkRoutes(t *testing.T, a *eval.Assigner, tr *trace.Trace, k int, workers ...int) (dist, writes int) {
 	t.Helper()
+	var effects cluster.Writes
 	for _, w := range workers {
 		placed := a.PlaceTrace(tr, w)
 		for i, txn := range tr.All() {
@@ -100,7 +117,8 @@ func checkRoutes(t *testing.T, a *eval.Assigner, tr *trace.Trace, k int, workers
 				t.Fatalf("workers=%d txn %d: Participants = %v, %d, %v; want %v, %d, %v",
 					w, i, nodes, coord, distributed, wantNodes, wantCoord, wantDist)
 			}
-			parts, opsAt := cluster.WriteEffects(txn, place, k, coord)
+			cluster.WriteEffects(&effects, txn, place, k, coord)
+			parts, opsAt := append([]int{}, effects.Parts...), opsOf(t, &effects)
 			wantParts, wantOps := refWriteEffects(a, txn, k, coord)
 			if !reflect.DeepEqual(parts, wantParts) || !reflect.DeepEqual(opsAt, wantOps) {
 				t.Fatalf("workers=%d txn %d: WriteEffects = %v %v; want %v %v",
@@ -214,7 +232,9 @@ func routeSentinelCases(t *testing.T) {
 			if !reflect.DeepEqual(nodes, c.nodes) || coord != c.coord || dist != c.dist {
 				t.Fatalf("Participants = %v, %d, %v; want %v, %d, %v", nodes, coord, dist, c.nodes, c.coord, c.dist)
 			}
-			parts, opsAt := cluster.WriteEffects(tr.At(i), place, k, coord)
+			var w cluster.Writes
+			cluster.WriteEffects(&w, tr.At(i), place, k, coord)
+			parts, opsAt := append([]int{}, w.Parts...), opsOf(t, &w)
 			if !reflect.DeepEqual(parts, c.parts) {
 				t.Fatalf("write partitions = %v, want %v", parts, c.parts)
 			}

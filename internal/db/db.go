@@ -37,9 +37,11 @@ type DB struct {
 	sc     *schema.Schema
 	tables map[string]*Table
 
-	// commitMu serializes CommitOps, which reuses undo as its undo log.
+	// commitMu serializes CommitOps and CommitBodies, which reuse undo
+	// as their undo log; CommitBodies decodes into decoded.
 	commitMu sync.Mutex
 	undo     []undo
+	decoded  []Op
 }
 
 // New creates an empty database for the schema.
@@ -97,6 +99,13 @@ type Table struct {
 	// exist for keys without a live row (the durable stores of the 2PC
 	// simulation start empty and accumulate touches only).
 	versions map[value.Key]uint64
+	// vsorted holds the version keys in ascending order as of the last
+	// Digest or snapshot (valid while vsynced), and vadded the keys
+	// versions gained since, unsorted: the next Digest or snapshot sorts
+	// only vadded and merges it in. A key leaving versions clears
+	// vsynced, and the next one sorts every key afresh.
+	vsorted, vadded []value.Key
+	vsynced         bool
 }
 
 func newTable(meta *schema.Table) *Table {
@@ -444,6 +453,9 @@ func (t *Table) touchLocked(k value.Key) uint64 {
 	}
 	v := t.versions[k] + 1
 	t.versions[k] = v
+	if v == 1 && t.vsynced {
+		t.vadded = append(t.vadded, k)
+	}
 	cTouches.Inc()
 	return v
 }
@@ -455,11 +467,42 @@ func (t *Table) untouch(k value.Key) {
 	if t.versions == nil {
 		return
 	}
-	if t.versions[k] <= 1 {
+	switch v := t.versions[k]; {
+	case v == 1:
 		delete(t.versions, k)
-		return
+		t.vsorted, t.vadded, t.vsynced = nil, nil, false
+	case v > 1:
+		t.versions[k]--
 	}
-	t.versions[k]--
+}
+
+// versionKeysLocked returns the version keys in ascending order: the
+// keys added since the last call are sorted and merged into the list
+// that call left, in place. The caller holds the write lock.
+func (t *Table) versionKeysLocked() []value.Key {
+	if !t.vsynced {
+		t.vsorted = appendSortedKeys(t.vsorted[:0], t.versions)
+		t.vadded, t.vsynced = t.vadded[:0], true
+		return t.vsorted
+	}
+	if len(t.vadded) == 0 {
+		return t.vsorted
+	}
+	slices.Sort(t.vadded)
+	i, j := len(t.vsorted)-1, len(t.vadded)-1
+	t.vsorted = slices.Grow(t.vsorted, len(t.vadded))[:len(t.vsorted)+len(t.vadded)]
+	for w := len(t.vsorted) - 1; j >= 0; w-- {
+		if i >= 0 && t.vsorted[i] > t.vadded[j] {
+			t.vsorted[w] = t.vsorted[i]
+			i--
+		} else {
+			t.vsorted[w] = t.vadded[j]
+			j--
+		}
+	}
+	clear(t.vadded)
+	t.vadded = t.vadded[:0]
+	return t.vsorted
 }
 
 // Version returns the committed write count of k (0 when never touched).

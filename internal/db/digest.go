@@ -32,8 +32,8 @@ const (
 // index state are deliberately excluded: they are tracing conveniences,
 // not durable state.
 func (t *Table) Digest() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock() // versionKeysLocked updates the sorted version keys
+	defer t.mu.Unlock()
 	h := fnv.New64a()
 	var buf, enc []byte
 
@@ -44,7 +44,7 @@ func (t *Table) Digest() uint64 {
 		buf = appendBytes(buf, enc)
 		h.Write(buf)
 	}
-	for _, k := range sortedKeys(t.versions) {
+	for _, k := range t.versionKeysLocked() {
 		buf = append(buf[:0], 'V')
 		buf = appendString(buf, string(k))
 		buf = appendUvarint(buf, t.versions[k])
@@ -55,12 +55,16 @@ func (t *Table) Digest() uint64 {
 
 // sortedKeys returns m's keys in ascending order.
 func sortedKeys[V any](m map[value.Key]V) []value.Key {
-	keys := make([]value.Key, 0, len(m))
+	return appendSortedKeys(make([]value.Key, 0, len(m)), m)
+}
+
+// appendSortedKeys appends m's keys to dst and sorts all of dst.
+func appendSortedKeys[V any](dst []value.Key, m map[value.Key]V) []value.Key {
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	slices.Sort(keys)
-	return keys
+	slices.Sort(dst)
+	return dst
 }
 
 // encodeValues appends the concatenated per-value encodings of row.
@@ -106,7 +110,7 @@ func (d *DB) AppendSnapshot(dst []byte) []byte {
 	var enc []byte
 	for _, name := range names {
 		t := d.tables[name]
-		t.mu.RLock()
+		t.mu.Lock() // versionKeysLocked updates the sorted version keys
 		out = appendString(out, name)
 
 		keys := sortedKeys(t.pk)
@@ -116,7 +120,7 @@ func (d *DB) AppendSnapshot(dst []byte) []byte {
 			out = appendBytes(out, enc)
 		}
 
-		vkeys := sortedKeys(t.versions)
+		vkeys := t.versionKeysLocked()
 		out = appendUvarint(out, uint64(len(vkeys)))
 		for _, k := range vkeys {
 			out = appendString(out, string(k))
@@ -129,7 +133,7 @@ func (d *DB) AppendSnapshot(dst []byte) []byte {
 			enc = encodeValues(enc[:0], t.graveyard[k])
 			out = appendBytes(out, enc)
 		}
-		t.mu.RUnlock()
+		t.mu.Unlock()
 	}
 	return out
 }
@@ -262,6 +266,9 @@ func (t *Table) setVersion(k value.Key, v uint64) {
 	}
 	if t.versions == nil {
 		t.versions = make(map[value.Key]uint64)
+	}
+	if _, ok := t.versions[k]; !ok && t.vsynced {
+		t.vadded = append(t.vadded, k)
 	}
 	t.versions[k] = v
 }

@@ -167,73 +167,130 @@ func (d *opDecoder) bytes() ([]byte, error) {
 // DecodeOp decodes one op produced by Encode. The whole input must be
 // consumed; trailing bytes are an error. All failures wrap ErrOpDecode.
 func DecodeOp(data []byte) (Op, error) {
+	var op Op
+	if _, err := walkOp(data, &op, nil); err != nil {
+		return Op{}, err
+	}
+	return op, nil
+}
+
+// DecodeOp is the package DecodeOp with op.Table taken from d's schema
+// when d knows the table, so decoding allocates no table name. An
+// unknown table still decodes (DecodeOp is structural); applying the op
+// rejects it.
+func (d *DB) DecodeOp(data []byte) (Op, error) {
+	var op Op
+	if _, err := walkOp(data, &op, d.tables); err != nil {
+		return Op{}, err
+	}
+	return op, nil
+}
+
+// CheckOp validates one op encoding without decoding it: it accepts
+// exactly the encodings DecodeOp accepts, with the same errors, and
+// returns the table name as a slice of body. It allocates nothing on
+// success, which is what lets the commit path validate a received write
+// and keep its encoding as is.
+func CheckOp(body []byte) (table []byte, err error) {
+	return walkOp(body, nil, nil)
+}
+
+// walkOp walks one op encoding with bounds checks everywhere and
+// returns its table name bytes. With a non-nil op it also decodes into
+// op, naming the table with tables' key when tables holds it.
+func walkOp(data []byte, op *Op, tables map[string]*Table) ([]byte, error) {
 	d := &opDecoder{b: data}
 	kb, err := d.byte()
 	if err != nil {
-		return Op{}, err
+		return nil, err
 	}
-	op := Op{Kind: OpKind(kb)}
+	kind := OpKind(kb)
 	tbl, err := d.bytes()
 	if err != nil {
-		return Op{}, err
+		return nil, err
 	}
-	op.Table = string(tbl)
-	switch op.Kind {
+	switch kind {
 	case OpInsert:
 		enc, err := d.bytes()
 		if err != nil {
-			return Op{}, err
+			return nil, err
 		}
-		vals, err := value.DecodeKey(value.Key(enc))
+		if op == nil {
+			_, err = value.CheckKey(enc)
+		} else {
+			var vals []value.Value
+			vals, err = value.DecodeKey(value.Key(enc))
+			op.Row = value.Tuple(vals)
+		}
 		if err != nil {
-			return Op{}, d.errf("row: %v", err)
+			return nil, d.errf("row: %v", err)
 		}
-		op.Row = value.Tuple(vals)
 	case OpUpdate:
 		key, err := d.bytes()
 		if err != nil {
-			return Op{}, err
+			return nil, err
 		}
-		op.Key = value.Key(key)
 		ncols, err := d.uvarint()
 		if err != nil {
-			return Op{}, err
+			return nil, err
 		}
 		if ncols > uint64(len(d.b)) { // each col needs >= 1 byte
-			return Op{}, d.errf("column count %d exceeds remaining bytes", ncols)
+			return nil, d.errf("column count %d exceeds remaining bytes", ncols)
+		}
+		if op != nil {
+			op.Key = value.Key(key)
 		}
 		for i := uint64(0); i < ncols; i++ {
 			col, err := d.bytes()
 			if err != nil {
-				return Op{}, err
+				return nil, err
 			}
 			venc, err := d.bytes()
 			if err != nil {
-				return Op{}, err
+				return nil, err
 			}
-			vs, err := value.DecodeKey(value.Key(venc))
+			var vs []value.Value
+			n := 0
+			if op == nil {
+				n, err = value.CheckKey(venc)
+			} else {
+				vs, err = value.DecodeKey(value.Key(venc))
+				n = len(vs)
+			}
 			if err != nil {
-				return Op{}, d.errf("update value: %v", err)
+				return nil, d.errf("update value: %v", err)
 			}
-			if len(vs) != 1 {
-				return Op{}, d.errf("update value encodes %d values, want 1", len(vs))
+			if n != 1 {
+				return nil, d.errf("update value encodes %d values, want 1", n)
 			}
-			op.Cols = append(op.Cols, string(col))
-			op.Vals = append(op.Vals, vs[0])
+			if op != nil {
+				op.Cols = append(op.Cols, string(col))
+				op.Vals = append(op.Vals, vs[0])
+			}
 		}
 	case OpDelete, OpTouch:
 		key, err := d.bytes()
 		if err != nil {
-			return Op{}, err
+			return nil, err
 		}
-		op.Key = value.Key(key)
+		if op != nil {
+			op.Key = value.Key(key)
+		}
 	default:
-		return Op{}, d.errf("unknown op kind %d", kb)
+		return nil, d.errf("unknown op kind %d", kb)
 	}
 	if len(d.b) != 0 {
-		return Op{}, d.errf("%d trailing bytes after op", len(d.b))
+		return nil, d.errf("%d trailing bytes after op", len(d.b))
 	}
-	return op, nil
+	if op != nil {
+		op.Kind = kind
+		if t := tables[string(tbl)]; t != nil {
+			op.Table = t.meta.Name
+		} else {
+			op.Table = string(tbl)
+		}
+	}
+	return tbl, nil
 }
 
 // Apply redoes one committed op against the database (the WAL recovery

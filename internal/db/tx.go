@@ -165,18 +165,61 @@ func (tx *Tx) Commit() error {
 // neither copied nor retained, and the undo log is the store's own,
 // reused across commits: CommitOps calls on one store are serialized.
 func (d *DB) CommitOps(ops []Op) error {
+	if err := d.checkOps(ops); err != nil {
+		return err
+	}
+	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
+	return d.commitLocked(ops)
+}
+
+// CommitBodies decodes bodies — op encodings, the payloads of WAL WRITE
+// records — and commits the ops as CommitOps does. This is the one
+// place a commit path turns a write's encoding back into an op: table
+// names come from the schema, and the decoded ops live in a buffer the
+// store reuses across commits. A body that does not decode applies
+// nothing and counts as an abort.
+func (d *DB) CommitBodies(bodies [][]byte) error {
+	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
+	ops := d.decoded[:0]
+	defer func() {
+		clear(ops) // drop key and row references between commits
+		d.decoded = ops[:0]
+	}()
+	for _, b := range bodies {
+		op, err := d.DecodeOp(b)
+		if err != nil {
+			cTxAborts.Inc()
+			return err
+		}
+		ops = append(ops, op)
+	}
+	if err := d.checkOps(ops); err != nil {
+		return err
+	}
+	return d.commitLocked(ops)
+}
+
+// checkOps validates every op as Tx staging would; a failure counts as
+// an abort.
+func (d *DB) checkOps(ops []Op) error {
 	for _, op := range ops {
 		if err := d.checkOp(op); err != nil {
 			cTxAborts.Inc()
 			return err
 		}
 	}
-	d.commitMu.Lock()
+	return nil
+}
+
+// commitLocked applies validated ops in order, undoing the applied
+// prefix on the first failure; the caller holds commitMu.
+func (d *DB) commitLocked(ops []Op) error {
 	undos := d.undo[:0]
 	defer func() {
 		clear(undos) // drop row and key references between commits
 		d.undo = undos[:0]
-		d.commitMu.Unlock()
 	}()
 	for _, op := range ops {
 		u, err := d.Table(op.Table).applyWithUndo(op)

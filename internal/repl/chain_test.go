@@ -138,7 +138,11 @@ func TestMemberStoreMatchesEagerApply(t *testing.T) {
 			if s.txn != 50 {
 				stepOps = ops[1:]
 			}
-			if err := p.appendTxn(s.txn, stepOps, s.tail, s.payload); err != nil {
+			bodies := make([][]byte, len(stepOps))
+			for i, op := range stepOps {
+				bodies[i] = op.Encode(nil)
+			}
+			if err := p.appendTxn(s.txn, bodies, s.tail, s.payload); err != nil {
 				t.Fatalf("appendTxn %d: %v", s.txn, err)
 			}
 			ref.apply(wal.Record{Type: wal.RecBegin, Txn: s.txn})

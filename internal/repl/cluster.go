@@ -199,14 +199,31 @@ func (r *Result) String() string {
 		r.LostCommits, r.Promotions, r.ConvergedMembers, r.TotalMembers, oracle)
 }
 
-// journalEntry is one client-acknowledged transaction: its write effects
-// and, per involved group, the chain sequence of its COMMIT record. A
-// promotion at watermark w loses every entry whose sequence in that
-// group exceeds w.
+// journalEntry is one client-acknowledged transaction — its write
+// effects are the same-numbered transaction of harness.writes — and, per
+// involved group, the chain sequence of its COMMIT record. A promotion
+// at watermark w loses every entry whose sequence in that group exceeds
+// w.
 type journalEntry struct {
-	ops  []cluster.PartOp
-	seqs map[int]int64
+	seqs []groupSeq
 	lost bool
+}
+
+// groupSeq is the chain sequence of a COMMIT record in one group.
+type groupSeq struct {
+	group int
+	seq   int64
+}
+
+// seq returns the entry's COMMIT sequence in group g, 0 when g holds
+// none.
+func (e *journalEntry) seq(g int) int64 {
+	for _, gs := range e.seqs {
+		if gs.group == g {
+			return gs.seq
+		}
+	}
+	return 0
 }
 
 // group bundles one partition's replica-group state on the driver side.
@@ -253,7 +270,13 @@ type harness struct {
 	driverID int
 	seq      int // monotonic send-attempt counter (chaos resampling)
 
+	// journal and writes hold the acknowledged transactions, in commit
+	// order; seqs is the arena behind every entry's seqs, and pending the
+	// round's COMMIT sequences before its entry is added.
 	journal []journalEntry
+	writes  cluster.Journal
+	seqs    []groupSeq
+	pending []groupSeq
 	res     *Result
 	catchup bool // acked records count as anti-entropy, not round ship
 	// storeErr is the first failure to materialize a primary's store for
@@ -487,7 +510,7 @@ func (h *harness) promoteGroup(ctx context.Context, g int, traceID uint64, vt fl
 	}
 	for i := range h.journal {
 		e := &h.journal[i]
-		if !e.lost && e.seqs[g] > prom.Watermark {
+		if !e.lost && e.seq(g) > prom.Watermark {
 			e.lost = true
 			h.res.LostCommits++
 			cLostCommits.Inc()

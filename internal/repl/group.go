@@ -43,13 +43,14 @@ func memberID(g, m, replicas int) int { return g*(replicas+1) + m }
 // chain is one replica member's copy of its group's record chain: the
 // log, the record history since base, and the member's store. A record
 // is checked as it is logged — the checks that need no store: its type,
-// a WRITE's op decode and table, a PREPARE's coordinator — and counts as
-// held from then on, so a member acknowledges once a record is logged,
-// as Raft followers do. The store (an Applier) catches up with the
-// logged chain only when it is read: store applies the unapplied tail.
-// State-dependent apply errors (a duplicate insert, an update of a
-// missing row) therefore surface when a store is materialized, or at
-// the end-of-run recovery, which replays every member log.
+// a WRITE's op encoding (db.CheckOp, which decodes nothing) and table, a
+// PREPARE's coordinator — and counts as held from then on, so a member
+// acknowledges once a record is logged, as Raft followers do. The store
+// (an Applier) catches up with the logged chain only when it is read:
+// store applies the unapplied tail. State-dependent apply errors (a
+// duplicate insert, an update of a missing row) therefore surface when a
+// store is materialized, or at the end-of-run recovery, which replays
+// every member log.
 type chain struct {
 	sc  *schema.Schema
 	log *wal.Log
@@ -64,6 +65,26 @@ type chain struct {
 	// unapplied counts the records at the tail of records that app has
 	// not applied yet.
 	unapplied int
+	// arena holds the payloads of records this member wrote itself (a
+	// primary's appends): history outlives the caller's buffers.
+	arena []byte
+}
+
+// arenaChunk is the size of a chain's payload arena chunks.
+const arenaChunk = 64 << 10
+
+// keep copies a payload into the chain's arena and returns the copy, nil
+// when empty. A full chunk is left to the records that slice it.
+func (c *chain) keep(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	if cap(c.arena)-len(c.arena) < len(b) {
+		c.arena = make([]byte, 0, max(arenaChunk, len(b)))
+	}
+	start := len(c.arena)
+	c.arena = append(c.arena, b...)
+	return c.arena[start:len(c.arena):len(c.arena)]
 }
 
 func newChain(sc *schema.Schema, log *wal.Log) chain {
@@ -78,12 +99,12 @@ func (c *chain) accept(recs []wal.Record) error {
 		switch rec.Type {
 		case wal.RecBegin, wal.RecCommit, wal.RecAbort:
 		case wal.RecWrite:
-			op, err := db.DecodeOp(rec.Payload)
+			table, err := db.CheckOp(rec.Payload)
 			if err != nil {
 				return fmt.Errorf("%w: write record txn %d: %v", wal.ErrCorrupt, rec.Txn, err)
 			}
-			if c.sc.Table(op.Table) == nil {
-				return fmt.Errorf("%w: write record txn %d: unknown table %q", wal.ErrCorrupt, rec.Txn, op.Table)
+			if c.sc.Table(string(table)) == nil {
+				return fmt.Errorf("%w: write record txn %d: unknown table %q", wal.ErrCorrupt, rec.Txn, table)
 			}
 		case wal.RecPrepare:
 			if _, w := binary.Uvarint(rec.Payload); w <= 0 {
@@ -150,6 +171,8 @@ type primary struct {
 
 	// acked tracks each backup member's durably-acknowledged watermark.
 	acked map[int]int64
+	// batch is the record list of the step being appended, reused.
+	batch []wal.Record
 }
 
 // append extends the chain by one record: durable log append, then the
@@ -158,36 +181,24 @@ func (p *primary) append(typ wal.RecType, txn uint64, payload []byte) error {
 	if err := p.log.Append(typ, txn, payload); err != nil {
 		return err
 	}
-	rec := wal.Record{Type: typ, Txn: txn}
-	if len(payload) > 0 {
-		rec.Payload = append([]byte(nil), payload...)
-	}
-	return p.accept([]wal.Record{rec})
+	p.batch = append(p.batch[:0], wal.Record{Type: typ, Txn: txn, Payload: p.keep(payload)})
+	return p.accept(p.batch)
 }
 
 // appendTxn extends the chain with one transaction's protocol step:
-// BEGIN, one WRITE per op and, when tail is nonzero, the PREPARE or
-// COMMIT tail — one log write, then the ship history, exactly as the
-// equivalent append calls would.
-func (p *primary) appendTxn(txn uint64, ops []db.Op, tail wal.RecType, tailPayload []byte) error {
-	recs := make([]wal.Record, 0, len(ops)+2)
-	recs = append(recs, wal.Record{Type: wal.RecBegin, Txn: txn})
-	// The WRITE payloads share one encode buffer. A payload slice stays
-	// valid if a later op outgrows the buffer: the old backing array is
-	// never written again.
-	enc := make([]byte, 0, 32*len(ops))
-	for _, op := range ops {
-		start := len(enc)
-		enc = op.Encode(enc)
-		recs = append(recs, wal.Record{Type: wal.RecWrite, Txn: txn, Payload: enc[start:len(enc):len(enc)]})
+// BEGIN, one WRITE per body — the routed write bodies, logged and
+// shipped as they are — and, when tail is nonzero, the PREPARE or COMMIT
+// tail: one log write, then the ship history, exactly as the equivalent
+// append calls would.
+func (p *primary) appendTxn(txn uint64, bodies [][]byte, tail wal.RecType, tailPayload []byte) error {
+	recs := append(p.batch[:0], wal.Record{Type: wal.RecBegin, Txn: txn})
+	for _, b := range bodies {
+		recs = append(recs, wal.Record{Type: wal.RecWrite, Txn: txn, Payload: p.keep(b)})
 	}
 	if tail != 0 {
-		rec := wal.Record{Type: tail, Txn: txn}
-		if len(tailPayload) > 0 {
-			rec.Payload = append([]byte(nil), tailPayload...)
-		}
-		recs = append(recs, rec)
+		recs = append(recs, wal.Record{Type: tail, Txn: txn, Payload: p.keep(tailPayload)})
 	}
+	p.batch = recs
 	if err := p.log.AppendBatch(recs); err != nil {
 		return err
 	}

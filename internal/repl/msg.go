@@ -90,6 +90,10 @@ func encodeAppend(epoch int, base int64, recs []wal.Record) []byte {
 	return dst
 }
 
+// decodeAppend splits a MsgAppend payload. The record payloads are
+// slices of data, not copies: a backup's history keeps them, so data
+// must be a buffer nobody writes again — every transport hands Recv a
+// fresh one per frame.
 func decodeAppend(data []byte) (epoch int, base int64, recs []wal.Record, err error) {
 	e, w := binary.Uvarint(data)
 	if w <= 0 {
@@ -128,7 +132,7 @@ func decodeAppend(data []byte) (epoch int, base int64, recs []wal.Record, err er
 		data = data[w:]
 		var payload []byte
 		if sz > 0 {
-			payload = append([]byte(nil), data[:sz]...)
+			payload = data[:sz:sz]
 		}
 		data = data[sz:]
 		recs = append(recs, wal.Record{Type: typ, Txn: txn, Payload: payload})

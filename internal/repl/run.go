@@ -240,8 +240,9 @@ func (h *harness) crashFire(ctx context.Context, g int, phase string, traceID ui
 // point may kill a primary mid-protocol; the group promotes and the
 // round's fate follows the rule.
 func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt int, now float64,
-	coord int, writeParts []int, opsAt map[int][]db.Op, distributed bool, fire *cluster.Crash) (bool, error) {
+	coord int, w *cluster.Writes, distributed bool, fire *cluster.Crash) (bool, error) {
 
+	writeParts := w.Parts
 	// The involved groups: every write participant plus the coordinator
 	// (whose chain carries the decision even when it stages no writes).
 	involved := writeParts
@@ -258,23 +259,23 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 	if !distributed {
 		g := writeParts[0]
 		pr := h.groups[g].pr
-		if err := pr.appendTxn(txn, opsAt[g], wal.RecCommit, nil); err != nil {
+		if err := pr.appendTxn(txn, w.Of(0), wal.RecCommit, nil); err != nil {
 			return false, err
 		}
-		entry := journalEntry{ops: cluster.FlattenOps(writeParts, opsAt), seqs: map[int]int64{g: pr.seq}}
+		h.pending = append(h.pending[:0], groupSeq{g, pr.seq})
 		if fire != nil && fire.Phase == faults.PhasePrimaryMidShip && fire.Node == g {
 			// The primary commits locally and dies before shipping a single
 			// record of the round.
 			acked := h.cfg.CommitRule == RuleAsync
 			if acked {
-				h.journal = append(h.journal, entry)
+				h.journalRound(w)
 			}
 			if err := h.crashFire(ctx, g, fire.Phase, traceID, attempt, now); err != nil {
 				return false, err
 			}
 			return acked, nil
 		}
-		h.journal = append(h.journal, entry)
+		h.journalRound(w)
 		h.shipRule(ctx, involved, traceID, now)
 		return true, nil
 	}
@@ -282,7 +283,7 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 	// Distributed: prepare phase on participants (ascending, coordinator
 	// last with the decision).
 	var staged []int
-	for _, p := range writeParts {
+	for i, p := range writeParts {
 		if p == coord {
 			continue
 		}
@@ -290,7 +291,7 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 		if fire != nil && fire.Phase == faults.PhaseBeforePrepare && fire.Node == p {
 			// The participant's primary dies with a torn prepare: the round
 			// aborts, and the dead chain's staged suffix dies with it.
-			if err := pr.appendTxn(txn, opsAt[p], 0, nil); err != nil {
+			if err := pr.appendTxn(txn, w.Of(i), 0, nil); err != nil {
 				return false, err
 			}
 			if err := pr.appendTorn(wal.RecPrepare, txn, cluster.CoordPayload(coord), 3); err != nil {
@@ -304,7 +305,7 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 			}
 			return false, nil
 		}
-		if err := pr.appendTxn(txn, opsAt[p], wal.RecPrepare, cluster.CoordPayload(coord)); err != nil {
+		if err := pr.appendTxn(txn, w.Of(i), wal.RecPrepare, cluster.CoordPayload(coord)); err != nil {
 			return false, err
 		}
 		h.rec.Record(traceID, obs.EvPrepare, h.primID(p), attempt, now, 0)
@@ -314,7 +315,7 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 	// Decision on the coordinator's chain.
 	cpr := h.groups[coord].pr
 	if fire != nil && fire.Phase == faults.PhaseBeforeCommit && fire.Node == coord {
-		if err := cpr.appendTxn(txn, opsAt[coord], 0, nil); err != nil {
+		if err := cpr.appendTxn(txn, w.At(coord), 0, nil); err != nil {
 			return false, err
 		}
 		if err := cpr.appendTorn(wal.RecCommit, txn, nil, 5); err != nil {
@@ -328,10 +329,10 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 		}
 		return false, nil
 	}
-	if err := cpr.appendTxn(txn, opsAt[coord], wal.RecCommit, nil); err != nil {
+	if err := cpr.appendTxn(txn, w.At(coord), wal.RecCommit, nil); err != nil {
 		return false, err
 	}
-	seqs := map[int]int64{coord: cpr.seq}
+	h.pending = append(h.pending[:0], groupSeq{coord, cpr.seq})
 	if fire != nil && fire.Phase == faults.PhaseAfterDecision && fire.Node == coord {
 		// The decision is durable on the coordinator's chain — and dies
 		// with it: the promoted backup never saw it, so the suffix is
@@ -340,10 +341,7 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 		// never went out and the retry reruns the transaction cleanly.
 		acked := h.cfg.CommitRule == RuleAsync
 		if acked {
-			h.journal = append(h.journal, journalEntry{
-				ops:  cluster.FlattenOps(writeParts, opsAt),
-				seqs: seqs,
-			})
+			h.journalRound(w)
 		}
 		if err := h.crashFire(ctx, coord, fire.Phase, traceID, attempt, now); err != nil {
 			return false, err
@@ -359,11 +357,22 @@ func (h *harness) writeRound(ctx context.Context, txn, traceID uint64, attempt i
 		if err := h.groups[p].pr.append(wal.RecCommit, txn, nil); err != nil {
 			return false, err
 		}
-		seqs[p] = h.groups[p].pr.seq
+		h.pending = append(h.pending, groupSeq{p, h.groups[p].pr.seq})
 	}
-	h.journal = append(h.journal, journalEntry{ops: cluster.FlattenOps(writeParts, opsAt), seqs: seqs})
+	h.journalRound(w)
 	h.shipRule(ctx, involved, traceID, now)
 	return true, nil
+}
+
+// journalRound journals an acknowledged round: its write bodies, copied
+// out of the routing arena, and the COMMIT sequences in h.pending.
+func (h *harness) journalRound(w *cluster.Writes) {
+	h.writes.Add(w)
+	start := len(h.seqs)
+	h.seqs = append(h.seqs, h.pending...)
+	// An entry's seqs stay valid when a later entry outgrows the arena:
+	// the old backing array is never written again.
+	h.journal = append(h.journal, journalEntry{seqs: h.seqs[start:len(h.seqs):len(h.seqs)]})
 }
 
 // Run replays the trace through the replica-group engine: per-partition
@@ -486,7 +495,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 				}
 			}
 		}
-		if len(at.WriteParts) == 0 {
+		if len(at.Writes.Parts) == 0 {
 			// Read-only (or fully-replicated read): no wire round — the
 			// read is served by the coordinator group, from a backup when
 			// one is inside the staleness budget.
@@ -494,10 +503,10 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 			return true, nil
 		}
 		// Crash points fire on rounds where they qualify.
-		fire := crashes.Next(cluster.Round{Coord: at.Coord, WriteParts: at.WriteParts, Distributed: at.Distributed}, nil)
+		fire := crashes.Next(cluster.Round{Coord: at.Coord, WriteParts: at.Writes.Parts, Distributed: at.Distributed}, nil)
 		nextTxn++
 		ok, err := h.writeRound(srvCtx, nextTxn, at.TraceID, at.Num, at.Now,
-			at.Coord, at.WriteParts, at.OpsAt, at.Distributed, fire)
+			at.Coord, at.Writes, at.Distributed, fire)
 		if err == nil {
 			err = h.storeErr
 		}
@@ -652,31 +661,35 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	return res, nil
 }
 
-// journalErr locates an expected-state replay failure: the journal entry
-// and the op within it.
+// journalErr locates an expected-state replay failure: the index of the
+// failing write in the journal, which orders failures by commit order.
 type journalErr struct {
-	entry, op int
-	err       error
+	write int
+	err   error
 }
 
-func (a journalErr) before(b journalErr) bool {
-	return a.entry < b.entry || a.entry == b.entry && a.op < b.op
-}
+func (a journalErr) before(b journalErr) bool { return a.write < b.write }
 
 // replayExpected re-executes the surviving journal writes of group g on
-// a fresh store.
+// a fresh store, decoding each body where it applies.
 func (h *harness) replayExpected(sc *schema.Schema, g int) (*db.DB, journalErr) {
 	d := db.New(sc)
 	for i, e := range h.journal {
 		if e.lost {
 			continue
 		}
-		for j, po := range e.ops {
-			if po.Part != g {
+		lo, hi := h.writes.Writes(i)
+		for n := lo; n < hi; n++ {
+			p, body := h.writes.Write(n)
+			if p != g {
 				continue
 			}
-			if err := d.Apply(po.Op); err != nil {
-				return nil, journalErr{entry: i, op: j, err: err}
+			op, err := d.DecodeOp(body)
+			if err == nil {
+				err = d.Apply(op)
+			}
+			if err != nil {
+				return nil, journalErr{write: n, err: err}
 			}
 		}
 	}

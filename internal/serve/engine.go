@@ -127,7 +127,8 @@ type engine struct {
 	tr     *trace.Trace
 	rt     *router.Router
 	asg    *eval.Assigner
-	place  []int32 // the resolving request's access placements
+	place  []int32        // the resolving request's access placements
+	writes cluster.Writes // the resolving request's routed write bodies
 	inj    *faults.Injector
 	local  *cluster.LocalWAL
 	adm    *admission
@@ -487,8 +488,8 @@ func (e *engine) resolve(info *doneInfo, now float64) error {
 	}
 	coord := info.dec.Partitions[0]
 	e.place = e.asg.PlaceTxn(req.t, e.place[:0])
-	writeParts, opsAt := cluster.WriteEffects(req.t, e.place, e.sol.K, coord)
-	if err := e.commit(req.traceID, now, writeParts, opsAt, coord); err != nil {
+	cluster.WriteEffects(&e.writes, req.t, e.place, e.sol.K, coord)
+	if err := e.commit(req.traceID, now, &e.writes, coord); err != nil {
 		return err
 	}
 	for _, p := range info.dec.Partitions {

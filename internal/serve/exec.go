@@ -14,19 +14,20 @@ import (
 // logged 2PC across several. The flight-recorder context (traceID, vt)
 // stamps the WAL events. With an empty WALDir the stores run memory-only
 // — the load tests use that; the experiment tables run WAL-backed.
-func (e *engine) commit(traceID uint64, vt float64, parts []int, opsAt map[int][]db.Op, coord int) error {
+func (e *engine) commit(traceID uint64, vt float64, w *cluster.Writes, coord int) error {
+	parts := w.Parts
 	if len(parts) == 0 {
 		return nil // read-only: nothing durable to do
 	}
 	e.local.At(traceID, 0, vt)
 	e.nextTxn++
 	if len(parts) == 1 {
-		return e.local.CommitLocal(parts[0], e.nextTxn, opsAt[parts[0]])
+		return e.local.CommitLocal(parts[0], e.nextTxn, w.Of(0))
 	}
 	if coord < 0 || !cluster.Has(parts, coord) {
 		coord = parts[0]
 	}
-	return e.local.Commit2PC(e.nextTxn, coord, parts, opsAt)
+	return e.local.Commit2PC(e.nextTxn, coord, w)
 }
 
 // stateDigest folds the per-table digests of every partition store into

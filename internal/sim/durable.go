@@ -174,11 +174,11 @@ func (e *durEngine) maybeCheckpoint(p int) error {
 // crashBeforePrepare kills the scripted participant mid-append of its
 // PREPARE record (torn tail); the coordinator aborts the round and the
 // survivors log the abort decision.
-func (e *durEngine) crashBeforePrepare(node int, txn uint64, coord int, parts []int, opsAt map[int][]db.Op) error {
-	if err := e.Prepare(txn, coord, parts, opsAt, node); err != nil {
+func (e *durEngine) crashBeforePrepare(node int, txn uint64, coord int, w *cluster.Writes) error {
+	if err := e.Prepare(txn, coord, w, node); err != nil {
 		return err
 	}
-	if err := e.Logs[node].AppendTxn(txn, opsAt[node], 0, nil); err != nil {
+	if err := e.Logs[node].AppendTxn(txn, w.At(node), 0, nil); err != nil {
 		return err
 	}
 	if err := e.Logs[node].AppendTorn(wal.RecPrepare, txn, cluster.CoordPayload(coord), 3); err != nil {
@@ -190,7 +190,7 @@ func (e *durEngine) crashBeforePrepare(node int, txn uint64, coord int, parts []
 			return err
 		}
 	}
-	for _, p := range parts {
+	for _, p := range w.Parts {
 		if p == node || p == coord || e.dead[p] {
 			continue
 		}
@@ -205,15 +205,15 @@ func (e *durEngine) crashBeforePrepare(node int, txn uint64, coord int, parts []
 // prepared but before the decision is durable (the decision record is
 // torn). Every surviving participant is left in doubt; presumed abort
 // resolves the transaction as aborted at recovery.
-func (e *durEngine) crashBeforeCommit(txn uint64, coord int, parts []int, opsAt map[int][]db.Op) error {
-	if err := e.Prepare(txn, coord, parts, opsAt, -1); err != nil {
+func (e *durEngine) crashBeforeCommit(txn uint64, coord int, w *cluster.Writes) error {
+	if err := e.Prepare(txn, coord, w, -1); err != nil {
 		return err
 	}
 	if err := e.Logs[coord].AppendTorn(wal.RecCommit, txn, nil, 5); err != nil {
 		return err
 	}
 	e.kill(coord)
-	for _, p := range parts {
+	for _, p := range w.Parts {
 		if p != coord {
 			e.inDoubt[p] = true
 		}
@@ -225,15 +225,15 @@ func (e *durEngine) crashBeforeCommit(txn uint64, coord int, parts []int, opsAt 
 // durable but before any participant hears it: the transaction IS
 // committed, the survivors are in doubt, and recovery replays their
 // prepared writes from the coordinator's logged decision.
-func (e *durEngine) crashAfterDecision(txn uint64, coord int, parts []int, opsAt map[int][]db.Op) error {
-	if err := e.Prepare(txn, coord, parts, opsAt, -1); err != nil {
+func (e *durEngine) crashAfterDecision(txn uint64, coord int, w *cluster.Writes) error {
+	if err := e.Prepare(txn, coord, w, -1); err != nil {
 		return err
 	}
 	if err := e.Logs[coord].Append(wal.RecCommit, txn, nil); err != nil {
 		return err
 	}
 	e.kill(coord)
-	for _, p := range parts {
+	for _, p := range w.Parts {
 		if p != coord {
 			e.inDoubt[p] = true
 		}
@@ -282,7 +282,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 		if at.Blocked {
 			return false, nil
 		}
-		coord, parts, opsAt := at.Coord, at.WriteParts, at.OpsAt
+		coord, w, parts := at.Coord, at.Writes, at.Writes.Parts
 		lost := sampleLoss(inj, rec, at)
 		if len(parts) == 0 {
 			return !lost, nil
@@ -291,28 +291,28 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 		if lost {
 			// The round reached prepare before the coordination message
 			// was lost: a full logged abort.
-			return false, eng.Abort2PC(nextTxn, coord, parts, opsAt)
+			return false, eng.Abort2PC(nextTxn, coord, w)
 		}
 		// Crash points fire on rounds that would otherwise proceed.
 		fire := crashes.Next(cluster.Round{Coord: coord, WriteParts: parts, Distributed: at.Distributed}, eng.dead.Down)
 		if fire == nil {
 			// Durable commit.
 			if at.Distributed {
-				return true, eng.Commit2PC(nextTxn, coord, parts, opsAt)
+				return true, eng.Commit2PC(nextTxn, coord, w)
 			}
-			return true, eng.CommitLocal(parts[0], nextTxn, opsAt[parts[0]])
+			return true, eng.CommitLocal(parts[0], nextTxn, w.Of(0))
 		}
 		rec.Record(at.TraceID, obs.EvCrash, fire.Node, at.Num, at.Now, faults.PhaseCode(fire.Phase))
 		switch fire.Phase {
 		case faults.PhaseBeforePrepare:
-			return false, eng.crashBeforePrepare(fire.Node, nextTxn, coord, parts, opsAt)
+			return false, eng.crashBeforePrepare(fire.Node, nextTxn, coord, w)
 		case faults.PhaseBeforeCommit:
-			return false, eng.crashBeforeCommit(nextTxn, coord, parts, opsAt)
+			return false, eng.crashBeforeCommit(nextTxn, coord, w)
 		case faults.PhaseAfterDecision:
 			// The decision is durable: the transaction IS committed even
 			// though no participant applied it — recovery replays it from
 			// the prepared writes.
-			return true, eng.crashAfterDecision(nextTxn, coord, parts, opsAt)
+			return true, eng.crashAfterDecision(nextTxn, coord, w)
 		}
 		return false, nil
 	})
@@ -342,7 +342,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 	// End of run: the whole cluster crashes (in-memory state lost), then
 	// recovery replays every partition log and the oracle checks it.
 	eng.Close()
-	rc, err := cluster.RecoverAndCheck(d.Schema(), walDir, sol.K, t.Journal, rec, res.MakespanSec)
+	rc, err := cluster.RecoverAndCheck(d.Schema(), walDir, sol.K, &t.Journal, rec, res.MakespanSec)
 	if err != nil {
 		return nil, err
 	}

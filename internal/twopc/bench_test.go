@@ -3,13 +3,17 @@ package twopc
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/faults"
 	"repro/internal/partition"
 	"repro/internal/trace"
+	"repro/internal/transport"
+	"repro/internal/value"
 	"repro/internal/workloads"
 	"repro/internal/workloads/tpcc"
 )
@@ -55,6 +59,86 @@ func BenchmarkTwoPCWindow(b *testing.B) {
 		}
 		if !res.OracleOK || res.Committed != res.Offered {
 			b.Fatalf("window did not commit cleanly: %s", res)
+		}
+	}
+}
+
+// newOrderWrites routes the writes of one distributed TPC-C NewOrder:
+// the DISTRICT update, the ORDERS and NEW_ORDER inserts, and three order
+// lines' STOCK and ORDER_LINE writes, all on partition 0 except the
+// STOCK row of the one line supplied by a remote warehouse, which
+// partition 1 owns.
+func newOrderWrites() *cluster.Writes {
+	iv := value.NewInt
+	acc := func(table string, p int32, vs ...value.Value) (trace.Access, int32) {
+		return trace.Access{Table: table, Key: value.MakeKey(vs...), Write: true}, p
+	}
+	var txn trace.Txn
+	var place []int32
+	add := func(a trace.Access, p int32) {
+		txn.Accesses = append(txn.Accesses, a)
+		place = append(place, p)
+	}
+	add(acc("DISTRICT", 0, iv(1), iv(2)))
+	add(acc("ORDERS", 0, iv(1), iv(2), iv(3001)))
+	add(acc("NEW_ORDER", 0, iv(1), iv(2), iv(3001)))
+	for l := int64(0); l < 3; l++ {
+		supply, p := int64(1), int32(0)
+		if l == 2 {
+			supply, p = 2, 1
+		}
+		add(acc("STOCK", p, iv(supply), iv(40+l)))
+		add(acc("ORDER_LINE", 0, iv(1), iv(2), iv(3001), iv(l)))
+	}
+	var w cluster.Writes
+	cluster.WriteEffects(&w, &txn, place, 2, 0)
+	return &w
+}
+
+// BenchmarkTwoPCRound times one distributed NewOrder through 2PC over
+// the in-process bus: prepare to both participants, their logged votes,
+// the commit decision to the coordinator partition and then the other,
+// and both acks — participants apply, log and checkpoint (every 64
+// commits) as in a replay.
+func BenchmarkTwoPCRound(b *testing.B) {
+	bus := transport.NewBus()
+	sc := tpcc.Schema()
+	dir := b.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for id := 0; id < 2; id++ {
+		ep, err := bus.Endpoint(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := NewParticipant(id, sc, dir, ep, ParticipantConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.Serve(ctx); err != nil {
+				b.Error(err)
+			}
+		}()
+	}
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	dEp, err := bus.Endpoint(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	drv := newDriver(2, dEp, driverConfig{})
+	w := newOrderWrites()
+	alive := func(int) bool { return false }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := drv.round2PC(ctx, uint64(i+1), 0, w, alive); !out.committed {
+			b.Fatalf("round %d did not commit: %+v", i, out)
 		}
 	}
 }

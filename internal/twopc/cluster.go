@@ -339,7 +339,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		if at.Blocked {
 			return false, nil
 		}
-		coord, parts, opsAt := at.Coord, at.WriteParts, at.OpsAt
+		coord, parts := at.Coord, at.Writes.Parts
 		if len(parts) == 0 {
 			// No write effects (read-only / fully-replicated read):
 			// nothing touches the wire.
@@ -353,9 +353,9 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		}
 		var out roundOutcome
 		if at.Distributed {
-			out = drv.round2PC(srvCtx, nextTxn, coord, parts, opsAt, dead)
+			out = drv.round2PC(srvCtx, nextTxn, coord, at.Writes, dead)
 		} else {
-			out.committed = drv.commitLocal(srvCtx, nextTxn, parts[0], opsAt[parts[0]])
+			out.committed = drv.commitLocal(srvCtx, nextTxn, parts[0], at.Writes.Of(0))
 		}
 		for _, p := range out.yes {
 			rec.Record(at.TraceID, obs.EvPrepare, p, at.Num, at.Now, 0)
@@ -417,7 +417,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		res.WALBytes += p.WALBytes()
 	}
 
-	rc, err := cluster.RecoverAndCheck(d.Schema(), cfg.WALDir, k, t.Journal, rec, res.MakespanSec)
+	rc, err := cluster.RecoverAndCheck(d.Schema(), cfg.WALDir, k, &t.Journal, rec, res.MakespanSec)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/db"
 	"repro/internal/faults"
 	"repro/internal/transport"
 )
@@ -79,12 +78,27 @@ func (d *driver) send(ctx context.Context, to int, typ uint8, txn uint64, payloa
 	})
 }
 
-// recvBy waits for the next frame until the deadline.
-func (d *driver) recvBy(ctx context.Context, deadline time.Time) (transport.Msg, bool) {
-	rctx, cancel := context.WithDeadline(ctx, deadline)
+// window bounds one attempt's reply wait: the base window stretched by
+// the wire policy (waitFor), as one deadline context that every receive
+// of the attempt shares.
+func (d *driver) window(ctx context.Context, base time.Duration, attempt int) (context.Context, context.CancelFunc) {
+	return context.WithDeadline(ctx, time.Now().Add(d.waitFor(base, attempt)))
+}
+
+// await waits out one attempt's reply window for the first frame match
+// accepts, skipping the rest (stale or duplicate frames).
+func (d *driver) await(ctx context.Context, base time.Duration, attempt int, match func(transport.Msg) bool) (transport.Msg, bool) {
+	wctx, cancel := d.window(ctx, base, attempt)
 	defer cancel()
-	m, err := d.ep.Recv(rctx)
-	return m, err == nil
+	for {
+		m, err := d.ep.Recv(wctx)
+		if err != nil {
+			return m, false
+		}
+		if match(m) {
+			return m, true
+		}
+	}
 }
 
 // waitFor is the reply window for attempt number n: the base window
@@ -100,21 +114,22 @@ func (d *driver) waitFor(base time.Duration, attempt int) time.Duration {
 // gatherVotes broadcasts MsgPrepare to parts and collects votes,
 // retransmitting to silent participants with bumped attempts. It fails
 // as soon as any participant votes no or a pending participant is dead.
-func (d *driver) gatherVotes(ctx context.Context, txn uint64, coord int, parts []int, ops map[int][]db.Op, dead func(int) bool) (yes []int, blocked, ok bool) {
+func (d *driver) gatherVotes(ctx context.Context, txn uint64, coord int, w *cluster.Writes, dead func(int) bool) (yes []int, blocked, ok bool) {
+	parts := w.Parts
 	pending := make(map[int]bool, len(parts))
 	for _, pt := range parts {
 		pending[pt] = true
 	}
 	for attempt := 1; attempt <= d.cfg.wire.MaxAttempts; attempt++ {
-		for _, pt := range parts {
+		for i, pt := range parts {
 			if pending[pt] && !dead(pt) {
-				d.send(ctx, pt, MsgPrepare, txn, encodePrepare(coord, ops[pt]))
+				d.send(ctx, pt, MsgPrepare, txn, encodePrepare(coord, w.Of(i)))
 			}
 		}
-		deadline := time.Now().Add(d.waitFor(d.cfg.voteWait, attempt))
+		wctx, cancel := d.window(ctx, d.cfg.voteWait, attempt)
 		for len(pending) > 0 {
-			m, got := d.recvBy(ctx, deadline)
-			if !got {
+			m, err := d.ep.Recv(wctx)
+			if err != nil {
 				break
 			}
 			if m.Txn != txn || !pending[m.From] {
@@ -125,6 +140,7 @@ func (d *driver) gatherVotes(ctx context.Context, txn uint64, coord int, parts [
 				delete(pending, m.From)
 				yes = append(yes, m.From)
 			case MsgVoteNo:
+				cancel()
 				if len(m.Payload) > 0 && m.Payload[0] == ReasonBlocked {
 					blocked = true
 				}
@@ -132,6 +148,7 @@ func (d *driver) gatherVotes(ctx context.Context, txn uint64, coord int, parts [
 				return yes, blocked, false
 			}
 		}
+		cancel()
 		if len(pending) == 0 {
 			sort.Ints(yes)
 			return yes, blocked, true
@@ -164,15 +181,10 @@ func (d *driver) decide(ctx context.Context, txn uint64, typ uint8, to int, dead
 			return false
 		}
 		d.send(ctx, to, typ, txn, nil)
-		deadline := time.Now().Add(d.waitFor(d.cfg.ackWait, attempt))
-		for {
-			m, got := d.recvBy(ctx, deadline)
-			if !got {
-				break
-			}
-			if m.Type == MsgAck && m.Txn == txn && m.From == to {
-				return true
-			}
+		if _, ok := d.await(ctx, d.cfg.ackWait, attempt, func(m transport.Msg) bool {
+			return m.Type == MsgAck && m.Txn == txn && m.From == to
+		}); ok {
+			return true
 		}
 	}
 	return false
@@ -181,8 +193,9 @@ func (d *driver) decide(ctx context.Context, txn uint64, typ uint8, to int, dead
 // round2PC runs one distributed transaction: prepare/vote over every
 // write participant, then the decision — to the coordinator partition
 // first (that append is the durability point), then the rest.
-func (d *driver) round2PC(ctx context.Context, txn uint64, coord int, parts []int, ops map[int][]db.Op, dead func(int) bool) roundOutcome {
-	yes, blocked, allYes := d.gatherVotes(ctx, txn, coord, parts, ops, dead)
+func (d *driver) round2PC(ctx context.Context, txn uint64, coord int, w *cluster.Writes, dead func(int) bool) roundOutcome {
+	parts := w.Parts
+	yes, blocked, allYes := d.gatherVotes(ctx, txn, coord, w, dead)
 	if !allYes {
 		// Reliable abort fan-out: the decision record goes to the
 		// coordinator partition and every write participant (prepared or
@@ -224,24 +237,13 @@ func (d *driver) fanOut(ctx context.Context, txn uint64, typ uint8, coord int, p
 }
 
 // commitLocal runs the single-partition fast path.
-func (d *driver) commitLocal(ctx context.Context, txn uint64, part int, ops []db.Op) bool {
+func (d *driver) commitLocal(ctx context.Context, txn uint64, part int, bodies [][]byte) bool {
 	for attempt := 1; attempt <= d.cfg.wire.MaxAttempts; attempt++ {
-		d.send(ctx, part, MsgCommitLocal, txn, encodeCommitLocal(ops))
-		deadline := time.Now().Add(d.waitFor(d.cfg.ackWait, attempt))
-		for {
-			m, got := d.recvBy(ctx, deadline)
-			if !got {
-				break
-			}
-			if m.Txn != txn || m.From != part {
-				continue
-			}
-			switch m.Type {
-			case MsgAckLocal:
-				return true
-			case MsgVoteNo:
-				return false
-			}
+		d.send(ctx, part, MsgCommitLocal, txn, encodeCommitLocal(bodies))
+		if m, ok := d.await(ctx, d.cfg.ackWait, attempt, func(m transport.Msg) bool {
+			return m.Txn == txn && m.From == part && (m.Type == MsgAckLocal || m.Type == MsgVoteNo)
+		}); ok {
+			return m.Type == MsgAckLocal
 		}
 	}
 	return false

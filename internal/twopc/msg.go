@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/db"
 )
@@ -25,8 +26,8 @@ import (
 // Protocol message types (transport.Msg.Type). Zero is invalid at the
 // framing layer, so the vocabulary starts at 1.
 const (
-	// MsgPrepare carries the coordinator partition id and the write ops
-	// for one participant (driver → participant).
+	// MsgPrepare carries the coordinator partition id and the write
+	// bodies for one participant (driver → participant).
 	MsgPrepare uint8 = iota + 1
 	// MsgVoteYes / MsgVoteNo answer a prepare. A no vote carries a
 	// one-byte reason.
@@ -69,19 +70,30 @@ const (
 // ErrPayload wraps every payload-decode failure.
 var ErrPayload = errors.New("twopc: bad payload")
 
-// encodeOps appends a length-prefixed op list.
-func encodeOps(dst []byte, ops []db.Op) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ops)))
-	var enc []byte
-	for _, op := range ops {
-		enc = op.Encode(enc[:0])
-		dst = binary.AppendUvarint(dst, uint64(len(enc)))
-		dst = append(dst, enc...)
+// appendBodies appends a length-prefixed list of write bodies — op
+// encodings, as WriteEffects built them — each framed as it is.
+func appendBodies(dst []byte, bodies [][]byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(bodies)))
+	for _, b := range bodies {
+		dst = binary.AppendUvarint(dst, uint64(len(b)))
+		dst = append(dst, b...)
 	}
 	return dst
 }
 
-func decodeOps(data []byte) ([]db.Op, []byte, error) {
+// bodiesSize bounds appendBodies' output length.
+func bodiesSize(bodies [][]byte) int {
+	n := binary.MaxVarintLen64
+	for _, b := range bodies {
+		n += binary.MaxVarintLen32 + len(b)
+	}
+	return n
+}
+
+// decodeBodies splits a body list off data, appending each body to dst
+// as a slice of data after db.CheckOp validates it: nothing is decoded
+// or copied until a store applies the writes.
+func decodeBodies(dst [][]byte, data []byte) ([][]byte, []byte, error) {
 	n, w := binary.Uvarint(data)
 	if w <= 0 {
 		return nil, nil, fmt.Errorf("%w: op count", ErrPayload)
@@ -90,57 +102,63 @@ func decodeOps(data []byte) ([]db.Op, []byte, error) {
 	if n > uint64(len(data)) { // each op takes ≥1 byte
 		return nil, nil, fmt.Errorf("%w: %d ops in %d bytes", ErrPayload, n, len(data))
 	}
-	ops := make([]db.Op, 0, n)
+	dst = slices.Grow(dst, int(n))
 	for i := uint64(0); i < n; i++ {
 		sz, w := binary.Uvarint(data)
 		if w <= 0 || sz > uint64(len(data)-w) {
 			return nil, nil, fmt.Errorf("%w: op %d length", ErrPayload, i)
 		}
-		data = data[w:]
-		op, err := db.DecodeOp(data[:sz])
-		if err != nil {
+		body := data[w : w+int(sz) : w+int(sz)]
+		if _, err := db.CheckOp(body); err != nil {
 			return nil, nil, fmt.Errorf("%w: op %d: %v", ErrPayload, i, err)
 		}
-		ops = append(ops, op)
-		data = data[sz:]
+		dst = append(dst, body)
+		data = data[w+int(sz):]
 	}
-	return ops, data, nil
+	return dst, data, nil
 }
 
 // encodePrepare builds a MsgPrepare payload: the coordinator partition
-// id the participant embeds in its PREPARE record, then the op list.
-func encodePrepare(coord int, ops []db.Op) []byte {
-	dst := binary.AppendUvarint(nil, uint64(coord))
-	return encodeOps(dst, ops)
+// id the participant embeds in its PREPARE record, then the body list.
+func encodePrepare(coord int, bodies [][]byte) []byte {
+	dst := make([]byte, 0, binary.MaxVarintLen64+bodiesSize(bodies))
+	dst = binary.AppendUvarint(dst, uint64(coord))
+	return appendBodies(dst, bodies)
 }
 
-func decodePrepare(data []byte) (coord int, ops []db.Op, err error) {
+// decodePrepare splits a MsgPrepare payload; the bodies are slices of
+// data.
+func decodePrepare(data []byte) (coord int, bodies [][]byte, err error) {
 	c, w := binary.Uvarint(data)
 	if w <= 0 {
 		return 0, nil, fmt.Errorf("%w: coordinator id", ErrPayload)
 	}
-	ops, rest, err := decodeOps(data[w:])
+	bodies, rest, err := decodeBodies(nil, data[w:])
 	if err != nil {
 		return 0, nil, err
 	}
 	if len(rest) != 0 {
 		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrPayload, len(rest))
 	}
-	return int(c), ops, nil
+	return int(c), bodies, nil
 }
 
-// encodeCommitLocal builds a MsgCommitLocal payload: just the op list.
-func encodeCommitLocal(ops []db.Op) []byte { return encodeOps(nil, ops) }
+// encodeCommitLocal builds a MsgCommitLocal payload: just the body list.
+func encodeCommitLocal(bodies [][]byte) []byte {
+	return appendBodies(make([]byte, 0, bodiesSize(bodies)), bodies)
+}
 
-func decodeCommitLocal(data []byte) ([]db.Op, error) {
-	ops, rest, err := decodeOps(data)
+// decodeCommitLocal splits a MsgCommitLocal payload into dst; the bodies
+// are slices of data.
+func decodeCommitLocal(dst [][]byte, data []byte) ([][]byte, error) {
+	bodies, rest, err := decodeBodies(dst, data)
 	if err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrPayload, len(rest))
 	}
-	return ops, nil
+	return bodies, nil
 }
 
 // inDoubtPair names one prepared-undecided transaction and the

@@ -65,7 +65,7 @@ func (c ParticipantConfig) withDefaults() ParticipantConfig {
 // holds, with its termination-protocol schedule.
 type inDoubtEntry struct {
 	coord     int
-	ops       []db.Op
+	bodies    [][]byte // slices of the MsgPrepare payload
 	nextQuery time.Time
 	attempts  int
 }
@@ -89,6 +89,7 @@ type Participant struct {
 	inDoubt      map[uint64]*inDoubtEntry
 	inDoubtOrder []uint64
 	commitsSince int
+	local        [][]byte // a MsgCommitLocal's bodies, reused
 
 	crashArm atomic.Int64 // faults.PhaseCode of the armed crash, 0 when disarmed
 	crashed  atomic.Bool
@@ -291,7 +292,7 @@ func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool,
 		p.reply(ctx, m, MsgVoteNo, []byte{ReasonBlocked})
 		return false, nil
 	}
-	coord, ops, err := decodePrepare(m.Payload)
+	coord, bodies, err := decodePrepare(m.Payload)
 	if err != nil {
 		cVotesNo.Inc()
 		p.reply(ctx, m, MsgVoteNo, []byte{ReasonBlocked})
@@ -300,7 +301,7 @@ func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool,
 	if p.disarm(faults.PhaseBeforePrepare) {
 		// Die mid-append of the PREPARE record: staged writes and a torn
 		// tail, no vote — the coordinator's vote timeout aborts the round.
-		if err := p.log.AppendTxn(m.Txn, ops, 0, nil); err != nil {
+		if err := p.log.AppendTxn(m.Txn, bodies, 0, nil); err != nil {
 			return false, err
 		}
 		if err := p.log.AppendTorn(wal.RecPrepare, m.Txn, cluster.CoordPayload(coord), 3); err != nil {
@@ -309,13 +310,13 @@ func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool,
 		p.crash()
 		return true, nil
 	}
-	if err := p.log.AppendTxn(m.Txn, ops, wal.RecPrepare, cluster.CoordPayload(coord)); err != nil {
+	if err := p.log.AppendTxn(m.Txn, bodies, wal.RecPrepare, cluster.CoordPayload(coord)); err != nil {
 		return false, err
 	}
 	cPrepares.Inc()
 	p.inDoubt[m.Txn] = &inDoubtEntry{
 		coord:     coord,
-		ops:       ops,
+		bodies:    bodies,
 		nextQuery: time.Now().Add(p.cfg.DecisionTimeout),
 	}
 	p.inDoubtOrder = append(p.inDoubtOrder, m.Txn)
@@ -334,17 +335,18 @@ func (p *Participant) handleCommitLocal(ctx context.Context, m transport.Msg) er
 		p.reply(ctx, m, MsgAckLocal, nil)
 		return nil
 	}
-	ops, err := decodeCommitLocal(m.Payload)
+	bodies, err := decodeCommitLocal(p.local[:0], m.Payload)
 	if err != nil {
 		cVotesNo.Inc()
 		p.reply(ctx, m, MsgVoteNo, []byte{ReasonBlocked})
 		return nil
 	}
-	if err := p.log.AppendTxn(m.Txn, ops, wal.RecCommit, nil); err != nil {
+	p.local = bodies
+	if err := p.log.AppendTxn(m.Txn, bodies, wal.RecCommit, nil); err != nil {
 		return err
 	}
 	p.decisions[m.Txn] = true
-	if err := p.apply(ops); err != nil {
+	if err := p.apply(bodies); err != nil {
 		return err
 	}
 	p.reply(ctx, m, MsgAckLocal, nil)
@@ -377,7 +379,7 @@ func (p *Participant) handleDecideCommit(ctx context.Context, m transport.Msg) (
 		p.decisions[m.Txn] = true
 		cDecisions.Inc()
 		if e := p.inDoubt[m.Txn]; e != nil {
-			if err := p.apply(e.ops); err != nil {
+			if err := p.apply(e.bodies); err != nil {
 				return false, err
 			}
 			p.dropInDoubt(m.Txn)
@@ -412,7 +414,7 @@ func (p *Participant) resolveInDoubt(txn uint64, commit, presumed bool) error {
 			return err
 		}
 		p.decisions[txn] = true
-		if err := p.apply(e.ops); err != nil {
+		if err := p.apply(e.bodies); err != nil {
 			return err
 		}
 	} else {
@@ -468,10 +470,10 @@ func (p *Participant) scanPairs() []inDoubtPair {
 	return pairs
 }
 
-// apply commits ops on the store atomically and advances the checkpoint
-// cadence.
-func (p *Participant) apply(ops []db.Op) error {
-	if err := p.store.CommitOps(ops); err != nil {
+// apply decodes and commits write bodies on the store atomically and
+// advances the checkpoint cadence.
+func (p *Participant) apply(bodies [][]byte) error {
+	if err := p.store.CommitBodies(bodies); err != nil {
 		return err
 	}
 	p.commitsSince++

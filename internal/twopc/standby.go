@@ -145,15 +145,9 @@ func (s *Standby) scan(ctx context.Context) map[uint64]holderSet {
 func (s *Standby) scanOne(ctx context.Context, pt int) ([]inDoubtPair, bool) {
 	for attempt := 1; attempt <= s.d.cfg.wire.MaxAttempts; attempt++ {
 		s.d.send(ctx, pt, MsgScan, 0, nil)
-		deadline := time.Now().Add(s.d.waitFor(s.d.cfg.ackWait, attempt))
-		for {
-			m, got := s.d.recvBy(ctx, deadline)
-			if !got {
-				break
-			}
-			if m.Type != MsgScanResp || m.From != pt {
-				continue
-			}
+		if m, ok := s.d.await(ctx, s.d.cfg.ackWait, attempt, func(m transport.Msg) bool {
+			return m.Type == MsgScanResp && m.From == pt
+		}); ok {
 			pairs, err := decodeScanResp(m.Payload)
 			if err != nil {
 				return nil, false
@@ -174,21 +168,11 @@ func (s *Standby) scanOne(ctx context.Context, pt int) ([]inDoubtPair, bool) {
 func (s *Standby) decisionFor(ctx context.Context, txn uint64, coord int) bool {
 	for attempt := 1; attempt <= 3; attempt++ {
 		s.d.send(ctx, coord, MsgStatusQuery, txn, nil)
-		deadline := time.Now().Add(s.d.waitFor(s.d.cfg.ackWait, attempt))
-		for {
-			m, got := s.d.recvBy(ctx, deadline)
-			if !got {
-				break
-			}
-			if m.Txn != txn || m.From != coord {
-				continue
-			}
-			switch m.Type {
-			case MsgStatusCommit:
-				return true
-			case MsgStatusAbort, MsgStatusUnknown:
-				return false
-			}
+		if m, ok := s.d.await(ctx, s.d.cfg.ackWait, attempt, func(m transport.Msg) bool {
+			return m.Txn == txn && m.From == coord &&
+				(m.Type == MsgStatusCommit || m.Type == MsgStatusAbort || m.Type == MsgStatusUnknown)
+		}); ok {
+			return m.Type == MsgStatusCommit
 		}
 		if ctx.Err() != nil {
 			return false

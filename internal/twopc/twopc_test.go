@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/faults"
 	"repro/internal/fixture"
@@ -18,6 +19,20 @@ import (
 	"repro/internal/transport"
 	"repro/internal/value"
 )
+
+// touchWrites routes one touch of a TRADE row to each of parts.
+func touchWrites(parts ...int) *cluster.Writes {
+	txn := &trace.Txn{}
+	place := make([]int32, len(parts))
+	for i, p := range parts {
+		txn.Accesses = append(txn.Accesses, trace.Access{
+			Table: "TRADE", Key: value.MakeKey(value.NewInt(int64(i + 1))), Write: true})
+		place[i] = int32(p)
+	}
+	var w cluster.Writes
+	cluster.WriteEffects(&w, txn, place, parts[len(parts)-1]+1, parts[0])
+	return &w
+}
 
 func singleCol(table, col string) schema.JoinPath {
 	sc := fixture.CustInfoSchema()
@@ -272,8 +287,8 @@ func TestTCPTimeoutAbort(t *testing.T) {
 		wire: faults.RetryPolicy{MaxAttempts: 2, BaseBackoffSec: 0.03, MaxBackoffSec: 0.06},
 	})
 	alive := func(int) bool { return false }
-	ops := map[int][]db.Op{0: nil}
-	if out := drv.round2PC(context.Background(), 1, 0, []int{0}, ops, alive); !out.committed {
+	w := touchWrites(0)
+	if out := drv.round2PC(context.Background(), 1, 0, w, alive); !out.committed {
 		t.Fatalf("commit round over TCP failed: %+v", out)
 	}
 
@@ -282,7 +297,7 @@ func TestTCPTimeoutAbort(t *testing.T) {
 	wg.Wait()
 	pEp.Close()
 	start := time.Now()
-	out := drv.round2PC(context.Background(), 2, 0, []int{0}, ops, alive)
+	out := drv.round2PC(context.Background(), 2, 0, w, alive)
 	if out.committed {
 		t.Fatal("round against a dead participant committed")
 	}
@@ -389,18 +404,34 @@ func TestPayloadCodecs(t *testing.T) {
 		{Kind: db.OpTouch, Table: "TRADE", Key: k1},
 		{Kind: db.OpTouch, Table: "CUSTOMER_ACCOUNT", Key: value.MakeKey(value.NewInt(7))},
 	}
-	coord, got, err := decodePrepare(encodePrepare(3, ops))
-	if err != nil || coord != 3 || len(got) != 2 || got[0].Key != k1 || got[1].Table != "CUSTOMER_ACCOUNT" {
-		t.Fatalf("prepare round trip: coord=%d ops=%v err=%v", coord, got, err)
+	bodies := [][]byte{ops[0].Encode(nil), ops[1].Encode(nil)}
+	coord, got, err := decodePrepare(encodePrepare(3, bodies))
+	if err != nil || coord != 3 || len(got) != 2 {
+		t.Fatalf("prepare round trip: coord=%d bodies=%q err=%v", coord, got, err)
 	}
-	if _, _, err := decodePrepare(append(encodePrepare(3, ops), 0)); err == nil {
+	if op, err := db.DecodeOp(got[0]); err != nil || op.Key != k1 {
+		t.Fatalf("prepare body 0 = %v, %v; want a touch of %x", op, err, k1)
+	}
+	if op, err := db.DecodeOp(got[1]); err != nil || op.Table != "CUSTOMER_ACCOUNT" {
+		t.Fatalf("prepare body 1 = %v, %v; want CUSTOMER_ACCOUNT", op, err)
+	}
+	local, err := decodeCommitLocal(nil, encodeCommitLocal(bodies))
+	if err != nil || len(local) != 2 || !bytes.Equal(local[1], bodies[1]) {
+		t.Fatalf("commit-local round trip: %q err=%v", local, err)
+	}
+	if _, _, err := decodePrepare(append(encodePrepare(3, bodies), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 	if _, _, err := decodePrepare([]byte{}); err == nil {
 		t.Fatal("empty prepare accepted")
 	}
-	if _, err := decodeCommitLocal([]byte{0xFF}); err == nil {
+	if _, err := decodeCommitLocal(nil, []byte{0xFF}); err == nil {
 		t.Fatal("truncated op count accepted")
+	}
+	// A body that is not an op encoding is refused at the frame, before
+	// anything is logged.
+	if _, err := decodeCommitLocal(nil, encodeCommitLocal([][]byte{{byte(db.OpTouch), 9}})); err == nil {
+		t.Fatal("malformed body accepted")
 	}
 	pairs := []inDoubtPair{{Txn: 9, Coord: 1}, {Txn: 12, Coord: 0}}
 	back, err := decodeScanResp(encodeScanResp(pairs))

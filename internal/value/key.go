@@ -52,17 +52,33 @@ func (t Tuple) String() string {
 // DecodeKey decodes a Key back into its component values. It returns an
 // error if the key is malformed (not produced by MakeKey).
 func DecodeKey(k Key) ([]Value, error) {
-	b := []byte(k)
 	var out []Value
-	for len(b) > 0 {
+	if _, err := walkKey([]byte(k), &out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// CheckKey reports how many values the encoding b holds without decoding
+// them: it accepts exactly the encodings DecodeKey accepts, with the
+// same errors, and allocates nothing.
+func CheckKey(b []byte) (int, error) {
+	return walkKey(b, nil)
+}
+
+// walkKey walks a key encoding value by value, appending each decoded
+// value to *out when out is non-nil, and returns the value count.
+func walkKey(b []byte, out *[]Value) (int, error) {
+	n := 0
+	for ; len(b) > 0; n++ {
 		kind := Kind(b[0])
 		b = b[1:]
+		var v Value
 		switch kind {
 		case Null:
-			out = append(out, Value{})
 		case Int, Float:
 			if len(b) < 8 {
-				return nil, fmt.Errorf("value: truncated key payload")
+				return 0, fmt.Errorf("value: truncated key payload")
 			}
 			var u uint64
 			for i := 0; i < 8; i++ {
@@ -70,32 +86,39 @@ func DecodeKey(k Key) ([]Value, error) {
 			}
 			b = b[8:]
 			if kind == Int {
-				out = append(out, NewInt(int64(u)))
+				v = NewInt(int64(u))
 			} else {
-				out = append(out, NewFloat(math.Float64frombits(u)))
+				v = NewFloat(math.Float64frombits(u))
 			}
 		case Str:
-			n, shift := 0, 0
+			size, shift := 0, 0
 			for {
 				if len(b) == 0 {
-					return nil, fmt.Errorf("value: truncated key length")
+					return 0, fmt.Errorf("value: truncated key length")
 				}
 				c := b[0]
 				b = b[1:]
-				n |= int(c&0x7f) << shift
+				size |= int(c&0x7f) << shift
 				if c&0x80 == 0 {
 					break
 				}
 				shift += 7
 			}
-			if len(b) < n {
-				return nil, fmt.Errorf("value: truncated key string")
+			// An overlong length can wrap negative; it must error, not
+			// slice.
+			if size < 0 || len(b) < size {
+				return 0, fmt.Errorf("value: truncated key string")
 			}
-			out = append(out, NewString(string(b[:n])))
-			b = b[n:]
+			if out != nil {
+				v = NewString(string(b[:size]))
+			}
+			b = b[size:]
 		default:
-			return nil, fmt.Errorf("value: bad kind byte %d in key", kind)
+			return 0, fmt.Errorf("value: bad kind byte %d in key", kind)
+		}
+		if out != nil {
+			*out = append(*out, v)
 		}
 	}
-	return out, nil
+	return n, nil
 }

@@ -64,7 +64,7 @@ func (a *Applier) Apply(rec Record) error {
 			a.pending[rec.Txn], a.spare = a.spare, nil
 		}
 	case RecWrite:
-		op, err := db.DecodeOp(rec.Payload)
+		op, err := a.db.DecodeOp(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("%w: write record txn %d: %v", ErrCorrupt, rec.Txn, err)
 		}

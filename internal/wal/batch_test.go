@@ -94,6 +94,15 @@ func txnRecords(txn uint64, ops []db.Op, tail RecType, tailPayload []byte) []Rec
 	return recs
 }
 
+// bodiesOf encodes ops as the WRITE bodies AppendTxn frames.
+func bodiesOf(ops []db.Op) [][]byte {
+	bodies := make([][]byte, len(ops))
+	for i, op := range ops {
+		bodies[i] = op.Encode(nil)
+	}
+	return bodies
+}
+
 // TestAppendTxnMatchesAppend pins the batched appends to the per-record
 // path: AppendTxn, AppendBatch and WriteCheckpoint must leave the same
 // file bytes, log length, counter and HDR deltas and observer call
@@ -108,6 +117,7 @@ func TestAppendTxnMatchesAppend(t *testing.T) {
 		{Kind: db.OpInsert, Table: "ORDERS", Row: tuple(5, 1)},
 		touchOp("ORDERS", 300),
 	}
+	bodies := bodiesOf(ops)
 	type batchCase struct {
 		name    string
 		recs    []Record // what the batched call must be equivalent to
@@ -128,11 +138,11 @@ func TestAppendTxnMatchesAppend(t *testing.T) {
 		{"zero-ops-commit", txnRecords(2, nil, RecCommit, nil),
 			func(l *Log) error { return l.AppendTxn(2, nil, RecCommit, nil) }},
 		{"ops-no-tail", txnRecords(3, ops, 0, nil),
-			func(l *Log) error { return l.AppendTxn(3, ops, 0, nil) }},
+			func(l *Log) error { return l.AppendTxn(3, bodies, 0, nil) }},
 		{"ops-prepare", txnRecords(4, ops, RecPrepare, []byte{7}),
-			func(l *Log) error { return l.AppendTxn(4, ops, RecPrepare, []byte{7}) }},
+			func(l *Log) error { return l.AppendTxn(4, bodies, RecPrepare, []byte{7}) }},
 		{"ops-commit", txnRecords(5, ops, RecCommit, nil),
-			func(l *Log) error { return l.AppendTxn(5, ops, RecCommit, nil) }},
+			func(l *Log) error { return l.AppendTxn(5, bodies, RecCommit, nil) }},
 		{"batch-with-checkpoint", batch, func(l *Log) error { return l.AppendBatch(batch) }},
 		{"empty-batch", nil, func(l *Log) error { return l.AppendBatch(nil) }},
 		{"checkpoints", ckpts, func(l *Log) error {
@@ -141,7 +151,7 @@ func TestAppendTxnMatchesAppend(t *testing.T) {
 			if err := WriteCheckpoint(l, big); err != nil {
 				return err
 			}
-			if err := l.AppendTxn(8, ops, RecCommit, nil); err != nil {
+			if err := l.AppendTxn(8, bodies, RecCommit, nil); err != nil {
 				return err
 			}
 			return WriteCheckpoint(l, snap)
@@ -183,14 +193,14 @@ func TestAppendTxnMatchesAppend(t *testing.T) {
 }
 
 // TestWarmAppendsAllocateNothing: once the log's encode buffer is warm,
-// a single-record Append and a touch-op AppendTxn allocate nothing.
+// a single-record Append and a touch-body AppendTxn allocate nothing.
 func TestWarmAppendsAllocateNothing(t *testing.T) {
 	l, err := Create(filepath.Join(t.TempDir(), "p.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	ops := []db.Op{touchOp("ACCOUNT", 1), touchOp("ORDERS", 2), touchOp("ACCOUNT", 3)}
+	bodies := bodiesOf([]db.Op{touchOp("ACCOUNT", 1), touchOp("ORDERS", 2), touchOp("ACCOUNT", 3)})
 	payload := []byte{1, 2, 3}
 	if n := testing.AllocsPerRun(100, func() {
 		if err := l.Append(RecPrepare, 1, payload); err != nil {
@@ -200,7 +210,7 @@ func TestWarmAppendsAllocateNothing(t *testing.T) {
 		t.Errorf("warm Append: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if err := l.AppendTxn(2, ops, RecCommit, nil); err != nil {
+		if err := l.AppendTxn(2, bodies, RecCommit, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -216,14 +226,14 @@ func BenchmarkLogAppendTxn(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	ops := make([]db.Op, 8)
-	for i := range ops {
-		ops[i] = touchOp("ACCOUNT", int64(i))
+	bodies := make([][]byte, 8)
+	for i := range bodies {
+		bodies[i] = touchOp("ACCOUNT", int64(i)).Encode(nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.AppendTxn(uint64(i+1), ops, RecCommit, nil); err != nil {
+		if err := l.AppendTxn(uint64(i+1), bodies, RecCommit, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -136,7 +136,7 @@ func Replay(sc *schema.Schema, recs []Record, cleanLen int64, tailErr error) *Re
 			pending[rec.Txn] = &pendingTxn{ops: spare, order: i}
 			spare = nil
 		case RecWrite:
-			op, err := db.DecodeOp(rec.Payload)
+			op, err := r.DB.DecodeOp(rec.Payload)
 			if err != nil {
 				r.TailErr = fmt.Errorf("%w: write record txn %d: %v", ErrCorrupt, rec.Txn, err)
 				r.finish(pending)

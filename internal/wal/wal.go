@@ -12,7 +12,8 @@
 //	uint32 crc      — CRC-32 (IEEE) of the body
 //	body            — [type byte][uvarint txn id][payload]
 //
-// WRITE payloads carry one encoded db.Op; PREPARE payloads carry the
+// WRITE payloads carry one encoded db.Op (the commit engines encode each
+// write once, where they route it, and frame that body as is); PREPARE payloads carry the
 // uvarint coordinator partition id (so a log is self-contained for
 // presumed-abort resolution); CHECKPOINT payloads carry a db snapshot.
 // BEGIN/COMMIT/ABORT have empty payloads.
@@ -31,7 +32,6 @@ import (
 	"hash/crc32"
 	"os"
 
-	"repro/internal/db"
 	"repro/internal/obs"
 )
 
@@ -256,18 +256,16 @@ func (l *Log) Append(typ RecType, txn uint64, payload []byte) error {
 	return l.write(l.buf)
 }
 
-// AppendTxn writes one transaction's BEGIN, one WRITE per op, and — when
-// tail is nonzero — a closing tail record (PREPARE or COMMIT) carrying
-// tailPayload, all with a single write. The bytes, Bytes(), metrics and
-// observer calls are exactly those of the equivalent Append sequence.
-func (l *Log) AppendTxn(txn uint64, ops []db.Op, tail RecType, tailPayload []byte) error {
+// AppendTxn writes one transaction's BEGIN, one WRITE per body — each
+// an encoded db.Op, framed as it is — and, when tail is nonzero, a
+// closing tail record (PREPARE or COMMIT) carrying tailPayload, all with
+// a single write. The bytes, Bytes(), metrics and observer calls are
+// exactly those of the equivalent Append sequence.
+func (l *Log) AppendTxn(txn uint64, bodies [][]byte, tail RecType, tailPayload []byte) error {
 	l.reset()
 	l.add(RecBegin, txn, nil)
-	for _, op := range ops {
-		var start int
-		l.buf, start = beginFrame(l.buf, RecWrite, txn)
-		l.buf = endFrame(op.Encode(l.buf), start)
-		l.mark(RecWrite, txn)
+	for _, body := range bodies {
+		l.add(RecWrite, txn, body)
 	}
 	if tail != 0 {
 		l.add(tail, txn, tailPayload)
