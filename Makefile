@@ -88,11 +88,16 @@ drift:
 # every crash scenario, each ending in a full-cluster crash, recovery,
 # and the consistency oracle), then exercises the standalone recovery
 # path: a chaos run with a coordinator crash leaves its partition logs
-# behind, and `jecb -recover` must replay them to the same digests.
+# behind, and `jecb -recover` must replay them to the same digests. A
+# second same-seed run must write a byte-identical WAL directory.
 recover:
 	$(GO) run ./cmd/experiments -run durability -quick
-	rm -rf /tmp/jecb-wal && $(GO) run ./cmd/jecb -benchmark synthetic -k 4 -txns 1500 \
+	rm -rf /tmp/jecb-wal /tmp/jecb-wal-b
+	$(GO) run ./cmd/jecb -benchmark synthetic -k 4 -txns 1500 \
 		-chaos -chaos-seed 1 -chaos-scenario coord-crash -wal-dir /tmp/jecb-wal
+	$(GO) run ./cmd/jecb -benchmark synthetic -k 4 -txns 1500 \
+		-chaos -chaos-seed 1 -chaos-scenario coord-crash -wal-dir /tmp/jecb-wal-b
+	diff -r /tmp/jecb-wal /tmp/jecb-wal-b
 	$(GO) run ./cmd/jecb -benchmark synthetic -recover -wal-dir /tmp/jecb-wal
 
 # twopc runs the networked-2PC experiment table (transport-backed commit

@@ -1,24 +1,17 @@
 package cluster
 
 import (
-	"repro/internal/db"
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/wal"
 )
 
-// LocalWAL is one in-process cluster's per-partition stores, each under
-// its own write-ahead log: single-partition transactions take
-// BEGIN/WRITE*/COMMIT on one log, distributed ones a logged 2PC across
-// the write participants. With an empty directory the stores run
-// memory-only and every append is a no-op.
+// LocalWAL is one in-process cluster of partition members:
+// single-partition transactions commit on one member, distributed ones
+// run a logged 2PC across the write participants. With an empty
+// directory the members run memory-only.
 type LocalWAL struct {
-	Stores []*db.DB
-	// Logs holds each partition's log; an entry is nil when memory-only
-	// or closed.
-	Logs []*wal.Log
-	// AfterApply, when set, runs after every partition apply.
-	AfterApply func(p int) error
+	Members []*Member
 
 	// Flight-recorder context: rec is nil when tracing is off; traceID,
 	// attempt and vt name the transaction currently committing so WAL
@@ -29,33 +22,37 @@ type LocalWAL struct {
 	vt      float64
 }
 
-// NewLocalWAL creates k empty stores and, when dir is non-empty, clears
-// dir's partition logs and creates a fresh one per store. With a
-// recorder, every log append is recorded as an EvWALAppend event.
-func NewLocalWAL(sc *schema.Schema, k int, dir string, rec *obs.Recorder) (*LocalWAL, error) {
-	l := &LocalWAL{Stores: make([]*db.DB, k), Logs: make([]*wal.Log, k), rec: rec}
-	for p := range l.Stores {
-		l.Stores[p] = db.New(sc)
-	}
-	if dir == "" {
-		return l, nil
-	}
-	if err := wal.RemoveLogs(dir); err != nil {
-		return nil, err
-	}
-	for p := 0; p < k; p++ {
-		lg, err := wal.Create(wal.PartitionLogPath(dir, p))
-		if err != nil {
-			l.Close()
+// NewLocalWAL creates k members that checkpoint every `every` applied
+// commits (<= 0: never). When dir is non-empty it clears dir's partition
+// logs and gives each member a fresh one. With a recorder, every log
+// append is recorded as an EvWALAppend event, and a checkpoint also as
+// an EvCheckpoint.
+func NewLocalWAL(sc *schema.Schema, k int, dir string, every int, rec *obs.Recorder) (*LocalWAL, error) {
+	l := &LocalWAL{Members: make([]*Member, k), rec: rec}
+	if dir != "" {
+		if err := wal.RemoveLogs(dir); err != nil {
 			return nil, err
 		}
-		l.Logs[p] = lg
-		if rec != nil {
-			p := p
-			lg.SetObserver(func(typ wal.RecType, _ uint64, frameBytes int) {
-				l.Record(obs.EvWALAppend, p, int64(frameBytes)<<8|int64(typ))
-			})
+	}
+	for p := range l.Members {
+		var lg *wal.Log
+		if dir != "" {
+			var err error
+			if lg, err = wal.Create(wal.PartitionLogPath(dir, p)); err != nil {
+				l.Close()
+				return nil, err
+			}
+			if rec != nil {
+				p := p
+				lg.SetObserver(func(typ wal.RecType, _ uint64, frameBytes int) {
+					l.Record(obs.EvWALAppend, p, int64(frameBytes)<<8|int64(typ))
+					if typ == wal.RecCheckpoint {
+						l.Record(obs.EvCheckpoint, p, int64(every))
+					}
+				})
+			}
 		}
+		l.Members[p] = NewMember(sc, lg, every)
 	}
 	return l, nil
 }
@@ -71,76 +68,41 @@ func (l *LocalWAL) Record(kind obs.EventKind, node int, arg int64) {
 	l.rec.Record(l.traceID, kind, node, l.attempt, l.vt, arg)
 }
 
-// CloseLog closes partition p's log; nothing is appended to it again.
-func (l *LocalWAL) CloseLog(p int) {
-	if l.Logs[p] != nil {
-		l.Logs[p].Close()
-		l.Logs[p] = nil
-	}
-}
-
-// Close closes every log: the end-of-run full-cluster crash.
+// Close closes every member's log: the end-of-run full-cluster crash.
 func (l *LocalWAL) Close() {
-	for p := range l.Logs {
-		l.CloseLog(p)
+	for _, m := range l.Members {
+		if m != nil {
+			m.Close()
+		}
 	}
 }
 
-// WALBytes totals the log length across open logs.
+// WALBytes totals the log length across members that did not crash.
 func (l *LocalWAL) WALBytes() int64 {
 	var n int64
-	for _, lg := range l.Logs {
-		if lg != nil {
-			n += lg.Bytes()
-		}
+	for _, m := range l.Members {
+		n += m.WALBytes()
 	}
 	return n
 }
 
-func (l *LocalWAL) appendTxn(p int, txn uint64, bodies [][]byte, tail wal.RecType, payload []byte) error {
-	if l.Logs[p] == nil {
-		return nil
+// Checkpoints totals the CHECKPOINT records written.
+func (l *LocalWAL) Checkpoints() int {
+	n := 0
+	for _, m := range l.Members {
+		n += m.Checkpoints()
 	}
-	return l.Logs[p].AppendTxn(txn, bodies, tail, payload)
+	return n
 }
 
-func (l *LocalWAL) append(p int, typ wal.RecType, txn uint64) error {
-	if l.Logs[p] == nil {
-		return nil
-	}
-	return l.Logs[p].Append(typ, txn, nil)
-}
-
-// apply commits partition p's write bodies on its store atomically.
-func (l *LocalWAL) apply(p int, bodies [][]byte) error {
-	if err := l.Stores[p].CommitBodies(bodies); err != nil {
-		return err
-	}
-	if l.AfterApply != nil {
-		return l.AfterApply(p)
-	}
-	return nil
-}
-
-// CommitLocal runs the single-partition commit path: BEGIN/WRITE*/COMMIT
-// on one log in one write, then the store apply.
-func (l *LocalWAL) CommitLocal(p int, txn uint64, bodies [][]byte) error {
-	if err := l.appendTxn(p, txn, bodies, wal.RecCommit, nil); err != nil {
-		return err
-	}
-	return l.apply(p, bodies)
-}
-
-// Prepare logs txn's writes and a PREPARE naming coord on every write
-// participant except skip (the first phase of 2PC). skip < 0 prepares
-// everyone.
+// Prepare prepares txn, coordinated by coord, on every write participant
+// except skip (the first phase of 2PC). skip < 0 prepares everyone.
 func (l *LocalWAL) Prepare(txn uint64, coord int, w *Writes, skip int) error {
-	payload := CoordPayload(coord)
 	for i, p := range w.Parts {
 		if p == skip {
 			continue
 		}
-		if err := l.appendTxn(p, txn, w.Of(i), wal.RecPrepare, payload); err != nil {
+		if err := l.Members[p].Prepare(txn, coord, w.Of(i)); err != nil {
 			return err
 		}
 		l.Record(obs.EvPrepare, p, 0)
@@ -148,47 +110,40 @@ func (l *LocalWAL) Prepare(txn uint64, coord int, w *Writes, skip int) error {
 	return nil
 }
 
-// Commit2PC runs the full two-phase commit: every write participant
-// prepares, the coordinator durably logs the COMMIT decision, then each
-// participant commits and applies. The coordinator's decision record
-// doubles as its own participant commit.
-func (l *LocalWAL) Commit2PC(txn uint64, coord int, w *Writes) error {
-	if err := l.Prepare(txn, coord, w, -1); err != nil {
+// Decide logs the decision on the coordinator first — that append is the
+// durability point, and it doubles as the coordinator's own participant
+// decision — then on every other write participant, each applying its
+// prepared writes on a commit. A crashed member logs nothing.
+func (l *LocalWAL) Decide(txn uint64, coord int, parts []int, commit bool) error {
+	if err := l.Members[coord].Decide(txn, commit); err != nil {
 		return err
 	}
-	if err := l.append(coord, wal.RecCommit, txn); err != nil {
-		return err
-	}
-	for i, p := range w.Parts {
-		if p != coord {
-			if err := l.append(p, wal.RecCommit, txn); err != nil {
-				return err
-			}
+	for _, p := range parts {
+		if p == coord {
+			continue
 		}
-		if err := l.apply(p, w.Of(i)); err != nil {
+		if err := l.Members[p].Decide(txn, commit); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// Commit2PC runs the full two-phase commit: every write participant
+// prepares, then the commit decision goes out.
+func (l *LocalWAL) Commit2PC(txn uint64, coord int, w *Writes) error {
+	if err := l.Prepare(txn, coord, w, -1); err != nil {
+		return err
+	}
+	return l.Decide(txn, coord, w.Parts, true)
+}
+
 // Abort2PC runs a 2PC round that reaches prepare and then aborts:
-// participants prepare, the coordinator logs the ABORT decision,
-// participants abort. Stores are untouched.
+// participants prepare, then the abort decision goes out. Stores are
+// untouched.
 func (l *LocalWAL) Abort2PC(txn uint64, coord int, w *Writes) error {
 	if err := l.Prepare(txn, coord, w, -1); err != nil {
 		return err
 	}
-	if err := l.append(coord, wal.RecAbort, txn); err != nil {
-		return err
-	}
-	for _, p := range w.Parts {
-		if p == coord {
-			continue
-		}
-		if err := l.append(p, wal.RecAbort, txn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return l.Decide(txn, coord, w.Parts, false)
 }

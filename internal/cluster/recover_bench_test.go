@@ -5,16 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/schema"
-	"repro/internal/wal"
 	"repro/internal/workloads"
 	"repro/internal/workloads/tpcc"
 )
 
 // recoverFixture commits the writes of a 1,500-txn TPC-C trace (4
 // warehouses) on a k=8 LocalWAL under dir, each write placed by a hash
-// of its key, with a CHECKPOINT every 64 commits per partition, closes
-// the logs and returns the committed journal: the state the end-of-run
-// recover-and-check starts from.
+// of its key, with a CHECKPOINT after every 64th commit per partition,
+// closes the logs and returns the committed journal: the state the
+// end-of-run recover-and-check starts from. The fixture places the
+// checkpoints itself, 2PC commits included: under the members' rule
+// almost none of this window's commits, nearly all distributed, would
+// checkpoint, and recovery would time a different log.
 func recoverFixture(tb testing.TB, dir string) (*schema.Schema, int, *Journal) {
 	tb.Helper()
 	const k = 8
@@ -24,17 +26,11 @@ func recoverFixture(tb testing.TB, dir string) (*schema.Schema, int, *Journal) {
 		tb.Fatal(err)
 	}
 	tr := workloads.GenerateTrace(bm, d, 1500, 2)
-	l, err := NewLocalWAL(d.Schema(), k, dir, nil)
+	l, err := NewLocalWAL(d.Schema(), k, dir, 0, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	commits := make([]int, k)
-	l.AfterApply = func(p int) error {
-		if commits[p]++; commits[p]%64 == 0 {
-			return wal.WriteCheckpoint(l.Logs[p], l.Stores[p])
-		}
-		return nil
-	}
 	committed := &Journal{}
 	var w Writes
 	var place []int32
@@ -52,12 +48,19 @@ func recoverFixture(tb testing.TB, dir string) (*schema.Schema, int, *Journal) {
 		}
 		txn++
 		if len(w.Parts) == 1 {
-			err = l.CommitLocal(w.Parts[0], txn, w.Of(0))
+			err = l.Members[w.Parts[0]].CommitLocal(txn, w.Of(0))
 		} else {
 			err = l.Commit2PC(txn, w.Parts[0], &w)
 		}
 		if err != nil {
 			tb.Fatal(err)
+		}
+		for _, p := range w.Parts {
+			if commits[p]++; commits[p]%64 == 0 {
+				if err := l.Members[p].checkpoint(); err != nil {
+					tb.Fatal(err)
+				}
+			}
 		}
 		committed.Add(&w)
 	}

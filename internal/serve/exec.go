@@ -22,7 +22,7 @@ func (e *engine) commit(traceID uint64, vt float64, w *cluster.Writes, coord int
 	e.local.At(traceID, 0, vt)
 	e.nextTxn++
 	if len(parts) == 1 {
-		return e.local.CommitLocal(parts[0], e.nextTxn, w.Of(0))
+		return e.local.Members[parts[0]].CommitLocal(e.nextTxn, w.Of(0))
 	}
 	if coord < 0 || !cluster.Has(parts, coord) {
 		coord = parts[0]
@@ -33,7 +33,11 @@ func (e *engine) commit(traceID uint64, vt float64, w *cluster.Writes, coord int
 // stateDigest folds the per-table digests of every partition store into
 // one hex token: two same-seed runs must land byte-identical state, and
 // this pins it in the report without dumping whole tables.
-func stateDigest(stores []*db.DB) string {
+func stateDigest(members []*cluster.Member) string {
+	stores := make([]*db.DB, len(members))
+	for p, m := range members {
+		stores[p] = m.Store()
+	}
 	digests := wal.CombineDigests(stores)
 	names := make([]string, 0, len(digests))
 	for name := range digests {

@@ -11,9 +11,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/schema"
 	"repro/internal/trace"
-	"repro/internal/wal"
 )
 
 // Durable-mode registry metrics (see DESIGN.md, "Metric reference").
@@ -29,18 +27,10 @@ var (
 type DurableConfig struct {
 	ChaosConfig
 	// CheckpointEvery is the number of applied commits a partition
-	// accumulates between CHECKPOINT records (default 64). Checkpoints are
-	// skipped while a partition holds an in-doubt transaction — snapshots
-	// must never swallow a pending PREPARE.
+	// accumulates between CHECKPOINT records (default
+	// cluster.CheckpointEvery); see cluster.Member for when one is
+	// skipped.
 	CheckpointEvery int
-}
-
-func (c DurableConfig) withDefaults(traceLen int) DurableConfig {
-	c.ChaosConfig = c.ChaosConfig.withDefaults(traceLen)
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 64
-	}
-	return c
 }
 
 // DurableResult is the outcome of one durable chaos replay plus the
@@ -115,130 +105,37 @@ func (r *DurableResult) String() string {
 		r.Checkpoints, r.WALBytes, oracle)
 }
 
-// durEngine is the durable replay's local-WAL cluster plus what only the
-// replay scripts: node deaths, the in-doubt blocks a mid-2PC crash
-// leaves behind, and the checkpoint cadence.
+// durEngine is the durable replay's local-WAL cluster plus the node
+// deaths its crash points script.
 type durEngine struct {
 	*cluster.LocalWAL
-	dead         faults.NodeSet
-	inDoubt      faults.NodeSet
-	commitsSince []int
-	ckptEvery    int
-	checkpoints  int
+	dead faults.NodeSet
 }
 
-func newDurEngine(sc *schema.Schema, k int, dir string, ckptEvery int, rec *obs.Recorder) (*durEngine, error) {
-	l, err := cluster.NewLocalWAL(sc, k, dir, rec)
-	if err != nil {
-		return nil, err
-	}
-	e := &durEngine{
-		LocalWAL:     l,
-		dead:         faults.NodeSet{},
-		inDoubt:      faults.NodeSet{},
-		commitsSince: make([]int, k),
-		ckptEvery:    ckptEvery,
-	}
-	l.AfterApply = e.maybeCheckpoint
-	return e, nil
-}
-
-// kill marks a node dead and closes its log: nothing is ever appended to
-// it again, and its in-memory store is lost (recovery rebuilds it).
-func (e *durEngine) kill(n int) {
-	if e.dead[n] {
-		return
-	}
-	e.dead[n] = true
-	e.CloseLog(n)
-}
-
-// maybeCheckpoint counts an applied commit toward partition p's cadence
-// and snapshots p when it is due. Partitions holding an in-doubt
-// transaction never checkpoint: a snapshot must not bury a pending
-// PREPARE that resolution still needs to replay.
-func (e *durEngine) maybeCheckpoint(p int) error {
-	e.commitsSince[p]++
-	if e.commitsSince[p] < e.ckptEvery || e.inDoubt[p] || e.dead[p] {
-		return nil
-	}
-	if err := wal.WriteCheckpoint(e.Logs[p], e.Stores[p]); err != nil {
-		return err
-	}
-	e.Record(obs.EvCheckpoint, p, int64(e.ckptEvery))
-	e.commitsSince[p] = 0
-	e.checkpoints++
-	return nil
-}
-
-// crashBeforePrepare kills the scripted participant mid-append of its
-// PREPARE record (torn tail); the coordinator aborts the round and the
-// survivors log the abort decision.
-func (e *durEngine) crashBeforePrepare(node int, txn uint64, coord int, w *cluster.Writes) error {
-	if err := e.Prepare(txn, coord, w, node); err != nil {
-		return err
-	}
-	if err := e.Logs[node].AppendTxn(txn, w.At(node), 0, nil); err != nil {
-		return err
-	}
-	if err := e.Logs[node].AppendTorn(wal.RecPrepare, txn, cluster.CoordPayload(coord), 3); err != nil {
-		return err
-	}
-	e.kill(node)
-	if !e.dead[coord] {
-		if err := e.Logs[coord].Append(wal.RecAbort, txn, nil); err != nil {
+// crash realizes a fired crash point on this round's members: the node
+// dies leaving the WAL shape of its phase. Before prepare, the
+// participant's PREPARE is torn and everyone else aborts; before commit,
+// the coordinator's COMMIT decision is torn; after the decision, it is
+// durable but nobody heard it. After a coordinator crash every surviving
+// participant holds the round in doubt.
+func (e *durEngine) crash(fire *cluster.Crash, txn uint64, coord int, w *cluster.Writes) error {
+	e.dead[fire.Node] = true
+	if fire.Phase == faults.PhaseBeforePrepare {
+		if err := e.Prepare(txn, coord, w, fire.Node); err != nil {
 			return err
 		}
-	}
-	for _, p := range w.Parts {
-		if p == node || p == coord || e.dead[p] {
-			continue
-		}
-		if err := e.Logs[p].Append(wal.RecAbort, txn, nil); err != nil {
+		if err := e.Members[fire.Node].CrashInPrepare(txn, coord, w.At(fire.Node)); err != nil {
 			return err
 		}
+		return e.Decide(txn, coord, w.Parts, false)
 	}
-	return nil
-}
-
-// crashBeforeCommit kills the coordinator after every participant
-// prepared but before the decision is durable (the decision record is
-// torn). Every surviving participant is left in doubt; presumed abort
-// resolves the transaction as aborted at recovery.
-func (e *durEngine) crashBeforeCommit(txn uint64, coord int, w *cluster.Writes) error {
 	if err := e.Prepare(txn, coord, w, -1); err != nil {
 		return err
 	}
-	if err := e.Logs[coord].AppendTorn(wal.RecCommit, txn, nil, 5); err != nil {
-		return err
+	if fire.Phase == faults.PhaseBeforeCommit {
+		return e.Members[coord].CrashInCommit(txn)
 	}
-	e.kill(coord)
-	for _, p := range w.Parts {
-		if p != coord {
-			e.inDoubt[p] = true
-		}
-	}
-	return nil
-}
-
-// crashAfterDecision kills the coordinator after the COMMIT decision is
-// durable but before any participant hears it: the transaction IS
-// committed, the survivors are in doubt, and recovery replays their
-// prepared writes from the coordinator's logged decision.
-func (e *durEngine) crashAfterDecision(txn uint64, coord int, w *cluster.Writes) error {
-	if err := e.Prepare(txn, coord, w, -1); err != nil {
-		return err
-	}
-	if err := e.Logs[coord].Append(wal.RecCommit, txn, nil); err != nil {
-		return err
-	}
-	e.kill(coord)
-	for _, p := range w.Parts {
-		if p != coord {
-			e.inDoubt[p] = true
-		}
-	}
-	return nil
+	return e.Members[coord].CrashAfterCommit(txn)
 }
 
 // runChaosDurable replays the trace through a real durable 2PC state
@@ -254,7 +151,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 	_, span := obs.StartSpan(ctx, "sim/durable")
 	defer span.End()
 
-	cfg = cfg.withDefaults(tr.Len())
+	cfg.ChaosConfig = cfg.ChaosConfig.withDefaults(tr.Len())
 	a, err := eval.NewAssigner(d, sol)
 	if err != nil {
 		return nil, err
@@ -264,10 +161,11 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 		return nil, err
 	}
 	rec := cfg.Recorder
-	eng, err := newDurEngine(d.Schema(), sol.K, walDir, cfg.CheckpointEvery, rec)
+	l, err := cluster.NewLocalWAL(d.Schema(), sol.K, walDir, cluster.Cadence(cfg.CheckpointEvery), rec)
 	if err != nil {
 		return nil, err
 	}
+	eng := &durEngine{LocalWAL: l, dead: faults.NodeSet{}}
 	defer eng.Close()
 	crashes := cluster.NewCrashScript(sc.CrashPoints, cluster.TwoPCRules())
 	var nextTxn uint64 // monotonically increasing per-attempt txn id
@@ -275,7 +173,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 		Seed: seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
 		// Unreachable: scripted windows plus crash-point kills.
 		Down:     func(n int, now float64) bool { return eng.dead[n] || inj.Down(n, now) },
-		InDoubt:  func(p int) bool { return eng.inDoubt[p] },
+		InDoubt:  func(p int) bool { return eng.Members[p].InDoubt() },
 		Recorder: rec, SLO: obs.NewSLOMonitor(cfg.SLO), Latency: hDurableLatency, Journal: true,
 	}, func(at *cluster.Attempt) (bool, error) {
 		eng.At(at.TraceID, at.Num, at.Now)
@@ -300,21 +198,13 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 			if at.Distributed {
 				return true, eng.Commit2PC(nextTxn, coord, w)
 			}
-			return true, eng.CommitLocal(parts[0], nextTxn, w.Of(0))
+			return true, eng.Members[parts[0]].CommitLocal(nextTxn, w.Of(0))
 		}
 		rec.Record(at.TraceID, obs.EvCrash, fire.Node, at.Num, at.Now, faults.PhaseCode(fire.Phase))
-		switch fire.Phase {
-		case faults.PhaseBeforePrepare:
-			return false, eng.crashBeforePrepare(fire.Node, nextTxn, coord, w)
-		case faults.PhaseBeforeCommit:
-			return false, eng.crashBeforeCommit(nextTxn, coord, w)
-		case faults.PhaseAfterDecision:
-			// The decision is durable: the transaction IS committed even
-			// though no participant applied it — recovery replays it from
-			// the prepared writes.
-			return true, eng.crashAfterDecision(nextTxn, coord, w)
-		}
-		return false, nil
+		// After the decision, it is durable: the transaction IS committed
+		// even though no participant applied it — recovery replays it
+		// from the prepared writes.
+		return fire.Phase == faults.PhaseAfterDecision, eng.crash(fire, nextTxn, coord, w)
 	})
 	if err != nil {
 		return nil, err
@@ -332,11 +222,11 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 		if eng.dead[n] {
 			res.CrashedNodes = append(res.CrashedNodes, n)
 		}
-		if eng.inDoubt[n] {
+		if eng.Members[n].InDoubt() {
 			res.InDoubtParts = append(res.InDoubtParts, n)
 		}
 	}
-	res.Checkpoints = eng.checkpoints
+	res.Checkpoints = eng.Checkpoints()
 	res.WALBytes = eng.WALBytes()
 
 	// End of run: the whole cluster crashes (in-memory state lost), then

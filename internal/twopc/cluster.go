@@ -46,7 +46,7 @@ type Config struct {
 	Standby bool
 
 	// CheckpointEvery is the per-partition commit cadence between
-	// CHECKPOINT records (default 64).
+	// CHECKPOINT records (default cluster.CheckpointEvery).
 	CheckpointEvery int
 	// ArrivalRateTPS is the offered load (default: trace length / 8).
 	ArrivalRateTPS float64
@@ -83,9 +83,6 @@ type Config struct {
 func (c Config) withDefaults(traceLen int) Config {
 	if c.Transport == "" {
 		c.Transport = "bus"
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 64
 	}
 	c.ArrivalRateTPS = cluster.ArrivalRate(c.ArrivalRateTPS, traceLen)
 	c.Retry = c.Retry.WithDefaults()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/db"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/schema"
@@ -38,7 +37,8 @@ type ParticipantConfig struct {
 	// exponential). Defaults per faults.RetryPolicy with a 200ms base.
 	QueryRetry faults.RetryPolicy
 	// CheckpointEvery is the commit cadence between CHECKPOINT records
-	// (default 64); checkpoints are skipped while in doubt.
+	// (default cluster.CheckpointEvery); see cluster.Member for when one
+	// is skipped.
 	CheckpointEvery int
 }
 
@@ -55,48 +55,42 @@ func (c ParticipantConfig) withDefaults() ParticipantConfig {
 	if c.QueryRetry.MaxBackoffSec <= 0 {
 		c.QueryRetry.MaxBackoffSec = 2.0
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 64
-	}
 	return c
 }
 
-// inDoubtEntry is one prepared-undecided transaction a participant
-// holds, with its termination-protocol schedule.
-type inDoubtEntry struct {
-	coord     int
-	bodies    [][]byte // slices of the MsgPrepare payload
+// termination is one in-doubt transaction's termination-protocol
+// schedule.
+type termination struct {
 	nextQuery time.Time
 	attempts  int
 }
 
-// Participant is one partition server: a store, a WAL, and a
+// Participant is one partition server: a cluster.Member (the partition's
+// log and store, holding the prepared-undecided transactions) behind a
 // single-goroutine message loop (Serve) speaking the twopc protocol.
 // While it holds an in-doubt transaction it refuses new writes
-// (VoteNo/ReasonBlocked) and suppresses checkpoints; once the decision
-// wait exceeds DecisionTimeout it runs the termination protocol, and an
-// explicit "no decision logged" answer resolves it by presumed abort.
+// (VoteNo/ReasonBlocked); once the decision wait exceeds DecisionTimeout
+// it runs the termination protocol, and an explicit "no decision logged"
+// answer resolves it by presumed abort.
 type Participant struct {
 	id  int
-	sc  *schema.Schema
 	ep  transport.Transport
 	cfg ParticipantConfig
 
-	store *db.DB
-	log   *wal.Log
+	m         *cluster.Member
+	decisions map[uint64]bool
+	terms     map[uint64]*termination // by in-doubt txn
+	local     [][]byte                // a MsgCommitLocal's bodies, reused
 
-	decisions    map[uint64]bool
-	inDoubt      map[uint64]*inDoubtEntry
-	inDoubtOrder []uint64
-	commitsSince int
-	local        [][]byte // a MsgCommitLocal's bodies, reused
+	// The Recv deadline context and its deadline (see recvCtx).
+	deadline time.Time
+	dctx     context.Context
+	dcancel  context.CancelFunc
 
 	crashArm atomic.Int64 // faults.PhaseCode of the armed crash, 0 when disarmed
 	crashed  atomic.Bool
 
 	// Post-run accounting, read only after Serve returns.
-	checkpoints    int
-	walBytes       int64
 	presumedAborts int
 }
 
@@ -108,13 +102,11 @@ func NewParticipant(id int, sc *schema.Schema, dir string, ep transport.Transpor
 	}
 	return &Participant{
 		id:        id,
-		sc:        sc,
 		ep:        ep,
 		cfg:       cfg.withDefaults(),
-		store:     db.New(sc),
-		log:       log,
+		m:         cluster.NewMember(sc, log, cluster.Cadence(cfg.CheckpointEvery)),
 		decisions: map[uint64]bool{},
-		inDoubt:   map[uint64]*inDoubtEntry{},
+		terms:     map[uint64]*termination{},
 	}, nil
 }
 
@@ -139,16 +131,11 @@ func (p *Participant) disarm(phase string) bool {
 func (p *Participant) Crashed() bool { return p.crashed.Load() }
 
 // Checkpoints returns the checkpoint count (read after Serve returns).
-func (p *Participant) Checkpoints() int { return p.checkpoints }
+func (p *Participant) Checkpoints() int { return p.m.Checkpoints() }
 
 // WALBytes returns the durable log length, 0 for a crashed participant
-// (mirroring the in-process engine, which only totals live logs).
-func (p *Participant) WALBytes() int64 {
-	if p.crashed.Load() {
-		return 0
-	}
-	return p.walBytes
-}
+// (read after Serve returns).
+func (p *Participant) WALBytes() int64 { return p.m.WALBytes() }
 
 // PresumedAborts counts in-doubt transactions this participant resolved
 // via the presumed-abort termination protocol (read after Serve).
@@ -163,19 +150,15 @@ func (p *Participant) InDoubt() []inDoubtPair { return p.scanPairs() }
 // locking is needed beyond the crash-arm atomics.
 func (p *Participant) Serve(ctx context.Context) error {
 	defer func() {
-		p.walBytes = p.log.Bytes()
-		if !p.crashed.Load() {
-			// End-of-run full-cluster crash: the log is closed as-is, the
-			// in-memory store is lost, recovery replays the file.
-			p.log.Close()
+		if p.dcancel != nil {
+			p.dcancel()
 		}
+		// End-of-run full-cluster crash: the log is closed as-is, the
+		// in-memory store is lost, recovery replays the file.
+		p.m.Close()
 	}()
 	for {
-		rctx, cancel := p.recvCtx(ctx)
-		m, err := p.ep.Recv(rctx)
-		if cancel != nil {
-			cancel()
-		}
+		m, err := p.ep.Recv(p.recvCtx(ctx))
 		if err != nil {
 			if ctx.Err() != nil || errors.Is(err, transport.ErrClosed) {
 				return nil
@@ -196,10 +179,14 @@ func (p *Participant) Serve(ctx context.Context) error {
 }
 
 // recvCtx bounds the next Recv by the earliest termination-protocol
-// deadline, when one is pending.
-func (p *Participant) recvCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+// deadline, when one is pending. A deadline context lives until it
+// expires: it is kept while its deadline is no later than the earliest
+// pending one, or while none is pending — waking early only runs a
+// terminate that finds nothing due. So a participant builds about one
+// per DecisionTimeout, not one per prepare.
+func (p *Participant) recvCtx(ctx context.Context) context.Context {
 	var min time.Time
-	for _, e := range p.inDoubt {
+	for _, e := range p.terms {
 		if e.attempts >= p.cfg.QueryRetry.MaxAttempts {
 			continue // budget exhausted: stay blocked, recovery resolves
 		}
@@ -207,10 +194,19 @@ func (p *Participant) recvCtx(ctx context.Context) (context.Context, context.Can
 			min = e.nextQuery
 		}
 	}
-	if min.IsZero() {
-		return ctx, nil
+	if p.dctx != nil && p.dctx.Err() == nil && (min.IsZero() || !min.Before(p.deadline)) {
+		return p.dctx
 	}
-	return context.WithDeadline(ctx, min)
+	if p.dcancel != nil {
+		p.dcancel()
+		p.dctx, p.dcancel = nil, nil
+	}
+	if min.IsZero() {
+		return ctx
+	}
+	p.deadline = min
+	p.dctx, p.dcancel = context.WithDeadline(ctx, min)
+	return p.dctx
 }
 
 // reply ships one response frame back to the message's sender.
@@ -220,13 +216,13 @@ func (p *Participant) reply(ctx context.Context, m transport.Msg, typ uint8, pay
 	})
 }
 
-// crash realizes a scripted death: the endpoint closes (future frames to
-// this node vanish) and Serve unwinds. The WAL file keeps whatever was
-// appended — including a torn tail.
-func (p *Participant) crash() {
+// crash realizes a scripted death once the member has left its crash
+// shape in the log: the endpoint closes (future frames to this node
+// vanish) and Serve unwinds.
+func (p *Participant) crash() (bool, error) {
 	p.crashed.Store(true)
-	p.log.Close()
 	p.ep.Close()
+	return true, nil
 }
 
 // handle processes one message; done reports a scripted crash.
@@ -271,7 +267,7 @@ func (p *Participant) decided(txn uint64) (decided, commit bool) {
 }
 
 func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool, error) {
-	if p.inDoubt[m.Txn] != nil {
+	if p.m.IsPrepared(m.Txn) {
 		// Retransmitted prepare for a transaction already staged: re-vote,
 		// don't restage.
 		p.reply(ctx, m, MsgVoteYes, nil)
@@ -287,7 +283,7 @@ func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool,
 		}
 		return false, nil
 	}
-	if len(p.inDoubt) > 0 {
+	if p.m.InDoubt() {
 		cVotesNo.Inc()
 		p.reply(ctx, m, MsgVoteNo, []byte{ReasonBlocked})
 		return false, nil
@@ -299,33 +295,26 @@ func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool,
 		return false, nil
 	}
 	if p.disarm(faults.PhaseBeforePrepare) {
-		// Die mid-append of the PREPARE record: staged writes and a torn
-		// tail, no vote — the coordinator's vote timeout aborts the round.
-		if err := p.log.AppendTxn(m.Txn, bodies, 0, nil); err != nil {
+		// Die mid-append of the PREPARE record: no vote — the
+		// coordinator's vote timeout aborts the round.
+		if err := p.m.CrashInPrepare(m.Txn, coord, bodies); err != nil {
 			return false, err
 		}
-		if err := p.log.AppendTorn(wal.RecPrepare, m.Txn, cluster.CoordPayload(coord), 3); err != nil {
-			return false, err
-		}
-		p.crash()
-		return true, nil
+		return p.crash()
 	}
-	if err := p.log.AppendTxn(m.Txn, bodies, wal.RecPrepare, cluster.CoordPayload(coord)); err != nil {
+	// The bodies are slices of the MsgPrepare payload, kept until the
+	// decision.
+	if err := p.m.Prepare(m.Txn, coord, bodies); err != nil {
 		return false, err
 	}
 	cPrepares.Inc()
-	p.inDoubt[m.Txn] = &inDoubtEntry{
-		coord:     coord,
-		bodies:    bodies,
-		nextQuery: time.Now().Add(p.cfg.DecisionTimeout),
-	}
-	p.inDoubtOrder = append(p.inDoubtOrder, m.Txn)
+	p.terms[m.Txn] = &termination{nextQuery: time.Now().Add(p.cfg.DecisionTimeout)}
 	p.reply(ctx, m, MsgVoteYes, nil)
 	return false, nil
 }
 
 func (p *Participant) handleCommitLocal(ctx context.Context, m transport.Msg) error {
-	if len(p.inDoubt) > 0 {
+	if p.m.InDoubt() {
 		cVotesNo.Inc()
 		p.reply(ctx, m, MsgVoteNo, []byte{ReasonBlocked})
 		return nil
@@ -342,13 +331,10 @@ func (p *Participant) handleCommitLocal(ctx context.Context, m transport.Msg) er
 		return nil
 	}
 	p.local = bodies
-	if err := p.log.AppendTxn(m.Txn, bodies, wal.RecCommit, nil); err != nil {
+	if err := p.m.CommitLocal(m.Txn, bodies); err != nil {
 		return err
 	}
 	p.decisions[m.Txn] = true
-	if err := p.apply(bodies); err != nil {
-		return err
-	}
 	p.reply(ctx, m, MsgAckLocal, nil)
 	return nil
 }
@@ -356,34 +342,25 @@ func (p *Participant) handleCommitLocal(ctx context.Context, m transport.Msg) er
 func (p *Participant) handleDecideCommit(ctx context.Context, m transport.Msg) (bool, error) {
 	switch {
 	case p.disarm(faults.PhaseBeforeCommit):
-		// Die mid-append of the decision: the COMMIT record is torn, so
-		// recovery finds no decision — presumed abort.
-		if err := p.log.AppendTorn(wal.RecCommit, m.Txn, nil, 5); err != nil {
+		// Die mid-append of the decision: recovery finds no decision —
+		// presumed abort.
+		if err := p.m.CrashInCommit(m.Txn); err != nil {
 			return false, err
 		}
-		p.crash()
-		return true, nil
+		return p.crash()
 	case p.disarm(faults.PhaseAfterDecision):
 		// Die right after the decision is durable: nobody hears it, but
 		// the transaction IS committed — resolution replays it.
-		if err := p.log.Append(wal.RecCommit, m.Txn, nil); err != nil {
+		if err := p.m.CrashAfterCommit(m.Txn); err != nil {
 			return false, err
 		}
-		p.crash()
-		return true, nil
+		return p.crash()
 	}
 	if decided, _ := p.decided(m.Txn); !decided {
-		if err := p.log.Append(wal.RecCommit, m.Txn, nil); err != nil {
+		if err := p.decide(m.Txn, true); err != nil {
 			return false, err
 		}
-		p.decisions[m.Txn] = true
 		cDecisions.Inc()
-		if e := p.inDoubt[m.Txn]; e != nil {
-			if err := p.apply(e.bodies); err != nil {
-				return false, err
-			}
-			p.dropInDoubt(m.Txn)
-		}
 	}
 	p.reply(ctx, m, MsgAck, nil)
 	return false, nil
@@ -391,12 +368,11 @@ func (p *Participant) handleDecideCommit(ctx context.Context, m transport.Msg) (
 
 func (p *Participant) handleDecideAbort(ctx context.Context, m transport.Msg) error {
 	if decided, _ := p.decided(m.Txn); !decided {
-		if err := p.log.Append(wal.RecAbort, m.Txn, nil); err != nil {
+		// Staged writes discarded: no observable effects.
+		if err := p.decide(m.Txn, false); err != nil {
 			return err
 		}
-		p.decisions[m.Txn] = false
 		cDecisions.Inc()
-		p.dropInDoubt(m.Txn) // staged writes discarded: no observable effects
 	}
 	p.reply(ctx, m, MsgAck, nil)
 	return nil
@@ -405,29 +381,26 @@ func (p *Participant) handleDecideAbort(ctx context.Context, m transport.Msg) er
 // resolveInDoubt finishes an in-doubt transaction from a status answer
 // (or the presumed-abort rule when the answer is "unknown").
 func (p *Participant) resolveInDoubt(txn uint64, commit, presumed bool) error {
-	e := p.inDoubt[txn]
-	if e == nil {
+	if !p.m.IsPrepared(txn) {
 		return nil // stale answer; already resolved
 	}
-	if commit {
-		if err := p.log.Append(wal.RecCommit, txn, nil); err != nil {
-			return err
-		}
-		p.decisions[txn] = true
-		if err := p.apply(e.bodies); err != nil {
-			return err
-		}
-	} else {
-		if err := p.log.Append(wal.RecAbort, txn, nil); err != nil {
-			return err
-		}
-		p.decisions[txn] = false
-		if presumed {
-			p.presumedAborts++
-			cPresumedAborts.Inc()
-		}
+	if err := p.decide(txn, commit); err != nil {
+		return err
 	}
-	p.dropInDoubt(txn)
+	if presumed {
+		p.presumedAborts++
+		cPresumedAborts.Inc()
+	}
+	return nil
+}
+
+// decide logs and applies txn's decision on the member and records it.
+func (p *Participant) decide(txn uint64, commit bool) error {
+	if err := p.m.Decide(txn, commit); err != nil {
+		return err
+	}
+	p.decisions[txn] = commit
+	delete(p.terms, txn)
 	return nil
 }
 
@@ -436,60 +409,25 @@ func (p *Participant) resolveInDoubt(txn uint64, commit, presumed bool) error {
 // paced by the capped-exponential QueryRetry policy.
 func (p *Participant) terminate(ctx context.Context) {
 	now := time.Now()
-	for _, txn := range p.inDoubtOrder {
-		e := p.inDoubt[txn]
-		if e == nil || now.Before(e.nextQuery) || e.attempts >= p.cfg.QueryRetry.MaxAttempts {
+	for _, pr := range p.m.Prepared() {
+		e := p.terms[pr.Txn]
+		if now.Before(e.nextQuery) || e.attempts >= p.cfg.QueryRetry.MaxAttempts {
 			continue
 		}
 		e.attempts++
 		_ = p.ep.Send(ctx, transport.Msg{
-			Type: MsgStatusQuery, From: p.id, To: e.coord, Txn: txn, Attempt: e.attempts,
+			Type: MsgStatusQuery, From: p.id, To: pr.Coord, Txn: pr.Txn, Attempt: e.attempts,
 		})
 		wait := p.cfg.QueryRetry.BackoffAt(e.attempts)
 		e.nextQuery = now.Add(time.Duration(wait * float64(time.Second)))
 	}
 }
 
-func (p *Participant) dropInDoubt(txn uint64) {
-	delete(p.inDoubt, txn)
-	for i, id := range p.inDoubtOrder {
-		if id == txn {
-			p.inDoubtOrder = append(p.inDoubtOrder[:i], p.inDoubtOrder[i+1:]...)
-			break
-		}
-	}
-}
-
 func (p *Participant) scanPairs() []inDoubtPair {
-	pairs := make([]inDoubtPair, 0, len(p.inDoubt))
-	for _, txn := range p.inDoubtOrder {
-		if e := p.inDoubt[txn]; e != nil {
-			pairs = append(pairs, inDoubtPair{Txn: txn, Coord: e.coord})
-		}
+	prepared := p.m.Prepared()
+	pairs := make([]inDoubtPair, len(prepared))
+	for i, pr := range prepared {
+		pairs[i] = inDoubtPair{Txn: pr.Txn, Coord: pr.Coord}
 	}
 	return pairs
-}
-
-// apply decodes and commits write bodies on the store atomically and
-// advances the checkpoint cadence.
-func (p *Participant) apply(bodies [][]byte) error {
-	if err := p.store.CommitBodies(bodies); err != nil {
-		return err
-	}
-	p.commitsSince++
-	return p.maybeCheckpoint()
-}
-
-// maybeCheckpoint snapshots the store when the cadence is due; never
-// while in doubt (a snapshot must not bury a pending PREPARE).
-func (p *Participant) maybeCheckpoint() error {
-	if p.commitsSince < p.cfg.CheckpointEvery || len(p.inDoubt) > 0 {
-		return nil
-	}
-	if err := wal.WriteCheckpoint(p.log, p.store); err != nil {
-		return err
-	}
-	p.commitsSince = 0
-	p.checkpoints++
-	return nil
 }
