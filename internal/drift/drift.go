@@ -31,6 +31,7 @@ package drift
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -241,15 +242,8 @@ func JSDistance(p, q map[string]float64) float64 {
 	case sp == 0 || sq == 0:
 		return 1
 	}
-	keys := map[string]bool{}
-	for k := range p {
-		keys[k] = true
-	}
-	for k := range q {
-		keys[k] = true
-	}
 	div := 0.0
-	for k := range keys {
+	for _, k := range sortedKeys(p, q) {
 		pp := p[k] / sp
 		qq := q[k] / sq
 		m := (pp + qq) / 2
@@ -303,12 +297,26 @@ func jsRoot(div float64) float64 {
 	return math.Sqrt(div)
 }
 
+// mass sums p in key order: float addition is not associative, and map
+// order would make the sum, and every score built on it, vary by run.
 func mass(p map[string]float64) float64 {
 	s := 0.0
-	for _, v := range p {
-		s += v
+	for _, k := range sortedKeys(p) {
+		s += p[k]
 	}
 	return s
+}
+
+// sortedKeys returns the union of the maps' keys in ascending order.
+func sortedKeys(ms ...map[string]float64) []string {
+	var keys []string
+	for _, m := range ms {
+		for k := range m {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return slices.Compact(keys)
 }
 
 // normalize returns heat scaled to sum 1 (nil for nil or zero-mass
