@@ -25,7 +25,9 @@ verify:
 # per-layer rows BenchmarkEvaluateRow/{tpcc,tpce} and
 # BenchmarkRouterNew/{tpcc,tpce} — then the
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
-# in isolation, each at 1/2/8 workers, then the commit path: one store
+# in isolation, each at 1/2/8 workers, then the evaluator layer
+# (BenchmarkAssignerEvaluate: Assigner.Evaluate at 1/2/8 workers), then
+# the commit path: one store
 # commit, one WAL protocol step, one checkpoint encoding and digest fold,
 # one participant checkpoint cycle (64 commits, then the snapshot), one
 # end-of-run recover-and-check, a small TPC-C commit window through
@@ -37,7 +39,7 @@ bench:
 	$(GO) test -bench='PathEval|Evaluate|GraphPartition|RouterNew|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
 	$(GO) test -bench='BenchmarkPartition' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
-	$(GO) test -bench='EvaluateParallel' -benchmem -run=^$$ ./internal/eval/
+	$(GO) test -bench='AssignerEvaluate' -benchmem -run=^$$ ./internal/eval/
 	$(GO) test -bench='CommitOps|LogAppendTxn|EncodeSnapshot|TableDigest|CheckpointCadence' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
 	$(GO) test -bench='GenerateTrace' -benchmem -benchtime=3x -run=^$$ ./internal/workloads/
 	$(GO) test -bench='RecoverAndCheck|TwoPCWindow|ReplQuorumWindow|TwoPCRound|ShipAck' -benchmem -run=^$$ ./internal/cluster/ ./internal/twopc/ ./internal/repl/

@@ -17,30 +17,20 @@ import (
 // coordinator only. A fully-replicated read returns no pinned nodes (any
 // node serves it).
 func Participants(t *trace.Txn, place []int32, k, txnIndex int) (nodes []int, coord int, distributed bool) {
-	var parts partition.Set
-	writesReplicated, allPlaced := false, true
+	var s eval.Span
 	for j, p := range place {
-		switch p {
-		case eval.PlaceUnplaced:
-			allPlaced = false
-		case eval.PlaceReplicated:
-			if t.Accesses[j].Write {
-				writesReplicated = true
-			}
-		default:
-			parts.Add(int(p))
-		}
+		s.Add(p, t.Accesses[j].Write)
 	}
-	coord = Coordinator(&parts, k, txnIndex)
+	coord = Coordinator(&s.Parts, k, txnIndex)
 	switch {
-	case writesReplicated || !allPlaced:
+	case s.All:
 		return PartitionIDs(k), coord, true
-	case parts.Empty():
+	case s.Parts.Empty():
 		return nil, coord, false
-	case parts.Len() == 1:
+	case s.Parts.Len() == 1:
 		return []int{coord}, coord, false
 	default:
-		return parts.AppendTo(make([]int, 0, parts.Len())), coord, true
+		return s.Parts.AppendTo(make([]int, 0, s.Parts.Len())), coord, true
 	}
 }
 

@@ -442,7 +442,8 @@ func (p *Partitioner) minCutSolution(ctx context.Context, class string, trees []
 
 // classCost evaluates a (tree, mapper) pair on a class stream: replicated
 // tables aside, every covered table partitions by its path under the
-// mapper.
+// mapper. It evaluates on one worker: it already runs inside the
+// per-class worker pool.
 func (p *Partitioner) classCost(tree *joingraph.Tree, m partition.Mapper, stream *trace.Trace) (float64, error) {
 	sol := partition.NewSolution("class-local", p.opts.K)
 	for tbl, path := range tree.Paths {
@@ -462,7 +463,7 @@ func (p *Partitioner) classCost(tree *joingraph.Tree, m partition.Mapper, stream
 	if err != nil {
 		return 0, err
 	}
-	return a.EvaluateParallel(stream, p.opts.parallelism()).Cost(), nil
+	return a.Evaluate(stream, 1).Cost(), nil
 }
 
 // addPartialsFromSubtrees walks the sub-join trees of a total solution,

@@ -19,7 +19,7 @@ import (
 // navigation of the whole trace per combination with one navigation per
 // accessed row per option.
 //
-// The costs equal eval.Assigner.Evaluate(train).Cost() bit for bit:
+// The costs equal eval.Assigner.Evaluate(train, 1).Cost() bit for bit:
 // Definition 5 applied per transaction, integer counts, one division.
 // A scorer lives for one phase-3 call.
 type comboScorer struct {
@@ -243,24 +243,20 @@ func (s *comboScorer) cost(sc *schema.Schema, sol *partition.Solution) (float64,
 	return float64(s.distributed(cols)) / float64(len(s.txnEnd)), nil
 }
 
-// distributed counts the transactions Definition 5 calls distributed
-// under the given per-table columns: one that touches an unplaced tuple,
-// writes a replicated one, or touches two real partitions. It does not
-// allocate.
+// distributed counts the transactions eval.Span calls distributed
+// (Definition 5) under the given per-table columns, stopping each
+// transaction's scan at its first access that makes it distributed. It
+// does not allocate.
 func (s *comboScorer) distributed(cols [][]int32) int {
 	dist := 0
 	lo := int32(0)
 	for _, hi := range s.txnEnd {
-		first := eval.PlaceUnplaced // no real partition seen yet
+		var sp eval.Span
 		for j := lo; j < hi; j++ {
-			p := cols[s.table[j]][s.ord[j]]
-			if p == eval.PlaceUnplaced || (p == eval.PlaceReplicated && s.write[j]) ||
-				(p >= 0 && first >= 0 && p != first) {
+			sp.Add(cols[s.table[j]][s.ord[j]], s.write[j])
+			if sp.Distributed() {
 				dist++
 				break
-			}
-			if p >= 0 {
-				first = p
 			}
 		}
 		lo = hi

@@ -27,7 +27,7 @@ func evaluatorCost(t *testing.T, d *db.DB, sol *partition.Solution, tr *trace.Tr
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a.Evaluate(tr).Cost()
+	return a.Evaluate(tr, 1).Cost()
 }
 
 // resolved resolves tr's accesses against d, as phase 1 does.

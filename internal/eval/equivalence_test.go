@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -112,7 +113,7 @@ func TestEvaluateRepresentationEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want := canonicalResult(t, a.Evaluate(test))
+			want := canonicalResult(t, a.Evaluate(test, runtime.GOMAXPROCS(0)))
 			if got := canonicalResult(t, a.EvaluateColumnar(trace.Columnarize(test))); got != want {
 				t.Errorf("columnar result diverged\n got %s\nwant %s", got, want)
 			}
@@ -153,7 +154,7 @@ func TestEvaluateRepresentationEquivalence(t *testing.T) {
 				t.Errorf("report diverged after disk round trip: k %d/%d, replicated %d/%d",
 					rep2.K, rep.K, len(rep2.Replicated), len(rep.Replicated))
 			}
-			if got := canonicalResult(t, a.Evaluate(train2)); got != canonicalResult(t, a.Evaluate(train)) {
+			if got := canonicalResult(t, a.Evaluate(train2, runtime.GOMAXPROCS(0))); got != canonicalResult(t, a.Evaluate(train, runtime.GOMAXPROCS(0))) {
 				t.Error("evaluating round-tripped training trace diverged from original")
 			}
 		})

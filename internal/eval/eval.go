@@ -49,7 +49,8 @@ type Result struct {
 	Total       int
 	Distributed int
 	// TouchSum accumulates, over distributed transactions, the number of
-	// partitions each touched (Horticulture's cost model weighs this).
+	// partitions each touched (Span.Touched; Horticulture's cost model
+	// weighs the same count).
 	TouchSum int
 	ByClass  map[string]*ClassResult
 }
@@ -99,9 +100,9 @@ type tableBinding struct {
 // navigation plus a mapper call. Partition queries drive both the
 // evaluator and the router. The bindings are immutable after
 // construction, so an Assigner is safe for concurrent use: PlaceKey,
-// TxnPartitions, Distributed and Evaluate may be called from any number
-// of goroutines, and the parallel JECB search hammers one shared Assigner
-// from its whole worker pool.
+// Span and Evaluate may be called from any number of goroutines, and the
+// parallel JECB search hammers one shared Assigner from its whole worker
+// pool.
 type Assigner struct {
 	sol      *partition.Solution
 	bindings map[string]tableBinding
@@ -197,10 +198,10 @@ func (p *TracePlacement) Txn(i int) []int32 {
 }
 
 // PlaceTrace places every access of tr with PlaceTxn into one array,
-// sharded like EvaluateParallel: contiguous transaction ranges of at
-// least minShardTxns on at most workers goroutines, each filling its own
-// part of the array, so the placements are identical for any worker
-// count. Safe for concurrent use.
+// sharded like Evaluate: contiguous transaction ranges of at least
+// minShardTxns on at most workers goroutines, each filling its own part
+// of the array, so the placements are identical for any worker count.
+// Safe for concurrent use.
 func (a *Assigner) PlaceTrace(tr *trace.Trace, workers int) *TracePlacement {
 	n := tr.Len()
 	p := &TracePlacement{end: make([]int, n)}
@@ -218,34 +219,15 @@ func (a *Assigner) PlaceTrace(tr *trace.Trace, workers int) *TracePlacement {
 	return p
 }
 
-// TxnPartitions classifies a transaction under the bound solution: the set
-// of distinct real partitions its non-replicated accesses touch, whether it
-// writes a replicated tuple, and whether every access could be placed. The
-// set is returned by value — a bitset with no heap state for partition
-// counts up to 256 (see partition.Set).
-func (a *Assigner) TxnPartitions(t *trace.Txn) (parts partition.Set, writesReplicated, allPlaced bool) {
-	allPlaced = true
+// Span classifies a transaction under the bound solution (Definition
+// 5). It does not allocate for partition counts up to 256 (see
+// partition.Set).
+func (a *Assigner) Span(t *trace.Txn) Span {
+	var s Span
 	for _, acc := range t.Accesses {
-		p, ok := a.PlaceKey(acc)
-		if !ok {
-			allPlaced = false
-			continue
-		}
-		if p == partition.Replicated {
-			if acc.Write {
-				writesReplicated = true
-			}
-			continue
-		}
-		parts.Add(p)
+		s.Add(a.place(acc), acc.Write)
 	}
-	return parts, writesReplicated, allPlaced
-}
-
-// Distributed applies Definition 5 to one transaction.
-func (a *Assigner) Distributed(t *trace.Txn) bool {
-	parts, writesReplicated, allPlaced := a.TxnPartitions(t)
-	return writesReplicated || !allPlaced || parts.Len() > 1
+	return s
 }
 
 // Evaluate scores a solution on a trace.
@@ -254,14 +236,19 @@ func Evaluate(d *db.DB, sol *partition.Solution, tr *trace.Trace) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	return a.Evaluate(tr), nil
+	return a.Evaluate(tr, runtime.GOMAXPROCS(0)), nil
 }
 
-// Evaluate scores the bound solution on a trace, sharded over
-// runtime.GOMAXPROCS(0) workers; see EvaluateParallel, whose Result is
-// identical for any worker count.
-func (a *Assigner) Evaluate(tr *trace.Trace) *Result {
-	return a.EvaluateParallel(tr, runtime.GOMAXPROCS(0))
+// tally adds one scored transaction to r and reports whether it is
+// distributed, for the caller's per-class count.
+func (r *Result) tally(s *Span) bool {
+	r.Total++
+	if !s.Distributed() {
+		return false
+	}
+	r.Distributed++
+	r.TouchSum += s.Touched(r.K)
+	return true
 }
 
 // evalShard scores the half-open transaction range [lo, hi) of a trace
@@ -282,21 +269,9 @@ func (a *Assigner) evalShard(tr *trace.Trace, lo, hi int) *Result {
 			cr = &ClassResult{Class: t.Class}
 			r.ByClass[t.Class] = cr
 		}
-		r.Total++
 		cr.Total++
-		parts, writesReplicated, allPlaced := a.TxnPartitions(t)
-		distributed := writesReplicated || !allPlaced || parts.Len() > 1
-		if distributed {
-			r.Distributed++
+		if s := a.Span(t); r.tally(&s) {
 			cr.Distributed++
-			touched := parts.Len()
-			if writesReplicated || !allPlaced {
-				touched = a.sol.K
-			}
-			if touched < 2 {
-				touched = 2
-			}
-			r.TouchSum += touched
 		}
 	}
 	return r
@@ -320,14 +295,14 @@ func (r *Result) merge(o *Result) {
 	}
 }
 
-// minShardTxns is the fewest transactions EvaluateParallel hands one
-// worker: below it, starting the goroutine and merging its Result cost
-// more than scoring the transactions.
+// minShardTxns is the fewest transactions Evaluate hands one worker:
+// below it, starting the goroutine and merging its Result cost more
+// than scoring the transactions.
 const minShardTxns = 128
 
-// shardCount is the number of shards EvaluateParallel splits n
-// transactions into for the given worker count: at most workers, each of
-// at least minShardTxns, and at least one.
+// shardCount is the number of shards Evaluate splits n transactions
+// into for the given worker count: at most workers, each of at least
+// minShardTxns, and at least one.
 func shardCount(workers, n int) int {
 	return max(1, min(workers, n/minShardTxns))
 }
@@ -352,22 +327,18 @@ func forShards(shards, n int, fn func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// EvaluateParallel scores the bound solution on a trace with at most the
-// given worker count, sharding the transactions into contiguous ranges
-// of at least minShardTxns, scored concurrently and merged
-// deterministically in shard order. The result is bit-identical for any
-// workers >= 1 (workers <= 1, or traces too small to shard, take the
-// sequential path). Safe for concurrent use: many EvaluateParallel calls
-// may run against one shared Assigner.
-func (a *Assigner) EvaluateParallel(tr *trace.Trace, workers int) *Result {
+// Evaluate scores the bound solution on a trace with at most the given
+// worker count, sharding the transactions into contiguous ranges of at
+// least minShardTxns, scored concurrently and merged deterministically
+// in shard order. The result is bit-identical for any workers >= 1
+// (workers <= 1, or traces too small to shard, take the sequential
+// path). Safe for concurrent use: many Evaluate calls may run against
+// one shared Assigner.
+func (a *Assigner) Evaluate(tr *trace.Trace, workers int) *Result {
 	n := tr.Len()
 	workers = shardCount(workers, n)
 	if workers == 1 {
-		r := a.evalShard(tr, 0, n)
-		cEvaluations.Inc()
-		cTxnsScored.Add(int64(r.Total))
-		cTxnsDist.Add(int64(r.Distributed))
-		return r
+		return a.evalShard(tr, 0, n).scored()
 	}
 	gEvalWorkers.Set(float64(workers))
 	shards := make([]*Result, workers)
@@ -378,6 +349,11 @@ func (a *Assigner) EvaluateParallel(tr *trace.Trace, workers int) *Result {
 	for _, s := range shards[1:] {
 		r.merge(s)
 	}
+	return r.scored()
+}
+
+// scored counts a finished evaluation in the registry and returns r.
+func (r *Result) scored() *Result {
 	cEvaluations.Inc()
 	cTxnsScored.Add(int64(r.Total))
 	cTxnsDist.Add(int64(r.Distributed))

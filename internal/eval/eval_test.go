@@ -284,3 +284,43 @@ func TestMeasure(t *testing.T) {
 		t.Errorf("CPU = %v", res.CPU)
 	}
 }
+
+// TestSpanDefinition5 pins the classifier access by access: replicated
+// reads add nothing, a replicated write or an unplaceable tuple spans
+// every partition, and two real partitions make a transaction
+// distributed. Touched counts all k for a spanning transaction and
+// never fewer than two.
+func TestSpanDefinition5(t *testing.T) {
+	const r, u = PlaceReplicated, PlaceUnplaced
+	cases := []struct {
+		name    string
+		place   []int32
+		write   []bool
+		dist    bool
+		all     bool
+		parts   string
+		touched int // at k = 8
+	}{
+		{"no accesses", nil, nil, false, false, "{}", 2},
+		{"replicated read", []int32{r}, []bool{false}, false, false, "{}", 2},
+		{"one partition", []int32{3, r, 3}, []bool{true, false, false}, false, false, "{3}", 2},
+		{"two partitions", []int32{1, 5}, []bool{false, false}, true, false, "{1, 5}", 2},
+		{"three partitions", []int32{6, 1, 5}, []bool{false, true, false}, true, false, "{1, 5, 6}", 3},
+		{"replicated write", []int32{2, r}, []bool{false, true}, true, true, "{2}", 8},
+		{"unplaced read", []int32{u, 4}, []bool{false, false}, true, true, "{4}", 8},
+	}
+	for _, c := range cases {
+		var s Span
+		for j, p := range c.place {
+			s.Add(p, c.write[j])
+		}
+		if s.Distributed() != c.dist || s.All != c.all || s.Parts.String() != c.parts || s.Touched(8) != c.touched {
+			t.Errorf("%s: distributed=%v all=%v parts=%s touched=%d, want %v %v %s %d",
+				c.name, s.Distributed(), s.All, s.Parts.String(), s.Touched(8), c.dist, c.all, c.parts, c.touched)
+		}
+	}
+	spanning := Span{All: true}
+	if got := spanning.Touched(1); got != 2 {
+		t.Errorf("spanning Touched(1) = %d, want 2", got)
+	}
+}

@@ -6,7 +6,7 @@ package eval
 // cannot import workloads without a dependency cycle in the test build
 // graph worth avoiding for a bench).
 //
-// Run: go test -bench=EvaluateParallel -benchmem ./internal/eval/
+// Run: go test -bench=AssignerEvaluate -benchmem ./internal/eval/
 
 import (
 	"fmt"
@@ -15,7 +15,7 @@ import (
 	"repro/internal/fixture"
 )
 
-func BenchmarkEvaluateParallel(b *testing.B) {
+func BenchmarkAssignerEvaluate(b *testing.B) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 4000, 7)
 	a, err := NewAssigner(d, joinExtensionSolution(8))
@@ -26,7 +26,7 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if r := a.EvaluateParallel(tr, workers); r.Total != tr.Len() {
+				if r := a.Evaluate(tr, workers); r.Total != tr.Len() {
 					b.Fatalf("scored %d of %d", r.Total, tr.Len())
 				}
 			}

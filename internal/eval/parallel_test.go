@@ -11,7 +11,7 @@ import (
 	"repro/internal/fixture"
 )
 
-// resultFingerprint renders the fields EvaluateParallel must reproduce
+// resultFingerprint renders the fields Evaluate must reproduce
 // bit-identically for any worker count.
 func resultFingerprint(t *testing.T, r *Result) string {
 	t.Helper()
@@ -57,10 +57,10 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := resultFingerprint(t, a.EvaluateParallel(tr, 1))
+		want := resultFingerprint(t, a.Evaluate(tr, 1))
 		for _, workers := range []int{1, 2, 3, 8, 16, 1000} {
 			before := runtime.NumGoroutine()
-			got := resultFingerprint(t, a.EvaluateParallel(tr, workers))
+			got := resultFingerprint(t, a.Evaluate(tr, workers))
 			waitGoroutines(t, before)
 			if got != want {
 				t.Fatalf("%s k=%d workers=%d: result diverged\n got %s\nwant %s",
@@ -71,7 +71,7 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 }
 
 // TestAssignerSharedStress hammers one shared Assigner from 16 goroutines
-// mixing PlaceKey, Distributed, and full EvaluateParallel calls — the
+// mixing PlaceKey, Span, and full Evaluate calls — the
 // access pattern of the parallel phase-3 search. Run under -race this is
 // the concurrency-safety proof for Assigner.
 func TestAssignerSharedStress(t *testing.T) {
@@ -81,7 +81,7 @@ func TestAssignerSharedStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := resultFingerprint(t, a.Evaluate(tr))
+	want := resultFingerprint(t, a.Evaluate(tr, runtime.GOMAXPROCS(0)))
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -93,14 +93,15 @@ func TestAssignerSharedStress(t *testing.T) {
 			for iter := 0; iter < 20; iter++ {
 				switch (g + iter) % 3 {
 				case 0:
-					got := resultFingerprint(t, a.EvaluateParallel(tr, 1+g%4))
+					got := resultFingerprint(t, a.Evaluate(tr, 1+g%4))
 					if got != want {
 						errs <- fmt.Errorf("goroutine %d iter %d: result diverged", g, iter)
 						return
 					}
 				case 1:
 					for _, txn := range tr.All() {
-						a.Distributed(txn)
+						s := a.Span(txn)
+						s.Distributed()
 					}
 				default:
 					for _, txn := range tr.All() {
@@ -133,9 +134,9 @@ func TestEvaluatePackageLevelUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := a.EvaluateParallel(tr, 4)
+	r2 := a.Evaluate(tr, 4)
 	if resultFingerprint(t, r1) != resultFingerprint(t, r2) {
-		t.Fatal("package-level Evaluate diverged from EvaluateParallel")
+		t.Fatal("package-level Evaluate diverged from Assigner.Evaluate")
 	}
 }
 
@@ -143,7 +144,7 @@ func TestEvaluatePackageLevelUnchanged(t *testing.T) {
 // fewer than 2*minShardTxns transactions is scored as one shard whatever
 // the worker count, a longer one splits into at most n/minShardTxns
 // shards, and the Result is identical at workers 1, 2 and 8 on either
-// side of the cutoff, as it is from Evaluate's GOMAXPROCS default. No
+// side of the cutoff, as it is at the GOMAXPROCS default. No
 // goroutine outlives a sharded call.
 func TestEvaluateShardCutoff(t *testing.T) {
 	d := fixture.CustInfoDB()
@@ -156,7 +157,7 @@ func TestEvaluateShardCutoff(t *testing.T) {
 		if tr.Len() != n {
 			t.Fatalf("fixture trace has %d transactions, want %d", tr.Len(), n)
 		}
-		want := resultFingerprint(t, a.EvaluateParallel(tr, 1))
+		want := resultFingerprint(t, a.Evaluate(tr, 1))
 		for _, workers := range []int{1, 2, 8} {
 			wantShards := 1
 			if n >= 2*minShardTxns {
@@ -166,15 +167,15 @@ func TestEvaluateShardCutoff(t *testing.T) {
 				t.Errorf("n=%d workers=%d: %d shards, want %d", n, workers, got, wantShards)
 			}
 			before := runtime.NumGoroutine()
-			got := resultFingerprint(t, a.EvaluateParallel(tr, workers))
+			got := resultFingerprint(t, a.Evaluate(tr, workers))
 			waitGoroutines(t, before)
 			if got != want {
 				t.Errorf("n=%d workers=%d: result diverged\n got %s\nwant %s", n, workers, got, want)
 			}
 		}
 		before := runtime.NumGoroutine()
-		if got := resultFingerprint(t, a.Evaluate(tr)); got != want {
-			t.Errorf("n=%d: Evaluate diverged from the sequential loop", n)
+		if got := resultFingerprint(t, a.Evaluate(tr, runtime.GOMAXPROCS(0))); got != want {
+			t.Errorf("n=%d: Evaluate at GOMAXPROCS diverged from the sequential loop", n)
 		}
 		waitGoroutines(t, before)
 	}

@@ -2,20 +2,10 @@ package eval
 
 import (
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/trace"
 )
 
 var cIndexBuilds = obs.Default.Counter("eval.place_index_builds")
-
-// Placement sentinels of PlaceIndex and PlaceTxn. Real partitions are
-// >= 0; PlaceReplicated mirrors partition.Replicated and PlaceUnplaced
-// marks a tuple whose table the solution does not cover or whose join
-// path dangles.
-const (
-	PlaceReplicated int32 = -1
-	PlaceUnplaced   int32 = -2
-)
 
 // PlaceIndex is the join-path index: the bound solution's placement of
 // every distinct (table, key) pair in a columnar trace, resolved once
@@ -44,24 +34,15 @@ func (a *Assigner) Index(c *trace.Columnar) *PlaceIndex {
 	return idx
 }
 
-// TxnPartitions classifies transaction i of the indexed trace, with the
-// same semantics as Assigner.TxnPartitions.
-func (idx *PlaceIndex) TxnPartitions(i int) (parts partition.Set, writesReplicated, allPlaced bool) {
-	allPlaced = true
+// Span classifies transaction i of the indexed trace, as Assigner.Span
+// classifies the equivalent row transaction.
+func (idx *PlaceIndex) Span(i int) Span {
+	var s Span
 	lo, hi := idx.c.AccessRange(i)
 	for j := lo; j < hi; j++ {
-		switch p := idx.place[idx.c.AccessKey(j)]; p {
-		case PlaceUnplaced:
-			allPlaced = false
-		case PlaceReplicated:
-			if idx.c.AccessWrite(j) {
-				writesReplicated = true
-			}
-		default:
-			parts.Add(int(p))
-		}
+		s.Add(idx.place[idx.c.AccessKey(j)], idx.c.AccessWrite(j))
 	}
-	return parts, writesReplicated, allPlaced
+	return s
 }
 
 // Evaluate scores the indexed trace, producing a Result identical to the
@@ -69,11 +50,7 @@ func (idx *PlaceIndex) TxnPartitions(i int) (parts partition.Set, writesReplicat
 // arrays indexed by interned class id; the ByClass map is built once at
 // the end, so the per-transaction loop does not allocate.
 func (idx *PlaceIndex) Evaluate() *Result {
-	r := idx.evaluate()
-	cEvaluations.Inc()
-	cTxnsScored.Add(int64(r.Total))
-	cTxnsDist.Add(int64(r.Distributed))
-	return r
+	return idx.evaluate().scored()
 }
 
 func (idx *PlaceIndex) evaluate() *Result {
@@ -82,37 +59,11 @@ func (idx *PlaceIndex) evaluate() *Result {
 	totals := make([]int, nc)
 	dist := make([]int, nc)
 	r := &Result{Solution: idx.a.sol.Name, K: idx.a.sol.K}
-	var parts partition.Set
 	for i := 0; i < c.NumTxns(); i++ {
 		cid := c.ClassID(i)
-		r.Total++
 		totals[cid]++
-		parts.Reset()
-		writesReplicated, allPlaced := false, true
-		lo, hi := c.AccessRange(i)
-		for j := lo; j < hi; j++ {
-			switch p := idx.place[c.AccessKey(j)]; p {
-			case PlaceUnplaced:
-				allPlaced = false
-			case PlaceReplicated:
-				if c.AccessWrite(j) {
-					writesReplicated = true
-				}
-			default:
-				parts.Add(int(p))
-			}
-		}
-		if writesReplicated || !allPlaced || parts.Len() > 1 {
-			r.Distributed++
+		if s := idx.Span(i); r.tally(&s) {
 			dist[cid]++
-			touched := parts.Len()
-			if writesReplicated || !allPlaced {
-				touched = idx.a.sol.K
-			}
-			if touched < 2 {
-				touched = 2
-			}
-			r.TouchSum += touched
 		}
 	}
 	r.ByClass = make(map[string]*ClassResult, nc)
@@ -145,8 +96,5 @@ func (a *Assigner) EvaluateStream(s *trace.Stream) (*Result, error) {
 		}
 		r.merge(a.Index(chunk).evaluate())
 	}
-	cEvaluations.Inc()
-	cTxnsScored.Add(int64(r.Total))
-	cTxnsDist.Add(int64(r.Distributed))
-	return r, nil
+	return r.scored(), nil
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/fixture"
@@ -24,17 +25,16 @@ func TestPlaceIndexMatchesEvaluate(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := trace.Columnarize(tr)
-		want := resultFingerprint(t, a.Evaluate(tr))
+		want := resultFingerprint(t, a.Evaluate(tr, runtime.GOMAXPROCS(0)))
 		if got := resultFingerprint(t, a.EvaluateColumnar(c)); got != want {
 			t.Errorf("%s: columnar diverged\n got %s\nwant %s", sol, got, want)
 		}
 		idx := a.Index(c)
 		for i := 0; i < tr.Len(); i++ {
-			wp, wwr, wap := a.TxnPartitions(tr.At(i))
-			gp, gwr, gap := idx.TxnPartitions(i)
-			if !gp.Equal(&wp) || gwr != wwr || gap != wap {
-				t.Fatalf("%s txn %d: indexed (%v,%v,%v), row (%v,%v,%v)",
-					sol, i, &gp, gwr, gap, &wp, wwr, wap)
+			ws, gs := a.Span(tr.At(i)), idx.Span(i)
+			if !gs.Parts.Equal(&ws.Parts) || gs.All != ws.All {
+				t.Fatalf("%s txn %d: indexed (%v,%v), row (%v,%v)",
+					sol, i, &gs.Parts, gs.All, &ws.Parts, ws.All)
 			}
 		}
 	}
@@ -71,7 +71,7 @@ func TestEvaluateStreamMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := resultFingerprint(t, a.Evaluate(tr))
+	want := resultFingerprint(t, a.Evaluate(tr, runtime.GOMAXPROCS(0)))
 	got, err := a.EvaluateStream(s)
 	if err != nil {
 		t.Fatal(err)

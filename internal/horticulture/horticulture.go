@@ -272,25 +272,17 @@ func costOf(d *db.DB, dz design, replicated map[string]bool, sample *trace.Trace
 	load := make([]float64, opts.K)
 	distributed, touchSum := 0, 0
 	for _, t := range sample.All() {
-		parts, writesRep, allPlaced := a.TxnPartitions(t)
-		n := parts.Len()
-		isDist := writesRep || !allPlaced || n > 1
-		if isDist {
+		s := a.Span(t)
+		if s.Distributed() {
 			distributed++
-			touched := n
-			if writesRep || !allPlaced {
-				touched = opts.K
-			}
-			if touched < 2 {
-				touched = 2
-			}
-			touchSum += touched
+			touchSum += s.Touched(opts.K)
 		}
+		n := s.Parts.Len()
 		if n == 0 {
 			// Fully replicated read: charge nothing (any node serves it).
 			continue
 		}
-		parts.ForEach(func(p int) {
+		s.Parts.ForEach(func(p int) {
 			load[p] += 1 / float64(n)
 		})
 	}

@@ -22,7 +22,7 @@ const setInlineWords = 4
 //
 // Set is a value type. Copying a set with no spill words is a deep copy;
 // copying one that has spilled shares the spill storage, so treat copies
-// of large sets as read-only snapshots (exactly how TxnPartitions results
+// of large sets as read-only snapshots (exactly how eval.Span's Parts
 // are consumed).
 type Set struct {
 	w     [setInlineWords]uint64

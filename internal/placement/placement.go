@@ -35,18 +35,18 @@ func Heat(d *db.DB, sol *partition.Solution, tr *trace.Trace) ([]float64, error)
 	}
 	heat := make([]float64, sol.K)
 	for _, t := range tr.All() {
-		parts, writesReplicated, allPlaced := a.TxnPartitions(t)
-		if writesReplicated || !allPlaced {
+		s := a.Span(t)
+		if s.All {
 			for p := range heat {
 				heat[p] += 1 / float64(sol.K)
 			}
 			continue
 		}
-		if parts.Empty() {
+		if s.Parts.Empty() {
 			continue // fully replicated read: any node serves it
 		}
-		share := 1 / float64(parts.Len())
-		parts.ForEach(func(p int) {
+		share := 1 / float64(s.Parts.Len())
+		s.Parts.ForEach(func(p int) {
 			heat[p] += share
 		})
 	}

@@ -59,11 +59,11 @@ func TestRouterOnTPCE(t *testing.T) {
 	}
 	checked, sound, singleRouted := 0, 0, 0
 	for _, txn := range test.All() {
-		parts, writesReplicated, allPlaced := assigner.TxnPartitions(txn)
-		if writesReplicated || !allPlaced || parts.Len() != 1 {
+		s := assigner.Span(txn)
+		if s.Distributed() || s.Parts.Len() != 1 {
 			continue // routing soundness only meaningful for local txns
 		}
-		actual := parts.Min()
+		actual := s.Parts.Min()
 		routed := routeParts(t, rt, txn.Class, txn.Params)
 		checked++
 		if len(routed) == 1 {

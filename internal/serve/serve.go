@@ -346,14 +346,14 @@ func EstimateCapacityTPS(d *db.DB, sol *partition.Solution, tr *trace.Trace,
 	}
 	total := 0.0
 	for _, t := range tr.All() {
-		parts, writesReplicated, allPlaced := a.TxnPartitions(t)
-		switch n := parts.Len(); {
-		case writesReplicated || !allPlaced:
-			total += cost.CoordWork + cost.ParticipantWork*float64(sol.K)
-		case n <= 1:
+		s := a.Span(t)
+		switch {
+		case !s.Distributed():
 			total += cost.LocalWork
+		case s.All:
+			total += cost.CoordWork + cost.ParticipantWork*float64(sol.K)
 		default:
-			total += cost.CoordWork + cost.ParticipantWork*float64(n)
+			total += cost.CoordWork + cost.ParticipantWork*float64(s.Parts.Len())
 		}
 	}
 	avg := total / float64(tr.Len())

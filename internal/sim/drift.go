@@ -216,20 +216,20 @@ func windowStats(a *eval.Assigner, w *trace.Trace, k int) (distFrac float64, hea
 	}
 	dist := 0
 	for i, t := range w.All() {
-		parts, wr, ap := a.TxnPartitions(t)
+		s := a.Span(t)
 		switch {
-		case wr || !ap:
+		case s.All:
 			dist++
 			for n := 0; n < k; n++ {
 				heat[n]++
 			}
-		case parts.Len() > 1:
+		case s.Distributed():
 			dist++
-			parts.ForEach(func(n int) {
+			s.Parts.ForEach(func(n int) {
 				heat[n]++
 			})
 		default:
-			heat[cluster.Coordinator(&parts, k, i)]++
+			heat[cluster.Coordinator(&s.Parts, k, i)]++
 		}
 	}
 	return float64(dist) / float64(w.Len()), heat
@@ -301,27 +301,26 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 		windowDist := 0
 		for i, t := range win.All() {
 			gi := base + i
-			parts, wr, ap := asg.TxnPartitions(t)
-			distributed := false
+			s := asg.Span(t)
+			coord := cluster.Coordinator(&s.Parts, sol.K, gi)
+			distributed := s.Distributed()
 			txnWork := 0.0
 			switch {
-			case wr || !ap:
-				distributed = true
+			case s.All:
 				for n := 0; n < sol.K; n++ {
 					res.NodeWork[n] += cfg.ParticipantWork
 				}
-				res.NodeWork[cluster.Coordinator(&parts, sol.K, gi)] += cfg.CoordWork
+				res.NodeWork[coord] += cfg.CoordWork
 				txnWork = float64(sol.K)*cfg.ParticipantWork + cfg.CoordWork
-			case parts.Len() <= 1:
-				res.NodeWork[cluster.Coordinator(&parts, sol.K, gi)] += cfg.LocalWork
+			case !distributed:
+				res.NodeWork[coord] += cfg.LocalWork
 				txnWork = cfg.LocalWork
 			default:
-				distributed = true
-				parts.ForEach(func(n int) {
+				s.Parts.ForEach(func(n int) {
 					res.NodeWork[n] += cfg.ParticipantWork
 				})
-				res.NodeWork[cluster.Coordinator(&parts, sol.K, gi)] += cfg.CoordWork
-				txnWork = float64(parts.Len())*cfg.ParticipantWork + cfg.CoordWork
+				res.NodeWork[coord] += cfg.CoordWork
+				txnWork = float64(s.Parts.Len())*cfg.ParticipantWork + cfg.CoordWork
 			}
 			if distributed {
 				res.Distributed++
@@ -351,7 +350,7 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 					}
 				}
 				if touchesMoved && touchesOther {
-					res.NodeWork[cluster.Coordinator(&parts, sol.K, gi)] += cfg.DualRouteWork
+					res.NodeWork[coord] += cfg.DualRouteWork
 					txnWork += cfg.DualRouteWork
 					res.DualRouted++
 					cDriftDual.Inc()
