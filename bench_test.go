@@ -443,6 +443,31 @@ func benchRouterNew(b *testing.B, name string, scale int) {
 	}
 }
 
+// BenchmarkRoute measures Router.Route on a benchmark's JECB solution:
+// each iteration routes every test transaction with every node up, the
+// way jecb and jecbbench route the test half.
+func BenchmarkRoute(b *testing.B) {
+	for _, c := range solvedBenchCases {
+		b.Run(c.name, func(b *testing.B) {
+			s := newSolvedBench(b, c.name, c.scale)
+			rt, err := router.New(s.d, s.sol, s.analyses)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, txn := range s.test.All() {
+					if _, err := rt.Route(ctx, router.Request{Class: txn.Class, Params: txn.Params}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEvaluateRow measures eval.Evaluate, the row-trace evaluator
 // jecb and jecbbench score the test half with, on a benchmark's JECB
 // solution: assigner construction plus one placement per test access.

@@ -35,7 +35,7 @@ func fnvField(h uint64, tag byte, s string) uint64 {
 // incremental placement updates that do not invalidate which table the
 // router scans (the router rebuilds value-level entries itself). The
 // fields are hashed in place, without building a string: the router
-// checks every table's fingerprint on every Route.
+// fingerprints each replaced placement on every Route until Refresh.
 func (ts *TableSolution) Fingerprint() uint64 {
 	h := fnv1a(fnvOffset64, ts.Table)
 	if ts.Replicate {

@@ -160,6 +160,12 @@ func (m LookupMapper) Name() string { return "lookup" }
 // Either Replicate is true (the table is copied to every partition), or
 // Path carries tuples of the table to the partitioning attribute X =
 // Path.Dest() and Mapper maps X values to partitions.
+//
+// A placement is not mutated in place once it is set into a Solution:
+// to change a table's placement, set a new TableSolution. The router's
+// staleness check relies on this — it compares each table's placement
+// pointer with the one it was built against, and fingerprints only a
+// replaced placement.
 type TableSolution struct {
 	Table     string
 	Replicate bool

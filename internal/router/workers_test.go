@@ -1,0 +1,88 @@
+package router
+
+import (
+	"context"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/partition"
+)
+
+// builtUnder is a router built with GOMAXPROCS set to procs, with the
+// lookup counters' deltas over its build.
+type builtUnder struct {
+	rt             *Router
+	sol            *partition.Solution
+	tables, values int64
+}
+
+func buildUnder(t *testing.T, s *solved, procs int) builtUnder {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	tables, values := cLookupsBuilt.Value(), cLookupEntries.Value()
+	sol := s.solution()
+	rt, err := New(s.d, sol, s.analyses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return builtUnder{rt: rt, sol: sol,
+		tables: cLookupsBuilt.Value() - tables, values: cLookupEntries.Value() - values}
+}
+
+// decisions routes every test transaction with every node up.
+func decisions(t *testing.T, s *solved, rt *Router) []Decision {
+	t.Helper()
+	out := make([]Decision, 0, s.test.Len())
+	for _, txn := range s.test.All() {
+		dec, err := rt.Route(context.Background(), Request{Class: txn.Class, Params: txn.Params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, dec)
+	}
+	return out
+}
+
+// TestWorkerCountInvariance builds the router of a TPC-C and a TPC-E
+// solution with 1 and with 4 worker threads: the lookup tables are built
+// concurrently, one task per table, but the plans, the routing decisions
+// of every test transaction and the lookup counters must not depend on
+// the worker count — nor must the classes a Refresh re-plans, or the
+// decisions after it.
+func TestWorkerCountInvariance(t *testing.T) {
+	for _, name := range []string{"tpcc", "tpce"} {
+		t.Run(name, func(t *testing.T) {
+			s := solvedSetup(t, name)
+			one, four := buildUnder(t, s, 1), buildUnder(t, s, 4)
+			if one.tables != four.tables || one.values != four.values {
+				t.Errorf("lookup counters: 1 worker built %d tables, %d entries; 4 workers %d, %d",
+					one.tables, one.values, four.tables, four.values)
+			}
+			if one.tables == 0 {
+				t.Fatal("no lookup table built")
+			}
+			if !reflect.DeepEqual(decisions(t, s, one.rt), decisions(t, s, four.rt)) {
+				t.Fatal("routing decisions differ between 1 and 4 workers")
+			}
+
+			victim := routedTable(t, one.rt)
+			refresh := func(b builtUnder, procs int) []string {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				b.sol.Set(partition.NewReplicated(victim))
+				rebuilt, err := b.rt.Refresh()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rebuilt
+			}
+			r1, r4 := refresh(one, 1), refresh(four, 4)
+			if len(r1) == 0 || !reflect.DeepEqual(r1, r4) {
+				t.Errorf("Refresh re-planned %v with 1 worker, %v with 4", r1, r4)
+			}
+			if !reflect.DeepEqual(decisions(t, s, one.rt), decisions(t, s, four.rt)) {
+				t.Fatal("routing decisions after Refresh differ between 1 and 4 workers")
+			}
+		})
+	}
+}
