@@ -22,8 +22,9 @@ verify:
 
 # bench runs the micro-benchmarks (experiment-scale benches run via
 # `go test -bench=BenchmarkFigure7 -benchtime=1x` etc) — among them the
-# per-layer rows BenchmarkEvaluateRow/{tpcc,tpce} and
-# BenchmarkRouterNew/{tpcc,tpce} — then the
+# per-layer rows BenchmarkEvaluateRow/{tpcc,tpce} and the router layer's
+# two rows, BenchmarkRouterNew/{tpcc,tpce} (building the router) and
+# BenchmarkRoute/{tpcc,tpce} (routing every test transaction) — then the
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
 # in isolation, each at 1/2/8 workers, then the evaluator layer
 # (BenchmarkAssignerEvaluate: Assigner.Evaluate at 1/2/8 workers), then
@@ -36,7 +37,7 @@ verify:
 # replica ship/ack round trip; last, trace generation at the jecbbench
 # sizes.
 bench:
-	$(GO) test -bench='PathEval|Evaluate|GraphPartition|RouterNew|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
+	$(GO) test -bench='PathEval|Evaluate|GraphPartition|RouterNew|Route$$|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
 	$(GO) test -bench='BenchmarkPartition' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
 	$(GO) test -bench='AssignerEvaluate' -benchmem -run=^$$ ./internal/eval/
