@@ -26,7 +26,7 @@ import (
 //   - Swap installs a fresh router (typically built on a migration
 //     plan's hybrid solution) as the next epoch in one atomic store.
 //   - When the underlying solution's partition map was mutated in place
-//     (the placement-fingerprint check fires ErrStaleLookup), Route no
+//     (the staleness check fires ErrStaleLookup), Route no
 //     longer fails: it performs *epoch catch-up* — rebuilding a fresh
 //     router over the current placements and installing it as a new
 //     epoch — and retries once. ErrStaleLookup surfaces only when the
