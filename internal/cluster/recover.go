@@ -88,9 +88,7 @@ func replayOracle(sc *schema.Schema, k int, committed *Journal) (map[string]uint
 		oracle[p] = db.New(sc)
 	}
 	for i := 0; i < committed.Len(); i++ {
-		lo, hi := committed.Writes(i)
-		for n := lo; n < hi; n++ {
-			p, body := committed.Write(n)
+		for p, body := range committed.Txn(i) {
 			op, err := oracle[p].DecodeOp(body)
 			if err == nil {
 				err = oracle[p].Apply(op)

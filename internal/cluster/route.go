@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"iter"
 	"slices"
 
 	"repro/internal/db"
@@ -90,28 +91,34 @@ func (w *Writes) At(p int) [][]byte {
 	return nil
 }
 
-// WriteEffects routes a transaction's writes to owning partitions as
-// touch ops, from its accesses' placements, into w: placed keys go to
-// their partition, replicated-table writes fan out to every partition
-// (sharing one body), unplaceable keys execute at the coordinator.
-func WriteEffects(w *Writes, t *trace.Txn, place []int32, k, coord int) {
-	next := slices.Grow(w.next[:0], k)[:k]
-	clear(next)
+// WriteCounts sets counts[p], for every partition p below len(counts),
+// to the number of write bodies WriteEffects routes to p.
+func WriteCounts(counts []int, t *trace.Txn, place []int32, coord int) {
+	clear(counts)
 	for j, acc := range t.Accesses {
 		if !acc.Write {
 			continue
 		}
 		switch p := place[j]; p {
 		case eval.PlaceUnplaced:
-			next[coord]++
+			counts[coord]++
 		case eval.PlaceReplicated:
-			for n := range next {
-				next[n]++
+			for n := range counts {
+				counts[n]++
 			}
 		default:
-			next[p]++
+			counts[p]++
 		}
 	}
+}
+
+// WriteEffects routes a transaction's writes to owning partitions as
+// touch ops, from its accesses' placements, into w: placed keys go to
+// their partition, replicated-table writes fan out to every partition
+// (sharing one body), unplaceable keys execute at the coordinator.
+func WriteEffects(w *Writes, t *trace.Txn, place []int32, k, coord int) {
+	next := slices.Grow(w.next[:0], k)[:k]
+	WriteCounts(next, t, place, coord)
 	// Counts become each partition's first slot in bodies.
 	w.Parts, w.ends = w.Parts[:0], w.ends[:0]
 	total := 0
@@ -154,48 +161,58 @@ func WriteEffects(w *Writes, t *trace.Txn, place []int32, k, coord int) {
 
 // Journal is a committed-set journal: the routed write bodies of each
 // committed transaction, in commit order, copied out of the routing
-// arena into one buffer. An oracle re-executes it on fault-free stores.
+// arena. An oracle re-executes it on fault-free stores. A transaction is
+// one run of (uvarint partition, uvarint length, body) in an arena of
+// chunks that are filled and never grown, so adding to the journal
+// never copies what it already holds.
 type Journal struct {
-	arena  []byte
-	writes []journalWrite
-	txns   []int // txns[i] is the end of transaction i's writes
+	arena []byte   // the chunk being filled
+	txns  [][]byte // txns[i] is transaction i's writes, a slice of one chunk
 }
 
-type journalWrite struct {
-	part int
-	end  int // end of the body in arena
-}
+// journalChunk is the size of a Journal's arena chunks.
+const journalChunk = 64 << 10
 
 // Add appends one committed transaction's write effects, in partition
 // order.
 func (j *Journal) Add(w *Writes) {
+	room := 0
+	for _, body := range w.bodies {
+		room += 2*binary.MaxVarintLen64 + len(body)
+	}
+	if cap(j.arena)-len(j.arena) < room {
+		j.arena = make([]byte, 0, max(journalChunk, room))
+	}
+	start := len(j.arena)
 	for i, p := range w.Parts {
 		for _, body := range w.Of(i) {
+			j.arena = binary.AppendUvarint(j.arena, uint64(p))
+			j.arena = binary.AppendUvarint(j.arena, uint64(len(body)))
 			j.arena = append(j.arena, body...)
-			j.writes = append(j.writes, journalWrite{part: p, end: len(j.arena)})
 		}
 	}
-	j.txns = append(j.txns, len(j.writes))
+	j.txns = append(j.txns, j.arena[start:len(j.arena):len(j.arena)])
 }
 
 // Len returns the number of transactions journaled.
 func (j *Journal) Len() int { return len(j.txns) }
 
-// Writes returns the range [lo, hi) of transaction i's writes.
-func (j *Journal) Writes(i int) (lo, hi int) {
-	if i > 0 {
-		lo = j.txns[i-1]
+// Txn yields transaction i's writes in the order Add took them: each
+// write's partition and body.
+func (j *Journal) Txn(i int) iter.Seq2[int, []byte] {
+	rec := j.txns[i]
+	return func(yield func(int, []byte) bool) {
+		for rest := rec; len(rest) > 0; {
+			p, w := binary.Uvarint(rest)
+			rest = rest[w:]
+			n, w := binary.Uvarint(rest)
+			rest = rest[w:]
+			if !yield(int(p), rest[:n:n]) {
+				return
+			}
+			rest = rest[n:]
+		}
 	}
-	return lo, j.txns[i]
-}
-
-// Write returns write n's partition and body.
-func (j *Journal) Write(n int) (part int, body []byte) {
-	start := 0
-	if n > 0 {
-		start = j.writes[n-1].end
-	}
-	return j.writes[n].part, j.arena[start:j.writes[n].end]
 }
 
 // Has reports whether n is in parts.

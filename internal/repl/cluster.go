@@ -269,6 +269,9 @@ type harness struct {
 
 	driverID int
 	seq      int // monotonic send-attempt counter (chaos resampling)
+	// ship is the MsgAppend payload buffer, reused by every ship: Send
+	// does not retain a payload.
+	ship []byte
 
 	// journal and writes hold the acknowledged transactions, in commit
 	// order; seqs is the arena behind every entry's seqs, and pending the
@@ -362,7 +365,8 @@ func (h *harness) shipTo(ctx context.Context, g, mem int, target int64, maxAttem
 			// chain): only a snapshot install can catch it up.
 			return h.snapshotTo(ctx, g, mem, traceID, vt)
 		}
-		h.send(ctx, b.id, MsgAppend, traceID, encodeAppend(grp.pr.epoch, base, recs))
+		h.ship = encodeAppendTo(h.ship[:0], grp.pr.epoch, base, recs)
+		h.send(ctx, b.id, MsgAppend, traceID, h.ship)
 		h.rec.Record(traceID, obs.EvShip, b.id, attempt, vt, int64(len(recs))<<16|base&0xffff)
 		actx, cancel := h.attemptCtx(ctx, attempt)
 		for grp.pr.acked[mem] < target {

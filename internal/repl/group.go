@@ -248,6 +248,10 @@ type backup struct {
 	chain
 	epoch int
 
+	// batch holds the records of the MsgAppend being handled, reused:
+	// accept copies them into the history.
+	batch []wal.Record
+
 	crashArm atomic.Int32
 	crashed  atomic.Bool
 	promoted bool
@@ -352,7 +356,8 @@ func (b *backup) handle(ctx context.Context, m transport.Msg) (exit bool, err er
 // were lost) is answered with the current watermark so the shipper
 // resends from there: anti-entropy is built into the ship path.
 func (b *backup) handleAppend(ctx context.Context, m transport.Msg) (bool, error) {
-	epoch, base, recs, err := decodeAppend(m.Payload)
+	epoch, base, recs, err := decodeAppendInto(b.batch[:0], m.Payload)
+	b.batch = recs
 	if err != nil || epoch < b.epoch {
 		return false, nil // malformed or stale epoch: drop
 	}

@@ -75,10 +75,12 @@ func exemptType(m transport.Msg) bool {
 	return m.Type != MsgAppend
 }
 
-// encodeAppend builds a MsgAppend payload: epoch, the chain sequence of
-// the first record, then length-prefixed records.
-func encodeAppend(epoch int, base int64, recs []wal.Record) []byte {
-	dst := binary.AppendUvarint(nil, uint64(epoch))
+// encodeAppendTo appends a MsgAppend payload to dst: epoch, the chain
+// sequence of the first record, then length-prefixed records. The ship
+// path encodes into one buffer it reuses across ships, which rests on
+// transport.Transport's contract that Send does not retain a payload.
+func encodeAppendTo(dst []byte, epoch int, base int64, recs []wal.Record) []byte {
+	dst = binary.AppendUvarint(dst, uint64(epoch))
 	dst = binary.AppendUvarint(dst, uint64(base))
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	for _, r := range recs {
@@ -90,44 +92,44 @@ func encodeAppend(epoch int, base int64, recs []wal.Record) []byte {
 	return dst
 }
 
-// decodeAppend splits a MsgAppend payload. The record payloads are
-// slices of data, not copies: a backup's history keeps them, so data
-// must be a buffer nobody writes again — every transport hands Recv a
-// fresh one per frame.
-func decodeAppend(data []byte) (epoch int, base int64, recs []wal.Record, err error) {
+// decodeAppendInto splits a MsgAppend payload, appending its records to
+// recs (a backup passes its reused batch, emptied). The record payloads
+// are slices of data, not copies: a backup's history keeps them, so
+// data must be a buffer nobody writes again — every transport hands
+// Recv a fresh one per frame.
+func decodeAppendInto(recs []wal.Record, data []byte) (epoch int, base int64, out []wal.Record, err error) {
 	e, w := binary.Uvarint(data)
 	if w <= 0 {
-		return 0, 0, nil, fmt.Errorf("%w: append epoch", ErrPayload)
+		return 0, 0, recs, fmt.Errorf("%w: append epoch", ErrPayload)
 	}
 	data = data[w:]
 	b, w := binary.Uvarint(data)
 	if w <= 0 {
-		return 0, 0, nil, fmt.Errorf("%w: append base", ErrPayload)
+		return 0, 0, recs, fmt.Errorf("%w: append base", ErrPayload)
 	}
 	data = data[w:]
 	n, w := binary.Uvarint(data)
 	if w <= 0 {
-		return 0, 0, nil, fmt.Errorf("%w: record count", ErrPayload)
+		return 0, 0, recs, fmt.Errorf("%w: record count", ErrPayload)
 	}
 	data = data[w:]
 	if n > uint64(len(data))/2+1 { // each record takes ≥3 bytes, tolerate n=0
-		return 0, 0, nil, fmt.Errorf("%w: %d records in %d bytes", ErrPayload, n, len(data))
+		return 0, 0, recs, fmt.Errorf("%w: %d records in %d bytes", ErrPayload, n, len(data))
 	}
-	recs = make([]wal.Record, 0, n)
 	for i := uint64(0); i < n; i++ {
 		if len(data) == 0 {
-			return 0, 0, nil, fmt.Errorf("%w: record %d truncated", ErrPayload, i)
+			return 0, 0, recs, fmt.Errorf("%w: record %d truncated", ErrPayload, i)
 		}
 		typ := wal.RecType(data[0])
 		data = data[1:]
 		txn, w := binary.Uvarint(data)
 		if w <= 0 {
-			return 0, 0, nil, fmt.Errorf("%w: record %d txn", ErrPayload, i)
+			return 0, 0, recs, fmt.Errorf("%w: record %d txn", ErrPayload, i)
 		}
 		data = data[w:]
 		sz, w := binary.Uvarint(data)
 		if w <= 0 || sz > uint64(len(data)-w) {
-			return 0, 0, nil, fmt.Errorf("%w: record %d payload length", ErrPayload, i)
+			return 0, 0, recs, fmt.Errorf("%w: record %d payload length", ErrPayload, i)
 		}
 		data = data[w:]
 		var payload []byte
@@ -138,7 +140,7 @@ func decodeAppend(data []byte) (epoch int, base int64, recs []wal.Record, err er
 		recs = append(recs, wal.Record{Type: typ, Txn: txn, Payload: payload})
 	}
 	if len(data) != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrPayload, len(data))
+		return 0, 0, recs, fmt.Errorf("%w: %d trailing bytes", ErrPayload, len(data))
 	}
 	return int(e), int64(b), recs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -317,6 +318,16 @@ func chainRecords(n int) []wal.Record {
 	return recs
 }
 
+// encodeAppend returns a MsgAppend payload in a fresh buffer.
+func encodeAppend(epoch int, base int64, recs []wal.Record) []byte {
+	return encodeAppendTo(nil, epoch, base, recs)
+}
+
+// decodeAppend splits a MsgAppend payload into a fresh record slice.
+func decodeAppend(data []byte) (epoch int, base int64, recs []wal.Record, err error) {
+	return decodeAppendInto(nil, data)
+}
+
 // busPair wires a backup server (member 1 of group 0) and a raw driver
 // endpoint on one bus.
 func busPair(t *testing.T) (*backup, transport.Transport, func()) {
@@ -538,6 +549,11 @@ func TestPayloadCodecs(t *testing.T) {
 		if r.Type != recs[i].Type || r.Txn != recs[i].Txn || !bytes.Equal(r.Payload, recs[i].Payload) {
 			t.Fatalf("record %d differs: %+v vs %+v", i, r, recs[i])
 		}
+	}
+	// Decoding into a reused batch appends to it, as a backup does.
+	_, _, again, err := decodeAppendInto(got[:0], encodeAppend(3, 17, recs))
+	if err != nil || !reflect.DeepEqual(again, got) || &again[0] != &got[0] {
+		t.Fatalf("decode into a reused batch: %+v, %v; want %+v in place", again, err, got)
 	}
 	if _, _, _, err := decodeAppend(append(encodeAppend(3, 17, recs), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")

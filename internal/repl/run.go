@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,7 +49,8 @@ func removeGroupLogs(dir string) error {
 // buildHarness wires k replica groups (each N=R+1 member endpoints), the
 // driver, and one detector endpoint per group over the configured
 // transport, chaos-wrapped per scenario.
-func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Injector, res *Result) (*harness, error) {
+// Every member of group g starts with room for history[g] records.
+func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Injector, res *Result, history []int) (*harness, error) {
 	k := sol.K
 	bus, eps, err := transport.NewChaosEndpoints(cfg.Transport, k*(cfg.Replicas+1)+1+k, transport.FaultPolicy{
 		Seed:       cfg.Seed,
@@ -91,12 +93,14 @@ func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Inj
 			dead:     map[int]bool{},
 			diverged: map[int]bool{},
 		}
+		grp.pr.records = make([]wal.Record, 0, history[g])
 		for m := 1; m <= cfg.Replicas; m++ {
 			b, err := newBackup(g, m, cfg.Replicas, d.Schema(), cfg.WALDir, h.eps[memberID(g, m, cfg.Replicas)])
 			if err != nil {
 				transport.CloseAll(h.eps)
 				return nil, err
 			}
+			b.records = make([]wal.Record, 0, history[g])
 			grp.members[m] = b
 			grp.pr.acked[m] = 0
 		}
@@ -130,6 +134,38 @@ func (h *harness) armMidBatch(g int) bool {
 	}
 	grp.members[live[0]].crashArm.Store(armMidCatchup)
 	return true
+}
+
+// historySizes returns, per group, how many records a fault-free replay
+// of the placed trace appends to the group's chain: a local write
+// transaction's BEGIN, writes and COMMIT on its group; a distributed
+// one's BEGIN, writes, PREPARE and COMMIT on every other written group
+// and its BEGIN, writes and COMMIT on the coordinator. Sizing each
+// member's history from it once keeps accept from copying the history
+// as it grows; retries, aborts and snapshot installs may still outgrow
+// it.
+func historySizes(tr *trace.Trace, placed *eval.TracePlacement, k int) []int {
+	sizes, counts := make([]int, k), make([]int, k)
+	for i, txn := range tr.All() {
+		place := placed.Txn(i)
+		_, coord, distributed := cluster.Participants(txn, place, k, i)
+		cluster.WriteCounts(counts, txn, place, coord)
+		if slices.Max(counts) == 0 {
+			continue // read-only: no round
+		}
+		for p, n := range counts {
+			switch {
+			case distributed && p == coord:
+				sizes[p] += n + 2
+			case n == 0:
+			case distributed:
+				sizes[p] += n + 3
+			default:
+				sizes[p] += n + 2
+			}
+		}
+	}
+	return sizes
 }
 
 // trackLag folds a group's live-backup lags into MaxLag.
@@ -418,7 +454,8 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		Transport:  cfg.Transport,
 		Offered:    tr.Len(),
 	}
-	h, err := buildHarness(d, sol, cfg, inj, res)
+	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
+	h, err := buildHarness(d, sol, cfg, inj, res, historySizes(tr, placed, k))
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +510,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	crashes := cluster.NewCrashScript(cfg.Scenario.CrashPoints, h.crashRules())
 	windowDown := make([]bool, k)
 	var nextTxn uint64
-	t, err := cluster.Replay(tr, a.PlaceTrace(tr, runtime.GOMAXPROCS(0)), cluster.ReplayConfig{
+	t, err := cluster.Replay(tr, placed, cluster.ReplayConfig{
 		Seed: cfg.Seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
 		Recorder: rec,
 	}, func(at *cluster.Attempt) (bool, error) {
@@ -661,14 +698,17 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	return res, nil
 }
 
-// journalErr locates an expected-state replay failure: the index of the
-// failing write in the journal, which orders failures by commit order.
+// journalErr locates an expected-state replay failure: the journaled
+// transaction and the failing write's position in it, which order
+// failures by commit order.
 type journalErr struct {
-	write int
-	err   error
+	txn, write int
+	err        error
 }
 
-func (a journalErr) before(b journalErr) bool { return a.write < b.write }
+func (a journalErr) before(b journalErr) bool {
+	return a.txn < b.txn || a.txn == b.txn && a.write < b.write
+}
 
 // replayExpected re-executes the surviving journal writes of group g on
 // a fresh store, decoding each body where it applies.
@@ -678,9 +718,9 @@ func (h *harness) replayExpected(sc *schema.Schema, g int) (*db.DB, journalErr) 
 		if e.lost {
 			continue
 		}
-		lo, hi := h.writes.Writes(i)
-		for n := lo; n < hi; n++ {
-			p, body := h.writes.Write(n)
+		n := 0
+		for p, body := range h.writes.Txn(i) {
+			n++
 			if p != g {
 				continue
 			}
@@ -689,7 +729,7 @@ func (h *harness) replayExpected(sc *schema.Schema, g int) (*db.DB, journalErr) 
 				err = d.Apply(op)
 			}
 			if err != nil {
-				return nil, journalErr{write: n, err: err}
+				return nil, journalErr{txn: i, write: n, err: err}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"time"
 )
@@ -103,7 +104,10 @@ func (e *chaosEndpoint) Send(ctx context.Context, m Msg) error {
 	if e.p.Spikes(m) {
 		cChaosDelayed.Inc()
 		if e.p.SpikeDelay > 0 {
+			// The frame outlives this call: it takes its own payload copy,
+			// as Send's contract requires.
 			inner := e.inner
+			m.Payload = bytes.Clone(m.Payload)
 			time.AfterFunc(e.p.SpikeDelay, func() {
 				// Delivery outlives the caller's deadline by design; a
 				// delayed frame is not the sender's problem anymore.

@@ -62,6 +62,9 @@ type Transport interface {
 	ID() int
 	// Send frames and ships one message. The context bounds local work
 	// (dial, write); delivery is never acknowledged at this layer.
+	// m.Payload is not retained once Send returns: every implementation
+	// frames or copies it first, so a caller may reuse the payload
+	// buffer for its next message.
 	Send(ctx context.Context, m Msg) error
 	// Recv returns the next inbound message. On deadline it returns the
 	// context's error; on a closed endpoint, ErrClosed.

@@ -388,3 +388,51 @@ func TestNewChaosEndpoints(t *testing.T) {
 		t.Error("unknown wire must be rejected")
 	}
 }
+
+// TestSendDoesNotRetainPayload pins Send's contract that m.Payload is not
+// retained once Send returns: on the bus and over loopback TCP, plain and
+// with every frame latency-spiked (delivered from a timer after Send
+// returned), the sender overwrites its payload buffer right after Send,
+// and the delivered message must still carry the original bytes.
+func TestSendDoesNotRetainPayload(t *testing.T) {
+	plain := FaultPolicy{}
+	spiked := FaultPolicy{Seed: 1, SpikeProb: 1, SpikeDelay: 5 * time.Millisecond}
+	for _, tc := range []struct {
+		name, wire string
+		pol        FaultPolicy
+	}{
+		{"bus", "bus", plain},
+		{"bus-spiked", "bus", spiked},
+		{"tcp", "tcp", plain},
+		{"tcp-spiked", "tcp", spiked},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, eps, err := NewChaosEndpoints(tc.wire, 2, tc.pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer CloseAll(eps)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			buf := make([]byte, 0, 64)
+			for i := 0; i < 8; i++ {
+				buf = append(buf[:0], "ship batch "...)
+				buf = append(buf, byte('0'+i))
+				want := bytes.Clone(buf)
+				if err := eps[0].Send(ctx, Msg{Type: 3, From: 0, To: 1, Txn: uint64(i), Payload: buf}); err != nil {
+					t.Fatal(err)
+				}
+				for j := range buf {
+					buf[j] = 0xFF
+				}
+				got, err := eps[1].Recv(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Payload, want) {
+					t.Fatalf("message %d delivered %q, sent %q", i, got.Payload, want)
+				}
+			}
+		})
+	}
+}

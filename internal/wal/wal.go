@@ -129,6 +129,9 @@ func endFrame(dst []byte, start int) []byte {
 // panics, whatever the input.
 func Parse(data []byte) ([]Record, int64, error) {
 	var recs []Record
+	if n := countFrames(data); n > 0 {
+		recs = make([]Record, 0, n)
+	}
 	off := int64(0)
 	for int(off) < len(data) {
 		rest := data[off:]
@@ -160,6 +163,22 @@ func Parse(data []byte) ([]Record, int64, error) {
 		off += frameHeader + int64(n)
 	}
 	return recs, off, nil
+}
+
+// countFrames counts the frames that data's length fields delimit, up to
+// the first that is empty or overruns data: at least as many as the
+// records Parse decodes, so Parse sizes its record slice once.
+func countFrames(data []byte) int {
+	n := 0
+	for len(data) >= frameHeader {
+		size := binary.LittleEndian.Uint32(data)
+		if size == 0 || uint64(size) > uint64(len(data)-frameHeader) {
+			break
+		}
+		data = data[frameHeader+int(size):]
+		n++
+	}
+	return n
 }
 
 // ParseFile reads and parses a log file. A missing file is an empty log.
