@@ -47,7 +47,7 @@ func (t *Table) Digest() uint64 {
 	for _, k := range t.versionKeysLocked() {
 		buf = append(buf[:0], 'V')
 		buf = appendString(buf, string(k))
-		buf = appendUvarint(buf, t.versions[k])
+		buf = appendUvarint(buf, t.versions[k].n)
 		h.Write(buf)
 	}
 	return h.Sum64()
@@ -124,7 +124,7 @@ func (d *DB) AppendSnapshot(dst []byte) []byte {
 		out = appendUvarint(out, uint64(len(vkeys)))
 		for _, k := range vkeys {
 			out = appendString(out, string(k))
-			out = appendUvarint(out, t.versions[k])
+			out = appendUvarint(out, t.versions[k].n)
 		}
 
 		gkeys := sortedKeys(t.graveyard)
@@ -265,10 +265,10 @@ func (t *Table) setVersion(k value.Key, v uint64) {
 		return
 	}
 	if t.versions == nil {
-		t.versions = make(map[value.Key]uint64)
+		t.versions = make(map[value.Key]version)
 	}
 	if _, ok := t.versions[k]; !ok && t.vsynced {
 		t.vadded = append(t.vadded, k)
 	}
-	t.versions[k] = v
+	t.versions[k] = version{key: k, n: v}
 }

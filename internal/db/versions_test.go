@@ -17,7 +17,7 @@ func freshCopy(t *testing.T, d *DB) *DB {
 		dst := out.tables[name]
 		tab.mu.RLock()
 		for k, v := range tab.versions {
-			dst.setVersion(k, v)
+			dst.setVersion(k, v.n)
 		}
 		for _, row := range tab.rows {
 			if row != nil {

@@ -54,26 +54,31 @@ func (b *Bus) Endpoint(id int) (Transport, error) {
 	ep := &busEndpoint{
 		bus:  b,
 		id:   id,
-		ch:   make(chan Msg, busInboxCap),
+		ch:   make(chan []byte, busInboxCap),
 		done: make(chan struct{}),
 	}
 	b.eps[id] = ep
 	return ep, nil
 }
 
+// busEndpoint's inbox holds frames, not decoded messages: a frame slice
+// is a third the size of a Msg, and the inbox is allocated at its full
+// capacity up front.
 type busEndpoint struct {
 	bus  *Bus
 	id   int
-	ch   chan Msg
+	ch   chan []byte
 	done chan struct{}
 	once sync.Once
 }
 
 func (e *busEndpoint) ID() int { return e.id }
 
-// Send frames m, then delivers the decoded copy to the destination
-// inbox. Drops (down node, closed or missing destination, full inbox)
-// are silent by design — only a local encode failure errors.
+// Send frames m and delivers the frame to the destination inbox, where
+// Recv decodes it: bus traffic round-trips the same wire format the TCP
+// transport ships, and the delivered payload is the frame's copy, not
+// the caller's buffer. Drops (down node, closed or missing destination,
+// full inbox) are silent by design — only a local encode failure errors.
 func (e *busEndpoint) Send(ctx context.Context, m Msg) error {
 	select {
 	case <-e.done:
@@ -88,26 +93,19 @@ func (e *busEndpoint) Send(ctx context.Context, m Msg) error {
 	}
 	cMsgsSent.Inc()
 	cBytesSent.Add(int64(len(frame)))
-	// Round-trip the codec so bus traffic exercises the same wire format
-	// the TCP transport ships (and payloads stop aliasing the caller's
-	// buffer).
-	dm, _, err := DecodeFrame(frame)
-	if err != nil {
-		return err
-	}
 	b := e.bus
 	b.mu.Lock()
 	health := b.health
-	dst := b.eps[dm.To]
+	dst := b.eps[m.To]
 	b.mu.Unlock()
-	if health.Down(dm.From) || health.Down(dm.To) || dst == nil {
+	if health.Down(m.From) || health.Down(m.To) || dst == nil {
 		cMsgsDropped.Inc()
 		return nil
 	}
 	select {
 	case <-dst.done:
 		cMsgsDropped.Inc()
-	case dst.ch <- dm:
+	case dst.ch <- frame:
 		cMsgsDelivered.Inc()
 	default:
 		cMsgsDropped.Inc() // inbox full: congestion loss
@@ -124,19 +122,26 @@ func (e *busEndpoint) Recv(ctx context.Context) (Msg, error) {
 	default:
 	}
 	select {
-	case m := <-e.ch:
-		return m, nil
+	case f := <-e.ch:
+		return decodeDelivered(f)
 	default:
 	}
 	select {
-	case m := <-e.ch:
-		return m, nil
+	case f := <-e.ch:
+		return decodeDelivered(f)
 	case <-ctx.Done():
 		cRecvTimeouts.Inc()
 		return Msg{}, ctx.Err()
 	case <-e.done:
 		return Msg{}, ErrClosed
 	}
+}
+
+// decodeDelivered decodes a frame a bus Send built, which always
+// decodes: an error here is a codec bug, reported to the receiver.
+func decodeDelivered(frame []byte) (Msg, error) {
+	m, _, err := DecodeFrame(frame)
+	return m, err
 }
 
 func (e *busEndpoint) Close() error {

@@ -3,6 +3,7 @@ package twopc
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -42,7 +43,9 @@ func tpccWindow(b *testing.B) (*db.DB, *partition.Solution, *trace.Trace) {
 // BenchmarkTwoPCWindow replays a TPC-C commit window through the
 // networked 2PC engine — participant servers over the in-process bus, no
 // faults — including the end-of-run recovery and oracle. Set-up (load,
-// trace, partitioning) is outside the timed loop.
+// trace, partitioning) is outside the timed loop. Beside B/op it reports
+// B/commit, the bytes allocated per committed transaction, which
+// compares across window sizes.
 func BenchmarkTwoPCWindow(b *testing.B) {
 	d, sol, window := tpccWindow(b)
 	sc, err := faults.Builtin("none", sol.K)
@@ -51,6 +54,9 @@ func BenchmarkTwoPCWindow(b *testing.B) {
 	}
 	dir := b.TempDir()
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	commits := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := Run(context.Background(), d, sol, window, Config{Scenario: sc, Seed: 1, WALDir: dir})
@@ -60,7 +66,11 @@ func BenchmarkTwoPCWindow(b *testing.B) {
 		if !res.OracleOK || res.Committed != res.Offered {
 			b.Fatalf("window did not commit cleanly: %s", res)
 		}
+		commits += res.Committed
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(commits), "B/commit")
 }
 
 // newOrderWrites routes the writes of one distributed TPC-C NewOrder:
