@@ -32,7 +32,9 @@ verify:
 # commit, one WAL protocol step, one checkpoint encoding and digest fold,
 # one participant checkpoint cycle (64 commits, then the snapshot), one
 # end-of-run recover-and-check, a small TPC-C commit window through
-# networked 2PC and through quorum replica groups, one 2PC round (a
+# networked 2PC and through quorum replica groups (both windows also
+# report B/commit, the bytes allocated per committed transaction, which
+# compares with jecbbench's 3,000-txn window), one 2PC round (a
 # distributed NewOrder: prepare, vote, decide, ack over the bus), and one
 # replica ship/ack round trip; last, trace generation at the jecbbench
 # sizes.
