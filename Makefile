@@ -28,7 +28,9 @@ verify:
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
 # in isolation, each at 1/2/8 workers, then the evaluator layer
 # (BenchmarkAssignerEvaluate: Assigner.Evaluate at 1/2/8 workers), then
-# the commit path: one store
+# the commit path: placing a 3,000-txn TPC-C and TPC-E window ahead of
+# its reader at 1 and GOMAXPROCS workers (BenchmarkPlaceTrace: time to
+# the first chunk and to fully placed), one store
 # commit, one WAL protocol step, one checkpoint encoding and digest fold,
 # one participant checkpoint cycle (64 commits, then the snapshot), one
 # end-of-run recover-and-check, a small TPC-C commit window through
@@ -42,7 +44,7 @@ bench:
 	$(GO) test -bench='PathEval|Evaluate|GraphPartition|RouterNew|Route$$|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
 	$(GO) test -bench='BenchmarkPartition' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
-	$(GO) test -bench='AssignerEvaluate' -benchmem -run=^$$ ./internal/eval/
+	$(GO) test -bench='AssignerEvaluate|PlaceTrace' -benchmem -run=^$$ ./internal/eval/
 	$(GO) test -bench='CommitOps|LogAppendTxn|EncodeSnapshot|TableDigest|CheckpointCadence' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
 	$(GO) test -bench='GenerateTrace' -benchmem -benchtime=3x -run=^$$ ./internal/workloads/
 	$(GO) test -bench='RecoverAndCheck|TwoPCWindow|ReplQuorumWindow|TwoPCRound|ShipAck' -benchmem -run=^$$ ./internal/cluster/ ./internal/twopc/ ./internal/repl/

@@ -21,7 +21,8 @@
 //	eval.Evaluate(d, sol, tr)       bind the solution and score a row trace
 //	Assigner.Evaluate(tr, workers)  score a row trace on up to workers shards
 //	Assigner.Span(t)                classify one transaction
-//	Assigner.PlaceTxn / PlaceTrace  per-access placements, for routing
+//	Assigner.PlaceTxn               one transaction's per-access placements
+//	Assigner.PlaceTrace(tr, w)      a window's, filled ahead of its reader
 //	Assigner.Index(c).Evaluate()    score a columnar trace via its key index
 //	Assigner.EvaluateColumnar(c)    the same, index build included
 //	Assigner.EvaluateStream(s)      score an on-disk columnar trace by chunk

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"context"
+	"runtime"
+
 	"repro/internal/eval"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -20,6 +23,15 @@ func ArrivalRate(rate float64, traceLen int) float64 {
 	}
 	return 1
 }
+
+// PlaceWorkers is the worker count an engine that runs a protocol
+// beside its window's placement gives eval.Assigner.PlaceTrace: every P
+// but one, and at least one, so that the driver and its servers keep a P
+// while the rest of the window is placed ahead of them. On 2 vCPUs,
+// placing on every P instead left the protocol too little CPU to gain
+// on TPC-E (see DESIGN.md, "Commit path: placement ahead of the
+// protocol").
+func PlaceWorkers() int { return max(1, runtime.GOMAXPROCS(0)-1) }
 
 // ReplayConfig shapes one Replay: the offered load, the retry policy,
 // the fault schedule, the routing checks and the observers.
@@ -95,8 +107,9 @@ type Tally struct {
 // partitions, and runs step. An attempt that does not commit aborts and
 // retries after a jittered backoff until the retry budget is spent.
 // Replay records the begin, route, fault, commit, abort, backoff and
-// give-up flight events; step records the rest.
-func Replay(tr *trace.Trace, placed *eval.TracePlacement, cfg ReplayConfig, step Step) (*Tally, error) {
+// give-up flight events; step records the rest. It stops with ctx's
+// error, before the next transaction, once ctx is done.
+func Replay(ctx context.Context, tr *trace.Trace, placed *eval.TracePlacement, cfg ReplayConfig, step Step) (*Tally, error) {
 	inj, rec, k := cfg.Injector, cfg.Recorder, cfg.Injector.K()
 	down := cfg.Down
 	if down == nil {
@@ -115,6 +128,9 @@ func Replay(tr *trace.Trace, placed *eval.TracePlacement, cfg ReplayConfig, step
 	var w Writes  // one routing arena for the whole run
 
 	for i, txn := range tr.All() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		arrival := float64(i) / cfg.ArrivalRateTPS
 		place := placed.Txn(i)
 		nodes, coord, distributed := Participants(txn, place, k, i)

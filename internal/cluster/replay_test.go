@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -35,7 +36,9 @@ func replaySetup(t *testing.T) (*trace.Trace, *eval.TracePlacement, *faults.Inje
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, a.PlaceTrace(tr, runtime.GOMAXPROCS(0)), inj
+	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
+	t.Cleanup(placed.Stop)
+	return tr, placed, inj
 }
 
 func countEvents(rec *obs.Recorder) map[obs.EventKind]int {
@@ -50,7 +53,7 @@ func TestReplayCommitsEveryFirstAttempt(t *testing.T) {
 	tr, placed, inj := replaySetup(t)
 	rec := obs.NewRecorder(goldenRecCap)
 	writes := 0
-	tally, err := cluster.Replay(tr, placed, cluster.ReplayConfig{
+	tally, err := cluster.Replay(context.Background(), tr, placed, cluster.ReplayConfig{
 		ArrivalRateTPS: 100, Retry: faults.RetryPolicy{}.WithDefaults(), Injector: inj,
 		Recorder: rec, Journal: true,
 	}, func(a *cluster.Attempt) (bool, error) {
@@ -93,7 +96,7 @@ func TestReplayGivesUpAfterRetryBudget(t *testing.T) {
 	tr, placed, inj := replaySetup(t)
 	rec := obs.NewRecorder(goldenRecCap)
 	retry := faults.RetryPolicy{MaxAttempts: 3}.WithDefaults()
-	tally, err := cluster.Replay(tr, placed, cluster.ReplayConfig{
+	tally, err := cluster.Replay(context.Background(), tr, placed, cluster.ReplayConfig{
 		ArrivalRateTPS: 100, Retry: retry, Injector: inj, Recorder: rec, Journal: true,
 	}, func(*cluster.Attempt) (bool, error) { return false, nil })
 	if err != nil {
@@ -125,7 +128,7 @@ func TestReplayBlocksDownAndInDoubtPartitions(t *testing.T) {
 	tr, placed, inj := replaySetup(t)
 	rec := obs.NewRecorder(goldenRecCap)
 	blocked := 0
-	tally, err := cluster.Replay(tr, placed, cluster.ReplayConfig{
+	tally, err := cluster.Replay(context.Background(), tr, placed, cluster.ReplayConfig{
 		ArrivalRateTPS: 100, Retry: faults.RetryPolicy{MaxAttempts: 1}.WithDefaults(), Injector: inj,
 		Down:     func(n int, _ float64) bool { return n == 0 },
 		InDoubt:  func(p int) bool { return p == 1 },
@@ -156,7 +159,7 @@ func TestReplayStopsOnStepError(t *testing.T) {
 	tr, placed, inj := replaySetup(t)
 	boom := errors.New("boom")
 	calls := 0
-	_, err := cluster.Replay(tr, placed, cluster.ReplayConfig{
+	_, err := cluster.Replay(context.Background(), tr, placed, cluster.ReplayConfig{
 		ArrivalRateTPS: 100, Retry: faults.RetryPolicy{}.WithDefaults(), Injector: inj,
 	}, func(*cluster.Attempt) (bool, error) {
 		calls++

@@ -91,9 +91,9 @@ func (w *Writes) At(p int) [][]byte {
 	return nil
 }
 
-// WriteCounts sets counts[p], for every partition p below len(counts),
+// writeCounts sets counts[p], for every partition p below len(counts),
 // to the number of write bodies WriteEffects routes to p.
-func WriteCounts(counts []int, t *trace.Txn, place []int32, coord int) {
+func writeCounts(counts []int, t *trace.Txn, place []int32, coord int) {
 	clear(counts)
 	for j, acc := range t.Accesses {
 		if !acc.Write {
@@ -118,7 +118,7 @@ func WriteCounts(counts []int, t *trace.Txn, place []int32, coord int) {
 // (sharing one body), unplaceable keys execute at the coordinator.
 func WriteEffects(w *Writes, t *trace.Txn, place []int32, k, coord int) {
 	next := slices.Grow(w.next[:0], k)[:k]
-	WriteCounts(next, t, place, coord)
+	writeCounts(next, t, place, coord)
 	// Counts become each partition's first slot in bodies.
 	w.Parts, w.ends = w.Parts[:0], w.ends[:0]
 	total := 0

@@ -106,6 +106,7 @@ func checkRoutes(t *testing.T, a *eval.Assigner, tr *trace.Trace, k int, workers
 	var effects cluster.Writes
 	for _, w := range workers {
 		placed := a.PlaceTrace(tr, w)
+		defer placed.Stop()
 		for i, txn := range tr.All() {
 			place := placed.Txn(i)
 			if len(place) != len(txn.Accesses) {
@@ -225,9 +226,11 @@ func routeSentinelCases(t *testing.T) {
 		txns[i] = trace.Txn{ID: i, Class: c.name, Accesses: c.acc}
 	}
 	tr := trace.FromTxns(txns)
+	placed := a.PlaceTrace(tr, 1)
+	defer placed.Stop()
 	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			place := a.PlaceTrace(tr, 1).Txn(i)
+			place := placed.Txn(i)
 			nodes, coord, dist := cluster.Participants(tr.At(i), place, k, 5)
 			if !reflect.DeepEqual(nodes, c.nodes) || coord != c.coord || dist != c.dist {
 				t.Fatalf("Participants = %v, %d, %v; want %v, %d, %v", nodes, coord, dist, c.nodes, c.coord, c.dist)

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/db"
 	"repro/internal/obs"
@@ -181,42 +182,115 @@ func (a *Assigner) PlaceTxn(t *trace.Txn, dst []int32) []int32 {
 	return dst
 }
 
-// TracePlacement is the placement of every access of one trace, computed
-// once by PlaceTrace.
+// TracePlacement is the placement of every access of one trace, filled
+// by PlaceTrace's workers ahead of its reader: Txn(i) waits only until
+// transaction i's chunk is placed.
 type TracePlacement struct {
 	place []int32
 	end   []int // end[i] is one past transaction i's last placement
+
+	// done[c] is set once chunk c (transactions [c·placeChunkTxns,
+	// (c+1)·placeChunkTxns)) is placed; a reader that finds it unset
+	// sleeps on cond until a worker sets it. waiting counts the sleeping
+	// readers.
+	done    []atomic.Bool
+	mu      sync.Mutex
+	cond    sync.Cond
+	waiting int
+	// next is the next chunk to claim; stop makes the workers quit
+	// before their next claim, and wg joins them.
+	next atomic.Int64
+	stop atomic.Bool
+	wg   sync.WaitGroup
 }
 
-// Txn returns transaction i's placements, as PlaceTxn appends them.
+// placeChunkTxns is the unit of work of PlaceTrace's workers, and the
+// most a reader of a fresh TracePlacement waits for: one chunk of
+// TPC-C takes about 0.1 ms to place.
+const placeChunkTxns = 32
+
+// Txn returns transaction i's placements, as PlaceTxn appends them,
+// waiting until they are placed. It must not be called after Stop.
 func (p *TracePlacement) Txn(i int) []int32 {
-	lo := 0
+	if c := i / placeChunkTxns; !p.done[c].Load() {
+		p.mu.Lock()
+		p.waiting++
+		for !p.done[c].Load() {
+			p.cond.Wait()
+		}
+		p.waiting--
+		p.mu.Unlock()
+	}
+	lo, hi := p.bounds(i)
+	return p.place[lo:hi:hi]
+}
+
+// bounds returns the range of transaction i's placements in p.place.
+func (p *TracePlacement) bounds(i int) (lo, hi int) {
 	if i > 0 {
 		lo = p.end[i-1]
 	}
-	return p.place[lo:p.end[i]:p.end[i]]
+	return lo, p.end[i]
 }
 
-// PlaceTrace places every access of tr with PlaceTxn into one array,
-// sharded like Evaluate: contiguous transaction ranges of at least
-// minShardTxns on at most workers goroutines, each filling its own part
-// of the array, so the placements are identical for any worker count.
-// Safe for concurrent use.
+// Stop makes the workers quit once their current chunk is placed and
+// waits for them to exit. Call it when done reading, also on an early
+// return: until then the workers keep placing. It is idempotent.
+func (p *TracePlacement) Stop() {
+	p.stop.Store(true)
+	p.wg.Wait()
+}
+
+// PlaceTrace places every access of tr with PlaceTxn into one array and
+// returns at once: up to workers goroutines (at least one) claim chunks
+// of placeChunkTxns transactions in trace order and fill each chunk's
+// part of the array, so a reader going through the trace in order
+// overlaps with the placement, and the placements are identical for any
+// worker count. The caller must Stop the returned placement. Safe for
+// concurrent use.
 func (a *Assigner) PlaceTrace(tr *trace.Trace, workers int) *TracePlacement {
 	n := tr.Len()
-	p := &TracePlacement{end: make([]int, n)}
+	chunks := (n + placeChunkTxns - 1) / placeChunkTxns
+	p := &TracePlacement{end: make([]int, n), done: make([]atomic.Bool, chunks)}
+	p.cond.L = &p.mu
 	total := 0
 	for i := 0; i < n; i++ {
 		total += len(tr.At(i).Accesses)
 		p.end[i] = total
 	}
 	p.place = make([]int32, total)
-	forShards(shardCount(workers, n), n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a.PlaceTxn(tr.At(i), p.Txn(i)[:0])
-		}
-	})
+	for w := min(max(1, workers), chunks); w > 0; w-- {
+		p.wg.Add(1)
+		go p.fill(a, tr)
+	}
 	return p
+}
+
+// fill is one PlaceTrace worker: it places claimed chunks until none is
+// left or Stop is called.
+func (p *TracePlacement) fill(a *Assigner, tr *trace.Trace) {
+	defer p.wg.Done()
+	n := tr.Len()
+	for !p.stop.Load() {
+		c := int(p.next.Add(1)) - 1
+		if c >= len(p.done) {
+			return
+		}
+		for i := c * placeChunkTxns; i < min(n, (c+1)*placeChunkTxns); i++ {
+			lo, hi := p.bounds(i)
+			a.PlaceTxn(tr.At(i), p.place[lo:lo:hi])
+		}
+		p.mu.Lock()
+		p.done[c].Store(true)
+		p.cond.Broadcast()
+		woke := p.waiting > 0
+		p.mu.Unlock()
+		if woke {
+			// With a worker on every P, a woken reader would otherwise
+			// wait for a preemption to run.
+			runtime.Gosched()
+		}
+	}
 }
 
 // Span classifies a transaction under the bound solution (Definition

@@ -200,3 +200,36 @@ func waitGoroutines(t *testing.T, before int) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestPlaceTraceStop checks that Stop joins PlaceTrace's workers: once
+// it returns, no further chunk is placed and no worker is left, even
+// though the trace was far from fully placed.
+func TestPlaceTraceStop(t *testing.T) {
+	d := fixture.CustInfoDB()
+	tr := fixture.MixedTrace(d, 20000, 3)
+	a, err := NewAssigner(d, joinExtensionSolution(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	p := a.PlaceTrace(tr, 2)
+	p.Txn(0)
+	p.Stop()
+	p.Stop() // idempotent
+	placed := func() int {
+		n := 0
+		for c := range p.done {
+			if p.done[c].Load() {
+				n++
+			}
+		}
+		return n
+	}
+	n := placed()
+	time.Sleep(20 * time.Millisecond)
+	if again := placed(); again != n {
+		t.Fatalf("%d chunks placed after Stop returned, %d when it did", again, n)
+	}
+	t.Logf("%d of %d chunks placed before Stop", n, len(p.done))
+	waitGoroutines(t, before)
+}

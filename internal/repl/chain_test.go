@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -276,5 +277,48 @@ func TestBadShipBatchNoAck(t *testing.T) {
 				t.Fatalf("log holds %d bytes, want the %d bytes of both batches", len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestReadMemberLogs pins how the oracle reads member logs: identical
+// logs share their group's first copy, a log that differs from it only
+// in its last byte stays distinct, and a missing file is an empty log,
+// equal to an empty file. The logs span several compareChunk reads.
+func TestReadMemberLogs(t *testing.T) {
+	dir := t.TempDir()
+	h := &harness{k: 2, cfg: Config{Replicas: 2, WALDir: dir}}
+	data := make([]byte, 3*compareChunk+100)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	last := append([]byte(nil), data...)
+	last[len(last)-1]++
+	for _, f := range []struct {
+		g, m  int
+		bytes []byte // nil: no file
+	}{
+		{0, 0, data}, {0, 1, data}, {0, 2, last},
+		{1, 1, []byte{}}, {1, 2, data},
+	} {
+		if err := os.WriteFile(MemberLogPath(dir, f.g, f.m), f.bytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	members, same, logs := h.readMemberLogs()
+	for i, m := range members {
+		if m.err != nil {
+			t.Fatalf("member %d: %v", i, m.err)
+		}
+	}
+	if want := []int{0, 0, 2, 3, 3, 5}; !reflect.DeepEqual(same, want) {
+		t.Fatalf("same = %v, want %v", same, want)
+	}
+	for i, want := range [][]byte{data, nil, last, nil, nil, data} {
+		if !bytes.Equal(logs[i], want) {
+			t.Errorf("logs[%d] holds %d bytes, want %d", i, len(logs[i]), len(want))
+		}
+		if same[i] != i && logs[i] != nil {
+			t.Errorf("logs[%d] keeps a copy of member %d's log", i, same[i])
+		}
 	}
 }

@@ -359,15 +359,14 @@ func (h *harness) shipTo(ctx context.Context, g, mem int, target int64, maxAttem
 			return true
 		}
 		base := grp.pr.acked[mem]
-		recs, ok := grp.pr.since(base)
-		if !ok {
+		if !grp.pr.holds(base) {
 			// History truncated behind the member (snapshot-installed
 			// chain): only a snapshot install can catch it up.
 			return h.snapshotTo(ctx, g, mem, traceID, vt)
 		}
-		h.ship = encodeAppendTo(h.ship[:0], grp.pr.epoch, base, recs)
+		h.ship = grp.pr.shipPayload(h.ship[:0], base)
 		h.send(ctx, b.id, MsgAppend, traceID, h.ship)
-		h.rec.Record(traceID, obs.EvShip, b.id, attempt, vt, int64(len(recs))<<16|base&0xffff)
+		h.rec.Record(traceID, obs.EvShip, b.id, attempt, vt, (grp.pr.seq-base)<<16|base&0xffff)
 		actx, cancel := h.attemptCtx(ctx, attempt)
 		for grp.pr.acked[mem] < target {
 			m, got := h.recv(actx)
@@ -589,8 +588,7 @@ func (h *harness) rejoinMember(ctx context.Context, g, mem int, vt float64) erro
 	}()
 
 	wasAcked := grp.pr.acked[mem]
-	_, tailOK := grp.pr.since(wasAcked)
-	if grp.diverged[mem] || !tailOK || grp.pr.seq-wasAcked > h.cfg.SnapshotLag {
+	if grp.diverged[mem] || !grp.pr.holds(wasAcked) || grp.pr.seq-wasAcked > h.cfg.SnapshotLag {
 		if grp.diverged[mem] {
 			h.res.RollbackMembers++
 			delete(grp.diverged, mem)

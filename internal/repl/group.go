@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/db"
 	"repro/internal/obs"
@@ -57,13 +58,13 @@ type chain struct {
 	app *wal.Applier
 
 	// seq is the logged watermark: chain records ever logged and checked.
-	// base is the sequence of records[0] (nonzero after a snapshot install
-	// truncated history), so seq == base+len(records).
-	seq     int64
-	base    int64
-	records []wal.Record
-	// unapplied counts the records at the tail of records that app has
-	// not applied yet.
+	// base is the sequence of hist's first record (nonzero after a
+	// snapshot install truncated history), so seq == base+hist.n.
+	seq  int64
+	base int64
+	hist history
+	// unapplied counts the records at the tail of hist that app has not
+	// applied yet.
 	unapplied int
 	// arena holds the payloads of records this member wrote itself (a
 	// primary's appends): history outlives the caller's buffers.
@@ -72,6 +73,31 @@ type chain struct {
 
 // arenaChunk is the size of a chain's payload arena chunks.
 const arenaChunk = 64 << 10
+
+// historyBlock is the number of records in one block of a chain's
+// history: 4 KiB of them, one allocation size class.
+const historyBlock = int(4096 / unsafe.Sizeof(wal.Record{}))
+
+// history is a chain's records since its base, in blocks of
+// historyBlock records. A block is never copied or moved once
+// allocated, as in cluster.Journal's arena, so the history grows by one
+// allocation per block and needs no size up front.
+type history struct {
+	blocks [][]wal.Record
+	n      int
+}
+
+func (h *history) add(rec wal.Record) {
+	if h.n == len(h.blocks)*historyBlock {
+		h.blocks = append(h.blocks, make([]wal.Record, historyBlock))
+	}
+	h.blocks[h.n/historyBlock][h.n%historyBlock] = rec
+	h.n++
+}
+
+func (h *history) at(i int) *wal.Record {
+	return &h.blocks[i/historyBlock][i%historyBlock]
+}
 
 // keep copies a payload into the chain's arena and returns the copy, nil
 // when empty. A full chunk is left to the records that slice it.
@@ -119,11 +145,11 @@ func (c *chain) accept(recs []wal.Record) error {
 			if err := c.app.Apply(rec); err != nil {
 				return err
 			}
-			c.records = append(c.records, rec)
+			c.hist.add(rec)
 			c.seq++
 			continue
 		}
-		c.records = append(c.records, rec)
+		c.hist.add(rec)
 		c.seq++
 		c.unapplied++
 	}
@@ -134,7 +160,7 @@ func (c *chain) accept(recs []wal.Record) error {
 // state RecoverFile would rebuild from the logged chain.
 func (c *chain) store() (*db.DB, error) {
 	for ; c.unapplied > 0; c.unapplied-- {
-		if err := c.app.Apply(c.records[len(c.records)-c.unapplied]); err != nil {
+		if err := c.app.Apply(*c.hist.at(c.hist.n - c.unapplied)); err != nil {
 			return nil, err
 		}
 	}
@@ -142,7 +168,7 @@ func (c *chain) store() (*db.DB, error) {
 }
 
 // install restarts the chain at base from a snapshot, logged as a
-// CHECKPOINT record. The checkpoint lives in the log only: records[i]
+// CHECKPOINT record. The checkpoint lives in the log only: hist.at(i)
 // is chain sequence base+i, and the snapshot summarizes everything
 // before base, so the unapplied backlog is dropped with the history.
 func (c *chain) install(base int64, snap []byte) error {
@@ -154,7 +180,7 @@ func (c *chain) install(base int64, snap []byte) error {
 		return err
 	}
 	c.base, c.seq = base, base
-	c.records, c.unapplied = nil, 0
+	c.hist, c.unapplied = history{}, 0
 	return nil
 }
 
@@ -212,13 +238,19 @@ func (p *primary) appendTorn(typ wal.RecType, txn uint64, payload []byte, keep i
 	return p.log.AppendTorn(typ, txn, payload, keep)
 }
 
-// since returns the chain records in [from, p.seq), or ok=false when the
-// history no longer reaches back that far (a snapshot install is needed).
-func (p *primary) since(from int64) ([]wal.Record, bool) {
-	if from < p.base {
-		return nil, false
+// holds reports whether the history still reaches back to chain
+// sequence from; when it does not, a member that far behind needs a
+// snapshot install.
+func (p *primary) holds(from int64) bool { return from >= p.base }
+
+// shipPayload appends to dst the MsgAppend payload that ships the chain
+// records in [from, p.seq), which p must hold.
+func (p *primary) shipPayload(dst []byte, from int64) []byte {
+	dst = appendAppendHead(dst, p.epoch, from, int(p.seq-from))
+	for i := int(from - p.base); i < p.hist.n; i++ {
+		dst = appendRecord(dst, p.hist.at(i))
 	}
-	return p.records[from-p.base:], true
+	return dst
 }
 
 // lag returns backup member m's records behind the chain head.

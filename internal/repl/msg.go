@@ -75,21 +75,25 @@ func exemptType(m transport.Msg) bool {
 	return m.Type != MsgAppend
 }
 
-// encodeAppendTo appends a MsgAppend payload to dst: epoch, the chain
-// sequence of the first record, then length-prefixed records. The ship
-// path encodes into one buffer it reuses across ships, which rests on
-// transport.Transport's contract that Send does not retain a payload.
-func encodeAppendTo(dst []byte, epoch int, base int64, recs []wal.Record) []byte {
+// appendAppendHead appends the head of a MsgAppend payload: the epoch,
+// the chain sequence of the first record and the record count;
+// appendRecord appends each record after it. The ship path
+// (primary.shipPayload) encodes into one buffer it reuses across ships,
+// which rests on transport.Transport's contract that Send does not
+// retain a payload.
+func appendAppendHead(dst []byte, epoch int, base int64, n int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(epoch))
 	dst = binary.AppendUvarint(dst, uint64(base))
-	dst = binary.AppendUvarint(dst, uint64(len(recs)))
-	for _, r := range recs {
-		dst = append(dst, byte(r.Type))
-		dst = binary.AppendUvarint(dst, r.Txn)
-		dst = binary.AppendUvarint(dst, uint64(len(r.Payload)))
-		dst = append(dst, r.Payload...)
-	}
-	return dst
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// appendRecord appends one length-prefixed record of a MsgAppend
+// payload.
+func appendRecord(dst []byte, r *wal.Record) []byte {
+	dst = append(dst, byte(r.Type))
+	dst = binary.AppendUvarint(dst, r.Txn)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Payload)))
+	return append(dst, r.Payload...)
 }
 
 // decodeAppendInto splits a MsgAppend payload, appending its records to

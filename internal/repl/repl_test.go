@@ -318,6 +318,16 @@ func chainRecords(n int) []wal.Record {
 	return recs
 }
 
+// encodeAppendTo appends the MsgAppend payload that ships recs from
+// chain sequence base to dst.
+func encodeAppendTo(dst []byte, epoch int, base int64, recs []wal.Record) []byte {
+	dst = appendAppendHead(dst, epoch, base, len(recs))
+	for i := range recs {
+		dst = appendRecord(dst, &recs[i])
+	}
+	return dst
+}
+
 // encodeAppend returns a MsgAppend payload in a fresh buffer.
 func encodeAppend(epoch int, base int64, recs []wal.Record) []byte {
 	return encodeAppendTo(nil, epoch, base, recs)

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,8 +48,7 @@ func removeGroupLogs(dir string) error {
 // buildHarness wires k replica groups (each N=R+1 member endpoints), the
 // driver, and one detector endpoint per group over the configured
 // transport, chaos-wrapped per scenario.
-// Every member of group g starts with room for history[g] records.
-func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Injector, res *Result, history []int) (*harness, error) {
+func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Injector, res *Result) (*harness, error) {
 	k := sol.K
 	bus, eps, err := transport.NewChaosEndpoints(cfg.Transport, k*(cfg.Replicas+1)+1+k, transport.FaultPolicy{
 		Seed:       cfg.Seed,
@@ -93,14 +91,12 @@ func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Inj
 			dead:     map[int]bool{},
 			diverged: map[int]bool{},
 		}
-		grp.pr.records = make([]wal.Record, 0, history[g])
 		for m := 1; m <= cfg.Replicas; m++ {
 			b, err := newBackup(g, m, cfg.Replicas, d.Schema(), cfg.WALDir, h.eps[memberID(g, m, cfg.Replicas)])
 			if err != nil {
 				transport.CloseAll(h.eps)
 				return nil, err
 			}
-			b.records = make([]wal.Record, 0, history[g])
 			grp.members[m] = b
 			grp.pr.acked[m] = 0
 		}
@@ -134,38 +130,6 @@ func (h *harness) armMidBatch(g int) bool {
 	}
 	grp.members[live[0]].crashArm.Store(armMidCatchup)
 	return true
-}
-
-// historySizes returns, per group, how many records a fault-free replay
-// of the placed trace appends to the group's chain: a local write
-// transaction's BEGIN, writes and COMMIT on its group; a distributed
-// one's BEGIN, writes, PREPARE and COMMIT on every other written group
-// and its BEGIN, writes and COMMIT on the coordinator. Sizing each
-// member's history from it once keeps accept from copying the history
-// as it grows; retries, aborts and snapshot installs may still outgrow
-// it.
-func historySizes(tr *trace.Trace, placed *eval.TracePlacement, k int) []int {
-	sizes, counts := make([]int, k), make([]int, k)
-	for i, txn := range tr.All() {
-		place := placed.Txn(i)
-		_, coord, distributed := cluster.Participants(txn, place, k, i)
-		cluster.WriteCounts(counts, txn, place, coord)
-		if slices.Max(counts) == 0 {
-			continue // read-only: no round
-		}
-		for p, n := range counts {
-			switch {
-			case distributed && p == coord:
-				sizes[p] += n + 2
-			case n == 0:
-			case distributed:
-				sizes[p] += n + 3
-			default:
-				sizes[p] += n + 2
-			}
-		}
-	}
-	return sizes
 }
 
 // trackLag folds a group's live-backup lags into MaxLag.
@@ -454,15 +418,20 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		Transport:  cfg.Transport,
 		Offered:    tr.Len(),
 	}
-	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
-	h, err := buildHarness(d, sol, cfg, inj, res, historySizes(tr, placed, k))
+	// The window is placed ahead of the replay, from here on, while the
+	// groups start.
+	placed := a.PlaceTrace(tr, cluster.PlaceWorkers())
+	defer placed.Stop()
+	h, err := buildHarness(d, sol, cfg, inj, res)
 	if err != nil {
 		return nil, err
 	}
 	defer transport.CloseAll(h.eps)
 
 	// Server goroutines: every backup serves, every group gets a leased
-	// detector, and one ticker heartbeats each live group's lease.
+	// detector, and one ticker heartbeats each live group's lease. Every
+	// return stops and joins them.
+	defer h.wg.Wait()
 	srvCtx, stopServers := context.WithCancel(context.Background())
 	defer stopServers()
 	h.srvCtx = srvCtx
@@ -510,7 +479,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	crashes := cluster.NewCrashScript(cfg.Scenario.CrashPoints, h.crashRules())
 	windowDown := make([]bool, k)
 	var nextTxn uint64
-	t, err := cluster.Replay(tr, placed, cluster.ReplayConfig{
+	t, err := cluster.Replay(ctx, tr, placed, cluster.ReplayConfig{
 		Seed: cfg.Seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
 		Recorder: rec,
 	}, func(at *cluster.Attempt) (bool, error) {
@@ -746,33 +715,76 @@ type memberRecovery struct {
 	err       error
 }
 
-// readMemberLogs reads every member log, indexed group·(R+1)+member (a
-// missing file is an empty log, as for wal.RecoverFile). same[i] is the
-// lowest member of i's group whose log bytes equal i's; logs keeps only
-// those first copies, and a read error lands in its member's entry.
+// readMemberLogs reads the distinct member logs, indexed
+// group·(R+1)+member (a missing file is an empty log, as for
+// wal.RecoverFile). same[i] is the lowest member of i's group whose log
+// bytes equal i's; logs keeps only those first copies, and a read error
+// lands in its member's entry. A log as long as an earlier first copy is
+// compared with it in compareChunk reads, so the members of a group that
+// agree cost one whole read.
 func (h *harness) readMemberLogs() (members []memberRecovery, same []int, logs [][]byte) {
 	n := h.cfg.Replicas + 1
 	members = make([]memberRecovery, h.k*n)
 	same = make([]int, h.k*n)
 	logs = make([][]byte, h.k*n)
+	buf := make([]byte, compareChunk)
 	for i := range members {
 		same[i] = i
-		data, err := os.ReadFile(MemberLogPath(h.cfg.WALDir, i/n, i%n))
-		if err != nil && !os.IsNotExist(err) {
-			members[i].err = err
-			continue
-		}
-		for j := i - i%n; j < i; j++ {
-			if same[j] == j && members[j].err == nil && bytes.Equal(logs[j], data) {
-				same[i] = j
-				break
+		f, size, err := openLog(MemberLogPath(h.cfg.WALDir, i/n, i%n))
+		for j := i - i%n; j < i && same[i] == i && err == nil; j++ {
+			if same[j] == j && members[j].err == nil && int64(len(logs[j])) == size {
+				var eq bool
+				if eq, err = equalFile(f, logs[j], buf); eq {
+					same[i] = j
+				}
 			}
 		}
-		if same[i] == i {
-			logs[i] = data
+		if err == nil && same[i] == i && f != nil {
+			logs[i] = make([]byte, size)
+			_, err = f.ReadAt(logs[i], 0)
 		}
+		if f != nil {
+			f.Close()
+		}
+		members[i].err = err
 	}
 	return members, same, logs
+}
+
+// compareChunk is the read size equalFile compares a log in.
+const compareChunk = 32 << 10
+
+// openLog opens a member log and returns its size; a missing file is a
+// nil file of size 0.
+func openLog(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, 0, nil
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, st.Size(), nil
+}
+
+// equalFile reports whether f, of len(want) bytes, holds want, reading
+// it into buf one piece at a time. A nil f is empty.
+func equalFile(f *os.File, want, buf []byte) (bool, error) {
+	for off := 0; off < len(want); off += len(buf) {
+		piece := buf[:min(len(buf), len(want)-off)]
+		if _, err := f.ReadAt(piece, int64(off)); err != nil {
+			return false, err
+		}
+		if !bytes.Equal(piece, want[off:off+len(piece)]) {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // forEach runs fn(i) for every i in [0, n) on at most GOMAXPROCS

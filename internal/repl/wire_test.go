@@ -112,9 +112,8 @@ func TestShipBatchesMatchPerOpEncoding(t *testing.T) {
 					if err := pr.appendTxn(id, w.Of(j), tail, payload); err != nil {
 						t.Fatal(err)
 					}
-					recs, _ := pr.since(base)
 					ref := refStepRecords(id, want[p], tail, payload)
-					if got, ref := encodeAppend(1, base, recs), encodeAppend(1, base, ref); !bytes.Equal(got, ref) {
+					if got, ref := pr.shipPayload(nil, base), encodeAppend(pr.epoch, base, ref); !bytes.Equal(got, ref) {
 						t.Fatalf("txn %d partition %d: ship batch\n got %x\nwant %x", i, p, got, ref)
 					}
 					if tail == wal.RecPrepare {

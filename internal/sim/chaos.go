@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/cluster"
 	"repro/internal/db"
@@ -161,13 +160,10 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 	if err != nil {
 		return nil, err
 	}
-	// Failure-free baseline under the same arrival process and cost
-	// shape: every transaction commits on first attempt, so the run ends
-	// at max(last arrival, bottleneck busy time).
-	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
-	base := replayPlain(tr, placed, sol.K, cfg.Config)
+	placed := a.PlaceTrace(tr, cluster.PlaceWorkers())
+	defer placed.Stop()
 	work := make([]float64, sol.K)
-	t, err := cluster.Replay(tr, placed, cluster.ReplayConfig{
+	t, err := cluster.Replay(ctx, tr, placed, cluster.ReplayConfig{
 		Seed: seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
 		Down: inj.Down, Recorder: cfg.Recorder, SLO: obs.NewSLOMonitor(cfg.SLO),
 		Latency: hChaosLatency, RetryLatency: hChaosRetryLatency,
@@ -189,6 +185,10 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 	if err != nil {
 		return nil, err
 	}
+	// Failure-free baseline under the same arrival process and cost
+	// shape: every transaction commits on first attempt, so the run ends
+	// at max(last arrival, bottleneck busy time).
+	base := replayPlain(tr, placed, sol.K, cfg.Config)
 	res := &ChaosResult{
 		Scenario: sc.Name, Seed: seed, Nodes: sol.K,
 		Offered: t.Offered, Committed: t.Committed, PermanentFailures: t.PermanentFailures,

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/cluster"
 	"repro/internal/db"
@@ -160,6 +159,8 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 	if err != nil {
 		return nil, err
 	}
+	placed := a.PlaceTrace(tr, cluster.PlaceWorkers())
+	defer placed.Stop()
 	rec := cfg.Recorder
 	l, err := cluster.NewLocalWAL(d.Schema(), sol.K, walDir, cluster.Cadence(cfg.CheckpointEvery), rec)
 	if err != nil {
@@ -169,7 +170,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 	defer eng.Close()
 	crashes := cluster.NewCrashScript(sc.CrashPoints, cluster.TwoPCRules())
 	var nextTxn uint64 // monotonically increasing per-attempt txn id
-	t, err := cluster.Replay(tr, a.PlaceTrace(tr, runtime.GOMAXPROCS(0)), cluster.ReplayConfig{
+	t, err := cluster.Replay(ctx, tr, placed, cluster.ReplayConfig{
 		Seed: seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
 		// Unreachable: scripted windows plus crash-point kills.
 		Down:     func(n int, now float64) bool { return eng.dead[n] || inj.Down(n, now) },

@@ -95,11 +95,12 @@ func runPlain(d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg Config) (*
 	if err != nil {
 		return nil, err
 	}
-	return replayPlain(tr, a.PlaceTrace(tr, runtime.GOMAXPROCS(0)), sol.K, cfg), nil
+	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
+	defer placed.Stop()
+	return replayPlain(tr, placed, sol.K, cfg), nil
 }
 
-// replayPlain is runPlain over the trace's placements, computed once by
-// the caller.
+// replayPlain is runPlain over the trace's placements.
 func replayPlain(tr *trace.Trace, placed *eval.TracePlacement, k int, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	res := &Result{Nodes: k, NodeWork: make([]float64, k)}

@@ -22,7 +22,7 @@ import (
 // tpccWindow loads a small TPC-C (4 warehouses, 1,200 txns), partitions
 // the training half at K=8 and returns the first 600 test transactions
 // as the commit window.
-func tpccWindow(b *testing.B) (*db.DB, *partition.Solution, *trace.Trace) {
+func tpccWindow(b testing.TB) (*db.DB, *partition.Solution, *trace.Trace) {
 	b.Helper()
 	bm := tpcc.New()
 	d, err := bm.Load(workloads.Config{Scale: 4, Seed: 1})

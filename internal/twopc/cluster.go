@@ -3,7 +3,6 @@ package twopc
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,6 +235,10 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	if err != nil {
 		return nil, err
 	}
+	// The window is placed ahead of the replay, from here on, while the
+	// cluster starts.
+	placed := a.PlaceTrace(tr, cluster.PlaceWorkers())
+	defer placed.Stop()
 	if err := wal.RemoveLogs(cfg.WALDir); err != nil {
 		return nil, err
 	}
@@ -249,10 +252,11 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	dcfg := driverConfig{wire: cfg.Wire, voteWait: cfg.VoteWait, ackWait: cfg.AckWait}
 	drv := newDriver(k, cl.eps[k], dcfg)
 
-	// Server goroutines.
+	// Server goroutines; every return stops and joins them.
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	srvCtx, stopServers := context.WithCancel(context.Background())
 	defer stopServers()
-	var wg sync.WaitGroup
 	errCh := make(chan error, k)
 	for _, p := range cl.parts {
 		wg.Add(1)
@@ -322,7 +326,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	}
 
 	var nextTxn uint64
-	t, err := cluster.Replay(tr, a.PlaceTrace(tr, runtime.GOMAXPROCS(0)), cluster.ReplayConfig{
+	t, err := cluster.Replay(ctx, tr, placed, cluster.ReplayConfig{
 		Seed: cfg.Seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
 		Down:     func(n int, now float64) bool { return dead(n) || inj.Down(n, now) },
 		InDoubt:  func(p int) bool { return inDoubtSet[p] },
