@@ -13,12 +13,16 @@ test:
 	$(GO) test ./...
 
 # verify is the tier-1 gate: static checks, a full build, and the test
-# suite under the race detector.
+# suite under the race detector; then the same vet and tests for the
+# jecbbench module, which the root ./... skips (it is a module of its
+# own), so that an API change that breaks the benchmark fails here.
 verify:
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) -C jecbbench vet ./...
+	$(GO) -C jecbbench test ./...
 
 # bench runs the micro-benchmarks (experiment-scale benches run via
 # `go test -bench=BenchmarkFigure7 -benchtime=1x` etc) — among them the

@@ -55,7 +55,7 @@ func main() {
 	}
 	fmt.Println()
 	for _, name := range []string{"jecb", "schism", "horticulture"} {
-		results, err := sim.Sweep(d, te, ks, sim.Config{}, solvers[name])
+		results, err := sim.Sweep(d, te, ks, solvers[name])
 		if err != nil {
 			log.Fatal(err)
 		}

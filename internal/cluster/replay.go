@@ -10,14 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// ArrivalRate returns rate, or the replay engines' default offered load
-// when rate is not positive: trace length / 8 (1 for an empty trace), so
-// a full trace spans 8 virtual seconds and the builtin scenarios' crash
-// windows land mid-run.
-func ArrivalRate(rate float64, traceLen int) float64 {
-	if rate > 0 {
-		return rate
-	}
+// ArrivalRate returns the replay engines' offered load: trace length / 8
+// (1 for an empty trace), so a full trace spans 8 virtual seconds and the
+// builtin scenarios' crash windows land mid-run.
+func ArrivalRate(traceLen int) float64 {
 	if traceLen > 0 {
 		return float64(traceLen) / 8
 	}

@@ -172,12 +172,11 @@ func TestReplayStopsOnStepError(t *testing.T) {
 
 func TestArrivalRate(t *testing.T) {
 	for _, c := range []struct {
-		rate float64
 		n    int
 		want float64
-	}{{50, 800, 50}, {0, 800, 100}, {-1, 4, 0.5}, {0, 0, 1}} {
-		if got := cluster.ArrivalRate(c.rate, c.n); got != c.want {
-			t.Errorf("ArrivalRate(%v, %d) = %v, want %v", c.rate, c.n, got, c.want)
+	}{{800, 100}, {4, 0.5}, {0, 1}} {
+		if got := cluster.ArrivalRate(c.n); got != c.want {
+			t.Errorf("ArrivalRate(%d) = %v, want %v", c.n, got, c.want)
 		}
 	}
 }

@@ -44,6 +44,20 @@ var (
 	gBestCost      = obs.Default.Gauge("core.best_cost")
 )
 
+const (
+	// maxTreesPerRoot caps join-tree enumeration per class and root; the
+	// unpruned TPC-E space is ~2.6M combinations.
+	maxTreesPerRoot = 32
+	// maxCombos caps Phase 3 combination enumeration per attribute.
+	maxCombos = 256
+	// miTolerance accepts a join tree as a total solution when all but
+	// this fraction of the class's transactions map to a single root
+	// value. Exact mapping independence is the fraction-1 case; the
+	// tolerance admits workloads like TPC-C whose sanctioned remote
+	// accesses leave a small multi-valued residue.
+	miTolerance = 0.25
+)
+
 // Options configures a JECB run.
 type Options struct {
 	// K is the number of partitions.
@@ -51,18 +65,6 @@ type Options struct {
 	// ReadMostlyThreshold replicates tables written by fewer than this
 	// fraction of training transactions (Phase 1; default 0.015).
 	ReadMostlyThreshold float64
-	// MaxTreesPerRoot caps join-tree enumeration per class and root
-	// (default 32); the unpruned TPC-E space is ~2.6M combinations.
-	MaxTreesPerRoot int
-	// MaxCombos caps Phase 3 combination enumeration per attribute
-	// (default 256).
-	MaxCombos int
-	// MITolerance accepts a join tree as a total solution when all but
-	// this fraction of the class's transactions map to a single root
-	// value (default 0.25). Exact mapping independence is the fraction-1
-	// case; the tolerance admits workloads like TPC-C whose sanctioned
-	// remote accesses leave a small multi-valued residue.
-	MITolerance float64
 	// Seed drives the deterministic pieces that need randomness (min-cut
 	// seeding, train/test splits made internally). Per-class RNG seeds are
 	// derived from it (graphpart.DeriveSeed), so results do not depend on
@@ -103,15 +105,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.ReadMostlyThreshold <= 0 {
 		o.ReadMostlyThreshold = 0.015
-	}
-	if o.MaxTreesPerRoot <= 0 {
-		o.MaxTreesPerRoot = 32
-	}
-	if o.MaxCombos <= 0 {
-		o.MaxCombos = 256
-	}
-	if o.MITolerance <= 0 {
-		o.MITolerance = 0.25
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

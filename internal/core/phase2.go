@@ -131,7 +131,7 @@ func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class s
 		return res, nil
 	}
 
-	trees := g.Trees(p.opts.MaxTreesPerRoot)
+	trees := g.Trees(maxTreesPerRoot)
 	res.TreeSpace = g.SolutionCount()
 	if p.opts.IntraTableOnly {
 		trees = filterIntraTable(trees)
@@ -152,7 +152,7 @@ func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class s
 	// single-valued for all but a small fraction of transactions — TPC-C
 	// with its ~10% remote-warehouse NewOrders — still make the lowest-
 	// cost "total solutions" of §5 even though no tree is exactly mapping
-	// independent; MITolerance governs how much residue is acceptable.
+	// independent; miTolerance governs how much residue is acceptable.
 	fracs := make([]float64, len(trees))
 	bestFrac := 0.0
 	for i, t := range trees {
@@ -165,7 +165,7 @@ func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class s
 			bestFrac = f
 		}
 	}
-	if bestFrac >= 1-p.opts.MITolerance {
+	if bestFrac >= 1-miTolerance {
 		var keep []*joingraph.Tree
 		for i, t := range trees {
 			if fracs[i] >= bestFrac-1e-9 {
@@ -503,7 +503,7 @@ func (p *Partitioner) addPartialsFromSplit(ctx context.Context, res *ClassResult
 		for _, tbl := range sub.Tables {
 			covered[tbl] = true
 		}
-		trees := sub.Trees(p.opts.MaxTreesPerRoot)
+		trees := sub.Trees(maxTreesPerRoot)
 		if p.opts.IntraTableOnly {
 			trees = filterIntraTable(trees)
 		}
@@ -520,7 +520,7 @@ func (p *Partitioner) addPartialsFromSplit(ctx context.Context, res *ClassResult
 				bestFrac = f
 			}
 		}
-		if bestFrac < 1-p.opts.MITolerance {
+		if bestFrac < 1-miTolerance {
 			continue
 		}
 		for i, t := range trees {

@@ -240,7 +240,7 @@ func lessRef(a, b schema.ColumnRef) bool {
 // reduce each table's solution set to those compatible with the
 // attribute, merge compatible solutions (Definition 14), extend paths to
 // the attribute, and enumerate all cross-table combinations (bounded by
-// MaxCombos).
+// maxCombos).
 func (p *Partitioner) combosForAttribute(pre *preprocessed, byTable map[string][]*tableCandidate, attr schema.ColumnRef, compat *attrCompat) ([]*partition.Solution, error) {
 	// The shared mapping function for the attribute: a lookup mapping if
 	// any contributing statistics-based solution targets this attribute
@@ -315,7 +315,7 @@ func (p *Partitioner) combosForAttribute(pre *preprocessed, byTable map[string][
 			}
 		}
 		out = append(out, sol)
-		if len(out) >= p.opts.MaxCombos {
+		if len(out) >= maxCombos {
 			return out, nil
 		}
 		d := len(idx) - 1

@@ -139,7 +139,7 @@ func TestProperty1CoarserPreservesMI(t *testing.T) {
 
 // TestProperty1Monotonicity: the single-value fraction itself is
 // monotone along the chain of compatible trees (the quantitative version
-// of Property 1 the MITolerance logic relies on).
+// of Property 1 the miTolerance logic relies on).
 func TestProperty1Monotonicity(t *testing.T) {
 	f := func(seed int64) bool {
 		w := newChainWorld(seed)

@@ -50,20 +50,23 @@ var (
 	cSuppressed = obs.Default.Counter("drift.triggers_suppressed")
 )
 
+const (
+	// mixThreshold trips the class-mix signal when the Jensen–Shannon
+	// distance between the reference and current class distributions
+	// exceeds it (JS distance is in [0,1]).
+	mixThreshold float64 = 0.15
+	// skewThreshold trips the skew signal when the JS distance between
+	// the reference and current per-partition heat distributions exceeds
+	// it.
+	skewThreshold float64 = 0.18
+	// distRiseThreshold trips the distributed-fraction signal when the
+	// current window's observed distributed fraction exceeds the
+	// reference window's by more than this absolute amount.
+	distRiseThreshold float64 = 0.10
+)
+
 // Config tunes the detector. The zero value asks for the defaults.
 type Config struct {
-	// MixThreshold trips the class-mix signal when the Jensen–Shannon
-	// distance between the reference and current class distributions
-	// exceeds it (default 0.15; JS distance is in [0,1]).
-	MixThreshold float64
-	// SkewThreshold trips the skew signal when the JS distance between
-	// the reference and current per-partition heat distributions exceeds
-	// it (default 0.18).
-	SkewThreshold float64
-	// DistRiseThreshold trips the distributed-fraction signal when the
-	// current window's observed distributed fraction exceeds the
-	// reference window's by more than this absolute amount (default 0.10).
-	DistRiseThreshold float64
 	// CooldownWindows suppresses re-triggering for this many windows
 	// after a trigger, giving the repartition/migration time to land
 	// (default 2).
@@ -72,15 +75,6 @@ type Config struct {
 
 // WithDefaults fills unset fields.
 func (c Config) WithDefaults() Config {
-	if c.MixThreshold <= 0 {
-		c.MixThreshold = 0.15
-	}
-	if c.SkewThreshold <= 0 {
-		c.SkewThreshold = 0.18
-	}
-	if c.DistRiseThreshold <= 0 {
-		c.DistRiseThreshold = 0.10
-	}
 	if c.CooldownWindows <= 0 {
 		c.CooldownWindows = 2
 	}
@@ -186,22 +180,22 @@ func (d *Detector) Observe(o Observation) Signal {
 	}
 	sig.DistRise = o.DistFrac - d.refDist
 
-	score := sig.MixJS / d.cfg.MixThreshold
-	if s := sig.SkewJS / d.cfg.SkewThreshold; s > score {
+	score := sig.MixJS / mixThreshold
+	if s := sig.SkewJS / skewThreshold; s > score {
 		score = s
 	}
-	if s := sig.DistRise / d.cfg.DistRiseThreshold; s > score {
+	if s := sig.DistRise / distRiseThreshold; s > score {
 		score = s
 	}
 	sig.Score = score
 
-	if sig.MixJS > d.cfg.MixThreshold {
+	if sig.MixJS > mixThreshold {
 		sig.Reasons = append(sig.Reasons, "mix")
 	}
-	if sig.SkewJS > d.cfg.SkewThreshold {
+	if sig.SkewJS > skewThreshold {
 		sig.Reasons = append(sig.Reasons, "skew")
 	}
-	if sig.DistRise > d.cfg.DistRiseThreshold {
+	if sig.DistRise > distRiseThreshold {
 		sig.Reasons = append(sig.Reasons, "dist")
 	}
 	sort.Strings(sig.Reasons)

@@ -144,26 +144,19 @@ func Imbalance(g *Graph, parts []int, k int) float64 {
 	return maxw / avg
 }
 
+const (
+	// balance is the maximum allowed ratio of a partition's weight to the
+	// average, matching the slack conventional min-cut tools allow;
+	// tightening it trades edge cut for balance.
+	balance float64 = 1.25
+	// refinePasses bounds FM refinement sweeps.
+	refinePasses = 8
+)
+
 // Options controls the partitioner.
 type Options struct {
-	// Balance is the maximum allowed ratio of a partition's weight to the
-	// average (default 1.25, matching the slack conventional min-cut
-	// tools allow; tightening it trades edge cut for balance).
-	Balance float64
-	// RefinePasses bounds FM refinement sweeps (default 8).
-	RefinePasses int
 	// Seed makes runs reproducible.
 	Seed int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Balance <= 1 {
-		o.Balance = 1.25
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 8
-	}
-	return o
 }
 
 // Partition computes a k-way assignment of the graph's vertices.
@@ -173,7 +166,6 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 	}
 	obs.Inc("graphpart.partitions")
 	obs.Observe("graphpart.graph_vertices", float64(g.Len()))
-	opts = opts.withDefaults()
 	n := g.Len()
 	parts := make([]int, n)
 	if k == 1 || n == 0 {
@@ -190,7 +182,7 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 	// target — split the largest block of the heaviest bin and repack.
 	for iter := 0; ; iter++ {
 		weights := pack(g, blocks, parts, k)
-		if imbalanceOf(weights) <= opts.Balance || iter >= 2*k {
+		if imbalanceOf(weights) <= balance || iter >= 2*k {
 			break
 		}
 		heavy := 0
@@ -230,7 +222,7 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 		blocks = append(blocks, rest)
 	}
 
-	refine(g, parts, k, opts)
+	refine(g, parts, k)
 	return parts, nil
 }
 
@@ -528,10 +520,10 @@ func (h *gainHeap) pop() gainEntry {
 
 // refine performs FM-style passes: move boundary vertices to the neighbor
 // partition with the highest cut gain, subject to the balance constraint.
-func refine(g *Graph, parts []int, k int, opts Options) {
+func refine(g *Graph, parts []int, k int) {
 	weights := PartWeights(g, parts, k)
-	maxW := g.TotalVertexWeight() / float64(k) * opts.Balance
-	for pass := 0; pass < opts.RefinePasses; pass++ {
+	maxW := g.TotalVertexWeight() / float64(k) * balance
+	for pass := 0; pass < refinePasses; pass++ {
 		obs.Inc("graphpart.refine_passes")
 		moved := 0
 		for u := 0; u < g.Len(); u++ {

@@ -35,49 +35,30 @@ var (
 	gHortBest  = obs.Default.Gauge("horticulture.best_cost")
 )
 
+const (
+	// readMostlyThreshold mirrors the framework's Phase 1 replication.
+	readMostlyThreshold float64 = 0.015
+	// restarts and neighborhood size bound the LNS.
+	restarts     = 3
+	neighborhood = 2
+	// rounds bounds relaxation rounds per restart.
+	rounds = 24
+	// skewWeight blends load skew into the cost; the
+	// distributed-transaction fraction and partitions-touched terms carry
+	// the rest, following the paper's description of Horticulture's cost
+	// function (§2).
+	skewWeight float64 = 0.2
+	// sampleTxns caps the number of training transactions used per cost
+	// evaluation — Horticulture's workload compression.
+	sampleTxns = 2000
+)
+
 // Options configures the search.
 type Options struct {
 	// K is the number of partitions.
 	K int
-	// ReadMostlyThreshold mirrors the framework's Phase 1 replication.
-	ReadMostlyThreshold float64
-	// Restarts and Neighborhood size bound the LNS (defaults 3 and 2).
-	Restarts     int
-	Neighborhood int
-	// Rounds bounds relaxation rounds per restart (default 24).
-	Rounds int
-	// SkewWeight blends load skew into the cost (default 0.2); the
-	// distributed-transaction fraction and partitions-touched terms carry
-	// the rest, following the paper's description of Horticulture's cost
-	// function (§2).
-	SkewWeight float64
-	// SampleTxns caps the number of training transactions used per cost
-	// evaluation — Horticulture's workload compression (default 2000).
-	SampleTxns int
 	// Seed makes the search reproducible.
 	Seed int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.ReadMostlyThreshold <= 0 {
-		o.ReadMostlyThreshold = 0.015
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 3
-	}
-	if o.Neighborhood <= 0 {
-		o.Neighborhood = 2
-	}
-	if o.Rounds <= 0 {
-		o.Rounds = 24
-	}
-	if o.SkewWeight <= 0 {
-		o.SkewWeight = 0.2
-	}
-	if o.SampleTxns <= 0 {
-		o.SampleTxns = 2000
-	}
-	return o
 }
 
 // Input is what Horticulture consumes: the database (schema + data for
@@ -106,14 +87,13 @@ func SearchContext(ctx context.Context, in Input, opts Options) (*partition.Solu
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("horticulture: k = %d", opts.K)
 	}
-	opts = opts.withDefaults()
 	cSearches.Inc()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	stats := in.Train.Stats()
 	replicated := map[string]bool{}
 	for tbl, st := range stats {
-		if st.WriteTxnFraction(in.Train.Len()) < opts.ReadMostlyThreshold {
+		if st.WriteTxnFraction(in.Train.Len()) < readMostlyThreshold {
 			replicated[tbl] = true
 		}
 	}
@@ -137,7 +117,7 @@ func SearchContext(ctx context.Context, in Input, opts Options) (*partition.Solu
 		return sol, nil
 	}
 
-	sample := in.Train.Head(opts.SampleTxns)
+	sample := in.Train.Head(sampleTxns)
 
 	// Initial design: most-accessed column of each table (the column most
 	// frequently bound in the trace is unknown without SQL, so use the
@@ -149,7 +129,7 @@ func SearchContext(ctx context.Context, in Input, opts Options) (*partition.Solu
 	}
 	bestCost := costOf(in.DB, best, replicated, sample, opts)
 
-	for restart := 0; restart < opts.Restarts; restart++ {
+	for restart := 0; restart < restarts; restart++ {
 		cRestarts.Inc()
 		_, sRestart := obs.StartSpan(ctx, "horticulture/restart")
 		cur := design{}
@@ -162,11 +142,11 @@ func SearchContext(ctx context.Context, in Input, opts Options) (*partition.Solu
 			}
 		}
 		curCost := costOf(in.DB, cur, replicated, sample, opts)
-		for round := 0; round < opts.Rounds; round++ {
+		for round := 0; round < rounds; round++ {
 			cRounds.Inc()
 			// Relax a small neighborhood of tables and greedily re-pick
 			// each one's best option with the rest fixed.
-			relax := pickN(tables, opts.Neighborhood, rng)
+			relax := pickN(tables, neighborhood, rng)
 			improved := false
 			for _, tbl := range relax {
 				meta := in.DB.Schema().Table(tbl)
@@ -192,7 +172,7 @@ func SearchContext(ctx context.Context, in Input, opts Options) (*partition.Solu
 					best[k] = v
 				}
 			}
-			if !improved && round > opts.Rounds/2 {
+			if !improved && round > rounds/2 {
 				break
 			}
 		}
@@ -324,5 +304,5 @@ func costOf(d *db.DB, dz design, replicated map[string]bool, sample *trace.Trace
 			balancePenalty = ratio
 		}
 	}
-	return distFrac + 0.5*touchFrac + opts.SkewWeight*skew + balancePenalty
+	return distFrac + 0.5*touchFrac + skewWeight*skew + balancePenalty
 }

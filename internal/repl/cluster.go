@@ -29,7 +29,13 @@ const (
 	RuleQuorum = "quorum"
 )
 
-// Config shapes one replicated replay.
+// stalenessBudget bounds replica reads: a fully-replicated read is
+// served from a backup only when its lag (records behind the chain head)
+// is at most this many records.
+const stalenessBudget int64 = 64
+
+// Config shapes one replicated replay. Its retry policies and wire
+// timings are internal/cluster's commit-path constants (timing.go).
 type Config struct {
 	// Scenario is the fault scenario (required). Crash windows are
 	// reinterpreted for replica groups: a window over node g kills group
@@ -49,37 +55,16 @@ type Config struct {
 	Replicas int
 	// CommitRule is RuleAsync (default) or RuleQuorum.
 	CommitRule string
-	// StalenessBudget bounds replica reads: a fully-replicated read is
-	// served from a backup only when its lag (records behind the chain
-	// head) is at most this many records (default 64).
-	StalenessBudget int64
 	// SnapshotLag is the rejoin threshold: a member further behind than
 	// this many records (or whose chain diverged) rejoins via snapshot
 	// install instead of a log-tail ship (default 512).
 	SnapshotLag int64
 
-	// ArrivalRateTPS is the offered load (default: trace length / 8).
-	ArrivalRateTPS float64
-	// Retry shapes the transaction-level retry loop.
-	Retry faults.RetryPolicy
-	// Wire shapes per-message retransmission (default base 20ms, cap
-	// 200ms, like twopc).
-	Wire faults.RetryPolicy
-	// AckWait is the per-attempt reply window (default 25ms).
-	AckWait time.Duration
-	// HeartbeatEvery / LeaseTimeout shape the per-group failure
-	// detector's lease (defaults 25ms / 150ms).
-	HeartbeatEvery time.Duration
-	LeaseTimeout   time.Duration
-	// SpikeDelay is the real delivery delay of a chaos-spiked frame
-	// (default 2ms).
-	SpikeDelay time.Duration
-
 	// Recorder, when non-nil, receives driver-side flight events.
 	Recorder *obs.Recorder
 }
 
-func (c Config) withDefaults(traceLen int) Config {
+func (c Config) withDefaults() Config {
 	if c.Transport == "" {
 		c.Transport = "bus"
 	}
@@ -89,30 +74,8 @@ func (c Config) withDefaults(traceLen int) Config {
 	if c.CommitRule == "" {
 		c.CommitRule = RuleAsync
 	}
-	if c.StalenessBudget <= 0 {
-		c.StalenessBudget = 64
-	}
 	if c.SnapshotLag <= 0 {
 		c.SnapshotLag = 512
-	}
-	c.ArrivalRateTPS = cluster.ArrivalRate(c.ArrivalRateTPS, traceLen)
-	c.Retry = c.Retry.WithDefaults()
-	c.Wire = c.Wire.WithDefaults()
-	if c.Wire.BaseBackoffSec == 0.010 { // faults default is tuned for txn retries
-		c.Wire.BaseBackoffSec = 0.020
-		c.Wire.MaxBackoffSec = 0.200
-	}
-	if c.AckWait <= 0 {
-		c.AckWait = 25 * time.Millisecond
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 25 * time.Millisecond
-	}
-	if c.LeaseTimeout <= 0 {
-		c.LeaseTimeout = 150 * time.Millisecond
-	}
-	if c.SpikeDelay <= 0 {
-		c.SpikeDelay = 2 * time.Millisecond
 	}
 	return c
 }
@@ -304,9 +267,9 @@ func (h *harness) send(ctx context.Context, to int, typ uint8, txn uint64, paylo
 // attemptCtx bounds one send attempt's reply window: every receive of
 // the attempt shares its deadline.
 func (h *harness) attemptCtx(ctx context.Context, attempt int) (context.Context, context.CancelFunc) {
-	w := time.Duration(h.cfg.Wire.BackoffAt(attempt) * float64(time.Second))
-	if w < h.cfg.AckWait {
-		w = h.cfg.AckWait
+	w := time.Duration(cluster.WireRetry.BackoffAt(attempt) * float64(time.Second))
+	if w < cluster.ReplyWait {
+		w = cluster.ReplyWait
 	}
 	return context.WithDeadline(ctx, time.Now().Add(w))
 }
@@ -410,7 +373,7 @@ func (h *harness) snapshotTo(ctx context.Context, g, mem int, traceID uint64, vt
 		return false
 	}
 	payload := encodeSnapshot(grp.pr.epoch, base, st.EncodeSnapshot())
-	for attempt := 1; attempt <= 4*h.cfg.Wire.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= 4*cluster.WireRetry.MaxAttempts; attempt++ {
 		h.send(ctx, b.id, MsgSnapshotOffer, traceID, payload)
 		actx, cancel := h.attemptCtx(ctx, attempt)
 		for grp.pr.acked[mem] < base {
@@ -439,7 +402,7 @@ func (h *harness) snapshotTo(ctx context.Context, g, mem int, traceID uint64, vt
 // (or the final drain) to heal.
 func (h *harness) shipAsync(ctx context.Context, g int, target int64, traceID uint64, vt float64) {
 	for _, mem := range h.groups[g].liveBackups() {
-		h.shipTo(ctx, g, mem, target, h.cfg.Wire.MaxAttempts, traceID, vt)
+		h.shipTo(ctx, g, mem, target, cluster.WireRetry.MaxAttempts, traceID, vt)
 	}
 }
 
@@ -461,13 +424,13 @@ func (h *harness) quorumShip(ctx context.Context, g int, target int64, traceID u
 		if acked >= need {
 			continue // quorum met: the best-effort pass below covers it
 		}
-		if h.shipTo(ctx, g, mem, target, 4*h.cfg.Wire.MaxAttempts, traceID, vt) {
+		if h.shipTo(ctx, g, mem, target, 4*cluster.WireRetry.MaxAttempts, traceID, vt) {
 			acked++
 		}
 	}
 	for _, mem := range h.groups[g].liveBackups() {
 		if h.groups[g].pr.acked[mem] < target {
-			h.shipTo(ctx, g, mem, target, h.cfg.Wire.MaxAttempts, traceID, vt)
+			h.shipTo(ctx, g, mem, target, cluster.WireRetry.MaxAttempts, traceID, vt)
 		}
 	}
 	if acked < need {
@@ -558,7 +521,7 @@ func (h *harness) newDetectorFor(g int) *detector {
 		}
 	}
 	return newDetector(g, h.detID(g), h.eps[h.detID(g)], h.driverID, cands,
-		grp.pr.epoch, h.cfg.LeaseTimeout, h.cfg.Wire, h.cfg.AckWait)
+		grp.pr.epoch, cluster.LeaseTimeout, cluster.WireRetry, cluster.ReplyWait)
 }
 
 // rejoinMember brings a dead slot back as a backup: a deposed primary's
@@ -603,7 +566,7 @@ func (h *harness) rejoinMember(ctx context.Context, g, mem int, vt float64) erro
 		return nil
 	}
 	before := grp.pr.acked[mem]
-	if !h.shipTo(ctx, g, mem, grp.pr.seq, 4*h.cfg.Wire.MaxAttempts, 0, vt) {
+	if !h.shipTo(ctx, g, mem, grp.pr.seq, 4*cluster.WireRetry.MaxAttempts, 0, vt) {
 		return fmt.Errorf("repl: group %d member %d tail rejoin failed", g, mem)
 	}
 	h.rec.Record(0, obs.EvCatchup, memberID(g, mem, h.cfg.Replicas), 0, vt, grp.pr.seq-before)

@@ -54,7 +54,7 @@ func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Inj
 		Seed:       cfg.Seed,
 		LossProb:   cfg.Scenario.MsgLossProb,
 		SpikeProb:  cfg.Scenario.LatencySpikeProb,
-		SpikeDelay: cfg.SpikeDelay,
+		SpikeDelay: cluster.SpikeDelay,
 		Exempt:     exemptType,
 	})
 	if err != nil {
@@ -153,7 +153,7 @@ func (h *harness) replicaRead(g int) {
 			minLag = l
 		}
 	}
-	if minLag >= 0 && minLag <= h.cfg.StalenessBudget {
+	if minLag >= 0 && minLag <= stalenessBudget {
 		h.res.ReplicaReads++
 		cReplicaReads.Inc()
 	} else {
@@ -386,7 +386,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	_, span := obs.StartSpan(ctx, "repl/run")
 	defer span.End()
 
-	cfg = cfg.withDefaults(tr.Len())
+	cfg = cfg.withDefaults()
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("repl: nil scenario")
 	}
@@ -457,7 +457,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
-		tick := time.NewTicker(cfg.HeartbeatEvery)
+		tick := time.NewTicker(cluster.HeartbeatEvery)
 		defer tick.Stop()
 		for {
 			select {
@@ -480,7 +480,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	windowDown := make([]bool, k)
 	var nextTxn uint64
 	t, err := cluster.Replay(ctx, tr, placed, cluster.ReplayConfig{
-		Seed: cfg.Seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
+		Seed: cfg.Seed, ArrivalRateTPS: cluster.ArrivalRate(tr.Len()), Retry: cluster.TxnRetry, Injector: inj,
 		Recorder: rec,
 	}, func(at *cluster.Attempt) (bool, error) {
 		// Scripted crash windows, reinterpreted for replica groups: a
@@ -550,7 +550,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	for g := 0; g < k; g++ {
 		grp := h.groups[g]
 		for _, m := range grp.liveBackups() {
-			if h.shipTo(srvCtx, g, m, grp.pr.seq, 4*cfg.Wire.MaxAttempts, 0, endVT) {
+			if h.shipTo(srvCtx, g, m, grp.pr.seq, 4*cluster.WireRetry.MaxAttempts, 0, endVT) {
 				continue
 			}
 			// A still-armed crash point can fire on the drain batch itself:
@@ -560,7 +560,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 					return nil, err
 				}
 			}
-			if !h.shipTo(srvCtx, g, m, grp.pr.seq, 4*cfg.Wire.MaxAttempts, 0, endVT) {
+			if !h.shipTo(srvCtx, g, m, grp.pr.seq, 4*cluster.WireRetry.MaxAttempts, 0, endVT) {
 				if h.storeErr != nil {
 					return nil, h.storeErr
 				}

@@ -38,14 +38,15 @@ var (
 	gEdgeCut      = obs.Default.Gauge("schism.edge_cut")
 )
 
+// readMostlyThreshold mirrors the evaluation framework's Phase 1:
+// tables written by fewer than this fraction of transactions are
+// replicated.
+const readMostlyThreshold float64 = 0.015
+
 // Options configures a Schism run.
 type Options struct {
 	// K is the number of partitions.
 	K int
-	// ReadMostlyThreshold mirrors the evaluation framework's Phase 1:
-	// tables written by fewer than this fraction of transactions are
-	// replicated (default 0.015).
-	ReadMostlyThreshold float64
 	// MaxCliqueSize bounds per-transaction pair explosion: transactions
 	// touching more tuples contribute a star instead of a clique
 	// (default 24).
@@ -55,9 +56,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ReadMostlyThreshold <= 0 {
-		o.ReadMostlyThreshold = 0.015
-	}
 	if o.MaxCliqueSize <= 0 {
 		o.MaxCliqueSize = 24
 	}
@@ -105,7 +103,7 @@ func PartitionContext(ctx context.Context, in Input, opts Options) (*partition.S
 	replicated := map[string]bool{}
 	stats := in.Train.Stats()
 	for tbl, st := range stats {
-		if st.WriteTxnFraction(in.Train.Len()) < opts.ReadMostlyThreshold {
+		if st.WriteTxnFraction(in.Train.Len()) < readMostlyThreshold {
 			replicated[tbl] = true
 		}
 	}

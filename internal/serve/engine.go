@@ -203,7 +203,7 @@ func newEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace
 		inj:    inj,
 		local:  local,
 		adm:    newAdmission(cfg.Admission),
-		slo:    obs.NewSLOMonitor(cfg.SLO),
+		slo:    obs.NewSLOMonitor(sloPolicy),
 		rec:    cfg.Recorder,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		capTPS: capTPS,
@@ -212,21 +212,21 @@ func newEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace
 			Scenario:    sc.Name,
 			Seed:        cfg.Seed,
 			Nodes:       sol.K,
-			Workers:     cfg.Workers,
+			Workers:     workers,
 			Arrival:     cfg.Load.Arrival,
-			OfferedTPS:  cfg.Load.OfferedTPS,
+			OfferedTPS:  cfg.Load.LoadFactor * capTPS,
 			CapacityTPS: capTPS,
 			DurationSec: cfg.Load.DurationSec,
-			DeadlineSec: cfg.DeadlineSec,
+			DeadlineSec: deadlineSec,
 			AdmissionOn: cfg.Admission.Enabled,
 		},
 	}
 	for s := range e.budget {
-		e.budget[s] = cfg.RetryBudget
+		e.budget[s] = retryBudget
 	}
 	e.brs = make([]*breaker, sol.K)
 	for p := 0; p < sol.K; p++ {
-		e.brs[p] = newBreaker(p, cfg.Breaker, func(part int, st breakerState, now float64) {
+		e.brs[p] = newBreaker(p, breakerPolicy, func(part int, st breakerState, now float64) {
 			e.rec.Record(0, obs.EvBreaker, part, 0, now, st.code())
 		})
 	}
@@ -245,7 +245,7 @@ func (e *engine) newRequest(idx, session int, vt float64) *request {
 		session: session,
 		t:       e.tr.At(idx % e.tr.Len()),
 		traceID: obs.TxnID(e.cfg.Seed, idx),
-		ctx:     WithVTDeadline(context.Background(), vt+e.cfg.DeadlineSec),
+		ctx:     WithVTDeadline(context.Background(), vt+deadlineSec),
 		arrival: vt,
 	}
 	e.res.Offered++
@@ -257,13 +257,13 @@ func (e *engine) newRequest(idx, session int, vt float64) *request {
 // interarrival draws the next open-loop gap at the instantaneous rate
 // in effect at virtual time last.
 func (e *engine) interarrival(last float64) float64 {
-	rate := e.cfg.Load.OfferedTPS
+	rate := e.res.OfferedTPS // LoadFactor × the capacity estimate
 	if e.cfg.Load.Arrival == ArrivalBurst {
 		const duty = 0.25
-		base := e.cfg.Load.OfferedTPS / (duty*e.cfg.Load.BurstFactor + (1 - duty))
+		base := rate / (duty*burstFactor + (1 - duty))
 		rate = base
-		if math.Mod(last, e.cfg.Load.BurstPeriodSec) < duty*e.cfg.Load.BurstPeriodSec {
-			rate = base * e.cfg.Load.BurstFactor
+		if math.Mod(last, burstPeriodSec) < duty*burstPeriodSec {
+			rate = base * burstFactor
 		}
 	}
 	return e.rng.ExpFloat64() / rate
@@ -273,7 +273,7 @@ func (e *engine) interarrival(last float64) float64 {
 func (e *engine) seedArrivals() {
 	if e.cfg.Load.Arrival == ArrivalClosed {
 		for s := 0; s < e.cfg.Load.Sessions; s++ {
-			t := e.rng.ExpFloat64() * e.cfg.Load.ThinkTimeSec
+			t := e.rng.ExpFloat64() * thinkTimeSec
 			if t <= e.cfg.Load.DurationSec {
 				e.push(t, evArrival, e.newRequest(e.nextIdx, s, t), nil)
 				e.nextIdx++
@@ -309,7 +309,7 @@ func (e *engine) sessionNext(session int, now float64) {
 	if e.cfg.Load.Arrival != ArrivalClosed {
 		return
 	}
-	t := now + e.rng.ExpFloat64()*e.cfg.Load.ThinkTimeSec
+	t := now + e.rng.ExpFloat64()*thinkTimeSec
 	if t > e.cfg.Load.DurationSec {
 		return
 	}
@@ -355,10 +355,10 @@ func (e *engine) admit(req *request, now float64) error {
 			return nil
 		}
 	}
-	if e.busy < e.cfg.Workers {
+	if e.busy < workers {
 		return e.startService(req, now)
 	}
-	if !e.cfg.Admission.Enabled || e.qlen() < e.cfg.Admission.QueueDepth {
+	if !e.cfg.Admission.Enabled || e.qlen() < queueDepth {
 		e.enqueue(req)
 		return nil
 	}
@@ -393,7 +393,7 @@ func (e *engine) dequeue() *request {
 // their full queueing delay as an expiration (that delay IS the
 // overload signal the p999 objective sees).
 func (e *engine) dispatchQueue(now float64) error {
-	for e.busy < e.cfg.Workers && e.qlen() > 0 {
+	for e.busy < workers && e.qlen() > 0 {
 		req := e.dequeue()
 		if now > req.deadline() {
 			e.res.QueueExpired++
@@ -452,20 +452,20 @@ func (e *engine) startService(req *request, now float64) error {
 	case !info.ok:
 		// The unreachable participant is only discovered the slow way:
 		// the attempt holds its worker for the full RPC timeout.
-		info.occ = e.cfg.Cost.RPCTimeoutSec
+		info.occ = rpcTimeoutSec
 		e.rec.Record(req.traceID, obs.EvFault, info.failNode, req.tries, now, obs.FaultNodeDown)
 	case distributed && e.inj.SampleLoss():
 		info.ok = false
 		info.failNode = coord
 		info.failCode = obs.FaultMsgLoss
-		info.occ = e.cfg.Cost.AbortWork / e.cfg.Cost.NodeCapacity
+		info.occ = abortWork / nodeCapacity
 		e.rec.Record(req.traceID, obs.EvFault, coord, req.tries, now, obs.FaultMsgLoss)
 	default:
-		work := e.cfg.Cost.LocalWork
+		work := localWork
 		if distributed {
-			work = e.cfg.Cost.CoordWork + e.cfg.Cost.ParticipantWork*float64(len(dec.Partitions))
+			work = coordWork + participantWork*float64(len(dec.Partitions))
 		}
-		info.occ = work/e.cfg.Cost.NodeCapacity + e.inj.SampleLatency()
+		info.occ = work/nodeCapacity + e.inj.SampleLatency()
 	}
 	e.busy++
 	e.push(now+info.occ, evDone, nil, info)
@@ -524,8 +524,8 @@ func (e *engine) resolve(info *doneInfo, now float64) error {
 // the propagated deadline all have room; the backoff is the jitter-free
 // capped exponential (faults.RetryPolicy.BackoffAt).
 func (e *engine) retryOrFinal(req *request, now float64, kind failKind) {
-	if req.tries < e.cfg.Retry.MaxAttempts && e.budget[req.session] > 0 {
-		backoff := e.cfg.Retry.BackoffAt(req.retries + 1)
+	if req.tries < cluster.TxnRetry.MaxAttempts && e.budget[req.session] > 0 {
+		backoff := cluster.TxnRetry.BackoffAt(req.retries + 1)
 		if now+backoff <= req.deadline() {
 			req.retries++
 			e.budget[req.session]--

@@ -50,9 +50,9 @@ const (
 	// ArrivalPoisson is the open-loop Poisson process (default).
 	ArrivalPoisson = "poisson"
 	// ArrivalBurst is open-loop with a periodic burst: the instantaneous
-	// rate is BurstFactor× the base rate for the first quarter of each
-	// BurstPeriodSec cycle, scaled so the mean offered rate stays
-	// OfferedTPS.
+	// rate is burstFactor× the base rate for the first quarter of each
+	// burstPeriodSec cycle, scaled so the mean offered rate stays the
+	// offered rate.
 	ArrivalBurst = "burst"
 	// ArrivalClosed is the closed-loop process: Sessions clients cycling
 	// think → request → response; the offered rate emerges from the
@@ -61,32 +61,34 @@ const (
 	ArrivalClosed = "closed"
 )
 
+// The generated load's fixed shape.
+const (
+	// thinkTimeSec is the closed-loop mean think time, exponentially
+	// distributed.
+	thinkTimeSec float64 = 0.002
+	// burstFactor is ArrivalBurst's peak multiplier.
+	burstFactor float64 = 4
+	// burstPeriodSec is ArrivalBurst's cycle length.
+	burstPeriodSec float64 = 0.5
+)
+
 // LoadConfig shapes the generated load.
 type LoadConfig struct {
 	// Arrival selects the arrival process (default ArrivalPoisson).
 	Arrival string
-	// OfferedTPS is the open-loop offered rate. Zero derives it as
-	// LoadFactor × the analytic capacity estimate (EstimateCapacityTPS),
-	// so experiments can say "1× / 2× saturating load" without knowing
-	// the workload's absolute numbers.
-	OfferedTPS float64
-	// LoadFactor scales the derived offered rate when OfferedTPS is zero
-	// (default 1 — offered load equals estimated capacity).
+	// LoadFactor scales the open-loop offered rate: LoadFactor × the
+	// analytic capacity estimate (EstimateCapacityTPS), so experiments
+	// can say "1× / 2× saturating load" without knowing the workload's
+	// absolute numbers (default 1 — offered load equals estimated
+	// capacity).
 	LoadFactor float64
 	// Sessions is the client-session count (default 32). Open-loop
 	// requests round-robin across sessions (sessions scope the retry
 	// budget); closed-loop sessions are the load's concurrency.
 	Sessions int
-	// ThinkTimeSec is the closed-loop mean think time, exponentially
-	// distributed (default 0.002).
-	ThinkTimeSec float64
 	// DurationSec is the arrival horizon in virtual seconds (default 2).
 	// In-flight work drains past the horizon; nothing new arrives.
 	DurationSec float64
-	// BurstFactor is ArrivalBurst's peak multiplier (default 4).
-	BurstFactor float64
-	// BurstPeriodSec is ArrivalBurst's cycle length (default 0.5).
-	BurstPeriodSec float64
 }
 
 func (c LoadConfig) withDefaults() LoadConfig {
@@ -99,17 +101,8 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Sessions <= 0 {
 		c.Sessions = 32
 	}
-	if c.ThinkTimeSec <= 0 {
-		c.ThinkTimeSec = 0.002
-	}
 	if c.DurationSec <= 0 {
 		c.DurationSec = 2
-	}
-	if c.BurstFactor <= 0 {
-		c.BurstFactor = 4
-	}
-	if c.BurstPeriodSec <= 0 {
-		c.BurstPeriodSec = 0.5
 	}
 	return c
 }
@@ -129,9 +122,6 @@ type AdmissionConfig struct {
 	// Burst is the bucket depth in tokens (default 32): the largest
 	// arrival burst admitted ahead of the refill rate.
 	Burst float64
-	// QueueDepth caps the worker queue (default 8 × Workers); admitted
-	// requests beyond it are shed with router.ErrOverload.
-	QueueDepth int
 	// MinRateTPS / MaxRateTPS bound the AIMD rate (defaults 0.1× / 2×
 	// the initial rate).
 	MinRateTPS, MaxRateTPS float64
@@ -205,49 +195,56 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	return c
 }
 
-// CostConfig is the serving cost shape: the analytic work model of
-// internal/sim (a local transaction costs LocalWork units, a
-// distributed one CoordWork at the coordinator plus ParticipantWork per
-// participant) translated into worker-seconds of occupancy, plus the
-// failure costs a live system pays that a replay does not — a timed-out
-// RPC holds its worker for the full timeout, an abort burns
-// AbortWork units.
-type CostConfig struct {
-	// LocalWork / CoordWork / ParticipantWork are work units (defaults
-	// 1 / 2 / 2, matching sim.Config).
-	LocalWork, CoordWork, ParticipantWork float64
-	// NodeCapacity is work units per second a worker executes (default
-	// 2000 — a local transaction occupies a worker for 0.5ms).
-	NodeCapacity float64
-	// AbortWork is the work wasted by an aborted attempt (default 0.5).
-	AbortWork float64
-	// RPCTimeoutSec is how long an attempt against an unreachable
-	// participant occupies its worker before failing (default 0.05).
-	// This is the fail-slow cost circuit breakers exist to avoid.
-	RPCTimeoutSec float64
-}
+// The serving cost shape: the analytic work model of internal/sim (a
+// local transaction costs localWork units, a distributed one coordWork
+// at the coordinator plus participantWork per participant) translated
+// into worker-seconds of occupancy, plus the failure costs a live system
+// pays that a replay does not — a timed-out RPC holds its worker for the
+// full timeout, an abort burns abortWork units.
+const (
+	// localWork, coordWork and participantWork are work units, matching
+	// internal/sim's cost model.
+	localWork, coordWork, participantWork float64 = 1, 2, 2
+	// nodeCapacity is work units per second a worker executes: a local
+	// transaction occupies a worker for 0.5ms.
+	nodeCapacity float64 = 2000
+	// abortWork is the work wasted by an aborted attempt.
+	abortWork float64 = 0.5
+	// rpcTimeoutSec is how long an attempt against an unreachable
+	// participant occupies its worker before failing. This is the
+	// fail-slow cost circuit breakers exist to avoid.
+	rpcTimeoutSec float64 = 0.05
+)
 
-func (c CostConfig) withDefaults() CostConfig {
-	if c.LocalWork <= 0 {
-		c.LocalWork = 1
-	}
-	if c.CoordWork <= 0 {
-		c.CoordWork = 2
-	}
-	if c.ParticipantWork <= 0 {
-		c.ParticipantWork = 2
-	}
-	if c.NodeCapacity <= 0 {
-		c.NodeCapacity = 2000
-	}
-	if c.AbortWork <= 0 {
-		c.AbortWork = 0.5
-	}
-	if c.RPCTimeoutSec <= 0 {
-		c.RPCTimeoutSec = 0.05
-	}
-	return c
-}
+// The serving engine's fixed execution and protection shape.
+const (
+	// workers is the execution worker-pool size.
+	workers = 4
+	// queueDepth caps the worker queue under admission control; admitted
+	// requests beyond it are shed with router.ErrOverload.
+	queueDepth = 8 * workers
+	// deadlineSec is the per-request virtual deadline: commits past it
+	// count toward throughput but not goodput, and queued requests past
+	// it are dropped without executing.
+	deadlineSec float64 = 0.05
+	// retryBudget is the per-session retry budget: every retry of any
+	// request in the session spends one token, so a struggling session
+	// stops amplifying load instead of retrying each request to its
+	// per-attempt cap. The capped backoff between attempts is
+	// cluster.TxnRetry's; the engine paces with the jitter-free
+	// BackoffAt so backoff never perturbs the fault-sampling stream.
+	retryBudget = 8
+)
+
+var (
+	// breakerPolicy shapes the per-partition circuit breakers: the
+	// BreakerConfig defaults.
+	breakerPolicy = BreakerConfig{}.withDefaults()
+	// sloPolicy configures the tumbling-window objective evaluation that
+	// drives the AIMD guardrail: 256-txn windows, p99 target 0.04s,
+	// availability target per obs.SLOConfig.
+	sloPolicy = obs.SLOConfig{WindowTxns: 256, TargetP99Sec: 0.04}
+)
 
 // Config parameterizes one serving run.
 type Config struct {
@@ -255,29 +252,6 @@ type Config struct {
 	Load LoadConfig
 	// Admission is the overload-protection layer (zero value: off).
 	Admission AdmissionConfig
-	// Breaker shapes the per-partition circuit breakers.
-	Breaker BreakerConfig
-	// Cost is the execution cost shape.
-	Cost CostConfig
-	// Workers is the execution worker-pool size (default 4).
-	Workers int
-	// DeadlineSec is the per-request virtual deadline (default 0.05):
-	// commits past it count toward throughput but not goodput, and
-	// queued requests past it are dropped without executing.
-	DeadlineSec float64
-	// Retry shapes the capped backoff between attempts (defaults per
-	// faults.RetryPolicy; the engine paces with the jitter-free
-	// BackoffAt so backoff never perturbs the fault-sampling stream).
-	Retry faults.RetryPolicy
-	// RetryBudget is the per-session retry budget (default 8): every
-	// retry of any request in the session spends one token, so a
-	// struggling session stops amplifying load instead of retrying each
-	// request to its per-attempt cap.
-	RetryBudget int
-	// SLO configures the tumbling-window objective evaluation that
-	// drives the AIMD guardrail (serve defaults: 256-txn windows, p99
-	// target 0.04s, availability target 99%).
-	SLO obs.SLOConfig
 	// Procedures are the workload's stored procedures; their analyses
 	// build the router. Nil routes every class conservatively
 	// (broadcast), which makes everything distributed — pass the real
@@ -297,46 +271,17 @@ type Config struct {
 
 func (c Config) withDefaults(capacityTPS float64) Config {
 	c.Load = c.Load.withDefaults()
-	if c.Load.OfferedTPS <= 0 {
-		c.Load.OfferedTPS = c.Load.LoadFactor * capacityTPS
-	}
 	c.Admission = c.Admission.withDefaults(capacityTPS)
-	c.Breaker = c.Breaker.withDefaults()
-	c.Cost = c.Cost.withDefaults()
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.DeadlineSec <= 0 {
-		c.DeadlineSec = 0.05
-	}
-	c.Retry = c.Retry.WithDefaults()
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 8
-	}
-	if c.SLO.WindowTxns <= 0 {
-		c.SLO.WindowTxns = 256
-	}
-	if c.SLO.TargetP99Sec <= 0 {
-		c.SLO.TargetP99Sec = 0.04
-	}
-	if c.Admission.QueueDepth <= 0 {
-		c.Admission.QueueDepth = 8 * c.Workers
-	}
 	return c
 }
 
 // EstimateCapacityTPS is the analytic saturation throughput of the
-// worker pool on this workload: workers × NodeCapacity divided by the
+// worker pool on this workload: workers × nodeCapacity divided by the
 // trace's mean per-transaction work under the solution's
 // local/distributed classification. Experiments use it to phrase
 // offered load as a saturation multiple ("2× capacity"), and the
 // admission controller defaults its token rate to it.
-func EstimateCapacityTPS(d *db.DB, sol *partition.Solution, tr *trace.Trace,
-	cost CostConfig, workers int) (float64, error) {
-	cost = cost.withDefaults()
-	if workers <= 0 {
-		workers = 4
-	}
+func EstimateCapacityTPS(d *db.DB, sol *partition.Solution, tr *trace.Trace) (float64, error) {
 	if tr.Len() == 0 {
 		return 0, fmt.Errorf("serve: empty trace")
 	}
@@ -349,15 +294,15 @@ func EstimateCapacityTPS(d *db.DB, sol *partition.Solution, tr *trace.Trace,
 		s := a.Span(t)
 		switch {
 		case !s.Distributed():
-			total += cost.LocalWork
+			total += localWork
 		case s.All:
-			total += cost.CoordWork + cost.ParticipantWork*float64(sol.K)
+			total += coordWork + participantWork*float64(sol.K)
 		default:
-			total += cost.CoordWork + cost.ParticipantWork*float64(s.Parts.Len())
+			total += coordWork + participantWork*float64(s.Parts.Len())
 		}
 	}
 	avg := total / float64(tr.Len())
-	return float64(workers) * cost.NodeCapacity / avg, nil
+	return float64(workers) * nodeCapacity / avg, nil
 }
 
 // Run executes one serving run: generate load per cfg.Load, push it
@@ -371,7 +316,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	if tr.Len() == 0 {
 		return nil, fmt.Errorf("serve: empty trace")
 	}
-	capTPS, err := EstimateCapacityTPS(d, sol, tr, cfg.Cost, cfg.Workers)
+	capTPS, err := EstimateCapacityTPS(d, sol, tr)
 	if err != nil {
 		return nil, err
 	}

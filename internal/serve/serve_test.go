@@ -56,17 +56,17 @@ func checkOutcomes(t *testing.T, r *Result) {
 }
 
 // TestServeCapacityEstimate: the all-local fixture workload has mean
-// work exactly LocalWork, so capacity = workers × NodeCapacity.
+// work exactly localWork, so capacity = workers × nodeCapacity.
 func TestServeCapacityEstimate(t *testing.T) {
 	d, sol, tr := serveFixture()
-	got, err := EstimateCapacityTPS(d, sol, tr, CostConfig{}, 4)
+	got, err := EstimateCapacityTPS(d, sol, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got < 7999 || got > 8001 {
 		t.Fatalf("capacity = %v tps, want 4 workers × 2000 work/s ÷ 1 work/txn = 8000", got)
 	}
-	if _, err := EstimateCapacityTPS(d, sol, &trace.Trace{}, CostConfig{}, 4); err == nil {
+	if _, err := EstimateCapacityTPS(d, sol, &trace.Trace{}); err == nil {
 		t.Fatal("empty trace must error")
 	}
 }

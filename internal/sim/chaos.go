@@ -28,22 +28,17 @@ var (
 	hChaosRetryLatency = obs.Default.HDR("sim.chaos_retry_latency_ns")
 )
 
-// ChaosConfig extends the analytic cost model with the chaos replay's
-// load shape and retry policy.
+// abortWork is the work units wasted on each reachable participant by
+// one aborted attempt (the prepare/rollback cost of a 2PC round that
+// could not complete).
+const abortWork float64 = 0.5
+
+// ChaosConfig holds the chaos replay's SLO evaluation and flight
+// recorder. Its load shape is fixed: transaction i arrives at virtual
+// time i/rate with rate cluster.ArrivalRate (a full trace spans 8
+// virtual seconds, so the builtin scenarios' crash windows land
+// mid-run), and aborted attempts retry under cluster.TxnRetry.
 type ChaosConfig struct {
-	Config
-	// ArrivalRateTPS is the offered load: transaction i arrives at
-	// virtual time i/rate. Default: trace length / 8, so a full trace
-	// spans 8 virtual seconds and the builtin scenarios' crash windows
-	// land mid-run.
-	ArrivalRateTPS float64
-	// Retry shapes the capped exponential backoff (defaults per
-	// faults.RetryPolicy.WithDefaults).
-	Retry faults.RetryPolicy
-	// AbortWork is the work units wasted on each reachable participant by
-	// one aborted attempt (the prepare/rollback cost of a 2PC round that
-	// could not complete). Default 0.5.
-	AbortWork float64
 	// SLO configures the tumbling-window latency/availability evaluation
 	// (defaults per obs.SLOConfig).
 	SLO obs.SLOConfig
@@ -51,16 +46,6 @@ type ChaosConfig struct {
 	// causal step of every transaction (arrival, routing, faults,
 	// backoff, commit/abort/give-up). Nil keeps tracing off for free.
 	Recorder *obs.Recorder
-}
-
-func (c ChaosConfig) withDefaults(traceLen int) ChaosConfig {
-	c.Config = c.Config.withDefaults()
-	c.ArrivalRateTPS = cluster.ArrivalRate(c.ArrivalRateTPS, traceLen)
-	c.Retry = c.Retry.WithDefaults()
-	if c.AbortWork <= 0 {
-		c.AbortWork = 0.5
-	}
-	return c
 }
 
 // ChaosResult is the outcome of one chaos replay. All fields are plain
@@ -151,7 +136,6 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 	_, span := obs.StartSpan(ctx, "sim/chaos")
 	defer span.End()
 
-	cfg = cfg.withDefaults(tr.Len())
 	a, err := eval.NewAssigner(d, sol)
 	if err != nil {
 		return nil, err
@@ -162,22 +146,23 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 	}
 	placed := a.PlaceTrace(tr, cluster.PlaceWorkers())
 	defer placed.Stop()
+	rate := cluster.ArrivalRate(tr.Len())
 	work := make([]float64, sol.K)
 	t, err := cluster.Replay(ctx, tr, placed, cluster.ReplayConfig{
-		Seed: seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
+		Seed: seed, ArrivalRateTPS: rate, Retry: cluster.TxnRetry, Injector: inj,
 		Down: inj.Down, Recorder: cfg.Recorder, SLO: obs.NewSLOMonitor(cfg.SLO),
 		Latency: hChaosLatency, RetryLatency: hChaosRetryLatency,
 	}, func(at *cluster.Attempt) (bool, error) {
 		// An attempt commits only when every participant is reachable
 		// and no coordination message is lost.
 		if !at.Blocked && !sampleLoss(inj, cfg.Recorder, at) {
-			chargeCommit(work, at.Nodes, at.Coord, at.Distributed, cfg.Config)
+			chargeCommit(work, at.Nodes, at.Coord, at.Distributed)
 			return true, nil
 		}
 		// Abort: reachable participants waste the prepare/rollback work.
 		for _, n := range at.Nodes {
 			if !inj.Down(n, at.Now) {
-				work[n] += cfg.AbortWork
+				work[n] += abortWork
 			}
 		}
 		return false, nil
@@ -188,7 +173,7 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 	// Failure-free baseline under the same arrival process and cost
 	// shape: every transaction commits on first attempt, so the run ends
 	// at max(last arrival, bottleneck busy time).
-	base := replayPlain(tr, placed, sol.K, cfg.Config)
+	base := replayPlain(tr, placed, sol.K)
 	res := &ChaosResult{
 		Scenario: sc.Name, Seed: seed, Nodes: sol.K,
 		Offered: t.Offered, Committed: t.Committed, PermanentFailures: t.PermanentFailures,
@@ -209,7 +194,7 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 				baseBottleneck = w
 			}
 		}
-		baseElapsed := math.Max(float64(n-1)/cfg.ArrivalRateTPS, baseBottleneck/cfg.NodeCapacity)
+		baseElapsed := math.Max(float64(n-1)/rate, baseBottleneck/nodeCapacity)
 		if baseElapsed > 0 {
 			res.BaselineTPS = float64(n) / baseElapsed
 		}
@@ -221,7 +206,7 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 			bottleneck = w
 		}
 	}
-	elapsed := math.Max(res.MakespanSec, bottleneck/cfg.NodeCapacity)
+	elapsed := math.Max(res.MakespanSec, bottleneck/nodeCapacity)
 	if elapsed > 0 {
 		res.EffectiveTPS = float64(res.Committed) / elapsed
 	}
@@ -255,13 +240,13 @@ func sampleLoss(inj *faults.Injector, rec *obs.Recorder, at *cluster.Attempt) bo
 }
 
 // chargeCommit applies the analytic cost model to one committed attempt.
-func chargeCommit(work []float64, nodes []int, coord int, distributed bool, cfg Config) {
+func chargeCommit(work []float64, nodes []int, coord int, distributed bool) {
 	if !distributed {
-		work[coord] += cfg.LocalWork
+		work[coord] += localWork
 		return
 	}
 	for _, n := range nodes {
-		work[n] += cfg.ParticipantWork
+		work[n] += participantWork
 	}
-	work[coord] += cfg.CoordWork
+	work[coord] += coordWork
 }

@@ -87,7 +87,7 @@ func TestChaosCrashForcesRetries(t *testing.T) {
 		t.Errorf("NodeDownSec = %v", r.NodeDownSec)
 	}
 	// Retried work is extra: total chaos work exceeds the failure-free run.
-	base, err := runPlain(d, sol, tr, Config{})
+	base, err := runPlain(d, sol, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestChaosScatteringDegradesWorse(t *testing.T) {
 }
 
 // TestSpeedupMath pins the satellite fix: the single-node baseline is
-// NodeCapacity/LocalWork independent of trace length, and the
+// nodeCapacity/localWork independent of trace length, and the
 // zero-bottleneck path reports TPS 0 with Speedup 1 for a non-empty
 // trace (0 for an empty one).
 func TestSpeedupMath(t *testing.T) {
@@ -243,7 +243,7 @@ func TestSpeedupMath(t *testing.T) {
 	// k=1: all work on one node, speedup exactly 1 regardless of length.
 	for _, n := range []int{50, 400} {
 		tr := fixture.MixedTrace(d, n, 3)
-		r, err := runPlain(d, custInfoSolution(1), tr, Config{})
+		r, err := runPlain(d, custInfoSolution(1), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,15 +251,14 @@ func TestSpeedupMath(t *testing.T) {
 			t.Errorf("n=%d: single-node speedup = %v, want 1", n, r.Speedup)
 		}
 		// The explicit simplification: TPS/speedup ratio is the single-node
-		// baseline NodeCapacity/LocalWork.
-		cfg := Config{}.withDefaults()
-		if base := r.ThroughputTPS / r.Speedup; base < cfg.NodeCapacity/cfg.LocalWork-1e-6 ||
-			base > cfg.NodeCapacity/cfg.LocalWork+1e-6 {
-			t.Errorf("n=%d: baseline = %v, want %v", n, base, cfg.NodeCapacity/cfg.LocalWork)
+		// baseline nodeCapacity/localWork.
+		if base := r.ThroughputTPS / r.Speedup; base < nodeCapacity/localWork-1e-6 ||
+			base > nodeCapacity/localWork+1e-6 {
+			t.Errorf("n=%d: baseline = %v, want %v", n, base, nodeCapacity/localWork)
 		}
 	}
 	// Empty trace: zero everything.
-	r, err := runPlain(d, custInfoSolution(2), &trace.Trace{}, Config{})
+	r, err := runPlain(d, custInfoSolution(2), &trace.Trace{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,16 +267,16 @@ func TestSpeedupMath(t *testing.T) {
 	}
 	// Zero-bottleneck path: a non-empty trace of zero-cost transactions
 	// (no node accumulated work) reports ThroughputTPS = 0 and Speedup = 1;
-	// an empty trace reports both as 0. The public Config clamps work
-	// parameters to positive defaults, so pin the branch via finalize.
+	// an empty trace reports both as 0. Every transaction costs positive
+	// work, so pin the branch via finalize.
 	zero := &Result{Nodes: 2, NodeWork: []float64{0, 0}}
-	finalize(zero, 5, Config{}.withDefaults())
+	finalize(zero, 5)
 	if zero.ThroughputTPS != 0 || zero.Speedup != 1 {
 		t.Errorf("zero-cost non-empty trace: tps=%v speedup=%v, want 0 and 1",
 			zero.ThroughputTPS, zero.Speedup)
 	}
 	empty := &Result{Nodes: 2, NodeWork: []float64{0, 0}}
-	finalize(empty, 0, Config{}.withDefaults())
+	finalize(empty, 0)
 	if empty.ThroughputTPS != 0 || empty.Speedup != 0 {
 		t.Errorf("empty trace: tps=%v speedup=%v, want 0 and 0",
 			empty.ThroughputTPS, empty.Speedup)

@@ -142,7 +142,7 @@ func consumerPins(t *testing.T, name string, seed int64) [5]string {
 		pins[i] = hex.EncodeToString(h.Sum(nil))
 	}
 
-	sweep, err := Sweep(d, test, []int{2, 4, 8}, Config{}, func(k int) (*partition.Solution, error) {
+	sweep, err := Sweep(d, test, []int{2, 4, 8}, func(k int) (*partition.Solution, error) {
 		return solve(k, train)
 	})
 	if err != nil {
@@ -202,7 +202,7 @@ func consumerPins(t *testing.T, name string, seed int64) [5]string {
 	})
 
 	pin(4, func(h hash.Hash) {
-		tps, err := serve.EstimateCapacityTPS(d, sol, test, serve.CostConfig{}, 4)
+		tps, err := serve.EstimateCapacityTPS(d, sol, test)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,10 +52,22 @@ var (
 // identity and skips migration.
 type RepartitionFunc func(window *trace.Trace, prev *partition.Solution) (*partition.Solution, error)
 
-// DriftConfig extends the analytic cost model with the drift replay's
-// window, budget, and migration cost shape.
+// The drift replay's migration cost shape.
+const (
+	// migrateWorkPerTuple is the work units each moved tuple charges to
+	// its source and to its destination node.
+	migrateWorkPerTuple float64 = 0.05
+	// dualRouteWork is the extra coordinator work of one dual-routed
+	// transaction during a settling window.
+	dualRouteWork float64 = 1
+)
+
+// DriftConfig sets the drift replay's window and budget. The detector
+// runs at its defaults (drift.Config{}), and the tumbling-window SLO
+// evaluation at obs.SLOConfig's: the drift replay has no real latencies,
+// so each transaction contributes a service-time proxy, its charged work
+// units divided by nodeCapacity.
 type DriftConfig struct {
-	Config
 	// WindowSize is the detection window in transactions (default 500).
 	WindowSize int
 	// Budget is the total moved-tuple allowance across the whole run;
@@ -66,33 +78,14 @@ type DriftConfig struct {
 	// the split). The adaptive controller never sees it — only the oracle
 	// does.
 	DriftAt int
-	// Detector tunes the drift detector (zero value = defaults).
-	Detector drift.Config
-	// MigrateWorkPerTuple is the work units each moved tuple charges to
-	// its source and to its destination node (default 0.05).
-	MigrateWorkPerTuple float64
-	// DualRouteWork is the extra coordinator work of one dual-routed
-	// transaction during a settling window (default 1).
-	DualRouteWork float64
-	// SLO configures the tumbling-window objective evaluation. The drift
-	// replay has no real latencies, so each transaction contributes a
-	// service-time proxy: its charged work units divided by NodeCapacity.
-	SLO obs.SLOConfig
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {
-	c.Config = c.Config.withDefaults()
 	if c.WindowSize <= 0 {
 		c.WindowSize = 500
 	}
 	if c.Budget <= 0 {
 		c.Budget = -1 // unbounded
-	}
-	if c.MigrateWorkPerTuple <= 0 {
-		c.MigrateWorkPerTuple = 0.05
-	}
-	if c.DualRouteWork <= 0 {
-		c.DualRouteWork = 1
 	}
 	return c
 }
@@ -167,7 +160,7 @@ type DriftResult struct {
 	Speedup       float64   `json:"speedup"`
 
 	// Service-time proxy quantiles (seconds: charged work units divided
-	// by NodeCapacity, HDR-accurate to 1.5625%) and the tumbling-window
+	// by nodeCapacity, HDR-accurate to 1.5625%) and the tumbling-window
 	// SLO evaluation over them — the guardrail signal a live controller
 	// would gate migrations on.
 	LatencyP50  float64       `json:"latency_p50_sec"`
@@ -258,9 +251,9 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 		Budget:     cfg.Budget,
 		NodeWork:   make([]float64, sol.K),
 	}
-	det := drift.New(cfg.Detector)
+	det := drift.New(drift.Config{})
 	budgetLeft := cfg.Budget // <0 = unbounded
-	slo := obs.NewSLOMonitor(cfg.SLO)
+	slo := obs.NewSLOMonitor(obs.SLOConfig{})
 	var svcLat obs.HDR // per-txn service-time proxy, nanoseconds
 
 	// Settling state: the tables moved by the last migration and whether
@@ -308,19 +301,19 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 			switch {
 			case s.All:
 				for n := 0; n < sol.K; n++ {
-					res.NodeWork[n] += cfg.ParticipantWork
+					res.NodeWork[n] += participantWork
 				}
-				res.NodeWork[coord] += cfg.CoordWork
-				txnWork = float64(sol.K)*cfg.ParticipantWork + cfg.CoordWork
+				res.NodeWork[coord] += coordWork
+				txnWork = float64(sol.K)*participantWork + coordWork
 			case !distributed:
-				res.NodeWork[coord] += cfg.LocalWork
-				txnWork = cfg.LocalWork
+				res.NodeWork[coord] += localWork
+				txnWork = localWork
 			default:
 				s.Parts.ForEach(func(n int) {
-					res.NodeWork[n] += cfg.ParticipantWork
+					res.NodeWork[n] += participantWork
 				})
-				res.NodeWork[coord] += cfg.CoordWork
-				txnWork = float64(s.Parts.Len())*cfg.ParticipantWork + cfg.CoordWork
+				res.NodeWork[coord] += coordWork
+				txnWork = float64(s.Parts.Len())*participantWork + coordWork
 			}
 			if distributed {
 				res.Distributed++
@@ -350,14 +343,14 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 					}
 				}
 				if touchesMoved && touchesOther {
-					res.NodeWork[coord] += cfg.DualRouteWork
-					txnWork += cfg.DualRouteWork
+					res.NodeWork[coord] += dualRouteWork
+					txnWork += dualRouteWork
 					res.DualRouted++
 					cDriftDual.Inc()
 				}
 			}
 			// SLO accounting over the service-time proxy.
-			proxySec := txnWork / cfg.NodeCapacity
+			proxySec := txnWork / nodeCapacity
 			svcLat.Observe(int64(proxySec * 1e9))
 			slo.Record(proxySec, true)
 		}
@@ -409,7 +402,7 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 		hybrid := plan.Hybrid(cur, next)
 		for _, u := range plan.Units {
 			for _, f := range u.Flows {
-				work := float64(f.Tuples) * cfg.MigrateWorkPerTuple
+				work := float64(f.Tuples) * migrateWorkPerTuple
 				res.NodeWork[f.From] += work
 				res.NodeWork[f.To] += work
 				res.MigrationWork += 2 * work
@@ -468,7 +461,7 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 		}
 	}
 	r := &Result{Nodes: res.Nodes, NodeWork: res.NodeWork}
-	finalize(r, res.Total, cfg.Config)
+	finalize(r, res.Total)
 	res.ThroughputTPS = r.ThroughputTPS
 	res.Speedup = r.Speedup
 

@@ -21,8 +21,8 @@ var (
 	hDurableLatency    = obs.Default.HDR("sim.durable_latency_ns")
 )
 
-// DurableConfig shapes the durable chaos replay: the analytic chaos
-// parameters plus the checkpoint cadence.
+// DurableConfig shapes the durable chaos replay: the chaos replay's SLO
+// evaluation and recorder plus the checkpoint cadence.
 type DurableConfig struct {
 	ChaosConfig
 	// CheckpointEvery is the number of applied commits a partition
@@ -150,7 +150,6 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 	_, span := obs.StartSpan(ctx, "sim/durable")
 	defer span.End()
 
-	cfg.ChaosConfig = cfg.ChaosConfig.withDefaults(tr.Len())
 	a, err := eval.NewAssigner(d, sol)
 	if err != nil {
 		return nil, err
@@ -171,7 +170,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 	crashes := cluster.NewCrashScript(sc.CrashPoints, cluster.TwoPCRules())
 	var nextTxn uint64 // monotonically increasing per-attempt txn id
 	t, err := cluster.Replay(ctx, tr, placed, cluster.ReplayConfig{
-		Seed: seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
+		Seed: seed, ArrivalRateTPS: cluster.ArrivalRate(tr.Len()), Retry: cluster.TxnRetry, Injector: inj,
 		// Unreachable: scripted windows plus crash-point kills.
 		Down:     func(n int, now float64) bool { return eng.dead[n] || inj.Down(n, now) },
 		InDoubt:  func(p int) bool { return eng.Members[p].InDoubt() },

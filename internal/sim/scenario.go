@@ -14,25 +14,6 @@ import (
 	"repro/internal/twopc"
 )
 
-// Four PRs of organic growth left this package with six mode-specific
-// entry points plus their *Context twins. The config-first API below
-// replaced the sprawl with one entry point:
-//
-//	res, err := sim.New(sim.Scenario{
-//	    Mode:     sim.ModeChaos,
-//	    DB:       d,
-//	    Solution: sol,
-//	    Trace:    tr,
-//	    Chaos:    sim.ChaosConfig{...},
-//	    Faults:   scenario,
-//	    Seed:     42,
-//	}).Run(ctx)
-//
-// The deprecated wrappers (Run, RunChaos, RunChaosDurable, RunDrift*)
-// have been removed; their engines live on as the unexported
-// runPlain/runChaos/runChaosDurable/runDrift behind the dispatch. See
-// doc.go at the repository root for the migration table.
-
 // Mode selects which replay a Scenario describes.
 type Mode int
 
@@ -111,10 +92,6 @@ type Scenario struct {
 	Solution *partition.Solution
 	Trace    *trace.Trace
 
-	// Cost is ModePlain's analytic cost model. The other modes embed
-	// their own cost model inside their config blocks (Chaos.Config,
-	// Durable.ChaosConfig.Config, Drift.Config).
-	Cost Config
 	// Chaos parameterizes ModeChaos.
 	Chaos ChaosConfig
 	// Durable parameterizes ModeDurable.
@@ -190,7 +167,16 @@ type Runner struct {
 }
 
 // New wraps a scenario for running. Validation happens in Run so that
-// construction can never fail silently mid-expression.
+// construction can never fail silently mid-expression:
+//
+//	res, err := sim.New(sim.Scenario{
+//	    Mode:     sim.ModeChaos,
+//	    DB:       d,
+//	    Solution: sol,
+//	    Trace:    tr,
+//	    Faults:   scenario,
+//	    Seed:     42,
+//	}).Run(ctx)
 func New(sc Scenario) *Runner { return &Runner{sc: sc} }
 
 // Run executes the scenario, dispatching on Mode. The context threads
@@ -230,7 +216,7 @@ func (r *Runner) Run(ctx context.Context) (*RunResult, error) {
 	case ModePlain:
 		_, span := obs.StartSpan(ctx, "sim/plain")
 		defer span.End()
-		res, err := runPlain(sc.DB, sc.Solution, sc.Trace, sc.Cost)
+		res, err := runPlain(sc.DB, sc.Solution, sc.Trace)
 		if err != nil {
 			return nil, err
 		}

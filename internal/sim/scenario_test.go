@@ -83,7 +83,7 @@ func TestScenarioMatchesEngines(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("plain", func(t *testing.T) {
-		want, err := runPlain(d, sol, tr, Config{})
+		want, err := runPlain(d, sol, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,36 +35,20 @@ var (
 	cSimDist  = obs.Default.Counter("sim.txns_distributed")
 )
 
-// Config sets the cost shape of the simulated cluster.
-type Config struct {
-	// LocalWork is the work units a local transaction costs its single
-	// participant (default 1).
-	LocalWork float64
-	// CoordWork is the extra work the coordinator of a distributed
-	// transaction performs (prepare/commit bookkeeping; default 2).
-	CoordWork float64
-	// ParticipantWork is the work each participant of a distributed
-	// transaction performs, including the 2PC round trips (default 2).
-	ParticipantWork float64
-	// NodeCapacity is work units per second per node (default 10000).
-	NodeCapacity float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.LocalWork <= 0 {
-		c.LocalWork = 1
-	}
-	if c.CoordWork <= 0 {
-		c.CoordWork = 2
-	}
-	if c.ParticipantWork <= 0 {
-		c.ParticipantWork = 2
-	}
-	if c.NodeCapacity <= 0 {
-		c.NodeCapacity = 10000
-	}
-	return c
-}
+// The cost shape of the simulated cluster.
+const (
+	// localWork is the work units a local transaction costs its single
+	// participant.
+	localWork float64 = 1
+	// coordWork is the extra work the coordinator of a distributed
+	// transaction performs (prepare/commit bookkeeping).
+	coordWork float64 = 2
+	// participantWork is the work each participant of a distributed
+	// transaction performs, including the 2PC round trips.
+	participantWork float64 = 2
+	// nodeCapacity is work units per second per node.
+	nodeCapacity float64 = 10000
+)
 
 // Result is the outcome of simulating one solution.
 type Result struct {
@@ -90,19 +74,18 @@ func (r *Result) String() string {
 
 // runPlain simulates the trace under the solution: the engine behind
 // New(Scenario{Mode: ModePlain, ...}).Run(ctx).
-func runPlain(d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg Config) (*Result, error) {
+func runPlain(d *db.DB, sol *partition.Solution, tr *trace.Trace) (*Result, error) {
 	a, err := eval.NewAssigner(d, sol)
 	if err != nil {
 		return nil, err
 	}
 	placed := a.PlaceTrace(tr, runtime.GOMAXPROCS(0))
 	defer placed.Stop()
-	return replayPlain(tr, placed, sol.K, cfg), nil
+	return replayPlain(tr, placed, sol.K), nil
 }
 
 // replayPlain is runPlain over the trace's placements.
-func replayPlain(tr *trace.Trace, placed *eval.TracePlacement, k int, cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func replayPlain(tr *trace.Trace, placed *eval.TracePlacement, k int) *Result {
 	res := &Result{Nodes: k, NodeWork: make([]float64, k)}
 	for i, t := range tr.All() {
 		nodes, coord, distributed := cluster.Participants(t, placed.Txn(i), k, i)
@@ -111,7 +94,7 @@ func replayPlain(tr *trace.Trace, placed *eval.TracePlacement, k int, cfg Config
 		} else {
 			res.Local++
 		}
-		chargeCommit(res.NodeWork, nodes, coord, distributed, cfg)
+		chargeCommit(res.NodeWork, nodes, coord, distributed)
 	}
 	cSimRuns.Inc()
 	cSimTxns.Add(int64(tr.Len()))
@@ -120,20 +103,20 @@ func replayPlain(tr *trace.Trace, placed *eval.TracePlacement, k int, cfg Config
 	for _, w := range res.NodeWork {
 		obs.Observe("sim.node_work", w)
 	}
-	finalize(res, tr.Len(), cfg)
+	finalize(res, tr.Len())
 	return res
 }
 
 // finalize derives throughput and speedup from the accumulated node work.
 // The single-node baseline executes every transaction locally, so its
-// throughput simplifies to NodeCapacity/LocalWork independent of trace
-// length (n transactions at LocalWork units each take
-// n·LocalWork/NodeCapacity seconds). A zero bottleneck means no node
+// throughput simplifies to nodeCapacity/localWork independent of trace
+// length (n transactions at localWork units each take
+// n·localWork/nodeCapacity seconds). A zero bottleneck means no node
 // accumulated work: an empty trace has no throughput or speedup to speak
 // of, while a non-empty trace of zero-cost transactions is neither faster
 // nor slower than a single node running the same free transactions, so
 // Speedup pins to 1.
-func finalize(res *Result, traceLen int, cfg Config) {
+func finalize(res *Result, traceLen int) {
 	bottleneck := 0.0
 	for _, w := range res.NodeWork {
 		if w > bottleneck {
@@ -149,14 +132,14 @@ func finalize(res *Result, traceLen int, cfg Config) {
 		}
 		return
 	}
-	res.ThroughputTPS = float64(traceLen) / (bottleneck / cfg.NodeCapacity)
-	res.Speedup = res.ThroughputTPS / (cfg.NodeCapacity / cfg.LocalWork)
+	res.ThroughputTPS = float64(traceLen) / (bottleneck / nodeCapacity)
+	res.Speedup = res.ThroughputTPS / (nodeCapacity / localWork)
 }
 
 // Sweep simulates a solution-per-k factory across partition counts,
 // returning one Result per k — the "throughput vs parallelism" curve the
 // paper's introduction motivates.
-func Sweep(d *db.DB, tr *trace.Trace, ks []int, cfg Config,
+func Sweep(d *db.DB, tr *trace.Trace, ks []int,
 	solve func(k int) (*partition.Solution, error)) ([]*Result, error) {
 	var out []*Result
 	for _, k := range ks {
@@ -164,7 +147,7 @@ func Sweep(d *db.DB, tr *trace.Trace, ks []int, cfg Config,
 		if err != nil {
 			return nil, fmt.Errorf("sim: solve k=%d: %w", k, err)
 		}
-		r, err := runPlain(d, sol, tr, cfg)
+		r, err := runPlain(d, sol, tr)
 		if err != nil {
 			return nil, err
 		}

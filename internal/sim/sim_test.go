@@ -28,11 +28,11 @@ func custInfoSolution(k int) *partition.Solution {
 func TestPerfectPartitioningScales(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 400, 2)
-	r1, err := runPlain(d, custInfoSolution(1), tr, Config{})
+	r1, err := runPlain(d, custInfoSolution(1), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := runPlain(d, custInfoSolution(2), tr, Config{})
+	r2, err := runPlain(d, custInfoSolution(2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestDistributedOverheadHurts(t *testing.T) {
 		singleCol("CUSTOMER_ACCOUNT", "CA_ID"), partition.NewHash(4)))
 	bad.Set(partition.NewReplicated("HOLDING_SUMMARY"))
 	good := custInfoSolution(4)
-	rb, err := runPlain(d, bad, tr, Config{})
+	rb, err := runPlain(d, bad, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg, err := runPlain(d, good, tr, Config{})
+	rg, err := runPlain(d, good, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSweepMonotoneShape(t *testing.T) {
 	// SPECIAL_FACILITY partitioned: replicated writes would serialize the
 	// cluster (every write charges every node), which is precisely the
 	// effect the simulator exists to expose.
-	results, err := Sweep(d, test, []int{1, 2, 4, 8}, Config{}, func(k int) (*partition.Solution, error) {
+	results, err := Sweep(d, test, []int{1, 2, 4, 8}, func(k int) (*partition.Solution, error) {
 		sol, _, err := core.Partition(context.Background(), core.Input{
 			DB: d, Procedures: workloads.Procedures(b), Train: train, Test: test,
 		}, core.Options{K: k, ReadMostlyThreshold: 0.005})
@@ -145,7 +145,7 @@ func TestReplicatedWriteChargesEveryone(t *testing.T) {
 	col.Begin("W", nil)
 	col.Write("TRADE", value.MakeKey(value.NewInt(1)))
 	col.Commit()
-	r, err := runPlain(d, sol, col.Trace(), Config{})
+	r, err := runPlain(d, sol, col.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestReplicatedWriteChargesEveryone(t *testing.T) {
 
 func TestEmptyTraceAndDefaults(t *testing.T) {
 	d := fixture.CustInfoDB()
-	r, err := runPlain(d, custInfoSolution(2), &trace.Trace{}, Config{})
+	r, err := runPlain(d, custInfoSolution(2), &trace.Trace{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestEmptyTraceAndDefaults(t *testing.T) {
 		t.Errorf("empty trace: %+v", r)
 	}
 	// Invalid solutions are rejected.
-	if _, err := runPlain(d, partition.NewSolution("bad", 0), &trace.Trace{}, Config{}); err == nil {
+	if _, err := runPlain(d, partition.NewSolution("bad", 0), &trace.Trace{}); err == nil {
 		t.Error("invalid solution must error")
 	}
 }
@@ -184,7 +184,7 @@ func TestWorkConservationProperty(t *testing.T) {
 		n := 20 + rng.Intn(80)
 		tr := fixture.MixedTrace(d, n, seed)
 		k := 1 + rng.Intn(8)
-		r, err := runPlain(d, custInfoSolution(k), tr, Config{})
+		r, err := runPlain(d, custInfoSolution(k), tr)
 		if err != nil {
 			return false
 		}

@@ -141,7 +141,7 @@ func BenchmarkTwoPCRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	drv := newDriver(2, dEp, driverConfig{})
+	drv := newDriver(2, dEp)
 	w := newOrderWrites()
 	alive := func(int) bool { return false }
 	b.ReportAllocs()

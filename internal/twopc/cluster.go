@@ -24,7 +24,8 @@ var (
 	cOracleFail = obs.Default.Counter("twopc.oracle_failures")
 )
 
-// Config shapes one networked 2PC replay.
+// Config shapes one networked 2PC replay. Its retry policies and wire
+// timings are internal/cluster's commit-path constants (timing.go).
 type Config struct {
 	// Scenario is the fault scenario (required; faults.Builtin names).
 	Scenario *faults.Scenario
@@ -47,55 +48,16 @@ type Config struct {
 	// CheckpointEvery is the per-partition commit cadence between
 	// CHECKPOINT records (default cluster.CheckpointEvery).
 	CheckpointEvery int
-	// ArrivalRateTPS is the offered load (default: trace length / 8).
-	ArrivalRateTPS float64
-	// Retry shapes the transaction-level retry loop (virtual backoff;
-	// defaults per faults.RetryPolicy).
-	Retry faults.RetryPolicy
-	// Wire shapes per-message retransmission: MaxAttempts caps prepare
-	// broadcasts, BackoffAt paces resends (default base 20ms, cap 200ms).
-	Wire faults.RetryPolicy
-	// VoteWait / AckWait are per-attempt reply windows (default 25ms);
-	// they are only consumed when a frame was actually dropped.
-	VoteWait time.Duration
-	AckWait  time.Duration
-	// DecisionTimeout is how long a participant sits prepared-undecided
-	// before running the termination protocol (default 3s).
-	DecisionTimeout time.Duration
-	// HeartbeatEvery / LeaseTimeout shape the leader lease (defaults
-	// 25ms / 150ms).
-	HeartbeatEvery time.Duration
-	LeaseTimeout   time.Duration
-	// SpikeDelay is the real delivery delay of a chaos-spiked frame
-	// (default 2ms — well inside the reply windows, so spikes add wire
-	// latency without changing outcomes).
-	SpikeDelay time.Duration
 
-	// SLO configures the tumbling-window objective evaluation.
-	SLO obs.SLOConfig
 	// Recorder, when non-nil, receives driver-side flight events (the
 	// same vocabulary as the in-process engine, minus per-append WAL
 	// events, which would race across server goroutines).
 	Recorder *obs.Recorder
 }
 
-func (c Config) withDefaults(traceLen int) Config {
+func (c Config) withDefaults() Config {
 	if c.Transport == "" {
 		c.Transport = "bus"
-	}
-	c.ArrivalRateTPS = cluster.ArrivalRate(c.ArrivalRateTPS, traceLen)
-	c.Retry = c.Retry.WithDefaults()
-	if c.DecisionTimeout <= 0 {
-		c.DecisionTimeout = 3 * time.Second
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 25 * time.Millisecond
-	}
-	if c.LeaseTimeout <= 0 {
-		c.LeaseTimeout = 150 * time.Millisecond
-	}
-	if c.SpikeDelay <= 0 {
-		c.SpikeDelay = 2 * time.Millisecond
 	}
 	return c
 }
@@ -191,17 +153,14 @@ func buildCluster(d *db.DB, k int, cfg Config) (*topology, error) {
 		Seed:       cfg.Seed,
 		LossProb:   cfg.Scenario.MsgLossProb,
 		SpikeProb:  cfg.Scenario.LatencySpikeProb,
-		SpikeDelay: cfg.SpikeDelay,
+		SpikeDelay: cluster.SpikeDelay,
 		Exempt:     exemptType,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("twopc: %w", err)
 	}
 	cl := &topology{bus: bus, eps: eps}
-	pcfg := ParticipantConfig{
-		DecisionTimeout: cfg.DecisionTimeout,
-		CheckpointEvery: cfg.CheckpointEvery,
-	}
+	pcfg := ParticipantConfig{CheckpointEvery: cfg.CheckpointEvery}
 	cl.parts = make([]*Participant, k)
 	for id := 0; id < k; id++ {
 		p, err := NewParticipant(id, d.Schema(), cfg.WALDir, cl.eps[id], pcfg)
@@ -223,7 +182,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	_, span := obs.StartSpan(ctx, "twopc/run")
 	defer span.End()
 
-	cfg = cfg.withDefaults(tr.Len())
+	cfg = cfg.withDefaults()
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("twopc: nil scenario")
 	}
@@ -249,10 +208,11 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	defer transport.CloseAll(cl.eps)
 
 	k := sol.K
-	dcfg := driverConfig{wire: cfg.Wire, voteWait: cfg.VoteWait, ackWait: cfg.AckWait}
-	drv := newDriver(k, cl.eps[k], dcfg)
+	drv := newDriver(k, cl.eps[k])
 
-	// Server goroutines; every return stops and joins them.
+	// Server goroutines; every return stops and joins them. A server
+	// that fails stops them all, so that no round waits on the dead one,
+	// and its error ends the run (serverErr).
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	srvCtx, stopServers := context.WithCancel(context.Background())
@@ -267,8 +227,17 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 				case errCh <- err:
 				default:
 				}
+				stopServers()
 			}
 		}(p)
+	}
+	serverErr := func() error {
+		select {
+		case err := <-errCh:
+			return fmt.Errorf("twopc: participant: %w", err)
+		default:
+			return nil
+		}
 	}
 
 	// Leader lease: the driver heartbeats the standby; a coordinator
@@ -278,7 +247,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	var leaderAlive atomic.Bool
 	leaderAlive.Store(true)
 	if cfg.Standby {
-		sb = NewStandby(k+1, cl.eps[k+1], cfg.WALDir, cluster.PartitionIDs(k), cfg.LeaseTimeout, dcfg)
+		sb = NewStandby(k+1, cl.eps[k+1], cfg.WALDir, cluster.PartitionIDs(k), cluster.LeaseTimeout)
 		sb.SetLeader(k)
 		wg.Add(1)
 		go func() {
@@ -289,7 +258,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tick := time.NewTicker(cfg.HeartbeatEvery)
+			tick := time.NewTicker(cluster.HeartbeatEvery)
 			defer tick.Stop()
 			for {
 				select {
@@ -314,23 +283,29 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 
 	// failover hands the trace to the standby: heartbeats stop, the
 	// lease lapses, the takeover resolves every live in-doubt holder,
-	// and the standby's endpoint becomes the driver's.
+	// and the standby's endpoint becomes the driver's. A failed server
+	// stops the standby before its takeover; serverErr then reports it.
 	failover := func() {
 		leaderAlive.Store(false)
-		rep := <-sb.Done()
+		var rep TakeoverReport
+		select {
+		case rep = <-sb.Done():
+		case <-srvCtx.Done():
+			return
+		}
 		res.Failovers++
 		res.ResolvedCommits += rep.ResolvedCommits
 		res.ResolvedAborts += rep.ResolvedAborts
 		clear(inDoubtSet)
-		drv = newDriver(k+1, sb.Endpoint(), dcfg)
+		drv = newDriver(k+1, sb.Endpoint())
 	}
 
 	var nextTxn uint64
 	t, err := cluster.Replay(ctx, tr, placed, cluster.ReplayConfig{
-		Seed: cfg.Seed, ArrivalRateTPS: cfg.ArrivalRateTPS, Retry: cfg.Retry, Injector: inj,
+		Seed: cfg.Seed, ArrivalRateTPS: cluster.ArrivalRate(tr.Len()), Retry: cluster.TxnRetry, Injector: inj,
 		Down:     func(n int, now float64) bool { return dead(n) || inj.Down(n, now) },
 		InDoubt:  func(p int) bool { return inDoubtSet[p] },
-		Recorder: rec, SLO: obs.NewSLOMonitor(cfg.SLO), Journal: true,
+		Recorder: rec, SLO: obs.NewSLOMonitor(obs.SLOConfig{}), Journal: true,
 	}, func(at *cluster.Attempt) (bool, error) {
 		if cl.bus != nil {
 			// Scripted crash windows gate real frames for this round's
@@ -358,6 +333,9 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		} else {
 			out.committed = drv.commitLocal(srvCtx, nextTxn, parts[0], at.Writes.Of(0))
 		}
+		if err := serverErr(); err != nil {
+			return false, err
+		}
 		for _, p := range out.yes {
 			rec.Record(at.TraceID, obs.EvPrepare, p, at.Num, at.Now, 0)
 		}
@@ -380,6 +358,9 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		}
 		if fire.Phase != faults.PhaseBeforePrepare && sb != nil {
 			failover() // a coordinator crash
+			if err := serverErr(); err != nil {
+				return false, err
+			}
 		}
 		// After the decision, it is durable on the crashed coordinator:
 		// the transaction IS committed even though nobody heard it.
@@ -397,10 +378,8 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	// (closing their logs as-is), then recovery replays every log.
 	stopServers()
 	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, fmt.Errorf("twopc: participant: %w", err)
-	default:
+	if err := serverErr(); err != nil {
+		return nil, err
 	}
 
 	for n := 0; n < k; n++ {

@@ -10,47 +10,22 @@ import (
 	"repro/internal/transport"
 )
 
-// driverConfig shapes the coordinator's wire behavior.
-type driverConfig struct {
-	// wire caps prepare broadcasts (MaxAttempts) and paces every
-	// retransmission (BackoffAt: capped exponential).
-	wire faults.RetryPolicy
-	// voteWait / ackWait are the per-attempt reply windows. They only
-	// matter when a frame was actually dropped or a peer died — on a
-	// healthy exchange the reply arrives immediately.
-	voteWait time.Duration
-	ackWait  time.Duration
-}
-
-func (c driverConfig) withDefaults() driverConfig {
-	c.wire = c.wire.WithDefaults()
-	if c.wire.BaseBackoffSec == 0.010 { // faults default is tuned for txn retries
-		c.wire.BaseBackoffSec = 0.020
-		c.wire.MaxBackoffSec = 0.200
-	}
-	if c.voteWait <= 0 {
-		c.voteWait = 25 * time.Millisecond
-	}
-	if c.ackWait <= 0 {
-		c.ackWait = 25 * time.Millisecond
-	}
-	return c
-}
-
 // driver is the 2PC coordinator process: it owns one endpoint and runs
 // one transaction round at a time. Every send bumps a monotonic attempt
 // counter, so a retransmission is a distinct frame that the chaos layer
 // resamples — the per-round retransmission count is a pure function of
 // the seed.
 type driver struct {
-	id  int
-	ep  transport.Transport
-	cfg driverConfig
-	seq int
+	id int
+	ep transport.Transport
+	// wire caps prepare broadcasts (MaxAttempts) and paces every
+	// retransmission (BackoffAt: capped exponential).
+	wire faults.RetryPolicy
+	seq  int
 }
 
-func newDriver(id int, ep transport.Transport, cfg driverConfig) *driver {
-	return &driver{id: id, ep: ep, cfg: cfg.withDefaults()}
+func newDriver(id int, ep transport.Transport) *driver {
+	return &driver{id: id, ep: ep, wire: cluster.WireRetry}
 }
 
 // roundOutcome is what one 2PC round left behind.
@@ -104,7 +79,7 @@ func (d *driver) await(ctx context.Context, base time.Duration, attempt int, mat
 // waitFor is the reply window for attempt number n: the base window
 // stretched by the capped-exponential wire policy.
 func (d *driver) waitFor(base time.Duration, attempt int) time.Duration {
-	w := time.Duration(d.cfg.wire.BackoffAt(attempt) * float64(time.Second))
+	w := time.Duration(d.wire.BackoffAt(attempt) * float64(time.Second))
 	if w < base {
 		w = base
 	}
@@ -120,13 +95,13 @@ func (d *driver) gatherVotes(ctx context.Context, txn uint64, coord int, w *clus
 	for _, pt := range parts {
 		pending[pt] = true
 	}
-	for attempt := 1; attempt <= d.cfg.wire.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= d.wire.MaxAttempts; attempt++ {
 		for i, pt := range parts {
 			if pending[pt] && !dead(pt) {
 				d.send(ctx, pt, MsgPrepare, txn, encodePrepare(coord, w.Of(i)))
 			}
 		}
-		wctx, cancel := d.window(ctx, d.cfg.voteWait, attempt)
+		wctx, cancel := d.window(ctx, cluster.ReplyWait, attempt)
 		for len(pending) > 0 {
 			m, err := d.ep.Recv(wctx)
 			if err != nil {
@@ -174,14 +149,14 @@ func (d *driver) gatherVotes(ctx context.Context, txn uint64, coord int, w *clus
 // the coordinator's stall instead of hanging it forever.
 func (d *driver) decide(ctx context.Context, txn uint64, typ uint8, to int, dead func(int) bool, maxAttempts int) bool {
 	if maxAttempts <= 0 {
-		maxAttempts = 4 * d.cfg.wire.MaxAttempts
+		maxAttempts = 4 * d.wire.MaxAttempts
 	}
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if dead(to) || ctx.Err() != nil {
 			return false
 		}
 		d.send(ctx, to, typ, txn, nil)
-		if _, ok := d.await(ctx, d.cfg.ackWait, attempt, func(m transport.Msg) bool {
+		if _, ok := d.await(ctx, cluster.ReplyWait, attempt, func(m transport.Msg) bool {
 			return m.Type == MsgAck && m.Txn == txn && m.From == to
 		}); ok {
 			return true
@@ -203,7 +178,7 @@ func (d *driver) round2PC(ctx context.Context, txn uint64, coord int, w *cluster
 		d.fanOut(ctx, txn, MsgDecideAbort, coord, parts, dead)
 		return roundOutcome{blocked: blocked, yes: yes, unresolved: deadOf(yes, dead)}
 	}
-	if !d.decide(ctx, txn, MsgDecideCommit, coord, dead, d.cfg.wire.MaxAttempts) {
+	if !d.decide(ctx, txn, MsgDecideCommit, coord, dead, d.wire.MaxAttempts) {
 		if dead(coord) {
 			// The partition crashed handling the decision; the harness
 			// disambiguates (torn vs durable) via the crash it armed.
@@ -238,9 +213,9 @@ func (d *driver) fanOut(ctx context.Context, txn uint64, typ uint8, coord int, p
 
 // commitLocal runs the single-partition fast path.
 func (d *driver) commitLocal(ctx context.Context, txn uint64, part int, bodies [][]byte) bool {
-	for attempt := 1; attempt <= d.cfg.wire.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= d.wire.MaxAttempts; attempt++ {
 		d.send(ctx, part, MsgCommitLocal, txn, encodeCommitLocal(bodies))
-		if m, ok := d.await(ctx, d.cfg.ackWait, attempt, func(m transport.Msg) bool {
+		if m, ok := d.await(ctx, cluster.ReplyWait, attempt, func(m transport.Msg) bool {
 			return m.Txn == txn && m.From == part && (m.Type == MsgAckLocal || m.Type == MsgVoteNo)
 		}); ok {
 			return m.Type == MsgAckLocal

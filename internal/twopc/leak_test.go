@@ -3,7 +3,6 @@ package twopc
 import (
 	"bytes"
 	"context"
-	"errors"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/trace"
+	"repro/internal/value"
 )
 
 // cancelAfter is a context whose Err reports context.Canceled from its
@@ -61,12 +61,31 @@ func placing() bool {
 	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*TracePlacement).fill"))
 }
 
+// withBadWrite returns a copy of tr whose transaction i also writes a
+// table the schema lacks: the write routes to the coordinator, whose
+// server logs it and then fails on it.
+func withBadWrite(tr *trace.Trace, i int) *trace.Trace {
+	txns := make([]trace.Txn, tr.Len())
+	for j := range txns {
+		txns[j] = *tr.At(j)
+	}
+	txns[i].Accesses = append(slices.Clip(txns[i].Accesses),
+		trace.Access{Table: "NO_SUCH_TABLE", Key: value.MakeKey(value.NewInt(1)), Write: true})
+	return trace.FromTxns(txns)
+}
+
+// runLimit bounds every run of TestRunLeavesNoGoroutine: a run that
+// outlives it hangs.
+const runLimit = 10 * time.Second
+
 // TestRunLeavesNoGoroutine checks that a 2PC run joins every goroutine
 // it starts — participant servers, and the workers placing its window
-// ahead of the replay — whether it finishes or fails mid-window. The
-// failing runs replay the window repeated 100 times, which takes a
-// worker far longer to place than the 100 ms the check allows, so a run
-// that left its placement to finish on its own fails here.
+// ahead of the replay — whether it finishes, is cancelled, or fails on
+// a participant's store error. The cancelled runs replay the window
+// repeated 100 times, which takes a worker far longer to place than the
+// 100 ms the check allows, so a run that left its placement to finish on
+// its own fails here. The failing run must end with the participant's
+// error instead of re-sending decisions to its dead server.
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	d, sol, window := tpccWindow(t)
 	long := window.Concat(slices.Repeat([]*trace.Trace{window}, 99)...)
@@ -75,27 +94,38 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name   string
-		cancel int64 // the transaction the run is cancelled at; -1: never
+		name    string
+		ctx     context.Context
+		tr      *trace.Trace
+		wantErr string // the error the run must end with; "": none
 	}{
-		{"clean", -1},
-		{"cancelled at the first transaction", 0},
-		{"cancelled mid-window", int64(window.Len() / 2)},
+		{"clean", context.Background(), window, ""},
+		{"cancelled at the first transaction", newCancelAfter(0), long, context.Canceled.Error()},
+		{"cancelled mid-window", newCancelAfter(int64(window.Len() / 2)), long, context.Canceled.Error()},
+		{"store error", context.Background(), withBadWrite(window, 10),
+			`twopc: participant: db: tx: unknown table "NO_SUCH_TABLE"`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			ctx, tr := context.Context(context.Background()), window
-			if c.cancel >= 0 {
-				ctx, tr = newCancelAfter(c.cancel), long
-			}
 			before := runtime.NumGoroutine()
-			res, err := Run(ctx, d, sol, tr, Config{Scenario: sc, Seed: 1, WALDir: t.TempDir()})
+			var res *Result
+			var err error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				res, err = Run(c.ctx, d, sol, c.tr, Config{Scenario: sc, Seed: 1, WALDir: t.TempDir()})
+			}()
+			select {
+			case <-done:
+			case <-time.After(runLimit):
+				t.Fatalf("run did not return within %v", runLimit)
+			}
 			switch {
-			case c.cancel < 0 && err != nil:
+			case c.wantErr == "" && err != nil:
 				t.Fatal(err)
-			case c.cancel < 0 && !res.OracleOK:
+			case c.wantErr == "" && !res.OracleOK:
 				t.Fatalf("clean run failed its oracle: %s", res)
-			case c.cancel >= 0 && !errors.Is(err, context.Canceled):
-				t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+			case c.wantErr != "" && (err == nil || err.Error() != c.wantErr):
+				t.Fatalf("run returned %v, want %s", err, c.wantErr)
 			}
 			for deadline := time.Now().Add(100 * time.Millisecond); placing(); time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
@@ -33,13 +34,12 @@ type Standby struct {
 }
 
 // NewStandby builds a standby over its own endpoint. parts are the
-// partition ids to scan, walDir the directory their logs live in.
-func NewStandby(id int, ep transport.Transport, walDir string, parts []int, lease time.Duration, cfg driverConfig) *Standby {
-	if lease <= 0 {
-		lease = 150 * time.Millisecond
-	}
+// partition ids to scan, walDir the directory their logs live in, and
+// lease how long the leader may stay silent (cluster.LeaseTimeout in a
+// run).
+func NewStandby(id int, ep transport.Transport, walDir string, parts []int, lease time.Duration) *Standby {
 	return &Standby{
-		d:      newDriver(id, ep, cfg),
+		d:      newDriver(id, ep),
 		walDir: walDir,
 		parts:  append([]int(nil), parts...),
 		lease:  lease,
@@ -112,7 +112,7 @@ func (s *Standby) TakeOver(ctx context.Context) TakeoverReport {
 			rep.ResolvedAborts++
 		}
 		for _, pt := range h.parts {
-			s.d.decide(ctx, txn, typ, pt, func(int) bool { return ctx.Err() != nil }, s.d.cfg.wire.MaxAttempts)
+			s.d.decide(ctx, txn, typ, pt, func(int) bool { return ctx.Err() != nil }, s.d.wire.MaxAttempts)
 		}
 	}
 	return rep
@@ -143,9 +143,9 @@ func (s *Standby) scan(ctx context.Context) map[uint64]holderSet {
 }
 
 func (s *Standby) scanOne(ctx context.Context, pt int) ([]inDoubtPair, bool) {
-	for attempt := 1; attempt <= s.d.cfg.wire.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= s.d.wire.MaxAttempts; attempt++ {
 		s.d.send(ctx, pt, MsgScan, 0, nil)
-		if m, ok := s.d.await(ctx, s.d.cfg.ackWait, attempt, func(m transport.Msg) bool {
+		if m, ok := s.d.await(ctx, cluster.ReplyWait, attempt, func(m transport.Msg) bool {
 			return m.Type == MsgScanResp && m.From == pt
 		}); ok {
 			pairs, err := decodeScanResp(m.Payload)
@@ -168,7 +168,7 @@ func (s *Standby) scanOne(ctx context.Context, pt int) ([]inDoubtPair, bool) {
 func (s *Standby) decisionFor(ctx context.Context, txn uint64, coord int) bool {
 	for attempt := 1; attempt <= 3; attempt++ {
 		s.d.send(ctx, coord, MsgStatusQuery, txn, nil)
-		if m, ok := s.d.await(ctx, s.d.cfg.ackWait, attempt, func(m transport.Msg) bool {
+		if m, ok := s.d.await(ctx, cluster.ReplyWait, attempt, func(m transport.Msg) bool {
 			return m.Txn == txn && m.From == coord &&
 				(m.Type == MsgStatusCommit || m.Type == MsgStatusAbort || m.Type == MsgStatusUnknown)
 		}); ok {

@@ -283,9 +283,8 @@ func TestTCPTimeoutAbort(t *testing.T) {
 		}
 	}()
 
-	drv := newDriver(1, dEp, driverConfig{
-		wire: faults.RetryPolicy{MaxAttempts: 2, BaseBackoffSec: 0.03, MaxBackoffSec: 0.06},
-	})
+	drv := newDriver(1, dEp)
+	drv.wire = faults.RetryPolicy{MaxAttempts: 2, BaseBackoffSec: 0.03, MaxBackoffSec: 0.06}
 	alive := func(int) bool { return false }
 	w := touchWrites(0)
 	if out := drv.round2PC(context.Background(), 1, 0, w, alive); !out.committed {
@@ -461,7 +460,7 @@ func TestStandbyChattyParticipantCannotSuppressFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	const lease = 120 * time.Millisecond
-	sb := NewStandby(10, sbEp, t.TempDir(), nil, lease, driverConfig{})
+	sb := NewStandby(10, sbEp, t.TempDir(), nil, lease)
 	sb.SetLeader(9)
 
 	ctx, cancel := context.WithCancel(context.Background())
