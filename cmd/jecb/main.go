@@ -253,8 +253,8 @@ func realMain(benchmark, algo string, k, scale, txns int, trainFrac float64, see
 	}
 
 	ctx, tr := obs.WithTrace(context.Background(), "jecb/run")
-	// The flight recorder rides the context into every stage (the sim
-	// scenarios pick it up via obs.ContextRecorder). It is allocated when a
+	// The flight recorder rides the context into every stage (the replay
+	// engines pick it up via obs.ContextRecorder). It is allocated when a
 	// dump was requested OR when chaos is on — a chaos run whose oracle
 	// diverges dumps its recorder next to the WALs even without the flag.
 	var rec *obs.Recorder
@@ -537,20 +537,19 @@ func serveStage(ctx context.Context, d *db.DB, sol *partition.Solution, b worklo
 	}
 	fmt.Printf("serve: scenario %q, load %gx, %gs horizon, arrival %s, admission %s\n",
 		sc.Name, so.load, so.duration, arrival, admission)
-	run, err := sim.New(sim.Scenario{
-		Mode: sim.ModeServe, DB: d, Solution: sol, Trace: test,
-		Faults: sc, Seed: so.seed, WALDir: so.walDir,
-		Serve: serve.Config{
-			Load:       serve.LoadConfig{LoadFactor: so.load, DurationSec: so.duration, Arrival: arrival},
-			Admission:  serve.AdmissionConfig{Enabled: so.admission},
-			Procedures: workloads.Procedures(b),
-		},
-	}).Run(ctx)
+	res, err := serve.Run(ctx, d, sol, test, serve.Config{
+		Load:       serve.LoadConfig{LoadFactor: so.load, DurationSec: so.duration, Arrival: arrival},
+		Admission:  serve.AdmissionConfig{Enabled: so.admission},
+		Procedures: workloads.Procedures(b),
+		Scenario:   sc,
+		Seed:       so.seed,
+		WALDir:     so.walDir,
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Println("  " + run.Serve.String())
-	data, err := json.MarshalIndent(run.Serve, "  ", "  ")
+	fmt.Println("  " + res.String())
+	data, err := json.MarshalIndent(res, "  ", "  ")
 	if err != nil {
 		return err
 	}
@@ -590,29 +589,8 @@ func driftStage(ctx context.Context, benchmark string, d *db.DB, b workloads.Ben
 		}
 		return res.Solution, nil
 	}
-	base := sim.Scenario{
-		DB: d, Solution: sol0, Trace: tr,
-		Drift:       sim.DriftConfig{WindowSize: do.window, Budget: do.budget, DriftAt: driftAt},
-		Repartition: repart,
-	}
-	runMode := func(mode sim.Mode) (*sim.DriftResult, error) {
-		sc := base
-		sc.Mode = mode
-		res, err := sim.New(sc).Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return res.Drift, nil
-	}
-	st, err := runMode(sim.ModeDriftStatic)
-	if err != nil {
-		return err
-	}
-	ad, err := runMode(sim.ModeDriftAdaptive)
-	if err != nil {
-		return err
-	}
-	or, err := runMode(sim.ModeDriftOracle)
+	st, ad, or, err := sim.CompareDrift(ctx, d, sol0, tr,
+		sim.DriftConfig{WindowSize: do.window, Budget: do.budget, DriftAt: driftAt}, repart)
 	if err != nil {
 		return err
 	}
@@ -640,14 +618,10 @@ func chaosStage(ctx context.Context, d *db.DB, sol *partition.Solution, test *tr
 		return err
 	}
 	fmt.Printf("chaos: scenario %q, seed %d\n", sc.Name, co.seed)
-	run, err := sim.New(sim.Scenario{
-		Mode: sim.ModeChaos, DB: d, Solution: sol, Trace: test,
-		Faults: sc, Seed: co.seed,
-	}).Run(ctx)
+	res, err := sim.RunChaos(ctx, d, sol, test, sim.ChaosConfig{Scenario: sc, Seed: co.seed})
 	if err != nil {
 		return err
 	}
-	res := run.Chaos
 	fmt.Println("  " + res.String())
 	data, err := json.MarshalIndent(res, "  ", "  ")
 	if err != nil {
@@ -661,50 +635,45 @@ func chaosStage(ctx context.Context, d *db.DB, sol *partition.Solution, test *tr
 	if err := os.MkdirAll(co.walDir, 0o755); err != nil {
 		return err
 	}
-	scenario := sim.Scenario{
-		Mode: sim.ModeDurable, DB: d, Solution: sol, Trace: test,
-		Faults: sc, Seed: co.seed, WALDir: co.walDir,
-	}
-	if co.replicate {
+	var report interface{ String() string }
+	var oracleOK bool
+	switch {
+	case co.replicate:
 		// The replica-group engine: every partition is one primary plus
 		// co.replicas WAL-backed backups; the primary ships its log over
 		// the wire and a failure detector promotes the most-caught-up
 		// backup when the primary crashes.
-		scenario.Mode = sim.ModeReplicated
-		scenario.Repl = repl.Config{Transport: co.transport,
-			Replicas: co.replicas, CommitRule: co.commitRule}
 		tname := co.transport
 		if tname == "" {
 			tname = "bus"
 		}
 		fmt.Printf("replicated: scenario %q, seed %d, wal-dir %s, transport %s, replicas %d, rule %s\n",
 			sc.Name, co.seed, co.walDir, tname, co.replicas, co.commitRule)
-	} else if co.transport != "" {
+		res, err := repl.Run(ctx, d, sol, test, repl.Config{Scenario: sc, Seed: co.seed, WALDir: co.walDir,
+			Transport: co.transport, Replicas: co.replicas, CommitRule: co.commitRule})
+		if err != nil {
+			return err
+		}
+		report, oracleOK = res, res.OracleOK
+	case co.transport != "":
 		// The networked engine: same WAL-backed 2PC semantics, but every
 		// prepare/decision crosses a real transport with retransmission.
-		scenario.Mode = sim.ModeTwoPC
-		scenario.TwoPC = twopc.Config{Transport: co.transport, Standby: co.standby}
 		fmt.Printf("durable: scenario %q, seed %d, wal-dir %s, transport %s (standby %v)\n",
 			sc.Name, co.seed, co.walDir, co.transport, co.standby)
-	} else {
-		fmt.Printf("durable: scenario %q, seed %d, wal-dir %s\n", sc.Name, co.seed, co.walDir)
-	}
-	drun, err := sim.New(scenario).Run(ctx)
-	if err != nil {
-		return err
-	}
-	var report interface{ String() string }
-	oracleOK := true
-	switch {
-	case drun.Durable != nil:
-		report = drun.Durable
-		oracleOK = drun.Durable.OracleOK
-	case drun.Repl != nil:
-		report = drun.Repl
-		oracleOK = drun.Repl.OracleOK
+		res, err := twopc.Run(ctx, d, sol, test, twopc.Config{Scenario: sc, Seed: co.seed, WALDir: co.walDir,
+			Transport: co.transport, Standby: co.standby})
+		if err != nil {
+			return err
+		}
+		report, oracleOK = res, res.OracleOK
 	default:
-		report = drun.TwoPC
-		oracleOK = drun.TwoPC.OracleOK
+		fmt.Printf("durable: scenario %q, seed %d, wal-dir %s\n", sc.Name, co.seed, co.walDir)
+		res, err := sim.RunDurable(ctx, d, sol, test, sim.DurableConfig{
+			ChaosConfig: sim.ChaosConfig{Scenario: sc, Seed: co.seed}, WALDir: co.walDir})
+		if err != nil {
+			return err
+		}
+		report, oracleOK = res, res.OracleOK
 	}
 	fmt.Println("  " + report.String())
 	ddata, err := json.MarshalIndent(report, "  ", "  ")

@@ -115,6 +115,37 @@ func TestRunChaosStage(t *testing.T) {
 		chaosOpts{enabled: true, seed: 7, scenario: bad}, driftOpts{}, serveOpts{}, "", ""); err == nil {
 		t.Error("malformed scenario must error")
 	}
+
+	// With -wal-dir, the durable replay follows on one of three engines,
+	// each of which leaves its logs in the directory: the in-process 2PC
+	// engine, networked 2PC (-transport bus -standby) and replica groups
+	// (-replicate -commit-rule quorum).
+	for _, c := range []struct {
+		name string
+		co   chaosOpts
+		logs string
+		n    int
+	}{
+		{"durable", chaosOpts{scenario: "part-crash"}, "partition-*.wal", 2},
+		{"twopc", chaosOpts{scenario: "coord-crash", transport: "bus", standby: true}, "partition-*.wal", 2},
+		{"repl", chaosOpts{scenario: "single-crash", replicate: true, replicas: 2, commitRule: "quorum"}, "group-*-m*.wal", 6},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			co := c.co
+			co.enabled, co.seed, co.walDir = true, 7, t.TempDir()
+			if _, err := run(context.Background(), "synthetic", "jecb", 2, 0, 200, 0.5, 1, 0, false,
+				co, driftOpts{}, serveOpts{}, "", ""); err != nil {
+				t.Fatal(err)
+			}
+			logs, err := filepath.Glob(filepath.Join(co.walDir, c.logs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(logs) != c.n {
+				t.Errorf("%d logs matching %s in the WAL dir, want %d: %v", len(logs), c.logs, c.n, logs)
+			}
+		})
+	}
 }
 
 // TestRunDriftStage exercises the -drift pipeline tail: the drift

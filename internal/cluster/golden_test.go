@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/db"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/twopc"
 	"repro/internal/workloads"
 	"repro/internal/workloads/synthetic"
@@ -121,36 +123,75 @@ func groupSolution(k int) *partition.Solution {
 	return sol
 }
 
+// engineFunc runs one engine on the golden fixture under a fault
+// scenario, writing its logs under dir.
+type engineFunc func(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace,
+	sc *faults.Scenario, dir string) (any, error)
+
 // engineRun is one pinned engine configuration.
 type engineRun struct {
 	name   string
-	mode   sim.Mode
 	faults string
-	twopc  twopc.Config
-	repl   repl.Config
-	serve  bool
+	run    engineFunc
+}
+
+func chaosEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace,
+	sc *faults.Scenario, dir string) (any, error) {
+	return sim.RunChaos(ctx, d, sol, tr, sim.ChaosConfig{Scenario: sc, Seed: goldenSeed})
+}
+
+func durableEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace,
+	sc *faults.Scenario, dir string) (any, error) {
+	return sim.RunDurable(ctx, d, sol, tr, sim.DurableConfig{
+		ChaosConfig: sim.ChaosConfig{Scenario: sc, Seed: goldenSeed}, WALDir: dir,
+	})
+}
+
+func twopcEngine(cfg twopc.Config) engineFunc {
+	return func(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace,
+		sc *faults.Scenario, dir string) (any, error) {
+		cfg.Scenario, cfg.Seed, cfg.WALDir = sc, goldenSeed, dir
+		return twopc.Run(ctx, d, sol, tr, cfg)
+	}
+}
+
+func replEngine(rule string) engineFunc {
+	return func(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace,
+		sc *faults.Scenario, dir string) (any, error) {
+		return repl.Run(ctx, d, sol, tr, repl.Config{Scenario: sc, Seed: goldenSeed, WALDir: dir, CommitRule: rule})
+	}
+}
+
+func serveEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace,
+	sc *faults.Scenario, dir string) (any, error) {
+	return serve.Run(ctx, d, sol, tr, serve.Config{
+		Load:       serve.LoadConfig{LoadFactor: 2, DurationSec: 1},
+		Admission:  serve.AdmissionConfig{Enabled: true},
+		Procedures: workloads.Procedures(synthetic.New()),
+		Scenario:   sc,
+		Seed:       goldenSeed,
+		WALDir:     dir,
+	})
 }
 
 func engineRuns() []engineRun {
 	var runs []engineRun
 	for _, f := range []string{"rolling", "flaky-network"} {
-		runs = append(runs, engineRun{name: "chaos/" + f, mode: sim.ModeChaos, faults: f})
+		runs = append(runs, engineRun{name: "chaos/" + f, faults: f, run: chaosEngine})
 	}
 	for _, f := range []string{"part-crash", "prep-crash", "coord-crash", "flaky-network"} {
-		runs = append(runs, engineRun{name: "durable/" + f, mode: sim.ModeDurable, faults: f})
+		runs = append(runs, engineRun{name: "durable/" + f, faults: f, run: durableEngine})
 	}
-	runs = append(runs, engineRun{name: "twopc/bus/prep-crash", mode: sim.ModeTwoPC,
-		faults: "prep-crash", twopc: twopc.Config{Transport: "bus"}})
-	runs = append(runs, engineRun{name: "twopc/bus-standby/coord-crash", mode: sim.ModeTwoPC,
-		faults: "coord-crash", twopc: twopc.Config{Transport: "bus", Standby: true}})
+	runs = append(runs, engineRun{name: "twopc/bus/prep-crash", faults: "prep-crash",
+		run: twopcEngine(twopc.Config{Transport: "bus"})})
+	runs = append(runs, engineRun{name: "twopc/bus-standby/coord-crash", faults: "coord-crash",
+		run: twopcEngine(twopc.Config{Transport: "bus", Standby: true})})
 	for _, f := range []string{"primary-crash-mid-ship", "backup-crash-mid-catchup"} {
-		runs = append(runs, engineRun{name: "repl/quorum/" + f, mode: sim.ModeReplicated,
-			faults: f, repl: repl.Config{CommitRule: repl.RuleQuorum}})
+		runs = append(runs, engineRun{name: "repl/quorum/" + f, faults: f, run: replEngine(repl.RuleQuorum)})
 	}
-	runs = append(runs, engineRun{name: "repl/async/single-crash", mode: sim.ModeReplicated,
-		faults: "single-crash", repl: repl.Config{CommitRule: repl.RuleAsync}})
-	runs = append(runs, engineRun{name: "serve/wal/flaky-network", mode: sim.ModeServe,
-		faults: "flaky-network", serve: true})
+	runs = append(runs, engineRun{name: "repl/async/single-crash", faults: "single-crash",
+		run: replEngine(repl.RuleAsync)})
+	runs = append(runs, engineRun{name: "serve/wal/flaky-network", faults: "flaky-network", run: serveEngine})
 	return runs
 }
 
@@ -175,21 +216,10 @@ func TestEngineGolden(t *testing.T) {
 			}
 			dir := t.TempDir()
 			rec := obs.NewRecorder(goldenRecCap)
-			scenario := sim.Scenario{
-				Mode: er.mode, DB: d, Solution: sol, Trace: tr,
-				Faults: sc, Seed: goldenSeed, WALDir: dir, Recorder: rec,
-				TwoPC: er.twopc, Repl: er.repl,
-			}
-			if er.serve {
-				scenario.Serve = serve.Config{
-					Load:       serve.LoadConfig{LoadFactor: 2, DurationSec: 1},
-					Admission:  serve.AdmissionConfig{Enabled: true},
-					Procedures: workloads.Procedures(b),
-				}
-			}
+			ctx := obs.WithRecorder(context.Background(), rec)
 
 			before := runtime.NumGoroutine()
-			res, err := sim.New(scenario).Run(context.Background())
+			res, err := er.run(ctx, d, sol, tr, sc, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,25 +256,10 @@ func waitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// resultHash hashes the selected engine's Result JSON.
-func resultHash(t *testing.T, r *sim.RunResult) string {
+// resultHash hashes an engine's Result JSON.
+func resultHash(t *testing.T, res any) string {
 	t.Helper()
-	var v any
-	switch {
-	case r.Chaos != nil:
-		v = r.Chaos
-	case r.Durable != nil:
-		v = r.Durable
-	case r.TwoPC != nil:
-		v = r.TwoPC
-	case r.Repl != nil:
-		v = r.Repl
-	case r.Serve != nil:
-		v = r.Serve
-	default:
-		t.Fatalf("no engine result for mode %s", r.Mode)
-	}
-	data, err := json.Marshal(v)
+	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,18 +326,14 @@ func TestDurableAndTwoPCLogsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			walHash := func(mode sim.Mode) string {
+			walHash := func(run engineFunc) string {
 				dir := t.TempDir()
-				_, err := sim.New(sim.Scenario{
-					Mode: mode, DB: d, Solution: sol, Trace: tr, Faults: sc, Seed: goldenSeed,
-					WALDir: dir, TwoPC: twopc.Config{Transport: "bus"},
-				}).Run(context.Background())
-				if err != nil {
+				if _, err := run(context.Background(), d, sol, tr, sc, dir); err != nil {
 					t.Fatal(err)
 				}
 				return dirHash(t, dir)
 			}
-			if durable, net := walHash(sim.ModeDurable), walHash(sim.ModeTwoPC); durable != net {
+			if durable, net := walHash(durableEngine), walHash(twopcEngine(twopc.Config{Transport: "bus"})); durable != net {
 				t.Errorf("WAL directories differ: durable %s, twopc %s", durable, net)
 			}
 		})

@@ -21,6 +21,14 @@ var (
 	WireRetry = faults.RetryPolicy{MaxAttempts: 6, BaseBackoffSec: 0.020, MaxBackoffSec: 0.200, JitterFrac: 0.2}
 )
 
+// ReplyWindow is how long attempt number attempt of a wire exchange
+// waits for its reply: the policy's capped-exponential backoff, never
+// less than base. The 2PC driver, the replica-group driver and the
+// replica failure detector all pace their exchanges by it.
+func ReplyWindow(p faults.RetryPolicy, base time.Duration, attempt int) time.Duration {
+	return max(time.Duration(p.BackoffAt(attempt)*float64(time.Second)), base)
+}
+
 const (
 	// ReplyWait is the per-attempt reply window of a vote, an ack or a
 	// ship. It only matters when a frame was actually dropped or a peer

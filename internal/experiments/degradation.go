@@ -72,14 +72,10 @@ func Degradation(benchmark string, scenarios []string, k, scale, txns int, seed 
 			if err != nil {
 				return nil, err
 			}
-			run, err := sim.New(sim.Scenario{
-				Mode: sim.ModeChaos, DB: r.db, Solution: ap.sol, Trace: r.test,
-				Faults: sc, Seed: seed,
-			}).Run(context.Background())
+			res, err := sim.RunChaos(context.Background(), r.db, ap.sol, r.test, sim.ChaosConfig{Scenario: sc, Seed: seed})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s under %q: %w", ap.name, sc.Name, err)
 			}
-			res := run.Chaos
 			row.BaselineTPS = res.BaselineTPS
 			row.Cells = append(row.Cells, DegradationCell{Scenario: sc.Name, Result: res})
 		}

@@ -82,29 +82,11 @@ func Drift(scenarios []string, k, scale, txns, window, budget int, seed int64) (
 			return res.Solution, nil
 		}
 
-		base := sim.Scenario{
-			DB: d, Solution: sol0, Trace: tr,
-			Drift:       sim.DriftConfig{WindowSize: window, Budget: budget, DriftAt: driftAt},
-			Repartition: repart,
-		}
-		runMode := func(mode sim.Mode) (*sim.DriftResult, error) {
-			sc := base
-			sc.Mode = mode
-			res, err := sim.New(sc).Run(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return res.Drift, nil
-		}
 		row := DriftRow{Scenario: name, DriftAt: driftAt}
-		if row.Static, err = runMode(sim.ModeDriftStatic); err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q static: %w", name, err)
-		}
-		if row.Adaptive, err = runMode(sim.ModeDriftAdaptive); err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q adaptive: %w", name, err)
-		}
-		if row.Oracle, err = runMode(sim.ModeDriftOracle); err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q oracle: %w", name, err)
+		row.Static, row.Adaptive, row.Oracle, err = sim.CompareDrift(ctx, d, sol0, tr,
+			sim.DriftConfig{WindowSize: window, Budget: budget, DriftAt: driftAt}, repart)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: scenario %q %w", name, err)
 		}
 		rows = append(rows, row)
 	}

@@ -58,14 +58,13 @@ func Durability(benchmark string, scenarios []string, k, scale, txns int, seed i
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-		run, err := sim.New(sim.Scenario{
-			Mode: sim.ModeDurable, DB: r.db, Solution: sol, Trace: r.test,
-			Faults: sc, Seed: seed, WALDir: dir,
-		}).Run(context.Background())
+		res, err := sim.RunDurable(context.Background(), r.db, sol, r.test, sim.DurableConfig{
+			ChaosConfig: sim.ChaosConfig{Scenario: sc, Seed: seed}, WALDir: dir,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: durable replay under %q: %w", sc.Name, err)
 		}
-		rows = append(rows, DurabilityRow{Scenario: sc.Name, Result: run.Durable})
+		rows = append(rows, DurabilityRow{Scenario: sc.Name, Result: res})
 	}
 	return rows, nil
 }

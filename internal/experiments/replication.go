@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/repl"
-	"repro/internal/sim"
 )
 
 // ReplicationRow is one (scenario, commit rule) cell's replicated-replay
@@ -66,15 +65,14 @@ func Replication(benchmark string, scenarios, rules []string, k, replicas, scale
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				return nil, err
 			}
-			run, err := sim.New(sim.Scenario{
-				Mode: sim.ModeReplicated, DB: r.db, Solution: sol, Trace: r.test,
-				Faults: sc, Seed: seed, WALDir: dir,
-				Repl: repl.Config{Transport: "bus", Replicas: replicas, CommitRule: rule},
-			}).Run(context.Background())
+			res, err := repl.Run(context.Background(), r.db, sol, r.test, repl.Config{
+				Scenario: sc, Seed: seed, WALDir: dir,
+				Transport: "bus", Replicas: replicas, CommitRule: rule,
+			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: replicated replay under %q/%s: %w", sc.Name, rule, err)
 			}
-			rows = append(rows, ReplicationRow{Scenario: sc.Name, CommitRule: rule, Result: run.Repl})
+			rows = append(rows, ReplicationRow{Scenario: sc.Name, CommitRule: rule, Result: res})
 		}
 	}
 	return rows, nil

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -73,21 +72,20 @@ func Serving(benchmark string, scenarios []string, loadFactors []float64, k, sca
 				if err := os.MkdirAll(dir, 0o755); err != nil {
 					return nil, err
 				}
-				run, err := sim.New(sim.Scenario{
-					Mode: sim.ModeServe, DB: r.db, Solution: sol, Trace: r.test,
-					Faults: sc, Seed: seed, WALDir: dir,
-					Serve: serve.Config{
-						Load:       serve.LoadConfig{LoadFactor: lf, DurationSec: durationSec},
-						Admission:  serve.AdmissionConfig{Enabled: admission},
-						Procedures: workloads.Procedures(r.bench),
-					},
-				}).Run(context.Background())
+				res, err := serve.Run(context.Background(), r.db, sol, r.test, serve.Config{
+					Load:       serve.LoadConfig{LoadFactor: lf, DurationSec: durationSec},
+					Admission:  serve.AdmissionConfig{Enabled: admission},
+					Procedures: workloads.Procedures(r.bench),
+					Scenario:   sc,
+					Seed:       seed,
+					WALDir:     dir,
+				})
 				if err != nil {
 					return nil, fmt.Errorf("experiments: serving under %q %gx admission=%s: %w",
 						sc.Name, lf, adm, err)
 				}
 				rows = append(rows, ServingRow{
-					Scenario: sc.Name, LoadFactor: lf, Admission: admission, Result: run.Serve,
+					Scenario: sc.Name, LoadFactor: lf, Admission: admission, Result: res,
 				})
 			}
 		}

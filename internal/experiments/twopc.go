@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/faults"
-	"repro/internal/sim"
 	"repro/internal/twopc"
 )
 
@@ -61,15 +60,13 @@ func TwoPC(benchmark string, scenarios []string, k, scale, txns int, seed int64,
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-		run, err := sim.New(sim.Scenario{
-			Mode: sim.ModeTwoPC, DB: r.db, Solution: sol, Trace: r.test,
-			Faults: sc, Seed: seed, WALDir: dir,
-			TwoPC: twopc.Config{Transport: "bus", Standby: true},
-		}).Run(context.Background())
+		res, err := twopc.Run(context.Background(), r.db, sol, r.test, twopc.Config{
+			Scenario: sc, Seed: seed, WALDir: dir, Transport: "bus", Standby: true,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: networked replay under %q: %w", sc.Name, err)
 		}
-		rows = append(rows, TwoPCRow{Scenario: sc.Name, Result: run.TwoPC})
+		rows = append(rows, TwoPCRow{Scenario: sc.Name, Result: res})
 	}
 	return rows, nil
 }

@@ -83,7 +83,7 @@ const (
 
 // The replication crash-point phases (see DESIGN.md, "Replication").
 // They name instants inside a replica group's shipping protocol and only
-// have meaning where replica groups execute (sim.ModeReplicated); the
+// have meaning where replica groups execute (repl.Run); the
 // durable and networked 2PC replays ignore them the same way the
 // analytic replay ignores every crash point:
 //
@@ -127,9 +127,9 @@ func PhaseCode(phase string) int64 {
 // point fires on the Seq-th (1-based) distributed commit round that
 // qualifies: for before-prepare, any round Node participates in; for
 // before-commit and after-decision, a round Node coordinates. The
-// analytic chaos replay (sim.ModeChaos) ignores crash points — they only
+// analytic chaos replay (sim.RunChaos) ignores crash points — they only
 // have meaning where a real 2PC state machine executes
-// (sim.ModeDurable).
+// (sim.RunDurable).
 type CrashPoint struct {
 	Node  int    `json:"node"`
 	Phase string `json:"phase"`

@@ -59,9 +59,6 @@ type Config struct {
 	// this many records (or whose chain diverged) rejoins via snapshot
 	// install instead of a log-tail ship (default 512).
 	SnapshotLag int64
-
-	// Recorder, when non-nil, receives driver-side flight events.
-	Recorder *obs.Recorder
 }
 
 func (c Config) withDefaults() Config {
@@ -267,11 +264,7 @@ func (h *harness) send(ctx context.Context, to int, typ uint8, txn uint64, paylo
 // attemptCtx bounds one send attempt's reply window: every receive of
 // the attempt shares its deadline.
 func (h *harness) attemptCtx(ctx context.Context, attempt int) (context.Context, context.CancelFunc) {
-	w := time.Duration(cluster.WireRetry.BackoffAt(attempt) * float64(time.Second))
-	if w < cluster.ReplyWait {
-		w = cluster.ReplyWait
-	}
-	return context.WithDeadline(ctx, time.Now().Add(w))
+	return context.WithDeadline(ctx, time.Now().Add(cluster.ReplyWindow(cluster.WireRetry, cluster.ReplyWait, attempt)))
 }
 
 func (h *harness) recv(ctx context.Context) (transport.Msg, bool) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/transport"
 )
@@ -112,7 +113,7 @@ func (dt *detector) watermarkOf(ctx context.Context, cand int) (int64, bool) {
 		_ = dt.ep.Send(ctx, transport.Msg{
 			Type: MsgWatermarkQuery, From: dt.id, To: cand, Attempt: attempt,
 		})
-		deadline := time.Now().Add(dt.window(attempt))
+		deadline := time.Now().Add(cluster.ReplyWindow(dt.wire, dt.ackWait, attempt))
 		for {
 			m, ok := dt.recvBy(ctx, deadline)
 			if !ok {
@@ -142,7 +143,7 @@ func (dt *detector) deliver(ctx context.Context, to int, typ uint8, payload []by
 		_ = dt.ep.Send(ctx, transport.Msg{
 			Type: typ, From: dt.id, To: to, Attempt: attempt, Payload: payload,
 		})
-		deadline := time.Now().Add(dt.window(attempt))
+		deadline := time.Now().Add(cluster.ReplyWindow(dt.wire, dt.ackWait, attempt))
 		for {
 			m, ok := dt.recvBy(ctx, deadline)
 			if !ok {
@@ -157,14 +158,6 @@ func (dt *detector) deliver(ctx context.Context, to int, typ uint8, payload []by
 		}
 	}
 	return false
-}
-
-func (dt *detector) window(attempt int) time.Duration {
-	w := time.Duration(dt.wire.BackoffAt(attempt) * float64(time.Second))
-	if w < dt.ackWait {
-		w = dt.ackWait
-	}
-	return w
 }
 
 func (dt *detector) recvBy(ctx context.Context, deadline time.Time) (transport.Msg, bool) {

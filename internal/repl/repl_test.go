@@ -49,18 +49,41 @@ func runScenario(t *testing.T, d *db.DB, sol *partition.Solution, tr *trace.Trac
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(context.Background(), d, sol, tr, Config{
+	r, err := Run(obs.WithRecorder(context.Background(), rec), d, sol, tr, Config{
 		Scenario:   sc,
 		Seed:       1,
 		WALDir:     t.TempDir(),
 		Transport:  transportName,
 		CommitRule: rule,
-		Recorder:   rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestRunConfigErrors: Run rejects a nil fault scenario, an empty log
+// directory and an unknown commit rule.
+func TestRunConfigErrors(t *testing.T) {
+	d := fixture.CustInfoDB()
+	tr := fixture.MixedTrace(d, 50, 2)
+	sol := scatterSolution(2)
+	sc, err := faults.Builtin("none", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"without scenario", Config{Seed: 1, WALDir: t.TempDir()}},
+		{"without WAL dir", Config{Scenario: sc, Seed: 1}},
+		{"unknown commit rule", Config{Scenario: sc, Seed: 1, WALDir: t.TempDir(), CommitRule: "majority"}},
+	} {
+		if _, err := Run(context.Background(), d, sol, tr, c.cfg); err == nil {
+			t.Errorf("%s: expected error", c.name)
+		}
+	}
 }
 
 func checkConverged(t *testing.T, r *Result) {

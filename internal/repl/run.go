@@ -48,7 +48,7 @@ func removeGroupLogs(dir string) error {
 // buildHarness wires k replica groups (each N=R+1 member endpoints), the
 // driver, and one detector endpoint per group over the configured
 // transport, chaos-wrapped per scenario.
-func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Injector, res *Result) (*harness, error) {
+func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Injector, rec *obs.Recorder, res *Result) (*harness, error) {
 	k := sol.K
 	bus, eps, err := transport.NewChaosEndpoints(cfg.Transport, k*(cfg.Replicas+1)+1+k, transport.FaultPolicy{
 		Seed:       cfg.Seed,
@@ -65,7 +65,7 @@ func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Inj
 		k:        k,
 		sc:       cfg.Scenario,
 		inj:      inj,
-		rec:      cfg.Recorder,
+		rec:      rec,
 		bus:      bus,
 		eps:      eps,
 		driverID: k * (cfg.Replicas + 1),
@@ -381,7 +381,8 @@ func (h *harness) journalRound(w *cluster.Writes) {
 // and windows realized as primary deaths with lease-lapse promotion of
 // the most-caught-up backup, anti-entropy rejoin — then the end-of-run
 // drain, the full-cluster crash, per-member WAL recovery, and the
-// consistency oracle over every member of every group.
+// consistency oracle over every member of every group. A flight recorder
+// attached to ctx (obs.WithRecorder) receives the driver-side events.
 func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg Config) (*Result, error) {
 	_, span := obs.StartSpan(ctx, "repl/run")
 	defer span.End()
@@ -422,7 +423,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	// groups start.
 	placed := a.PlaceTrace(tr, cluster.PlaceWorkers())
 	defer placed.Stop()
-	h, err := buildHarness(d, sol, cfg, inj, res)
+	h, err := buildHarness(d, sol, cfg, inj, obs.ContextRecorder(ctx), res)
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +476,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		}
 	}()
 
-	rec := cfg.Recorder
+	rec := h.rec
 	crashes := cluster.NewCrashScript(cfg.Scenario.CrashPoints, h.crashRules())
 	windowDown := make([]bool, k)
 	var nextTxn uint64

@@ -176,20 +176,13 @@ func newEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace
 	if err != nil {
 		return nil, err
 	}
-	sc := cfg.Scenario
-	if sc == nil {
-		none, err := faults.Builtin("none", sol.K)
-		if err != nil {
-			none = &faults.Scenario{Name: "none"}
-		}
-		sc = none
-	}
-	inj, err := faults.NewInjector(sc, sol.K, cfg.Seed)
+	inj, err := faults.NewInjector(cfg.Scenario, sol.K, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	rec := obs.ContextRecorder(ctx)
 	// Serving takes no checkpoints: the members' cadence is 0.
-	local, err := cluster.NewLocalWAL(d.Schema(), sol.K, cfg.WALDir, 0, cfg.Recorder)
+	local, err := cluster.NewLocalWAL(d.Schema(), sol.K, cfg.WALDir, 0, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -204,12 +197,12 @@ func newEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace
 		local:  local,
 		adm:    newAdmission(cfg.Admission),
 		slo:    obs.NewSLOMonitor(sloPolicy),
-		rec:    cfg.Recorder,
+		rec:    rec,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		capTPS: capTPS,
 		budget: make([]int, cfg.Load.Sessions),
 		res: &Result{
-			Scenario:    sc.Name,
+			Scenario:    cfg.Scenario.Name,
 			Seed:        cfg.Seed,
 			Nodes:       sol.K,
 			Workers:     workers,

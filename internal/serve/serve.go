@@ -258,15 +258,13 @@ type Config struct {
 	// procedures (workloads.Procedures) for meaningful runs.
 	Procedures []*sqlparse.Procedure
 
-	// Scenario is the fault scenario (nil means fault-free); Seed drives
-	// the injector, the load generator, and the trace ids. WALDir, when
-	// non-empty, puts a write-ahead log under every partition store.
-	// Recorder opts into flight-recorder tracing. All four are filled
-	// from the shared sim.Scenario fields by the ModeServe dispatch.
+	// Scenario is the fault scenario (required; faults.Builtin names);
+	// Seed drives the injector, the load generator, and the trace ids.
+	// WALDir, when non-empty, puts a write-ahead log under every
+	// partition store; empty keeps the stores memory-only.
 	Scenario *faults.Scenario
 	Seed     int64
 	WALDir   string
-	Recorder *obs.Recorder
 }
 
 func (c Config) withDefaults(capacityTPS float64) Config {
@@ -307,12 +305,16 @@ func EstimateCapacityTPS(d *db.DB, sol *partition.Solution, tr *trace.Trace) (fl
 
 // Run executes one serving run: generate load per cfg.Load, push it
 // through admission → routing → breakers → worker-pool execution into
-// the partition stores, and report the outcome. See the package doc for
-// the determinism contract.
+// the partition stores, and report the outcome. A flight recorder
+// attached to ctx (obs.WithRecorder) receives every request's events. See
+// the package doc for the determinism contract.
 func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg Config) (*Result, error) {
 	_, span := obs.StartSpan(ctx, "serve/run")
 	defer span.End()
 
+	if cfg.Scenario == nil {
+		return nil, fmt.Errorf("serve: nil scenario")
+	}
 	if tr.Len() == 0 {
 		return nil, fmt.Errorf("serve: empty trace")
 	}

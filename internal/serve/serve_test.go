@@ -34,6 +34,17 @@ func serveFixture() (*db.DB, *partition.Solution, *trace.Trace) {
 	return d, serveSolution(2), fixture.MixedTrace(d, 300, 2)
 }
 
+// noFaults is the builtin fault-free scenario over serveFixture's two
+// partitions.
+func noFaults(t *testing.T) *faults.Scenario {
+	t.Helper()
+	sc, err := faults.Builtin("none", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 func mustRun(t *testing.T, d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg Config) *Result {
 	t.Helper()
 	r, err := Run(context.Background(), d, sol, tr, cfg)
@@ -128,6 +139,7 @@ func TestServeOverloadProtectionVsCollapse(t *testing.T) {
 	base := Config{
 		Load:       LoadConfig{LoadFactor: 2, DurationSec: 1},
 		Procedures: serveProcs(),
+		Scenario:   noFaults(t),
 		Seed:       3,
 	}
 	off := base
@@ -193,6 +205,7 @@ func TestServeClosedLoop(t *testing.T) {
 		Load:       LoadConfig{Arrival: ArrivalClosed, Sessions: 16, DurationSec: 0.5},
 		Admission:  AdmissionConfig{Enabled: true},
 		Procedures: serveProcs(),
+		Scenario:   noFaults(t),
 		Seed:       5,
 	})
 	checkOutcomes(t, r)
@@ -219,6 +232,7 @@ func TestServeBurstArrival(t *testing.T) {
 		Load:       LoadConfig{Arrival: ArrivalBurst, DurationSec: 1},
 		Admission:  AdmissionConfig{Enabled: true},
 		Procedures: serveProcs(),
+		Scenario:   noFaults(t),
 		Seed:       11,
 	})
 	checkOutcomes(t, r)
@@ -316,13 +330,20 @@ func TestServeReplicatedReadsFailOver(t *testing.T) {
 // TestServeConfigErrors: the config surface rejects nonsense up front.
 func TestServeConfigErrors(t *testing.T) {
 	d, sol, tr := serveFixture()
-	if _, err := Run(context.Background(), d, sol, tr, Config{
-		Load: LoadConfig{Arrival: "lumpy"},
-	}); err == nil || !strings.Contains(err.Error(), "unknown arrival") {
-		t.Fatalf("unknown arrival: err = %v", err)
-	}
-	if _, err := Run(context.Background(), d, sol, &trace.Trace{}, Config{}); err == nil {
-		t.Fatal("empty trace must error")
+	none := noFaults(t)
+	for _, c := range []struct {
+		name string
+		tr   *trace.Trace
+		cfg  Config
+		want string
+	}{
+		{"without scenario", tr, Config{}, "nil scenario"},
+		{"unknown arrival", tr, Config{Load: LoadConfig{Arrival: "lumpy"}, Scenario: none}, "unknown arrival"},
+		{"empty trace", &trace.Trace{}, Config{Scenario: none}, "empty trace"},
+	} {
+		if _, err := Run(context.Background(), d, sol, c.tr, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 

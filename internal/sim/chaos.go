@@ -33,19 +33,22 @@ var (
 // could not complete).
 const abortWork float64 = 0.5
 
-// ChaosConfig holds the chaos replay's SLO evaluation and flight
-// recorder. Its load shape is fixed: transaction i arrives at virtual
+// ChaosConfig holds the chaos replay's fault scenario, seed and SLO
+// evaluation. Its load shape is fixed: transaction i arrives at virtual
 // time i/rate with rate cluster.ArrivalRate (a full trace spans 8
 // virtual seconds, so the builtin scenarios' crash windows land
-// mid-run), and aborted attempts retry under cluster.TxnRetry.
+// mid-run), and aborted attempts retry under cluster.TxnRetry. A flight
+// recorder attached to the run's context (obs.WithRecorder) receives one
+// event per causal step of every transaction (arrival, routing, faults,
+// backoff, commit/abort/give-up).
 type ChaosConfig struct {
+	// Scenario is the fault scenario (required; faults.Builtin names).
+	Scenario *faults.Scenario
+	// Seed drives the injector, the backoff jitter and the trace ids.
+	Seed int64
 	// SLO configures the tumbling-window latency/availability evaluation
 	// (defaults per obs.SLOConfig).
 	SLO obs.SLOConfig
-	// Recorder, when non-nil, receives one flight-recorder event per
-	// causal step of every transaction (arrival, routing, faults,
-	// backoff, commit/abort/give-up). Nil keeps tracing off for free.
-	Recorder *obs.Recorder
 }
 
 // ChaosResult is the outcome of one chaos replay. All fields are plain
@@ -123,19 +126,21 @@ func (r *ChaosResult) String() string {
 		r.PermanentFailures, r.RetryLatencyP99)
 }
 
-// runChaos replays the trace under the solution against a fault scenario:
+// RunChaos replays the trace under the solution against a fault scenario:
 // transaction i arrives at virtual time i/rate; an attempt commits only
 // when every participant is reachable and no coordination message is
 // lost, otherwise it aborts, charges wasted work to the reachable
 // participants, and retries under capped exponential backoff with jitter
-// until the retry policy's attempt budget is exhausted. It is the engine
-// behind New(Scenario{Mode: ModeChaos, ...}).Run(ctx) and runs under a
+// until the retry policy's attempt budget is exhausted. It runs under a
 // phase span ("sim/chaos").
-func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace,
-	cfg ChaosConfig, sc *faults.Scenario, seed int64) (*ChaosResult, error) {
+func RunChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg ChaosConfig) (*ChaosResult, error) {
 	_, span := obs.StartSpan(ctx, "sim/chaos")
 	defer span.End()
 
+	if cfg.Scenario == nil {
+		return nil, fmt.Errorf("sim: nil scenario")
+	}
+	sc, seed, rec := cfg.Scenario, cfg.Seed, obs.ContextRecorder(ctx)
 	a, err := eval.NewAssigner(d, sol)
 	if err != nil {
 		return nil, err
@@ -150,12 +155,12 @@ func runChaos(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 	work := make([]float64, sol.K)
 	t, err := cluster.Replay(ctx, tr, placed, cluster.ReplayConfig{
 		Seed: seed, ArrivalRateTPS: rate, Retry: cluster.TxnRetry, Injector: inj,
-		Down: inj.Down, Recorder: cfg.Recorder, SLO: obs.NewSLOMonitor(cfg.SLO),
+		Down: inj.Down, Recorder: rec, SLO: obs.NewSLOMonitor(cfg.SLO),
 		Latency: hChaosLatency, RetryLatency: hChaosRetryLatency,
 	}, func(at *cluster.Attempt) (bool, error) {
 		// An attempt commits only when every participant is reachable
 		// and no coordination message is lost.
-		if !at.Blocked && !sampleLoss(inj, cfg.Recorder, at) {
+		if !at.Blocked && !sampleLoss(inj, rec, at) {
 			chargeCommit(work, at.Nodes, at.Coord, at.Distributed)
 			return true, nil
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	runJSON := func(seed int64) []byte {
-		r, err := chaosScenario(d, sol, tr, ChaosConfig{}, sc, seed)
+		r, err := RunChaos(context.Background(), d, sol, tr, ChaosConfig{Scenario: sc, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func TestChaosCrashForcesRetries(t *testing.T) {
 		Name:    "mid-crash",
 		Crashes: []faults.Window{{Node: 0, Start: 2, End: 4}},
 	}
-	r, err := chaosScenario(d, sol, tr, ChaosConfig{}, sc, 1)
+	r, err := RunChaos(context.Background(), d, sol, tr, ChaosConfig{Scenario: sc, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestChaosNoFaultsMatchesBaselineShape(t *testing.T) {
 	_, tr := chaosFixture(t)
 	sol := custInfoSolution(2)
 	sc, _ := faults.Builtin("none", 2)
-	r, err := chaosScenario(d, sol, tr, ChaosConfig{}, sc, 1)
+	r, err := RunChaos(context.Background(), d, sol, tr, ChaosConfig{Scenario: sc, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestChaosPermanentFailure(t *testing.T) {
 		Name:    "perma",
 		Crashes: []faults.Window{{Node: 0, Start: 0}}, // never recovers
 	}
-	r, err := chaosScenario(d, sol, tr, ChaosConfig{}, sc, 1)
+	r, err := RunChaos(context.Background(), d, sol, tr, ChaosConfig{Scenario: sc, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestChaosReplicatedReadDegradesToUpNode(t *testing.T) {
 		Name:    "one-down",
 		Crashes: []faults.Window{{Node: 0, Start: 0}},
 	}
-	r, err := chaosScenario(d, sol, tr, ChaosConfig{}, sc, 1)
+	r, err := RunChaos(context.Background(), d, sol, tr, ChaosConfig{Scenario: sc, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +217,11 @@ func TestChaosScatteringDegradesWorse(t *testing.T) {
 	bad.Set(partition.NewByPath("CUSTOMER_ACCOUNT", singleCol("CUSTOMER_ACCOUNT", "CA_ID"), partition.NewHash(4)))
 	bad.Set(partition.NewReplicated("HOLDING_SUMMARY"))
 	sc, _ := faults.Builtin("single-crash", 4)
-	rg, err := chaosScenario(d, good, tr, ChaosConfig{}, sc, 1)
+	rg, err := RunChaos(context.Background(), d, good, tr, ChaosConfig{Scenario: sc, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := chaosScenario(d, bad, tr, ChaosConfig{}, sc, 1)
+	rb, err := RunChaos(context.Background(), d, bad, tr, ChaosConfig{Scenario: sc, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,16 +167,13 @@ func consumerPins(t *testing.T, name string, seed int64) [5]string {
 		return res.Solution, nil
 	}
 	pin(1, func(h hash.Hash) {
-		for _, mode := range []Mode{ModeDriftStatic, ModeDriftAdaptive} {
-			res, err := New(Scenario{
-				Mode: mode, DB: d, Solution: sol, Trace: drifted,
-				Drift:       DriftConfig{WindowSize: 100, DriftAt: split[classes[0]].Len()},
-				Repartition: repart,
-			}).Run(ctx)
+		for _, mode := range []driftMode{modeStatic, modeAdaptive} {
+			res, err := runDrift(ctx, d, sol, drifted,
+				DriftConfig{WindowSize: 100, DriftAt: split[classes[0]].Len()}, mode, repart)
 			if err != nil {
 				t.Fatal(err)
 			}
-			writeJSON(t, h, res.Drift)
+			writeJSON(t, h, res)
 		}
 	})
 

@@ -228,6 +228,31 @@ func windowStats(a *eval.Assigner, w *trace.Trace, k int) (distFrac float64, hea
 	return float64(dist) / float64(w.Len()), heat
 }
 
+// CompareDrift replays the trace under each of the three controllers —
+// static, adaptive and oracle — from the same deployed solution, and
+// returns their results in that order. repart is the adaptive and oracle
+// controllers' repartitioner, and the oracle swaps at cfg.DriftAt, so
+// both are required.
+func CompareDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace,
+	cfg DriftConfig, repart RepartitionFunc) (static, adaptive, oracle *DriftResult, err error) {
+	if repart == nil {
+		return nil, nil, nil, fmt.Errorf("sim: drift comparison without a repartition func")
+	}
+	if cfg.DriftAt <= 0 {
+		return nil, nil, nil, fmt.Errorf("sim: drift comparison requires DriftConfig.DriftAt")
+	}
+	if static, err = runDrift(ctx, d, sol, tr, cfg, modeStatic, nil); err != nil {
+		return nil, nil, nil, fmt.Errorf("static: %w", err)
+	}
+	if adaptive, err = runDrift(ctx, d, sol, tr, cfg, modeAdaptive, repart); err != nil {
+		return nil, nil, nil, fmt.Errorf("adaptive: %w", err)
+	}
+	if oracle, err = runDrift(ctx, d, sol, tr, cfg, modeOracle, repart); err != nil {
+		return nil, nil, nil, fmt.Errorf("oracle: %w", err)
+	}
+	return static, adaptive, oracle, nil
+}
+
 // runDrift is the shared window-loop engine.
 func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace,
 	cfg DriftConfig, mode driftMode, repart RepartitionFunc) (*DriftResult, error) {

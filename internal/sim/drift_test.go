@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -76,7 +77,7 @@ func TestDriftStaticMatchesRunTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dr, err := driftScenario(ModeDriftStatic, d, sol, tr, DriftConfig{WindowSize: 100}, nil)
+	dr, err := runDrift(context.Background(), d, sol, tr, DriftConfig{WindowSize: 100}, modeStatic, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestDriftAdaptiveSwapsAndCharges(t *testing.T) {
 		calls++
 		return flip, nil
 	}
-	res, err := driftScenario(ModeDriftAdaptive, d, good, tr, DriftConfig{WindowSize: 50, DriftAt: 100}, repart)
+	res, err := runDrift(context.Background(), d, good, tr, DriftConfig{WindowSize: 50, DriftAt: 100}, modeAdaptive, repart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestDriftAdaptiveSwapsAndCharges(t *testing.T) {
 	}
 	// Migration work landed on node budgets: total node work exceeds the
 	// static replay's by at least the migration work.
-	static, err := driftScenario(ModeDriftStatic, d, good, tr, DriftConfig{WindowSize: 50, DriftAt: 100}, nil)
+	static, err := runDrift(context.Background(), d, good, tr, DriftConfig{WindowSize: 50, DriftAt: 100}, modeStatic, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestDriftWarmAcceptDoesNotSwap(t *testing.T) {
 	repart := func(win *trace.Trace, prev *partition.Solution) (*partition.Solution, error) {
 		return prev, nil // deployed trees still fit
 	}
-	res, err := driftScenario(ModeDriftAdaptive, d, good, tr, DriftConfig{WindowSize: 50}, repart)
+	res, err := runDrift(context.Background(), d, good, tr, DriftConfig{WindowSize: 50}, modeAdaptive, repart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestDriftOracleSwapsOnceAtDriftPoint(t *testing.T) {
 	repart := func(win *trace.Trace, prev *partition.Solution) (*partition.Solution, error) {
 		return rotatedSolution(prev), nil
 	}
-	res, err := driftScenario(ModeDriftOracle, d, good, tr, DriftConfig{WindowSize: 50, DriftAt: 100}, repart)
+	res, err := runDrift(context.Background(), d, good, tr, DriftConfig{WindowSize: 50, DriftAt: 100}, modeOracle, repart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,24 +203,27 @@ func TestDriftOracleSwapsOnceAtDriftPoint(t *testing.T) {
 	}
 }
 
-// TestDriftErrors: nil repart funcs, missing DriftAt, and empty traces
-// are typed errors.
+// TestDriftErrors: CompareDrift rejects a nil repart func, a missing
+// DriftAt and an empty trace.
 func TestDriftErrors(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 100, 2)
 	sol := custInfoSolution(2)
 	keep := func(w *trace.Trace, p *partition.Solution) (*partition.Solution, error) { return p, nil }
-	if _, err := driftScenario(ModeDriftAdaptive, d, sol, tr, DriftConfig{}, nil); err == nil {
-		t.Error("adaptive without repart func must error")
-	}
-	if _, err := driftScenario(ModeDriftOracle, d, sol, tr, DriftConfig{}, nil); err == nil {
-		t.Error("oracle without repart func must error")
-	}
-	if _, err := driftScenario(ModeDriftOracle, d, sol, tr, DriftConfig{}, keep); err == nil {
-		t.Error("oracle without DriftAt must error")
-	}
-	if _, err := driftScenario(ModeDriftStatic, d, sol, &trace.Trace{}, DriftConfig{}, nil); err == nil {
-		t.Error("empty trace must error")
+	for _, c := range []struct {
+		name   string
+		tr     *trace.Trace
+		cfg    DriftConfig
+		repart RepartitionFunc
+	}{
+		{"without repart func", tr, DriftConfig{DriftAt: 50}, nil},
+		{"without DriftAt", tr, DriftConfig{}, keep},
+		{"negative DriftAt", tr, DriftConfig{DriftAt: -1}, keep},
+		{"empty trace", &trace.Trace{}, DriftConfig{DriftAt: 50}, keep},
+	} {
+		if _, _, _, err := CompareDrift(context.Background(), d, sol, c.tr, c.cfg, c.repart); err == nil {
+			t.Errorf("%s: expected error", c.name)
+		}
 	}
 }
 
@@ -230,7 +234,7 @@ func TestDriftResultJSONDeterministic(t *testing.T) {
 	tr := fixture.MixedTrace(d, 300, 2)
 	sol := badTradeSolution(2)
 	run := func() []byte {
-		r, err := driftScenario(ModeDriftStatic, d, sol, tr, DriftConfig{WindowSize: 75, DriftAt: 150}, nil)
+		r, err := runDrift(context.Background(), d, sol, tr, DriftConfig{WindowSize: 75, DriftAt: 150}, modeStatic, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,10 +21,13 @@ var (
 	hDurableLatency    = obs.Default.HDR("sim.durable_latency_ns")
 )
 
-// DurableConfig shapes the durable chaos replay: the chaos replay's SLO
-// evaluation and recorder plus the checkpoint cadence.
+// DurableConfig shapes the durable chaos replay: the chaos replay's
+// scenario, seed and SLO evaluation plus the log directory and the
+// checkpoint cadence.
 type DurableConfig struct {
 	ChaosConfig
+	// WALDir holds the per-partition logs (required).
+	WALDir string
 	// CheckpointEvery is the number of applied commits a partition
 	// accumulates between CHECKPOINT records (default
 	// cluster.CheckpointEvery); see cluster.Member for when one is
@@ -137,19 +140,24 @@ func (e *durEngine) crash(fire *cluster.Crash, txn uint64, coord int, w *cluster
 	return e.Members[coord].CrashAfterCommit(txn)
 }
 
-// runChaosDurable replays the trace through a real durable 2PC state
-// machine: per-partition write-ahead logs under walDir, periodic
+// RunDurable replays the trace through a real durable 2PC state
+// machine: per-partition write-ahead logs under cfg.WALDir, periodic
 // checkpoints, scripted mid-2PC crash points, and — after a simulated
 // full-cluster crash at end of run — WAL recovery with presumed-abort
 // resolution and a consistency oracle that re-executes exactly the
 // committed set on fault-free stores and compares per-table digests. It
-// is the engine behind New(Scenario{Mode: ModeDurable, ...}).Run(ctx)
-// and runs under a phase span ("sim/durable").
-func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace,
-	cfg DurableConfig, sc *faults.Scenario, seed int64, walDir string) (*DurableResult, error) {
+// runs under a phase span ("sim/durable").
+func RunDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg DurableConfig) (*DurableResult, error) {
 	_, span := obs.StartSpan(ctx, "sim/durable")
 	defer span.End()
 
+	if cfg.Scenario == nil {
+		return nil, fmt.Errorf("sim: nil scenario")
+	}
+	if cfg.WALDir == "" {
+		return nil, fmt.Errorf("sim: WALDir required")
+	}
+	sc, seed, walDir := cfg.Scenario, cfg.Seed, cfg.WALDir
 	a, err := eval.NewAssigner(d, sol)
 	if err != nil {
 		return nil, err
@@ -160,7 +168,7 @@ func runChaosDurable(ctx context.Context, d *db.DB, sol *partition.Solution, tr 
 	}
 	placed := a.PlaceTrace(tr, cluster.PlaceWorkers())
 	defer placed.Stop()
-	rec := cfg.Recorder
+	rec := obs.ContextRecorder(ctx)
 	l, err := cluster.NewLocalWAL(d.Schema(), sol.K, walDir, cluster.Cadence(cfg.CheckpointEvery), rec)
 	if err != nil {
 		return nil, err

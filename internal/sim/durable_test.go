@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -38,7 +39,9 @@ func TestDurableOracleAllBuiltins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := durableScenario(d, sol, tr, DurableConfig{CheckpointEvery: 16}, sc, 1, t.TempDir())
+			r, err := RunDurable(context.Background(), d, sol, tr, DurableConfig{
+				ChaosConfig: ChaosConfig{Scenario: sc, Seed: 1}, WALDir: t.TempDir(), CheckpointEvery: 16,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +108,9 @@ func TestDurableDeterministicReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	runJSON := func(seed int64) []byte {
-		r, err := durableScenario(d, sol, tr, DurableConfig{}, sc, seed, t.TempDir())
+		r, err := RunDurable(context.Background(), d, sol, tr, DurableConfig{
+			ChaosConfig: ChaosConfig{Scenario: sc, Seed: seed}, WALDir: t.TempDir(),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +142,9 @@ func TestDurableAbortsLeaveNoTrace(t *testing.T) {
 	tr := fixture.MixedTrace(d, 300, 3)
 	sol := scatterSolution(2)
 	sc := &faults.Scenario{Name: "all-lost", MsgLossProb: 1}
-	r, err := durableScenario(d, sol, tr, DurableConfig{}, sc, 1, t.TempDir())
+	r, err := RunDurable(context.Background(), d, sol, tr, DurableConfig{
+		ChaosConfig: ChaosConfig{Scenario: sc, Seed: 1}, WALDir: t.TempDir(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +174,9 @@ func TestDurableCheckpointRecoveryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(every int) *DurableResult {
-		r, err := durableScenario(d, sol, tr, DurableConfig{CheckpointEvery: every}, sc, 3, t.TempDir())
+		r, err := RunDurable(context.Background(), d, sol, tr, DurableConfig{
+			ChaosConfig: ChaosConfig{Scenario: sc, Seed: 3}, WALDir: t.TempDir(), CheckpointEvery: every,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +210,9 @@ func TestDurableLogsSurviveForPostMortem(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	r, err := durableScenario(d, sol, tr, DurableConfig{}, sc, 1, dir)
+	r, err := RunDurable(context.Background(), d, sol, tr, DurableConfig{
+		ChaosConfig: ChaosConfig{Scenario: sc, Seed: 1}, WALDir: dir,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,4 +238,39 @@ func hex16(v uint64) string {
 		v >>= 4
 	}
 	return string(b)
+}
+
+// TestReplayConfigErrors: the chaos and durable replays reject a nil
+// fault scenario, and the durable replay an empty log directory (which
+// would put the partition logs in the working directory).
+func TestReplayConfigErrors(t *testing.T) {
+	d := fixture.CustInfoDB()
+	tr := fixture.MixedTrace(d, 50, 2)
+	sol := scatterSolution(2)
+	sc, err := faults.Builtin("none", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"chaos without scenario", func() error {
+			_, err := RunChaos(ctx, d, sol, tr, ChaosConfig{Seed: 1})
+			return err
+		}},
+		{"durable without scenario", func() error {
+			_, err := RunDurable(ctx, d, sol, tr, DurableConfig{ChaosConfig: ChaosConfig{Seed: 1}, WALDir: t.TempDir()})
+			return err
+		}},
+		{"durable without WAL dir", func() error {
+			_, err := RunDurable(ctx, d, sol, tr, DurableConfig{ChaosConfig: ChaosConfig{Scenario: sc, Seed: 1}})
+			return err
+		}},
+	} {
+		if c.run() == nil {
+			t.Errorf("%s: expected error", c.name)
+		}
+	}
 }

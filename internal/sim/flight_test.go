@@ -25,8 +25,8 @@ func TestFlightTraceCompleteness(t *testing.T) {
 	}
 	const seed = int64(7)
 	rec := obs.NewRecorder(1 << 17) // ample: nothing may be overwritten
-	cfg := ChaosConfig{Recorder: rec}
-	r, err := chaosScenario(d, sol, tr, cfg, sc, seed)
+	ctx := obs.WithRecorder(context.Background(), rec)
+	r, err := RunChaos(ctx, d, sol, tr, ChaosConfig{Scenario: sc, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,22 +93,16 @@ func TestFlightDumpByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := obs.NewRecorder(1 << 17)
-		res, err := New(Scenario{
-			Mode:     ModeDurable,
-			DB:       d,
-			Solution: scatterSolution(2),
-			Trace:    tr,
-			Durable:  DurableConfig{CheckpointEvery: 16},
-			Faults:   sc,
-			Seed:     3,
-			WALDir:   t.TempDir(),
-			Recorder: rec,
-		}).Run(context.Background())
+		res, err := RunDurable(obs.WithRecorder(context.Background(), rec), d, scatterSolution(2), tr, DurableConfig{
+			ChaosConfig:     ChaosConfig{Scenario: sc, Seed: 3},
+			WALDir:          t.TempDir(),
+			CheckpointEvery: 16,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Durable.OracleOK {
-			t.Fatalf("oracle failed: %s", res.Durable)
+		if !res.OracleOK {
+			t.Fatalf("oracle failed: %s", res)
 		}
 		var buf bytes.Buffer
 		if err := rec.DumpJSON(&buf); err != nil {
@@ -141,7 +135,7 @@ func TestChaosLatencyAndSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := chaosScenario(d, sol, tr, ChaosConfig{}, sc, 1)
+	r, err := RunChaos(context.Background(), d, sol, tr, ChaosConfig{Scenario: sc, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +152,8 @@ func TestChaosLatencyAndSLO(t *testing.T) {
 		t.Fatalf("SLO defaults not applied: %+v", r.SLO)
 	}
 	// A sub-percent-availability scenario must trip the guardrail.
-	tight := ChaosConfig{SLO: obs.SLOConfig{TargetP99Sec: 1e-9, WindowTxns: 64}}
-	r2, err := chaosScenario(d, sol, tr, tight, sc, 1)
+	tight := ChaosConfig{Scenario: sc, Seed: 1, SLO: obs.SLOConfig{TargetP99Sec: 1e-9, WindowTxns: 64}}
+	r2, err := RunChaos(context.Background(), d, sol, tr, tight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +166,7 @@ func TestChaosLatencyAndSLO(t *testing.T) {
 func TestDriftSLOProxy(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 400, 2)
-	r, err := driftScenario(ModeDriftStatic, d, custInfoSolution(2), tr, DriftConfig{WindowSize: 100}, nil)
+	r, err := runDrift(context.Background(), d, custInfoSolution(2), tr, DriftConfig{WindowSize: 100}, modeStatic, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

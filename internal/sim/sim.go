@@ -72,8 +72,7 @@ func (r *Result) String() string {
 		r.Nodes, r.ThroughputTPS, r.Speedup, r.Local, r.Distributed)
 }
 
-// runPlain simulates the trace under the solution: the engine behind
-// New(Scenario{Mode: ModePlain, ...}).Run(ctx).
+// runPlain simulates the trace under the solution: one point of Sweep.
 func runPlain(d *db.DB, sol *partition.Solution, tr *trace.Trace) (*Result, error) {
 	a, err := eval.NewAssigner(d, sol)
 	if err != nil {

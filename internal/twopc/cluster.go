@@ -48,11 +48,6 @@ type Config struct {
 	// CheckpointEvery is the per-partition commit cadence between
 	// CHECKPOINT records (default cluster.CheckpointEvery).
 	CheckpointEvery int
-
-	// Recorder, when non-nil, receives driver-side flight events (the
-	// same vocabulary as the in-process engine, minus per-append WAL
-	// events, which would race across server goroutines).
-	Recorder *obs.Recorder
 }
 
 func (c Config) withDefaults() Config {
@@ -177,7 +172,10 @@ func buildCluster(d *db.DB, k int, cfg Config) (*topology, error) {
 // servers over a real transport, a coordinator driver with per-exchange
 // timeouts and retransmission, scripted crash points realized as server
 // deaths mid-protocol, optional standby failover — then the end-of-run
-// full-cluster crash, WAL recovery, and the consistency oracle.
+// full-cluster crash, WAL recovery, and the consistency oracle. A flight
+// recorder attached to ctx (obs.WithRecorder) receives the driver-side
+// events: the in-process engine's vocabulary minus per-append WAL
+// events, which would race across server goroutines.
 func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace, cfg Config) (*Result, error) {
 	_, span := obs.StartSpan(ctx, "twopc/run")
 	defer span.End()
@@ -185,6 +183,9 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	cfg = cfg.withDefaults()
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("twopc: nil scenario")
+	}
+	if cfg.WALDir == "" {
+		return nil, fmt.Errorf("twopc: WALDir required")
 	}
 	a, err := eval.NewAssigner(d, sol)
 	if err != nil {
@@ -273,7 +274,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		}()
 	}
 
-	rec := cfg.Recorder
+	rec := obs.ContextRecorder(ctx)
 	crashes := cluster.NewCrashScript(cfg.Scenario.CrashPoints, cluster.TwoPCRules())
 	res := &Result{Scenario: cfg.Scenario.Name, Seed: cfg.Seed, Nodes: k, Transport: cfg.Transport}
 

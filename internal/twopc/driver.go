@@ -53,11 +53,11 @@ func (d *driver) send(ctx context.Context, to int, typ uint8, txn uint64, payloa
 	})
 }
 
-// window bounds one attempt's reply wait: the base window stretched by
-// the wire policy (waitFor), as one deadline context that every receive
-// of the attempt shares.
+// window bounds one attempt's reply wait (cluster.ReplyWindow under the
+// driver's wire policy) as one deadline context that every receive of
+// the attempt shares.
 func (d *driver) window(ctx context.Context, base time.Duration, attempt int) (context.Context, context.CancelFunc) {
-	return context.WithDeadline(ctx, time.Now().Add(d.waitFor(base, attempt)))
+	return context.WithDeadline(ctx, time.Now().Add(cluster.ReplyWindow(d.wire, base, attempt)))
 }
 
 // await waits out one attempt's reply window for the first frame match
@@ -74,16 +74,6 @@ func (d *driver) await(ctx context.Context, base time.Duration, attempt int, mat
 			return m, true
 		}
 	}
-}
-
-// waitFor is the reply window for attempt number n: the base window
-// stretched by the capped-exponential wire policy.
-func (d *driver) waitFor(base time.Duration, attempt int) time.Duration {
-	w := time.Duration(d.wire.BackoffAt(attempt) * float64(time.Second))
-	if w < base {
-		w = base
-	}
-	return w
 }
 
 // gatherVotes broadcasts MsgPrepare to parts and collects votes,

@@ -5,7 +5,7 @@
 // capped-exponential retransmission, and a standby coordinator
 // (standby.go) takes over on lease expiry. The cluster harness
 // (cluster.go) replays a trace through the split engine under a fault
-// scenario and ends — like sim.ModeDurable — in a full-cluster crash,
+// scenario and ends — like sim.RunDurable — in a full-cluster crash,
 // wal.RecoverDir recovery, and the consistency oracle.
 //
 // The protocol vocabulary below rides transport.Msg.Type. WAL records

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -63,19 +65,60 @@ func runScenario(t *testing.T, d *db.DB, sol *partition.Solution, tr *trace.Trac
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(context.Background(), d, sol, tr, Config{
+	r, err := Run(obs.WithRecorder(context.Background(), rec), d, sol, tr, Config{
 		Scenario:        sc,
 		Seed:            1,
 		WALDir:          t.TempDir(),
 		Transport:       transportName,
 		Standby:         standby,
 		CheckpointEvery: 16,
-		Recorder:        rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestRunConfigErrors: Run rejects a nil fault scenario and an empty
+// log directory. An empty WALDir must fail before any log is touched:
+// clearing "" would delete the partition logs of the working directory.
+func TestRunConfigErrors(t *testing.T) {
+	d := fixture.CustInfoDB()
+	tr := fixture.MixedTrace(d, 50, 2)
+	sol := scatterSolution(2)
+	sc, err := faults.Builtin("none", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Run from a scratch working directory holding another run's log.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cwd := t.TempDir()
+	if err := os.Chdir(cwd); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chdir(wd) })
+	stray := filepath.Join(cwd, "partition-7.wal")
+	if err := os.WriteFile(stray, []byte("another run's log"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"without scenario", Config{Seed: 1, WALDir: t.TempDir()}},
+		{"without WAL dir", Config{Scenario: sc, Seed: 1}},
+	} {
+		if _, err := Run(context.Background(), d, sol, tr, c.cfg); err == nil {
+			t.Errorf("%s: expected error", c.name)
+		}
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Errorf("a run without a WAL dir touched the working directory's logs: %v", err)
+	}
 }
 
 // TestOracleCrashScenariosOverBus is the acceptance gate: the full
