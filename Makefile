@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify bench bench-export bigtrace experiments chaos drift recover twopc repl serve fuzz clean
+.PHONY: all build test verify bench bigtrace experiments chaos drift recover twopc repl serve fuzz clean
 
 all: build
 
@@ -24,10 +24,9 @@ verify:
 	$(GO) -C jecbbench vet ./...
 	$(GO) -C jecbbench test ./...
 
-# bench runs the micro-benchmarks (experiment-scale benches run via
-# `go test -bench=BenchmarkFigure7 -benchtime=1x` etc) — among them the
-# per-layer rows BenchmarkEvaluateRow/{tpcc,tpce} and the router layer's
-# two rows, BenchmarkRouterNew/{tpcc,tpce} (building the router) and
+# bench runs the micro-benchmarks — among them the per-layer rows
+# BenchmarkEvaluateRow/{tpcc,tpce} and the router layer's two rows,
+# BenchmarkRouterNew/{tpcc,tpce} (building the router) and
 # BenchmarkRoute/{tpcc,tpce} (routing every test transaction) — then the
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
 # in isolation, each at 1/2/8 workers, then the evaluator layer
@@ -43,30 +42,15 @@ verify:
 # compares with jecbbench's 3,000-txn window), one 2PC round (a
 # distributed NewOrder: prepare, vote, decide, ack over the bus), and one
 # replica ship/ack round trip; last, trace generation at the jecbbench
-# sizes.
+# sizes. The paper's tables and figures are not benchmarks: `make
+# experiments` regenerates them.
 bench:
 	$(GO) test -bench='PathEval|Evaluate|GraphPartition|RouterNew|Route$$|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
-	$(GO) test -bench='BenchmarkPartition' -benchtime=1x -run=^$$ .
-	$(GO) test -bench='Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
+	$(GO) test -bench='Partition|Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
 	$(GO) test -bench='AssignerEvaluate|PlaceTrace' -benchmem -run=^$$ ./internal/eval/
 	$(GO) test -bench='CommitOps|LogAppendTxn|EncodeSnapshot|TableDigest|CheckpointCadence' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
 	$(GO) test -bench='GenerateTrace' -benchmem -benchtime=3x -run=^$$ ./internal/workloads/
 	$(GO) test -bench='RecoverAndCheck|TwoPCWindow|ReplQuorumWindow|TwoPCRound|ShipAck' -benchmem -run=^$$ ./internal/cluster/ ./internal/twopc/ ./internal/repl/
-
-# bench-export writes BENCH_obs.json, the machine-readable perf
-# trajectory (ns/op, allocs/op, B/op per micro-benchmark),
-# BENCH_drift.json, the drift-adaptation quality record (post-drift
-# distributed fractions per controller, movement, swaps),
-# BENCH_parallel.json, the parallel-search record (pipeline wall-clock at
-# Parallelism 1 vs 8, the speedup ratio, the host CPU count, and the
-# cross-worker-count solution byte-identity check), BENCH_serve.json,
-# the overload-protection record (goodput and executed-tail p99/p999 at
-# 1x and 2x offered load, admission on vs off), and BENCH_mem.json, the
-# memory record (evaluator allocs/op on the indexed vs legacy path, and
-# the 10M-tuple-access streaming run's peak RSS against the in-memory
-# bound; BENCH_MEM_ACCESSES scales the big trace down for quick runs).
-bench-export:
-	BENCH_EXPORT=1 $(GO) test -run 'TestBenchExport|TestDriftExport|TestParallelBenchExport|TestServeExport|TestMemBenchExport' -timeout 30m -v .
 
 # bigtrace demonstrates the streaming trace path end to end: generate a
 # columnar trace file, then partition and evaluate it with cmd/jecb
@@ -150,11 +134,10 @@ repl:
 # serve runs the live-serving experiment table (scenario x offered load
 # x admission on/off; the printer errors the run if overload protection
 # fails its acceptance — protected 2x tail within 5x of the 1x baseline,
-# goodput >= 80% of capacity, unprotected collapse), then checks the
-# determinism contract: two same-seed serving pipeline runs under a
-# flaky network must print byte-identical reports and JSON blocks, apart
-# from the partitioner's wall/cpu timing line, which is dropped from
-# both before the compare.
+# protected 2x goodput >= 80% of the 1x cell's goodput, unprotected
+# collapse), then checks the determinism contract: two same-seed serving
+# pipeline runs under a flaky network must print byte-identical reports
+# and JSON blocks.
 serve:
 	$(GO) run ./cmd/experiments -run serve -quick
 	$(GO) build -o /tmp/jecb-serve-bin ./cmd/jecb
@@ -162,9 +145,7 @@ serve:
 		-serve-duration 1 -chaos-scenario flaky-network > /tmp/jecb-serve-a.txt
 	/tmp/jecb-serve-bin -benchmark synthetic -k 4 -txns 1500 -serve -serve-load 2 \
 		-serve-duration 1 -chaos-scenario flaky-network > /tmp/jecb-serve-b.txt
-	grep -v '^  partitioner: .* wall' /tmp/jecb-serve-a.txt > /tmp/jecb-serve-a.cmp
-	grep -v '^  partitioner: .* wall' /tmp/jecb-serve-b.txt > /tmp/jecb-serve-b.cmp
-	cmp /tmp/jecb-serve-a.cmp /tmp/jecb-serve-b.cmp
+	cmp /tmp/jecb-serve-a.txt /tmp/jecb-serve-b.txt
 
 # fuzz gives each fuzz target a short exploration budget beyond the seed
 # corpora that already run in the normal test pass.
@@ -181,4 +162,4 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSolutionRoundTrip -fuzztime=20s ./internal/partition/
 
 clean:
-	rm -f BENCH_obs.json BENCH_drift.json BENCH_parallel.json BENCH_serve.json BENCH_mem.json experiments_obs.json
+	rm -f experiments_obs.json

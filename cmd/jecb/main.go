@@ -332,6 +332,9 @@ func run(ctx context.Context, benchmark, algo string, k, scale, txns int, trainF
 	if co.recover {
 		return nil, recoverStage(ctx, b, scale, seed, co)
 	}
+	if !(trainFrac > 0 && trainFrac <= 1) {
+		return nil, fmt.Errorf("-train %v: want a fraction in (0, 1]", trainFrac)
+	}
 	fmt.Printf("loading %s (scale %d) ...\n", benchmark, effectiveScale(b, scale))
 	_, sLoad := obs.StartSpan(ctx, "load")
 	d, err := b.Load(workloads.Config{Scale: scale, Seed: seed})
@@ -776,9 +779,6 @@ func loadTraceInput(path string, trainFrac float64, seed int64) (train, test *tr
 	if n < 1 {
 		n = 1
 	}
-	if n > s.Len() {
-		n = s.Len()
-	}
 	txns := make([]trace.Txn, 0, n)
 	for _, t := range s.All() {
 		if len(txns) == n {
@@ -843,13 +843,15 @@ func effectiveScale(b workloads.Benchmark, scale int) int {
 }
 
 // printResources reports the partitioner's resource consumption: allocated
-// MB, wall time, and OS-reported CPU time when available.
+// MB, wall time, and OS-reported CPU time when available. It writes to
+// stderr because these readings vary between runs, and stdout is
+// byte-reproducible per seed.
 func printResources(res eval.Resources) {
 	if res.CPUKnown {
-		fmt.Printf("  partitioner: %.0f MB allocated, %.2fs wall, %.2fs cpu\n",
+		fmt.Fprintf(os.Stderr, "  partitioner: %.0f MB allocated, %.2fs wall, %.2fs cpu\n",
 			res.AllocMB(), res.Wall.Seconds(), res.CPU.Seconds())
 		return
 	}
-	fmt.Printf("  partitioner: %.0f MB allocated, %.2fs wall (cpu time unavailable)\n",
+	fmt.Fprintf(os.Stderr, "  partitioner: %.0f MB allocated, %.2fs wall (cpu time unavailable)\n",
 		res.AllocMB(), res.Wall.Seconds())
 }

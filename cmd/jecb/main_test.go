@@ -3,8 +3,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/partition"
@@ -32,6 +34,14 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := run(context.Background(), "tatp", "nope", 4, 100, 100, 0.5, 1, 0, false, chaosOpts{}, driftOpts{}, serveOpts{}, "", ""); err == nil {
 		t.Error("unknown algorithm must error")
+	}
+	// A -train outside (0, 1] is a plain error, not a panic out of the
+	// trace split.
+	for _, frac := range []float64{1.5, 0, -0.25, math.NaN()} {
+		_, err := run(context.Background(), "synthetic", "jecb", 2, 0, 200, frac, 1, 0, false, chaosOpts{}, driftOpts{}, serveOpts{}, "", "")
+		if err == nil || !strings.Contains(err.Error(), "-train") {
+			t.Errorf("-train %v: err = %v, want a -train error", frac, err)
+		}
 	}
 }
 
@@ -234,6 +244,11 @@ func TestRunTraceInput(t *testing.T) {
 		t.Fatalf("jsonl -trace-in: %v", err)
 	}
 
+	// The columnar path rejects a bad -train as the generated one does.
+	if _, err := run(context.Background(), "synthetic", "jecb", 2, 0, 0, 1.5, 1, 0, false,
+		chaosOpts{}, driftOpts{}, serveOpts{}, colPath, ""); err == nil {
+		t.Error("columnar -trace-in with -train 1.5 must error")
+	}
 	// Chaos replay needs the test trace in memory; a streamed columnar
 	// input must be rejected, not silently materialized.
 	if _, err := run(context.Background(), "synthetic", "jecb", 2, 0, 0, 0.5, 1, 0, false,

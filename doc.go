@@ -32,6 +32,6 @@
 // evaluator" and "Parallel search & the determinism contract".
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-vs-measured record. bench_test.go in this
-// directory regenerates every table and figure as a testing.B benchmark.
+// EXPERIMENTS.md for the paper-vs-measured record. cmd/experiments
+// regenerates every table and figure.
 package repro

@@ -48,7 +48,8 @@ func runFingerprint(t *testing.T, b workloads.Benchmark, scale, txns int, opts O
 // the same seed at Parallelism 1, 2 and 8 produces byte-identical
 // Solution and Report JSON on the TPC-C, TATP, SEATS and TPC-E fixtures.
 // TPC-E is the case with min-cut fallbacks, so it covers lookup mappers
-// through phases 2 and 3.
+// through phases 2 and 3. The K=8 rows are the inputs of the pipeline
+// benchmarks (BenchmarkPartitionTPCC and BenchmarkPartitionSEATS).
 func TestDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-workload matrix; skipped in -short")
@@ -58,18 +59,21 @@ func TestDeterminismMatrix(t *testing.T) {
 		bench workloads.Benchmark
 		scale int
 		txns  int
+		k     int
 	}{
-		{"tpcc", tpcc.New(), 4, 600},
-		{"tatp", tatp.New(), 400, 600},
-		{"seats", seats.New(), 300, 600},
-		{"tpce", tpce.New(), 100, 600},
+		{"tpcc", tpcc.New(), 4, 600, 4},
+		{"tatp", tatp.New(), 400, 600, 4},
+		{"seats", seats.New(), 300, 600, 4},
+		{"tpce", tpce.New(), 100, 600, 4},
+		{"tpcc-k8", tpcc.New(), 8, 2000, 8},
+		{"seats-k8", seats.New(), 300, 2000, 8},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var wantSol, wantRep string
 			for _, par := range []int{1, 2, 8} {
 				sol, rep := runFingerprint(t, c.bench, c.scale, c.txns,
-					Options{K: 4, Seed: 42, Parallelism: par})
+					Options{K: c.k, Seed: 42, Parallelism: par})
 				if wantSol == "" {
 					wantSol, wantRep = sol, rep
 					continue

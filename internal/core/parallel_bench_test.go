@@ -1,13 +1,14 @@
 package core
 
-// Phase-level benchmarks of the parallel search: phase 2 (per-class join
-// trees) and phase 3 (combination search) on TPC-C and SEATS — plus phase
-// 3 on TPC-E, the workload with the most combinations and table options —
-// each at a sweep of worker counts. The full-pipeline counterparts — and the
-// BENCH_parallel.json exporter recording the 1-vs-8 worker speedup —
-// live in bench_parallel_test.go at the repository root.
+// Benchmarks of the parallel search on TPC-C and SEATS, each at a sweep
+// of worker counts: the full pipeline (Partition, phases 1–3), then
+// phase 2 (per-class join trees) and phase 3 (combination search) in
+// isolation — plus phase 3 on TPC-E, the workload with the most
+// combinations and table options. Loading the database and generating
+// the trace happen outside the timed loop. The evaluator's counterparts
+// live in internal/eval/parallel_bench_test.go.
 //
-// Run: go test -bench='Phase2|Phase3' -benchmem ./internal/core/
+// Run: go test -bench='Partition|Phase2|Phase3' -benchtime=1x ./internal/core/
 
 import (
 	"context"
@@ -21,10 +22,9 @@ import (
 	"repro/internal/workloads/tpce"
 )
 
-// benchPartitioner loads a benchmark and constructs a ready-to-run
-// Partitioner plus its phase-1 output, so phase 2 and phase 3 can be
-// timed in isolation.
-func benchPartitioner(tb testing.TB, b workloads.Benchmark, scale, txns, workers int) (*Partitioner, *preprocessed) {
+// benchInput loads a benchmark and splits a generated trace in halves:
+// the set-up every benchmark here keeps outside the timed loop.
+func benchInput(tb testing.TB, b workloads.Benchmark, scale, txns int) Input {
 	tb.Helper()
 	d, err := b.Load(workloads.Config{Scale: scale, Seed: 1})
 	if err != nil {
@@ -32,9 +32,30 @@ func benchPartitioner(tb testing.TB, b workloads.Benchmark, scale, txns, workers
 	}
 	full := workloads.GenerateTrace(b, d, txns, 2)
 	train, test := full.TrainTest(0.5, rand.New(rand.NewSource(3)))
-	p, err := New(Input{
-		DB: d, Procedures: workloads.Procedures(b), Train: train, Test: test,
-	}, Options{K: 8, Seed: 42, Parallelism: workers})
+	return Input{DB: d, Procedures: workloads.Procedures(b), Train: train, Test: test}
+}
+
+// benchOptions are the search options of every benchmark here.
+func benchOptions(workers int) Options { return Options{K: 8, Seed: 42, Parallelism: workers} }
+
+func benchPartition(b *testing.B, bench workloads.Benchmark, scale, txns int) {
+	in := benchInput(b, bench, scale, txns)
+	for _, workers := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Partition(context.Background(), in, benchOptions(workers)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchPartitioner constructs a ready-to-run Partitioner plus its
+// phase-1 output, so phase 2 and phase 3 can be timed in isolation.
+func benchPartitioner(tb testing.TB, b workloads.Benchmark, scale, txns, workers int) (*Partitioner, *preprocessed) {
+	tb.Helper()
+	p, err := New(benchInput(tb, b, scale, txns), benchOptions(workers))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -78,8 +99,10 @@ func benchPhase3(b *testing.B, bench workloads.Benchmark, scale, txns int) {
 	}
 }
 
-func BenchmarkPhase2TPCC(b *testing.B)  { benchPhase2(b, tpcc.New(), 8, 2000) }
-func BenchmarkPhase2SEATS(b *testing.B) { benchPhase2(b, seats.New(), 300, 2000) }
-func BenchmarkPhase3TPCC(b *testing.B)  { benchPhase3(b, tpcc.New(), 8, 2000) }
-func BenchmarkPhase3SEATS(b *testing.B) { benchPhase3(b, seats.New(), 300, 2000) }
-func BenchmarkPhase3TPCE(b *testing.B)  { benchPhase3(b, tpce.New(), 200, 2000) }
+func BenchmarkPartitionTPCC(b *testing.B)  { benchPartition(b, tpcc.New(), 8, 2000) }
+func BenchmarkPartitionSEATS(b *testing.B) { benchPartition(b, seats.New(), 300, 2000) }
+func BenchmarkPhase2TPCC(b *testing.B)     { benchPhase2(b, tpcc.New(), 8, 2000) }
+func BenchmarkPhase2SEATS(b *testing.B)    { benchPhase2(b, seats.New(), 300, 2000) }
+func BenchmarkPhase3TPCC(b *testing.B)     { benchPhase3(b, tpcc.New(), 8, 2000) }
+func BenchmarkPhase3SEATS(b *testing.B)    { benchPhase3(b, seats.New(), 300, 2000) }
+func BenchmarkPhase3TPCE(b *testing.B)     { benchPhase3(b, tpce.New(), 200, 2000) }

@@ -2,9 +2,7 @@ package eval
 
 // Benchmarks of the sharded evaluator: the same Assigner scoring the same
 // trace at a sweep of worker counts. TPC-C/SEATS full-pipeline numbers
-// live in bench_parallel_test.go at the repository root (this package
-// cannot import workloads without a dependency cycle in the test build
-// graph worth avoiding for a bench).
+// live in internal/core/parallel_bench_test.go.
 //
 // Run: go test -bench=AssignerEvaluate -benchmem ./internal/eval/
 

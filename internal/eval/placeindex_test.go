@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fixture"
 	"repro/internal/trace"
@@ -78,6 +79,68 @@ func TestEvaluateStreamMatchesEvaluate(t *testing.T) {
 	}
 	if g := resultFingerprint(t, got); g != want {
 		t.Errorf("stream diverged\n got %s\nwant %s", g, want)
+	}
+}
+
+// TestEvaluateStreamPeakRSS scores a 10M-access columnar trace through
+// EvaluateStream. Every transaction must be scored, and the process's
+// peak RSS must stay under half of a lower bound on the same trace held
+// as []Txn (struct sizes only, no key or param payloads). The trace is
+// written straight to disk by replaying a 2,000-transaction template
+// under fresh ids, so no step ever holds more than one chunk of it.
+func TestEvaluateStreamPeakRSS(t *testing.T) {
+	const target = 10_000_000
+	d := fixture.CustInfoDB()
+	template := fixture.MixedTrace(d, 2000, 7)
+	path := filepath.Join(t.TempDir(), "big.col")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw := trace.NewColumnarWriter(f)
+	accesses, txns := 0, 0
+	for accesses < target {
+		for _, txn := range template.All() {
+			txn.ID = txns
+			if err := cw.Add(txn); err != nil {
+				t.Fatal(err)
+			}
+			txns++
+			accesses += len(txn.Accesses)
+			if accesses >= target {
+				break
+			}
+		}
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := NewAssigner(d, joinExtensionSolution(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := trace.OpenColumnar(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := a.EvaluateStream(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Total != txns {
+		t.Fatalf("streamed evaluation scored %d of %d transactions", r.Total, txns)
+	}
+	est := uint64(accesses)*uint64(unsafe.Sizeof(trace.Access{})) +
+		uint64(txns)*uint64(unsafe.Sizeof(trace.Txn{}))
+	peak, known := PeakRSS()
+	t.Logf("%d accesses / %d txns: peak RSS %d MB (known %v) vs >= %d MB in memory",
+		accesses, txns, peak>>20, known, est>>20)
+	if known && peak >= est/2 {
+		t.Errorf("peak RSS %d bytes is not under half the in-memory bound %d", peak, est)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -9,9 +10,23 @@ import (
 // work: on every builtin scenario the adaptive controller's post-drift
 // distributed fraction is strictly below the static baseline's, the
 // oracle is no worse than static, and the movement budget is respected.
+// The second input is the reduced scale with a tight movement budget.
 func TestDriftAdaptiveBeatsStatic(t *testing.T) {
-	const budget = 5000
-	rows, err := Drift(nil, 4, 200, 4000, 500, budget, 7)
+	for _, in := range []struct {
+		scale, txns, window, budget int
+		seed                        int64
+	}{
+		{200, 4000, 500, 5000, 7},
+		{120, 2000, 400, 900, 1},
+	} {
+		t.Run(fmt.Sprintf("scale=%d,budget=%d", in.scale, in.budget), func(t *testing.T) {
+			checkDriftBeatsStatic(t, in.scale, in.txns, in.window, in.budget, in.seed)
+		})
+	}
+}
+
+func checkDriftBeatsStatic(t *testing.T, scale, txns, window, budget int, seed int64) {
+	rows, err := Drift(nil, 4, scale, txns, window, budget, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,7 @@
 // (Figures 5–6, Tables 1–2), the five-benchmark quality comparison
 // (Figure 7), the TPC-E deep dive (Tables 3–4, Figures 8–9), and the
 // §7.6 synthetic mix sweep. Each driver returns structured results the
-// cmd/experiments tool renders, and bench_test.go at the repository root
-// exposes one testing.B benchmark per experiment.
+// cmd/experiments tool renders.
 package experiments
 
 import (

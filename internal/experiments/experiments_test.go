@@ -7,7 +7,7 @@ import (
 )
 
 // The experiment drivers run at reduced scales here; the full paper-scale
-// runs live in cmd/experiments and bench_test.go.
+// runs live in cmd/experiments.
 
 func TestTPCCScalingShape(t *testing.T) {
 	res, err := TPCCScaling(16, []float64{0.05, 0.20}, []int{2, 8, 16}, 1)
