@@ -33,9 +33,11 @@ verify:
 # (BenchmarkAssignerEvaluate: Assigner.Evaluate at 1/2/8 workers), then
 # the commit path: placing a 3,000-txn TPC-C and TPC-E window ahead of
 # its reader at 1 and GOMAXPROCS workers (BenchmarkPlaceTrace: time to
-# the first chunk and to fully placed), one store
-# commit, one WAL protocol step, one checkpoint encoding and digest fold,
-# one participant checkpoint cycle (64 commits, then the snapshot), one
+# the first chunk and to fully placed), one store commit, one join-path
+# navigation from a key (BenchmarkNav: serial, and from GOMAXPROCS
+# goroutines with per-probe locks and inside one db.View), one WAL
+# protocol step, one checkpoint encoding and digest fold, one
+# participant checkpoint cycle (64 commits, then the snapshot), one
 # end-of-run recover-and-check, a small TPC-C commit window through
 # networked 2PC and through quorum replica groups (both windows also
 # report B/commit, the bytes allocated per committed transaction, which
@@ -45,10 +47,10 @@ verify:
 # sizes. The paper's tables and figures are not benchmarks: `make
 # experiments` regenerates them.
 bench:
-	$(GO) test -bench='PathEval|Evaluate|GraphPartition|RouterNew|Route$$|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
+	$(GO) test -bench='Evaluate|GraphPartition|RouterNew|Route$$|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
 	$(GO) test -bench='Partition|Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
 	$(GO) test -bench='AssignerEvaluate|PlaceTrace' -benchmem -run=^$$ ./internal/eval/
-	$(GO) test -bench='CommitOps|LogAppendTxn|EncodeSnapshot|TableDigest|CheckpointCadence' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
+	$(GO) test -bench='CommitOps|LogAppendTxn|EncodeSnapshot|TableDigest|CheckpointCadence|Nav' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
 	$(GO) test -bench='GenerateTrace' -benchmem -benchtime=3x -run=^$$ ./internal/workloads/
 	$(GO) test -bench='RecoverAndCheck|TwoPCWindow|ReplQuorumWindow|TwoPCRound|ShipAck' -benchmem -run=^$$ ./internal/cluster/ ./internal/twopc/ ./internal/repl/
 

@@ -160,7 +160,7 @@ func TestPhase3Cancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background())
+	pre, err := p.phase1(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,10 +159,16 @@ func (p *Partitioner) Run() (*partition.Solution, *Report, error) {
 // an obs.Trace, the run opens spans jecb/phase1, jecb/phase2 (one child
 // per transaction class) and jecb/phase3. Without a trace the spans are
 // free no-ops.
+//
+// The three phases read the database through one db.View, so no row
+// probe of the search takes a lock, and a writer to the database waits
+// until the run returns.
 func (p *Partitioner) RunContext(ctx context.Context) (*partition.Solution, *Report, error) {
 	cRuns.Inc()
+	v := p.in.DB.View()
+	defer v.Close()
 	_, s1 := obs.StartSpan(ctx, "jecb/phase1")
-	pre, err := p.phase1(ctx)
+	pre, err := p.phase1(ctx, v)
 	s1.End()
 	if err != nil {
 		return nil, nil, err

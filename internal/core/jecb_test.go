@@ -93,7 +93,7 @@ func TestJECBPhase2CustInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background())
+	pre, err := p.phase1(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestJECBSubtreePartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background())
+	pre, err := p.phase1(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

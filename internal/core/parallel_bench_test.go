@@ -52,14 +52,18 @@ func benchPartition(b *testing.B, bench workloads.Benchmark, scale, txns int) {
 }
 
 // benchPartitioner constructs a ready-to-run Partitioner plus its
-// phase-1 output, so phase 2 and phase 3 can be timed in isolation.
+// phase-1 output, so phase 2 and phase 3 can be timed in isolation. As
+// in RunContext, the phases read through one database view, held until
+// the benchmark ends.
 func benchPartitioner(tb testing.TB, b workloads.Benchmark, scale, txns, workers int) (*Partitioner, *preprocessed) {
 	tb.Helper()
 	p, err := New(benchInput(tb, b, scale, txns), benchOptions(workers))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background())
+	v := p.in.DB.View()
+	tb.Cleanup(v.Close)
+	pre, err := p.phase1(context.Background(), v)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -35,9 +35,9 @@ type preprocessed struct {
 // read-only and read-mostly tables, and split the trace per class.
 // Every training access is resolved to its row here, once; the class
 // streams and phase 3 share that resolution.
-func (p *Partitioner) phase1(ctx context.Context) (*preprocessed, error) {
+func (p *Partitioner) phase1(ctx context.Context, v *db.View) (*preprocessed, error) {
 	sc := p.in.DB.Schema()
-	train, err := resolveTrace(ctx, p.in.DB, p.in.Train, p.opts.parallelism())
+	train, err := resolveTrace(ctx, p.in.DB, v, p.in.Train, p.opts.parallelism())
 	if err != nil {
 		return nil, fmt.Errorf("core: phase 1: %w", err)
 	}
@@ -92,12 +92,14 @@ func (p *Partitioner) phase1(ctx context.Context) (*preprocessed, error) {
 // resolvedStream is a trace whose accesses are resolved to rows: each
 // access has a code, which is the live row's slot (>= 0), slotMissing, or
 // a graveyard code indexing grave. Navigation then starts from the row
-// (Nav.FromRow) instead of probing the primary key again. The class
-// streams split from a trace share its codes; first locates each
-// transaction's. The resolution lives for one Partition call and assumes
-// the database does not change during it.
+// (nav) instead of probing the primary key again. The class streams
+// split from a trace share its codes; first locates each transaction's.
+// The resolution lives for one Partition call and reads rows through
+// that call's view, which keeps every writer out of the database, so the
+// slots and rows it records stay valid for as long as it lives.
 type resolvedStream struct {
 	*trace.Trace
+	v     *db.View      // the view the codes were resolved in, and rows are read through
 	first []int32       // per transaction: index of its first access code
 	codes []int32       // per access of the resolved trace, in trace order
 	grave []value.Tuple // deleted rows, indexed by graveyard code
@@ -108,11 +110,11 @@ type resolvedStream struct {
 const slotMissing int32 = -1
 
 // resolveTrace resolves every access of tr to its row with one primary-key
-// probe, sharding the transactions across the workers. Shards record the
-// deleted rows they meet; the rows get their graveyard codes afterwards,
-// in shard order.
-func resolveTrace(ctx context.Context, d *db.DB, tr *trace.Trace, workers int) (resolvedStream, error) {
-	s := resolvedStream{Trace: tr, first: make([]int32, tr.Len())}
+// probe through v, sharding the transactions across the workers. Shards
+// record the deleted rows they meet; the rows get their graveyard codes
+// afterwards, in shard order.
+func resolveTrace(ctx context.Context, d *db.DB, v *db.View, tr *trace.Trace, workers int) (resolvedStream, error) {
+	s := resolvedStream{Trace: tr, v: v, first: make([]int32, tr.Len())}
 	n := 0
 	for i := range s.first {
 		s.first[i] = int32(n)
@@ -135,7 +137,7 @@ func resolveTrace(ctx context.Context, d *db.DB, tr *trace.Trace, workers int) (
 				}
 				code := slotMissing
 				if t != nil {
-					if slot, row, ok := t.Resolve(acc.Key); ok && slot >= 0 {
+					if slot, row, ok := v.Resolve(t, acc.Key); ok && slot >= 0 {
 						code = int32(slot)
 					} else if ok {
 						graves[shard] = append(graves[shard], graveAccess{j, row})
@@ -172,7 +174,7 @@ func (s resolvedStream) split() map[string]resolvedStream {
 	}
 	out := make(map[string]resolvedStream, len(classes))
 	for c, tr := range classes {
-		out[c] = resolvedStream{Trace: tr, first: firsts[c], codes: s.codes, grave: s.grave}
+		out[c] = resolvedStream{Trace: tr, v: s.v, first: firsts[c], codes: s.codes, grave: s.grave}
 	}
 	return out
 }
@@ -188,10 +190,16 @@ func (s resolvedStream) txnCodes(i int) []int32 {
 func (s resolvedStream) row(t *db.Table, code int32) value.Tuple {
 	switch {
 	case code >= 0:
-		return t.RowAt(int(code))
+		return s.v.RowAt(t, int(code))
 	case code == slotMissing:
 		return nil
 	default:
 		return s.grave[-2-code]
 	}
+}
+
+// nav follows tn's join path from the row an access of tn's table
+// resolved to, with Nav.FromRow's result semantics.
+func (s resolvedStream) nav(tn tableNav, code int32) (value.Value, bool) {
+	return s.v.FromRow(tn.nav, s.row(tn.t, code))
 }

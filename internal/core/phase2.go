@@ -245,7 +245,7 @@ func (p *Partitioner) singleValueFraction(ctx context.Context, tree *joingraph.T
 				if !ok {
 					continue
 				}
-				v, ok := tn.nav.FromRow(stream.row(tn.t, codes[a]))
+				v, ok := stream.nav(tn, codes[a])
 				if !ok {
 					multi = true
 					break
@@ -305,7 +305,7 @@ func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, s
 				if !ok {
 					continue
 				}
-				if v, ok := tn.nav.FromRow(stream.row(tn.t, codes[a])); ok {
+				if v, ok := stream.nav(tn, codes[a]); ok {
 					set[v] = true
 				}
 			}

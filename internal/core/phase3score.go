@@ -176,8 +176,9 @@ func (s *comboScorer) placeTable(d *db.DB, table string, opts []*partition.Table
 	t := d.Table(table)
 	// memo holds each live slot's placements, one per option, once its
 	// row has been navigated; seen marks those slots.
-	memo := make([]int32, t.Slots()*len(opts))
-	seen := make([]bool, t.Slots())
+	slots := s.rows.v.Slots(t)
+	memo := make([]int32, slots*len(opts))
+	seen := make([]bool, slots)
 	for o, code := range codes {
 		if code >= 0 && seen[code] {
 			for _, k := range placed {
@@ -188,7 +189,7 @@ func (s *comboScorer) placeTable(d *db.DB, table string, opts []*partition.Table
 		row := s.rows.row(t, code)
 		for _, k := range placed {
 			p := eval.PlaceUnplaced
-			if v, ok := navs[k].FromRow(row); ok {
+			if v, ok := s.rows.v.FromRow(navs[k], row); ok {
 				p = int32(opts[k].Mapper.Map(v))
 			}
 			out[k].place[o] = p

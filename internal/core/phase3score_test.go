@@ -33,7 +33,7 @@ func evaluatorCost(t *testing.T, d *db.DB, sol *partition.Solution, tr *trace.Tr
 // resolved resolves tr's accesses against d, as phase 1 does.
 func resolved(t *testing.T, d *db.DB, tr *trace.Trace) resolvedStream {
 	t.Helper()
-	rs, err := resolveTrace(context.Background(), d, tr, 2)
+	rs, err := resolveTrace(context.Background(), d, nil, tr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestComboScorerMatchesEvaluator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pre, err := p.phase1(context.Background())
+			pre, err := p.phase1(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

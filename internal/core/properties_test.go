@@ -83,7 +83,7 @@ func chainPaths() (toB, toC, toG schema.JoinPath) {
 // rows is the world's trace resolved against its database, as phase 1
 // resolves the training trace.
 func (w *chainWorld) rows() resolvedStream {
-	rs, err := resolveTrace(context.Background(), w.d, w.tr, 2)
+	rs, err := resolveTrace(context.Background(), w.d, nil, w.tr, 2)
 	if err != nil {
 		panic(err)
 	}
@@ -283,7 +283,7 @@ func TestPhase2OnChainWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background())
+	pre, err := p.phase1(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestResolveMatchesFromKey(t *testing.T) {
 			for _, tr := range []*trace.Trace{train, test} {
 				tr = withMissingKey(t, tr, navs)
 				for _, workers := range []int{1, 3} {
-					rs, err := resolveTrace(ctx, d, tr, workers)
+					rs, err := resolveTrace(ctx, d, nil, tr, workers)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -91,7 +91,7 @@ func TestMToNClassYieldsPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background())
+	pre, err := p.phase1(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMToNKeepAllTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background())
+	pre, err := p.phase1(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

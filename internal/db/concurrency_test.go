@@ -3,19 +3,25 @@ package db
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/value"
 )
 
 // TestTableConcurrentReadersAndWriters exercises the Table RWMutex under
 // the race detector: reader goroutines hammer Get/GetAny/Scan/Keys/KeyAt/
-// Len/LookupRows/Version/Digest while writers interleave Insert/Update/Delete/
-// Touch and Tx commits/aborts. `make verify` runs the suite with -race,
-// so any unguarded access fails CI.
+// Len/LookupRows/Version/Digest, and view readers read and navigate
+// through a View, while writers interleave Insert/Update/Delete/Touch and
+// Tx commits/aborts. `make verify` runs the suite with -race, so any
+// unguarded access fails CI.
 func TestTableConcurrentReadersAndWriters(t *testing.T) {
 	d := loadFigure1(t)
 	tr := d.Table("TRADE")
-	const readers, rounds = 8, 400
+	nav, err := d.Compile(tradePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers, viewReaders, rounds = 8, 2, 400
 
 	stop := make(chan struct{})
 	var readerWG, writerWG sync.WaitGroup
@@ -46,6 +52,43 @@ func TestTableConcurrentReadersAndWriters(t *testing.T) {
 				if i%16 == 0 {
 					tr.Digest()
 				}
+			}
+		}(r)
+	}
+
+	// View readers: each holds a view for one round of reads, then pauses
+	// so the views of the two do not overlap forever and keep the
+	// writers out.
+	for r := 0; r < viewReaders; r++ {
+		readerWG.Add(1)
+		go func(r int) {
+			defer readerWG.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := value.MakeKey(value.NewInt(int64(1 + (i+r)%8)))
+				v := d.View()
+				if _, ok := v.FromKey(nav, k); !ok {
+					t.Errorf("base row %v does not navigate inside a view", k)
+				}
+				if slot, _, ok := v.Resolve(tr, k); ok && slot >= 0 {
+					v.RowAt(tr, slot)
+				}
+				n := 0
+				for _, row := range v.Rows(tr) {
+					v.FromRow(nav, row)
+					if n++; n == 4 {
+						break
+					}
+				}
+				if v.Slots(tr) < v.Len(tr) {
+					t.Error("fewer slots than live rows")
+				}
+				v.Close()
+				time.Sleep(50 * time.Microsecond)
 			}
 		}(r)
 	}

@@ -36,6 +36,13 @@ var (
 type DB struct {
 	sc     *schema.Schema
 	tables map[string]*Table
+	order  []*Table // the tables in schema order, the order View locks them in
+
+	// viewMu guards views, the number of open Views: the first View
+	// read-locks every table and the Close that ends the last one
+	// unlocks them (view.go).
+	viewMu sync.Mutex
+	views  int
 
 	// commitMu serializes CommitOps and CommitBodies, which reuse undo
 	// as their undo log; CommitBodies decodes into decoded.
@@ -48,7 +55,9 @@ type DB struct {
 func New(sc *schema.Schema) *DB {
 	d := &DB{sc: sc, tables: make(map[string]*Table, len(sc.Tables()))}
 	for _, tm := range sc.Tables() {
-		d.tables[tm.Name] = newTable(tm)
+		t := newTable(tm)
+		d.tables[tm.Name] = t
+		d.order = append(d.order, t)
 	}
 	return d
 }
@@ -74,10 +83,22 @@ func (d *DB) TotalRows() int {
 // Concurrency: a Table is safe for concurrent readers (Get, GetAny,
 // Resolve, RowAt, Slots, Scan, Rows, Keys, KeyAt, Len, LookupRows)
 // against concurrent mutators (Insert, Update, Delete, Touch) — an
-// RWMutex guards the row store and indexes. Scan's callback and the body
-// of a loop over Rows run under the table's read lock and therefore must
-// not mutate the same table. Mutators are mutually serialized per table; cross-table
+// RWMutex guards the row store and indexes, and each of these methods
+// takes it per call. Scan's callback and the body of a loop over Rows
+// run under the table's read lock and therefore must not mutate the same
+// table. Mutators are mutually serialized per table; cross-table
 // atomicity is the Tx API's job (tx.go), not the lock's.
+//
+// A bulk reader takes a View instead (view.go): DB.View read-locks every
+// table once, and the View's Resolve, RowAt, Slots, Len, Rows, FromRow
+// and FromKey read without locking. The solve stages each read through
+// one: core.Partitioner.RunContext for phases 1–3, eval's Evaluate,
+// Index and each PlaceTrace chunk, and the router's lookup build. A
+// writer waits until every open View is closed. Views nest and overlap
+// by count — a View opened while another is open takes no lock, and the
+// Close of the last one unlocks — so no code inside a View may call a
+// locking Table method or Nav.FromRow/FromKey: a read lock taken again
+// behind a queued writer deadlocks.
 type Table struct {
 	mu     sync.RWMutex
 	meta   *schema.Table
@@ -309,6 +330,12 @@ func (t *Table) GetAny(k value.Key) (value.Tuple, bool) {
 func (t *Table) Resolve(k value.Key) (slot int, row value.Tuple, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.resolve(k)
+}
+
+// resolve is Resolve without the lock: the caller holds the read lock,
+// or a View.
+func (t *Table) resolve(k value.Key) (slot int, row value.Tuple, ok bool) {
 	if slot, ok := t.pk[k]; ok {
 		return slot, t.rows[slot], true
 	}
@@ -330,6 +357,11 @@ func (t *Table) Slots() int {
 func (t *Table) RowAt(slot int) value.Tuple {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.rowAt(slot)
+}
+
+// rowAt is RowAt without the lock.
+func (t *Table) rowAt(slot int) value.Tuple {
 	if slot < 0 || slot >= len(t.rows) {
 		return nil
 	}
@@ -340,11 +372,17 @@ func (t *Table) RowAt(slot int) value.Tuple {
 // order. Unlike Scan, which walks the primary-key map, it yields each
 // row's slot and visits rows in a deterministic order. The loop body
 // runs under the table's read lock: it must not mutate the table.
-func (t *Table) Rows() iter.Seq2[int, value.Tuple] {
+func (t *Table) Rows() iter.Seq2[int, value.Tuple] { return t.rowSeq(true) }
+
+// rowSeq is Rows, taking the read lock around the loop when lock is set
+// (a View's Rows holds it already).
+func (t *Table) rowSeq(lock bool) iter.Seq2[int, value.Tuple] {
 	return func(yield func(int, value.Tuple) bool) {
 		cTableScans.Inc()
-		t.mu.RLock()
-		defer t.mu.RUnlock()
+		if lock {
+			t.mu.RLock()
+			defer t.mu.RUnlock()
+		}
 		for slot, row := range t.rows {
 			if row != nil && !yield(slot, row) {
 				return
@@ -355,14 +393,20 @@ func (t *Table) Rows() iter.Seq2[int, value.Tuple] {
 
 // getAnyEncoded is GetAny for a key still in its encoded byte form: the
 // map probes convert without copying, so join-path navigation looks rows
-// up without allocating a Key.
-func (t *Table) getAnyEncoded(k []byte) (value.Tuple, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if slot, ok := t.pk[value.Key(k)]; ok {
-		return t.rows[slot], true
+// up without allocating a Key. It takes the read lock around the probe
+// when lock is set; a View holds it already.
+func (t *Table) getAnyEncoded(k []byte, lock bool) (row value.Tuple, ok bool) {
+	if lock {
+		t.mu.RLock()
 	}
-	row, ok := t.graveyard[value.Key(k)]
+	if slot, live := t.pk[value.Key(k)]; live {
+		row, ok = t.rows[slot], true
+	} else {
+		row, ok = t.graveyard[value.Key(k)]
+	}
+	if lock {
+		t.mu.RUnlock()
+	}
 	return row, ok
 }
 

@@ -33,6 +33,9 @@ const keyBufSize = 128
 // A Nav is immutable and safe for concurrent use. It reads the tables it
 // was compiled against (live rows first, then the graveyard of deleted
 // rows, as Table.GetAny does), so it sees later mutations of those rows.
+// FromRow and FromKey take each probed table's read lock per probe;
+// inside a View, navigate with View.FromRow and View.FromKey, the same
+// walk without the locks.
 type Nav struct {
 	path schema.JoinPath
 	src  *Table
@@ -107,19 +110,29 @@ func (n *Nav) Path() schema.JoinPath { return n.path }
 // and returns the destination attribute's value. The boolean result is
 // false when the chain dangles: the source row, or a row a hop
 // references, does not exist, or a hop hits a NULL foreign key.
-func (n *Nav) FromKey(k value.Key) (value.Value, bool) {
-	row, ok := n.src.GetAny(k)
-	if !ok {
-		return value.Value{}, false
-	}
-	return n.FromRow(row)
-}
+func (n *Nav) FromKey(k value.Key) (value.Value, bool) { return n.fromKey(k, true) }
 
 // FromRow follows the path from a row of the source table, with
 // FromKey's result semantics. The row itself is the source tuple: a path
 // leaving its table's primary key does not look the row up again. A nil
 // row dangles, as a key with no row does in FromKey.
-func (n *Nav) FromRow(row value.Tuple) (value.Value, bool) {
+func (n *Nav) FromRow(row value.Tuple) (value.Value, bool) { return n.fromRow(row, true) }
+
+// fromKey is FromKey; lock takes each probed table's read lock per
+// probe, and a View's FromKey, which holds them all, clears it.
+func (n *Nav) fromKey(k value.Key, lock bool) (value.Value, bool) {
+	var row value.Tuple
+	if lock {
+		row, _ = n.src.GetAny(k)
+	} else {
+		_, row, _ = n.src.resolve(k)
+	}
+	return n.fromRow(row, lock)
+}
+
+// fromRow is the one join-path walk behind FromRow and View.FromRow;
+// lock is as in fromKey.
+func (n *Nav) fromRow(row value.Tuple, lock bool) (value.Value, bool) {
 	if row == nil {
 		return value.Value{}, false
 	}
@@ -137,7 +150,7 @@ func (n *Nav) FromRow(row value.Tuple) (value.Value, bool) {
 		}
 		if h.t != nil {
 			var ok bool
-			if row, ok = h.t.getAnyEncoded(key); !ok {
+			if row, ok = h.t.getAnyEncoded(key, lock); !ok {
 				return value.Value{}, false
 			}
 		}

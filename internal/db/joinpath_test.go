@@ -129,7 +129,8 @@ func TestEvalPathErrors(t *testing.T) {
 }
 
 // TestNavZeroAlloc gates navigation at zero allocations, from a row and
-// from a key, through a composite-key source and two within-table hops.
+// from a key, through a composite-key source and two within-table hops,
+// with per-probe locking and inside a View.
 func TestNavZeroAlloc(t *testing.T) {
 	d := loadFigure1(t)
 	for _, p := range []schema.JoinPath{tradePath(), hsPath()} {
@@ -152,5 +153,14 @@ func TestNavZeroAlloc(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%v: FromKey = %.0f allocs/op, want 0", p, allocs)
 		}
+		v := d.View()
+		if allocs := testing.AllocsPerRun(100, func() {
+			v.FromRow(n, row)
+			v.FromKey(n, keys[i%len(keys)])
+			i++
+		}); allocs != 0 {
+			t.Errorf("%v: View FromRow+FromKey = %.0f allocs/op, want 0", p, allocs)
+		}
+		v.Close()
 	}
 }

@@ -3,6 +3,7 @@ package db_test
 import (
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -222,3 +223,57 @@ func TestNavDanglingAndGraveyard(t *testing.T) {
 		checkNavKeys(t, d, n, d.Table("HOLDING_SUMMARY").Keys())
 	}
 }
+
+// BenchmarkNav times compiled join-path navigation from a key — the
+// inner loop of every cost evaluation — on the CustInfo fixture's TRADE
+// path (two within-table hops): serially; from GOMAXPROCS goroutines
+// that each take every probed table's read lock per probe (Nav.FromKey);
+// and from as many goroutines inside one View (View.FromKey), as the
+// solve stages navigate. The gap between the two parallel rows is what
+// the reader-count atomics of the per-probe locks cost.
+func BenchmarkNav(b *testing.B) {
+	d := fixture.CustInfoDB()
+	nav, err := d.Compile(fixture.TradePath())
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := d.Table("TRADE").Keys()
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			navSink, _ = nav.FromKey(keys[i%len(keys)])
+		}
+	})
+	b.Run("parallel-locked", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			n := 0
+			for i := 0; pb.Next(); i++ {
+				if _, ok := nav.FromKey(keys[i%len(keys)]); ok {
+					n++
+				}
+			}
+			navHits.Add(int64(n))
+		})
+	})
+	b.Run("parallel-view", func(b *testing.B) {
+		b.ReportAllocs()
+		v := d.View()
+		defer v.Close()
+		b.RunParallel(func(pb *testing.PB) {
+			n := 0
+			for i := 0; pb.Next(); i++ {
+				if _, ok := v.FromKey(nav, keys[i%len(keys)]); ok {
+					n++
+				}
+			}
+			navHits.Add(int64(n))
+		})
+	})
+}
+
+// navSink and navHits keep BenchmarkNav's navigations live.
+var (
+	navSink value.Value
+	navHits atomic.Int64
+)

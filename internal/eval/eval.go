@@ -104,7 +104,15 @@ type tableBinding struct {
 // Span and Evaluate may be called from any number of goroutines, and the
 // parallel JECB search hammers one shared Assigner from its whole worker
 // pool.
+//
+// PlaceKey, PlaceTxn and Span take each probed table's read lock per
+// probe, so they must not run inside a db.View of the Assigner's
+// database. The bulk readers — Evaluate, Index (and so EvaluateColumnar
+// and each chunk of EvaluateStream) and each chunk of PlaceTrace — read
+// through a View of their own; opened inside another View of the same
+// database, it joins that one without locking.
 type Assigner struct {
+	d        *db.DB
 	sol      *partition.Solution
 	bindings map[string]tableBinding
 }
@@ -117,7 +125,7 @@ func NewAssigner(d *db.DB, sol *partition.Solution) (*Assigner, error) {
 	if err := sol.Validate(d.Schema()); err != nil {
 		return nil, err
 	}
-	a := &Assigner{sol: sol, bindings: make(map[string]tableBinding, len(sol.Tables))}
+	a := &Assigner{d: d, sol: sol, bindings: make(map[string]tableBinding, len(sol.Tables))}
 	for name, ts := range sol.Tables {
 		if ts.Replicate {
 			a.bindings[name] = tableBinding{}
@@ -142,7 +150,10 @@ func (a *Assigner) Solution() *partition.Solution { return a.sol }
 // tuple's join path dangles (the tuple cannot be placed, so any
 // transaction touching it is distributed). Safe for concurrent use; it
 // does not allocate.
-func (a *Assigner) PlaceKey(acc trace.Access) (int, bool) {
+func (a *Assigner) PlaceKey(acc trace.Access) (int, bool) { return a.placeKey(nil, acc) }
+
+// placeKey is PlaceKey reading through v (nil: locking per probe).
+func (a *Assigner) placeKey(v *db.View, acc trace.Access) (int, bool) {
 	b, ok := a.bindings[acc.Table]
 	if !ok {
 		return 0, false
@@ -150,17 +161,17 @@ func (a *Assigner) PlaceKey(acc trace.Access) (int, bool) {
 	if b.nav == nil {
 		return partition.Replicated, true
 	}
-	v, ok := b.nav.FromKey(acc.Key)
+	val, ok := v.FromKey(b.nav, acc.Key)
 	if !ok {
 		return 0, false
 	}
-	return b.mapper.Map(v), true
+	return b.mapper.Map(val), true
 }
 
-// place is PlaceKey in PlaceIndex's encoding: a partition,
+// place is placeKey in PlaceIndex's encoding: a partition,
 // PlaceReplicated, or PlaceUnplaced.
-func (a *Assigner) place(acc trace.Access) int32 {
-	p, ok := a.PlaceKey(acc)
+func (a *Assigner) place(v *db.View, acc trace.Access) int32 {
+	p, ok := a.placeKey(v, acc)
 	switch {
 	case !ok:
 		return PlaceUnplaced
@@ -175,9 +186,12 @@ func (a *Assigner) place(acc trace.Access) int32 {
 // order, to dst and returns the extended slice: a partition in [0..k),
 // PlaceReplicated, or PlaceUnplaced, as PlaceKey decides. It does not
 // allocate when dst has room.
-func (a *Assigner) PlaceTxn(t *trace.Txn, dst []int32) []int32 {
+func (a *Assigner) PlaceTxn(t *trace.Txn, dst []int32) []int32 { return a.placeTxn(nil, t, dst) }
+
+// placeTxn is PlaceTxn reading through v (nil: locking per probe).
+func (a *Assigner) placeTxn(v *db.View, t *trace.Txn, dst []int32) []int32 {
 	for _, acc := range t.Accesses {
-		dst = append(dst, a.place(acc))
+		dst = append(dst, a.place(v, acc))
 	}
 	return dst
 }
@@ -276,10 +290,15 @@ func (p *TracePlacement) fill(a *Assigner, tr *trace.Trace) {
 		if c >= len(p.done) {
 			return
 		}
+		// One view per chunk, not per placement: the placement can run
+		// ahead of its reader for as long as the reader takes, and a
+		// view held that long would keep writers out of the database.
+		v := a.d.View()
 		for i := c * placeChunkTxns; i < min(n, (c+1)*placeChunkTxns); i++ {
 			lo, hi := p.bounds(i)
-			a.PlaceTxn(tr.At(i), p.place[lo:lo:hi])
+			a.placeTxn(v, tr.At(i), p.place[lo:lo:hi])
 		}
+		v.Close()
 		p.mu.Lock()
 		p.done[c].Store(true)
 		p.cond.Broadcast()
@@ -296,10 +315,13 @@ func (p *TracePlacement) fill(a *Assigner, tr *trace.Trace) {
 // Span classifies a transaction under the bound solution (Definition
 // 5). It does not allocate for partition counts up to 256 (see
 // partition.Set).
-func (a *Assigner) Span(t *trace.Txn) Span {
+func (a *Assigner) Span(t *trace.Txn) Span { return a.span(nil, t) }
+
+// span is Span reading through v (nil: locking per probe).
+func (a *Assigner) span(v *db.View, t *trace.Txn) Span {
 	var s Span
 	for _, acc := range t.Accesses {
-		s.Add(a.place(acc), acc.Write)
+		s.Add(a.place(v, acc), acc.Write)
 	}
 	return s
 }
@@ -330,7 +352,7 @@ func (r *Result) tally(s *Span) bool {
 // and Result merging is pure integer addition, sharding the trace into
 // contiguous ranges and merging in range order is bit-identical to the
 // sequential loop.
-func (a *Assigner) evalShard(tr *trace.Trace, lo, hi int) *Result {
+func (a *Assigner) evalShard(v *db.View, tr *trace.Trace, lo, hi int) *Result {
 	r := &Result{
 		Solution: a.sol.Name,
 		K:        a.sol.K,
@@ -344,7 +366,7 @@ func (a *Assigner) evalShard(tr *trace.Trace, lo, hi int) *Result {
 			r.ByClass[t.Class] = cr
 		}
 		cr.Total++
-		if s := a.Span(t); r.tally(&s) {
+		if s := a.span(v, t); r.tally(&s) {
 			cr.Distributed++
 		}
 	}
@@ -407,17 +429,19 @@ func forShards(shards, n int, fn func(w, lo, hi int)) {
 // in shard order. The result is bit-identical for any workers >= 1
 // (workers <= 1, or traces too small to shard, take the sequential
 // path). Safe for concurrent use: many Evaluate calls may run against
-// one shared Assigner.
+// one shared Assigner. Every shard reads through one db.View.
 func (a *Assigner) Evaluate(tr *trace.Trace, workers int) *Result {
+	v := a.d.View()
+	defer v.Close()
 	n := tr.Len()
 	workers = shardCount(workers, n)
 	if workers == 1 {
-		return a.evalShard(tr, 0, n).scored()
+		return a.evalShard(v, tr, 0, n).scored()
 	}
 	gEvalWorkers.Set(float64(workers))
 	shards := make([]*Result, workers)
 	forShards(workers, n, func(w, lo, hi int) {
-		shards[w] = a.evalShard(tr, lo, hi)
+		shards[w] = a.evalShard(v, tr, lo, hi)
 	})
 	r := shards[0]
 	for _, s := range shards[1:] {

@@ -20,15 +20,18 @@ type PlaceIndex struct {
 }
 
 // Index resolves every distinct key of the columnar trace through the
-// bound solution. Safe for concurrent use once built.
+// bound solution, reading through one db.View. Safe for concurrent use
+// once built.
 func (a *Assigner) Index(c *trace.Columnar) *PlaceIndex {
+	v := a.d.View()
+	defer v.Close()
 	idx := &PlaceIndex{a: a, c: c, place: make([]int32, c.NumKeys())}
 	var acc trace.Access
 	for keyID := 0; keyID < c.NumKeys(); keyID++ {
 		tid, key := c.KeyOf(uint32(keyID))
 		acc.Table = c.TableName(tid)
 		acc.Key = key
-		idx.place[keyID] = a.place(acc)
+		idx.place[keyID] = a.place(v, acc)
 	}
 	cIndexBuilds.Inc()
 	return idx
@@ -85,9 +88,10 @@ func (a *Assigner) EvaluateColumnar(c *trace.Columnar) *Result {
 
 // EvaluateStream scores the bound solution on a streaming columnar
 // trace, one chunk at a time: each chunk gets a fresh PlaceIndex over
-// its own key table and its tallies merge in chunk order, so the Result
-// is identical to loading the whole trace and evaluating it in memory —
-// without ever holding more than one chunk.
+// its own key table (read through a view of its own, as Index takes
+// one) and its tallies merge in chunk order, so the Result is identical
+// to loading the whole trace and evaluating it in memory — without ever
+// holding more than one chunk.
 func (a *Assigner) EvaluateStream(s *trace.Stream) (*Result, error) {
 	r := &Result{Solution: a.sol.Name, K: a.sol.K, ByClass: make(map[string]*ClassResult)}
 	for chunk, err := range s.Chunks() {

@@ -225,9 +225,10 @@ type tableBuild struct {
 // partitioned table's join path first, in the order plan visits the
 // columns (analyses in order, parameters sorted), so it fails on the
 // same column whatever the worker count. It then fills the tables, one
-// task per table on at most GOMAXPROCS goroutines, largest table first.
-// A lookup table depends only on the database and the solution, so the
-// result is the same for any worker count.
+// task per table on at most GOMAXPROCS goroutines, largest table first,
+// every task reading the database through one db.View. A lookup table
+// depends only on the database and the solution, so the result is the
+// same for any worker count.
 func (r *Router) buildLookups(analyses []*sqlparse.Analysis) (map[schema.ColumnRef]*lookupTable, error) {
 	lookups := map[schema.ColumnRef]*lookupTable{}
 	byTable := map[string]*tableBuild{}
@@ -263,10 +264,12 @@ func (r *Router) buildLookups(analyses []*sqlparse.Analysis) (map[schema.ColumnR
 			}
 		}
 	}
+	v := r.d.View()
+	defer v.Close()
 	slices.SortStableFunc(tasks, func(a, b *tableBuild) int {
-		return cmp.Compare(b.table.Slots(), a.table.Slots())
+		return cmp.Compare(v.Slots(b.table), v.Slots(a.table))
 	})
-	forEach(len(tasks), func(i int) { r.buildTable(tasks[i]) })
+	forEach(len(tasks), func(i int) { r.buildTable(v, tasks[i]) })
 	return lookups, nil
 }
 
@@ -304,18 +307,18 @@ func forEach(n int, fn func(i int)) {
 // chains): the paper's "compatible and finer" criterion — a CUSTOMER
 // filter pins the partition of the customer's accounts even though
 // CUSTOMER itself is replicated. The tables have no entries when neither
-// applies.
-func (r *Router) buildTable(task *tableBuild) {
+// applies. It reads the rows through v.
+func (r *Router) buildTable(v *db.View, task *tableBuild) {
 	t := task.table
 	var place func(row value.Tuple) int
 	if task.nav != nil {
 		nav, mapper := task.nav, task.mapper
 		place = func(row value.Tuple) int {
-			v, ok := nav.FromRow(row)
+			val, ok := v.FromRow(nav, row)
 			if !ok {
 				return -1
 			}
-			return mapper.Map(v)
+			return mapper.Map(val)
 		}
 	} else if mapper, vi, srcTable, ok := r.equivalentAttribute(t.Meta()); ok {
 		for _, lt := range task.lts {
@@ -330,20 +333,20 @@ func (r *Router) buildTable(task *tableBuild) {
 	for j, lt := range task.lts {
 		hint := 0
 		if t.Meta().IsPK([]string{t.Meta().Columns[task.cols[j]].Name}) {
-			hint = t.Len()
+			hint = v.Len(t)
 		}
 		lt.parts = make(map[value.Value]partition.Set, hint)
 	}
-	for _, row := range t.Rows() {
+	for _, row := range v.Rows(t) {
 		p := place(row)
 		if p < 0 {
 			continue // unplaceable row: ignore for routing
 		}
 		for j, lt := range task.lts {
-			v := row[task.cols[j]]
-			if set := lt.parts[v]; !set.Has(p) {
+			val := row[task.cols[j]]
+			if set := lt.parts[val]; !set.Has(p) {
 				set.Add(p)
-				lt.parts[v] = set
+				lt.parts[val] = set
 				lt.fanout++
 			}
 		}

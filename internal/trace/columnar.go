@@ -134,18 +134,29 @@ func (c *Columnar) Add(t *Txn) {
 	c.sortedClasses, c.mix = nil, nil
 }
 
+// internKey interns the composite key of (table, key); it allocates only
+// when the key is new.
 func (c *Columnar) internKey(tableID uint32, key value.Key) uint32 {
-	var pre [4]byte
-	binary.BigEndian.PutUint32(pre[:], tableID)
-	return c.keys.ID(string(pre[:]) + string(key))
+	var buf [compositeBufSize]byte
+	return c.keys.IDBytes(appendComposite(buf[:0], tableID, key))
 }
 
 // LookupKey returns the key id for (table, key) without interning, for
-// read paths resolving external lookups against an existing trace.
+// read paths resolving external lookups against an existing trace. It
+// does not allocate.
 func (c *Columnar) LookupKey(tableID uint32, key value.Key) (uint32, bool) {
-	var pre [4]byte
-	binary.BigEndian.PutUint32(pre[:], tableID)
-	return c.keys.Lookup(string(pre[:]) + string(key))
+	var buf [compositeBufSize]byte
+	return c.keys.LookupBytes(appendComposite(buf[:0], tableID, key))
+}
+
+// compositeBufSize is the stack buffer a composite key is built in; a
+// longer key (a long string key column) spills it to the heap.
+const compositeBufSize = 64
+
+// appendComposite appends the composite key the key dictionary interns:
+// the 4-byte big-endian table id, then the raw key bytes.
+func appendComposite(dst []byte, tableID uint32, key value.Key) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, tableID), key...)
 }
 
 // NumTxns returns the number of transactions.

@@ -406,3 +406,34 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		assertSameTxns(t, c2, c)
 	})
 }
+
+// TestColumnarizeAllocs bounds Columnarize's allocations by what it
+// must keep: one string per distinct key, the copy of each transaction's
+// params (two allocations: a small map's header and its slot group), and
+// a constant for the growth of the columns and dictionaries. A composite
+// key built per access, instead of in a stack buffer, costs one
+// allocation per access and fails it.
+func TestColumnarizeAllocs(t *testing.T) {
+	tr := colSampleTrace(20000)
+	var withParams int
+	keys := map[string]bool{}
+	for _, txn := range tr.All() {
+		if len(txn.Params) > 0 {
+			withParams++
+		}
+		for _, a := range txn.Accesses {
+			keys[a.Table+"\x00"+string(a.Key)] = true
+		}
+	}
+	const growth = 1024
+	allocs := testing.AllocsPerRun(3, func() { Columnarize(tr) })
+	t.Logf("%v allocations: %d distinct keys, %d transactions with params", allocs, len(keys), withParams)
+	if limit := float64(len(keys) + 2*withParams + growth); allocs > limit {
+		t.Errorf("Columnarize: %v allocations, want <= %v", allocs, limit)
+	}
+	c := Columnarize(tr)
+	tid, key := c.KeyOf(c.AccessKey(0))
+	if n := testing.AllocsPerRun(100, func() { c.LookupKey(tid, key) }); n != 0 {
+		t.Errorf("LookupKey: %v allocations, want 0", n)
+	}
+}

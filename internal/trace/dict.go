@@ -33,6 +33,22 @@ func (d *Dict) ID(s string) uint32 {
 	return id
 }
 
+// IDBytes is ID for a string held as bytes: it allocates only when it
+// interns b, for the dictionary's copy.
+func (d *Dict) IDBytes(b []byte) uint32 {
+	if id, ok := d.ids[string(b)]; ok {
+		return id
+	}
+	return d.ID(string(b))
+}
+
+// LookupBytes is Lookup for a string held as bytes; it does not
+// allocate.
+func (d *Dict) LookupBytes(b []byte) (uint32, bool) {
+	id, ok := d.ids[string(b)]
+	return id, ok
+}
+
 // Lookup returns the id of s without interning it.
 func (d *Dict) Lookup(s string) (uint32, bool) {
 	id, ok := d.ids[s]

@@ -55,11 +55,13 @@ func (k Kind) String() string {
 // Value is comparable with == and may be used as a map key. Two Values are
 // == iff they have the same kind and the same payload; in particular the
 // integer 1 and the float 1.0 are distinct map keys (use Compare for
-// numeric-aware ordering).
+// numeric-aware ordering). A float's payload is its IEEE 754 bit pattern,
+// so == and map keys compare floats bit for bit: -0.0 and +0.0 are
+// distinct, and a NaN equals a NaN with the same bits (Compare, which
+// compares numerically, calls -0.0 and +0.0 equal).
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	i    int64 // an Int's value, or a Float's math.Float64bits
 	s    string
 }
 
@@ -67,7 +69,7 @@ type Value struct {
 func NewInt(v int64) Value { return Value{kind: Int, i: v} }
 
 // NewFloat returns a floating-point value.
-func NewFloat(v float64) Value { return Value{kind: Float, f: v} }
+func NewFloat(v float64) Value { return Value{kind: Float, i: int64(math.Float64bits(v))} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{kind: Str, s: v} }
@@ -96,8 +98,11 @@ func (v Value) Float() float64 {
 	if v.kind != Float {
 		panic(fmt.Sprintf("value: Float() on %s value", v.kind))
 	}
-	return v.f
+	return v.float()
 }
+
+// float returns a Float's payload as a float64.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Str returns the string payload. It panics if the value is not a Str;
 // callers handling external input use AsStr instead.
@@ -123,7 +128,7 @@ func (v Value) AsFloat() (float64, error) {
 	if v.kind != Float {
 		return 0, fmt.Errorf("%w: AsFloat on %s value", ErrKind, v.kind)
 	}
-	return v.f, nil
+	return v.float(), nil
 }
 
 // AsStr returns the string payload, or an error wrapping ErrKind when the
@@ -142,7 +147,7 @@ func (v Value) Numeric() (float64, bool) {
 	case Int:
 		return float64(v.i), true
 	case Float:
-		return v.f, true
+		return v.float(), true
 	default:
 		return 0, false
 	}
@@ -205,13 +210,8 @@ func (v Value) Hash() uint64 {
 	}
 	mix(byte(v.kind))
 	switch v.kind {
-	case Int:
+	case Int, Float:
 		u := uint64(v.i)
-		for s := 0; s < 64; s += 8 {
-			mix(byte(u >> s))
-		}
-	case Float:
-		u := math.Float64bits(v.f)
 		for s := 0; s < 64; s += 8 {
 			mix(byte(u >> s))
 		}
@@ -236,7 +236,7 @@ func (v Value) String() string {
 	case Int:
 		return strconv.FormatInt(v.i, 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case Str:
 		return v.s
 	default:
@@ -250,13 +250,8 @@ func (v Value) String() string {
 func (v Value) Encode(dst []byte) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
-	case Int:
+	case Int, Float:
 		u := uint64(v.i)
-		for s := 56; s >= 0; s -= 8 {
-			dst = append(dst, byte(u>>s))
-		}
-	case Float:
-		u := math.Float64bits(v.f)
 		for s := 56; s >= 0; s -= 8 {
 			dst = append(dst, byte(u>>s))
 		}
@@ -281,7 +276,7 @@ func (v Value) MarshalText() ([]byte, error) {
 	case Int:
 		return []byte("i:" + strconv.FormatInt(v.i, 10)), nil
 	case Float:
-		return []byte("f:" + strconv.FormatFloat(v.f, 'g', -1, 64)), nil
+		return []byte("f:" + strconv.FormatFloat(v.float(), 'g', -1, 64)), nil
 	case Str:
 		return []byte("s:" + v.s), nil
 	default:

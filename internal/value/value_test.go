@@ -1,11 +1,13 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -56,6 +58,72 @@ func TestValueEquality(t *testing.T) {
 	m := map[Value]int{NewInt(5): 1, NewString("5"): 2}
 	if m[NewInt(5)] != 1 || m[NewString("5")] != 2 {
 		t.Error("values must work as distinct map keys")
+	}
+}
+
+// TestValueBytesPinned pins the bytes every output form of a value
+// produces — Hash, Encode, MarshalText and String — for each kind: hash
+// partitioning, primary keys, trace files and reports depend on them.
+func TestValueBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		v         Value
+		hash      uint64
+		enc, text string
+		str       string
+	}{
+		{NewFloat(1.5), 0x5497d5f720e48655, "\x02?\xf8\x00\x00\x00\x00\x00\x00", "f:1.5", "1.5"},
+		{NewFloat(-2.25e10), 0x2f37b63c10123e8f, "\x02\xc2\x14\xf4k\x04\x00\x00\x00", "f:-2.25e+10", "-2.25e+10"},
+		{NewFloat(math.Copysign(0, -1)), 0x43abdb69dcb9a590, "\x02\x80\x00\x00\x00\x00\x00\x00\x00", "f:-0", "-0"},
+		{NewFloat(math.Inf(1)), 0x6493438868f9b55, "\x02\x7f\xf0\x00\x00\x00\x00\x00\x00", "f:+Inf", "+Inf"},
+		{NewInt(-7), 0xbcb8aea12cc0b7cc, "\x01\xff\xff\xff\xff\xff\xff\xff\xf9", "i:-7", "-7"},
+		{NewString("ab"), 0xb7ef60551f3a584b, "\x03\x02ab", "s:ab", "ab"},
+		{NewNull(), 0xb9034ad37056f5fb, "\x00", "n", "NULL"},
+	} {
+		text, err := c.v.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := c.v.Hash(); h != c.hash {
+			t.Errorf("%v: Hash = %#x, want %#x", c.v, h, c.hash)
+		}
+		if enc := string(c.v.Encode(nil)); enc != c.enc {
+			t.Errorf("%v: Encode = %q, want %q", c.v, enc, c.enc)
+		}
+		if string(text) != c.text || c.v.String() != c.str {
+			t.Errorf("%v: MarshalText, String = %q, %q; want %q, %q", c.v, text, c.v.String(), c.text, c.str)
+		}
+	}
+}
+
+// TestFloatIdentityIsBits pins the float identity the Value doc comment
+// states: == and map keys compare a float's IEEE 754 bits, so -0.0 and
+// +0.0 are distinct and NaN equals itself, while Compare stays numeric.
+// It also pins the layout that identity comes from: no float field
+// beside the int payload.
+func TestFloatIdentityIsBits(t *testing.T) {
+	pos, neg := NewFloat(0), NewFloat(math.Copysign(0, -1))
+	if pos == neg {
+		t.Error("-0.0 and +0.0 must be distinct values")
+	}
+	if pos.Compare(neg) != 0 {
+		t.Error("-0.0 and +0.0 must compare numerically equal")
+	}
+	nan := NewFloat(math.NaN())
+	if nan != NewFloat(math.NaN()) {
+		t.Error("NaN must equal a NaN with the same bits")
+	}
+	m := map[Value]int{pos: 1, neg: 2, nan: 3}
+	if len(m) != 3 || m[NewFloat(0)] != 1 || m[NewFloat(math.Copysign(0, -1))] != 2 || m[NewFloat(math.NaN())] != 3 {
+		t.Errorf("float map keys must be their bits: %v", m)
+	}
+	if got := nan.Float(); !math.IsNaN(got) {
+		t.Errorf("NaN round trip = %v", got)
+	}
+	if got := neg.Float(); got != 0 || !math.Signbit(got) {
+		t.Errorf("-0.0 round trip = %v", got)
+	}
+	if size := unsafe.Sizeof(Value{}); size != 32 {
+		t.Errorf("Value is %d bytes, want 32", size)
 	}
 }
 
