@@ -29,13 +29,16 @@ verify:
 # BenchmarkRouterNew/{tpcc,tpce} (building the router) and
 # BenchmarkRoute/{tpcc,tpce} (routing every test transaction) — then the
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
-# in isolation, each at 1/2/8 workers, then the evaluator layer
+# in isolation on TPC-C/SEATS/TPC-E, each at 1/2/8 workers (100 iterations
+# per row, 3 rows each: at one iteration the SEATS rows swung by ±20%
+# between runs of one binary), then the evaluator layer
 # (BenchmarkAssignerEvaluate: Assigner.Evaluate at 1/2/8 workers), then
 # the commit path: placing a 3,000-txn TPC-C and TPC-E window ahead of
 # its reader at 1 and GOMAXPROCS workers (BenchmarkPlaceTrace: time to
 # the first chunk and to fully placed), one store commit, one join-path
 # navigation from a key (BenchmarkNav: serial, and from GOMAXPROCS
-# goroutines with per-probe locks and inside one db.View), one WAL
+# goroutines with per-probe locks and inside one db.View) and from a
+# slot through the view's hop memo (cold and warm), one WAL
 # protocol step, one checkpoint encoding and digest fold, one
 # participant checkpoint cycle (64 commits, then the snapshot), one
 # end-of-run recover-and-check, a small TPC-C commit window through
@@ -48,7 +51,7 @@ verify:
 # experiments` regenerates them.
 bench:
 	$(GO) test -bench='Evaluate|GraphPartition|RouterNew|Route$$|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
-	$(GO) test -bench='Partition|Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
+	$(GO) test -bench='Partition|Phase2|Phase3' -benchtime=100x -count=3 -run=^$$ ./internal/core/
 	$(GO) test -bench='AssignerEvaluate|PlaceTrace' -benchmem -run=^$$ ./internal/eval/
 	$(GO) test -bench='CommitOps|LogAppendTxn|EncodeSnapshot|TableDigest|CheckpointCadence|Nav' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
 	$(GO) test -bench='GenerateTrace' -benchmem -benchtime=3x -run=^$$ ./internal/workloads/

@@ -91,18 +91,21 @@ func (p *Partitioner) phase1(ctx context.Context, v *db.View) (*preprocessed, er
 
 // resolvedStream is a trace whose accesses are resolved to rows: each
 // access has a code, which is the live row's slot (>= 0), slotMissing, or
-// a graveyard code indexing grave. Navigation then starts from the row
-// (nav) instead of probing the primary key again. The class streams
-// split from a trace share its codes; first locates each transaction's.
-// The resolution lives for one Partition call and reads rows through
-// that call's view, which keeps every writer out of the database, so the
-// slots and rows it records stay valid for as long as it lives.
+// a graveyard code indexing grave, and its table's id: the schema id
+// (db.Table.ID), or unknownTable(d) for a table the database lacks.
+// Navigation then starts from the slot (nav, through the view's hop
+// memo) or the deleted row instead of probing the primary key again. The class streams split from a trace
+// share its codes; first locates each transaction's. The resolution
+// lives for one Partition call and reads rows through that call's view,
+// which keeps every writer out of the database, so the slots and rows it
+// records stay valid for as long as it lives.
 type resolvedStream struct {
 	*trace.Trace
-	v     *db.View      // the view the codes were resolved in, and rows are read through
-	first []int32       // per transaction: index of its first access code
-	codes []int32       // per access of the resolved trace, in trace order
-	grave []value.Tuple // deleted rows, indexed by graveyard code
+	v      *db.View      // the view the codes were resolved in, and rows are read through
+	first  []int32       // per transaction: index of its first access code
+	codes  []int32       // per access of the resolved trace, in trace order
+	tables []int32       // per access: its table's id
+	grave  []value.Tuple // deleted rows, indexed by graveyard code
 }
 
 // slotMissing is the code of an access whose key has no row, live or
@@ -121,19 +124,23 @@ func resolveTrace(ctx context.Context, d *db.DB, v *db.View, tr *trace.Trace, wo
 		n += len(tr.At(i).Accesses)
 	}
 	s.codes = make([]int32, n)
+	s.tables = make([]int32, n)
 	type graveAccess struct {
 		j   int32
 		row value.Tuple
 	}
 	graves := make([][]graveAccess, max(workers, 1))
 	_, err := forEachShard(ctx, workers, tr.Len(), func(shard, lo, hi int) {
-		name, t := "", (*db.Table)(nil)
+		name, t, id := "", (*db.Table)(nil), unknownTable(d)
 		for i := lo; i < hi; i++ {
 			j := s.first[i]
 			for _, acc := range tr.At(i).Accesses {
 				// Accesses cluster by table, so most skip the map lookup.
 				if acc.Table != name || t == nil {
-					name, t = acc.Table, d.Table(acc.Table)
+					name, t, id = acc.Table, d.Table(acc.Table), unknownTable(d)
+					if t != nil {
+						id = int32(t.ID())
+					}
 				}
 				code := slotMissing
 				if t != nil {
@@ -143,7 +150,7 @@ func resolveTrace(ctx context.Context, d *db.DB, v *db.View, tr *trace.Trace, wo
 						graves[shard] = append(graves[shard], graveAccess{j, row})
 					}
 				}
-				s.codes[j] = code
+				s.codes[j], s.tables[j] = code, id
 				j++
 			}
 		}
@@ -160,6 +167,11 @@ func resolveTrace(ctx context.Context, d *db.DB, v *db.View, tr *trace.Trace, wo
 	return s, nil
 }
 
+// unknownTable is the table id resolveTrace gives every access to a table
+// the database lacks: one past the schema ids, so per-table-id slices
+// sized unknownTable(d)+1 index any access.
+func unknownTable(d *db.DB) int32 { return int32(len(d.Schema().Tables())) }
+
 // split is trace.Trace.Split over the resolution: one stream per class,
 // each transaction keeping its codes.
 func (s resolvedStream) split() map[string]resolvedStream {
@@ -174,7 +186,7 @@ func (s resolvedStream) split() map[string]resolvedStream {
 	}
 	out := make(map[string]resolvedStream, len(classes))
 	for c, tr := range classes {
-		out[c] = resolvedStream{Trace: tr, v: s.v, first: firsts[c], codes: s.codes, grave: s.grave}
+		out[c] = resolvedStream{Trace: tr, v: s.v, first: firsts[c], codes: s.codes, tables: s.tables, grave: s.grave}
 	}
 	return out
 }
@@ -183,6 +195,12 @@ func (s resolvedStream) split() map[string]resolvedStream {
 func (s resolvedStream) txnCodes(i int) []int32 {
 	lo := s.first[i]
 	return s.codes[lo : lo+int32(len(s.At(i).Accesses))]
+}
+
+// txnTables returns the table ids of transaction i's accesses.
+func (s resolvedStream) txnTables(i int) []int32 {
+	lo := s.first[i]
+	return s.tables[lo : lo+int32(len(s.At(i).Accesses))]
 }
 
 // row returns the row an access of table t resolved to, or nil when the
@@ -199,7 +217,11 @@ func (s resolvedStream) row(t *db.Table, code int32) value.Tuple {
 }
 
 // nav follows tn's join path from the row an access of tn's table
-// resolved to, with Nav.FromRow's result semantics.
+// resolved to, with Nav.FromRow's result semantics: from a live row's
+// slot through the view's hop memo, else from the deleted row (or none).
 func (s resolvedStream) nav(tn tableNav, code int32) (value.Value, bool) {
+	if code >= 0 {
+		return s.v.FromSlot(tn.nav, int(code))
+	}
 	return s.v.FromRow(tn.nav, s.row(tn.t, code))
 }

@@ -140,7 +140,9 @@ func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class s
 	if len(trees) == 0 {
 		// §5.2 case 2: no root attributes — split the graph and harvest
 		// partial solutions from the subgraphs.
-		p.addPartialsFromSplit(ctx, res, g, stream)
+		if err := p.addPartialsFromSplit(ctx, res, g, stream); err != nil {
+			return nil, err
+		}
 		if len(res.Partial) == 0 {
 			res.NonPartitionable = true
 		}
@@ -239,13 +241,13 @@ func (p *Partitioner) singleValueFraction(ctx context.Context, tree *joingraph.T
 		for i := lo; i < hi; i++ {
 			var first value.Value
 			seen, multi := false, false
-			codes := stream.txnCodes(i)
-			for a, acc := range stream.At(i).Accesses {
-				tn, ok := navs[acc.Table]
-				if !ok {
+			tables := stream.txnTables(i)
+			for a, code := range stream.txnCodes(i) {
+				tn := navs[tables[a]]
+				if tn.nav == nil {
 					continue
 				}
-				v, ok := stream.nav(tn, codes[a])
+				v, ok := stream.nav(tn, code)
 				if !ok {
 					multi = true
 					break
@@ -299,13 +301,13 @@ func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, s
 	_, shardErr := forEachShard(ctx, p.opts.parallelism(), stream.Len(), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			set := map[value.Value]bool{}
-			codes := stream.txnCodes(i)
-			for a, acc := range stream.At(i).Accesses {
-				tn, ok := navs[acc.Table]
-				if !ok {
+			tables := stream.txnTables(i)
+			for a, code := range stream.txnCodes(i) {
+				tn := navs[tables[a]]
+				if tn.nav == nil {
 					continue
 				}
-				if v, ok := stream.nav(tn, codes[a]); ok {
+				if v, ok := stream.nav(tn, code); ok {
 					set[v] = true
 				}
 			}
@@ -331,18 +333,24 @@ type tableNav struct {
 }
 
 // compileTree compiles the join path of every table of the tree — only
-// those in tables, when non-nil — for concurrent navigation.
-func (p *Partitioner) compileTree(tree *joingraph.Tree, tables map[string]bool) (map[string]tableNav, error) {
-	navs := make(map[string]tableNav, len(tree.Paths))
+// those in tables, when non-nil — for concurrent navigation, indexed by
+// resolvedStream's table ids; an uncovered table's entry has a nil nav.
+// It fails on a table the database lacks.
+func (p *Partitioner) compileTree(tree *joingraph.Tree, tables map[string]bool) ([]tableNav, error) {
+	navs := make([]tableNav, unknownTable(p.in.DB)+1)
 	for tbl, path := range tree.Paths {
 		if tables != nil && !tables[tbl] {
 			continue
+		}
+		t := p.in.DB.Table(tbl)
+		if t == nil {
+			return nil, fmt.Errorf("core: join tree table %q unknown", tbl)
 		}
 		nav, err := p.in.DB.Compile(path)
 		if err != nil {
 			return nil, err
 		}
-		navs[tbl] = tableNav{nav: nav, t: p.in.DB.Table(tbl)}
+		navs[t.ID()] = tableNav{nav: nav, t: t}
 	}
 	return navs, nil
 }
@@ -494,7 +502,8 @@ func (p *Partitioner) addPartialsFromSubtrees(ctx context.Context, res *ClassRes
 
 // addPartialsFromSplit handles §5.2 case 2: split the rootless graph and
 // keep mapping-independent trees of each subgraph as partial solutions.
-func (p *Partitioner) addPartialsFromSplit(ctx context.Context, res *ClassResult, g *joingraph.Graph, stream resolvedStream) {
+// It fails when a tree's join paths do not compile, or ctx is cancelled.
+func (p *Partitioner) addPartialsFromSplit(ctx context.Context, res *ClassResult, g *joingraph.Graph, stream resolvedStream) error {
 	for _, sub := range g.Split() {
 		if len(sub.Tables) == 0 {
 			continue
@@ -513,7 +522,7 @@ func (p *Partitioner) addPartialsFromSplit(ctx context.Context, res *ClassResult
 		for i, t := range trees {
 			f, err := p.singleValueFraction(ctx, t, stream, covered)
 			if err != nil {
-				continue
+				return err
 			}
 			fracs[i] = f
 			if f > bestFrac {
@@ -539,6 +548,7 @@ func (p *Partitioner) addPartialsFromSplit(ctx context.Context, res *ClassResult
 		}
 	}
 	sortSolutions(res.Partial)
+	return nil
 }
 
 // subTrees removes the root attribute from a join tree, returning the

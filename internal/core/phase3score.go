@@ -25,12 +25,14 @@ import (
 type comboScorer struct {
 	// Flattened training trace, one entry per access in trace order.
 	txnEnd []int32 // per transaction: one past its last access
-	table  []int32 // per access: table id
+	table  []int32 // per access: table id (the resolved trace's own column)
 	ord    []int32 // per access: ordinal among its table's accesses
 	write  []bool  // per access: write bit
 
-	tableID  map[string]int32
-	tableLen []int // per table id: number of accesses
+	// Per table id: the table's name ("" when the trace does not access
+	// it) and its number of accesses.
+	names    []string
+	tableLen []int
 
 	// rows is the resolved training trace, and codes its access codes
 	// split per table id, in ordinal order.
@@ -51,52 +53,43 @@ type optionColumn struct {
 	err   error
 }
 
-// newComboScorer flattens the resolved training trace into the scorer's
-// columns.
+// newComboScorer flattens a resolved trace — a whole one, as
+// resolveTrace returns it, not a class stream split from it — into the
+// scorer's columns. Its table ids are the resolution's: schema ids, and
+// one more for tables the database lacks.
 func newComboScorer(tr resolvedStream) *comboScorer {
 	s := &comboScorer{
-		txnEnd:  make([]int32, tr.Len()),
-		tableID: map[string]int32{},
-		rows:    tr,
-		opts:    map[*partition.TableSolution]optionColumn{},
+		txnEnd: make([]int32, tr.Len()),
+		table:  tr.tables,
+		ord:    make([]int32, len(tr.tables)),
+		write:  make([]bool, len(tr.tables)),
+		rows:   tr,
+		opts:   map[*partition.TableSolution]optionColumn{},
 	}
-	n := 0
-	for _, t := range tr.All() {
-		n += len(t.Accesses)
+	ids := int32(0)
+	for _, id := range s.table {
+		ids = max(ids, id+1)
 	}
-	s.table = make([]int32, 0, n)
-	s.ord = make([]int32, 0, n)
-	s.write = make([]bool, 0, n)
-	name, id := "", int32(-1)
+	s.names = make([]string, ids)
+	s.tableLen = make([]int, ids)
+	j := 0
 	for i, t := range tr.All() {
 		for _, acc := range t.Accesses {
-			// Accesses cluster by table, so most skip the map lookup.
-			if acc.Table != name {
-				name = acc.Table
-				var ok bool
-				if id, ok = s.tableID[name]; !ok {
-					id = int32(len(s.tableLen))
-					s.tableID[name] = id
-					s.tableLen = append(s.tableLen, 0)
-				}
-			}
-			s.table = append(s.table, id)
-			s.ord = append(s.ord, int32(s.tableLen[id]))
-			s.write = append(s.write, acc.Write)
+			id := s.table[j]
+			s.names[id] = acc.Table
+			s.ord[j] = int32(s.tableLen[id])
+			s.write[j] = acc.Write
 			s.tableLen[id]++
+			j++
 		}
-		s.txnEnd[i] = int32(len(s.table))
+		s.txnEnd[i] = int32(j)
 	}
-	s.codes = make([][]int32, len(s.tableLen))
+	s.codes = make([][]int32, ids)
 	for id, l := range s.tableLen {
 		s.codes[id] = make([]int32, 0, l)
 	}
-	j := 0
-	for i := range tr.Len() {
-		for _, code := range tr.txnCodes(i) {
-			s.codes[s.table[j]] = append(s.codes[s.table[j]], code)
-			j++
-		}
+	for j, code := range tr.codes {
+		s.codes[s.table[j]] = append(s.codes[s.table[j]], code)
 	}
 	longest := 0
 	for _, l := range s.tableLen {
@@ -148,32 +141,32 @@ func (s *comboScorer) place(ctx context.Context, d *db.DB, workers int, sols []*
 
 // placeTable places every training access of one table, in trace order,
 // under each of the table's options, with eval.Assigner.PlaceKey's
-// semantics. A live row is read and navigated once, on its first access,
-// for all the options together, and later accesses to its slot reuse the
-// placements; an access to a deleted row is navigated each time, as it
-// has no slot.
+// semantics. A live row is navigated once, on its first access, from its
+// slot through the view's hop memo, for all the options together, and
+// later accesses to its slot reuse the placements; an access to a
+// deleted row is navigated from the row each time, as it has no slot.
 func (s *comboScorer) placeTable(d *db.DB, table string, opts []*partition.TableSolution) []optionColumn {
 	out := make([]optionColumn, len(opts))
+	t := d.Table(table)
 	var placed []int // indexes of the options whose path compiles
-	navs := make([]*db.Nav, len(opts))
+	navs := make([]tableNav, len(opts))
 	for k, ts := range opts {
 		nav, err := d.Compile(ts.Path)
 		if err != nil {
 			out[k].err = err
 			continue
 		}
-		navs[k] = nav
+		navs[k] = tableNav{nav: nav, t: t}
 		placed = append(placed, k)
 	}
-	id, ok := s.tableID[table]
-	if !ok || len(placed) == 0 {
+	if t == nil || t.ID() >= len(s.tableLen) || s.tableLen[t.ID()] == 0 || len(placed) == 0 {
 		return out
 	}
+	id := t.ID()
 	codes := s.codes[id]
 	for _, k := range placed {
 		out[k].place = make([]int32, len(codes))
 	}
-	t := d.Table(table)
 	// memo holds each live slot's placements, one per option, once its
 	// row has been navigated; seen marks those slots.
 	slots := s.rows.v.Slots(t)
@@ -186,10 +179,9 @@ func (s *comboScorer) placeTable(d *db.DB, table string, opts []*partition.Table
 			}
 			continue
 		}
-		row := s.rows.row(t, code)
 		for _, k := range placed {
 			p := eval.PlaceUnplaced
-			if v, ok := s.rows.v.FromRow(navs[k], row); ok {
+			if v, ok := s.rows.nav(navs[k], code); ok {
 				p = int32(opts[k].Mapper.Map(v))
 			}
 			out[k].place[o] = p
@@ -215,7 +207,10 @@ func (s *comboScorer) columns(sol *partition.Solution) ([][]int32, error) {
 		}
 	}
 	cols := make([][]int32, len(s.tableLen))
-	for name, id := range s.tableID {
+	for id, name := range s.names {
+		if name == "" {
+			continue
+		}
 		switch ts := sol.Tables[name]; {
 		case ts == nil:
 			cols[id] = s.unplaced[:s.tableLen[id]]

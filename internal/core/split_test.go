@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/db"
 	"repro/internal/eval"
+	"repro/internal/joingraph"
 	"repro/internal/schema"
 	"repro/internal/sqlparse"
 	"repro/internal/trace"
@@ -158,5 +160,67 @@ func TestMToNKeepAllTrees(t *testing.T) {
 	if len(classes["MarketWatch"].Partial) < len(mClasses["MarketWatch"].Partial) {
 		t.Errorf("keep-all (%d) must not have fewer partials than merged (%d)",
 			len(classes["MarketWatch"].Partial), len(mClasses["MarketWatch"].Partial))
+	}
+}
+
+// TestSplitFailsOnUncompilablePath checks that §5.2 case 2 reports a
+// subgraph tree whose join path does not compile, as every other phase-2
+// scan does, instead of silently dropping the tree's partial solutions.
+// The split graph is built on mtonWorld's schema and scored against a
+// database of the same tables whose LAST_TRADE names its key column
+// differently, so every path through LT_SYMB fails to compile.
+func TestSplitFailsOnUncompilablePath(t *testing.T) {
+	in, d := mtonWorld(t)
+	p, err := New(in, Options{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	pre, err := p.phase1(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := joingraph.Build(pre.Analyses["MarketWatch"], d.Schema(), pre.Replicated)
+	if len(g.Trees(maxTreesPerRoot)) != 0 {
+		t.Fatal("MarketWatch has a root attribute: the split path is not taken")
+	}
+	res := &ClassResult{Class: "MarketWatch"}
+	if err := p.addPartialsFromSplit(ctx, res, g, pre.Streams["MarketWatch"]); err != nil || len(res.Partial) == 0 {
+		t.Fatalf("on its own database: %d partials, err %v; want partials and no error", len(res.Partial), err)
+	}
+
+	s := schema.New("mton-renamed")
+	s.AddTable("CUSTOMER_ACCOUNT",
+		schema.Cols("CA_ID", schema.Int, "CA_BAL", schema.Float), "CA_ID")
+	s.AddTable("LAST_TRADE",
+		schema.Cols("LT_SYMBOL", schema.String, "LT_PRICE", schema.Float), "LT_SYMBOL")
+	s.AddTable("HOLDING_SUMMARY",
+		schema.Cols("HS_CA_ID", schema.Int, "HS_SYMB", schema.String, "HS_QTY", schema.Int),
+		"HS_CA_ID", "HS_SYMB")
+	s.AddFK("HOLDING_SUMMARY", []string{"HS_CA_ID"}, "CUSTOMER_ACCOUNT", []string{"CA_ID"})
+	s.AddFK("HOLDING_SUMMARY", []string{"HS_SYMB"}, "LAST_TRADE", []string{"LT_SYMBOL"})
+	p.in.DB = db.New(s.MustValidate())
+	res = &ClassResult{Class: "MarketWatch"}
+	err = p.addPartialsFromSplit(ctx, res, g, pre.Streams["MarketWatch"])
+	if err == nil || !strings.Contains(err.Error(), "LT_SYMB") {
+		t.Fatalf("uncompilable path: err %v; want the compile error naming LT_SYMB", err)
+	}
+}
+
+// TestCompileTreeUnknownTable checks that compiling a join tree fails on
+// a table the database lacks, whether the tree keys the path by it or
+// only the path names it, rather than skipping the table.
+func TestCompileTreeUnknownTable(t *testing.T) {
+	in, _ := mtonWorld(t)
+	p, err := New(in, Options{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost := schema.NewJoinPath(schema.ColumnSet{Table: "NO_SUCH_TABLE", Columns: []string{"X"}})
+	for _, tbl := range []string{"NO_SUCH_TABLE", "CUSTOMER_ACCOUNT"} {
+		tree := &joingraph.Tree{Paths: map[string]schema.JoinPath{tbl: ghost}}
+		if _, err := p.compileTree(tree, nil); err == nil || !strings.Contains(err.Error(), "NO_SUCH_TABLE") {
+			t.Errorf("tree keyed by %s: err %v; want an error naming NO_SUCH_TABLE", tbl, err)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"iter"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/schema"
@@ -43,6 +44,17 @@ type DB struct {
 	// unlocks them (view.go).
 	viewMu sync.Mutex
 	views  int
+	// memo is the hop memo of the open-view period: nil until a slot
+	// walk inside a View first needs it, and dropped by the Close that
+	// ends the last View, since writers may change rows after that
+	// (joinpath.go).
+	memo atomic.Pointer[hopMemo]
+
+	// edgeMu guards edges, the id Compile gave each within-table hop
+	// edge; hops of different navigators that share an edge share its
+	// memo column.
+	edgeMu sync.Mutex
+	edges  map[hopEdge]int
 
 	// commitMu serializes CommitOps and CommitBodies, which reuse undo
 	// as their undo log; CommitBodies decodes into decoded.
@@ -53,9 +65,10 @@ type DB struct {
 
 // New creates an empty database for the schema.
 func New(sc *schema.Schema) *DB {
-	d := &DB{sc: sc, tables: make(map[string]*Table, len(sc.Tables()))}
-	for _, tm := range sc.Tables() {
+	d := &DB{sc: sc, tables: make(map[string]*Table, len(sc.Tables())), edges: map[hopEdge]int{}}
+	for i, tm := range sc.Tables() {
 		t := newTable(tm)
+		t.id = i
 		d.tables[tm.Name] = t
 		d.order = append(d.order, t)
 	}
@@ -90,18 +103,19 @@ func (d *DB) TotalRows() int {
 // atomicity is the Tx API's job (tx.go), not the lock's.
 //
 // A bulk reader takes a View instead (view.go): DB.View read-locks every
-// table once, and the View's Resolve, RowAt, Slots, Len, Rows, FromRow
-// and FromKey read without locking. The solve stages each read through
-// one: core.Partitioner.RunContext for phases 1–3, eval's Evaluate,
-// Index and each PlaceTrace chunk, and the router's lookup build. A
-// writer waits until every open View is closed. Views nest and overlap
-// by count — a View opened while another is open takes no lock, and the
-// Close of the last one unlocks — so no code inside a View may call a
-// locking Table method or Nav.FromRow/FromKey: a read lock taken again
-// behind a queued writer deadlocks.
+// table once, and the View's Resolve, RowAt, Slots, Len, Rows, FromRow,
+// FromKey and FromSlot read without locking. The solve stages each read
+// through one: core.Partitioner.RunContext for phases 1–3, eval's
+// Evaluate, Index and each PlaceTrace chunk, and the router's lookup
+// build. A writer waits until every open View is closed. Views nest and
+// overlap by count — a View opened while another is open takes no lock,
+// and the Close of the last one unlocks — so no code inside a View may
+// call a locking Table method or Nav.FromRow/FromKey: a read lock taken
+// again behind a queued writer deadlocks.
 type Table struct {
 	mu     sync.RWMutex
 	meta   *schema.Table
+	id     int   // position in the schema's table order
 	pkCols []int // meta.PKIndexes(), resolved once
 	rows   []value.Tuple
 	free   []int // indexes of deleted slots available for reuse
@@ -147,6 +161,10 @@ func (t *Table) Meta() *schema.Table { return t.meta }
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.meta.Name }
+
+// ID returns the table's position in its schema's table order
+// (schema.Schema.Tables): a dense id for per-table slices.
+func (t *Table) ID() int { return t.id }
 
 // Len returns the number of live rows.
 func (t *Table) Len() int {
@@ -391,23 +409,24 @@ func (t *Table) rowSeq(lock bool) iter.Seq2[int, value.Tuple] {
 	}
 }
 
-// getAnyEncoded is GetAny for a key still in its encoded byte form: the
-// map probes convert without copying, so join-path navigation looks rows
-// up without allocating a Key. It takes the read lock around the probe
-// when lock is set; a View holds it already.
-func (t *Table) getAnyEncoded(k []byte, lock bool) (row value.Tuple, ok bool) {
+// resolveEncoded is resolve for a key still in its encoded byte form:
+// the map probes convert without copying, so join-path navigation looks
+// rows up without allocating a Key. It takes the read lock around the
+// probe when lock is set; a View holds it already.
+func (t *Table) resolveEncoded(k []byte, lock bool) (slot int, row value.Tuple, ok bool) {
 	if lock {
 		t.mu.RLock()
 	}
-	if slot, live := t.pk[value.Key(k)]; live {
-		row, ok = t.rows[slot], true
+	if s, live := t.pk[value.Key(k)]; live {
+		slot, row, ok = s, t.rows[s], true
 	} else {
+		slot = -1
 		row, ok = t.graveyard[value.Key(k)]
 	}
 	if lock {
 		t.mu.RUnlock()
 	}
-	return row, ok
+	return slot, row, ok
 }
 
 // Scan calls fn for every live row with its primary key. fn returning

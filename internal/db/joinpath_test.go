@@ -130,7 +130,8 @@ func TestEvalPathErrors(t *testing.T) {
 
 // TestNavZeroAlloc gates navigation at zero allocations, from a row and
 // from a key, through a composite-key source and two within-table hops,
-// with per-probe locking and inside a View.
+// with per-probe locking and inside a View — and from a slot through the
+// view's hop memo, once the walks have filled its columns.
 func TestNavZeroAlloc(t *testing.T) {
 	d := loadFigure1(t)
 	for _, p := range []schema.JoinPath{tradePath(), hsPath()} {
@@ -138,8 +139,10 @@ func TestNavZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys := d.Table(p.SourceTable()).Keys()
-		row, _ := d.Table(p.SourceTable()).Get(keys[0])
+		src := d.Table(p.SourceTable())
+		keys := src.Keys()
+		row, _ := src.Get(keys[0])
+		slots := src.Slots()
 		if _, ok := n.FromRow(row); !ok {
 			t.Fatalf("%v: row does not resolve", p)
 		}
@@ -161,6 +164,68 @@ func TestNavZeroAlloc(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%v: View FromRow+FromKey = %.0f allocs/op, want 0", p, allocs)
 		}
+		for s := range slots {
+			if _, ok := v.FromSlot(n, s); !ok {
+				t.Fatalf("%v: slot %d does not resolve", p, s)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			v.FromSlot(n, i%slots)
+			i++
+		}); allocs != 0 {
+			t.Errorf("%v: View FromSlot (memo filled) = %.0f allocs/op, want 0", p, allocs)
+		}
 		v.Close()
+	}
+}
+
+// TestHopMemoSharedEdges checks how hops share memo columns: two paths
+// with the same hop out of TRADE.T_CA_ID share its edge unless one
+// reaches it through a leading hop out of TRADE's primary key, whose
+// NULL check its memo cell records too. A trade whose key is NULL then
+// dangles on the guarded path, however the unguarded path's walks filled
+// its own column first, in one view.
+func TestHopMemoSharedEdges(t *testing.T) {
+	d := loadFigure1(t)
+	fkOnly := schema.NewJoinPath(tradePath().Nodes[1:]...)
+	withFK, err := d.Compile(fkOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := d.Compile(fkOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guarded, err := d.Compile(tradePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withFK.hops[0].edge != again.hops[0].edge {
+		t.Error("two compilations of one path do not share their hop's edge")
+	}
+	if guarded.hops[0].edge == withFK.hops[0].edge {
+		t.Error("a guarded hop shares the unguarded hop's edge")
+	}
+	trade := d.Table("TRADE")
+	trade.MustInsert(value.NewNull(), value.NewInt(1), value.NewInt(5))
+	type walk struct {
+		n    *Nav
+		slot int
+		v    value.Value
+		ok   bool
+	}
+	var walks []walk
+	for _, n := range []*Nav{withFK, guarded} {
+		for slot := range trade.Slots() {
+			v, ok := n.FromRow(trade.RowAt(slot))
+			walks = append(walks, walk{n, slot, v, ok})
+		}
+	}
+	v := d.View()
+	defer v.Close()
+	for _, w := range walks {
+		if got, ok := v.FromSlot(w.n, w.slot); got != w.v || ok != w.ok {
+			t.Errorf("%v: FromSlot(%d) = %v, %v; FromRow = %v, %v", w.n.Path(), w.slot, got, ok, w.v, w.ok)
+		}
 	}
 }

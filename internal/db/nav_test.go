@@ -72,12 +72,19 @@ func refWalkKey(t *testing.T, d *db.DB, p schema.JoinPath, k value.Key) (value.V
 }
 
 // checkNavKeys compares the navigator with the reference walk from each
-// key, and from each key's row (live or deleted). It returns how many
-// keys resolved.
+// key, from each key's row (live or deleted), and, inside a view, from
+// each live row's slot through the hop memo, cold and warm. It returns
+// how many keys resolved.
 func checkNavKeys(t *testing.T, d *db.DB, n *db.Nav, keys []value.Key) int {
 	t.Helper()
 	p := n.Path()
 	src := d.Table(p.SourceTable())
+	type slotWalk struct {
+		slot int
+		v    value.Value
+		ok   bool
+	}
+	var slots []slotWalk
 	resolved := 0
 	for _, k := range keys {
 		want, wantOK := refWalkKey(t, d, p, k)
@@ -88,13 +95,25 @@ func checkNavKeys(t *testing.T, d *db.DB, n *db.Nav, keys []value.Key) int {
 		if ok {
 			resolved++
 		}
-		row, live := src.GetAny(k)
+		slot, row, live := src.Resolve(k)
 		if !live {
 			continue
 		}
 		want, wantOK = refWalk(t, d, p, row)
 		if got, ok = n.FromRow(row); ok != wantOK || got != want {
 			t.Fatalf("%v: FromRow(%v) = %v, %v; reference %v, %v", p, row, got, ok, want, wantOK)
+		}
+		if slot >= 0 {
+			slots = append(slots, slotWalk{slot, want, wantOK})
+		}
+	}
+	v := d.View()
+	defer v.Close()
+	for _, pass := range []string{"cold", "warm"} {
+		for _, w := range slots {
+			if got, ok := v.FromSlot(n, w.slot); ok != w.ok || got != w.v {
+				t.Fatalf("%v: %s FromSlot(%d) = %v, %v; reference %v, %v", p, pass, w.slot, got, ok, w.v, w.ok)
+			}
 		}
 	}
 	return resolved
@@ -226,11 +245,15 @@ func TestNavDanglingAndGraveyard(t *testing.T) {
 
 // BenchmarkNav times compiled join-path navigation from a key — the
 // inner loop of every cost evaluation — on the CustInfo fixture's TRADE
-// path (two within-table hops): serially; from GOMAXPROCS goroutines
-// that each take every probed table's read lock per probe (Nav.FromKey);
-// and from as many goroutines inside one View (View.FromKey), as the
-// solve stages navigate. The gap between the two parallel rows is what
-// the reader-count atomics of the per-probe locks cost.
+// path (a leading hop out of the primary key, then one key probe):
+// serially; from GOMAXPROCS goroutines that each take every probed
+// table's read lock per probe (Nav.FromKey); and from as many goroutines
+// inside one View (View.FromKey), as the solve stages navigate. The gap
+// between the two parallel rows is what the reader-count atomics of the
+// per-probe locks cost. The slot-memo rows walk from a source slot
+// through the view's hop memo (View.FromSlot), serially: cold reopens
+// the view, which drops the memo, before each pass over the slots, so
+// every walk fills its cell; warm walks a memo already filled.
 func BenchmarkNav(b *testing.B) {
 	d := fixture.CustInfoDB()
 	nav, err := d.Compile(fixture.TradePath())
@@ -238,6 +261,7 @@ func BenchmarkNav(b *testing.B) {
 		b.Fatal(err)
 	}
 	keys := d.Table("TRADE").Keys()
+	slots := d.Table("TRADE").Slots()
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -269,6 +293,30 @@ func BenchmarkNav(b *testing.B) {
 			}
 			navHits.Add(int64(n))
 		})
+	})
+	b.Run("slot-memo-cold", func(b *testing.B) {
+		b.ReportAllocs()
+		v := d.View()
+		for i := 0; i < b.N; i++ {
+			if i%slots == 0 {
+				v.Close()
+				v = d.View()
+			}
+			navSink, _ = v.FromSlot(nav, i%slots)
+		}
+		v.Close()
+	})
+	b.Run("slot-memo-warm", func(b *testing.B) {
+		b.ReportAllocs()
+		v := d.View()
+		defer v.Close()
+		for s := range slots {
+			v.FromSlot(nav, s)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			navSink, _ = v.FromSlot(nav, i%slots)
+		}
 	})
 }
 

@@ -133,7 +133,8 @@ func TestNestedViewsWithQueuedWriter(t *testing.T) {
 
 // TestConcurrentViewsReleaseLocks opens overlapping views from many
 // goroutines, some nested, while a writer waits its turn: once the last
-// view closes, no table is read-locked any more.
+// view closes, no table is read-locked any more, and the hop memo the
+// views' slot walks shared is dropped.
 func TestConcurrentViewsReleaseLocks(t *testing.T) {
 	d := loadFigure1(t)
 	tr := d.Table("TRADE")
@@ -160,6 +161,9 @@ func TestConcurrentViewsReleaseLocks(t *testing.T) {
 				if _, ok := v.FromKey(nav, k); !ok {
 					t.Errorf("FromKey(%v) dangles", k)
 				}
+				if _, ok := v.FromSlot(nav, (g+i)%8); !ok {
+					t.Errorf("FromSlot(%d) dangles", (g+i)%8)
+				}
 				if g%2 == 0 {
 					inner := d.View()
 					inner.Resolve(tr, k)
@@ -176,10 +180,85 @@ func TestConcurrentViewsReleaseLocks(t *testing.T) {
 	if d.views != 0 {
 		t.Fatalf("%d views open after every Close", d.views)
 	}
+	if d.memo.Load() != nil {
+		t.Fatal("the hop memo outlived the last view")
+	}
 	for _, tbl := range d.order {
 		if !tbl.mu.TryLock() {
 			t.Fatalf("%s is still locked after the last Close", tbl.Name())
 		}
 		tbl.mu.Unlock()
+	}
+}
+
+// TestHopMemoLifetime checks that the hop memo lives for one open-view
+// period: the first slot walk creates it, closing a view while another
+// is open keeps it, and the Close that ends the last view drops it. A
+// view opened after writers changed the rows the memo pointed at must
+// see the new rows: a trade re-pointed at another account, and a trade
+// whose account was deleted and whose account's slot now holds a
+// different account. A memo kept across the writes would still map both
+// trades to their old accounts' slots.
+func TestHopMemoLifetime(t *testing.T) {
+	d := loadFigure1(t)
+	nav, err := d.Compile(tradePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trade, ca := d.Table("TRADE"), d.Table("CUSTOMER_ACCOUNT")
+	key := func(id int64) value.Key { return value.MakeKey(value.NewInt(id)) }
+	slot := func(tbl *Table, id int64) int {
+		s, _, ok := tbl.Resolve(key(id))
+		if !ok || s < 0 {
+			t.Fatalf("%s %d has no live slot", tbl.Name(), id)
+		}
+		return s
+	}
+	// customers walks every trade from its slot in a new view, checking
+	// the memo is created and kept until the last view closes.
+	customers := func() map[int64]value.Value {
+		slots := map[int64]int{}
+		for id := int64(1); id <= 8; id++ {
+			slots[id] = slot(trade, id)
+		}
+		out := map[int64]value.Value{}
+		v, inner := d.View(), d.View()
+		for id, s := range slots {
+			out[id], _ = inner.FromSlot(nav, s)
+		}
+		if d.memo.Load() == nil {
+			t.Fatal("a slot walk did not create the hop memo")
+		}
+		inner.Close()
+		if d.memo.Load() == nil {
+			t.Fatal("closing a nested view dropped the hop memo")
+		}
+		v.Close()
+		if d.memo.Load() != nil {
+			t.Fatal("the Close that ended the last view kept the hop memo")
+		}
+		return out
+	}
+	// Trade 1 is account 1's (customer 1), trade 3 account 10's
+	// (customer 2).
+	before := customers()
+	if before[1] != value.NewInt(1) || before[3] != value.NewInt(2) {
+		t.Fatalf("fixture customers: trade 1 %v, trade 3 %v; want 1, 2", before[1], before[3])
+	}
+	if err := trade.Update(key(1), []string{"T_CA_ID"}, []value.Value{value.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	freed := slot(ca, 10)
+	ca.Delete(key(10))
+	ca.MustInsert(value.NewInt(11), value.NewInt(1))
+	if slot(ca, 11) != freed {
+		t.Fatalf("account 11 took slot %d, not account 10's freed slot %d", slot(ca, 11), freed)
+	}
+	after := customers()
+	if after[1] != value.NewInt(2) {
+		t.Errorf("trade 1 re-pointed to account 7: customer %v, want 2", after[1])
+	}
+	if after[3] != value.NewInt(2) {
+		t.Errorf("trade 3 of deleted account 10: customer %v, want 2 (from the graveyard)", after[3])
 	}
 }
