@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/pool"
 )
 
 // TestForEachIndexedCancellation pins the pool's cancellation contract:
@@ -19,7 +21,7 @@ func TestForEachIndexedCancellation(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			ran := 0
-			err := forEachIndexed(ctx, workers, 100, nil, func(i int) { ran++ })
+			err := pool.ForEach(ctx, workers, 100, nil, func(i int) { ran++ })
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("workers=%d: err = %v, want Canceled", workers, err)
 			}
@@ -31,7 +33,7 @@ func TestForEachIndexedCancellation(t *testing.T) {
 	t.Run("sequential cancel stops deterministically", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		ran := 0
-		err := forEachIndexed(ctx, 1, 100, nil, func(i int) {
+		err := pool.ForEach(ctx, 1, 100, nil, func(i int) {
 			ran++
 			if i == 5 {
 				cancel()
@@ -48,7 +50,7 @@ func TestForEachIndexedCancellation(t *testing.T) {
 	})
 	t.Run("uncancelled runs everything", func(t *testing.T) {
 		var hit [50]bool
-		if err := forEachIndexed(context.Background(), 4, len(hit), nil, func(i int) { hit[i] = true }); err != nil {
+		if err := pool.ForEach(context.Background(), 4, len(hit), nil, func(i int) { hit[i] = true }); err != nil {
 			t.Fatal(err)
 		}
 		for i, ok := range hit {
@@ -64,7 +66,7 @@ func TestForEachShardCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		ran := 0
-		_, err := forEachShard(ctx, workers, 100, func(shard, lo, hi int) { ran++ })
+		_, err := pool.Shards(ctx, workers, 100, func(shard, lo, hi int) { ran++ })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want Canceled", workers, err)
 		}

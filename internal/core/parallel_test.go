@@ -4,20 +4,22 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/pool"
 	"repro/internal/workloads/tpcc"
 )
 
-// TestForEachShardCutoff pins the small-input serial cutoff: fewer than
-// 2*minShardItems items run as one shard whatever the worker count, more
-// split into at most n/minShardItems shards, and a per-shard fold folded
-// in shard order is identical at workers 1, 2 and 8 on either side of the
-// cutoff.
+// TestForEachShardCutoff pins the small-input serial cutoff of the
+// shard pool core's phases 1 and 2 use: fewer than
+// 2*pool.MinShardItems items run as one shard whatever the worker
+// count, more split into at most n/pool.MinShardItems shards, and a
+// per-shard fold folded in shard order is identical at workers 1, 2
+// and 8 on either side of the cutoff.
 func TestForEachShardCutoff(t *testing.T) {
-	for _, n := range []int{1, minShardItems - 1, 2*minShardItems - 1, 2 * minShardItems, 10*minShardItems + 7} {
+	for _, n := range []int{1, pool.MinShardItems - 1, 2*pool.MinShardItems - 1, 2 * pool.MinShardItems, 10*pool.MinShardItems + 7} {
 		var want int64
 		for _, workers := range []int{1, 2, 8} {
 			sums := make([]int64, workers)
-			shards, err := forEachShard(context.Background(), workers, n, func(shard, lo, hi int) {
+			shards, err := pool.Shards(context.Background(), workers, n, func(shard, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					sums[shard] += int64(i) * int64(i)
 				}
@@ -25,7 +27,7 @@ func TestForEachShardCutoff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantShards := max(1, min(workers, n/minShardItems)); shards != wantShards {
+			if wantShards := max(1, min(workers, n/pool.MinShardItems)); shards != wantShards {
 				t.Errorf("n=%d workers=%d: %d shards, want %d", n, workers, shards, wantShards)
 			}
 			var got int64

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/db"
+	"repro/internal/pool"
 	"repro/internal/sqlparse"
 	"repro/internal/trace"
 	"repro/internal/value"
@@ -130,7 +131,7 @@ func resolveTrace(ctx context.Context, d *db.DB, v *db.View, tr *trace.Trace, wo
 		row value.Tuple
 	}
 	graves := make([][]graveAccess, max(workers, 1))
-	_, err := forEachShard(ctx, workers, tr.Len(), func(shard, lo, hi int) {
+	_, err := pool.Shards(ctx, workers, tr.Len(), func(shard, lo, hi int) {
 		name, t, id := "", (*db.Table)(nil), unknownTable(d)
 		for i := lo; i < hi; i++ {
 			j := s.first[i]

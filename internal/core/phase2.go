@@ -11,6 +11,7 @@ import (
 	"repro/internal/joingraph"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/pool"
 	"repro/internal/schema"
 	"repro/internal/trace"
 	"repro/internal/value"
@@ -85,7 +86,7 @@ func (p *Partitioner) phase2(ctx context.Context, pre *preprocessed) (map[string
 	}
 	results := make([]*ClassResult, len(classNames))
 	errs := make([]error, len(classNames))
-	poolErr := forEachIndexed(ctx, workers, len(classNames), gPhase2Queue, func(i int) {
+	poolErr := pool.ForEach(ctx, workers, len(classNames), gPhase2Queue, func(i int) {
 		class := classNames[i]
 		results[i], errs[i] = p.solveClass(ctx, pre, class, pre.Streams[class], testStreams[class])
 		spans[i].End()
@@ -236,7 +237,7 @@ func (p *Partitioner) singleValueFraction(ctx context.Context, tree *joingraph.T
 	}
 	workers := p.opts.parallelism()
 	counts := make([]int, workers)
-	_, shardErr := forEachShard(ctx, workers, stream.Len(), func(shard, lo, hi int) {
+	_, shardErr := pool.Shards(ctx, workers, stream.Len(), func(shard, lo, hi int) {
 		single := 0
 		for i := lo; i < hi; i++ {
 			var first value.Value
@@ -298,7 +299,7 @@ func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, s
 		return nil, err
 	}
 	out := make([][]value.Value, stream.Len())
-	_, shardErr := forEachShard(ctx, p.opts.parallelism(), stream.Len(), func(_, lo, hi int) {
+	_, shardErr := pool.Shards(ctx, p.opts.parallelism(), stream.Len(), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			set := map[value.Value]bool{}
 			tables := stream.txnTables(i)

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/partition"
+	"repro/internal/pool"
 	"repro/internal/schema"
 )
 
@@ -104,7 +105,7 @@ func (p *Partitioner) phase3(ctx context.Context, pre *preprocessed, classes map
 	}
 	costs := make([]float64, len(cands))
 	errs := make([]error, len(cands))
-	poolErr := forEachIndexed(ctx, workers, len(cands), gPhase3Queue, func(i int) {
+	poolErr := pool.ForEach(ctx, workers, len(cands), gPhase3Queue, func(i int) {
 		costs[i], errs[i] = scorer.cost(sc, cands[i].sol)
 	})
 	if poolErr != nil {

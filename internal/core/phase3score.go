@@ -6,6 +6,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/partition"
+	"repro/internal/pool"
 	"repro/internal/schema"
 )
 
@@ -125,7 +126,7 @@ func (s *comboScorer) place(ctx context.Context, d *db.DB, workers int, sols []*
 		}
 	}
 	cols := make([][]optionColumn, len(tables))
-	err := forEachIndexed(ctx, workers, len(tables), gPhase3Queue, func(i int) {
+	err := pool.ForEach(ctx, workers, len(tables), gPhase3Queue, func(i int) {
 		cols[i] = s.placeTable(d, tables[i], todo[tables[i]])
 	})
 	if err != nil {

@@ -7,6 +7,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
@@ -391,42 +393,10 @@ func (r *Result) merge(o *Result) {
 	}
 }
 
-// minShardTxns is the fewest transactions Evaluate hands one worker:
-// below it, starting the goroutine and merging its Result cost more
-// than scoring the transactions.
-const minShardTxns = 128
-
-// shardCount is the number of shards Evaluate splits n transactions
-// into for the given worker count: at most workers, each of at least
-// minShardTxns, and at least one.
-func shardCount(workers, n int) int {
-	return max(1, min(workers, n/minShardTxns))
-}
-
-// forShards splits [0, n) into the given number of contiguous ranges,
-// shard w being [w·n/shards, (w+1)·n/shards), and runs fn on each: on
-// the caller's goroutine when there is one shard, else one goroutine per
-// shard. It returns once every shard is done.
-func forShards(shards, n int, fn func(w, lo, hi int)) {
-	if shards <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w, w*n/shards, (w+1)*n/shards)
-		}(w)
-	}
-	wg.Wait()
-}
-
 // Evaluate scores the bound solution on a trace with at most the given
 // worker count, sharding the transactions into contiguous ranges of at
-// least minShardTxns, scored concurrently and merged deterministically
-// in shard order. The result is bit-identical for any workers >= 1
+// least pool.MinShardItems, scored concurrently and merged
+// deterministically in shard order. The result is bit-identical for any workers >= 1
 // (workers <= 1, or traces too small to shard, take the sequential
 // path). Safe for concurrent use: many Evaluate calls may run against
 // one shared Assigner. Every shard reads through one db.View.
@@ -434,13 +404,13 @@ func (a *Assigner) Evaluate(tr *trace.Trace, workers int) *Result {
 	v := a.d.View()
 	defer v.Close()
 	n := tr.Len()
-	workers = shardCount(workers, n)
+	workers = pool.ShardCount(workers, n)
 	if workers == 1 {
 		return a.evalShard(v, tr, 0, n).scored()
 	}
 	gEvalWorkers.Set(float64(workers))
 	shards := make([]*Result, workers)
-	forShards(workers, n, func(w, lo, hi int) {
+	pool.Shards(context.TODO(), workers, n, func(w, lo, hi int) {
 		shards[w] = a.evalShard(v, tr, lo, hi)
 	})
 	r := shards[0]

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fixture"
+	"repro/internal/pool"
 )
 
 // resultFingerprint renders the fields Evaluate must reproduce
@@ -140,19 +141,19 @@ func TestEvaluatePackageLevelUnchanged(t *testing.T) {
 	}
 }
 
-// TestEvaluateShardCutoff pins the small-input serial cutoff: a trace of
-// fewer than 2*minShardTxns transactions is scored as one shard whatever
-// the worker count, a longer one splits into at most n/minShardTxns
-// shards, and the Result is identical at workers 1, 2 and 8 on either
-// side of the cutoff, as it is at the GOMAXPROCS default. No
-// goroutine outlives a sharded call.
+// TestEvaluateShardCutoff pins the small-input serial cutoff: a trace
+// of fewer than 2*pool.MinShardItems transactions is scored as one
+// shard whatever the worker count, a longer one splits into at most
+// n/pool.MinShardItems shards, and the Result is identical at workers
+// 1, 2 and 8 on either side of the cutoff, as it is at the GOMAXPROCS
+// default. No goroutine outlives a sharded call.
 func TestEvaluateShardCutoff(t *testing.T) {
 	d := fixture.CustInfoDB()
 	a, err := NewAssigner(d, joinExtensionSolution(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{minShardTxns - 1, 2*minShardTxns - 1, 20 * minShardTxns} {
+	for _, n := range []int{pool.MinShardItems - 1, 2*pool.MinShardItems - 1, 20 * pool.MinShardItems} {
 		tr := fixture.MixedTrace(d, n, 3)
 		if tr.Len() != n {
 			t.Fatalf("fixture trace has %d transactions, want %d", tr.Len(), n)
@@ -160,10 +161,10 @@ func TestEvaluateShardCutoff(t *testing.T) {
 		want := resultFingerprint(t, a.Evaluate(tr, 1))
 		for _, workers := range []int{1, 2, 8} {
 			wantShards := 1
-			if n >= 2*minShardTxns {
-				wantShards = min(workers, n/minShardTxns)
+			if n >= 2*pool.MinShardItems {
+				wantShards = min(workers, n/pool.MinShardItems)
 			}
-			if got := shardCount(workers, n); got != wantShards {
+			if got := pool.ShardCount(workers, n); got != wantShards {
 				t.Errorf("n=%d workers=%d: %d shards, want %d", n, workers, got, wantShards)
 			}
 			before := runtime.NumGoroutine()

@@ -8,8 +8,8 @@
 // best-cost-reduction-per-tuple-moved greedy order (SWORD's
 // data-movement-budget posture, PAPERS.md), and the resulting hybrid
 // solution (migrated tables on the new placement, the rest on the old)
-// is itself a valid partition.Solution the router can deploy as the next
-// epoch.
+// is itself a valid partition.Solution a deployment can serve through a
+// new router.
 //
 // Movement accounting, per table:
 //
@@ -55,8 +55,8 @@ type Flow struct {
 
 // Unit is one migration chunk: everything one table needs moved to reach
 // its new placement. Units are the granularity of the budget clamp and
-// of dual-routing during a live migration (a table is either on the old
-// epoch or the new epoch, never half-way).
+// of dual-routing during a live migration (a table is either on its old
+// placement or its new one, never half-way).
 type Unit struct {
 	Table string
 	// Tuples is the total moved-tuple count (sum over Flows).
@@ -110,7 +110,8 @@ func (p *Plan) String() string {
 
 // Hybrid returns the solution this plan's selected units reach: migrated
 // tables on the new placement, everything else on the old. It is the
-// epoch the router swaps to when the plan completes.
+// solution the drift replay (sim.CompareDrift) deploys when the plan
+// completes; routing it takes a router built by router.New.
 func (p *Plan) Hybrid(old, new *partition.Solution) *partition.Solution {
 	out := partition.NewSolution(old.Name+"+migrated", old.K)
 	selected := map[string]bool{}
@@ -187,7 +188,7 @@ func tableDelta(d *db.DB, old, new *partition.Solution, table string) Unit {
 		to, okNew := pn.place(row)
 		switch {
 		case !okOld || !okNew:
-			// Unplaceable under either epoch: it has no single home to
+			// Unplaceable under either solution: it has no single home to
 			// move between; leave it where it is.
 			return true
 		case oldRepl && !newRepl:

@@ -13,8 +13,8 @@ import (
 // never panic, and any input the decoder accepts must re-marshal into a
 // canonical form that is a *fixed point*: marshal(unmarshal(marshal(s)))
 // == marshal(s) byte for byte. The byte-equality contract is what lets
-// the drift CI job diff same-seed runs, and what lets the epoch router
-// compare deployed solutions by fingerprint without worrying about
+// the drift CI job diff same-seed runs, and what lets migrate compare
+// deployed solutions by fingerprint without worrying about
 // serialization jitter (map iteration order, lookup entry order). The
 // seed corpus covers every mapper family plus malformed shapes; `go test
 // -fuzz=FuzzSolutionRoundTrip ./internal/partition` explores further.

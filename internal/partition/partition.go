@@ -162,10 +162,9 @@ func (m LookupMapper) Name() string { return "lookup" }
 // Path.Dest() and Mapper maps X values to partitions.
 //
 // A placement is not mutated in place once it is set into a Solution:
-// to change a table's placement, set a new TableSolution. The router's
-// staleness check relies on this — it compares each table's placement
-// pointer with the one it was built against, and fingerprints only a
-// replaced placement.
+// to change a table's placement, set a new TableSolution, so solutions
+// that share a placement (a copy's Tables map, a migration's hybrid)
+// never see it change.
 type TableSolution struct {
 	Table     string
 	Replicate bool

@@ -60,10 +60,9 @@ func Heat(d *db.DB, sol *partition.Solution, tr *trace.Trace) ([]float64, error)
 // so the same inputs always produce the same Plan, and Apply of the same
 // Plan to the same Solution always produces the same packed Solution
 // (same mappers, same fingerprints). The migration planner
-// (internal/migrate) and the epoch router's catch-up path both diff
-// packed deployments as plain Solutions and rely on this: a re-run over
-// an unchanged heat vector must produce a zero-delta plan, not a
-// cosmetically shuffled one.
+// (internal/migrate) diffs packed deployments as plain Solutions and
+// relies on this: a re-run over an unchanged heat vector must produce a
+// zero-delta plan, not a cosmetically shuffled one.
 type Plan struct {
 	// Node[p] is the node hosting logical partition p.
 	Node []int

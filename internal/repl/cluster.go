@@ -124,9 +124,8 @@ type Result struct {
 	StaleReadsAvoided int `json:"stale_reads_avoided"`
 	// MaxLag is the largest backup lag observed at a round boundary;
 	// Lags is the per-member lag at the end of the replay, before the
-	// final anti-entropy drain (dead members are absent — their lag is
-	// unknown, which is exactly how a bounded-staleness router must
-	// treat them).
+	// final anti-entropy drain (dead members are absent: their lag is
+	// unknown).
 	MaxLag int64         `json:"max_lag"`
 	Lags   map[int]int64 `json:"lags,omitempty"`
 

@@ -617,9 +617,9 @@ func TestPayloadCodecs(t *testing.T) {
 	}
 }
 
-// TestRouterLagIntegration closes the loop with the router: the Lags map
-// a replicated run reports slots straight into router.LagMap, so bounded
-// staleness routing can consume real replication lag.
+// TestRouterLagIntegration pins the lag report of a replicated run:
+// Lags has one entry per live backup, member id to records behind its
+// primary, and every entry is 0 after a fault-free run.
 func TestRouterLagIntegration(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 120, 2)

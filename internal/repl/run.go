@@ -18,6 +18,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/pool"
 	"repro/internal/schema"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -526,9 +527,8 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	res.Aborts, res.Retries, res.AvailabilityPct, res.MakespanSec = t.Aborts, t.Retries, t.AvailabilityPct, t.MakespanSec
 	res.LatencyP50, res.LatencyP99, res.LatencyP999 = t.LatencyP50, t.LatencyP99, t.LatencyP999
 
-	// Pre-drain replication lag: what a bounded-staleness router would
-	// see at the end of the replay. Dead members are absent — unknown lag
-	// is ineligible lag.
+	// Pre-drain replication lag at the end of the replay. Dead members
+	// are absent: their lag is unknown.
 	res.Lags = map[int]int64{}
 	for g := 0; g < k; g++ {
 		grp := h.groups[g]
@@ -588,7 +588,8 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	// byte-identical, so each distinct log is recovered once and its
 	// identical members share its digests and commit count. The k
 	// expected replays and the distinct recoveries are independent, so
-	// they run concurrently; the fold below is sequential, in (group,
+	// they run concurrently, to completion even if ctx is done, since the
+	// fold reads every slot; the fold below is sequential, in (group,
 	// member) order.
 	n := cfg.Replicas + 1
 	members, same, logs := h.readMemberLogs()
@@ -600,7 +601,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	}
 	expected := make([]*db.DB, k)
 	replayErr := make([]journalErr, k)
-	forEach(k+len(distinct), func(i int) {
+	pool.ForEach(context.WithoutCancel(ctx), runtime.GOMAXPROCS(0), k+len(distinct), nil, func(i int) {
 		if i < k {
 			expected[i], replayErr[i] = h.replayExpected(d.Schema(), i)
 			return
@@ -786,21 +787,4 @@ func equalFile(f *os.File, want, buf []byte) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// forEach runs fn(i) for every i in [0, n) on at most GOMAXPROCS
-// goroutines. fn must write only index-i state.
-func forEach(n int, fn func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

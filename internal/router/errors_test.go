@@ -6,47 +6,32 @@ import (
 	"testing"
 )
 
-// The error taxonomy: overload (shed, transient, retry with backoff),
-// partition-down (data unreachable, fail over), stale-lookup (refresh
-// and retry). Callers tell them apart with errors.Is or ErrKind; the
-// three sentinels must stay mutually distinct even under wrapping.
+// The error taxonomy: overload (shed, transient, retry with backoff) and
+// partition-down (data unreachable, fail over). Callers tell them apart
+// with errors.Is; the two sentinels must stay distinct even under
+// wrapping.
 func TestErrorTaxonomy(t *testing.T) {
 	cases := []struct {
 		name     string
 		err      error
-		kind     string
 		overload bool
 		down     bool
-		stale    bool
 	}{
-		{"nil", nil, "", false, false, false},
-		{"overload", ErrOverload, "overload", true, false, false},
-		{"partition-down", ErrPartitionDown, "partition-down", false, true, false},
-		{"stale-lookup", ErrStaleLookup, "stale-lookup", false, false, true},
-		{"wrapped overload",
-			fmt.Errorf("serve: admission: %w", ErrOverload),
-			"overload", true, false, false},
+		{"nil", nil, false, false},
+		{"overload", ErrOverload, true, false},
+		{"partition-down", ErrPartitionDown, false, true},
+		{"wrapped overload", fmt.Errorf("serve: admission: %w", ErrOverload), true, false},
 		{"double-wrapped down",
-			fmt.Errorf("attempt 3: %w", fmt.Errorf("class q1: %w", ErrPartitionDown)),
-			"partition-down", false, true, false},
-		{"wrapped stale",
-			fmt.Errorf("class q2: %w (call Refresh)", ErrStaleLookup),
-			"stale-lookup", false, false, true},
-		{"unrelated", errors.New("disk on fire"), "", false, false, false},
+			fmt.Errorf("attempt 3: %w", fmt.Errorf("class q1: %w", ErrPartitionDown)), false, true},
+		{"unrelated", errors.New("disk on fire"), false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := ErrKind(tc.err); got != tc.kind {
-				t.Fatalf("ErrKind = %q, want %q", got, tc.kind)
-			}
 			if got := errors.Is(tc.err, ErrOverload); got != tc.overload {
 				t.Fatalf("Is(ErrOverload) = %v, want %v", got, tc.overload)
 			}
 			if got := errors.Is(tc.err, ErrPartitionDown); got != tc.down {
 				t.Fatalf("Is(ErrPartitionDown) = %v, want %v", got, tc.down)
-			}
-			if got := errors.Is(tc.err, ErrStaleLookup); got != tc.stale {
-				t.Fatalf("Is(ErrStaleLookup) = %v, want %v", got, tc.stale)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -11,10 +12,9 @@ import (
 
 // Request is one routing request: the transaction class, its invocation
 // parameters, and (optionally) the cluster-health view the decision must
-// respect. A nil Health routes as if every node were up — the lookup
+// respect. A nil Health routes as if every node were up: the lookup
 // table's partition set on a hit, broadcast on unknown classes and
-// unseen values — while still surfacing staleness as ErrStaleLookup
-// instead of silently routing against outdated lookup tables.
+// unseen values.
 type Request struct {
 	// Class is the transaction class to route.
 	Class string
@@ -23,18 +23,6 @@ type Request struct {
 	Params map[string]value.Value
 	// Health is the cluster-health view; nil means all nodes up.
 	Health faults.Health
-
-	// Replicas, when non-nil, bounds the replica fallback by staleness:
-	// ModeReplica only routes to a node whose replication lag (records
-	// behind the authoritative chain) is known and at most
-	// StalenessBudget. Nil keeps the historical rule — any healthy node
-	// qualifies. The replication layer exports the view; see
-	// internal/repl.
-	Replicas ReplicaLag
-	// StalenessBudget is the largest acceptable replica lag, in WAL
-	// records, when Replicas is set. Zero admits only fully caught-up
-	// replicas.
-	StalenessBudget int64
 
 	// TxnID, VT and Recorder opt the request into transaction-level
 	// flight-recorder tracing: when Recorder is non-nil, the routing
@@ -48,18 +36,13 @@ type Request struct {
 }
 
 // traceDecision records the routing outcome into the request's flight
-// recorder (no-op when the request carries none).
+// recorder, which must be non-nil.
 func (req *Request) traceDecision(d Decision, err error) {
-	if req.Recorder == nil {
-		return
-	}
 	if err != nil {
 		code := int64(0)
 		switch {
 		case errors.Is(err, ErrPartitionDown):
 			code = obs.RouteErrDown
-		case errors.Is(err, ErrStaleLookup):
-			code = obs.RouteErrStale
 		case errors.Is(err, ErrOverload):
 			code = obs.RouteErrOverload
 		}
@@ -74,22 +57,90 @@ func (req *Request) traceDecision(d Decision, err error) {
 		int64(len(d.Partitions))<<8|int64(d.Mode))
 }
 
-// Route is the routing entry point: context-first, config-first
-// (Request), with the full failure-aware fallback ladder (see
-// routeSafe).
-func (r *Router) Route(ctx context.Context, req Request) (Decision, error) {
+// Route routes one invocation under the request's health view. It
+// returns ErrPartitionDown when the required data is only on unreachable
+// nodes. When the pinned partition set intersects down nodes, it falls
+// back in this order:
+//
+//  1. replica: a read-only class over replicated tables runs on the
+//     first healthy node;
+//  2. degraded: a read's reachable partitions still serve (partial data);
+//  3. broadcast reads shrink to the reachable nodes;
+//  4. writes never drop participants — they fail with ErrPartitionDown.
+//
+// A request carrying a Recorder has the decision or denial recorded.
+func (r *Router) Route(ctx context.Context, req Request) (d Decision, err error) {
 	_ = ctx // reserved: cancellation; routing is on the hot path
-	d, err := r.routeSafe(req.Class, req.Params, req.Health, req.Replicas, req.StalenessBudget)
-	req.traceDecision(d, err)
-	return d, err
-}
+	if req.Recorder != nil {
+		defer func() { req.traceDecision(d, err) }()
+	}
+	cRoutes.Inc()
+	h := req.Health
+	if h == nil {
+		h = faults.AllUp
+	}
+	route, known := r.routes[req.Class]
+	var target []int
+	mode := ModeBroadcast
+	if known && !route.broadcast {
+		if v, ok := req.Params[route.param]; ok {
+			if set, ok := route.lookup[v]; ok {
+				target = set.Slice()
+				if len(target) == 1 {
+					mode = ModeLocal
+				} else {
+					mode = ModeMulti
+				}
+			}
+		}
+	}
+	if mode == ModeBroadcast {
+		target = r.all()
+	}
 
-// Route is EpochRouter's canonical entry point: Route against the
-// current epoch, returning the epoch the decision was made under.
-// Stale epochs catch up and retry once (see EpochRouter.routeSafe).
-func (e *EpochRouter) Route(ctx context.Context, req Request) (Decision, uint64, error) {
-	_ = ctx
-	d, epoch, err := e.routeSafe(req.Class, req.Params, req.Health, req.Replicas, req.StalenessBudget)
-	req.traceDecision(d, err)
-	return d, epoch, err
+	// target is this call's own slice, so the reachable subset is
+	// filtered into it in place.
+	up := target[:0]
+	for _, p := range target {
+		if !h.Down(p) {
+			up = append(up, p)
+		}
+	}
+	if len(up) == len(target) {
+		// Healthy fast path: everything reachable.
+		return Decision{Partitions: target, Mode: mode}, nil
+	}
+
+	// Unknown classes route conservatively: without the code analysis we
+	// must assume writes, and writes never drop participants.
+	if !known || route.writes {
+		cRouteDownErrs.Inc()
+		return Decision{}, fmt.Errorf("class %s (%s route): %d of %d target partitions down: %w",
+			req.Class, mode, len(target)-len(up), len(target), ErrPartitionDown)
+	}
+
+	// Replica fallback: the class reads only replicated tables, so a
+	// healthy node serves it — including when its pinned partition is
+	// down.
+	if route.replicaOK {
+		for n := 0; n < r.k; n++ {
+			if !h.Down(n) {
+				cRouteReplica.Inc()
+				return Decision{Partitions: []int{n}, Mode: ModeReplica}, nil
+			}
+		}
+		cRouteDownErrs.Inc()
+		return Decision{}, fmt.Errorf("class %s: no healthy replica node: %w", req.Class, ErrPartitionDown)
+	}
+
+	// Degraded read: serve from the reachable subset of the pinned
+	// partitions (partial data until recovery). An empty subset means the
+	// data is only on down nodes.
+	if len(up) == 0 {
+		cRouteDownErrs.Inc()
+		return Decision{}, fmt.Errorf("class %s (%s route): all %d target partitions down: %w",
+			req.Class, mode, len(target), ErrPartitionDown)
+	}
+	cRouteDegraded.Inc()
+	return Decision{Partitions: up, Mode: ModeDegraded}, nil
 }

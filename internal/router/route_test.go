@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/value"
 )
 
@@ -36,75 +35,46 @@ func TestRouteMatchesFastPath(t *testing.T) {
 	}
 }
 
-// TestRouteMatchesRouteSafe: with an explicit health view the canonical
-// entry point is the failure-aware core verbatim — same decision, same
-// error.
-func TestRouteMatchesRouteSafe(t *testing.T) {
-	r, _ := custInfoSetup(t, 4)
-	ctx := context.Background()
-	h := faults.NodeSet{0: true} // partition 0 down
-	params := map[string]value.Value{"cust_id": value.NewInt(1)}
-
-	wantDec, wantErr := r.routeSafe("CustInfo", params, h, nil, 0)
-	gotDec, gotErr := r.Route(ctx, Request{Class: "CustInfo", Params: params, Health: h})
-	if !reflect.DeepEqual(gotDec, wantDec) || !reflect.DeepEqual(gotErr, wantErr) {
-		t.Errorf("Route = (%+v, %v), routeSafe = (%+v, %v)", gotDec, gotErr, wantDec, wantErr)
-	}
-}
-
-// TestEpochRouteMatchesRouteSafe pins the EpochRouter unification the
-// same way: Route(ctx, Request) is the failure-aware core against the
-// current epoch, and agrees with the epoch's own router.
-func TestEpochRouteMatchesRouteSafe(t *testing.T) {
-	r, _ := custInfoSetup(t, 4)
-	e, err := NewEpochRouter(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	params := map[string]value.Value{"cust_id": value.NewInt(2)}
-
-	wantDec, wantEpoch, wantErr := e.routeSafe("CustInfo", params, nil, nil, 0)
-	gotDec, gotEpoch, gotErr := e.Route(ctx, Request{Class: "CustInfo", Params: params})
-	if !reflect.DeepEqual(gotDec, wantDec) || gotEpoch != wantEpoch ||
-		!reflect.DeepEqual(gotErr, wantErr) {
-		t.Errorf("Route = (%+v, %d, %v), routeSafe = (%+v, %d, %v)",
-			gotDec, gotEpoch, gotErr, wantDec, wantEpoch, wantErr)
-	}
-
-	// The current epoch's router makes the same decision.
-	cur, epoch := e.Current()
-	parts := routeParts(t, cur, "CustInfo", params)
-	if !reflect.DeepEqual(parts, gotDec.Partitions) || epoch != gotEpoch {
-		t.Errorf("current router = (%v, %d), Route = (%v, %d)",
-			parts, epoch, gotDec.Partitions, gotEpoch)
-	}
-}
-
-// TestRouteAllocBudget gates Route's healthy path at 1 allocation per
-// call — the returned partition slice — for local hits, lookup misses
-// and unknown classes. The staleness check compares each table's
-// placement pointer with the one bound at build time, fingerprinting
-// only a replaced placement, so it must not allocate.
+// TestRouteAllocBudget gates Route's allocations per call. The healthy
+// path — local hits, lookup misses and unknown classes — allocates only
+// the returned partition slice. A degraded read filters the reachable
+// partitions into that same slice. A replica-fallback read allocates the
+// broadcast target it filters and the one-node decision it returns.
 func TestRouteAllocBudget(t *testing.T) {
 	r, _ := custInfoSetup(t, 4)
+	rep := replicaSetup(t, 4)
 	ctx := context.Background()
-	reqs := []Request{
-		{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(1)}},
-		{Class: "CustInfo", Params: map[string]value.Value{"cust_id": value.NewInt(99)}},
-		{Class: "Nope"},
+	cust := func(id int64) map[string]value.Value {
+		return map[string]value.Value{"cust_id": value.NewInt(id)}
 	}
-	for _, req := range reqs {
-		if _, err := r.Route(ctx, req); err != nil {
+	cases := []struct {
+		name   string
+		r      *Router
+		req    Request
+		mode   Mode
+		budget float64
+	}{
+		{"local-hit", r, Request{Class: "CustInfo", Params: cust(1)}, ModeLocal, 1},
+		{"lookup-miss", r, Request{Class: "CustInfo", Params: cust(99)}, ModeBroadcast, 1},
+		{"unknown-class", r, Request{Class: "Nope"}, ModeBroadcast, 1},
+		{"degraded-read", r, Request{Class: "CustInfo", Params: cust(99), Health: downSet{2: true}}, ModeDegraded, 1},
+		{"replica-fallback", rep, Request{Class: "CustInfo", Params: cust(1), Health: downSet{0: true}}, ModeReplica, 2},
+	}
+	for _, c := range cases {
+		dec, err := c.r.Route(ctx, c.req)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if dec.Mode != c.mode {
+			t.Fatalf("%s: mode %s, want %s", c.name, dec.Mode, c.mode)
+		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := r.Route(ctx, req); err != nil {
+			if _, err := c.r.Route(ctx, c.req); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 1 {
-			t.Errorf("Route(%s, %v) = %.0f allocs/op, budget is 1", req.Class, req.Params, allocs)
+		if allocs > c.budget {
+			t.Errorf("%s: Route = %.0f allocs/op, budget is %.0f", c.name, allocs, c.budget)
 		}
 	}
 }

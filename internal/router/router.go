@@ -10,16 +10,16 @@ package router
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/db"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/pool"
 	"repro/internal/schema"
 	"repro/internal/sqlparse"
 	"repro/internal/value"
@@ -37,46 +37,19 @@ var (
 )
 
 // Router routes transaction invocations (class name + parameter values)
-// to partitions under a fixed solution.
+// to partitions. It is a snapshot of the solution it was built for: New
+// copies out everything routing reads, so a later change to that
+// solution does not reach a built router. A new solution is served by
+// a new router.
 type Router struct {
-	d   *db.DB
-	sol *partition.Solution
+	// k is the solution's partition count; a broadcast targets all k.
+	k int
 	// routes maps class name to its routing plan.
 	routes map[string]*classRoute
-	// analyses keeps each class's code analysis so stale plans can be
-	// rebuilt incrementally after the solution's partition map changes.
-	analyses map[string]*sqlparse.Analysis
-	// bound snapshots the solution's tables at plan-build time, one entry
-	// per table; a divergence from the live solution marks the lookup
-	// tables stale (ErrStaleLookup) until Refresh rebuilds them.
-	bound []boundTable
-	// fwd is the directed FK-component adjacency used to recognize
-	// attributes that carry the same values as a solution's partitioning
-	// attribute (a filter on the replicated CUSTOMER's C_TAX_ID still
-	// pins the partition of the customer's accounts).
-	fwd map[schema.ColumnRef][]schema.ColumnRef
-}
-
-// boundTable is one table of the solution as the router last planned
-// against it: the table solution's pointer and placement fingerprint.
-// Placements are not mutated in place once set into a solution, so the
-// same pointer means the same placement, and only a replaced pointer
-// needs fingerprinting.
-type boundTable struct {
-	name string
-	ts   *partition.TableSolution
-	fp   uint64
-}
-
-// changed reports whether ts, the live placement of b's table, differs
-// from the bound one. A replacement with identical content is unchanged.
-func (b *boundTable) changed(ts *partition.TableSolution) bool {
-	return ts != b.ts && ts.Fingerprint() != b.fp
 }
 
 // classRoute is the routing plan of one transaction class.
 type classRoute struct {
-	class string
 	// param is the input parameter used for routing ("" = broadcast).
 	param string
 	// lookup maps a parameter value to the non-empty partition set that
@@ -84,9 +57,6 @@ type classRoute struct {
 	lookup map[value.Value]partition.Set
 	// broadcast is set when no usable routing attribute exists.
 	broadcast bool
-	// deps names the tables whose placement this plan's lookup derives
-	// from; a placement change in any of them invalidates the plan.
-	deps map[string]bool
 	// writes reports whether the class modifies data (degraded routing
 	// must not drop write participants).
 	writes bool
@@ -94,6 +64,17 @@ type classRoute struct {
 	// any single healthy node can serve it when its pinned partition is
 	// down.
 	replicaOK bool
+}
+
+// builder is what New plans against: the database, the solution, and
+// the directed FK-component adjacency used to recognize attributes that
+// carry the same values as a solution's partitioning attribute (a filter
+// on the replicated CUSTOMER's C_TAX_ID still pins the partition of the
+// customer's accounts).
+type builder struct {
+	d   *db.DB
+	sol *partition.Solution
+	fwd map[schema.ColumnRef][]schema.ColumnRef
 }
 
 // New builds a router. For each class it scans the input-parameter
@@ -107,51 +88,33 @@ func New(d *db.DB, sol *partition.Solution, analyses []*sqlparse.Analysis) (*Rou
 	if err := sol.Validate(d.Schema()); err != nil {
 		return nil, err
 	}
-	r := &Router{
-		d: d, sol: sol,
-		routes:   map[string]*classRoute{},
-		analyses: map[string]*sqlparse.Analysis{},
-		fwd:      map[schema.ColumnRef][]schema.ColumnRef{},
-	}
+	b := &builder{d: d, sol: sol, fwd: map[schema.ColumnRef][]schema.ColumnRef{}}
 	for _, fk := range d.Schema().ForeignKeys {
 		for i := range fk.Columns {
 			src := schema.ColumnRef{Table: fk.Table, Column: fk.Columns[i]}
 			dst := schema.ColumnRef{Table: fk.RefTable, Column: fk.RefColumns[i]}
-			r.fwd[src] = append(r.fwd[src], dst)
+			b.fwd[src] = append(b.fwd[src], dst)
 		}
 	}
-	lookups, err := r.buildLookups(analyses)
+	lookups, err := b.buildLookups(analyses)
 	if err != nil {
 		return nil, err
 	}
+	r := &Router{k: sol.K, routes: make(map[string]*classRoute, len(analyses))}
 	for _, a := range analyses {
-		r.routes[a.Proc.Name] = r.plan(a, lookups)
-		r.analyses[a.Proc.Name] = a
+		r.routes[a.Proc.Name] = b.plan(a, lookups)
 	}
-	r.bind()
 	cRoutersBuilt.Inc()
 	return r, nil
 }
 
-// bind snapshots every table of the solution so Stale can detect
-// partition-map changes.
-func (r *Router) bind() {
-	r.bound = r.bound[:0]
-	for name, ts := range r.sol.Tables {
-		r.bound = append(r.bound, boundTable{name: name, ts: ts, fp: ts.Fingerprint()})
-	}
-}
-
 // lookupTable is a built routing lookup table: each value of the routing
-// column mapped to the partition set holding the matching data, the sum
-// of those sets' sizes (which plan scores the table by), and the tables
-// whose placement it derives from — the staleness dependencies of any
-// plan built on it. It is read-only once built, so plans of different
-// classes share it.
+// column mapped to the partition set holding the matching data, and the
+// sum of those sets' sizes (which plan scores the table by). It is
+// read-only once built, so plans of different classes share it.
 type lookupTable struct {
 	parts  map[value.Value]partition.Set
 	fanout int
-	deps   map[string]bool
 }
 
 // plan picks the routing attribute for one class: among all (parameter,
@@ -160,20 +123,20 @@ type lookupTable struct {
 // the partitioning attribute" criterion of §3. A candidate no better
 // than broadcasting is rejected. lookups holds a built table for every
 // candidate column (see buildLookups).
-func (r *Router) plan(a *sqlparse.Analysis, lookups map[schema.ColumnRef]*lookupTable) *classRoute {
-	route := &classRoute{class: a.Proc.Name, writes: len(a.WriteTables) > 0}
+func (b *builder) plan(a *sqlparse.Analysis, lookups map[schema.ColumnRef]*lookupTable) *classRoute {
+	route := &classRoute{writes: len(a.WriteTables) > 0}
 	// A class that reads only replicated tables can be served by any
 	// single healthy node — the replica-fallback property the degraded
 	// router exploits when a pinned partition is down.
 	route.replicaOK = !route.writes && len(a.Tables) > 0
 	for _, tbl := range a.Tables {
-		ts := r.sol.Table(tbl)
+		ts := b.sol.Table(tbl)
 		if ts == nil || !ts.Replicate {
 			route.replicaOK = false
 			break
 		}
 	}
-	bestScore := float64(r.sol.K) // broadcast baseline
+	bestScore := float64(b.sol.K) // broadcast baseline
 	for _, p := range sortedParams(a) {
 		for _, col := range a.InputFilters[p] {
 			lt := lookups[col]
@@ -185,7 +148,6 @@ func (r *Router) plan(a *sqlparse.Analysis, lookups map[schema.ColumnRef]*lookup
 				bestScore = score
 				route.param = p
 				route.lookup = lt.parts
-				route.deps = lt.deps
 			}
 		}
 	}
@@ -229,7 +191,7 @@ type tableBuild struct {
 // every task reading the database through one db.View. A lookup table
 // depends only on the database and the solution, so the result is the
 // same for any worker count.
-func (r *Router) buildLookups(analyses []*sqlparse.Analysis) (map[schema.ColumnRef]*lookupTable, error) {
+func (b *builder) buildLookups(analyses []*sqlparse.Analysis) (map[schema.ColumnRef]*lookupTable, error) {
 	lookups := map[schema.ColumnRef]*lookupTable{}
 	byTable := map[string]*tableBuild{}
 	var tasks []*tableBuild
@@ -239,7 +201,7 @@ func (r *Router) buildLookups(analyses []*sqlparse.Analysis) (map[schema.ColumnR
 				if lookups[col] != nil {
 					continue
 				}
-				t := r.d.Table(col.Table)
+				t := b.d.Table(col.Table)
 				ci := t.Meta().ColumnIndex(col.Column)
 				if ci < 0 {
 					return nil, fmt.Errorf("router: %s has no column %s", col.Table, col.Column)
@@ -247,8 +209,8 @@ func (r *Router) buildLookups(analyses []*sqlparse.Analysis) (map[schema.ColumnR
 				task := byTable[col.Table]
 				if task == nil {
 					task = &tableBuild{table: t}
-					if ts := r.sol.Table(col.Table); ts != nil && !ts.Replicate {
-						nav, err := r.d.Compile(ts.Path)
+					if ts := b.sol.Table(col.Table); ts != nil && !ts.Replicate {
+						nav, err := b.d.Compile(ts.Path)
 						if err != nil {
 							return nil, err
 						}
@@ -257,45 +219,21 @@ func (r *Router) buildLookups(analyses []*sqlparse.Analysis) (map[schema.ColumnR
 					byTable[col.Table] = task
 					tasks = append(tasks, task)
 				}
-				lt := &lookupTable{deps: map[string]bool{col.Table: true}}
+				lt := &lookupTable{}
 				task.cols = append(task.cols, ci)
 				task.lts = append(task.lts, lt)
 				lookups[col] = lt
 			}
 		}
 	}
-	v := r.d.View()
+	v := b.d.View()
 	defer v.Close()
-	slices.SortStableFunc(tasks, func(a, b *tableBuild) int {
-		return cmp.Compare(v.Slots(b.table), v.Slots(a.table))
+	slices.SortStableFunc(tasks, func(x, y *tableBuild) int {
+		return cmp.Compare(v.Slots(y.table), v.Slots(x.table))
 	})
-	forEach(len(tasks), func(i int) { r.buildTable(v, tasks[i]) })
+	pool.ForEach(context.TODO(), runtime.GOMAXPROCS(0), len(tasks), nil,
+		func(i int) { b.buildTable(v, tasks[i]) })
 	return lookups, nil
-}
-
-// forEach runs fn(i) for every i in [0, n) on at most GOMAXPROCS
-// goroutines, each claiming the next unclaimed index, and returns once
-// every call is done.
-func forEach(n int, fn func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // buildTable fills the lookup tables of one table's routing columns in
@@ -308,7 +246,7 @@ func forEach(n int, fn func(i int)) {
 // filter pins the partition of the customer's accounts even though
 // CUSTOMER itself is replicated. The tables have no entries when neither
 // applies. It reads the rows through v.
-func (r *Router) buildTable(v *db.View, task *tableBuild) {
+func (b *builder) buildTable(v *db.View, task *tableBuild) {
 	t := task.table
 	var place func(row value.Tuple) int
 	if task.nav != nil {
@@ -320,10 +258,7 @@ func (r *Router) buildTable(v *db.View, task *tableBuild) {
 			}
 			return mapper.Map(val)
 		}
-	} else if mapper, vi, srcTable, ok := r.equivalentAttribute(t.Meta()); ok {
-		for _, lt := range task.lts {
-			lt.deps[srcTable] = true
-		}
+	} else if mapper, vi, ok := b.equivalentAttribute(t.Meta()); ok {
 		place = func(row value.Tuple) int { return mapper.Map(row[vi]) }
 	} else {
 		return
@@ -357,15 +292,15 @@ func (r *Router) buildTable(v *db.View, task *tableBuild) {
 // equivalentAttribute finds a column of meta whose values coincide (via
 // directed FK-component chains, in either direction) with some
 // partitioned table's partitioning attribute; it returns that table's
-// mapper, the column index, and the partitioned table's name.
-func (r *Router) equivalentAttribute(meta *schema.Table) (partition.Mapper, int, string, bool) {
-	names := make([]string, 0, len(r.sol.Tables))
-	for n := range r.sol.Tables {
+// mapper and the column index.
+func (b *builder) equivalentAttribute(meta *schema.Table) (partition.Mapper, int, bool) {
+	names := make([]string, 0, len(b.sol.Tables))
+	for n := range b.sol.Tables {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		us := r.sol.Tables[n]
+		us := b.sol.Tables[n]
 		if us.Replicate {
 			continue
 		}
@@ -375,22 +310,22 @@ func (r *Router) equivalentAttribute(meta *schema.Table) (partition.Mapper, int,
 		}
 		for vi, colDecl := range meta.Columns {
 			c := schema.ColumnRef{Table: meta.Name, Column: colDecl.Name}
-			if r.valueEquivalent(c, x) {
-				return us.Mapper, vi, n, true
+			if b.valueEquivalent(c, x) {
+				return us.Mapper, vi, true
 			}
 		}
 	}
-	return nil, 0, "", false
+	return nil, 0, false
 }
 
 // valueEquivalent reports whether two attributes carry the same values
 // tuple-for-tuple: connected by a directed chain of FK component links in
 // either direction.
-func (r *Router) valueEquivalent(a, b schema.ColumnRef) bool {
-	return a == b || r.fwdReach(a, b) || r.fwdReach(b, a)
+func (b *builder) valueEquivalent(x, y schema.ColumnRef) bool {
+	return x == y || b.fwdReach(x, y) || b.fwdReach(y, x)
 }
 
-func (r *Router) fwdReach(from, to schema.ColumnRef) bool {
+func (b *builder) fwdReach(from, to schema.ColumnRef) bool {
 	seen := map[schema.ColumnRef]bool{from: true}
 	queue := []schema.ColumnRef{from}
 	for len(queue) > 0 {
@@ -399,7 +334,7 @@ func (r *Router) fwdReach(from, to schema.ColumnRef) bool {
 		if cur == to {
 			return true
 		}
-		for _, next := range r.fwd[cur] {
+		for _, next := range b.fwd[cur] {
 			if !seen[next] {
 				seen[next] = true
 				queue = append(queue, next)
@@ -418,8 +353,9 @@ func (r *Router) RoutingParam(class string) string {
 	return ""
 }
 
+// all returns every partition, ascending, in a slice of the caller's own.
 func (r *Router) all() []int {
-	out := make([]int, r.sol.K)
+	out := make([]int, r.k)
 	for i := range out {
 		out[i] = i
 	}

@@ -70,27 +70,3 @@ func TestRouteRecordsFlightEvents(t *testing.T) {
 		t.Fatal("recorder-less request recorded an event")
 	}
 }
-
-// TestEpochRouteRecordsFlightEvents: the epoch router records through the
-// same hook.
-func TestEpochRouteRecordsFlightEvents(t *testing.T) {
-	r, _ := custInfoSetup(t, 4)
-	e, err := NewEpochRouter(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder(64)
-	txn := obs.TxnID(7, 0)
-	dec, _, err := e.Route(context.Background(), Request{
-		Class:  "CustInfo",
-		Params: map[string]value.Value{"cust_id": value.NewInt(2)},
-		TxnID:  txn, VT: 3.25, Recorder: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := rec.EventsFor(txn)
-	if len(evs) != 1 || evs[0].Kind != obs.EvRoute || int(evs[0].Node) != dec.Partitions[0] {
-		t.Fatalf("epoch route events = %+v, decision = %+v", evs, dec)
-	}
-}

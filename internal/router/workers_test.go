@@ -5,15 +5,12 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"repro/internal/partition"
 )
 
 // builtUnder is a router built with GOMAXPROCS set to procs, with the
 // lookup counters' deltas over its build.
 type builtUnder struct {
 	rt             *Router
-	sol            *partition.Solution
 	tables, values int64
 }
 
@@ -21,12 +18,11 @@ func buildUnder(t *testing.T, s *solved, procs int) builtUnder {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	tables, values := cLookupsBuilt.Value(), cLookupEntries.Value()
-	sol := s.solution()
-	rt, err := New(s.d, sol, s.analyses)
+	rt, err := New(s.d, s.sol, s.analyses)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return builtUnder{rt: rt, sol: sol,
+	return builtUnder{rt: rt,
 		tables: cLookupsBuilt.Value() - tables, values: cLookupEntries.Value() - values}
 }
 
@@ -48,8 +44,7 @@ func decisions(t *testing.T, s *solved, rt *Router) []Decision {
 // solution with 1 and with 4 worker threads: the lookup tables are built
 // concurrently, one task per table, but the plans, the routing decisions
 // of every test transaction and the lookup counters must not depend on
-// the worker count — nor must the classes a Refresh re-plans, or the
-// decisions after it.
+// the worker count.
 func TestWorkerCountInvariance(t *testing.T) {
 	for _, name := range []string{"tpcc", "tpce"} {
 		t.Run(name, func(t *testing.T) {
@@ -64,24 +59,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 			}
 			if !reflect.DeepEqual(decisions(t, s, one.rt), decisions(t, s, four.rt)) {
 				t.Fatal("routing decisions differ between 1 and 4 workers")
-			}
-
-			victim := routedTable(t, one.rt)
-			refresh := func(b builtUnder, procs int) []string {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				b.sol.Set(partition.NewReplicated(victim))
-				rebuilt, err := b.rt.Refresh()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rebuilt
-			}
-			r1, r4 := refresh(one, 1), refresh(four, 4)
-			if len(r1) == 0 || !reflect.DeepEqual(r1, r4) {
-				t.Errorf("Refresh re-planned %v with 1 worker, %v with 4", r1, r4)
-			}
-			if !reflect.DeepEqual(decisions(t, s, one.rt), decisions(t, s, four.rt)) {
-				t.Fatal("routing decisions after Refresh differ between 1 and 4 workers")
 			}
 		})
 	}

@@ -422,8 +422,8 @@ func (e *engine) startService(req *request, now float64) error {
 			e.retryOrFinal(req, now, failDenied)
 			return nil
 		}
-		// Staleness (or any other routing error) is a configuration bug
-		// in a serving run: surface it instead of counting it.
+		// Any other routing error is a configuration bug in a serving
+		// run: surface it instead of counting it.
 		return fmt.Errorf("serve: route %s: %w", req.t.Class, err)
 	}
 	for _, p := range dec.Partitions {

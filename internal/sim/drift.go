@@ -137,7 +137,7 @@ type DriftResult struct {
 	WindowDistFrac []float64 `json:"window_dist_frac"`
 
 	// Repartitions counts partitioner re-runs; WarmAccepts the re-runs
-	// that kept the deployed solution; Swaps the epoch swaps deployed.
+	// that kept the deployed solution; Swaps the solution swaps deployed.
 	Repartitions int `json:"repartitions"`
 	WarmAccepts  int `json:"warm_accepts"`
 	Swaps        int `json:"swaps"`
