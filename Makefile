@@ -36,9 +36,9 @@ verify:
 # the commit path: placing a 3,000-txn TPC-C and TPC-E window ahead of
 # its reader at 1 and GOMAXPROCS workers (BenchmarkPlaceTrace: time to
 # the first chunk and to fully placed), one store commit, one join-path
-# navigation from a key (BenchmarkNav: serial, and from GOMAXPROCS
-# goroutines with per-probe locks and inside one db.View) and from a
-# slot through the view's hop memo (cold and warm), one WAL
+# navigation inside one db.View from a key (BenchmarkNav: serial, and
+# from GOMAXPROCS goroutines) and from a slot through the view's hop memo
+# (cold and warm), one WAL
 # protocol step, one checkpoint encoding and digest fold, one
 # participant checkpoint cycle (64 commits, then the snapshot), one
 # end-of-run recover-and-check, a small TPC-C commit window through
@@ -162,6 +162,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=20s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckOp -fuzztime=20s ./internal/db/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=20s ./internal/db/
 	$(GO) test -run='^$$' -fuzz=FuzzTwoPCPayload -fuzztime=20s ./internal/twopc/
 	$(GO) test -run='^$$' -fuzz=FuzzReplAppend -fuzztime=20s ./internal/repl/
 	$(GO) test -run='^$$' -fuzz=FuzzSolutionRoundTrip -fuzztime=20s ./internal/partition/

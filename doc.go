@@ -20,7 +20,7 @@
 //
 //	eval.Evaluate(d, sol, tr)       bind the solution and score a row trace
 //	Assigner.Evaluate(tr, workers)  score a row trace on up to workers shards
-//	Assigner.Span(t)                classify one transaction
+//	Assigner.Span(v, t)             classify one transaction in a db.View
 //	Assigner.PlaceTxn               one transaction's per-access placements
 //	Assigner.PlaceTrace(tr, w)      a window's, filled ahead of its reader
 //	Assigner.Index(c).Evaluate()    score a columnar trace via its key index

@@ -57,10 +57,16 @@ func main() {
 	// Show the Figure 1 coloring: where each trade lands.
 	fmt.Println("\nTRADE partition assignment (compare with Figure 1's red/blue):")
 	ts := sol.Table("TRADE")
+	nav, err := d.Compile(ts.Path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	view := d.View()
+	defer view.Close()
 	for tid := int64(1); tid <= 8; tid++ {
-		v, ok, err := d.EvalPath(ts.Path, value.MakeKey(value.NewInt(tid)))
-		if err != nil || !ok {
-			log.Fatalf("eval trade %d: %v", tid, err)
+		v, ok := view.FromKey(nav, value.MakeKey(value.NewInt(tid)))
+		if !ok {
+			log.Fatalf("trade %d: join path dangles", tid)
 		}
 		fmt.Printf("  T_ID=%d -> customer %s -> partition %d\n",
 			tid, v, ts.Mapper.Map(v))

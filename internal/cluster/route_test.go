@@ -21,13 +21,13 @@ import (
 )
 
 // refParticipants and refWriteEffects are the routing rules placed one
-// access at a time through Assigner.PlaceKey, the reference the window
-// pass must reproduce.
-func refParticipants(a *eval.Assigner, t *trace.Txn, k, txnIndex int) (nodes []int, coord int, distributed bool) {
+// access at a time through Assigner.PlaceKey in v, the reference the
+// window pass must reproduce.
+func refParticipants(v *db.View, a *eval.Assigner, t *trace.Txn, k, txnIndex int) (nodes []int, coord int, distributed bool) {
 	var parts partition.Set
 	writesReplicated, allPlaced := false, true
 	for _, acc := range t.Accesses {
-		p, ok := a.PlaceKey(acc)
+		p, ok := a.PlaceKey(v, acc)
 		switch {
 		case !ok:
 			allPlaced = false
@@ -53,7 +53,7 @@ func refParticipants(a *eval.Assigner, t *trace.Txn, k, txnIndex int) (nodes []i
 	}
 }
 
-func refWriteEffects(a *eval.Assigner, t *trace.Txn, k, coord int) ([]int, map[int][]db.Op) {
+func refWriteEffects(v *db.View, a *eval.Assigner, t *trace.Txn, k, coord int) ([]int, map[int][]db.Op) {
 	opsAt := map[int][]db.Op{}
 	add := func(p int, acc trace.Access) {
 		opsAt[p] = append(opsAt[p], db.Op{Kind: db.OpTouch, Table: acc.Table, Key: acc.Key})
@@ -62,7 +62,7 @@ func refWriteEffects(a *eval.Assigner, t *trace.Txn, k, coord int) ([]int, map[i
 		if !acc.Write {
 			continue
 		}
-		p, ok := a.PlaceKey(acc)
+		p, ok := a.PlaceKey(v, acc)
 		switch {
 		case !ok:
 			add(coord, acc)
@@ -101,8 +101,10 @@ func opsOf(t *testing.T, w *cluster.Writes) map[int][]db.Op {
 // checkRoutes compares the window pass at each worker count against the
 // reference for every transaction of tr and returns how many
 // transactions were distributed and how many wrote.
-func checkRoutes(t *testing.T, a *eval.Assigner, tr *trace.Trace, k int, workers ...int) (dist, writes int) {
+func checkRoutes(t *testing.T, d *db.DB, a *eval.Assigner, tr *trace.Trace, k int, workers ...int) (dist, writes int) {
 	t.Helper()
+	v := d.View()
+	defer v.Close()
 	var effects cluster.Writes
 	for _, w := range workers {
 		placed := a.PlaceTrace(tr, w)
@@ -113,14 +115,14 @@ func checkRoutes(t *testing.T, a *eval.Assigner, tr *trace.Trace, k int, workers
 				t.Fatalf("workers=%d txn %d: %d placements for %d accesses", w, i, len(place), len(txn.Accesses))
 			}
 			nodes, coord, distributed := cluster.Participants(txn, place, k, i)
-			wantNodes, wantCoord, wantDist := refParticipants(a, txn, k, i)
+			wantNodes, wantCoord, wantDist := refParticipants(v, a, txn, k, i)
 			if !reflect.DeepEqual(nodes, wantNodes) || coord != wantCoord || distributed != wantDist {
 				t.Fatalf("workers=%d txn %d: Participants = %v, %d, %v; want %v, %d, %v",
 					w, i, nodes, coord, distributed, wantNodes, wantCoord, wantDist)
 			}
 			cluster.WriteEffects(&effects, txn, place, k, coord)
 			parts, opsAt := append([]int{}, effects.Parts...), opsOf(t, &effects)
-			wantParts, wantOps := refWriteEffects(a, txn, k, coord)
+			wantParts, wantOps := refWriteEffects(v, a, txn, k, coord)
 			if !reflect.DeepEqual(parts, wantParts) || !reflect.DeepEqual(opsAt, wantOps) {
 				t.Fatalf("workers=%d txn %d: WriteEffects = %v %v; want %v %v",
 					w, i, parts, opsAt, wantParts, wantOps)
@@ -173,7 +175,7 @@ func TestRouteMatchesPlaceKey(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dist, writes := checkRoutes(t, a, test, k, 1, runtime.GOMAXPROCS(0), 8)
+			dist, writes := checkRoutes(t, d, a, test, k, 1, runtime.GOMAXPROCS(0), 8)
 			if writes == 0 {
 				t.Fatalf("%s: no test transaction writes", name)
 			}
@@ -199,7 +201,9 @@ func routeSentinelCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	trade := trace.Access{Table: "TRADE", Key: value.MakeKey(value.NewInt(1)), Write: true}
-	tradeP, ok := a.PlaceKey(trade)
+	v := d.View()
+	tradeP, ok := a.PlaceKey(v, trade)
+	v.Close()
 	if !ok || tradeP < 0 {
 		t.Fatalf("TRADE 1 unplaced: %d %v", tradeP, ok)
 	}
@@ -253,5 +257,5 @@ func routeSentinelCases(t *testing.T) {
 			}
 		})
 	}
-	checkRoutes(t, a, tr, k, 1, 2)
+	checkRoutes(t, d, a, tr, k, 1, 2)
 }

@@ -162,7 +162,9 @@ func TestPhase3Cancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background(), nil)
+	v := p.in.DB.View()
+	defer v.Close()
+	pre, err := p.phase1(context.Background(), v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,9 @@ func TestJECBPhase2CustInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background(), nil)
+	v := p.in.DB.View()
+	defer v.Close()
+	pre, err := p.phase1(context.Background(), v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +375,9 @@ func TestJECBSubtreePartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background(), nil)
+	v := p.in.DB.View()
+	defer v.Close()
+	pre, err := p.phase1(context.Background(), v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,9 @@ func TestFromSlotMatchesFromRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pre, err := p.phase1(context.Background(), nil)
+			v := p.in.DB.View()
+			pre, err := p.phase1(context.Background(), v)
+			v.Close() // phase2Paths reads no rows; damageForWalks writes
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,8 +53,8 @@ func TestFromSlotMatchesFromRow(t *testing.T) {
 			}
 			damaged := damageForWalks(t, d, paths)
 
-			// want holds FromRow's answer per (path, slot), read before
-			// any view is open; graveyard counts the walks whose first
+			// want holds FromRow's answer per (path, slot), read in a
+			// view closed before the slot walks start; graveyard counts the walks whose first
 			// key probe reaches a deleted row, of paths that probe one.
 			type walk struct {
 				nav  *db.Nav
@@ -62,6 +64,7 @@ func TestFromSlotMatchesFromRow(t *testing.T) {
 			}
 			var want []walk
 			probing, graveyard := 0, 0
+			rv := d.View()
 			for _, path := range paths {
 				if _, _, ok := firstLookup(d, path); ok {
 					probing++
@@ -71,15 +74,16 @@ func TestFromSlotMatchesFromRow(t *testing.T) {
 					t.Fatal(err)
 				}
 				src := d.Table(path.SourceTable())
-				for slot := range src.Slots() {
-					row := src.RowAt(slot)
-					v, ok := nav.FromRow(row)
+				for slot := range rv.Slots(src) {
+					row := rv.RowAt(src, slot)
+					v, ok := rv.FromRow(nav, row)
 					want = append(want, walk{nav, slot, v, ok})
-					if firstHopDeleted(d, path, row) {
+					if firstHopDeleted(d, rv, path, row) {
 						graveyard++
 					}
 				}
 			}
+			rv.Close()
 			if probing > 0 && graveyard == 0 {
 				t.Error("no walk reaches a deleted row")
 			}
@@ -89,7 +93,7 @@ func TestFromSlotMatchesFromRow(t *testing.T) {
 						pass, w.nav.Path(), w.slot, got, ok, w.v, w.ok)
 				}
 			}
-			v := d.View()
+			v = d.View()
 			for _, pass := range []string{"cold", "warm"} {
 				for _, w := range want {
 					check(v, w, pass)
@@ -169,8 +173,8 @@ func firstLookup(d *db.DB, path schema.JoinPath) (i int, cols []string, ok bool)
 }
 
 // firstHopDeleted reports whether the path's first key probe from row
-// locates a deleted row.
-func firstHopDeleted(d *db.DB, path schema.JoinPath, row value.Tuple) bool {
+// locates a deleted row, read through v.
+func firstHopDeleted(d *db.DB, v *db.View, path schema.JoinPath, row value.Tuple) bool {
 	i, cols, ok := firstLookup(d, path)
 	if !ok || row == nil {
 		return false
@@ -180,7 +184,7 @@ func firstHopDeleted(d *db.DB, path schema.JoinPath, row value.Tuple) bool {
 	for j, c := range cols {
 		vals[j] = row[meta.ColumnIndex(c)]
 	}
-	slot, _, found := d.Table(path.Nodes[i].Table).Resolve(value.KeyOf(vals))
+	slot, _, found := v.Resolve(d.Table(path.Nodes[i].Table), value.KeyOf(vals))
 	return found && slot < 0
 }
 

@@ -218,7 +218,7 @@ func (s resolvedStream) row(t *db.Table, code int32) value.Tuple {
 }
 
 // nav follows tn's join path from the row an access of tn's table
-// resolved to, with Nav.FromRow's result semantics: from a live row's
+// resolved to, with View.FromRow's result semantics: from a live row's
 // slot through the view's hop memo, else from the deleted row (or none).
 func (s resolvedStream) nav(tn tableNav, code int32) (value.Value, bool) {
 	if code >= 0 {

@@ -30,10 +30,13 @@ func evaluatorCost(t *testing.T, d *db.DB, sol *partition.Solution, tr *trace.Tr
 	return a.Evaluate(tr, 1).Cost()
 }
 
-// resolved resolves tr's accesses against d, as phase 1 does.
+// resolved resolves tr's accesses against d, as phase 1 does, in a view
+// that stays open until the test ends.
 func resolved(t *testing.T, d *db.DB, tr *trace.Trace) resolvedStream {
 	t.Helper()
-	rs, err := resolveTrace(context.Background(), d, nil, tr, 2)
+	v := d.View()
+	t.Cleanup(v.Close)
+	rs, err := resolveTrace(context.Background(), d, v, tr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +101,9 @@ func TestComboScorerMatchesEvaluator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pre, err := p.phase1(context.Background(), nil)
+			v := p.in.DB.View()
+			defer v.Close()
+			pre, err := p.phase1(context.Background(), v)
 			if err != nil {
 				t.Fatal(err)
 			}

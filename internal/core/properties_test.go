@@ -80,10 +80,10 @@ func chainPaths() (toB, toC, toG schema.JoinPath) {
 	return
 }
 
-// rows is the world's trace resolved against its database, as phase 1
-// resolves the training trace.
-func (w *chainWorld) rows() resolvedStream {
-	rs, err := resolveTrace(context.Background(), w.d, nil, w.tr, 2)
+// rows is the world's trace resolved against its database in v, as phase
+// 1 resolves the training trace.
+func (w *chainWorld) rows(v *db.View) resolvedStream {
+	rs, err := resolveTrace(context.Background(), w.d, v, w.tr, 2)
 	if err != nil {
 		panic(err)
 	}
@@ -116,9 +116,11 @@ func TestProperty1CoarserPreservesMI(t *testing.T) {
 			mkTree(schema.ColumnRef{Table: "C", Column: "C_G"}, toG),
 		}
 		covered := map[string]bool{"A": true}
+		v := w.d.View()
+		defer v.Close()
 		prevMI := false
 		for _, tree := range trees { // finest to coarsest
-			mi, err := p.mappingIndependent(context.Background(), tree, w.rows(), covered)
+			mi, err := p.mappingIndependent(context.Background(), tree, w.rows(v), covered)
 			if err != nil {
 				return false
 			}
@@ -129,7 +131,7 @@ func TestProperty1CoarserPreservesMI(t *testing.T) {
 		}
 		// The coarsest (C_G) tree is mapping independent by construction:
 		// each transaction touches exactly one group's closure.
-		mi, err := p.mappingIndependent(context.Background(), trees[2], w.rows(), covered)
+		mi, err := p.mappingIndependent(context.Background(), trees[2], w.rows(v), covered)
 		return err == nil && mi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -146,13 +148,15 @@ func TestProperty1Monotonicity(t *testing.T) {
 		p := testPartitioner(w)
 		toB, toC, toG := chainPaths()
 		covered := map[string]bool{"A": true}
+		v := w.d.View()
+		defer v.Close()
 		prev := -1.0
 		for _, pa := range []schema.JoinPath{toB, toC, toG} {
 			tree := &joingraph.Tree{
 				Root:  pa.Dest(),
 				Paths: map[string]schema.JoinPath{"A": pa},
 			}
-			frac, err := p.singleValueFraction(context.Background(), tree, w.rows(), covered)
+			frac, err := p.singleValueFraction(context.Background(), tree, w.rows(v), covered)
 			if err != nil {
 				return false
 			}
@@ -198,14 +202,17 @@ func TestProperty3CompatiblePathsAgree(t *testing.T) {
 			keys := w.d.Table("A").Keys()
 			vals1 := make([]value.Value, len(keys))
 			vals2 := make([]value.Value, len(keys))
+			v := w.d.View()
 			for i, k := range keys {
-				v1, ok1 := e1.FromKey(k)
-				v2, ok2 := e2.FromKey(k)
+				v1, ok1 := v.FromKey(e1, k)
+				v2, ok2 := v.FromKey(e2, k)
 				if !ok1 || !ok2 {
+					v.Close()
 					return false
 				}
 				vals1[i], vals2[i] = v1, v2
 			}
+			v.Close()
 			for i := 0; i < len(keys); i++ {
 				for j := i + 1; j < len(keys); j++ {
 					if vals1[i] == vals1[j] && vals2[i] != vals2[j] {
@@ -240,15 +247,18 @@ func TestProperty4MergedSolutionsInterchangeable(t *testing.T) {
 			return false
 		}
 		eExt := mustNav(t, w.d, ext)
-		for _, k := range w.d.Table("A").Keys() {
-			direct, ok1 := eG.FromKey(k)
-			bVal, ok2 := eB.FromKey(k)
+		keys := w.d.Table("A").Keys()
+		v := w.d.View()
+		defer v.Close()
+		for _, k := range keys {
+			direct, ok1 := v.FromKey(eG, k)
+			bVal, ok2 := v.FromKey(eB, k)
 			if !ok1 || !ok2 {
 				return false
 			}
 			// Composition: evaluate the extension from the B row keyed by
 			// the finer path's value.
-			composed, ok3 := eExt.FromKey(value.MakeKey(bVal))
+			composed, ok3 := v.FromKey(eExt, value.MakeKey(bVal))
 			if !ok3 || composed != direct {
 				return false // Property 4's equality P1(t) = P2(t) fails
 			}
@@ -283,7 +293,9 @@ func TestPhase2OnChainWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background(), nil)
+	v := p.in.DB.View()
+	defer v.Close()
+	pre, err := p.phase1(context.Background(), v)
 	if err != nil {
 		t.Fatal(err)
 	}

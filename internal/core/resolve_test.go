@@ -14,8 +14,8 @@ import (
 
 // TestResolveMatchesFromKey is the resolution equivalence check: on all
 // six benchmarks' training and test traces, every access navigated from
-// the row phase 1 resolves it to (resolveTrace, then Nav.FromRow) reaches
-// the same value as Nav.FromKey from its key, under every join path of
+// the row phase 1 resolves it to (resolveTrace, then View.FromRow)
+// reaches the same value as View.FromKey from its key, under every join path of
 // the JECB solution. The traces include rows their own transactions
 // deleted (TPC-C Delivery's NEW_ORDER rows, TPC-E Market-Feed's trade
 // requests), which resolve to graveyard codes; a key with no row at all
@@ -40,7 +40,8 @@ func TestResolveMatchesFromKey(t *testing.T) {
 			for _, tr := range []*trace.Trace{train, test} {
 				tr = withMissingKey(t, tr, navs)
 				for _, workers := range []int{1, 3} {
-					rs, err := resolveTrace(ctx, d, nil, tr, workers)
+					v := d.View()
+					rs, err := resolveTrace(ctx, d, v, tr, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -58,14 +59,15 @@ func TestResolveMatchesFromKey(t *testing.T) {
 							if !ok {
 								continue
 							}
-							got, gotOK := nav.FromRow(rs.row(d.Table(acc.Table), code))
-							want, wantOK := nav.FromKey(acc.Key)
+							got, gotOK := v.FromRow(nav, rs.row(d.Table(acc.Table), code))
+							want, wantOK := v.FromKey(nav, acc.Key)
 							if got != want || gotOK != wantOK {
 								t.Fatalf("%s key %x (code %d): FromRow = %v, %v; FromKey = %v, %v",
 									acc.Table, acc.Key, code, got, gotOK, want, wantOK)
 							}
 						}
 					}
+					v.Close()
 				}
 			}
 			if missing == 0 {

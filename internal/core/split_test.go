@@ -93,7 +93,9 @@ func TestMToNClassYieldsPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background(), nil)
+	v := p.in.DB.View()
+	defer v.Close()
+	pre, err := p.phase1(context.Background(), v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +122,7 @@ func TestMToNClassYieldsPartials(t *testing.T) {
 	}
 	// End to end: the global solution covers all three tables and beats
 	// full replication (which would distribute every writing txn).
+	v.Close()
 	sol, _, err := Partition(context.Background(), in, Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +144,9 @@ func TestMToNKeepAllTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.phase1(context.Background(), nil)
+	v := p.in.DB.View()
+	defer v.Close()
+	pre, err := p.phase1(context.Background(), v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +181,9 @@ func TestSplitFailsOnUncompilablePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	pre, err := p.phase1(ctx, nil)
+	v := d.View()
+	defer v.Close()
+	pre, err := p.phase1(ctx, v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,25 +9,14 @@ import (
 	"repro/internal/value"
 )
 
-// commitPaths are the three ways to commit a transaction's ops: staging
-// each through a Tx and committing it, the staging-free CommitOps redo
-// path, and CommitBodies, which takes the ops as their encodings. Every
-// case below runs through all three and must behave the same: state,
-// error text and commit counters.
+// commitPaths are the two ways to commit a transaction's ops: CommitOps,
+// and CommitBodies, which takes the ops as their encodings. Every case
+// below runs through both and must behave the same: state, error text
+// and commit counters.
 var commitPaths = []struct {
 	name   string
 	commit func(d *DB, ops []Op) error
 }{
-	{"tx", func(d *DB, ops []Op) error {
-		tx := d.Begin()
-		for _, op := range ops {
-			if err := tx.StageOp(op); err != nil {
-				tx.Abort()
-				return err
-			}
-		}
-		return tx.Commit()
-	}},
 	{"commit-ops", (*DB).CommitOps},
 	{"commit-bodies", func(d *DB, ops []Op) error {
 		bodies := make([][]byte, len(ops))

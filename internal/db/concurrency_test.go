@@ -12,7 +12,7 @@ import (
 // the race detector: reader goroutines hammer Get/GetAny/Scan/Keys/KeyAt/
 // Len/LookupRows/Version/Digest, and view readers read and navigate
 // through a View, while writers interleave Insert/Update/Delete/Touch and
-// Tx commits/aborts. `make verify` runs the suite with -race, so any
+// CommitOps commits and rollbacks. `make verify` runs the suite with -race, so any
 // unguarded access fails CI.
 func TestTableConcurrentReadersAndWriters(t *testing.T) {
 	d := loadFigure1(t)
@@ -110,20 +110,21 @@ func TestTableConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}()
 
-	// Writer 2: transactions over a disjoint key range, half aborted.
+	// Writer 2: transactions over a disjoint key range, half rolled back
+	// by a trailing delete of a missing key.
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
 		for i := 0; i < rounds; i++ {
 			id := int64(2000 + i%32)
-			tx := d.Begin()
-			_ = tx.Touch("TRADE", value.MakeKey(value.NewInt(id)))
-			_ = tx.Touch("HOLDING_SUMMARY", value.MakeKey(value.NewString("CC"), value.NewInt(id)))
-			if i%2 == 0 {
-				_ = tx.Commit()
-			} else {
-				tx.Abort()
+			ops := []Op{
+				{Kind: OpTouch, Table: "TRADE", Key: value.MakeKey(value.NewInt(id))},
+				{Kind: OpTouch, Table: "HOLDING_SUMMARY", Key: value.MakeKey(value.NewString("CC"), value.NewInt(id))},
 			}
+			if i%2 == 1 {
+				ops = append(ops, Op{Kind: OpDelete, Table: "TRADE", Key: value.MakeKey(value.NewInt(-1))})
+			}
+			_ = d.CommitOps(ops)
 		}
 	}()
 
@@ -131,12 +132,12 @@ func TestTableConcurrentReadersAndWriters(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 
-	// Sanity: the base rows survived the storm and half the tx touches
-	// committed.
+	// Sanity: the base rows survived the storm and the committed
+	// transactions' touches are visible.
 	if _, ok := tr.Get(value.MakeKey(value.NewInt(1))); !ok {
 		t.Error("base row 1 lost during concurrent access")
 	}
 	if tr.Version(value.MakeKey(value.NewInt(2000))) == 0 {
-		t.Error("committed tx touches not visible")
+		t.Error("committed touches not visible")
 	}
 }

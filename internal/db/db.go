@@ -13,7 +13,6 @@ package db
 
 import (
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -94,24 +93,22 @@ func (d *DB) TotalRows() int {
 // lazily built single-column secondary indexes.
 //
 // Concurrency: a Table is safe for concurrent readers (Get, GetAny,
-// Resolve, RowAt, Slots, Scan, Rows, Keys, KeyAt, Len, LookupRows)
-// against concurrent mutators (Insert, Update, Delete, Touch) — an
-// RWMutex guards the row store and indexes, and each of these methods
-// takes it per call. Scan's callback and the body of a loop over Rows
-// run under the table's read lock and therefore must not mutate the same
-// table. Mutators are mutually serialized per table; cross-table
-// atomicity is the Tx API's job (tx.go), not the lock's.
+// Scan, Keys, KeyAt, Len, LookupRows) against concurrent mutators
+// (Insert, Update, Delete, Touch) — an RWMutex guards the row store and
+// indexes, and each of these methods takes it per call. Scan's callback
+// runs under the table's read lock and therefore must not mutate the
+// same table. Mutators are mutually serialized per table; cross-table
+// atomicity is the commit path's job (CommitOps, commit.go), not the
+// lock's.
 //
-// A bulk reader takes a View instead (view.go): DB.View read-locks every
-// table once, and the View's Resolve, RowAt, Slots, Len, Rows, FromRow,
-// FromKey and FromSlot read without locking. The solve stages each read
-// through one: core.Partitioner.RunContext for phases 1–3, eval's
-// Evaluate, Index and each PlaceTrace chunk, and the router's lookup
-// build. A writer waits until every open View is closed. Views nest and
+// Reading rows by slot and walking join paths happen only inside a View
+// (view.go): DB.View read-locks every table once, and the View's Resolve,
+// RowAt, Slots, Len, Rows, FromRow, FromKey and FromSlot read without
+// locking. A writer waits until every open View is closed. Views nest and
 // overlap by count — a View opened while another is open takes no lock,
 // and the Close of the last one unlocks — so no code inside a View may
-// call a locking Table method or Nav.FromRow/FromKey: a read lock taken
-// again behind a queued writer deadlocks.
+// call a locking Table method: a read lock taken again behind a queued
+// writer deadlocks.
 type Table struct {
 	mu     sync.RWMutex
 	meta   *schema.Table
@@ -336,23 +333,15 @@ func (t *Table) deleteLocked(k value.Key) bool {
 // row is gone. Join-path evaluation uses it so tuples referenced by a
 // trace stay resolvable after workload execution deleted them.
 func (t *Table) GetAny(k value.Key) (value.Tuple, bool) {
-	_, row, ok := t.Resolve(k)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	_, row, ok := t.resolve(k)
 	return row, ok
 }
 
-// Resolve is GetAny that also reports where the row lives, with one
-// primary-key probe: slot is the live row's slot (see RowAt), or -1 when
-// row is the last deleted version. ok is false when k has neither.
-// Callers that revisit a tuple keep its slot and re-read the row with
-// RowAt instead of probing the key again.
-func (t *Table) Resolve(k value.Key) (slot int, row value.Tuple, ok bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.resolve(k)
-}
-
-// resolve is Resolve without the lock: the caller holds the read lock,
-// or a View.
+// resolve is GetAny that also reports where the row lives, with one
+// primary-key probe: slot is the live row's slot, or -1 when row is the
+// last deleted version. The caller holds the read lock, or a View.
 func (t *Table) resolve(k value.Key) (slot int, row value.Tuple, ok bool) {
 	if slot, ok := t.pk[k]; ok {
 		return slot, t.rows[slot], true
@@ -361,24 +350,8 @@ func (t *Table) resolve(k value.Key) (slot int, row value.Tuple, ok bool) {
 	return -1, row, ok
 }
 
-// Slots returns the number of row slots, live and free: every slot
-// Resolve, RowAt or Rows yields is below it, so a column indexed by slot
-// has this length. Slots never shrinks.
-func (t *Table) Slots() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
-
-// RowAt returns the live row in slot, or nil when the slot is free or
-// out of range.
-func (t *Table) RowAt(slot int) value.Tuple {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.rowAt(slot)
-}
-
-// rowAt is RowAt without the lock.
+// rowAt returns the live row in slot, or nil when the slot is free or
+// out of range; the caller holds the read lock, or a View.
 func (t *Table) rowAt(slot int) value.Tuple {
 	if slot < 0 || slot >= len(t.rows) {
 		return nil
@@ -386,47 +359,15 @@ func (t *Table) rowAt(slot int) value.Tuple {
 	return t.rows[slot]
 }
 
-// Rows returns a cursor over (slot, row) for every live row, in slot
-// order. Unlike Scan, which walks the primary-key map, it yields each
-// row's slot and visits rows in a deterministic order. The loop body
-// runs under the table's read lock: it must not mutate the table.
-func (t *Table) Rows() iter.Seq2[int, value.Tuple] { return t.rowSeq(true) }
-
-// rowSeq is Rows, taking the read lock around the loop when lock is set
-// (a View's Rows holds it already).
-func (t *Table) rowSeq(lock bool) iter.Seq2[int, value.Tuple] {
-	return func(yield func(int, value.Tuple) bool) {
-		cTableScans.Inc()
-		if lock {
-			t.mu.RLock()
-			defer t.mu.RUnlock()
-		}
-		for slot, row := range t.rows {
-			if row != nil && !yield(slot, row) {
-				return
-			}
-		}
-	}
-}
-
 // resolveEncoded is resolve for a key still in its encoded byte form:
 // the map probes convert without copying, so join-path navigation looks
-// rows up without allocating a Key. It takes the read lock around the
-// probe when lock is set; a View holds it already.
-func (t *Table) resolveEncoded(k []byte, lock bool) (slot int, row value.Tuple, ok bool) {
-	if lock {
-		t.mu.RLock()
-	}
+// rows up without allocating a Key.
+func (t *Table) resolveEncoded(k []byte) (slot int, row value.Tuple, ok bool) {
 	if s, live := t.pk[value.Key(k)]; live {
-		slot, row, ok = s, t.rows[s], true
-	} else {
-		slot = -1
-		row, ok = t.graveyard[value.Key(k)]
+		return s, t.rows[s], true
 	}
-	if lock {
-		t.mu.RUnlock()
-	}
-	return slot, row, ok
+	row, ok = t.graveyard[value.Key(k)]
+	return -1, row, ok
 }
 
 // Scan calls fn for every live row with its primary key. fn returning
@@ -551,7 +492,7 @@ func (t *Table) versionedKey(key []byte) value.Key {
 	return value.Key(key)
 }
 
-// untouch reverses one Touch (the Tx undo path).
+// untouch reverses one Touch (the commit undo path).
 func (t *Table) untouch(k value.Key) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -25,7 +25,7 @@ func custInfoSchema() *schema.Schema {
 }
 
 // loadFigure1 loads the exact data of the paper's Figure 1.
-func loadFigure1(t *testing.T) *DB {
+func loadFigure1(t testing.TB) *DB {
 	t.Helper()
 	d := New(custInfoSchema())
 	ca := d.Table("CUSTOMER_ACCOUNT")
@@ -199,11 +199,11 @@ func TestKeysTracksMutations(t *testing.T) {
 	tr.MustInsert(row(3)...)
 	check("re-insert")
 
-	tx := d.Begin()
-	_ = tx.Insert("TRADE", row(60))
-	_ = tx.Delete("TRADE", value.MakeKey(value.NewInt(4)))
-	_ = tx.Insert("TRADE", row(1)) // duplicate key: Commit rolls back
-	if err := tx.Commit(); err == nil {
+	if err := d.CommitOps([]Op{
+		{Kind: OpInsert, Table: "TRADE", Row: row(60)},
+		{Kind: OpDelete, Table: "TRADE", Key: value.MakeKey(value.NewInt(4))},
+		{Kind: OpInsert, Table: "TRADE", Row: row(1)}, // duplicate key: the commit rolls back
+	}); err == nil {
 		t.Fatal("duplicate insert must fail the commit")
 	}
 	check("rollback")
@@ -402,50 +402,54 @@ func TestColumnValue(t *testing.T) {
 	}
 }
 
-// TestResolveSlotsAndRows pins the slot API: Resolve reports a live
-// row's slot and the row RowAt returns for it, -1 with the last version
-// for a deleted row, and nothing for a key that never existed; Rows
-// walks live rows in slot order, skipping freed slots, and Slots bounds
-// every slot it yields.
+// TestResolveSlotsAndRows pins the View's slot API: Resolve reports a
+// live row's slot and the row RowAt returns for it, -1 with the last
+// version for a deleted row, and nothing for a key that never existed;
+// Rows walks live rows in slot order, skipping freed slots, and Slots
+// bounds every slot it yields.
 func TestResolveSlotsAndRows(t *testing.T) {
 	d := loadFigure1(t)
 	tr := d.Table("TRADE")
 	k3 := tr.PKOf(value.Tuple{value.NewInt(3), value.Value{}, value.Value{}})
-	slot, row, ok := tr.Resolve(k3)
+	v := d.View()
+	slot, row, ok := v.Resolve(tr, k3)
 	if !ok || slot < 0 || row[0] != value.NewInt(3) {
 		t.Fatalf("Resolve(live) = %d, %v, %v", slot, row, ok)
 	}
-	if got := tr.RowAt(slot); got[0] != value.NewInt(3) {
+	if got := v.RowAt(tr, slot); got[0] != value.NewInt(3) {
 		t.Fatalf("RowAt(%d) = %v", slot, got)
 	}
+	v.Close()
 
 	tr.Delete(k3)
-	gslot, grow, ok := tr.Resolve(k3)
+	v = d.View()
+	gslot, grow, ok := v.Resolve(tr, k3)
 	if !ok || gslot != -1 || grow[0] != value.NewInt(3) {
 		t.Fatalf("Resolve(deleted) = %d, %v, %v; want -1 and the last version", gslot, grow, ok)
 	}
-	if got := tr.RowAt(slot); got != nil {
+	if got := v.RowAt(tr, slot); got != nil {
 		t.Fatalf("RowAt(freed slot) = %v, want nil", got)
 	}
-	if _, _, ok := tr.Resolve(value.MakeKey(value.NewInt(99))); ok {
+	if _, _, ok := v.Resolve(tr, value.MakeKey(value.NewInt(99))); ok {
 		t.Fatal("Resolve(missing key) reported a row")
 	}
-	if tr.RowAt(-1) != nil || tr.RowAt(tr.Slots()) != nil {
+	if v.RowAt(tr, -1) != nil || v.RowAt(tr, v.Slots(tr)) != nil {
 		t.Fatal("RowAt out of range returned a row")
 	}
 
 	var slots []int
-	for s, r := range tr.Rows() {
-		if s >= tr.Slots() || r == nil || tr.RowAt(s)[0] != r[0] {
+	for s, r := range v.Rows(tr) {
+		if s >= v.Slots(tr) || r == nil || v.RowAt(tr, s)[0] != r[0] {
 			t.Fatalf("Rows yielded slot %d row %v", s, r)
 		}
 		slots = append(slots, s)
 	}
-	if len(slots) != tr.Len() || !slices.IsSorted(slots) || slices.Contains(slots, slot) {
-		t.Fatalf("Rows slots = %v (len %d), want %d sorted live slots without %d", slots, len(slots), tr.Len(), slot)
+	if len(slots) != v.Len(tr) || !slices.IsSorted(slots) || slices.Contains(slots, slot) {
+		t.Fatalf("Rows slots = %v (len %d), want %d sorted live slots without %d", slots, len(slots), v.Len(tr), slot)
 	}
-	for range tr.Rows() {
-		break // an early exit releases the read lock
+	for range v.Rows(tr) {
+		break
 	}
+	v.Close()
 	tr.MustInsert(value.NewInt(9), value.NewInt(1), value.NewInt(1))
 }

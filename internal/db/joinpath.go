@@ -30,18 +30,17 @@ const keyBufSize = 128
 // does a leading hop out of the source table's own primary key (X_0 is
 // the key, in key order): the row it locates is the source row itself,
 // so the walk projects the next attribute set from that row, once the
-// key is checked for NULLs (guard). FromRow then costs one primary-key
-// probe per remaining hop and allocates nothing; FromKey costs one more
-// probe, to find the source row. Callers that navigate the same tuple
-// under many paths resolve it once (Table.Resolve) and call FromRow.
+// key is checked for NULLs (guard). View.FromRow then costs one
+// primary-key probe per remaining hop and allocates nothing;
+// View.FromKey costs one more probe, to find the source row. Callers that
+// navigate the same tuple under many paths resolve it once
+// (View.Resolve) and walk from its row, or from its slot with
+// View.FromSlot, which goes through the view's hop memo (hopMemo).
 //
-// A Nav is immutable and safe for concurrent use. It reads the tables it
-// was compiled against (live rows first, then the graveyard of deleted
-// rows, as Table.GetAny does), so it sees later mutations of those rows.
-// FromRow and FromKey take each probed table's read lock per probe;
-// inside a View, navigate with View.FromRow and View.FromKey, the same
-// walk without the locks, or with View.FromSlot, which walks from a live
-// row's slot through the view's hop memo (hopMemo).
+// A Nav is immutable and safe for concurrent use. It is walked only
+// inside a View of the database it was compiled against, and reads its
+// tables as Table.GetAny does: live rows first, then the graveyard of
+// deleted rows.
 type Nav struct {
 	path  schema.JoinPath
 	src   *Table
@@ -145,31 +144,6 @@ func (d *DB) edgeID(e hopEdge) int {
 // Path returns the compiled join path.
 func (n *Nav) Path() schema.JoinPath { return n.path }
 
-// FromKey follows the path from the source tuple whose primary key is k
-// and returns the destination attribute's value. The boolean result is
-// false when the chain dangles: the source row, or a row a hop
-// references, does not exist, a hop hits a NULL foreign key, or the
-// destination is NULL.
-func (n *Nav) FromKey(k value.Key) (value.Value, bool) { return n.fromKey(k, true) }
-
-// FromRow follows the path from a row of the source table, with
-// FromKey's result semantics. The row itself is the source tuple: a path
-// leaving its table's primary key does not look the row up again. A nil
-// row dangles, as a key with no row does in FromKey.
-func (n *Nav) FromRow(row value.Tuple) (value.Value, bool) { return n.walk(row, -1, nil, true) }
-
-// fromKey is FromKey; lock takes each probed table's read lock per
-// probe, and a View's FromKey, which holds them all, clears it.
-func (n *Nav) fromKey(k value.Key, lock bool) (value.Value, bool) {
-	var row value.Tuple
-	if lock {
-		row, _ = n.src.GetAny(k)
-	} else {
-		_, row, _ = n.src.resolve(k)
-	}
-	return n.walk(row, -1, nil, lock)
-}
-
 // hopMemo memoises within-table hops for one open-view period. Each hop
 // edge (hopEdge) gets a column with one cell per slot of its from-table,
 // recording where the key read from that slot's row leads (and, for a
@@ -223,15 +197,14 @@ func (m *hopMemo) column(edge int, from *Table) []atomic.Int32 {
 	return next[edge]
 }
 
-// walk is the one join-path walk behind FromRow, FromKey and
-// View.FromSlot. It starts from row, the source tuple; a nil row with a
-// slot >= 0 starts from the live row in that slot, read only if a hop
-// needs it, and a nil row without one dangles. While the walk is on a
-// live slot and m is non-nil, each hop first reads its memo cell and
-// fills it on a miss, so a memoised hop neither reads the row nor probes
-// a key. lock is as in fromKey; a walk with a memo runs inside a view
-// and never locks.
-func (n *Nav) walk(row value.Tuple, slot int, m *hopMemo, lock bool) (value.Value, bool) {
+// walk is the one join-path walk behind View.FromRow, View.FromKey and
+// View.FromSlot; the caller holds a View. It starts from row, the source
+// tuple; a nil row with a slot >= 0 starts from the live row in that
+// slot, read only if a hop needs it, and a nil row without one dangles.
+// While the walk is on a live slot and m is non-nil, each hop first reads
+// its memo cell and fills it on a miss, so a memoised hop neither reads
+// the row nor probes a key.
+func (n *Nav) walk(row value.Tuple, slot int, m *hopMemo) (value.Value, bool) {
 	t := n.src
 	for i := range n.hops {
 		h := &n.hops[i]
@@ -257,7 +230,7 @@ func (n *Nav) walk(row value.Tuple, slot int, m *hopMemo, lock bool) (value.Valu
 			guard = n.guard
 		}
 		var ok bool
-		if slot, row, ok = h.t.probe(row, guard, h.key, lock); !ok {
+		if slot, row, ok = h.t.probe(row, guard, h.key); !ok {
 			fill(cell, cellDangles)
 			return value.Value{}, false
 		}
@@ -284,7 +257,7 @@ func (n *Nav) walk(row value.Tuple, slot int, m *hopMemo, lock bool) (value.Valu
 // found when the key or a guard column is NULL. The key is encoded into
 // a stack buffer, here rather than in walk, so a walk that takes every
 // hop through the memo does not clear one.
-func (t *Table) probe(row value.Tuple, guard, key []int, lock bool) (slot int, r value.Tuple, ok bool) {
+func (t *Table) probe(row value.Tuple, guard, key []int) (slot int, r value.Tuple, ok bool) {
 	if hasNull(row, guard) {
 		return -1, nil, false
 	}
@@ -296,7 +269,7 @@ func (t *Table) probe(row value.Tuple, guard, key []int, lock bool) (slot int, r
 		}
 		k = row[c].Encode(k)
 	}
-	return t.resolveEncoded(k, lock)
+	return t.resolveEncoded(k)
 }
 
 // hasNull reports whether row holds a NULL in any of cols.
@@ -314,28 +287,4 @@ func fill(cell *atomic.Int32, c int32) {
 	if cell != nil {
 		cell.Store(c)
 	}
-}
-
-// EvalPathFromRow follows a join path starting from a row of the path's
-// source table and returns the destination attribute's value; see
-// Nav.FromRow. It compiles the path on every call: repeated navigation
-// of one path should Compile it once.
-func (d *DB) EvalPathFromRow(p schema.JoinPath, row value.Tuple) (value.Value, bool, error) {
-	n, err := d.Compile(p)
-	if err != nil {
-		return value.Value{}, false, err
-	}
-	v, ok := n.FromRow(row)
-	return v, ok, nil
-}
-
-// EvalPath follows a join path from the tuple of the source table whose
-// primary key is srcKey; see Nav.FromKey and EvalPathFromRow.
-func (d *DB) EvalPath(p schema.JoinPath, srcKey value.Key) (value.Value, bool, error) {
-	n, err := d.Compile(p)
-	if err != nil {
-		return value.Value{}, false, err
-	}
-	v, ok := n.FromKey(srcKey)
-	return v, ok, nil
 }

@@ -25,6 +25,19 @@ func hsPath() schema.JoinPath {
 	)
 }
 
+// evalPath compiles p and follows it, in a view of its own, from the
+// source tuple whose primary key is k.
+func evalPath(d *DB, p schema.JoinPath, k value.Key) (value.Value, bool, error) {
+	n, err := d.Compile(p)
+	if err != nil {
+		return value.Value{}, false, err
+	}
+	v := d.View()
+	defer v.Close()
+	val, ok := v.FromKey(n, k)
+	return val, ok, nil
+}
+
 // TestEvalPathFigure1 checks the exact partition assignment of Figure 1:
 // trades map to customer 1 (red) or customer 2 (blue) via the join path.
 func TestEvalPathFigure1(t *testing.T) {
@@ -39,9 +52,9 @@ func TestEvalPathFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tid, want := range wantByTrade {
-		v, ok, err := d.EvalPath(p, value.MakeKey(value.NewInt(tid)))
+		v, ok, err := evalPath(d, p, value.MakeKey(value.NewInt(tid)))
 		if err != nil || !ok {
-			t.Fatalf("EvalPath(T_ID=%d): %v, ok=%v", tid, err, ok)
+			t.Fatalf("evalPath(T_ID=%d): %v, ok=%v", tid, err, ok)
 		}
 		if v != value.NewInt(want) {
 			t.Errorf("T_ID=%d maps to C_ID %v, want %d", tid, v, want)
@@ -57,9 +70,9 @@ func TestEvalPathCompositeSource(t *testing.T) {
 	}
 	// HOLDING_SUMMARY (BLS, 8): CA 8 -> customer 1.
 	k := value.MakeKey(value.NewString("BLS"), value.NewInt(8))
-	v, ok, err := d.EvalPath(p, k)
+	v, ok, err := evalPath(d, p, k)
 	if err != nil || !ok || v != value.NewInt(1) {
-		t.Errorf("EvalPath(BLS,8) = %v, %v, %v", v, ok, err)
+		t.Errorf("evalPath(BLS,8) = %v, %v, %v", v, ok, err)
 	}
 }
 
@@ -70,13 +83,13 @@ func TestEvalPathIdentity(t *testing.T) {
 		schema.ColumnSet{Table: "TRADE", Columns: []string{"T_ID"}},
 		schema.ColumnSet{Table: "TRADE", Columns: []string{"T_CA_ID"}},
 	)
-	v, ok, err := d.EvalPath(p, value.MakeKey(value.NewInt(2)))
+	v, ok, err := evalPath(d, p, value.MakeKey(value.NewInt(2)))
 	if err != nil || !ok || v != value.NewInt(7) {
-		t.Errorf("EvalPath = %v, %v, %v", v, ok, err)
+		t.Errorf("evalPath = %v, %v, %v", v, ok, err)
 	}
 	// Trivial single-node path {T_ID}: the tuple's own key attribute.
 	pid := schema.NewJoinPath(schema.ColumnSet{Table: "TRADE", Columns: []string{"T_ID"}})
-	v, ok, err = d.EvalPath(pid, value.MakeKey(value.NewInt(5)))
+	v, ok, err = evalPath(d, pid, value.MakeKey(value.NewInt(5)))
 	if err != nil || !ok || v != value.NewInt(5) {
 		t.Errorf("identity path = %v, %v, %v", v, ok, err)
 	}
@@ -87,7 +100,7 @@ func TestEvalPathDangling(t *testing.T) {
 	tr := d.Table("TRADE")
 	// Trade referencing a missing customer account.
 	tr.MustInsert(value.NewInt(100), value.NewInt(999), value.NewInt(1))
-	_, ok, err := d.EvalPath(tradePath(), value.MakeKey(value.NewInt(100)))
+	_, ok, err := evalPath(d, tradePath(), value.MakeKey(value.NewInt(100)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +109,7 @@ func TestEvalPathDangling(t *testing.T) {
 	}
 	// NULL FK.
 	tr.MustInsert(value.NewInt(101), value.NewNull(), value.NewInt(1))
-	_, ok, err = d.EvalPath(tradePath(), value.MakeKey(value.NewInt(101)))
+	_, ok, err = evalPath(d, tradePath(), value.MakeKey(value.NewInt(101)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +117,7 @@ func TestEvalPathDangling(t *testing.T) {
 		t.Error("NULL FK must report !ok")
 	}
 	// Missing source row.
-	_, ok, _ = d.EvalPath(tradePath(), value.MakeKey(value.NewInt(555)))
+	_, ok, _ = evalPath(d, tradePath(), value.MakeKey(value.NewInt(555)))
 	if ok {
 		t.Error("missing source row must report !ok")
 	}
@@ -112,26 +125,26 @@ func TestEvalPathDangling(t *testing.T) {
 
 func TestEvalPathErrors(t *testing.T) {
 	d := loadFigure1(t)
-	if _, _, err := d.EvalPath(schema.JoinPath{}, value.MakeKey(value.NewInt(1))); err == nil {
+	if _, _, err := evalPath(d, schema.JoinPath{}, value.MakeKey(value.NewInt(1))); err == nil {
 		t.Error("empty path must error")
 	}
 	bad := schema.NewJoinPath(schema.ColumnSet{Table: "NOPE", Columns: []string{"X"}})
-	if _, _, err := d.EvalPath(bad, value.MakeKey(value.NewInt(1))); err == nil {
+	if _, _, err := evalPath(d, bad, value.MakeKey(value.NewInt(1))); err == nil {
 		t.Error("unknown source table must error")
 	}
 	multi := schema.NewJoinPath(
 		schema.ColumnSet{Table: "TRADE", Columns: []string{"T_ID"}},
 		schema.ColumnSet{Table: "TRADE", Columns: []string{"T_CA_ID", "T_QTY"}},
 	)
-	if _, _, err := d.EvalPath(multi, value.MakeKey(value.NewInt(1))); err == nil {
+	if _, _, err := evalPath(d, multi, value.MakeKey(value.NewInt(1))); err == nil {
 		t.Error("multi-attribute destination must error")
 	}
 }
 
-// TestNavZeroAlloc gates navigation at zero allocations, from a row and
-// from a key, through a composite-key source and two within-table hops,
-// with per-probe locking and inside a View — and from a slot through the
-// view's hop memo, once the walks have filled its columns.
+// TestNavZeroAlloc gates navigation in a View at zero allocations, from a
+// row and from a key, through a composite-key source and two within-table
+// hops — and from a slot through the view's hop memo, once the walks have
+// filled its columns.
 func TestNavZeroAlloc(t *testing.T) {
 	d := loadFigure1(t)
 	for _, p := range []schema.JoinPath{tradePath(), hsPath()} {
@@ -142,21 +155,12 @@ func TestNavZeroAlloc(t *testing.T) {
 		src := d.Table(p.SourceTable())
 		keys := src.Keys()
 		row, _ := src.Get(keys[0])
-		slots := src.Slots()
-		if _, ok := n.FromRow(row); !ok {
+		v := d.View()
+		slots := v.Slots(src)
+		if _, ok := v.FromRow(n, row); !ok {
 			t.Fatalf("%v: row does not resolve", p)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { n.FromRow(row) }); allocs != 0 {
-			t.Errorf("%v: FromRow = %.0f allocs/op, want 0", p, allocs)
-		}
 		i := 0
-		if allocs := testing.AllocsPerRun(100, func() {
-			n.FromKey(keys[i%len(keys)])
-			i++
-		}); allocs != 0 {
-			t.Errorf("%v: FromKey = %.0f allocs/op, want 0", p, allocs)
-		}
-		v := d.View()
 		if allocs := testing.AllocsPerRun(100, func() {
 			v.FromRow(n, row)
 			v.FromKey(n, keys[i%len(keys)])
@@ -215,12 +219,14 @@ func TestHopMemoSharedEdges(t *testing.T) {
 		ok   bool
 	}
 	var walks []walk
+	rv := d.View()
 	for _, n := range []*Nav{withFK, guarded} {
-		for slot := range trade.Slots() {
-			v, ok := n.FromRow(trade.RowAt(slot))
+		for slot := range rv.Slots(trade) {
+			v, ok := rv.FromRow(n, rv.RowAt(trade, slot))
 			walks = append(walks, walk{n, slot, v, ok})
 		}
 	}
+	rv.Close() // FromRow fills no memo; FromSlot below starts a fresh one
 	v := d.View()
 	defer v.Close()
 	for _, w := range walks {

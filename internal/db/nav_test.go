@@ -71,10 +71,10 @@ func refWalkKey(t *testing.T, d *db.DB, p schema.JoinPath, k value.Key) (value.V
 	return refWalk(t, d, p, row)
 }
 
-// checkNavKeys compares the navigator with the reference walk from each
-// key, from each key's row (live or deleted), and, inside a view, from
-// each live row's slot through the hop memo, cold and warm. It returns
-// how many keys resolved.
+// checkNavKeys compares the navigator with the reference walk, inside a
+// view, from each key and from each key's row (live or deleted), and, in
+// a second view, from each live row's slot through the hop memo, cold and
+// warm. It returns how many keys resolved.
 func checkNavKeys(t *testing.T, d *db.DB, n *db.Nav, keys []value.Key) int {
 	t.Helper()
 	p := n.Path()
@@ -84,29 +84,42 @@ func checkNavKeys(t *testing.T, d *db.DB, n *db.Nav, keys []value.Key) int {
 		v    value.Value
 		ok   bool
 	}
+	type keyWalk struct {
+		k       value.Key
+		v       value.Value
+		ok, row bool
+	}
+	// The reference walk reads with locking Table methods, so it runs
+	// before the views open.
+	refs := make([]keyWalk, len(keys))
+	for i, k := range keys {
+		refs[i].k = k
+		refs[i].v, refs[i].ok = refWalkKey(t, d, p, k)
+		_, refs[i].row = src.GetAny(k)
+	}
 	var slots []slotWalk
 	resolved := 0
-	for _, k := range keys {
-		want, wantOK := refWalkKey(t, d, p, k)
-		got, ok := n.FromKey(k)
-		if ok != wantOK || got != want {
-			t.Fatalf("%v: FromKey(%q) = %v, %v; reference %v, %v", p, k, got, ok, want, wantOK)
+	rv := d.View()
+	for _, r := range refs {
+		got, ok := rv.FromKey(n, r.k)
+		if ok != r.ok || got != r.v {
+			t.Fatalf("%v: FromKey(%q) = %v, %v; reference %v, %v", p, r.k, got, ok, r.v, r.ok)
 		}
 		if ok {
 			resolved++
 		}
-		slot, row, live := src.Resolve(k)
-		if !live {
+		if !r.row {
 			continue
 		}
-		want, wantOK = refWalk(t, d, p, row)
-		if got, ok = n.FromRow(row); ok != wantOK || got != want {
-			t.Fatalf("%v: FromRow(%v) = %v, %v; reference %v, %v", p, row, got, ok, want, wantOK)
+		slot, row, _ := rv.Resolve(src, r.k)
+		if got, ok = rv.FromRow(n, row); ok != r.ok || got != r.v {
+			t.Fatalf("%v: FromRow(%v) = %v, %v; reference %v, %v", p, row, got, ok, r.v, r.ok)
 		}
 		if slot >= 0 {
-			slots = append(slots, slotWalk{slot, want, wantOK})
+			slots = append(slots, slotWalk{slot, r.v, r.ok})
 		}
 	}
+	rv.Close()
 	v := d.View()
 	defer v.Close()
 	for _, pass := range []string{"cold", "warm"} {
@@ -203,8 +216,20 @@ func TestNavDanglingAndGraveyard(t *testing.T) {
 	nullFK := trade.MustInsert(value.NewInt(9001), value.NewNull(), value.NewInt(1))
 	missingFK := trade.MustInsert(value.NewInt(9002), value.NewInt(99999), value.NewInt(1))
 	missingSrc := value.MakeKey(value.NewInt(9003))
+	// fromKey and fromRow walk in a view of their own, so the deletes
+	// below do not wait for one.
+	fromKey := func(k value.Key) (value.Value, bool) {
+		v := d.View()
+		defer v.Close()
+		return v.FromKey(n, k)
+	}
+	fromRow := func(row value.Tuple) (value.Value, bool) {
+		v := d.View()
+		defer v.Close()
+		return v.FromRow(n, row)
+	}
 	for _, k := range []value.Key{nullFK, missingFK, missingSrc} {
-		if _, ok := n.FromKey(k); ok {
+		if _, ok := fromKey(k); ok {
 			t.Errorf("FromKey(%q) resolved a dangling chain", k)
 		}
 	}
@@ -212,7 +237,7 @@ func TestNavDanglingAndGraveyard(t *testing.T) {
 	// Delete a trade and the account it references: both the source row
 	// and the hop target now live only in the graveyard.
 	k := trade.Keys()[0]
-	want, ok := n.FromKey(k)
+	want, ok := fromKey(k)
 	if !ok {
 		t.Fatal("fixture trade does not resolve")
 	}
@@ -221,10 +246,10 @@ func TestNavDanglingAndGraveyard(t *testing.T) {
 	if !trade.Delete(k) || !d.Table("CUSTOMER_ACCOUNT").Delete(caKey) {
 		t.Fatal("delete failed")
 	}
-	if got, ok := n.FromKey(k); !ok || got != want {
+	if got, ok := fromKey(k); !ok || got != want {
 		t.Errorf("graveyard FromKey = %v, %v; want %v", got, ok, want)
 	}
-	if got, ok := n.FromRow(row); !ok || got != want {
+	if got, ok := fromRow(row); !ok || got != want {
 		t.Errorf("graveyard FromRow = %v, %v; want %v", got, ok, want)
 	}
 	checkNavKeys(t, d, n, append(trade.Keys(), nullFK, missingFK, missingSrc, k))
@@ -243,17 +268,14 @@ func TestNavDanglingAndGraveyard(t *testing.T) {
 	}
 }
 
-// BenchmarkNav times compiled join-path navigation from a key — the
+// BenchmarkNav times compiled join-path navigation inside a View — the
 // inner loop of every cost evaluation — on the CustInfo fixture's TRADE
-// path (a leading hop out of the primary key, then one key probe):
-// serially; from GOMAXPROCS goroutines that each take every probed
-// table's read lock per probe (Nav.FromKey); and from as many goroutines
-// inside one View (View.FromKey), as the solve stages navigate. The gap
-// between the two parallel rows is what the reader-count atomics of the
-// per-probe locks cost. The slot-memo rows walk from a source slot
-// through the view's hop memo (View.FromSlot), serially: cold reopens
-// the view, which drops the memo, before each pass over the slots, so
-// every walk fills its cell; warm walks a memo already filled.
+// path (a leading hop out of the primary key, then one key probe): from a
+// key (View.FromKey), serially and from GOMAXPROCS goroutines sharing one
+// View, as the solve stages navigate. The slot-memo rows walk from a
+// source slot through the view's hop memo (View.FromSlot), serially: cold
+// reopens the view, which drops the memo, before each pass over the
+// slots, so every walk fills its cell; warm walks a memo already filled.
 func BenchmarkNav(b *testing.B) {
 	d := fixture.CustInfoDB()
 	nav, err := d.Compile(fixture.TradePath())
@@ -261,24 +283,16 @@ func BenchmarkNav(b *testing.B) {
 		b.Fatal(err)
 	}
 	keys := d.Table("TRADE").Keys()
-	slots := d.Table("TRADE").Slots()
+	v := d.View()
+	slots := v.Slots(d.Table("TRADE"))
+	v.Close()
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
+		v := d.View()
+		defer v.Close()
 		for i := 0; i < b.N; i++ {
-			navSink, _ = nav.FromKey(keys[i%len(keys)])
+			navSink, _ = v.FromKey(nav, keys[i%len(keys)])
 		}
-	})
-	b.Run("parallel-locked", func(b *testing.B) {
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			n := 0
-			for i := 0; pb.Next(); i++ {
-				if _, ok := nav.FromKey(keys[i%len(keys)]); ok {
-					n++
-				}
-			}
-			navHits.Add(int64(n))
-		})
 	})
 	b.Run("parallel-view", func(b *testing.B) {
 		b.ReportAllocs()

@@ -41,9 +41,9 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one staged write: the redo unit of the transaction layer. Ops are
-// what Tx buffers until commit, what WAL WRITE records carry, and what
-// recovery re-applies. The encoding is deliberately self-contained (table
+// Op is one write: the redo unit of the transaction layer. Ops are what
+// CommitOps applies, what WAL WRITE records carry, and what recovery
+// re-applies. The encoding is deliberately self-contained (table
 // name, key, payload) so a log replays against a fresh database built
 // from the schema alone.
 type Op struct {

@@ -35,7 +35,7 @@ func freshCopy(t *testing.T, d *DB) *DB {
 }
 
 // TestVersionKeysMergeMatchesFreshSort interleaves touches of new and
-// known keys, Tx rollbacks that undo a key's first touch, snapshots and
+// known keys, commit rollbacks that undo a key's first touch, snapshots and
 // digests. Every snapshot and digest must equal the one a store that
 // sorts every key afresh produces.
 func TestVersionKeysMergeMatchesFreshSort(t *testing.T) {

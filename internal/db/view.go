@@ -7,21 +7,21 @@ import (
 	"repro/internal/value"
 )
 
-// View is a read view of a database: while one is open, every table is
+// View is a read view of a database, and the only way to read rows by
+// slot or walk a join path: while one is open, every table is
 // read-locked, so the View's methods read rows and walk join paths
-// without taking a lock per probe. Bulk readers that would otherwise lock
-// a table on every key resolve and join-path hop — the solve stages —
-// read through one View each.
+// without taking a lock per probe. A bulk reader opens one View around
+// its own loop.
 //
 // Views are counted per DB. The first View read-locks every table once,
 // in schema order; a View opened while another is open, on the same
 // goroutine or any other, takes no lock; the Close that ends the last
-// open View unlocks them. A writer (Insert, Update, Delete, Touch, a Tx
+// open View unlocks them. A writer (Insert, Update, Delete, Touch, a
 // commit) waits until then. Code inside a View must not call a locking
-// Table method (Get, GetAny, Resolve, RowAt, Rows, Scan, Keys, KeyAt,
-// Len, Slots, LookupRows, ...) or Nav.FromRow/FromKey on a table of the
-// viewed database: once a writer is queued on that table, its read lock
-// waits behind the writer, which waits for the View — a deadlock.
+// Table method (Get, GetAny, Scan, Keys, KeyAt, Len, LookupRows, ...) on
+// a table of the viewed database: once a writer is queued on that table,
+// its read lock waits behind the writer, which waits for the View — a
+// deadlock.
 //
 // The views open at one time also share a hop memo (hopMemo), which
 // View.FromSlot fills: per within-table hop edge and source slot, the
@@ -33,8 +33,7 @@ import (
 //
 // A View's methods are safe for concurrent use by any number of
 // goroutines until Close. They must be given tables, and navigators
-// compiled, from the viewed database. A nil *View reads as the Table
-// and Nav methods do, locking per call, without a memo.
+// compiled, from the viewed database.
 type View struct {
 	d      *DB
 	closed atomic.Bool
@@ -56,7 +55,7 @@ func (d *DB) View() *View {
 // Close ends the view; the last open view's Close drops the hop memo and
 // unlocks the tables. Close is idempotent.
 func (v *View) Close() {
-	if v == nil || v.closed.Swap(true) {
+	if v.closed.Swap(true) {
 		return
 	}
 	d := v.d
@@ -70,61 +69,67 @@ func (v *View) Close() {
 	d.viewMu.Unlock()
 }
 
-// Resolve is Table.Resolve inside the view.
+// Resolve returns the row whose primary key is k, with one probe: the
+// live row and its slot, or the last deleted version with slot -1. ok is
+// false when k has neither. Callers that revisit a tuple keep its slot
+// and re-read the row with RowAt instead of probing the key again.
 func (v *View) Resolve(t *Table, k value.Key) (slot int, row value.Tuple, ok bool) {
-	if v == nil {
-		return t.Resolve(k)
-	}
 	return t.resolve(k)
 }
 
-// RowAt is Table.RowAt inside the view.
-func (v *View) RowAt(t *Table, slot int) value.Tuple {
-	if v == nil {
-		return t.RowAt(slot)
+// RowAt returns the live row in slot of t, or nil when the slot is free
+// or out of range.
+func (v *View) RowAt(t *Table, slot int) value.Tuple { return t.rowAt(slot) }
+
+// Slots returns the number of t's row slots, live and free: every slot
+// Resolve, RowAt or Rows yields is below it, so a column indexed by slot
+// has this length.
+func (v *View) Slots(t *Table) int { return len(t.rows) }
+
+// Len returns the number of t's live rows.
+func (v *View) Len(t *Table) int { return len(t.pk) }
+
+// Rows returns a cursor over (slot, row) for every live row of t, in
+// slot order.
+func (v *View) Rows(t *Table) iter.Seq2[int, value.Tuple] {
+	return func(yield func(int, value.Tuple) bool) {
+		cTableScans.Inc()
+		for slot, row := range t.rows {
+			if row != nil && !yield(slot, row) {
+				return
+			}
+		}
 	}
-	return t.rowAt(slot)
 }
 
-// Slots is Table.Slots inside the view.
-func (v *View) Slots(t *Table) int {
-	if v == nil {
-		return t.Slots()
-	}
-	return len(t.rows)
+// FromKey follows n's path from the source tuple whose primary key is k
+// and returns the destination attribute's value. The boolean result is
+// false when the chain dangles: the source row, or a row a hop
+// references, does not exist, a hop hits a NULL foreign key, or the
+// destination is NULL.
+func (v *View) FromKey(n *Nav, k value.Key) (value.Value, bool) {
+	_, row, _ := n.src.resolve(k)
+	return n.walk(row, -1, nil)
 }
 
-// Len is Table.Len inside the view.
-func (v *View) Len(t *Table) int {
-	if v == nil {
-		return t.Len()
-	}
-	return len(t.pk)
-}
-
-// Rows is Table.Rows inside the view: a cursor over (slot, row) for
-// every live row, in slot order.
-func (v *View) Rows(t *Table) iter.Seq2[int, value.Tuple] { return t.rowSeq(v == nil) }
-
-// FromRow is Nav.FromRow inside the view.
+// FromRow follows n's path from a row of its source table, with FromKey's
+// result semantics. The row itself is the source tuple: a path leaving
+// its table's primary key does not look the row up again. A nil row
+// dangles, as a key with no row does in FromKey.
 func (v *View) FromRow(n *Nav, row value.Tuple) (value.Value, bool) {
-	return n.walk(row, -1, nil, v == nil)
+	return n.walk(row, -1, nil)
 }
 
-// FromSlot is View.FromRow from the live row in slot of n's source
-// table; slot must be below the table's Slots, and a free slot dangles.
-// It walks slot to slot
-// through the hop memo of the open-view period, filling each hop's cell
-// on first use (hopMemo), so the views open at once share one memo and
-// a hop is probed at most once per edge and slot until the last of them
-// closes. Once its cells are filled, a walk neither reads intermediate
-// rows nor encodes keys; the memo columns cost 4 bytes per slot of each
-// hop's from-table. A nil View walks FromRow from RowAt, without a memo.
+// FromSlot is FromRow from the live row in slot of n's source table;
+// slot must be below the table's Slots, and a free slot dangles. It
+// walks slot to slot through the hop memo of the open-view period,
+// filling each hop's cell on first use (hopMemo), so the views open at
+// once share one memo and a hop is probed at most once per edge and slot
+// until the last of them closes. Once its cells are filled, a walk
+// neither reads intermediate rows nor encodes keys; the memo columns
+// cost 4 bytes per slot of each hop's from-table.
 func (v *View) FromSlot(n *Nav, slot int) (value.Value, bool) {
-	if v == nil {
-		return n.walk(n.src.RowAt(slot), -1, nil, true)
-	}
-	return n.walk(nil, slot, v.memo(), false)
+	return n.walk(nil, slot, v.memo())
 }
 
 // memo returns the hop memo of the open-view period, creating it on
@@ -135,9 +140,4 @@ func (v *View) memo() *hopMemo {
 	}
 	v.d.memo.CompareAndSwap(nil, new(hopMemo))
 	return v.d.memo.Load()
-}
-
-// FromKey is Nav.FromKey inside the view.
-func (v *View) FromKey(n *Nav, k value.Key) (value.Value, bool) {
-	return n.fromKey(k, v == nil)
 }

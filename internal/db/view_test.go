@@ -208,7 +208,9 @@ func TestHopMemoLifetime(t *testing.T) {
 	trade, ca := d.Table("TRADE"), d.Table("CUSTOMER_ACCOUNT")
 	key := func(id int64) value.Key { return value.MakeKey(value.NewInt(id)) }
 	slot := func(tbl *Table, id int64) int {
-		s, _, ok := tbl.Resolve(key(id))
+		v := d.View()
+		defer v.Close()
+		s, _, ok := v.Resolve(tbl, key(id))
 		if !ok || s < 0 {
 			t.Fatalf("%s %d has no live slot", tbl.Name(), id)
 		}

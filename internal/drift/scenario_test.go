@@ -107,7 +107,10 @@ func TestHotspotBirthConcentratesTags(t *testing.T) {
 	// The hotspot tag value dominates post-drift ByTag params.
 	counts := map[string]int{}
 	byTag := 0
-	for txn := range post.Class("ByTag") {
+	for _, txn := range post.All() {
+		if txn.Class != "ByTag" {
+			continue
+		}
 		byTag++
 		counts[txn.Params["tag"].String()]++
 	}

@@ -107,12 +107,12 @@ type tableBinding struct {
 // parallel JECB search hammers one shared Assigner from its whole worker
 // pool.
 //
-// PlaceKey, PlaceTxn and Span take each probed table's read lock per
-// probe, so they must not run inside a db.View of the Assigner's
-// database. The bulk readers — Evaluate, Index (and so EvaluateColumnar
-// and each chunk of EvaluateStream) and each chunk of PlaceTrace — read
-// through a View of their own; opened inside another View of the same
-// database, it joins that one without locking.
+// PlaceKey, PlaceTxn and Span read through the caller's db.View of the
+// Assigner's database, which a caller opens once around its own loop.
+// The bulk readers — Evaluate, Index (and so EvaluateColumnar and each
+// chunk of EvaluateStream) and each chunk of PlaceTrace — read through a
+// View of their own; opened inside another View of the same database,
+// it joins that one without locking.
 type Assigner struct {
 	d        *db.DB
 	sol      *partition.Solution
@@ -150,12 +150,10 @@ func (a *Assigner) Solution() *partition.Solution { return a.sol }
 // partition.Replicated for replicated tables, a partition in [0..k)
 // otherwise. ok is false when the solution does not cover the table or the
 // tuple's join path dangles (the tuple cannot be placed, so any
-// transaction touching it is distributed). Safe for concurrent use; it
-// does not allocate.
-func (a *Assigner) PlaceKey(acc trace.Access) (int, bool) { return a.placeKey(nil, acc) }
-
-// placeKey is PlaceKey reading through v (nil: locking per probe).
-func (a *Assigner) placeKey(v *db.View, acc trace.Access) (int, bool) {
+// transaction touching it is distributed). It reads through v, a view of
+// the Assigner's database. Safe for concurrent use; it does not
+// allocate.
+func (a *Assigner) PlaceKey(v *db.View, acc trace.Access) (int, bool) {
 	b, ok := a.bindings[acc.Table]
 	if !ok {
 		return 0, false
@@ -170,10 +168,10 @@ func (a *Assigner) placeKey(v *db.View, acc trace.Access) (int, bool) {
 	return b.mapper.Map(val), true
 }
 
-// place is placeKey in PlaceIndex's encoding: a partition,
+// place is PlaceKey in PlaceIndex's encoding: a partition,
 // PlaceReplicated, or PlaceUnplaced.
 func (a *Assigner) place(v *db.View, acc trace.Access) int32 {
-	p, ok := a.placeKey(v, acc)
+	p, ok := a.PlaceKey(v, acc)
 	switch {
 	case !ok:
 		return PlaceUnplaced
@@ -186,12 +184,9 @@ func (a *Assigner) place(v *db.View, acc trace.Access) int32 {
 
 // PlaceTxn appends the placement of each of t's accesses, in access
 // order, to dst and returns the extended slice: a partition in [0..k),
-// PlaceReplicated, or PlaceUnplaced, as PlaceKey decides. It does not
-// allocate when dst has room.
-func (a *Assigner) PlaceTxn(t *trace.Txn, dst []int32) []int32 { return a.placeTxn(nil, t, dst) }
-
-// placeTxn is PlaceTxn reading through v (nil: locking per probe).
-func (a *Assigner) placeTxn(v *db.View, t *trace.Txn, dst []int32) []int32 {
+// PlaceReplicated, or PlaceUnplaced, as PlaceKey decides through v. It
+// does not allocate when dst has room.
+func (a *Assigner) PlaceTxn(v *db.View, t *trace.Txn, dst []int32) []int32 {
 	for _, acc := range t.Accesses {
 		dst = append(dst, a.place(v, acc))
 	}
@@ -298,7 +293,7 @@ func (p *TracePlacement) fill(a *Assigner, tr *trace.Trace) {
 		v := a.d.View()
 		for i := c * placeChunkTxns; i < min(n, (c+1)*placeChunkTxns); i++ {
 			lo, hi := p.bounds(i)
-			a.placeTxn(v, tr.At(i), p.place[lo:lo:hi])
+			a.PlaceTxn(v, tr.At(i), p.place[lo:lo:hi])
 		}
 		v.Close()
 		p.mu.Lock()
@@ -315,12 +310,9 @@ func (p *TracePlacement) fill(a *Assigner, tr *trace.Trace) {
 }
 
 // Span classifies a transaction under the bound solution (Definition
-// 5). It does not allocate for partition counts up to 256 (see
-// partition.Set).
-func (a *Assigner) Span(t *trace.Txn) Span { return a.span(nil, t) }
-
-// span is Span reading through v (nil: locking per probe).
-func (a *Assigner) span(v *db.View, t *trace.Txn) Span {
+// 5), reading through v as PlaceKey does. It does not allocate for
+// partition counts up to 256 (see partition.Set).
+func (a *Assigner) Span(v *db.View, t *trace.Txn) Span {
 	var s Span
 	for _, acc := range t.Accesses {
 		s.Add(a.place(v, acc), acc.Write)
@@ -368,7 +360,7 @@ func (a *Assigner) evalShard(v *db.View, tr *trace.Trace, lo, hi int) *Result {
 			r.ByClass[t.Class] = cr
 		}
 		cr.Total++
-		if s := a.span(v, t); r.tally(&s) {
+		if s := a.Span(v, t); r.tally(&s) {
 			cr.Distributed++
 		}
 	}

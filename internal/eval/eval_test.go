@@ -206,15 +206,17 @@ func TestAssignerPlaceKey(t *testing.T) {
 	if a.Solution() != sol {
 		t.Error("Solution() identity")
 	}
-	p1, ok := a.PlaceKey(trace.Access{Table: "TRADE", Key: value.MakeKey(value.NewInt(1))})
+	v := d.View()
+	defer v.Close()
+	p1, ok := a.PlaceKey(v, trace.Access{Table: "TRADE", Key: value.MakeKey(value.NewInt(1))})
 	if !ok {
 		t.Fatal("place failed")
 	}
-	p7, ok := a.PlaceKey(trace.Access{Table: "TRADE", Key: value.MakeKey(value.NewInt(7))})
+	p7, ok := a.PlaceKey(v, trace.Access{Table: "TRADE", Key: value.MakeKey(value.NewInt(7))})
 	if !ok || p1 != p7 {
 		t.Error("same-customer trades must co-locate")
 	}
-	if _, ok := a.PlaceKey(trace.Access{Table: "NOPE", Key: value.MakeKey(value.NewInt(1))}); ok {
+	if _, ok := a.PlaceKey(v, trace.Access{Table: "NOPE", Key: value.MakeKey(value.NewInt(1))}); ok {
 		t.Error("unknown table must not place")
 	}
 }
@@ -236,9 +238,11 @@ func TestPlaceKeyZeroAlloc(t *testing.T) {
 		accs = append(accs, txn.Accesses...)
 	}
 	accs = append(accs, trace.Access{Table: "NOPE", Key: value.MakeKey(value.NewInt(1))})
+	v := d.View()
+	defer v.Close()
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		a.PlaceKey(accs[i%len(accs)])
+		a.PlaceKey(v, accs[i%len(accs)])
 		i++
 	})
 	if allocs != 0 {

@@ -100,16 +100,20 @@ func TestAssignerSharedStress(t *testing.T) {
 						return
 					}
 				case 1:
+					v := d.View()
 					for _, txn := range tr.All() {
-						s := a.Span(txn)
+						s := a.Span(v, txn)
 						s.Distributed()
 					}
+					v.Close()
 				default:
+					v := d.View()
 					for _, txn := range tr.All() {
 						for _, acc := range txn.Accesses {
-							a.PlaceKey(acc)
+							a.PlaceKey(v, acc)
 						}
 					}
+					v.Close()
 				}
 			}
 		}(g)

@@ -31,13 +31,15 @@ func TestPlaceIndexMatchesEvaluate(t *testing.T) {
 			t.Errorf("%s: columnar diverged\n got %s\nwant %s", sol, got, want)
 		}
 		idx := a.Index(c)
+		v := d.View()
 		for i := 0; i < tr.Len(); i++ {
-			ws, gs := a.Span(tr.At(i)), idx.Span(i)
+			ws, gs := a.Span(v, tr.At(i)), idx.Span(i)
 			if !gs.Parts.Equal(&ws.Parts) || gs.All != ws.All {
 				t.Fatalf("%s txn %d: indexed (%v,%v), row (%v,%v)",
 					sol, i, &gs.Parts, gs.All, &ws.Parts, ws.All)
 			}
 		}
+		v.Close()
 	}
 }
 

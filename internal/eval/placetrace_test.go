@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -17,9 +18,9 @@ import (
 )
 
 // solved loads one registered benchmark, partitions the training half of
-// a generated trace at K=4 and returns the bound solution and the test
-// half.
-func solved(tb testing.TB, name string, scale, txns int) (*eval.Assigner, *trace.Trace) {
+// a generated trace at K=4 and returns the database, the bound solution
+// and the test half.
+func solved(tb testing.TB, name string, scale, txns int) (*db.DB, *eval.Assigner, *trace.Trace) {
 	tb.Helper()
 	b, ok := workloads.Get(name)
 	if !ok {
@@ -41,7 +42,7 @@ func solved(tb testing.TB, name string, scale, txns int) (*eval.Assigner, *trace
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return a, test
+	return d, a, test
 }
 
 // TestPlaceTraceMatchesPlaceTxn checks, on every benchmark at 1, 2 and 8
@@ -56,12 +57,14 @@ func TestPlaceTraceMatchesPlaceTxn(t *testing.T) {
 			if !ok {
 				scale = 30
 			}
-			a, tr := solved(t, name, scale, 1200)
+			d, a, tr := solved(t, name, scale, 1200)
 			n := tr.Len()
 			want := make([][]int32, n)
+			v := d.View()
 			for i := range want {
-				want[i] = a.PlaceTxn(tr.At(i), nil)
+				want[i] = a.PlaceTxn(v, tr.At(i), nil)
 			}
+			v.Close()
 			backwards := make([]int, n)
 			for i := range backwards {
 				backwards[i] = n - 1 - i
@@ -102,7 +105,7 @@ func BenchmarkPlaceTrace(b *testing.B) {
 		name  string
 		scale int
 	}{{"tpcc", 8}, {"tpce", 200}} {
-		a, test := solved(b, w.name, w.scale, 6000)
+		_, a, test := solved(b, w.name, w.scale, 6000)
 		window := test.Head(3000)
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("%s/workers=%d", w.name, workers), func(b *testing.B) {

@@ -251,8 +251,10 @@ func costOf(d *db.DB, dz design, replicated map[string]bool, sample *trace.Trace
 	}
 	load := make([]float64, opts.K)
 	distributed, touchSum := 0, 0
+	v := d.View()
+	defer v.Close()
 	for _, t := range sample.All() {
-		s := a.Span(t)
+		s := a.Span(v, t)
 		if s.Distributed() {
 			distributed++
 			touchSum += s.Touched(opts.K)

@@ -153,8 +153,8 @@ func newPlacer(d *db.DB, sol *partition.Solution, table string) *placer {
 }
 
 // place returns the row's node (partition.Replicated for replicated
-// tables) and whether it is placeable.
-func (p *placer) place(row value.Tuple) (int, bool) {
+// tables) and whether it is placeable, walking through v.
+func (p *placer) place(v *db.View, row value.Tuple) (int, bool) {
 	if p.ts == nil {
 		return 0, false
 	}
@@ -164,11 +164,11 @@ func (p *placer) place(row value.Tuple) (int, bool) {
 	if p.nav == nil {
 		return 0, false
 	}
-	v, ok := p.nav.FromRow(row)
+	val, ok := v.FromRow(p.nav, row)
 	if !ok {
 		return 0, false
 	}
-	return p.ts.Mapper.Map(v), true
+	return p.ts.Mapper.Map(val), true
 }
 
 // tableDelta scans one table and accumulates its movement flows between
@@ -183,18 +183,18 @@ func tableDelta(d *db.DB, old, new *partition.Solution, table string) Unit {
 		return u
 	}
 	flows := map[[2]int]int{}
-	d.Table(table).Scan(func(k value.Key, row value.Tuple) bool {
-		from, okOld := po.place(row)
-		to, okNew := pn.place(row)
+	v := d.View()
+	defer v.Close()
+	for _, row := range v.Rows(d.Table(table)) {
+		from, okOld := po.place(v, row)
+		to, okNew := pn.place(v, row)
 		switch {
 		case !okOld || !okNew:
 			// Unplaceable under either solution: it has no single home to
 			// move between; leave it where it is.
-			return true
 		case oldRepl && !newRepl:
 			// Dropping replicas is free: the target node already holds a
 			// copy.
-			return true
 		case !oldRepl && newRepl:
 			// Copy to every node that lacks the row.
 			for n := 0; n < new.K; n++ {
@@ -202,13 +202,10 @@ func tableDelta(d *db.DB, old, new *partition.Solution, table string) Unit {
 					flows[[2]int{from, n}]++
 				}
 			}
-			return true
 		case from != to:
 			flows[[2]int{from, to}]++
-			return true
 		}
-		return true
-	})
+	}
 	pairs := make([][2]int, 0, len(flows))
 	for pr := range flows {
 		pairs = append(pairs, pr)

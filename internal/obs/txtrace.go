@@ -55,8 +55,8 @@ const (
 	// EvRoute records a routing decision; Node is the coordinator (or
 	// the first target partition), Arg packs fanout<<8 | mode.
 	EvRoute
-	// EvRouteDenied records a routing failure (partition down or
-	// overload); Arg is the RouteErr* code.
+	// EvRouteDenied records a routing failure (partition down); Arg is
+	// the RouteErr* code.
 	EvRouteDenied
 	// EvFault marks an injected fault blocking an attempt; Node is the
 	// unreachable node (or the coordinator for a message loss) and Arg
@@ -158,8 +158,7 @@ const (
 	FaultNodeDown     int64 = 1 // a participant was unreachable
 	FaultMsgLoss      int64 = 2 // a coordination message was lost
 	FaultInDoubtBlock int64 = 3 // a partition held an in-doubt txn
-	RouteErrDown      int64 = 1 // router.ErrPartitionDown
-	RouteErrOverload  int64 = 3 // router.ErrOverload (2 is retired)
+	RouteErrDown      int64 = 1 // router.ErrPartitionDown (2 and 3 are retired)
 	ShedToken         int64 = 1 // token bucket empty
 	ShedQueue         int64 = 2 // worker queue at depth cap
 	BreakerClosed     int64 = 0 // breaker re-closed (healthy)

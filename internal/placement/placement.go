@@ -34,8 +34,10 @@ func Heat(d *db.DB, sol *partition.Solution, tr *trace.Trace) ([]float64, error)
 		return nil, err
 	}
 	heat := make([]float64, sol.K)
+	v := d.View()
+	defer v.Close()
 	for _, t := range tr.All() {
-		s := a.Span(t)
+		s := a.Span(v, t)
 		if s.All {
 			for p := range heat {
 				heat[p] += 1 / float64(sol.K)

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bytes"
+	"errors"
 	"hash/fnv"
 	"reflect"
 	"testing"
@@ -131,9 +132,10 @@ func TestShipBatchesMatchPerOpEncoding(t *testing.T) {
 	}
 }
 
-// FuzzReplAppend: decodeAppend is total, and what it accepts re-encodes
-// to a payload that decodes to the same batch; a batch encodeAppend
-// built decodes back to itself.
+// FuzzReplAppend: decodeAppend, decodeSeq and decodeSnapshot are total,
+// and every rejection wraps ErrPayload; what each accepts re-encodes to
+// a payload that decodes to the same value; a batch encodeAppend built
+// decodes back to itself.
 func FuzzReplAppend(f *testing.F) {
 	recs := []wal.Record{
 		{Type: wal.RecBegin, Txn: 7},
@@ -146,15 +148,41 @@ func FuzzReplAppend(f *testing.F) {
 	}
 	f.Add(encodeAppend(3, 40, recs))
 	f.Add(encodeAppend(0, 0, nil))
+	f.Add(encodeSeq(5, 1<<40))
+	f.Add(encodeSnapshot(2, 17, []byte("snapshot bytes")))
 	f.Add([]byte{1, 2, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		epoch, base, got, err := decodeAppend(data)
-		if err != nil {
-			return
+		if epoch, base, got, err := decodeAppend(data); err == nil {
+			e2, b2, again, err := decodeAppend(encodeAppend(epoch, base, got))
+			if err != nil || e2 != epoch || b2 != base || !reflect.DeepEqual(again, got) {
+				t.Fatalf("append re-encoding: epoch %d base %d %+v, %v; want %d %d %+v", e2, b2, again, err, epoch, base, got)
+			}
+		} else {
+			checkPayloadErr(t, "append", err)
 		}
-		e2, b2, again, err := decodeAppend(encodeAppend(epoch, base, got))
-		if err != nil || e2 != epoch || b2 != base || !reflect.DeepEqual(again, got) {
-			t.Fatalf("re-encoding: epoch %d base %d %+v, %v; want %d %d %+v", e2, b2, again, err, epoch, base, got)
+		if epoch, seq, err := decodeSeq(data); err == nil {
+			if e2, s2, err := decodeSeq(encodeSeq(epoch, seq)); err != nil || e2 != epoch || s2 != seq {
+				t.Fatalf("seq re-encoding: %d %d, %v; want %d %d", e2, s2, err, epoch, seq)
+			}
+		} else {
+			checkPayloadErr(t, "seq", err)
+		}
+		if epoch, base, snap, err := decodeSnapshot(data); err == nil {
+			e2, b2, s2, err := decodeSnapshot(encodeSnapshot(epoch, base, snap))
+			if err != nil || e2 != epoch || b2 != base || !bytes.Equal(s2, snap) {
+				t.Fatalf("snapshot re-encoding: %d %d %x, %v; want %d %d %x", e2, b2, s2, err, epoch, base, snap)
+			}
+		} else {
+			checkPayloadErr(t, "snapshot", err)
 		}
 	})
+}
+
+// checkPayloadErr fails the test unless a decoder's rejection wraps
+// ErrPayload.
+func checkPayloadErr(t *testing.T, decoder string, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrPayload) {
+		t.Fatalf("%s rejection %v does not wrap ErrPayload", decoder, err)
+	}
 }

@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/faults"
@@ -36,17 +35,11 @@ type Request struct {
 }
 
 // traceDecision records the routing outcome into the request's flight
-// recorder, which must be non-nil.
+// recorder, which must be non-nil. Every error Route returns wraps
+// ErrPartitionDown.
 func (req *Request) traceDecision(d Decision, err error) {
 	if err != nil {
-		code := int64(0)
-		switch {
-		case errors.Is(err, ErrPartitionDown):
-			code = obs.RouteErrDown
-		case errors.Is(err, ErrOverload):
-			code = obs.RouteErrOverload
-		}
-		req.Recorder.Record(req.TxnID, obs.EvRouteDenied, -1, 0, req.VT, code)
+		req.Recorder.Record(req.TxnID, obs.EvRouteDenied, -1, 0, req.VT, obs.RouteErrDown)
 		return
 	}
 	node := -1
@@ -126,7 +119,7 @@ func (r *Router) Route(ctx context.Context, req Request) (d Decision, err error)
 		for n := 0; n < r.k; n++ {
 			if !h.Down(n) {
 				cRouteReplica.Inc()
-				return Decision{Partitions: []int{n}, Mode: ModeReplica}, nil
+				return Decision{Partitions: append(target[:0], n), Mode: ModeReplica}, nil
 			}
 		}
 		cRouteDownErrs.Inc()

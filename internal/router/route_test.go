@@ -38,8 +38,8 @@ func TestRouteMatchesFastPath(t *testing.T) {
 // TestRouteAllocBudget gates Route's allocations per call. The healthy
 // path — local hits, lookup misses and unknown classes — allocates only
 // the returned partition slice. A degraded read filters the reachable
-// partitions into that same slice. A replica-fallback read allocates the
-// broadcast target it filters and the one-node decision it returns.
+// partitions into that same slice, and a replica-fallback read returns
+// its one node in it too.
 func TestRouteAllocBudget(t *testing.T) {
 	r, _ := custInfoSetup(t, 4)
 	rep := replicaSetup(t, 4)
@@ -58,7 +58,7 @@ func TestRouteAllocBudget(t *testing.T) {
 		{"lookup-miss", r, Request{Class: "CustInfo", Params: cust(99)}, ModeBroadcast, 1},
 		{"unknown-class", r, Request{Class: "Nope"}, ModeBroadcast, 1},
 		{"degraded-read", r, Request{Class: "CustInfo", Params: cust(99), Health: downSet{2: true}}, ModeDegraded, 1},
-		{"replica-fallback", rep, Request{Class: "CustInfo", Params: cust(1), Health: downSet{0: true}}, ModeReplica, 2},
+		{"replica-fallback", rep, Request{Class: "CustInfo", Params: cust(1), Health: downSet{0: true}}, ModeReplica, 1},
 	}
 	for _, c := range cases {
 		dec, err := c.r.Route(ctx, c.req)

@@ -126,6 +126,10 @@ func TestRouterRejectsInvalidSolution(t *testing.T) {
 func TestRouterAgreesWithAssigner(t *testing.T) {
 	r, sol := custInfoSetup(t, 4)
 	d := fixture.CustInfoDB()
+	nav, err := d.Compile(sol.Table("CUSTOMER_ACCOUNT").Path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for cust := int64(1); cust <= 2; cust++ {
 		ps := routeParts(t, r, "CustInfo", map[string]value.Value{"cust_id": value.NewInt(cust)})
 		if len(ps) != 1 {
@@ -133,14 +137,17 @@ func TestRouterAgreesWithAssigner(t *testing.T) {
 		}
 		// All of this customer's account rows must map to ps[0].
 		ca := d.Table("CUSTOMER_ACCOUNT")
-		for _, row := range ca.LookupRows("CA_C_ID", value.NewInt(cust)) {
-			ev, ok, err := d.EvalPath(sol.Table("CUSTOMER_ACCOUNT").Path, ca.PKOf(row))
-			if err != nil || !ok {
-				t.Fatalf("eval: %v %v", ok, err)
+		rows := ca.LookupRows("CA_C_ID", value.NewInt(cust))
+		v := d.View()
+		for _, row := range rows {
+			ev, ok := v.FromRow(nav, row)
+			if !ok {
+				t.Fatalf("customer %d: account %v does not place", cust, row)
 			}
 			if got := sol.Table("CUSTOMER_ACCOUNT").Mapper.Map(ev); got != ps[0] {
 				t.Errorf("customer %d: tuple at %d, routed to %d", cust, got, ps[0])
 			}
 		}
+		v.Close()
 	}
 }

@@ -58,8 +58,10 @@ func TestRouterOnTPCE(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked, sound, singleRouted := 0, 0, 0
+	v := d.View()
+	defer v.Close()
 	for _, txn := range test.All() {
-		s := assigner.Span(txn)
+		s := assigner.Span(v, txn)
 		if s.Distributed() || s.Parts.Len() != 1 {
 			continue // routing soundness only meaningful for local txns
 		}

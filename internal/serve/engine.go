@@ -3,7 +3,6 @@ package serve
 import (
 	"container/heap"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -127,6 +126,7 @@ type engine struct {
 	tr     *trace.Trace
 	rt     *router.Router
 	asg    *eval.Assigner
+	view   *db.View       // the run's view of d, which asg places through
 	place  []int32        // the resolving request's access placements
 	writes cluster.Writes // the resolving request's routed write bodies
 	inj    *faults.Injector
@@ -317,20 +317,17 @@ func (e *engine) run() (*Result, error) {
 	for !e.events.peekEmpty() {
 		ev := heap.Pop(&e.events).(event)
 		now := ev.vt
-		var err error
 		switch ev.kind {
 		case evArrival:
 			e.nextOpenArrival(now)
-			err = e.admit(ev.req, now)
+			e.admit(ev.req, now)
 		case evRetry:
-			err = e.admit(ev.req, now)
+			e.admit(ev.req, now)
 		case evDone:
-			if err = e.resolve(ev.info, now); err == nil {
-				err = e.dispatchQueue(now)
+			if err := e.resolve(ev.info, now); err != nil {
+				return nil, err
 			}
-		}
-		if err != nil {
-			return nil, err
+			e.dispatchQueue(now)
 		}
 	}
 	return e.finishRun()
@@ -338,28 +335,28 @@ func (e *engine) run() (*Result, error) {
 
 // admit pushes a request through the protection layer at virtual time
 // now: token bucket, then a free worker or the bounded queue.
-func (e *engine) admit(req *request, now float64) error {
+func (e *engine) admit(req *request, now float64) {
 	if e.cfg.Admission.Enabled {
 		if err := e.adm.allow(now); err != nil {
 			e.res.ShedToken++
 			cServeSheds.Inc()
 			e.rec.Record(req.traceID, obs.EvShed, -1, req.tries, now, obs.ShedToken)
 			e.retryOrFinal(req, now, failShed)
-			return nil
+			return
 		}
 	}
 	if e.busy < workers {
-		return e.startService(req, now)
+		e.startService(req, now)
+		return
 	}
 	if !e.cfg.Admission.Enabled || e.qlen() < queueDepth {
 		e.enqueue(req)
-		return nil
+		return
 	}
 	e.res.ShedQueue++
 	cServeSheds.Inc()
 	e.rec.Record(req.traceID, obs.EvShed, -1, req.tries, now, obs.ShedQueue)
 	e.retryOrFinal(req, now, failShed)
-	return nil
 }
 
 func (e *engine) qlen() int { return len(e.queue) - e.qhead }
@@ -385,7 +382,7 @@ func (e *engine) dequeue() *request {
 // dropping any whose propagated deadline already passed — they record
 // their full queueing delay as an expiration (that delay IS the
 // overload signal the p999 objective sees).
-func (e *engine) dispatchQueue(now float64) error {
+func (e *engine) dispatchQueue(now float64) {
 	for e.busy < workers && e.qlen() > 0 {
 		req := e.dequeue()
 		if now > req.deadline() {
@@ -393,17 +390,14 @@ func (e *engine) dispatchQueue(now float64) error {
 			e.finishExecuted(req, now, outcomeExpired)
 			continue
 		}
-		if err := e.startService(req, now); err != nil {
-			return err
-		}
+		e.startService(req, now)
 	}
-	return nil
 }
 
 // startService consumes one execution attempt: route under the breaker
 // health view, then either fail fast (open breaker) or occupy a worker
 // for the attempt's cost and schedule its completion.
-func (e *engine) startService(req *request, now float64) error {
+func (e *engine) startService(req *request, now float64) {
 	req.tries++
 	e.res.Attempts++
 	dec, err := e.rt.Route(req.ctx, router.Request{
@@ -415,16 +409,12 @@ func (e *engine) startService(req *request, now float64) error {
 		Recorder: e.rec,
 	})
 	if err != nil {
-		if errors.Is(err, router.ErrPartitionDown) {
-			// Breaker fast-fail: no worker burned, the request retries
-			// against its budget or fails as denied.
-			e.res.BreakerFastFails++
-			e.retryOrFinal(req, now, failDenied)
-			return nil
-		}
-		// Any other routing error is a configuration bug in a serving
-		// run: surface it instead of counting it.
-		return fmt.Errorf("serve: route %s: %w", req.t.Class, err)
+		// Every routing error wraps router.ErrPartitionDown: a breaker
+		// fast-fail. No worker burned; the request retries against its
+		// budget or fails as denied.
+		e.res.BreakerFastFails++
+		e.retryOrFinal(req, now, failDenied)
+		return
 	}
 	for _, p := range dec.Partitions {
 		e.brs[p].tryProbe()
@@ -462,7 +452,6 @@ func (e *engine) startService(req *request, now float64) error {
 	}
 	e.busy++
 	e.push(now+info.occ, evDone, nil, info)
-	return nil
 }
 
 // resolve completes one service attempt at its evDone event.
@@ -481,7 +470,7 @@ func (e *engine) resolve(info *doneInfo, now float64) error {
 		return nil
 	}
 	coord := info.dec.Partitions[0]
-	e.place = e.asg.PlaceTxn(req.t, e.place[:0])
+	e.place = e.asg.PlaceTxn(e.view, req.t, e.place[:0])
 	cluster.WriteEffects(&e.writes, req.t, e.place, e.sol.K, coord)
 	if err := e.commit(req.traceID, now, &e.writes, coord); err != nil {
 		return err

@@ -288,8 +288,10 @@ func EstimateCapacityTPS(d *db.DB, sol *partition.Solution, tr *trace.Trace) (fl
 		return 0, err
 	}
 	total := 0.0
+	v := d.View()
+	defer v.Close()
 	for _, t := range tr.All() {
-		s := a.Span(t)
+		s := a.Span(v, t)
 		switch {
 		case !s.Distributed():
 			total += localWork
@@ -328,5 +330,9 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 		return nil, err
 	}
 	defer e.local.Close()
+	// Serving never writes the solved database, so one view reads it for
+	// the whole run.
+	e.view = d.View()
+	defer e.view.Close()
 	return e.run()
 }

@@ -201,15 +201,17 @@ func (m driftMode) String() string {
 // windowStats replays one window under an assigner without charging work:
 // it returns the distributed fraction and the per-partition heat vector
 // (participant counts; distributed all-node transactions heat every
-// node). It is the measurement the detector consumes.
-func windowStats(a *eval.Assigner, w *trace.Trace, k int) (distFrac float64, heat []float64) {
+// node). It is the measurement the detector consumes. a is bound to d.
+func windowStats(d *db.DB, a *eval.Assigner, w *trace.Trace, k int) (distFrac float64, heat []float64) {
 	heat = make([]float64, k)
 	if w.Len() == 0 {
 		return 0, heat
 	}
+	v := d.View()
+	defer v.Close()
 	dist := 0
 	for i, t := range w.All() {
-		s := a.Span(t)
+		s := a.Span(v, t)
 		switch {
 		case s.All:
 			dist++
@@ -294,7 +296,7 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 		if mode == modeOracle && !oracleDone && base+win.Len() > cfg.DriftAt {
 			// Train on the post-drift suffix the oracle "foresees".
 			post := tr.Window(cfg.DriftAt, tr.Len()-cfg.DriftAt)
-			distBefore, _ := windowStats(asg, win, sol.K)
+			distBefore, _ := windowStats(d, asg, win, sol.K)
 			next, err := repart(post, cur)
 			if err != nil {
 				return nil, fmt.Errorf("sim: oracle repartition: %w", err)
@@ -303,7 +305,7 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 			if asg, err = eval.NewAssigner(d, cur); err != nil {
 				return nil, err
 			}
-			distAfter, _ := windowStats(asg, win, sol.K)
+			distAfter, _ := windowStats(d, asg, win, sol.K)
 			res.Repartitions++
 			res.Swaps++
 			cDriftRepart.Inc()
@@ -316,10 +318,12 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 		}
 
 		// Replay the window under the current solution, charging work.
+		// The view closes before the repartition and migration below.
 		windowDist := 0
+		v := d.View()
 		for i, t := range win.All() {
 			gi := base + i
-			s := asg.Span(t)
+			s := asg.Span(v, t)
 			coord := cluster.Coordinator(&s.Parts, sol.K, gi)
 			distributed := s.Distributed()
 			txnWork := 0.0
@@ -379,6 +383,7 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 			svcLat.Observe(int64(proxySec * 1e9))
 			slo.Record(proxySec, true)
 		}
+		v.Close()
 		distFrac := 0.0
 		if win.Len() > 0 {
 			distFrac = float64(windowDist) / float64(win.Len())
@@ -391,7 +396,7 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 		}
 
 		// Detector: score the window under the deployed solution.
-		_, heat := windowStats(asg, win, sol.K)
+		_, heat := windowStats(d, asg, win, sol.K)
 		sig := det.Observe(drift.Observation{Window: win, DistFrac: distFrac, PartitionHeat: heat})
 		if !sig.Drifted {
 			continue
@@ -457,7 +462,7 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 
 		// Re-anchor the detector against the trigger window as served by
 		// the *new* solution: drift is now measured since this deployment.
-		newDist, newHeat := windowStats(asg, win, sol.K)
+		newDist, newHeat := windowStats(d, asg, win, sol.K)
 		det.SetReference(drift.Observation{Window: win, DistFrac: newDist, PartitionHeat: newHeat})
 		ev.MovedTuples = plan.MovedTuples
 		ev.DeferredTuples = plan.DeferredTuples

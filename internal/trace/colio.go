@@ -729,34 +729,6 @@ func (s *Stream) All() iter.Seq2[int, *Txn] {
 	}
 }
 
-// Class iterates the transactions of one class, with the same contract
-// as All.
-func (s *Stream) Class(class string) iter.Seq[*Txn] {
-	return func(yield func(*Txn) bool) {
-		var scratch Txn
-		var accBuf []Access
-		for chunk, err := range s.Chunks() {
-			if err != nil {
-				s.err = err
-				return
-			}
-			id, ok := chunk.classes.Lookup(class)
-			if !ok {
-				continue
-			}
-			for i := 0; i < chunk.NumTxns(); i++ {
-				if chunk.ClassID(i) != id {
-					continue
-				}
-				chunk.fill(&scratch, &accBuf, i)
-				if !yield(&scratch) {
-					return
-				}
-			}
-		}
-	}
-}
-
 // Materialize reads the whole file into a row Trace.
 func (s *Stream) Materialize() (*Trace, error) {
 	tr := &Trace{}

@@ -25,8 +25,6 @@ type Workload interface {
 	Len() int
 	// All iterates (index, transaction) in trace order.
 	All() iter.Seq2[int, *Txn]
-	// Class iterates the transactions of one class, in trace order.
-	Class(class string) iter.Seq[*Txn]
 	// Classes returns the distinct class names, sorted. Shared storage —
 	// callers must not mutate.
 	Classes() []string
@@ -284,28 +282,6 @@ func (c *Columnar) All() iter.Seq2[int, *Txn] {
 		for i := 0; i < len(c.ids); i++ {
 			c.fill(&scratch, &accBuf, i)
 			if !yield(i, &scratch) {
-				return
-			}
-		}
-	}
-}
-
-// Class iterates the transactions of one class in trace order, with the
-// same scratch-reuse contract as All.
-func (c *Columnar) Class(class string) iter.Seq[*Txn] {
-	return func(yield func(*Txn) bool) {
-		id, ok := c.classes.Lookup(class)
-		if !ok {
-			return
-		}
-		var scratch Txn
-		var accBuf []Access
-		for i, cid := range c.classIDs {
-			if cid != id {
-				continue
-			}
-			c.fill(&scratch, &accBuf, i)
-			if !yield(&scratch) {
 				return
 			}
 		}

@@ -102,23 +102,32 @@ func TestColumnarizeMatchesTrace(t *testing.T) {
 	assertSameTxns(t, c.Materialize(), tr)
 }
 
+// classTxnIDs returns the ids of w's transactions of class cls, in trace
+// order, filtering All.
+func classTxnIDs(w Workload, cls string) []int {
+	var ids []int
+	for _, txn := range w.All() {
+		if txn.Class == cls {
+			ids = append(ids, txn.ID)
+		}
+	}
+	return ids
+}
+
+// TestColumnarClassCursor checks that the columnar cursor names each
+// transaction's class as the row trace does: filtering All by class
+// yields the same transactions in the same order, and an unknown class
+// none.
 func TestColumnarClassCursor(t *testing.T) {
 	tr := colSampleTrace(60)
 	c := Columnarize(tr)
 	for _, cls := range tr.Classes() {
-		var wantIDs, gotIDs []int
-		for txn := range tr.Class(cls) {
-			wantIDs = append(wantIDs, txn.ID)
-		}
-		for txn := range c.Class(cls) {
-			gotIDs = append(gotIDs, txn.ID)
-		}
-		if !reflect.DeepEqual(gotIDs, wantIDs) {
-			t.Errorf("class %s: ids %v, want %v", cls, gotIDs, wantIDs)
+		if got, want := classTxnIDs(c, cls), classTxnIDs(tr, cls); !reflect.DeepEqual(got, want) {
+			t.Errorf("class %s: ids %v, want %v", cls, got, want)
 		}
 	}
-	for range c.Class("NoSuchClass") {
-		t.Fatal("cursor over unknown class yielded a txn")
+	if ids := classTxnIDs(c, "NoSuchClass"); ids != nil {
+		t.Fatalf("unknown class matched transactions %v", ids)
 	}
 }
 
@@ -246,6 +255,8 @@ func TestStreamMultiChunk(t *testing.T) {
 	assertSameTxns(t, mat, tr)
 }
 
+// TestStreamClassCursor is TestColumnarClassCursor for the streaming
+// reader, whose chunks each intern classes in a dictionary of their own.
 func TestStreamClassCursor(t *testing.T) {
 	tr := colSampleTrace(40)
 	path := writeStreamFile(t, tr, 7)
@@ -254,15 +265,8 @@ func TestStreamClassCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cls := range tr.Classes() {
-		var wantIDs, gotIDs []int
-		for txn := range tr.Class(cls) {
-			wantIDs = append(wantIDs, txn.ID)
-		}
-		for txn := range s.Class(cls) {
-			gotIDs = append(gotIDs, txn.ID)
-		}
-		if !reflect.DeepEqual(gotIDs, wantIDs) {
-			t.Errorf("class %s: ids %v, want %v", cls, gotIDs, wantIDs)
+		if got, want := classTxnIDs(s, cls), classTxnIDs(tr, cls); !reflect.DeepEqual(got, want) {
+			t.Errorf("class %s: ids %v, want %v", cls, got, want)
 		}
 	}
 }

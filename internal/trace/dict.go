@@ -42,16 +42,10 @@ func (d *Dict) IDBytes(b []byte) uint32 {
 	return d.ID(string(b))
 }
 
-// LookupBytes is Lookup for a string held as bytes; it does not
-// allocate.
+// LookupBytes returns the id of the string b holds without interning
+// it; it does not allocate.
 func (d *Dict) LookupBytes(b []byte) (uint32, bool) {
 	id, ok := d.ids[string(b)]
-	return id, ok
-}
-
-// Lookup returns the id of s without interning it.
-func (d *Dict) Lookup(s string) (uint32, bool) {
-	id, ok := d.ids[s]
 	return id, ok
 }
 

@@ -137,21 +137,6 @@ func (tr *Trace) All() iter.Seq2[int, *Txn] {
 	}
 }
 
-// Class returns a cursor over the transactions of one class, in trace
-// order.
-func (tr *Trace) Class(class string) iter.Seq[*Txn] {
-	return func(yield func(*Txn) bool) {
-		for i := range tr.txns {
-			if tr.txns[i].Class != class {
-				continue
-			}
-			if !yield(&tr.txns[i]) {
-				return
-			}
-		}
-	}
-}
-
 // cached returns the derived-view cache, rebuilding it if the trace has
 // grown or shrunk since it was built.
 func (tr *Trace) cached() *traceCache {

@@ -3,7 +3,9 @@ package twopc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -122,9 +124,10 @@ func TestPayloadsMatchPerOpEncoding(t *testing.T) {
 	}
 }
 
-// FuzzTwoPCPayload: the prepare and commit-local decoders are total, a
-// payload they accept holds bodies DecodeOp accepts, and re-encoding
-// what they return decodes to the same bodies.
+// FuzzTwoPCPayload: the prepare, commit-local and scan-response
+// decoders are total, and every rejection wraps ErrPayload; a payload
+// the first two accept holds bodies DecodeOp accepts; and re-encoding
+// what each returns decodes to the same value.
 func FuzzTwoPCPayload(f *testing.F) {
 	bodies := [][]byte{
 		db.Op{Kind: db.OpTouch, Table: "TRADE", Key: "k1"}.Encode(nil),
@@ -133,23 +136,49 @@ func FuzzTwoPCPayload(f *testing.F) {
 	f.Add(encodePrepare(3, bodies))
 	f.Add(encodePrepare(0, nil))
 	f.Add(encodeCommitLocal(bodies))
+	f.Add(encodeScanResp([]inDoubtPair{{Txn: 7, Coord: 2}, {Txn: 1 << 40, Coord: 0}}))
+	f.Add(encodeScanResp(nil))
 	f.Add([]byte{0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if coord, got, err := decodePrepare(data); err == nil {
+		coord, got, err := decodePrepare(data)
+		if err == nil {
 			checkBodies(t, got)
 			_, again, err := decodePrepare(encodePrepare(coord, got))
 			if err != nil || !equalBodies(again, got) {
 				t.Fatalf("prepare re-encoding: %q, %v; want %q", again, err, got)
 			}
+		} else {
+			checkPayloadErr(t, "prepare", err)
 		}
-		if got, err := decodeCommitLocal(nil, data); err == nil {
+		got, err = decodeCommitLocal(nil, data)
+		if err == nil {
 			checkBodies(t, got)
 			again, err := decodeCommitLocal(nil, encodeCommitLocal(got))
 			if err != nil || !equalBodies(again, got) {
 				t.Fatalf("commit-local re-encoding: %q, %v; want %q", again, err, got)
 			}
+		} else {
+			checkPayloadErr(t, "commit-local", err)
+		}
+		pairs, err := decodeScanResp(data)
+		if err == nil {
+			again, err := decodeScanResp(encodeScanResp(pairs))
+			if err != nil || !slices.Equal(again, pairs) {
+				t.Fatalf("scan-response re-encoding: %v, %v; want %v", again, err, pairs)
+			}
+		} else {
+			checkPayloadErr(t, "scan-response", err)
 		}
 	})
+}
+
+// checkPayloadErr fails the test unless a decoder's rejection wraps
+// ErrPayload.
+func checkPayloadErr(t *testing.T, decoder string, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrPayload) {
+		t.Fatalf("%s rejection %v does not wrap ErrPayload", decoder, err)
+	}
 }
 
 func checkBodies(t *testing.T, bodies [][]byte) {
