@@ -24,15 +24,16 @@ verify:
 	$(GO) -C jecbbench vet ./...
 	$(GO) -C jecbbench test ./...
 
-# bench runs the micro-benchmarks — among them the per-layer rows
-# BenchmarkEvaluateRow/{tpcc,tpce} and the router layer's two rows,
-# BenchmarkRouterNew/{tpcc,tpce} (building the router) and
-# BenchmarkRoute/{tpcc,tpce} (routing every test transaction) — then the
-# parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
-# in isolation on TPC-C/SEATS/TPC-E, each at 1/2/8 workers (100 iterations
+# bench runs the root package's micro-benchmarks, then the router
+# layer's two rows in internal/router, BenchmarkRouterNew/{tpcc,tpce}
+# (building the router) and BenchmarkRoute/{tpcc,tpce} (routing every
+# test transaction), then the parallel-search sweep: the full pipeline
+# on TPC-C/SEATS and phases 2/3 in isolation on TPC-C/SEATS/TPC-E, each
+# at 1/2/8 workers (100 iterations
 # per row, 3 rows each: at one iteration the SEATS rows swung by ±20%
 # between runs of one binary), then the evaluator layer
-# (BenchmarkAssignerEvaluate: Assigner.Evaluate at 1/2/8 workers), then
+# (BenchmarkEvaluateRow/{tpcc,tpce}: eval.Evaluate of the test half;
+# BenchmarkAssignerEvaluate: Assigner.Evaluate at 1/2/8 workers), then
 # the commit path: placing a 3,000-txn TPC-C and TPC-E window ahead of
 # its reader at 1 and GOMAXPROCS workers (BenchmarkPlaceTrace: time to
 # the first chunk and to fully placed), one store commit, one join-path
@@ -50,9 +51,10 @@ verify:
 # sizes. The paper's tables and figures are not benchmarks: `make
 # experiments` regenerates them.
 bench:
-	$(GO) test -bench='Evaluate|GraphPartition|RouterNew|Route$$|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
+	$(GO) test -bench='Evaluate|GraphPartition|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
+	$(GO) test -bench='RouterNew|Route$$' -benchmem -run=^$$ ./internal/router/
 	$(GO) test -bench='Partition|Phase2|Phase3' -benchtime=100x -count=3 -run=^$$ ./internal/core/
-	$(GO) test -bench='AssignerEvaluate|PlaceTrace' -benchmem -run=^$$ ./internal/eval/
+	$(GO) test -bench='EvaluateRow|AssignerEvaluate|PlaceTrace' -benchmem -run=^$$ ./internal/eval/
 	$(GO) test -bench='CommitOps|LogAppendTxn|EncodeSnapshot|TableDigest|CheckpointCadence|Nav' -benchmem -run=^$$ ./internal/db/ ./internal/wal/
 	$(GO) test -bench='GenerateTrace' -benchmem -benchtime=3x -run=^$$ ./internal/workloads/
 	$(GO) test -bench='RecoverAndCheck|TwoPCWindow|ReplQuorumWindow|TwoPCRound|ShipAck' -benchmem -run=^$$ ./internal/cluster/ ./internal/twopc/ ./internal/repl/

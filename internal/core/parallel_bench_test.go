@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/db"
 	"repro/internal/workloads"
 	"repro/internal/workloads/seats"
 	"repro/internal/workloads/tpcc"
@@ -66,7 +65,7 @@ func benchPartitioner(tb testing.TB, b workloads.Benchmark, scale, txns, workers
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var v *db.View
+	v := p.in.DB.View()
 	tb.Cleanup(func() { v.Close() })
 	return p, func() *preprocessed {
 		v.Close()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/db"
 	"repro/internal/pool"
@@ -23,13 +24,32 @@ type preprocessed struct {
 	PartitionedTables []string
 	// Train is the training trace with its accesses resolved to rows.
 	Train resolvedStream
-	// Streams maps class name to its homogeneous training sub-trace,
-	// sharing Train's resolution.
+	// Streams maps class name to its homogeneous training stream: the
+	// indexes of its transactions in Train, sharing Train's resolution.
 	Streams map[string]resolvedStream
 	// Mix is each class's share of the training workload.
 	Mix map[string]float64
 	// Analyses maps class name to its SQL analysis.
 	Analyses map[string]*sqlparse.Analysis
+	// Test is the test trace, which only the min-cut fallback reads.
+	// testIdx indexes its transactions per class; testStream builds it,
+	// once, on the first fallback of the run.
+	Test     *trace.Trace
+	testOnce sync.Once
+	testIdx  map[string][]int32
+}
+
+// testStream returns the indexes, in the test trace, of class's
+// transactions, in trace order.
+func (pre *preprocessed) testStream(class string) []int32 {
+	pre.testOnce.Do(func() {
+		pre.testIdx = map[string][]int32{}
+		for i := range pre.Test.Len() {
+			c := pre.Test.At(i).Class
+			pre.testIdx[c] = append(pre.testIdx[c], int32(i))
+		}
+	})
+	return pre.testIdx[class]
 }
 
 // phase1 implements §4: collect statistics from the trace, replicate
@@ -48,6 +68,7 @@ func (p *Partitioner) phase1(ctx context.Context, v *db.View) (*preprocessed, er
 		Streams:    train.split(),
 		Mix:        p.in.Train.Mix(),
 		Analyses:   map[string]*sqlparse.Analysis{},
+		Test:       p.in.Test,
 	}
 
 	stats := p.in.Train.Stats()
@@ -90,21 +111,24 @@ func (p *Partitioner) phase1(ctx context.Context, v *db.View) (*preprocessed, er
 	return pre, nil
 }
 
-// resolvedStream is a trace whose accesses are resolved to rows: each
-// access has a code, which is the live row's slot (>= 0), slotMissing, or
+// resolvedStream is a trace whose accesses are resolved to rows, or one
+// class's stream of it: the indexes (txns) of the stream's transactions
+// in the resolved trace, in trace order, which share the trace's
+// resolution instead of copying its transactions. Each access of the
+// trace has a code, which is the live row's slot (>= 0), slotMissing, or
 // a graveyard code indexing grave, and its table's id: the schema id
 // (db.Table.ID), or unknownTable(d) for a table the database lacks.
 // Navigation then starts from the slot (nav, through the view's hop
-// memo) or the deleted row instead of probing the primary key again. The class streams split from a trace
-// share its codes; first locates each transaction's. The resolution
-// lives for one Partition call and reads rows through that call's view,
-// which keeps every writer out of the database, so the slots and rows it
-// records stay valid for as long as it lives.
+// memo) or the deleted row instead of probing the primary key again. The
+// resolution lives for one Partition call and reads rows through that
+// call's view, which keeps every writer out of the database, so the
+// slots and rows it records stay valid for as long as it lives.
 type resolvedStream struct {
-	*trace.Trace
+	tr     *trace.Trace  // the resolved trace
+	txns   []int32       // the stream's transactions: indexes into tr
 	v      *db.View      // the view the codes were resolved in, and rows are read through
-	first  []int32       // per transaction: index of its first access code
-	codes  []int32       // per access of the resolved trace, in trace order
+	first  []int32       // per transaction of tr, and one more: transaction i's codes are codes[first[i]:first[i+1]]
+	codes  []int32       // per access of tr, in trace order
 	tables []int32       // per access: its table's id
 	grave  []value.Tuple // deleted rows, indexed by graveyard code
 }
@@ -118,12 +142,13 @@ const slotMissing int32 = -1
 // record the deleted rows they meet; the rows get their graveyard codes
 // afterwards, in shard order.
 func resolveTrace(ctx context.Context, d *db.DB, v *db.View, tr *trace.Trace, workers int) (resolvedStream, error) {
-	s := resolvedStream{Trace: tr, v: v, first: make([]int32, tr.Len())}
+	s := resolvedStream{tr: tr, txns: make([]int32, tr.Len()), v: v, first: make([]int32, tr.Len()+1)}
 	n := 0
-	for i := range s.first {
-		s.first[i] = int32(n)
+	for i := range s.txns {
+		s.txns[i], s.first[i] = int32(i), int32(n)
 		n += len(tr.At(i).Accesses)
 	}
+	s.first[tr.Len()] = int32(n)
 	s.codes = make([]int32, n)
 	s.tables = make([]int32, n)
 	type graveAccess struct {
@@ -173,35 +198,41 @@ func resolveTrace(ctx context.Context, d *db.DB, v *db.View, tr *trace.Trace, wo
 // sized unknownTable(d)+1 index any access.
 func unknownTable(d *db.DB) int32 { return int32(len(d.Schema().Tables())) }
 
-// split is trace.Trace.Split over the resolution: one stream per class,
-// each transaction keeping its codes.
+// split is trace.Trace.Split over the resolution, without copying a
+// transaction: one stream per class, indexing s's transactions of that
+// class.
 func (s resolvedStream) split() map[string]resolvedStream {
-	classes := s.Split()
-	firsts := make(map[string][]int32, len(classes))
-	for c, tr := range classes {
-		firsts[c] = make([]int32, 0, tr.Len())
+	txns := map[string][]int32{}
+	for _, t := range s.txns {
+		c := s.tr.At(int(t)).Class
+		txns[c] = append(txns[c], t)
 	}
-	for i := range s.first {
-		c := s.At(i).Class
-		firsts[c] = append(firsts[c], s.first[i])
-	}
-	out := make(map[string]resolvedStream, len(classes))
-	for c, tr := range classes {
-		out[c] = resolvedStream{Trace: tr, v: s.v, first: firsts[c], codes: s.codes, tables: s.tables, grave: s.grave}
+	out := make(map[string]resolvedStream, len(txns))
+	for c, ts := range txns {
+		cs := s
+		cs.txns = ts
+		out[c] = cs
 	}
 	return out
 }
 
-// txnCodes returns the access codes of transaction i.
+// Len returns the number of the stream's transactions.
+func (s resolvedStream) Len() int { return len(s.txns) }
+
+// At returns the stream's transaction i.
+func (s resolvedStream) At(i int) *trace.Txn { return s.tr.At(int(s.txns[i])) }
+
+// txnCodes returns the access codes of the stream's transaction i.
 func (s resolvedStream) txnCodes(i int) []int32 {
-	lo := s.first[i]
-	return s.codes[lo : lo+int32(len(s.At(i).Accesses))]
+	t := s.txns[i]
+	return s.codes[s.first[t]:s.first[t+1]]
 }
 
-// txnTables returns the table ids of transaction i's accesses.
+// txnTables returns the table ids of the stream's transaction i's
+// accesses.
 func (s resolvedStream) txnTables(i int) []int32 {
-	lo := s.first[i]
-	return s.tables[lo : lo+int32(len(s.At(i).Accesses))]
+	t := s.txns[i]
+	return s.tables[s.first[t]:s.first[t+1]]
 }
 
 // row returns the row an access of table t resolved to, or nil when the

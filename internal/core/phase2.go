@@ -69,7 +69,6 @@ type ClassResult struct {
 // child order) and closed by whichever worker finishes the class, so a
 // span's duration includes any time the class waited in the queue.
 func (p *Partitioner) phase2(ctx context.Context, pre *preprocessed) (map[string]*ClassResult, error) {
-	testStreams := p.in.Test.Split()
 	// Deterministic class order: dispatch order, result-slot indexing and
 	// span-children order all follow it.
 	classNames := make([]string, 0, len(pre.Streams))
@@ -88,7 +87,7 @@ func (p *Partitioner) phase2(ctx context.Context, pre *preprocessed) (map[string
 	errs := make([]error, len(classNames))
 	poolErr := pool.ForEach(ctx, workers, len(classNames), gPhase2Queue, func(i int) {
 		class := classNames[i]
-		results[i], errs[i] = p.solveClass(ctx, pre, class, pre.Streams[class], testStreams[class])
+		results[i], errs[i] = p.solveClass(ctx, pre, class, pre.Streams[class])
 		spans[i].End()
 	})
 	if poolErr != nil {
@@ -123,7 +122,7 @@ func (p *Partitioner) phase2(ctx context.Context, pre *preprocessed) (map[string
 	return out, nil
 }
 
-func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class string, stream resolvedStream, testStream *trace.Trace) (*ClassResult, error) {
+func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class string, stream resolvedStream) (*ClassResult, error) {
 	res := &ClassResult{Class: class, Mix: pre.Mix[class]}
 	a := pre.Analyses[class]
 	g := joingraph.Build(a, p.in.DB.Schema(), pre.Replicated)
@@ -203,7 +202,7 @@ func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class s
 	// range mappings on unseen data.
 	if !p.opts.DisableMinCutFallback {
 		cMinCutFall.Inc()
-		best, err := p.minCutSolution(ctx, class, trees, stream, testStream)
+		best, err := p.minCutSolution(ctx, pre, class, trees, stream)
 		if err != nil {
 			return nil, err
 		}
@@ -283,21 +282,18 @@ func (p *Partitioner) mappingIndependent(ctx context.Context, tree *joingraph.Tr
 }
 
 // rootValueSets maps each transaction of the stream to the set of root
-// values its covered accesses reach (used by the min-cut fallback). Each
-// per-transaction set is sorted by value.Compare (ties broken by encoded
-// form): the sets come out of a Go map, and leaving them in iteration
-// order used to leak map randomization into the min-cut graph's vertex
-// indexing — the same run could cut a different (equal-weight) edge set
-// and pick a different mapping. Sorting at this boundary is what makes
-// the whole fallback byte-stable across runs and worker counts.
+// values its covered accesses reach through navs, a tree's compiled join
+// paths (used by the min-cut fallback). Each per-transaction set is
+// sorted by value.Compare (ties broken by encoded form): the sets come
+// out of a Go map, and leaving them in iteration order used to leak map
+// randomization into the min-cut graph's vertex indexing — the same run
+// could cut a different (equal-weight) edge set and pick a different
+// mapping. Sorting at this boundary is what makes the whole fallback
+// byte-stable across runs and worker counts.
 //
 // Transactions shard across workers into contiguous ranges; each shard
 // writes only its own out[i] slots.
-func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, stream resolvedStream) ([][]value.Value, error) {
-	navs, err := p.compileTree(tree, nil)
-	if err != nil {
-		return nil, err
-	}
+func (p *Partitioner) rootValueSets(ctx context.Context, navs []tableNav, stream resolvedStream) ([][]value.Value, error) {
 	out := make([][]value.Value, stream.Len())
 	_, shardErr := pool.Shards(ctx, p.opts.parallelism(), stream.Len(), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -371,66 +367,37 @@ func sortValues(vals []value.Value) {
 // minCutSolution implements §5.3's statistics-based mapping: build the
 // co-access graph over root values, min-cut it into k partitions, and
 // accept the lookup mapping only if it is "meaningful" — cheaper on the
-// test stream than both hash and range mappings. It returns the best
-// meaningful solution across trees, or nil.
-func (p *Partitioner) minCutSolution(ctx context.Context, class string, trees []*joingraph.Tree, stream resolvedStream, testStream *trace.Trace) (*ClassSolution, error) {
-	if testStream == nil {
-		testStream = stream.Trace
+// class's test stream than both hash and range mappings. A class with no
+// test transactions is checked on its training stream. It returns the
+// best meaningful solution across trees, or nil.
+func (p *Partitioner) minCutSolution(ctx context.Context, pre *preprocessed, class string, trees []*joingraph.Tree, stream resolvedStream) (*ClassSolution, error) {
+	test, testTxns := pre.Test, pre.testStream(class)
+	if len(testTxns) == 0 {
+		test, testTxns = stream.tr, stream.txns
 	}
 	var best *ClassSolution
 	for _, tree := range trees {
-		sets, err := p.rootValueSets(ctx, tree, stream)
+		navs, err := p.compileTree(tree, nil)
 		if err != nil {
 			return nil, err
 		}
-		// Index distinct values.
-		index := map[value.Value]int{}
-		var vals []value.Value
-		for _, set := range sets {
-			for _, v := range set {
-				if _, ok := index[v]; !ok {
-					index[v] = len(vals)
-					vals = append(vals, v)
-				}
-			}
+		sets, err := p.rootValueSets(ctx, navs, stream)
+		if err != nil {
+			return nil, err
 		}
-		if len(vals) == 0 {
+		lookup, vals, err := p.minCutMapping(class, tree, sets)
+		if err != nil {
+			return nil, err
+		}
+		if lookup == nil {
 			continue
 		}
-		g := graphpart.New(len(vals))
-		for _, set := range sets {
-			for i := 0; i < len(set); i++ {
-				for j := i + 1; j < len(set); j++ {
-					g.AddEdge(index[set[i]], index[set[j]], 1)
-				}
-			}
-		}
-		// The min-cut seed is derived per (class, tree root): stable across
-		// runs and independent of which worker solves the class or the
-		// order classes finish in.
-		seed := graphpart.DeriveSeed(p.opts.Seed, class+"|"+tree.Root.String())
-		parts, err := graphpart.Partition(g, p.opts.K, graphpart.Options{Seed: seed})
+		costs, err := p.mapperCosts(navs, stream.v, test, testTxns,
+			lookup, partition.NewHash(p.opts.K), partition.NewRangeFromValues(p.opts.K, vals))
 		if err != nil {
 			return nil, err
 		}
-		table := make(map[value.Value]int, len(vals))
-		for i, v := range vals {
-			table[v] = parts[i]
-		}
-		lookup := partition.NewLookup(p.opts.K, table, nil)
-
-		lookupCost, err := p.classCost(tree, lookup, testStream)
-		if err != nil {
-			return nil, err
-		}
-		hashCost, err := p.classCost(tree, partition.NewHash(p.opts.K), testStream)
-		if err != nil {
-			return nil, err
-		}
-		rangeCost, err := p.classCost(tree, partition.NewRangeFromValues(p.opts.K, vals), testStream)
-		if err != nil {
-			return nil, err
-		}
+		lookupCost, hashCost, rangeCost := costs[0], costs[1], costs[2]
 		// The mapping is "meaningful" only if it beats both hash and
 		// range mappings on unseen data (§5.3). The margin guards
 		// against declaring victory on statistical noise when the
@@ -449,30 +416,100 @@ func (p *Partitioner) minCutSolution(ctx context.Context, class string, trees []
 	return best, nil
 }
 
-// classCost evaluates a (tree, mapper) pair on a class stream: replicated
-// tables aside, every covered table partitions by its path under the
-// mapper. It evaluates on one worker: it already runs inside the
-// per-class worker pool.
-func (p *Partitioner) classCost(tree *joingraph.Tree, m partition.Mapper, stream *trace.Trace) (float64, error) {
-	sol := partition.NewSolution("class-local", p.opts.K)
-	for tbl, path := range tree.Paths {
-		sol.Set(partition.NewByPath(tbl, path, m))
-	}
-	// Tables the stream touches but the tree does not cover are treated
-	// as replicated reads (they are replicated by Phase 1 in the callers'
-	// contexts).
-	for _, txn := range stream.All() {
-		for _, acc := range txn.Accesses {
-			if sol.Table(acc.Table) == nil {
-				sol.Set(partition.NewReplicated(acc.Table))
+// minCutMapping builds the co-access graph over the root values of a
+// tree's transactions, sets, and min-cuts it into k partitions. It
+// returns the lookup mapping of each value to its part, and the distinct
+// values in first-seen order; the mapping is nil when sets hold no value.
+func (p *Partitioner) minCutMapping(class string, tree *joingraph.Tree, sets [][]value.Value) (partition.Mapper, []value.Value, error) {
+	// Index distinct values.
+	index := map[value.Value]int{}
+	var vals []value.Value
+	for _, set := range sets {
+		for _, v := range set {
+			if _, ok := index[v]; !ok {
+				index[v] = len(vals)
+				vals = append(vals, v)
 			}
 		}
 	}
-	a, err := eval.NewAssigner(p.in.DB, sol)
-	if err != nil {
-		return 0, err
+	if len(vals) == 0 {
+		return nil, nil, nil
 	}
-	return a.Evaluate(stream, 1).Cost(), nil
+	g := graphpart.New(len(vals))
+	for _, set := range sets {
+		for i := 0; i < len(set); i++ {
+			for j := i + 1; j < len(set); j++ {
+				g.AddEdge(index[set[i]], index[set[j]], 1)
+			}
+		}
+	}
+	// The min-cut seed is derived per (class, tree root): stable across
+	// runs and independent of which worker solves the class or the order
+	// classes finish in.
+	seed := graphpart.DeriveSeed(p.opts.Seed, class+"|"+tree.Root.String())
+	parts, err := graphpart.Partition(g, p.opts.K, graphpart.Options{Seed: seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	table := make(map[value.Value]int, len(vals))
+	for i, v := range vals {
+		table[v] = parts[i]
+	}
+	return partition.NewLookup(p.opts.K, table, nil), vals, nil
+}
+
+// mapperCosts costs a tree, given by navs, its compiled join paths,
+// under each of the mappers on the transactions txns of tr: each cost is
+// eval.Evaluate's cost of the class-local solution that partitions every
+// table of the tree by its path under that mapper and replicates every
+// other table the transactions touch. Each access is navigated once,
+// through v, and its root value placed under every mapper; each
+// transaction is classified per mapper by eval.Span. It runs on one
+// worker: it already runs inside the per-class worker pool. It fails on
+// a table the database lacks.
+func (p *Partitioner) mapperCosts(navs []tableNav, v *db.View, tr *trace.Trace, txns []int32, mappers ...partition.Mapper) ([]float64, error) {
+	spans := make([]eval.Span, len(mappers))
+	dist := make([]int, len(mappers))
+	name, t := "", (*db.Table)(nil)
+	for _, i := range txns {
+		clear(spans)
+		for _, acc := range tr.At(int(i)).Accesses {
+			// Accesses cluster by table, so most skip the map lookup.
+			if acc.Table != name || t == nil {
+				name, t = acc.Table, p.in.DB.Table(acc.Table)
+				if t == nil {
+					return nil, fmt.Errorf("core: test trace table %q unknown", acc.Table)
+				}
+			}
+			tn := navs[t.ID()]
+			if tn.nav == nil {
+				for m := range spans {
+					spans[m].Add(eval.PlaceReplicated, acc.Write)
+				}
+				continue
+			}
+			root, ok := v.FromKey(tn.nav, acc.Key)
+			for m, mapper := range mappers {
+				pl := eval.PlaceUnplaced
+				if ok {
+					pl = int32(mapper.Map(root))
+				}
+				spans[m].Add(pl, acc.Write)
+			}
+		}
+		for m := range spans {
+			if spans[m].Distributed() {
+				dist[m]++
+			}
+		}
+	}
+	costs := make([]float64, len(mappers))
+	if len(txns) > 0 {
+		for m, d := range dist {
+			costs[m] = float64(d) / float64(len(txns))
+		}
+	}
+	return costs, nil
 }
 
 // addPartialsFromSubtrees walks the sub-join trees of a total solution,

@@ -74,8 +74,8 @@ func newComboScorer(tr resolvedStream) *comboScorer {
 	s.names = make([]string, ids)
 	s.tableLen = make([]int, ids)
 	j := 0
-	for i, t := range tr.All() {
-		for _, acc := range t.Accesses {
+	for i := range tr.Len() {
+		for _, acc := range tr.At(i).Accesses {
 			id := s.table[j]
 			s.names[id] = acc.Table
 			s.ord[j] = int32(s.tableLen[id])

@@ -20,15 +20,15 @@ var (
 // and missing keys surface only when the op applies.
 func (d *DB) checkOp(op Op) error {
 	if op.Kind < OpInsert || op.Kind > OpTouch {
-		return fmt.Errorf("%w: stage unknown op kind %d", ErrOpDecode, uint8(op.Kind))
+		return fmt.Errorf("%w: unknown op kind %d", ErrOpDecode, uint8(op.Kind))
 	}
 	t := d.Table(op.Table)
 	if t == nil {
-		return fmt.Errorf("db: tx: unknown table %q", op.Table)
+		return fmt.Errorf("db: commit: unknown table %q", op.Table)
 	}
 	if op.Kind == OpInsert {
 		if len(op.Row) != len(t.meta.Columns) {
-			return fmt.Errorf("db: tx: %s: insert arity %d, want %d",
+			return fmt.Errorf("db: commit: %s: insert arity %d, want %d",
 				op.Table, len(op.Row), len(t.meta.Columns))
 		}
 		for i, v := range op.Row {
@@ -36,13 +36,13 @@ func (d *DB) checkOp(op Op) error {
 				continue
 			}
 			if v.Kind() != t.meta.Columns[i].Type.Kind() {
-				return fmt.Errorf("db: tx: %s.%s: staging %s into %s column",
+				return fmt.Errorf("db: commit: %s.%s: inserting %s into %s column",
 					op.Table, t.meta.Columns[i].Name, v.Kind(), t.meta.Columns[i].Type)
 			}
 		}
 	}
 	if op.Kind == OpUpdate && len(op.Cols) != len(op.Vals) {
-		return fmt.Errorf("db: tx: %s: update arity mismatch", op.Table)
+		return fmt.Errorf("db: commit: %s: update arity mismatch", op.Table)
 	}
 	return nil
 }
@@ -118,7 +118,7 @@ func (d *DB) commitLocked(ops []Op) error {
 		u, err := d.Table(op.Table).applyWithUndo(op)
 		if err != nil {
 			rollback(undos)
-			return fmt.Errorf("db: tx commit: %w", err)
+			return fmt.Errorf("db: commit: %w", err)
 		}
 		undos = append(undos, u)
 	}
@@ -192,11 +192,11 @@ func (t *Table) revert(u *undo) {
 		t.undoInsert(u.key)
 	case OpUpdate:
 		if err := t.Update(u.key, u.cols, u.prev); err != nil {
-			panic(fmt.Sprintf("db: tx undo update %s: %v", t.meta.Name, err))
+			panic(fmt.Sprintf("db: commit: undo update %s: %v", t.meta.Name, err))
 		}
 	case OpDelete:
 		if _, err := t.Insert(u.row); err != nil {
-			panic(fmt.Sprintf("db: tx undo delete %s: %v", t.meta.Name, err))
+			panic(fmt.Sprintf("db: commit: undo delete %s: %v", t.meta.Name, err))
 		}
 		t.restoreGraveyard(u.key, u.grave, u.hadGrave)
 	case OpTouch:

@@ -163,7 +163,7 @@ func TestCommitPathsRollBackOnConflict(t *testing.T) {
 	}
 }
 
-// TestCommitPathsValidation: an op that fails staging validation aborts
+// TestCommitPathsValidation: an op that fails validation (checkOp) aborts
 // the commit before anything applies, on every path, with the same
 // error — except that an op of an unknown kind does not decode, so
 // CommitBodies fails it as malformed, and an update whose columns and

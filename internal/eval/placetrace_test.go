@@ -18,9 +18,9 @@ import (
 )
 
 // solved loads one registered benchmark, partitions the training half of
-// a generated trace at K=4 and returns the database, the bound solution
-// and the test half.
-func solved(tb testing.TB, name string, scale, txns int) (*db.DB, *eval.Assigner, *trace.Trace) {
+// a generated trace into k partitions and returns the database, the
+// bound solution and the test half.
+func solved(tb testing.TB, name string, scale, txns, k int) (*db.DB, *eval.Assigner, *trace.Trace) {
 	tb.Helper()
 	b, ok := workloads.Get(name)
 	if !ok {
@@ -34,7 +34,7 @@ func solved(tb testing.TB, name string, scale, txns int) (*db.DB, *eval.Assigner
 	train, test := full.TrainTest(0.5, rand.New(rand.NewSource(3)))
 	sol, _, err := core.Partition(context.Background(), core.Input{
 		DB: d, Procedures: workloads.Procedures(b), Train: train, Test: test,
-	}, core.Options{K: 4, Seed: 1})
+	}, core.Options{K: k, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPlaceTraceMatchesPlaceTxn(t *testing.T) {
 			if !ok {
 				scale = 30
 			}
-			d, a, tr := solved(t, name, scale, 1200)
+			d, a, tr := solved(t, name, scale, 1200, 4)
 			n := tr.Len()
 			want := make([][]int32, n)
 			v := d.View()
@@ -105,7 +105,7 @@ func BenchmarkPlaceTrace(b *testing.B) {
 		name  string
 		scale int
 	}{{"tpcc", 8}, {"tpce", 200}} {
-		_, a, test := solved(b, w.name, w.scale, 6000)
+		_, a, test := solved(b, w.name, w.scale, 6000, 4)
 		window := test.Head(3000)
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("%s/workers=%d", w.name, workers), func(b *testing.B) {

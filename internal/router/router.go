@@ -66,29 +66,59 @@ type classRoute struct {
 	replicaOK bool
 }
 
-// builder is what New plans against: the database, the solution, and
-// the directed FK-component adjacency used to recognize attributes that
+// builder is what New plans against: the database, the solution, the
+// directed FK-component adjacency used to recognize attributes that
 // carry the same values as a solution's partitioning attribute (a filter
 // on the replicated CUSTOMER's C_TAX_ID still pins the partition of the
-// customer's accounts).
+// customer's accounts), and the lookup tables built so far.
 type builder struct {
 	d   *db.DB
 	sol *partition.Solution
 	fwd map[schema.ColumnRef][]schema.ColumnRef
+	// v is the view every lookup table reads its rows through.
+	v *db.View
+	// sources holds how the rows of each table some input parameter
+	// filters on are placed.
+	sources map[string]*rowSource
+	// lookups holds the lookup table of every column built so far.
+	lookups map[schema.ColumnRef]*lookupTable
 }
 
 // New builds a router. For each class it scans the input-parameter
-// filters discovered by the SQL analysis, keeps those whose filtered
-// column belongs to a partitioned table, and materializes a lookup table
-// column-value → partitions from that table's rows. The lookup tables of
-// different tables are built concurrently, each table's in one pass over
-// its rows whatever number of routing columns it has; the classes are
-// then planned one by one from the finished tables.
+// filters discovered by the SQL analysis and routes on the one whose
+// lookup table — column value → partitions, materialized from the
+// filtered table's rows — maps a value to the fewest partitions. It
+// builds only the lookup tables a plan consults (see buildLookups and
+// plan), concurrently, each table's in one pass over its rows whatever
+// number of routing columns it has; the classes are then planned one by
+// one from the finished tables. Everything is read through one db.View.
 func New(d *db.DB, sol *partition.Solution, analyses []*sqlparse.Analysis) (*Router, error) {
 	if err := sol.Validate(d.Schema()); err != nil {
 		return nil, err
 	}
-	b := &builder{d: d, sol: sol, fwd: map[schema.ColumnRef][]schema.ColumnRef{}}
+	v := d.View()
+	defer v.Close()
+	b := newBuilder(d, sol, v)
+	cands := make([][]candidate, len(analyses))
+	for i, a := range analyses {
+		cands[i] = candidates(a)
+	}
+	if err := b.buildLookups(cands); err != nil {
+		return nil, err
+	}
+	r := &Router{k: sol.K, routes: make(map[string]*classRoute, len(analyses))}
+	for i, a := range analyses {
+		r.routes[a.Proc.Name] = b.plan(a, cands[i])
+	}
+	cRoutersBuilt.Inc()
+	return r, nil
+}
+
+// newBuilder returns a builder of sol's lookup tables over d, reading
+// rows through v, with none built yet.
+func newBuilder(d *db.DB, sol *partition.Solution, v *db.View) *builder {
+	b := &builder{d: d, sol: sol, fwd: map[schema.ColumnRef][]schema.ColumnRef{}, v: v,
+		sources: map[string]*rowSource{}, lookups: map[schema.ColumnRef]*lookupTable{}}
 	for _, fk := range d.Schema().ForeignKeys {
 		for i := range fk.Columns {
 			src := schema.ColumnRef{Table: fk.Table, Column: fk.Columns[i]}
@@ -96,16 +126,7 @@ func New(d *db.DB, sol *partition.Solution, analyses []*sqlparse.Analysis) (*Rou
 			b.fwd[src] = append(b.fwd[src], dst)
 		}
 	}
-	lookups, err := b.buildLookups(analyses)
-	if err != nil {
-		return nil, err
-	}
-	r := &Router{k: sol.K, routes: make(map[string]*classRoute, len(analyses))}
-	for _, a := range analyses {
-		r.routes[a.Proc.Name] = b.plan(a, lookups)
-	}
-	cRoutersBuilt.Inc()
-	return r, nil
+	return b
 }
 
 // lookupTable is a built routing lookup table: each value of the routing
@@ -117,13 +138,36 @@ type lookupTable struct {
 	fanout int
 }
 
-// plan picks the routing attribute for one class: among all (parameter,
-// filtered column) candidates it keeps the lookup table whose values map
-// to the fewest partitions on average — the "compatible and finer than
-// the partitioning attribute" criterion of §3. A candidate no better
-// than broadcasting is rejected. lookups holds a built table for every
-// candidate column (see buildLookups).
-func (b *builder) plan(a *sqlparse.Analysis, lookups map[schema.ColumnRef]*lookupTable) *classRoute {
+// candidate is one (parameter, filtered column) pair a class may route
+// on.
+type candidate struct {
+	param string
+	col   schema.ColumnRef
+}
+
+// candidates lists a's routing candidates in the order plan visits them:
+// parameters sorted, each parameter's filtered columns in analysis order.
+func candidates(a *sqlparse.Analysis) []candidate {
+	var out []candidate
+	for _, p := range sortedParams(a) {
+		for _, col := range a.InputFilters[p] {
+			out = append(out, candidate{param: p, col: col})
+		}
+	}
+	return out
+}
+
+// plan picks the routing attribute for one class: among its candidates it
+// keeps the lookup table whose values map to the fewest partitions on
+// average — the "compatible and finer than the partitioning attribute"
+// criterion of §3. A candidate no better than broadcasting is rejected.
+//
+// A non-empty lookup table scores at least 1, as every partition set has
+// a member, so once a floor candidate (see floor) has entries no later
+// candidate can win and plan stops there. buildLookups built every
+// candidate up to the first floor; when that floor has no entries, plan
+// builds the next candidates, up to the next floor, before visiting them.
+func (b *builder) plan(a *sqlparse.Analysis, cands []candidate) *classRoute {
 	route := &classRoute{writes: len(a.WriteTables) > 0}
 	// A class that reads only replicated tables can be served by any
 	// single healthy node — the replica-fallback property the degraded
@@ -137,18 +181,23 @@ func (b *builder) plan(a *sqlparse.Analysis, lookups map[schema.ColumnRef]*looku
 		}
 	}
 	bestScore := float64(b.sol.K) // broadcast baseline
-	for _, p := range sortedParams(a) {
-		for _, col := range a.InputFilters[p] {
-			lt := lookups[col]
-			if len(lt.parts) == 0 {
-				continue
-			}
-			score := float64(lt.fanout) / float64(len(lt.parts))
-			if score < bestScore-1e-9 {
-				bestScore = score
-				route.param = p
-				route.lookup = lt.parts
-			}
+	for i, c := range cands {
+		lt := b.lookups[c.col]
+		if lt == nil {
+			b.fill(b.consulted(cands[i:]))
+			lt = b.lookups[c.col]
+		}
+		if len(lt.parts) == 0 {
+			continue
+		}
+		score := float64(lt.fanout) / float64(len(lt.parts))
+		if score < bestScore-1e-9 {
+			bestScore = score
+			route.param = c.param
+			route.lookup = lt.parts
+		}
+		if b.floor(c.col) {
+			break
 		}
 	}
 	if route.lookup == nil {
@@ -170,70 +219,137 @@ func sortedParams(a *sqlparse.Analysis) []string {
 	return params
 }
 
-// tableBuild is one task of buildLookups: the lookup tables of one
-// table's routing columns, and what places the table's rows.
-type tableBuild struct {
+// rowSource is how the rows of a table some parameter filters on are
+// placed: through the table's join path under the solution (nav), or by
+// a column carrying a partitioned table's attribute values (attr). A
+// table with neither has a nil mapper, and its lookup tables no entries.
+type rowSource struct {
 	table *db.Table
-	// nav and mapper place a partitioned table's rows (nil otherwise).
+	// pk is the table's primary-key column when the key has one column.
+	pk     string
 	nav    *db.Nav
+	attr   int
 	mapper partition.Mapper
+}
+
+// place returns the partition of one of the table's rows, or a negative
+// number when the row cannot be placed.
+func (s *rowSource) place(v *db.View, row value.Tuple) int {
+	if s.nav == nil {
+		return s.mapper.Map(row[s.attr])
+	}
+	val, ok := v.FromRow(s.nav, row)
+	if !ok {
+		return -1
+	}
+	return s.mapper.Map(val)
+}
+
+// floor reports whether col's lookup table, once it has any entry,
+// scores exactly 1, the lowest score there is: col is its table's
+// single-column primary key, so each value is on one row, and the
+// table's rows are placed, so that row maps to one partition.
+func (b *builder) floor(col schema.ColumnRef) bool {
+	s := b.sources[col.Table]
+	return s.mapper != nil && s.pk == col.Column
+}
+
+// consulted returns the columns of cands, in order, that have no lookup
+// table yet, up to and including the first floor candidate: plan
+// consults no candidate after it unless its table has no entries.
+func (b *builder) consulted(cands []candidate) []schema.ColumnRef {
+	var cols []schema.ColumnRef
+	for _, c := range cands {
+		if b.lookups[c.col] == nil {
+			cols = append(cols, c.col)
+		}
+		if b.floor(c.col) {
+			break
+		}
+	}
+	return cols
+}
+
+// tableBuild is one task of fill: the lookup tables of one table's
+// routing columns.
+type tableBuild struct {
+	src *rowSource
 	// cols[j] is the column index lts[j] is built over.
 	cols []int
 	lts  []*lookupTable
 }
 
-// buildLookups builds the lookup table of every column the analyses'
-// input parameters filter on. It checks the columns and compiles each
-// partitioned table's join path first, in the order plan visits the
-// columns (analyses in order, parameters sorted), so it fails on the
-// same column whatever the worker count. It then fills the tables, one
-// task per table on at most GOMAXPROCS goroutines, largest table first,
-// every task reading the database through one db.View. A lookup table
-// depends only on the database and the solution, so the result is the
-// same for any worker count.
-func (b *builder) buildLookups(analyses []*sqlparse.Analysis) (map[schema.ColumnRef]*lookupTable, error) {
-	lookups := map[schema.ColumnRef]*lookupTable{}
-	byTable := map[string]*tableBuild{}
-	var tasks []*tableBuild
-	for _, a := range analyses {
-		for _, p := range sortedParams(a) {
-			for _, col := range a.InputFilters[p] {
-				if lookups[col] != nil {
-					continue
-				}
-				t := b.d.Table(col.Table)
-				ci := t.Meta().ColumnIndex(col.Column)
-				if ci < 0 {
-					return nil, fmt.Errorf("router: %s has no column %s", col.Table, col.Column)
-				}
-				task := byTable[col.Table]
-				if task == nil {
-					task = &tableBuild{table: t}
-					if ts := b.sol.Table(col.Table); ts != nil && !ts.Replicate {
-						nav, err := b.d.Compile(ts.Path)
-						if err != nil {
-							return nil, err
-						}
-						task.nav, task.mapper = nav, ts.Mapper
-					}
-					byTable[col.Table] = task
-					tasks = append(tasks, task)
-				}
-				lt := &lookupTable{}
-				task.cols = append(task.cols, ci)
-				task.lts = append(task.lts, lt)
-				lookups[col] = lt
+// buildLookups checks every candidate column of every class and compiles
+// each partitioned table's join path, in the order plan visits the
+// candidates (classes in order, then candidates), so New fails on the
+// same column whatever the worker count and however far plan gets. It
+// then builds, for each class, the lookup tables of its candidates up to
+// and including the first floor: those plan consults unless that floor
+// turns out to have no entries.
+func (b *builder) buildLookups(cands [][]candidate) error {
+	for _, cs := range cands {
+		for _, c := range cs {
+			t := b.d.Table(c.col.Table)
+			if t.Meta().ColumnIndex(c.col.Column) < 0 {
+				return fmt.Errorf("router: %s has no column %s", c.col.Table, c.col.Column)
 			}
+			if b.sources[c.col.Table] != nil {
+				continue
+			}
+			s := &rowSource{table: t}
+			if pk := t.Meta().PrimaryKey; len(pk) == 1 {
+				s.pk = pk[0]
+			}
+			if ts := b.sol.Table(c.col.Table); ts != nil && !ts.Replicate {
+				nav, err := b.d.Compile(ts.Path)
+				if err != nil {
+					return err
+				}
+				s.nav, s.mapper = nav, ts.Mapper
+			} else if mapper, vi, ok := b.equivalentAttribute(t.Meta()); ok {
+				s.attr, s.mapper = vi, mapper
+			}
+			b.sources[c.col.Table] = s
 		}
 	}
-	v := b.d.View()
-	defer v.Close()
+	var cols []schema.ColumnRef
+	for _, cs := range cands {
+		cols = append(cols, b.consulted(cs)...)
+	}
+	b.fill(cols)
+	return nil
+}
+
+// fill builds the lookup tables of the columns in cols that have none
+// yet: one task per table on at most GOMAXPROCS goroutines, largest
+// table first. A lookup table depends only on the database and the
+// solution, so the result is the same for any worker count.
+func (b *builder) fill(cols []schema.ColumnRef) {
+	byTable := map[string]*tableBuild{}
+	var tasks []*tableBuild
+	built := 0
+	for _, col := range cols {
+		if b.lookups[col] != nil {
+			continue
+		}
+		task := byTable[col.Table]
+		if task == nil {
+			task = &tableBuild{src: b.sources[col.Table]}
+			byTable[col.Table] = task
+			tasks = append(tasks, task)
+		}
+		lt := &lookupTable{}
+		task.cols = append(task.cols, task.src.table.Meta().ColumnIndex(col.Column))
+		task.lts = append(task.lts, lt)
+		b.lookups[col] = lt
+		built++
+	}
 	slices.SortStableFunc(tasks, func(x, y *tableBuild) int {
-		return cmp.Compare(v.Slots(y.table), v.Slots(x.table))
+		return cmp.Compare(b.v.Slots(y.src.table), b.v.Slots(x.src.table))
 	})
 	pool.ForEach(context.TODO(), runtime.GOMAXPROCS(0), len(tasks), nil,
-		func(i int) { b.buildTable(v, tasks[i]) })
-	return lookups, nil
+		func(i int) { b.buildTable(tasks[i]) })
+	cLookupsBuilt.Add(int64(built))
 }
 
 // buildTable fills the lookup tables of one table's routing columns in
@@ -245,35 +361,24 @@ func (b *builder) buildLookups(analyses []*sqlparse.Analysis) (map[schema.Column
 // chains): the paper's "compatible and finer" criterion — a CUSTOMER
 // filter pins the partition of the customer's accounts even though
 // CUSTOMER itself is replicated. The tables have no entries when neither
-// applies. It reads the rows through v.
-func (b *builder) buildTable(v *db.View, task *tableBuild) {
-	t := task.table
-	var place func(row value.Tuple) int
-	if task.nav != nil {
-		nav, mapper := task.nav, task.mapper
-		place = func(row value.Tuple) int {
-			val, ok := v.FromRow(nav, row)
-			if !ok {
-				return -1
-			}
-			return mapper.Map(val)
-		}
-	} else if mapper, vi, ok := b.equivalentAttribute(t.Meta()); ok {
-		place = func(row value.Tuple) int { return mapper.Map(row[vi]) }
-	} else {
+// applies. It reads the rows through the builder's view.
+func (b *builder) buildTable(task *tableBuild) {
+	src, v := task.src, b.v
+	if src.mapper == nil {
 		return
 	}
+	t := src.table
 	// A lookup on the primary key has one value per row: sizing its map
 	// up front saves every rehash while it grows.
 	for j, lt := range task.lts {
 		hint := 0
-		if t.Meta().IsPK([]string{t.Meta().Columns[task.cols[j]].Name}) {
+		if t.Meta().Columns[task.cols[j]].Name == src.pk {
 			hint = v.Len(t)
 		}
 		lt.parts = make(map[value.Value]partition.Set, hint)
 	}
 	for _, row := range v.Rows(t) {
-		p := place(row)
+		p := src.place(v, row)
 		if p < 0 {
 			continue // unplaceable row: ignore for routing
 		}
@@ -286,7 +391,6 @@ func (b *builder) buildTable(v *db.View, task *tableBuild) {
 			}
 		}
 	}
-	cLookupsBuilt.Add(int64(len(task.lts)))
 }
 
 // equivalentAttribute finds a column of meta whose values coincide (via

@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"math/rand"
 	"sync"
@@ -38,16 +39,28 @@ var (
 	solvedCache = map[string]*solved{}
 )
 
-// solvedSetup partitions one benchmark once per test binary: TPC-C at
-// 4 warehouses, TPC-E at 200 customers.
-func solvedSetup(t *testing.T, name string) *solved {
+// solvedScale is each benchmark's scale in solvedSetup.
+var solvedScale = map[string]int{
+	"tpcc": 4, "tpce": 200, "seats": 100, "auctionmark": 100, "tatp": 50, "synthetic": 50,
+}
+
+// solvedSetup partitions one benchmark at its solvedScale, once per test
+// binary.
+func solvedSetup(t testing.TB, name string) *solved {
+	t.Helper()
+	return solvedAt(t, name, solvedScale[name])
+}
+
+// solvedAt partitions one benchmark at the given scale, once per test
+// binary.
+func solvedAt(t testing.TB, name string, scale int) *solved {
 	t.Helper()
 	solvedMu.Lock()
 	defer solvedMu.Unlock()
-	if s, ok := solvedCache[name]; ok {
+	key := fmt.Sprintf("%s/%d", name, scale)
+	if s, ok := solvedCache[key]; ok {
 		return s
 	}
-	scale := map[string]int{"tpcc": 4, "tpce": 200}[name]
 	b, _ := workloads.Get(name)
 	d, err := b.Load(workloads.Config{Scale: scale, Seed: 1})
 	if err != nil {
@@ -70,6 +83,6 @@ func solvedSetup(t *testing.T, name string) *solved {
 		}
 		s.analyses = append(s.analyses, a)
 	}
-	solvedCache[name] = s
+	solvedCache[key] = s
 	return s
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/schema"
 )
 
 // builtUnder is a router built with GOMAXPROCS set to procs, with the
@@ -40,13 +42,15 @@ func decisions(t *testing.T, s *solved, rt *Router) []Decision {
 	return out
 }
 
-// TestWorkerCountInvariance builds the router of a TPC-C and a TPC-E
-// solution with 1 and with 4 worker threads: the lookup tables are built
-// concurrently, one task per table, but the plans, the routing decisions
-// of every test transaction and the lookup counters must not depend on
-// the worker count.
+// TestWorkerCountInvariance builds the router of a TPC-C, a TPC-E, a
+// SEATS and an AuctionMark solution with 1 and with 4 worker threads:
+// the lookup tables are built concurrently, one task per table, but the
+// plans, the routing decisions of every test transaction and the lookup
+// counters must not depend on the worker count. Both builds must build
+// exactly the columns the plans consult (on SEATS, AuctionMark and
+// TPC-E, fewer than the candidates).
 func TestWorkerCountInvariance(t *testing.T) {
-	for _, name := range []string{"tpcc", "tpce"} {
+	for _, name := range []string{"tpcc", "tpce", "seats", "auctionmark"} {
 		t.Run(name, func(t *testing.T) {
 			s := solvedSetup(t, name)
 			one, four := buildUnder(t, s, 1), buildUnder(t, s, 4)
@@ -56,6 +60,20 @@ func TestWorkerCountInvariance(t *testing.T) {
 			}
 			if one.tables == 0 {
 				t.Fatal("no lookup table built")
+			}
+			_, visited := eagerRouter(t, s.d, s.sol, s.analyses)
+			if one.tables != int64(visited) || four.tables != int64(visited) {
+				t.Errorf("built %d (1 worker) and %d (4 workers) lookup tables, plans consulted %d columns",
+					one.tables, four.tables, visited)
+			}
+			cols := map[schema.ColumnRef]bool{}
+			for _, a := range s.analyses {
+				for _, c := range candidates(a) {
+					cols[c.col] = true
+				}
+			}
+			if name != "tpcc" && visited >= len(cols) {
+				t.Errorf("plans consulted all %d candidate columns; want some skipped", len(cols))
 			}
 			if !reflect.DeepEqual(decisions(t, s, one.rt), decisions(t, s, four.rt)) {
 				t.Fatal("routing decisions differ between 1 and 4 workers")

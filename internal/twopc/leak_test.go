@@ -103,7 +103,7 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		{"cancelled at the first transaction", newCancelAfter(0), long, context.Canceled.Error()},
 		{"cancelled mid-window", newCancelAfter(int64(window.Len() / 2)), long, context.Canceled.Error()},
 		{"store error", context.Background(), withBadWrite(window, 10),
-			`twopc: participant: db: tx: unknown table "NO_SUCH_TABLE"`},
+			`twopc: participant: db: commit: unknown table "NO_SUCH_TABLE"`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
