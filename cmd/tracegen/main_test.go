@@ -71,17 +71,16 @@ func TestRunWritesColumnarTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := s.Materialize()
-	if err != nil {
-		t.Fatal(err)
+	if s.Len() != want.Len() {
+		t.Fatalf("columnar len %d != jsonl len %d", s.Len(), want.Len())
 	}
-	if mat.Len() != want.Len() {
-		t.Fatalf("columnar len %d != jsonl len %d", mat.Len(), want.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		if mat.At(i).ID != want.At(i).ID || mat.At(i).Class != want.At(i).Class {
+	for i, txn := range s.All() {
+		if txn.ID != want.At(i).ID || txn.Class != want.At(i).Class {
 			t.Fatalf("txn %d diverged between formats", i)
 		}
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

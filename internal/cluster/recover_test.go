@@ -69,7 +69,7 @@ func TestRecoverAndCheckErrors(t *testing.T) {
 			if rc != nil {
 				t.Fatalf("recovery %+v returned with error %v", rc, err)
 			}
-			if n := rec.Recorded(); n != 0 {
+			if n := len(rec.Events()); n != 0 {
 				t.Fatalf("%d events recorded on a failed recover-and-check", n)
 			}
 			waitGoroutines(t, before)

@@ -86,9 +86,10 @@ func refWriteEffects(v *db.View, a *eval.Assigner, t *trace.Txn, k, coord int) (
 func opsOf(t *testing.T, w *cluster.Writes) map[int][]db.Op {
 	t.Helper()
 	opsAt := map[int][]db.Op{}
+	d := db.New(fixture.CustInfoSchema())
 	for i, p := range w.Parts {
 		for _, body := range w.Of(i) {
-			op, err := db.DecodeOp(body)
+			op, err := d.DecodeOp(body)
 			if err != nil {
 				t.Fatalf("partition %d: body %x: %v", p, body, err)
 			}

@@ -146,14 +146,9 @@ func (c *attrCompat) Coarser(y, x schema.ColumnRef) bool {
 	return c.reachableFrom(x)[y]
 }
 
-// Compatible implements Definition 12: equivalent, or connected by a join
-// path in either direction.
-func (c *attrCompat) Compatible(x, y schema.ColumnRef) bool {
-	return c.Equivalent(x, y) || c.reachableFrom(x)[y] || c.reachableFrom(y)[x]
-}
-
 // CoarserOf returns the coarser of two compatible attributes (y for
-// equivalent pairs) and whether they were compatible at all.
+// equivalent pairs) and whether they were compatible at all: Definition
+// 12, equivalent or connected by a join path in either direction.
 func (c *attrCompat) CoarserOf(x, y schema.ColumnRef) (schema.ColumnRef, bool) {
 	switch {
 	case c.Equivalent(x, y):

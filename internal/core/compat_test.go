@@ -26,7 +26,7 @@ func TestExample8(t *testing.T) {
 	if !c.Coarser(ref("CUSTOMER_ACCOUNT", "CA_C_ID"), ref("TRADE", "T_ID")) {
 		t.Error("CA_C_ID must be coarser than T_ID")
 	}
-	if c.Compatible(ref("TRADE", "T_QTY"), ref("CUSTOMER_ACCOUNT", "CA_C_ID")) {
+	if _, ok := c.CoarserOf(ref("TRADE", "T_QTY"), ref("CUSTOMER_ACCOUNT", "CA_C_ID")); ok {
 		t.Error("T_QTY must not be compatible with CA_C_ID")
 	}
 	if c.Coarser(ref("CUSTOMER_ACCOUNT", "CA_ID"), ref("TRADE", "T_CA_ID")) {

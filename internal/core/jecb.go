@@ -148,17 +148,11 @@ func New(in Input, opts Options) (*Partitioner, error) {
 	return &Partitioner{in: in, opts: opts.withDefaults()}, nil
 }
 
-// Run executes the three phases and returns the global solution plus a
-// report describing what each phase found (the raw material of the
-// paper's Tables 3–4).
-func (p *Partitioner) Run() (*partition.Solution, *Report, error) {
-	return p.RunContext(context.Background())
-}
-
-// RunContext is Run with context-threaded phase tracing: when ctx carries
-// an obs.Trace, the run opens spans jecb/phase1, jecb/phase2 (one child
-// per transaction class) and jecb/phase3. Without a trace the spans are
-// free no-ops.
+// RunContext executes the three phases and returns the global solution
+// plus a report describing what each phase found (the raw material of the
+// paper's Tables 3–4). When ctx carries an obs.Trace, the run opens
+// spans jecb/phase1, jecb/phase2 (one child per transaction class) and
+// jecb/phase3. Without a trace the spans are free no-ops.
 //
 // The three phases read the database through one db.View, so no row
 // probe of the search takes a lock, and a writer to the database waits

@@ -57,6 +57,7 @@ func TestFromSlotMatchesFromRow(t *testing.T) {
 			// view closed before the slot walks start; graveyard counts the walks whose first
 			// key probe reaches a deleted row, of paths that probe one.
 			type walk struct {
+				path schema.JoinPath
 				nav  *db.Nav
 				slot int
 				v    value.Value
@@ -77,7 +78,7 @@ func TestFromSlotMatchesFromRow(t *testing.T) {
 				for slot := range rv.Slots(src) {
 					row := rv.RowAt(src, slot)
 					v, ok := rv.FromRow(nav, row)
-					want = append(want, walk{nav, slot, v, ok})
+					want = append(want, walk{path, nav, slot, v, ok})
 					if firstHopDeleted(d, rv, path, row) {
 						graveyard++
 					}
@@ -90,7 +91,7 @@ func TestFromSlotMatchesFromRow(t *testing.T) {
 			check := func(v *db.View, w walk, pass string) {
 				if got, ok := v.FromSlot(w.nav, w.slot); got != w.v || ok != w.ok {
 					t.Errorf("%s: %v slot %d: FromSlot = %v, %v; FromRow = %v, %v",
-						pass, w.nav.Path(), w.slot, got, ok, w.v, w.ok)
+						pass, w.path, w.slot, got, ok, w.v, w.ok)
 				}
 			}
 			v = d.View()
@@ -211,7 +212,7 @@ func damageForWalks(t *testing.T, d *db.DB, paths []schema.JoinPath) string {
 	deleted := 0
 	for _, name := range slices.Sorted(maps.Keys(targets)) {
 		tbl := d.Table(name)
-		for j, k := range tbl.Keys() {
+		for j, k := range tableKeys(tbl) {
 			if j%5 == 0 && tbl.Delete(k) {
 				deleted++
 			}
@@ -222,10 +223,10 @@ func damageForWalks(t *testing.T, d *db.DB, paths []schema.JoinPath) string {
 	// picks a different row of those the table held before the first.
 	picked, keys := 0, map[string][]value.Key{}
 	set := func(tbl *db.Table, c string, v value.Value) {
-		if keys[tbl.Name()] == nil {
-			keys[tbl.Name()] = tbl.Keys()
+		if keys[tbl.Meta().Name] == nil {
+			keys[tbl.Meta().Name] = tableKeys(tbl)
 		}
-		k := keys[tbl.Name()][picked%len(keys[tbl.Name()])]
+		k := keys[tbl.Meta().Name][picked%len(keys[tbl.Meta().Name])]
 		picked++
 		if !slices.Contains(tbl.Meta().PrimaryKey, c) {
 			if err := tbl.Update(k, []string{c}, []value.Value{v}); err != nil {
@@ -247,10 +248,10 @@ func damageForWalks(t *testing.T, d *db.DB, paths []schema.JoinPath) string {
 	for _, path := range paths {
 		tbl := d.Table(path.SourceTable())
 		pk := tbl.Meta().PrimaryKey
-		if path.Len() > 1 && path.Nodes[1].Table == tbl.Name() && slices.Equal(path.Nodes[0].Columns, pk) {
+		if path.Len() > 1 && path.Nodes[1].Table == tbl.Meta().Name && slices.Equal(path.Nodes[0].Columns, pk) {
 			leaveKey++
-			if !nulled[column{tbl.Name(), pk[0]}] && tbl.Len() > 0 {
-				nulled[column{tbl.Name(), pk[0]}] = true
+			if !nulled[column{tbl.Meta().Name, pk[0]}] && tbl.Len() > 0 {
+				nulled[column{tbl.Meta().Name, pk[0]}] = true
 				set(tbl, pk[0], value.NewNull())
 				nullKeys++
 			}
@@ -264,13 +265,13 @@ func damageForWalks(t *testing.T, d *db.DB, paths []schema.JoinPath) string {
 			if tbl.Len() == 0 {
 				break
 			}
-			if col := (column{tbl.Name(), c}); !nulled[col] {
+			if col := (column{tbl.Meta().Name, c}); !nulled[col] {
 				nulled[col] = true
 				set(tbl, c, value.NewNull())
 				nulls++
 			}
 			v := danglingValue(tbl.Meta().Columns[tbl.Meta().ColumnIndex(c)].Type)
-			if col := (column{tbl.Name(), c}); !dangled[col] && !v.IsNull() {
+			if col := (column{tbl.Meta().Name, c}); !dangled[col] && !v.IsNull() {
 				dangled[col] = true
 				set(tbl, c, v)
 				dangling++
@@ -295,4 +296,14 @@ func danglingValue(typ schema.Type) value.Value {
 		return value.NewString("no such row")
 	}
 	return value.NewNull()
+}
+
+// tableKeys returns t's primary keys in sorted order, as KeyAt serves
+// them.
+func tableKeys(t *db.Table) []value.Key {
+	keys := make([]value.Key, t.Len())
+	for i := range keys {
+		keys[i] = t.KeyAt(i)
+	}
+	return keys
 }

@@ -199,7 +199,7 @@ func TestProperty3CompatiblePathsAgree(t *testing.T) {
 			e1 := mustNav(t, w.d, p1)
 			e2 := mustNav(t, w.d, p2)
 			// Compare all tuple pairs of A (bounded world size).
-			keys := w.d.Table("A").Keys()
+			keys := tableKeys(w.d.Table("A"))
 			vals1 := make([]value.Value, len(keys))
 			vals2 := make([]value.Value, len(keys))
 			v := w.d.View()
@@ -247,7 +247,7 @@ func TestProperty4MergedSolutionsInterchangeable(t *testing.T) {
 			return false
 		}
 		eExt := mustNav(t, w.d, ext)
-		keys := w.d.Table("A").Keys()
+		keys := tableKeys(w.d.Table("A"))
 		v := w.d.View()
 		defer v.Close()
 		for _, k := range keys {

@@ -43,18 +43,18 @@ func preprocess(t *testing.T, name string) (*Partitioner, *preprocessed) {
 }
 
 // TestClassStreamsMatchSplit checks the class streams phase 1 indexes
-// against trace.Split's copies on all six benchmarks: each stream holds
-// the training trace's own transactions (no copies), equal to Split's in
-// the same order, and each access keeps the code and table id it
+// against the training trace split by class on all six benchmarks: each
+// stream holds the training trace's own transactions (no copies), equal
+// to the split's in the same order, and each access keeps the code and table id it
 // resolves to in the class's own trace.
 func TestClassStreamsMatchSplit(t *testing.T) {
 	for _, name := range workloads.Names() {
 		t.Run(name, func(t *testing.T) {
 			p, pre := preprocess(t, name)
 			d, train := p.in.DB, p.in.Train
-			split := train.Split()
+			split := byClass(train)
 			if len(pre.Streams) != len(split) {
-				t.Fatalf("%d class streams, Split has %d classes", len(pre.Streams), len(split))
+				t.Fatalf("%d class streams, the split has %d classes", len(pre.Streams), len(split))
 			}
 			owned := map[*trace.Txn]bool{}
 			for i := range train.Len() {
@@ -63,7 +63,7 @@ func TestClassStreamsMatchSplit(t *testing.T) {
 			for class, want := range split {
 				got := pre.Streams[class]
 				if got.Len() != want.Len() {
-					t.Fatalf("%s: %d transactions, Split has %d", class, got.Len(), want.Len())
+					t.Fatalf("%s: %d transactions, the split has %d", class, got.Len(), want.Len())
 				}
 				ref := resolved(t, d, want)
 				for i := range got.Len() {
@@ -71,7 +71,7 @@ func TestClassStreamsMatchSplit(t *testing.T) {
 						t.Fatalf("%s: transaction %d is not the training trace's own", class, i)
 					}
 					if !reflect.DeepEqual(*got.At(i), *want.At(i)) {
-						t.Fatalf("%s: transaction %d differs from Split's", class, i)
+						t.Fatalf("%s: transaction %d differs from the split's", class, i)
 					}
 					if !slices.Equal(got.txnTables(i), ref.txnTables(i)) {
 						t.Fatalf("%s: transaction %d: table ids differ", class, i)
@@ -100,7 +100,7 @@ func TestClassStreamsMatchSplit(t *testing.T) {
 // TestTestStreamsLazy checks that phase 2 indexes the test trace per
 // class only when a class falls back to min-cut: never on TPC-C, and on
 // TPC-E, whose fallback classes read it, to the same transactions as
-// trace.Split, in the same order.
+// the test trace split by class, in the same order.
 func TestTestStreamsLazy(t *testing.T) {
 	for _, name := range []string{"tpcc", "tpce"} {
 		t.Run(name, func(t *testing.T) {
@@ -120,14 +120,14 @@ func TestTestStreamsLazy(t *testing.T) {
 				t.Fatalf("%d min-cut fallbacks, test streams built: %v", fallbacks, pre.testIdx != nil)
 			}
 			test := p.in.Test
-			for class, want := range test.Split() {
+			for class, want := range byClass(test) {
 				idx := pre.testStream(class)
 				if len(idx) != want.Len() {
-					t.Fatalf("%s: %d test transactions, Split has %d", class, len(idx), want.Len())
+					t.Fatalf("%s: %d test transactions, the split has %d", class, len(idx), want.Len())
 				}
 				for i, j := range idx {
 					if !reflect.DeepEqual(*test.At(int(j)), *want.At(i)) {
-						t.Fatalf("%s: test transaction %d differs from Split's", class, i)
+						t.Fatalf("%s: test transaction %d differs from the split's", class, i)
 					}
 				}
 			}
@@ -183,7 +183,7 @@ func TestMapperCostsMatchEvaluate(t *testing.T) {
 		}
 	}
 	pre.Test = trace.FromTxns(txns)
-	d, test := p.in.DB, pre.Test.Split()
+	d, test := p.in.DB, byClass(pre.Test)
 	for _, class := range classes {
 		stream, ok := pre.Streams[class]
 		if !ok || test[class] == nil {
@@ -219,4 +219,16 @@ func TestMapperCostsMatchEvaluate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// byClass groups tr's transactions by class, keeping their order.
+func byClass(tr *trace.Trace) map[string]*trace.Trace {
+	out := map[string]*trace.Trace{}
+	for _, txn := range tr.All() {
+		if out[txn.Class] == nil {
+			out[txn.Class] = &trace.Trace{}
+		}
+		out[txn.Class].Append(*txn)
+	}
+	return out
 }

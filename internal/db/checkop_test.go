@@ -34,9 +34,10 @@ func FuzzCheckOp(f *testing.F) {
 	for _, s := range opSeeds() {
 		f.Add(s)
 	}
+	d := New(custInfoSchema())
 	f.Fuzz(func(t *testing.T, body []byte) {
 		table, cerr := CheckOp(body)
-		op, derr := DecodeOp(body)
+		op, derr := d.DecodeOp(body)
 		if (cerr == nil) != (derr == nil) {
 			t.Fatalf("CheckOp err %v, DecodeOp err %v", cerr, derr)
 		}
@@ -55,8 +56,9 @@ func FuzzCheckOp(f *testing.F) {
 // TestCheckOpAllocatesNothing: validating a received write costs no
 // allocation, whatever its kind.
 func TestCheckOpAllocatesNothing(t *testing.T) {
+	d := New(custInfoSchema())
 	for _, body := range opSeeds()[:12:12] {
-		if _, err := DecodeOp(body); err != nil {
+		if _, err := d.DecodeOp(body); err != nil {
 			continue
 		}
 		if n := testing.AllocsPerRun(100, func() {

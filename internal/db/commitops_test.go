@@ -91,8 +91,8 @@ func TestCommitPathsApply(t *testing.T) {
 			if _, ok := tr.Get(k2); ok {
 				t.Error("committed delete left row")
 			}
-			if tr.Version(k5) != 1 {
-				t.Errorf("committed touch: version = %d", tr.Version(k5))
+			if versionOf(tr, k5) != 1 {
+				t.Errorf("committed touch: version = %d", versionOf(tr, k5))
 			}
 			digests = append(digests, d.TableDigests())
 		})
@@ -154,8 +154,8 @@ func TestCommitPathsRollBackOnConflict(t *testing.T) {
 				if _, ok := tr.GetAny(intKey(100)); ok {
 					t.Error("rolled-back insert still reachable")
 				}
-				if tr.Version(k3) != 0 {
-					t.Errorf("rolled-back touch: version = %d", tr.Version(k3))
+				if versionOf(tr, k3) != 0 {
+					t.Errorf("rolled-back touch: version = %d", versionOf(tr, k3))
 				}
 			})
 		}
@@ -283,7 +283,7 @@ func TestCommitOpsConcurrentCommitters(t *testing.T) {
 	}
 	wg.Wait()
 	for _, op := range ops {
-		if got := d.Table("TRADE").Version(op.Key); got != workers*rounds {
+		if got := versionOf(d.Table("TRADE"), op.Key); got != workers*rounds {
 			t.Errorf("TRADE key %x: version %d, want %d", string(op.Key), got, workers*rounds)
 		}
 	}

@@ -39,16 +39,10 @@ func TestTableConcurrentReadersAndWriters(t *testing.T) {
 				k := value.MakeKey(value.NewInt(int64(1 + (i+r)%8)))
 				tr.Get(k)
 				tr.GetAny(k)
-				tr.Version(k)
+				versionOf(tr, k)
 				tr.Len()
-				tr.Keys()
 				tr.KeyAt(0)
 				tr.LookupRows("T_CA_ID", value.NewInt(int64(1+(i%4))))
-				n := 0
-				tr.Scan(func(value.Key, value.Tuple) bool {
-					n++
-					return n < 4
-				})
 				if i%16 == 0 {
 					tr.Digest()
 				}
@@ -137,7 +131,7 @@ func TestTableConcurrentReadersAndWriters(t *testing.T) {
 	if _, ok := tr.Get(value.MakeKey(value.NewInt(1))); !ok {
 		t.Error("base row 1 lost during concurrent access")
 	}
-	if tr.Version(value.MakeKey(value.NewInt(2000))) == 0 {
+	if versionOf(tr, value.MakeKey(value.NewInt(2000))) == 0 {
 		t.Error("committed touches not visible")
 	}
 }

@@ -156,9 +156,6 @@ func newTable(meta *schema.Table) *Table {
 // Meta returns the table's schema declaration.
 func (t *Table) Meta() *schema.Table { return t.meta }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.meta.Name }
-
 // ID returns the table's position in its schema's table order
 // (schema.Schema.Tables): a dense id for per-table slices.
 func (t *Table) ID() int { return t.id }
@@ -370,41 +367,12 @@ func (t *Table) resolveEncoded(k []byte) (slot int, row value.Tuple, ok bool) {
 	return -1, row, ok
 }
 
-// Scan calls fn for every live row with its primary key. fn returning
-// false stops the scan. fn runs under the table's read lock: it must not
-// mutate the table it is scanning.
-func (t *Table) Scan(fn func(k value.Key, row value.Tuple) bool) {
-	cTableScans.Inc()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for k, slot := range t.pk {
-		if !fn(k, t.rows[slot]) {
-			return
-		}
-	}
-}
-
-// Keys returns a copy of the primary keys of all live rows in sorted
-// (encoded-key) order. The deterministic order matters: workload
-// generators sample from it, and map-iteration order would make traces
-// differ between runs. The sorted list is built on the first call to Keys
-// or KeyAt and kept in step by every later insert and delete.
-func (t *Table) Keys() []value.Key {
-	t.mu.RLock()
-	if t.sorted != nil {
-		out := slices.Clone(t.sorted)
-		t.mu.RUnlock()
-		return out
-	}
-	t.mu.RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return slices.Clone(t.sortedLocked())
-}
-
-// KeyAt returns Keys()[i] without copying the key list: generators
-// sampling one random row call Len then KeyAt. It panics if i is out of
-// range.
+// KeyAt returns the i-th primary key of the live rows in sorted
+// (encoded-key) order: generators sampling one random row call Len then
+// KeyAt. The deterministic order matters, since map-iteration order would
+// make traces differ between runs. The sorted list is built on the first
+// call and kept in step by every later insert and delete. It panics if i
+// is out of range.
 func (t *Table) KeyAt(i int) value.Key {
 	t.mu.RLock()
 	if t.sorted != nil {
@@ -536,22 +504,6 @@ func (t *Table) versionKeysLocked() []value.Key {
 	clear(t.vadded)
 	t.vadded = t.vadded[:0]
 	return t.vsorted
-}
-
-// Version returns the committed write count of k (0 when never touched).
-func (t *Table) Version(k value.Key) uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.versions[k].n
-}
-
-// ColumnValue projects the named column from a row of this table.
-func (t *Table) ColumnValue(row value.Tuple, col string) (value.Value, error) {
-	ci := t.meta.ColumnIndex(col)
-	if ci < 0 {
-		return value.Value{}, fmt.Errorf("db: %s: unknown column %s", t.meta.Name, col)
-	}
-	return row[ci], nil
 }
 
 // secIndex is a single-column secondary index: the column's position in

@@ -143,48 +143,70 @@ func TestDeleteAndSlotReuse(t *testing.T) {
 	}
 }
 
+// versionOf returns the committed write count of k in t (0 when never
+// touched).
+func versionOf(t *Table, k value.Key) uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.versions[k].n
+}
+
+// keysAt returns t's primary keys in KeyAt order.
+func keysAt(t *Table) []value.Key {
+	keys := make([]value.Key, t.Len())
+	for i := range keys {
+		keys[i] = t.KeyAt(i)
+	}
+	return keys
+}
+
+// TestScanAndKeys checks a view's row cursor, with an early stop, and
+// the sorted keys KeyAt serves against the table's rows.
 func TestScanAndKeys(t *testing.T) {
 	d := loadFigure1(t)
 	tr := d.Table("TRADE")
+	v := d.View()
 	count := 0
-	tr.Scan(func(k value.Key, row value.Tuple) bool {
+	var want []value.Key
+	for _, row := range v.Rows(tr) {
 		count++
-		return true
-	})
+		want = append(want, tr.PKOf(row))
+	}
 	if count != 8 {
 		t.Errorf("scan visited %d rows", count)
 	}
 	// Early stop.
 	count = 0
-	tr.Scan(func(k value.Key, row value.Tuple) bool {
+	for range v.Rows(tr) {
 		count++
-		return false
-	})
+		break
+	}
 	if count != 1 {
 		t.Errorf("early-stop scan visited %d rows", count)
 	}
-	if got := len(tr.Keys()); got != 8 {
-		t.Errorf("Keys() len = %d", got)
+	v.Close()
+	slices.Sort(want)
+	if got := keysAt(tr); !slices.Equal(got, want) {
+		t.Errorf("keys = %q, want %q", got, want)
 	}
 }
 
-// TestKeysTracksMutations checks the sorted key list Keys maintains
+// TestKeysTracksMutations checks the sorted key list KeyAt maintains
 // against a fresh sort after inserts on both ends, a delete, a
 // re-insert, and transaction commits that roll back an insert and a
-// delete; and that callers get their own copy.
+// delete.
 func TestKeysTracksMutations(t *testing.T) {
 	d := loadFigure1(t)
 	tr := d.Table("TRADE")
 	check := func(step string) {
 		t.Helper()
 		var want []value.Key
-		tr.Scan(func(k value.Key, _ value.Tuple) bool {
+		for k := range tr.pk {
 			want = append(want, k)
-			return true
-		})
+		}
 		slices.Sort(want)
-		if got := tr.Keys(); !slices.Equal(got, want) {
-			t.Fatalf("%s: Keys() = %q, want %q", step, got, want)
+		if got := keysAt(tr); !slices.Equal(got, want) {
+			t.Fatalf("%s: keys = %q, want %q", step, got, want)
 		}
 	}
 	row := func(id int64) value.Tuple {
@@ -207,10 +229,6 @@ func TestKeysTracksMutations(t *testing.T) {
 		t.Fatal("duplicate insert must fail the commit")
 	}
 	check("rollback")
-
-	keys := tr.Keys()
-	keys[0] = "mutated by caller"
-	check("caller copy")
 }
 
 func TestSecondaryIndex(t *testing.T) {
@@ -283,12 +301,11 @@ func TestLookupRows(t *testing.T) {
 				}
 			}
 			n := 0
-			tr.Scan(func(_ value.Key, r value.Tuple) bool {
-				if r[1] == v {
+			for k := range tr.pk {
+				if r, _ := tr.Get(k); r[1] == v {
 					n++
 				}
-				return true
-			})
+			}
 			if n != len(got) {
 				t.Fatalf("%s: T_CA_ID=%d: %d rows, scan finds %d", step, ca, len(got), n)
 			}
@@ -352,7 +369,7 @@ func TestKeyAt(t *testing.T) {
 	tr := d.Table("TRADE")
 	check := func(step string) {
 		t.Helper()
-		keys := tr.Keys()
+		keys := keysAt(tr)
 		if len(keys) != tr.Len() {
 			t.Fatalf("%s: Keys() has %d keys, Len() = %d", step, len(keys), tr.Len())
 		}
@@ -387,19 +404,6 @@ func TestKeyAt(t *testing.T) {
 		}
 	}()
 	tr.KeyAt(tr.Len())
-}
-
-func TestColumnValue(t *testing.T) {
-	d := loadFigure1(t)
-	tr := d.Table("TRADE")
-	row, _ := tr.Get(value.MakeKey(value.NewInt(2)))
-	v, err := tr.ColumnValue(row, "T_CA_ID")
-	if err != nil || v != value.NewInt(7) {
-		t.Errorf("ColumnValue = %v, %v", v, err)
-	}
-	if _, err := tr.ColumnValue(row, "NOPE"); err == nil {
-		t.Error("unknown column must error")
-	}
 }
 
 // TestResolveSlotsAndRows pins the View's slot API: Resolve reports a

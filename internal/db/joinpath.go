@@ -141,9 +141,6 @@ func (d *DB) edgeID(e hopEdge) int {
 	return id
 }
 
-// Path returns the compiled join path.
-func (n *Nav) Path() schema.JoinPath { return n.path }
-
 // hopMemo memoises within-table hops for one open-view period. Each hop
 // edge (hopEdge) gets a column with one cell per slot of its from-table,
 // recording where the key read from that slot's row leads (and, for a

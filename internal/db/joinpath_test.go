@@ -153,7 +153,7 @@ func TestNavZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := d.Table(p.SourceTable())
-		keys := src.Keys()
+		keys := keysAt(src)
 		row, _ := src.Get(keys[0])
 		v := d.View()
 		slots := v.Slots(src)
@@ -231,7 +231,7 @@ func TestHopMemoSharedEdges(t *testing.T) {
 	defer v.Close()
 	for _, w := range walks {
 		if got, ok := v.FromSlot(w.n, w.slot); got != w.v || ok != w.ok {
-			t.Errorf("%v: FromSlot(%d) = %v, %v; FromRow = %v, %v", w.n.Path(), w.slot, got, ok, w.v, w.ok)
+			t.Errorf("%v: FromSlot(%d) = %v, %v; FromRow = %v, %v", w.n.path, w.slot, got, ok, w.v, w.ok)
 		}
 	}
 }

@@ -71,13 +71,22 @@ func refWalkKey(t *testing.T, d *db.DB, p schema.JoinPath, k value.Key) (value.V
 	return refWalk(t, d, p, row)
 }
 
+// tableKeys returns t's primary keys in sorted order, as KeyAt serves
+// them.
+func tableKeys(t *db.Table) []value.Key {
+	keys := make([]value.Key, t.Len())
+	for i := range keys {
+		keys[i] = t.KeyAt(i)
+	}
+	return keys
+}
+
 // checkNavKeys compares the navigator with the reference walk, inside a
 // view, from each key and from each key's row (live or deleted), and, in
 // a second view, from each live row's slot through the hop memo, cold and
-// warm. It returns how many keys resolved.
-func checkNavKeys(t *testing.T, d *db.DB, n *db.Nav, keys []value.Key) int {
+// warm. n is p compiled. It returns how many keys resolved.
+func checkNavKeys(t *testing.T, d *db.DB, p schema.JoinPath, n *db.Nav, keys []value.Key) int {
 	t.Helper()
-	p := n.Path()
 	src := d.Table(p.SourceTable())
 	type slotWalk struct {
 		slot int
@@ -174,14 +183,14 @@ func TestNavMatchesReferenceWalk(t *testing.T) {
 				if navs[name], err = d.Compile(ts.Path); err != nil {
 					t.Fatal(err)
 				}
-				keys[name] = append(d.Table(name).Keys(), value.MakeKey(value.NewString("no such row")))
+				keys[name] = append(tableKeys(d.Table(name)), value.MakeKey(value.NewString("no such row")))
 			}
 			if len(navs) == 0 {
 				t.Fatal("JECB solution partitions no table")
 			}
 			for name, n := range navs {
-				if checkNavKeys(t, d, n, keys[name]) == 0 {
-					t.Errorf("%s: no key resolves through %v", name, n.Path())
+				if checkNavKeys(t, d, sol.Tables[name].Path, n, keys[name]) == 0 {
+					t.Errorf("%s: no key resolves through %v", name, sol.Tables[name].Path)
 				}
 			}
 			for name := range navs {
@@ -192,7 +201,7 @@ func TestNavMatchesReferenceWalk(t *testing.T) {
 				}
 			}
 			for name, n := range navs {
-				checkNavKeys(t, d, n, keys[name])
+				checkNavKeys(t, d, sol.Tables[name].Path, n, keys[name])
 			}
 		})
 	}
@@ -236,7 +245,7 @@ func TestNavDanglingAndGraveyard(t *testing.T) {
 
 	// Delete a trade and the account it references: both the source row
 	// and the hop target now live only in the graveyard.
-	k := trade.Keys()[0]
+	k := tableKeys(trade)[0]
 	want, ok := fromKey(k)
 	if !ok {
 		t.Fatal("fixture trade does not resolve")
@@ -252,7 +261,7 @@ func TestNavDanglingAndGraveyard(t *testing.T) {
 	if got, ok := fromRow(row); !ok || got != want {
 		t.Errorf("graveyard FromRow = %v, %v; want %v", got, ok, want)
 	}
-	checkNavKeys(t, d, n, append(trade.Keys(), nullFK, missingFK, missingSrc, k))
+	checkNavKeys(t, d, p, n, append(tableKeys(trade), nullFK, missingFK, missingSrc, k))
 
 	swapped := fixture.HSPath()
 	swapped.Nodes[0].Columns = []string{"HS_CA_ID", "HS_S_SYMB"}
@@ -264,7 +273,7 @@ func TestNavDanglingAndGraveyard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkNavKeys(t, d, n, d.Table("HOLDING_SUMMARY").Keys())
+		checkNavKeys(t, d, p, n, tableKeys(d.Table("HOLDING_SUMMARY")))
 	}
 }
 
@@ -282,7 +291,7 @@ func BenchmarkNav(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	keys := d.Table("TRADE").Keys()
+	keys := tableKeys(d.Table("TRADE"))
 	v := d.View()
 	slots := v.Slots(d.Table("TRADE"))
 	v.Close()

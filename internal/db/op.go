@@ -166,20 +166,11 @@ func (d *opDecoder) bytes() ([]byte, error) {
 
 // DecodeOp decodes one op produced by Encode. The whole input must be
 // consumed; trailing bytes are an error. All failures wrap ErrOpDecode.
-func DecodeOp(data []byte) (Op, error) {
-	var op Op
-	if _, err := walkOp(data, &op, nil); err != nil {
-		return Op{}, err
-	}
-	return op, nil
-}
-
-// DecodeOp is the package DecodeOp with op.Table taken from d's schema
-// when d knows the table, so decoding allocates no table name, and a
-// touch's op.Key taken from the table when the table already versions
-// the key, so decoding allocates no key either: a touch allocates only
-// when it adds a key. An unknown table still decodes (DecodeOp is
-// structural); applying the op rejects it.
+// op.Table is taken from d's schema when d knows the table, so decoding
+// allocates no table name, and a touch's op.Key from the table when the
+// table already versions the key, so decoding allocates no key either: a
+// touch allocates only when it adds a key. An unknown table still decodes
+// (decoding is structural); applying the op rejects it.
 func (d *DB) DecodeOp(data []byte) (Op, error) {
 	var op Op
 	if _, err := walkOp(data, &op, d.tables); err != nil {

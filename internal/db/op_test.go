@@ -15,9 +15,10 @@ func TestOpEncodeDecodeRoundTrip(t *testing.T) {
 		{Kind: OpDelete, Table: "HS", Key: value.MakeKey(value.NewString("sym"), value.NewInt(2))},
 		{Kind: OpTouch, Table: "", Key: value.MakeKey(value.NewNull())},
 	}
+	d := New(custInfoSchema())
 	for _, op := range ops {
 		enc := op.Encode(nil)
-		got, err := DecodeOp(enc)
+		got, err := d.DecodeOp(enc)
 		if err != nil {
 			t.Fatalf("DecodeOp(%s): %v", op, err)
 		}
@@ -26,15 +27,15 @@ func TestOpEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		// Truncations must error (never panic).
 		for i := 0; i < len(enc); i++ {
-			if _, err := DecodeOp(enc[:i]); !errors.Is(err, ErrOpDecode) {
+			if _, err := d.DecodeOp(enc[:i]); !errors.Is(err, ErrOpDecode) {
 				t.Errorf("DecodeOp(%s[:%d]) = %v, want ErrOpDecode", op, i, err)
 			}
 		}
 	}
-	if _, err := DecodeOp([]byte{0xff, 0x00}); !errors.Is(err, ErrOpDecode) {
+	if _, err := d.DecodeOp([]byte{0xff, 0x00}); !errors.Is(err, ErrOpDecode) {
 		t.Errorf("unknown kind: %v", err)
 	}
-	if _, err := DecodeOp(append(ops[2].Encode(nil), 0x01)); !errors.Is(err, ErrOpDecode) {
+	if _, err := d.DecodeOp(append(ops[2].Encode(nil), 0x01)); !errors.Is(err, ErrOpDecode) {
 		t.Errorf("trailing bytes: %v", err)
 	}
 }
@@ -45,7 +46,7 @@ func TestApplyRedo(t *testing.T) {
 	if err := d.Apply(Op{Kind: OpTouch, Table: "TRADE", Key: k1}); err != nil {
 		t.Fatalf("apply touch: %v", err)
 	}
-	if d.Table("TRADE").Version(k1) != 1 {
+	if versionOf(d.Table("TRADE"), k1) != 1 {
 		t.Error("touch not applied")
 	}
 	// Redo insert over an existing key replaces the row.

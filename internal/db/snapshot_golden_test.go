@@ -74,7 +74,7 @@ func snapshotFixture(tb testing.TB, name string) *db.DB {
 	buried := 0
 	for _, tn := range d.Schema().Tables() {
 		tab := d.Table(tn.Name)
-		keys := tab.Keys()
+		keys := tableKeys(tab)
 		for i := 0; i < len(keys); i += 5 {
 			tab.Delete(keys[i])
 			if _, ok := tab.GetAny(keys[i]); ok {

@@ -18,7 +18,7 @@ import (
 // goroutine or any other, takes no lock; the Close that ends the last
 // open View unlocks them. A writer (Insert, Update, Delete, Touch, a
 // commit) waits until then. Code inside a View must not call a locking
-// Table method (Get, GetAny, Scan, Keys, KeyAt, Len, LookupRows, ...) on
+// Table method (Get, GetAny, KeyAt, Len, LookupRows, ...) on
 // a table of the viewed database: once a writer is queued on that table,
 // its read lock waits behind the writer, which waits for the View — a
 // deadlock.

@@ -21,7 +21,7 @@ func waitWriterQueued(tb testing.TB, t *Table) {
 	for t.mu.TryRLock() {
 		t.mu.RUnlock()
 		if time.Now().After(deadline) {
-			tb.Fatalf("no writer queued on %s", t.Name())
+			tb.Fatalf("no writer queued on %s", t.meta.Name)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -126,7 +126,7 @@ func TestNestedViewsWithQueuedWriter(t *testing.T) {
 	}
 	outer.Close()
 	within(t, "writer after the outer Close", func() { <-wrote })
-	if got := tr.Version(value.MakeKey(value.NewInt(1))); got != 1 {
+	if got := versionOf(tr, value.MakeKey(value.NewInt(1))); got != 1 {
 		t.Errorf("version = %d, want 1", got)
 	}
 }
@@ -185,7 +185,7 @@ func TestConcurrentViewsReleaseLocks(t *testing.T) {
 	}
 	for _, tbl := range d.order {
 		if !tbl.mu.TryLock() {
-			t.Fatalf("%s is still locked after the last Close", tbl.Name())
+			t.Fatalf("%s is still locked after the last Close", tbl.meta.Name)
 		}
 		tbl.mu.Unlock()
 	}
@@ -212,7 +212,7 @@ func TestHopMemoLifetime(t *testing.T) {
 		defer v.Close()
 		s, _, ok := v.Resolve(tbl, key(id))
 		if !ok || s < 0 {
-			t.Fatalf("%s %d has no live slot", tbl.Name(), id)
+			t.Fatalf("%s %d has no live slot", tbl.meta.Name, id)
 		}
 		return s
 	}

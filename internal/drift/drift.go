@@ -143,9 +143,6 @@ func New(cfg Config) *Detector {
 	return &Detector{cfg: cfg.WithDefaults()}
 }
 
-// Config returns the detector's effective (defaulted) configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // SetReference (re)establishes the baseline the following windows are
 // compared against. The adaptation loop calls it after a repartition
 // lands, so the detector measures drift *since the deployed solution was

@@ -69,8 +69,7 @@ func writeColumnarFile(t *testing.T, tr *trace.Trace, chunkTxns int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw := trace.NewColumnarWriter(f)
-	cw.SetChunkTxns(chunkTxns)
+	cw := trace.NewColumnarWriter(f, chunkTxns)
 	for _, txn := range tr.All() {
 		if err := cw.Add(txn); err != nil {
 			t.Fatal(err)
@@ -137,10 +136,14 @@ func TestEvaluateRepresentationEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			train2, err := ts.Materialize()
-			if err != nil {
+			var txns []trace.Txn
+			for _, txn := range ts.All() {
+				txns = append(txns, txn.Clone())
+			}
+			if err := ts.Err(); err != nil {
 				t.Fatal(err)
 			}
+			train2 := trace.FromTxns(txns)
 			sol2, rep2, err := core.Partition(context.Background(), core.Input{
 				DB: d, Procedures: workloads.Procedures(pb.bench), Train: train2, Test: test,
 			}, core.Options{K: 4, Seed: 1})

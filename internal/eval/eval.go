@@ -66,15 +66,6 @@ func (r *Result) Cost() float64 {
 	return float64(r.Distributed) / float64(r.Total)
 }
 
-// AvgTouched is the mean number of partitions touched by distributed
-// transactions (1.0 when none are distributed).
-func (r *Result) AvgTouched() float64 {
-	if r.Distributed == 0 {
-		return 1
-	}
-	return float64(r.TouchSum) / float64(r.Distributed)
-}
-
 // Classes returns per-class results sorted by class name.
 func (r *Result) Classes() []*ClassResult {
 	out := make([]*ClassResult, 0, len(r.ByClass))
@@ -142,9 +133,6 @@ func NewAssigner(d *db.DB, sol *partition.Solution) (*Assigner, error) {
 	cAssigners.Inc()
 	return a, nil
 }
-
-// Solution returns the bound solution.
-func (a *Assigner) Solution() *partition.Solution { return a.sol }
 
 // PlaceKey returns the partition of an accessed tuple:
 // partition.Replicated for replicated tables, a partition in [0..k)

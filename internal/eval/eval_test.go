@@ -78,8 +78,8 @@ func TestNaiveIsImperfect(t *testing.T) {
 	if r.Cost() < 0.5 {
 		t.Errorf("naive cost = %v, expected high", r.Cost())
 	}
-	if r.AvgTouched() < 1.5 {
-		t.Errorf("avg touched = %v", r.AvgTouched())
+	if avg := float64(r.TouchSum) / float64(r.Distributed); avg < 1.5 {
+		t.Errorf("avg touched = %v", avg)
 	}
 }
 
@@ -203,9 +203,6 @@ func TestAssignerPlaceKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Solution() != sol {
-		t.Error("Solution() identity")
-	}
 	v := d.View()
 	defer v.Close()
 	p1, ok := a.PlaceKey(v, trace.Access{Table: "TRADE", Key: value.MakeKey(value.NewInt(1))})
@@ -264,8 +261,8 @@ func TestEmptyTraceCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Cost() != 0 || r.AvgTouched() != 1 {
-		t.Errorf("empty trace: cost=%v avg=%v", r.Cost(), r.AvgTouched())
+	if r.Cost() != 0 || r.TouchSum != 0 {
+		t.Errorf("empty trace: cost=%v touch sum=%v", r.Cost(), r.TouchSum)
 	}
 }
 

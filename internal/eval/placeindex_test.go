@@ -34,7 +34,7 @@ func TestPlaceIndexMatchesEvaluate(t *testing.T) {
 		v := d.View()
 		for i := 0; i < tr.Len(); i++ {
 			ws, gs := a.Span(v, tr.At(i)), idx.Span(i)
-			if !gs.Parts.Equal(&ws.Parts) || gs.All != ws.All {
+			if gs.Parts.String() != ws.Parts.String() || gs.All != ws.All {
 				t.Fatalf("%s txn %d: indexed (%v,%v), row (%v,%v)",
 					sol, i, &gs.Parts, gs.All, &ws.Parts, ws.All)
 			}
@@ -53,8 +53,7 @@ func TestEvaluateStreamMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw := trace.NewColumnarWriter(f)
-	cw.SetChunkTxns(17) // many partial chunks
+	cw := trace.NewColumnarWriter(f, 17) // many partial chunks
 	for _, txn := range tr.All() {
 		if err := cw.Add(txn); err != nil {
 			t.Fatal(err)
@@ -99,7 +98,7 @@ func TestEvaluateStreamPeakRSS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw := trace.NewColumnarWriter(f)
+	cw := trace.NewColumnarWriter(f, trace.DefaultChunkTxns)
 	accesses, txns := 0, 0
 	for accesses < target {
 		for _, txn := range template.All() {

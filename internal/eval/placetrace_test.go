@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/eval"
+	"repro/internal/partition"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 	_ "repro/internal/workloads/all"
@@ -20,7 +21,7 @@ import (
 // solved loads one registered benchmark, partitions the training half of
 // a generated trace into k partitions and returns the database, the
 // bound solution and the test half.
-func solved(tb testing.TB, name string, scale, txns, k int) (*db.DB, *eval.Assigner, *trace.Trace) {
+func solved(tb testing.TB, name string, scale, txns, k int) (*db.DB, *partition.Solution, *eval.Assigner, *trace.Trace) {
 	tb.Helper()
 	b, ok := workloads.Get(name)
 	if !ok {
@@ -42,7 +43,7 @@ func solved(tb testing.TB, name string, scale, txns, k int) (*db.DB, *eval.Assig
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return d, a, test
+	return d, sol, a, test
 }
 
 // TestPlaceTraceMatchesPlaceTxn checks, on every benchmark at 1, 2 and 8
@@ -57,7 +58,7 @@ func TestPlaceTraceMatchesPlaceTxn(t *testing.T) {
 			if !ok {
 				scale = 30
 			}
-			d, a, tr := solved(t, name, scale, 1200, 4)
+			d, _, a, tr := solved(t, name, scale, 1200, 4)
 			n := tr.Len()
 			want := make([][]int32, n)
 			v := d.View()
@@ -105,7 +106,7 @@ func BenchmarkPlaceTrace(b *testing.B) {
 		name  string
 		scale int
 	}{{"tpcc", 8}, {"tpce", 200}} {
-		_, a, test := solved(b, w.name, w.scale, 6000, 4)
+		_, _, a, test := solved(b, w.name, w.scale, 6000, 4)
 		window := test.Head(3000)
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("%s/workers=%d", w.name, workers), func(b *testing.B) {

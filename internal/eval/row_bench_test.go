@@ -19,8 +19,7 @@ func BenchmarkEvaluateRow(b *testing.B) {
 		scale int
 	}{{"tpcc", 8}, {"tpce", 0}} {
 		b.Run(c.name, func(b *testing.B) {
-			d, a, test := solved(b, c.name, c.scale, 2000, 8)
-			sol := a.Solution()
+			d, sol, _, test := solved(b, c.name, c.scale, 2000, 8)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -319,29 +319,12 @@ type allUp struct{}
 
 func (allUp) Down(int) bool { return false }
 
-// NodeSet is a Health over an explicit set of down nodes — the durable
-// replay's view of crashed and in-doubt partitions, and the router tests'
-// hand-built health snapshots.
+// NodeSet is a Health over an explicit set of down nodes: the durable
+// replay's view of the partitions its crash points have killed.
 type NodeSet map[int]bool
 
 // Down reports whether the node is in the set.
 func (s NodeSet) Down(node int) bool { return s[node] }
-
-// Overlay combines health views: a node is down if ANY layer reports it
-// down. It lets the durable replay stack scripted crash windows under the
-// crash-point outages and in-doubt blocks it accumulates at runtime.
-func Overlay(hs ...Health) Health { return overlay(hs) }
-
-type overlay []Health
-
-func (o overlay) Down(node int) bool {
-	for _, h := range o {
-		if h != nil && h.Down(node) {
-			return true
-		}
-	}
-	return false
-}
 
 // Injector realizes a Scenario against a k-node cluster with a seeded
 // random source. All stochastic samples (message loss, latency spikes,
@@ -372,9 +355,6 @@ func NewInjector(sc *Scenario, k int, seed int64) (*Injector, error) {
 	return in, nil
 }
 
-// Scenario returns the scripted schedule the injector realizes.
-func (in *Injector) Scenario() *Scenario { return in.sc }
-
 // K returns the cluster size.
 func (in *Injector) K() int { return in.k }
 
@@ -386,31 +366,6 @@ func (in *Injector) Down(node int, t float64) bool {
 		}
 	}
 	return false
-}
-
-// UpNodes returns the reachable nodes at virtual time t, ascending.
-func (in *Injector) UpNodes(t float64) []int {
-	out := make([]int, 0, in.k)
-	for n := 0; n < in.k; n++ {
-		if !in.Down(n, t) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// NextRecovery returns the earliest time > t at which node comes back up,
-// and false when the node is up at t already or never recovers.
-func (in *Injector) NextRecovery(node int, t float64) (float64, bool) {
-	for _, w := range in.perNode[node] {
-		if w.covers(t) {
-			if w.permanent() {
-				return 0, false
-			}
-			return w.End, true
-		}
-	}
-	return 0, false
 }
 
 // DownNodeSeconds integrates per-node outage over [0, horizon): the

@@ -36,18 +36,6 @@ func TestWindowHealthTimeline(t *testing.T) {
 			t.Errorf("Down(%d, %v) = %v, want %v", c.node, c.t, got, c.down)
 		}
 	}
-	if got := in.UpNodes(2.5); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Errorf("UpNodes(2.5) = %v", got)
-	}
-	if rec, ok := in.NextRecovery(0, 1.5); !ok || rec != 3 {
-		t.Errorf("NextRecovery(0, 1.5) = %v, %v", rec, ok)
-	}
-	if _, ok := in.NextRecovery(1, 5); ok {
-		t.Error("permanent crash must not recover")
-	}
-	if _, ok := in.NextRecovery(2, 5); ok {
-		t.Error("healthy node has no recovery")
-	}
 	down := in.DownNodeSeconds(10)
 	if down[0] != 2 || down[1] != 8 || down[2] != 0 {
 		t.Errorf("DownNodeSeconds = %v", down)
@@ -128,8 +116,14 @@ func TestBuiltins(t *testing.T) {
 	}
 	half, _ := Builtin("half-down", 4)
 	in, _ := NewInjector(half, 4, 1)
-	if got := in.UpNodes(100); len(got) != 2 {
-		t.Errorf("half-down UpNodes = %v", got)
+	up := 0
+	for n := 0; n < 4; n++ {
+		if !in.Down(n, 100) {
+			up++
+		}
+	}
+	if up != 2 {
+		t.Errorf("half-down: %d nodes up at t=100, want 2", up)
 	}
 }
 
@@ -374,18 +368,12 @@ func TestCrashBuiltinsScriptPoints(t *testing.T) {
 	}
 }
 
-func TestNodeSetAndOverlay(t *testing.T) {
+func TestNodeSetAndAllUp(t *testing.T) {
 	s := NodeSet{1: true, 3: true}
 	if s.Down(0) || !s.Down(1) || s.Down(2) || !s.Down(3) {
 		t.Errorf("NodeSet membership wrong: %v", s)
 	}
-	h := Overlay(AllUp, nil, s, NodeSet{2: true})
-	for n, want := range map[int]bool{0: false, 1: true, 2: true, 3: true, 4: false} {
-		if h.Down(n) != want {
-			t.Errorf("overlay.Down(%d) = %v, want %v", n, h.Down(n), want)
-		}
-	}
-	if Overlay().Down(0) {
-		t.Error("empty overlay must report all up")
+	if AllUp.Down(0) {
+		t.Error("AllUp reports a node down")
 	}
 }

@@ -42,13 +42,6 @@ func New(n int) *Graph {
 // Len returns the number of vertices.
 func (g *Graph) Len() int { return len(g.vw) }
 
-// SetVertexWeight assigns the weight of vertex i (e.g. tuple access
-// frequency).
-func (g *Graph) SetVertexWeight(i int, w float64) { g.vw[i] = w }
-
-// VertexWeight returns the weight of vertex i.
-func (g *Graph) VertexWeight(i int) float64 { return g.vw[i] }
-
 // AddEdge adds weight w to the undirected edge {u, v}; parallel additions
 // accumulate. Self-loops are ignored.
 func (g *Graph) AddEdge(u, v int, w float64) {
@@ -63,14 +56,6 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	}
 	g.adj[u][v] += w
 	g.adj[v][u] += w
-}
-
-// EdgeWeight returns the weight of edge {u,v} (0 when absent).
-func (g *Graph) EdgeWeight(u, v int) float64 {
-	if g.adj[u] == nil {
-		return 0
-	}
-	return g.adj[u][v]
 }
 
 // Neighbors iterates over the neighbors of u in ascending vertex order.
@@ -125,23 +110,6 @@ func PartWeights(g *Graph, parts []int, k int) []float64 {
 		out[p] += g.vw[i]
 	}
 	return out
-}
-
-// Imbalance returns max partition weight over average partition weight
-// (1.0 = perfectly balanced).
-func Imbalance(g *Graph, parts []int, k int) float64 {
-	w := PartWeights(g, parts, k)
-	avg := g.TotalVertexWeight() / float64(k)
-	if avg == 0 {
-		return 1
-	}
-	maxw := 0.0
-	for _, x := range w {
-		if x > maxw {
-			maxw = x
-		}
-	}
-	return maxw / avg
 }
 
 const (

@@ -189,21 +189,6 @@ func (g *Graph) addHop(from, to node) {
 	g.out[from] = append(g.out[from], to)
 }
 
-// Nodes returns all attribute sets in the graph, sorted by their canonical
-// key.
-func (g *Graph) Nodes() []schema.ColumnSet {
-	keys := make([]string, 0, len(g.nodes))
-	for n := range g.nodes {
-		keys = append(keys, string(n))
-	}
-	sort.Strings(keys)
-	out := make([]schema.ColumnSet, len(keys))
-	for i, k := range keys {
-		out[i] = g.nodes[node(k)]
-	}
-	return out
-}
-
 // maxHops bounds join-path length during enumeration; the deepest path in
 // the benchmarks (TPC-E CASH_TRANSACTION → C_ID) uses 6 nodes, so 12 is
 // generous while still cutting pathological cycles.
@@ -343,11 +328,8 @@ func (g *Graph) Trees(maxTrees int) []*Tree {
 	return out
 }
 
-// TreesForRoot enumerates join trees rooted at one attribute.
-func (g *Graph) TreesForRoot(root schema.ColumnRef, maxTrees int) []*Tree {
-	return g.treesForRoot(root, maxTrees)
-}
-
+// treesForRoot enumerates join trees rooted at one attribute, up to
+// maxTrees (0 = no cap).
 func (g *Graph) treesForRoot(root schema.ColumnRef, maxTrees int) (trees []*Tree) {
 	defer func() { cTreesEnum.Add(int64(len(trees))) }()
 	perTable := make([][]schema.JoinPath, len(g.Tables))

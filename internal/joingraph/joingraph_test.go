@@ -40,7 +40,7 @@ func TestCustInfoTree(t *testing.T) {
 	sc := fixture.CustInfoSchema()
 	g := Build(analyze(t, sc, fixture.CustInfoProcedure()), sc, nil)
 	root := schema.ColumnRef{Table: "CUSTOMER_ACCOUNT", Column: "CA_C_ID"}
-	trees := g.TreesForRoot(root, 0)
+	trees := g.treesForRoot(root, 0)
 	if len(trees) != 1 {
 		t.Fatalf("trees = %d, want 1", len(trees))
 	}
@@ -210,11 +210,11 @@ func TestMultiplePathsEnumerated(t *testing.T) {
 		}
 	}
 	// Trees: R1 has 1 path to A, R2 has 2 -> 2 trees; capped at 1 -> 1.
-	trees := g.TreesForRoot(schema.ColumnRef{Table: "R1", Column: "A"}, 0)
+	trees := g.treesForRoot(schema.ColumnRef{Table: "R1", Column: "A"}, 0)
 	if len(trees) != 2 {
 		t.Errorf("trees = %d, want 2", len(trees))
 	}
-	if got := g.TreesForRoot(schema.ColumnRef{Table: "R1", Column: "A"}, 1); len(got) != 1 {
+	if got := g.treesForRoot(schema.ColumnRef{Table: "R1", Column: "A"}, 1); len(got) != 1 {
 		t.Errorf("capped trees = %d, want 1", len(got))
 	}
 	if g.SolutionCount() < 2 {
@@ -229,21 +229,6 @@ func TestPathsToUnknownRoot(t *testing.T) {
 	// PK set), so it is not a node of the join graph.
 	if got := g.PathsTo("TRADE", schema.ColumnRef{Table: "HOLDING_SUMMARY", Column: "HS_S_SYMB"}, 0); len(got) != 0 {
 		t.Errorf("paths to absent node = %v", got)
-	}
-}
-
-func TestNodesListing(t *testing.T) {
-	sc := fixture.CustInfoSchema()
-	g := Build(analyze(t, sc, fixture.CustInfoProcedure()), sc, nil)
-	nodes := g.Nodes()
-	if len(nodes) < 4 {
-		t.Errorf("nodes = %v", nodes)
-	}
-	// Sorted canonical order.
-	for i := 1; i < len(nodes); i++ {
-		if nodes[i-1].String() > nodes[i].String() {
-			t.Errorf("nodes not sorted at %d", i)
-		}
 	}
 }
 

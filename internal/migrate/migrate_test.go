@@ -104,10 +104,11 @@ func TestComputeBudgetClampAndHybrid(t *testing.T) {
 	new := hashSolution("new", k)
 	new.Set(partition.NewReplicated("HOLDING_SUMMARY"))
 	flip := map[value.Value]int{}
-	d.Table("CUSTOMER_ACCOUNT").Scan(func(kk value.Key, row value.Tuple) bool {
+	v := d.View()
+	for _, row := range v.Rows(d.Table("CUSTOMER_ACCOUNT")) {
 		flip[row[1]] = 0 // CA_C_ID -> partition 0
-		return true
-	})
+	}
+	v.Close()
 	new.Set(partition.NewByPath("TRADE", fixture.TradePath(), partition.NewLookup(k, flip, partition.NewHash(k))))
 
 	full, err := Compute(d, old, new, tr, -1)

@@ -96,9 +96,8 @@ func (h *HDR) Observe(v int64) {
 	}
 }
 
-// Reset zeroes the histogram in place, keeping the handle valid (the
-// Registry.Reset contract: pointers captured at package init keep
-// recording into the same histogram).
+// Reset zeroes the histogram in place, keeping the handle valid (an SLO
+// monitor's window and a breaker's window restart from it).
 func (h *HDR) Reset() {
 	h.count.Store(0)
 	h.sum.Store(0)
@@ -187,12 +186,4 @@ func (s HDRSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return s.Max
-}
-
-// Mean returns the arithmetic mean of the observations (0 when empty).
-func (s HDRSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

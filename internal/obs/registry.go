@@ -16,7 +16,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -43,17 +42,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -142,14 +130,6 @@ type HistogramSnapshot struct {
 type BucketCount struct {
 	UpperBound float64 `json:"le"`
 	Count      int64   `json:"n"`
-}
-
-// Mean returns the arithmetic mean of the observations (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // Snapshot copies the histogram's current state.
@@ -267,42 +247,6 @@ func (r *Registry) HDR(name string) *HDR {
 	return h
 }
 
-// Reset zeroes every metric IN PLACE. Tests use it to isolate runs.
-//
-// Zeroing (rather than reallocating the maps) is load-bearing: packages
-// cache metric handles in package-level vars at init (e.g.
-// wal.records_appended), and a map swap would orphan those pointers —
-// post-Reset increments would land in unreachable metrics and silently
-// vanish from every later Snapshot. Handles stay registered; Names()
-// keeps reporting them.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-	for _, h := range r.hdrs {
-		h.Reset()
-	}
-}
-
-// reset zeroes the histogram in place (see Registry.Reset).
-func (h *Histogram) reset() {
-	h.count.Store(0)
-	h.sumBits.Store(0)
-	h.minBits.Store(0)
-	h.maxBits.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
 // Snapshot returns a sorted-key map of every metric's current value:
 // int64 for counters, float64 for gauges, HistogramSnapshot for
 // histograms. Gauges and counters sharing a name with a histogram are
@@ -336,34 +280,6 @@ func (r *Registry) Snapshot() map[string]any {
 	return out
 }
 
-// Names returns every metric name, sorted and deduplicated.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	seen := map[string]bool{}
-	var out []string
-	add := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	for n := range r.counters {
-		add(n)
-	}
-	for n := range r.gauges {
-		add(n)
-	}
-	for n := range r.hists {
-		add(n)
-	}
-	for n := range r.hdrs {
-		add(n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // --- package-level sugar against the Default registry --------------------
 
 // Add increments the named Default counter by n.
@@ -377,8 +293,3 @@ func Set(name string, v float64) { Default.Gauge(name).Set(v) }
 
 // Observe records a sample in the named Default histogram.
 func Observe(name string, v float64) { Default.Histogram(name).Observe(v) }
-
-// ObserveHDR records a sample in the named Default HDR histogram. Hot
-// paths should cache the *HDR handle instead (the name lookup takes a
-// read lock); the handle stays valid across Reset.
-func ObserveHDR(name string, v int64) { Default.HDR(name).Observe(v) }

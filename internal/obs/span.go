@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -23,25 +22,21 @@ type Trace struct {
 	mu       sync.Mutex
 	root     *Span
 	reg      *Registry
-	allocs   bool
 	finished bool
 }
 
-// Span is one node of the trace tree: a named phase with wall time and,
-// when alloc collection is enabled, the bytes allocated while it was
-// open (inclusive of children; runtime.ReadMemStats deltas).
+// Span is one node of the trace tree: a named phase with its wall time
+// and attributes.
 type Span struct {
 	name  string
 	trace *Trace
 
-	mu         sync.Mutex
-	start      time.Time
-	startAlloc uint64
-	dur        time.Duration
-	allocBytes int64
-	done       bool
-	children   []*Span
-	attrs      map[string]any
+	mu       sync.Mutex
+	start    time.Time
+	dur      time.Duration
+	done     bool
+	children []*Span
+	attrs    map[string]any
 }
 
 // SetAttr attaches a key/value attribute to the span (e.g. the worker
@@ -58,18 +53,6 @@ func (s *Span) SetAttr(key string, v any) {
 	}
 	s.attrs[key] = v
 	s.mu.Unlock()
-}
-
-// Attr returns a previously set attribute (nil, false on a nil span or a
-// missing key).
-func (s *Span) Attr(key string) (any, bool) {
-	if s == nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.attrs[key]
-	return v, ok
 }
 
 type traceCtxKey struct{}
@@ -92,29 +75,8 @@ func WithTraceRegistry(ctx context.Context, name string, reg *Registry) (context
 	return ctx, t
 }
 
-// CollectAllocs toggles allocation-delta collection (via
-// runtime.ReadMemStats at span boundaries). It is off by default because
-// ReadMemStats briefly stops the world; enable it for profiling runs.
-func (t *Trace) CollectAllocs(on bool) {
-	t.mu.Lock()
-	t.allocs = on
-	t.mu.Unlock()
-}
-
-func (t *Trace) collectAllocs() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.allocs
-}
-
 func (t *Trace) newSpan(name string) *Span {
-	s := &Span{name: name, trace: t, start: time.Now()}
-	if t.collectAllocs() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		s.startAlloc = ms.TotalAlloc
-	}
-	return s
+	return &Span{name: name, trace: t, start: time.Now()}
 }
 
 // StartSpan opens a child span under the current span of ctx. If ctx
@@ -136,9 +98,9 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanCtxKey{}, s), s
 }
 
-// End closes the span, recording wall time (and the allocation delta
-// when enabled) and mirroring the duration into the trace's registry.
-// End on a nil or already-ended span is a no-op.
+// End closes the span, recording wall time and mirroring the duration
+// into the trace's registry. End on a nil or already-ended span is a
+// no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -150,33 +112,11 @@ func (s *Span) End() {
 	}
 	s.done = true
 	s.dur = time.Since(s.start)
-	if s.trace.collectAllocs() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		s.allocBytes = int64(ms.TotalAlloc - s.startAlloc)
-	}
 	dur := s.dur
 	s.mu.Unlock()
 	if s.trace.reg != nil {
 		s.trace.reg.HDR("span." + s.name + ".ns").Observe(dur.Nanoseconds())
 	}
-}
-
-// Name returns the span's name.
-func (s *Span) Name() string { return s.name }
-
-// Duration returns the span's wall time (time since start when the span
-// is still open).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return s.dur
-	}
-	return time.Since(s.start)
 }
 
 // Finish ends the root span (children left open are measured as of now).
@@ -196,7 +136,6 @@ func (t *Trace) Finish() {
 type SpanSnapshot struct {
 	Name       string         `json:"name"`
 	DurationNS int64          `json:"duration_ns"`
-	AllocBytes int64          `json:"alloc_bytes,omitempty"`
 	Attrs      map[string]any `json:"attrs,omitempty"`
 	Children   []SpanSnapshot `json:"children,omitempty"`
 }
@@ -210,7 +149,6 @@ func (s *Span) snapshot() SpanSnapshot {
 	out := SpanSnapshot{
 		Name:       s.name,
 		DurationNS: dur.Nanoseconds(),
-		AllocBytes: s.allocBytes,
 	}
 	if len(s.attrs) > 0 {
 		out.Attrs = make(map[string]any, len(s.attrs))
@@ -235,8 +173,8 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 }
 
 // Report renders the trace as an indented text tree, one line per span:
-// name, wall time, percentage of the root, and the allocation delta when
-// collected. Sibling order is preserved (chronological).
+// name, wall time, percentage of the root and the attributes. Sibling
+// order is preserved (chronological).
 func (t *Trace) Report() string {
 	snap := t.Snapshot()
 	rootNS := snap.DurationNS
@@ -264,9 +202,6 @@ func writeReport(sb *strings.Builder, s SpanSnapshot, depth int, rootNS int64, w
 	pct := 100 * float64(s.DurationNS) / float64(rootNS)
 	fmt.Fprintf(sb, "%-*s  %10s  %5.1f%%", width, indent+s.Name,
 		formatDuration(time.Duration(s.DurationNS)), pct)
-	if s.AllocBytes != 0 {
-		fmt.Fprintf(sb, "  %8s alloc", formatBytes(s.AllocBytes))
-	}
 	if len(s.Attrs) > 0 {
 		keys := make([]string, 0, len(s.Attrs))
 		for k := range s.Attrs {
@@ -294,41 +229,4 @@ func formatDuration(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%dns", d.Nanoseconds())
 	}
-}
-
-func formatBytes(n int64) string {
-	abs := n
-	if abs < 0 {
-		abs = -abs
-	}
-	switch {
-	case abs >= 1<<30:
-		return fmt.Sprintf("%.1fGB", float64(n)/(1<<30))
-	case abs >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
-	case abs >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
-}
-
-// PhaseNames returns the distinct span names in the trace, sorted; handy
-// for asserting coverage in tests.
-func (t *Trace) PhaseNames() []string {
-	seen := map[string]bool{}
-	var walk func(SpanSnapshot)
-	var out []string
-	walk = func(s SpanSnapshot) {
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			out = append(out, s.Name)
-		}
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	walk(t.Snapshot())
-	sort.Strings(out)
-	return out
 }

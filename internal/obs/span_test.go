@@ -43,17 +43,6 @@ func TestSpanTree(t *testing.T) {
 	if reg.HDR("span.load.ns").Snapshot().Count != 1 {
 		t.Fatal("span duration not mirrored into registry")
 	}
-	// PhaseNames covers every span once.
-	names := tr.PhaseNames()
-	want := []string{"load", "load/rows", "partition", "run"}
-	if len(names) != len(want) {
-		t.Fatalf("PhaseNames = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("PhaseNames = %v, want %v", names, want)
-		}
-	}
 }
 
 func TestSpanNoTraceIsNoop(t *testing.T) {
@@ -66,10 +55,7 @@ func TestSpanNoTraceIsNoop(t *testing.T) {
 		t.Fatal("context should be unchanged")
 	}
 	s.End() // must not panic
-	var nilSpan *Span
-	if nilSpan.Duration() != 0 {
-		t.Fatal("nil span duration")
-	}
+	s.SetAttr("k", 1)
 }
 
 func TestSpanDoubleEndAndFinishIdempotent(t *testing.T) {
@@ -108,23 +94,6 @@ func TestSpanReportAndJSON(t *testing.T) {
 	}
 }
 
-func TestSpanAllocCollection(t *testing.T) {
-	ctx, tr := WithTraceRegistry(context.Background(), "run", NewRegistry())
-	tr.CollectAllocs(true)
-	_, s := StartSpan(ctx, "alloc")
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 4096))
-	}
-	_ = sink
-	s.End()
-	tr.Finish()
-	snap := tr.Snapshot()
-	if snap.Children[0].AllocBytes < 64*4096/2 {
-		t.Fatalf("alloc delta %d implausibly small", snap.Children[0].AllocBytes)
-	}
-}
-
 // TestConcurrentSpans drives sibling spans from multiple goroutines so
 // -race exercises the tree locking.
 func TestConcurrentSpans(t *testing.T) {
@@ -150,7 +119,7 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
-// TestConcurrentSpanAttrStress hammers SetAttr/Attr/StartSpan/End (and
+// TestConcurrentSpanAttrStress hammers SetAttr/StartSpan/End (and
 // snapshotting) on the SAME spans from many goroutines, so -race proves
 // attribute writes are properly locked against tree walks.
 func TestConcurrentSpanAttrStress(t *testing.T) {
@@ -164,10 +133,6 @@ func TestConcurrentSpanAttrStress(t *testing.T) {
 			for j := 0; j < 200; j++ {
 				shared.SetAttr("k", id*1000+j)
 				shared.SetAttr("id", id)
-				if _, ok := shared.Attr("k"); !ok {
-					t.Error("attr lost")
-					return
-				}
 				cctx, s := StartSpan(ctx, "worker")
 				s.SetAttr("j", j)
 				_, inner := StartSpan(cctx, "inner")
@@ -188,8 +153,8 @@ func TestConcurrentSpanAttrStress(t *testing.T) {
 	if len(snap.Children) != 1+8*200 {
 		t.Fatalf("children = %d, want %d", len(snap.Children), 1+8*200)
 	}
-	if _, ok := shared.Attr("id"); !ok {
-		t.Fatal("shared attr missing after stress")
+	if a := snap.Children[0].Attrs; a["k"] == nil || a["id"] == nil {
+		t.Fatalf("shared attrs after stress = %v", a)
 	}
 }
 

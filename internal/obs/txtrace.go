@@ -242,14 +242,6 @@ func (r *Recorder) Record(txn uint64, kind EventKind, node, attempt int, vt floa
 	cTraceEvents.Inc()
 }
 
-// Recorded returns the total number of events ever recorded.
-func (r *Recorder) Recorded() int64 {
-	if r == nil {
-		return 0
-	}
-	return int64(r.seq.Load())
-}
-
 // Dropped returns how many events the rings have overwritten.
 func (r *Recorder) Dropped() int64 {
 	if r == nil {
@@ -288,17 +280,6 @@ func (r *Recorder) Events() []Event {
 		s.mu.Unlock()
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
-}
-
-// EventsFor returns the retained events of one transaction, in order.
-func (r *Recorder) EventsFor(txn uint64) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Txn == txn {
-			out = append(out, e)
-		}
-	}
 	return out
 }
 

@@ -138,35 +138,6 @@ func (s *Set) Slice() []int {
 	return s.AppendTo(make([]int, 0, s.Len()))
 }
 
-// Reset empties the set in place, keeping any spill storage for reuse.
-func (s *Set) Reset() {
-	s.w = [setInlineWords]uint64{}
-	for i := range s.spill {
-		s.spill[i] = 0
-	}
-}
-
-// Equal reports whether two sets have the same members.
-func (s *Set) Equal(o *Set) bool {
-	if s.w != o.w {
-		return false
-	}
-	long, short := s.spill, o.spill
-	if len(short) > len(long) {
-		long, short = short, long
-	}
-	for i, w := range long {
-		var ow uint64
-		if i < len(short) {
-			ow = short[i]
-		}
-		if w != ow {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the set as "{1, 4, 7}".
 func (s *Set) String() string {
 	var sb strings.Builder

@@ -52,42 +52,6 @@ func TestSetSpill(t *testing.T) {
 	if !reflect.DeepEqual(order, []int{300, 1000}) {
 		t.Fatalf("ForEach order = %v", order)
 	}
-	s.Reset()
-	if !s.Empty() || s.Has(1000) {
-		t.Fatalf("Reset left members: %s", s.String())
-	}
-	// Spill storage is retained and reusable after Reset.
-	s.Add(1000)
-	if !s.Has(1000) || s.Len() != 1 {
-		t.Fatalf("reuse after Reset failed: %s", s.String())
-	}
-}
-
-func TestSetEqual(t *testing.T) {
-	var a, b Set
-	a.Add(3)
-	a.Add(500)
-	b.Add(500)
-	b.Add(3)
-	if !a.Equal(&b) || !b.Equal(&a) {
-		t.Fatal("equal sets reported unequal")
-	}
-	b.Add(4)
-	if a.Equal(&b) {
-		t.Fatal("unequal sets reported equal")
-	}
-	// One side spilled with zero words only: still equal to inline-only.
-	var c, d Set
-	c.Add(1)
-	d.Add(1)
-	d.Add(400)
-	var e Set
-	e.Add(1)
-	d.Reset()
-	d.Add(1)
-	if !c.Equal(&d) || !d.Equal(&e) {
-		t.Fatal("zeroed spill words broke equality")
-	}
 }
 
 func TestSetMinEmptyAndAppendTo(t *testing.T) {

@@ -168,7 +168,8 @@ func BenchmarkShipAck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bk, err := newBackup(0, 1, 1, sc, b.TempDir(), bEp)
+	dir := b.TempDir()
+	bk, err := newBackup(0, 1, 1, sc, dir, bEp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func BenchmarkShipAck(b *testing.B) {
 		driverID: 2, groups: []*group{{pr: pr}}, res: &Result{}}
 	ctx := context.Background()
 	restart := func() {
-		if err := bk.reset(); err != nil {
+		if err := bk.reset(MemberLogPath(dir, 0, 1)); err != nil {
 			b.Fatal(err)
 		}
 		if err := bk.handleSnapshot(ctx, transport.Msg{Type: MsgSnapshotOffer, From: 2, To: 1, Payload: snap}); err != nil {
@@ -218,4 +219,17 @@ func BenchmarkShipAck(b *testing.B) {
 			b.Fatalf("round trip %d acked %d, want %d", i, pr.acked[1], base+int64(len(recs)))
 		}
 	}
+}
+
+// reset discards the backup's chain, as a restart from an empty disk
+// would: its log file, at path, is recreated and the store empties until
+// a snapshot offer arrives.
+func (b *backup) reset(path string) error {
+	b.log.Close()
+	log, err := wal.Create(path)
+	if err != nil {
+		return err
+	}
+	b.chain = newChain(b.sc, log)
+	return nil
 }

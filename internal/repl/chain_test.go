@@ -239,7 +239,8 @@ func TestBadShipBatchNoAck(t *testing.T) {
 		{"unknown-table-write", (db.Op{Kind: db.OpTouch, Table: "NOPE", Key: intKey(1)}).Encode(nil)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b, dEp, stop := busPair(t)
+			dir := t.TempDir()
+			b, dEp, stop := busPair(t, dir)
 			defer stop()
 			good := chainRecords(1)
 			if m := sendRecv(t, dEp, 1, MsgAppend, encodeAppend(0, 0, good)); m.Type != MsgAppendAck {
@@ -269,7 +270,7 @@ func TestBadShipBatchNoAck(t *testing.T) {
 			for _, rec := range append(good, bad...) {
 				want = wal.EncodeRecord(want, rec.Type, rec.Txn, rec.Payload)
 			}
-			got, err := os.ReadFile(b.log.Path())
+			got, err := os.ReadFile(MemberLogPath(dir, 0, 1))
 			if err != nil {
 				t.Fatal(err)
 			}

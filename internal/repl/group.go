@@ -318,19 +318,6 @@ func (b *backup) restart() {
 	b.done = make(chan struct{})
 }
 
-// reset discards the backup's chain for a snapshot rejoin: the log file
-// is recreated (dropping any divergent suffix a deposed primary wrote)
-// and the store empties until the offer arrives.
-func (b *backup) reset() error {
-	b.log.Close()
-	log, err := wal.Create(b.log.Path())
-	if err != nil {
-		return err
-	}
-	b.chain = newChain(b.sc, log)
-	return nil
-}
-
 // serve runs the backup's message loop until the context ends, the
 // endpoint closes, a scripted crash fires, or a promotion adopts it. On
 // a clean shutdown (the end-of-run full-cluster crash) the log closes

@@ -361,9 +361,9 @@ func decodeAppend(data []byte) (epoch int, base int64, recs []wal.Record, err er
 	return decodeAppendInto(nil, data)
 }
 
-// busPair wires a backup server (member 1 of group 0) and a raw driver
-// endpoint on one bus.
-func busPair(t *testing.T) (*backup, transport.Transport, func()) {
+// busPair wires a backup server (member 1 of group 0, logging in dir) and
+// a raw driver endpoint on one bus.
+func busPair(t *testing.T, dir string) (*backup, transport.Transport, func()) {
 	t.Helper()
 	bus := transport.NewBus()
 	bEp, err := bus.Endpoint(1)
@@ -374,7 +374,7 @@ func busPair(t *testing.T) (*backup, transport.Transport, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := newBackup(0, 1, 2, fixture.CustInfoSchema(), t.TempDir(), bEp)
+	b, err := newBackup(0, 1, 2, fixture.CustInfoSchema(), dir, bEp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func sendRecv(t *testing.T, ep transport.Transport, to int, typ uint8, payload [
 // watermark (anti-entropy is built into the ship path), and overlapping
 // batches skip already-applied records instead of double-applying them.
 func TestBackupApplyAckGap(t *testing.T) {
-	b, dEp, stop := busPair(t)
+	b, dEp, stop := busPair(t, t.TempDir())
 	defer stop()
 	recs := chainRecords(2) // 6 records
 
@@ -444,11 +444,14 @@ func TestBackupApplyAckGap(t *testing.T) {
 	stop()
 	// The backup acks once records are logged; its store applies them
 	// when read, so materialize it before counting commits.
-	if _, err := b.store(); err != nil {
+	st, err := b.store()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if b.seq != 6 || b.app.Committed() != 2 {
-		t.Fatalf("backup logged=%d committed=%d, want 6/2", b.seq, b.app.Committed())
+	want := wal.Replay(fixture.CustInfoSchema(), recs, 0, nil)
+	if b.seq != 6 || len(want.Committed) != 2 || !reflect.DeepEqual(st.TableDigests(), want.DB.TableDigests()) {
+		t.Fatalf("backup logged=%d, store digests %v; want 6 records and the digests of replaying them (%v)",
+			b.seq, st.TableDigests(), want.DB.TableDigests())
 	}
 }
 
@@ -456,7 +459,8 @@ func TestBackupApplyAckGap(t *testing.T) {
 // chain at its base (a CHECKPOINT record in the log, so recovery needs no
 // new cases), stale offers are refused, and the tail appends from there.
 func TestSnapshotInstall(t *testing.T) {
-	b, dEp, stop := busPair(t)
+	dir := t.TempDir()
+	b, dEp, stop := busPair(t, dir)
 	defer stop()
 	d := fixture.CustInfoDB()
 
@@ -490,7 +494,7 @@ func TestSnapshotInstall(t *testing.T) {
 		t.Fatalf("backup base=%d logged=%d, want 10/13", b.base, b.seq)
 	}
 	// The log must recover to the snapshot + tail on its own.
-	rc, err := wal.RecoverFile(fixture.CustInfoSchema(), b.log.Path())
+	rc, err := wal.RecoverFile(fixture.CustInfoSchema(), MemberLogPath(dir, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

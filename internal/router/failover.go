@@ -18,20 +18,11 @@ var (
 	cRouteDownErrs = obs.Default.Counter("router.route_down_errors")
 )
 
-// Typed failure-mode errors. Callers match them with errors.Is.
-var (
-	// ErrPartitionDown means the data a routing decision pins to lives
-	// only on unreachable partitions (or a write needs an unreachable
-	// participant), so no safe route exists.
-	ErrPartitionDown = errors.New("router: partition down")
-	// ErrOverload means the serving layer refused the request before any
-	// placement was consulted: admission control shed it (token bucket
-	// empty, queue full, or a breaker fast-fail). It is transient by
-	// construction — the data is fine, the system is busy — so callers
-	// treat it differently from ErrPartitionDown: back off and retry
-	// against the session's retry budget instead of failing over.
-	ErrOverload = errors.New("router: overload, request shed")
-)
+// ErrPartitionDown means the data a routing decision pins to lives only
+// on unreachable partitions (or a write needs an unreachable
+// participant), so no safe route exists. Callers match it with
+// errors.Is.
+var ErrPartitionDown = errors.New("router: partition down")
 
 // Mode classifies how a routing decision was reached.
 type Mode uint8

@@ -13,9 +13,10 @@ import (
 	"repro/internal/wal"
 )
 
-// TestRouteSafeInDoubtPartitionLifecycle walks the full recovery story a
-// crash between prepare and commit creates: the in-doubt partition
-// refuses new writes, reads degrade around it, and once presumed-abort
+// TestRouteSafeInDoubtPartitionLifecycle walks the recovery story a crash
+// between prepare and commit creates, with the partitions a scan of the
+// logs finds in doubt given to Route as down: a write to the in-doubt
+// partition is refused, reads degrade around it, and once presumed-abort
 // resolution lands the partition serves again.
 func TestRouteSafeInDoubtPartitionLifecycle(t *testing.T) {
 	r, _ := custInfoSetup(t, 4)
@@ -45,17 +46,15 @@ func TestRouteSafeInDoubtPartitionLifecycle(t *testing.T) {
 	l3.AppendTorn(wal.RecCommit, 7, nil, 3)
 	l3.Close()
 
-	// Pre-resolution scan: partition 3 is in doubt and must be treated as
-	// down for writes.
+	// Pre-resolution scan: partition 3 is in doubt.
 	scan, err := wal.ScanDir(sc, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inDoubt := scan.InDoubtNodes()
-	if !reflect.DeepEqual(inDoubt, faults.NodeSet{3: true}) {
-		t.Fatalf("in-doubt nodes = %v, want {3}", inDoubt)
+	health := inDoubtNodes(scan)
+	if !reflect.DeepEqual(health, faults.NodeSet{3: true}) {
+		t.Fatalf("in-doubt nodes = %v, want {3}", health)
 	}
-	health := faults.Overlay(faults.AllUp, inDoubt)
 
 	// A write pinned to the in-doubt partition is refused outright.
 	params2 := map[string]value.Value{"cust_id": value.NewInt(2), "qty": value.NewInt(5)}
@@ -85,17 +84,20 @@ func TestRouteSafeInDoubtPartitionLifecycle(t *testing.T) {
 	if cr.InDoubtCommitted != 1 || cr.InDoubtAborted != 1 {
 		t.Fatalf("resolution: %d committed / %d aborted, want 1/1", cr.InDoubtCommitted, cr.InDoubtAborted)
 	}
-	if v := cr.Parts[3].DB.Table("TRADE").Version(touch.Key); v != 1 {
-		t.Errorf("resolved commit not applied: TRADE/300 version = %d", v)
+	want := db.New(sc)
+	if err := want.Apply(touch); err != nil {
+		t.Fatal(err)
+	}
+	if got := cr.Parts[3].DB.TableDigests(); !reflect.DeepEqual(got, want.TableDigests()) {
+		t.Errorf("resolved commit not applied: digests %v, want %v", got, want.TableDigests())
 	}
 	post, err := wal.ScanDir(sc, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(post.InDoubtNodes()) != 0 {
-		t.Fatalf("in-doubt nodes after resolution: %v", post.InDoubtNodes())
+	if health = inDoubtNodes(post); len(health) != 0 {
+		t.Fatalf("in-doubt nodes after resolution: %v", health)
 	}
-	health = faults.Overlay(faults.AllUp, post.InDoubtNodes())
 	dec, err = r.Route(context.Background(), Request{Class: "TradeUpdate", Params: params2, Health: health})
 	if err != nil {
 		t.Fatal(err)
@@ -103,4 +105,16 @@ func TestRouteSafeInDoubtPartitionLifecycle(t *testing.T) {
 	if !reflect.DeepEqual(dec.Partitions, []int{3}) || dec.Mode != ModeLocal {
 		t.Errorf("post-resolution write = %v (%s), want [3] (local)", dec.Partitions, dec.Mode)
 	}
+}
+
+// inDoubtNodes returns the partitions of cr holding a prepared-undecided
+// transaction.
+func inDoubtNodes(cr *wal.ClusterRecovery) faults.NodeSet {
+	s := faults.NodeSet{}
+	for id, rec := range cr.Parts {
+		if len(rec.InDoubt) > 0 {
+			s[id] = true
+		}
+	}
+	return s
 }

@@ -9,7 +9,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/value"
@@ -186,7 +185,6 @@ type Schema struct {
 	tables     []*Table
 	tableIndex map[string]*Table
 	fksFrom    map[string][]ForeignKey
-	fksTo      map[string][]ForeignKey
 }
 
 // New returns an empty schema with the given name.
@@ -195,7 +193,6 @@ func New(name string) *Schema {
 		Name:       name,
 		tableIndex: make(map[string]*Table),
 		fksFrom:    make(map[string][]ForeignKey),
-		fksTo:      make(map[string][]ForeignKey),
 	}
 }
 
@@ -260,7 +257,6 @@ func (s *Schema) AddFK(table string, cols []string, refTable string, refCols []s
 	}
 	s.ForeignKeys = append(s.ForeignKeys, fk)
 	s.fksFrom[table] = append(s.fksFrom[table], fk)
-	s.fksTo[refTable] = append(s.fksTo[refTable], fk)
 }
 
 // Table returns the named table, or nil.
@@ -269,45 +265,11 @@ func (s *Schema) Table(name string) *Table { return s.tableIndex[name] }
 // Tables returns all tables in declaration order.
 func (s *Schema) Tables() []*Table { return s.tables }
 
-// TableNames returns all table names sorted alphabetically.
-func (s *Schema) TableNames() []string {
-	names := make([]string, 0, len(s.tables))
-	for _, t := range s.tables {
-		names = append(names, t.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// FKsFrom returns the foreign keys whose referencing side is the named
-// table.
-func (s *Schema) FKsFrom(table string) []ForeignKey { return s.fksFrom[table] }
-
-// FKsTo returns the foreign keys whose referenced side is the named table.
-func (s *Schema) FKsTo(table string) []ForeignKey { return s.fksTo[table] }
-
 // FindFK returns the foreign key from the exact source column set, if any.
 // Order of cols matters (it must match the declaration).
 func (s *Schema) FindFK(table string, cols []string) (ForeignKey, bool) {
 	for _, fk := range s.fksFrom[table] {
 		if fk.Source().Equal(ColumnSet{table, cols}) {
-			return fk, true
-		}
-	}
-	return ForeignKey{}, false
-}
-
-// FKBetween returns a foreign key connecting the two column sets in either
-// direction (src referencing dst, or dst referencing src), and whether one
-// exists. Matching is order-sensitive within each set.
-func (s *Schema) FKBetween(a, b ColumnSet) (ForeignKey, bool) {
-	for _, fk := range s.fksFrom[a.Table] {
-		if fk.Source().Equal(a) && fk.Target().Equal(b) {
-			return fk, true
-		}
-	}
-	for _, fk := range s.fksFrom[b.Table] {
-		if fk.Source().Equal(b) && fk.Target().Equal(a) {
 			return fk, true
 		}
 	}

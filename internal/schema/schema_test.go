@@ -47,10 +47,6 @@ func TestBuildAndLookup(t *testing.T) {
 	if len(s.Tables()) != 3 {
 		t.Errorf("Tables() len = %d", len(s.Tables()))
 	}
-	names := s.TableNames()
-	if len(names) != 3 || names[0] != "CUSTOMER_ACCOUNT" {
-		t.Errorf("TableNames() = %v", names)
-	}
 }
 
 func TestPrimaryKeyHelpers(t *testing.T) {
@@ -73,30 +69,14 @@ func TestPrimaryKeyHelpers(t *testing.T) {
 
 func TestFKAdjacency(t *testing.T) {
 	s := custInfoSchema()
-	if got := s.FKsFrom("TRADE"); len(got) != 1 || got[0].RefTable != "CUSTOMER_ACCOUNT" {
-		t.Errorf("FKsFrom(TRADE) = %v", got)
+	if got := s.fksFrom["TRADE"]; len(got) != 1 || got[0].RefTable != "CUSTOMER_ACCOUNT" {
+		t.Errorf("foreign keys from TRADE = %v", got)
 	}
-	if got := s.FKsTo("CUSTOMER_ACCOUNT"); len(got) != 2 {
-		t.Errorf("FKsTo(CUSTOMER_ACCOUNT) = %v", got)
-	}
-	if _, ok := s.FindFK("TRADE", []string{"T_CA_ID"}); !ok {
-		t.Error("FindFK(TRADE.T_CA_ID) not found")
+	if fk, ok := s.FindFK("TRADE", []string{"T_CA_ID"}); !ok || fk.RefTable != "CUSTOMER_ACCOUNT" {
+		t.Errorf("FindFK(TRADE.T_CA_ID) = %v, %v", fk, ok)
 	}
 	if _, ok := s.FindFK("TRADE", []string{"T_ID"}); ok {
 		t.Error("FindFK on non-FK columns must fail")
-	}
-	fk, ok := s.FKBetween(
-		ColumnSet{"TRADE", []string{"T_CA_ID"}},
-		ColumnSet{"CUSTOMER_ACCOUNT", []string{"CA_ID"}})
-	if !ok || fk.Table != "TRADE" {
-		t.Errorf("FKBetween forward = %v, %v", fk, ok)
-	}
-	// Reverse direction query must find the same constraint.
-	fk2, ok := s.FKBetween(
-		ColumnSet{"CUSTOMER_ACCOUNT", []string{"CA_ID"}},
-		ColumnSet{"TRADE", []string{"T_CA_ID"}})
-	if !ok || fk2.Table != "TRADE" {
-		t.Errorf("FKBetween reverse = %v, %v", fk2, ok)
 	}
 }
 

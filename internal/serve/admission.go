@@ -1,17 +1,11 @@
 package serve
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/router"
-)
+import "sync"
 
 // Admission control: a token bucket refilled in virtual time at an
-// AIMD-adjusted rate, in front of the worker queue's depth cap. Both
-// shed with a typed error wrapping router.ErrOverload so callers (and
-// the retry budget) can tell "the system is busy, back off" from "the
-// data is unreachable, fail over" (router.ErrPartitionDown).
+// AIMD-adjusted rate, in front of the worker queue's depth cap. A shed
+// request is a failed attempt the session retries against its retry
+// budget (Result.ShedToken and Result.ShedQueue count them).
 //
 // The AIMD guardrail is the SLO feedback loop: after every completed
 // SLOMonitor window the engine calls onWindow — a breached window cuts
@@ -19,13 +13,6 @@ import (
 // queues), a healthy window creeps it back up additively. The rate is
 // clamped to [MinRateTPS, MaxRateTPS] so a pathological stretch cannot
 // drive admission to zero or let it run away.
-
-// errShedToken / errShedQueue are the two shed reasons, both matching
-// errors.Is(err, router.ErrOverload).
-var (
-	errShedToken = fmt.Errorf("serve: admission rate exceeded: %w", router.ErrOverload)
-	errShedQueue = fmt.Errorf("serve: worker queue full: %w", router.ErrOverload)
-)
 
 // admission is the token bucket + AIMD rate controller. Safe for
 // concurrent use (the -race soak hammers it); the engine drives it
@@ -41,7 +28,6 @@ type admission struct {
 	initial              float64
 	minSeen              float64
 	increases, decreases int
-	shedToken            int
 }
 
 func newAdmission(cfg AdmissionConfig) *admission {
@@ -54,9 +40,9 @@ func newAdmission(cfg AdmissionConfig) *admission {
 	}
 }
 
-// allow refills the bucket to virtual time now and spends one token;
-// an empty bucket sheds (errShedToken).
-func (a *admission) allow(now float64) error {
+// allow refills the bucket to virtual time now and spends one token,
+// reporting whether there was one: an empty bucket sheds.
+func (a *admission) allow(now float64) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if now > a.last {
@@ -68,10 +54,9 @@ func (a *admission) allow(now float64) error {
 	}
 	if a.tokens >= 1 {
 		a.tokens--
-		return nil
+		return true
 	}
-	a.shedToken++
-	return errShedToken
+	return false
 }
 
 // onWindow applies the AIMD step for one completed SLO window.

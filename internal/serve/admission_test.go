@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"errors"
 	"math"
 	"testing"
-
-	"repro/internal/router"
 )
 
 // TestAdmissionTokenBucket: the bucket starts full, spends one token per
@@ -13,31 +10,27 @@ import (
 // exceeds the burst depth.
 func TestAdmissionTokenBucket(t *testing.T) {
 	adm := newAdmission(AdmissionConfig{Enabled: true, RateTPS: 100, Burst: 2}.withDefaults(100))
-	if err := adm.allow(0); err != nil {
-		t.Fatalf("first token: %v", err)
+	if !adm.allow(0) {
+		t.Fatal("first token shed")
 	}
-	if err := adm.allow(0); err != nil {
-		t.Fatalf("second token: %v", err)
+	if !adm.allow(0) {
+		t.Fatal("second token shed")
 	}
-	err := adm.allow(0)
-	if err == nil {
+	if adm.allow(0) {
 		t.Fatal("empty bucket must shed")
 	}
-	if !errors.Is(err, router.ErrOverload) {
-		t.Fatalf("shed error must wrap router.ErrOverload, got %v", err)
-	}
 	// 10ms at 100 tps refills one token.
-	if err := adm.allow(0.011); err != nil {
-		t.Fatalf("refilled token: %v", err)
+	if !adm.allow(0.011) {
+		t.Fatal("refilled token shed")
 	}
 	// A long idle stretch caps at Burst, not rate × elapsed.
-	if err := adm.allow(10); err != nil {
+	if !adm.allow(10) {
 		t.Fatal("bucket must be full after idling")
 	}
-	if err := adm.allow(10); err != nil {
+	if !adm.allow(10) {
 		t.Fatal("burst depth is 2")
 	}
-	if err := adm.allow(10); err == nil {
+	if adm.allow(10) {
 		t.Fatal("third token at the same instant must shed: refill is capped at Burst")
 	}
 }
@@ -110,18 +103,5 @@ func TestAdmissionDefaults(t *testing.T) {
 	}
 	if cfg.Burst != 32 {
 		t.Errorf("Burst = %v, want 32", cfg.Burst)
-	}
-}
-
-// TestShedErrorTaxonomy: both shed reasons are router.ErrOverload, and
-// neither is mistaken for a partition failure.
-func TestShedErrorTaxonomy(t *testing.T) {
-	for _, err := range []error{errShedToken, errShedQueue} {
-		if !errors.Is(err, router.ErrOverload) {
-			t.Errorf("%v must wrap router.ErrOverload", err)
-		}
-		if errors.Is(err, router.ErrPartitionDown) {
-			t.Errorf("%v must not match ErrPartitionDown", err)
-		}
 	}
 }

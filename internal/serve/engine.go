@@ -337,7 +337,7 @@ func (e *engine) run() (*Result, error) {
 // now: token bucket, then a free worker or the bounded queue.
 func (e *engine) admit(req *request, now float64) {
 	if e.cfg.Admission.Enabled {
-		if err := e.adm.allow(now); err != nil {
+		if !e.adm.allow(now) {
 			e.res.ShedToken++
 			cServeSheds.Inc()
 			e.rec.Record(req.traceID, obs.EvShed, -1, req.tries, now, obs.ShedToken)

@@ -3,7 +3,7 @@
 // and bursty arrival processes) driving worker-pool transaction
 // execution through router.Route into WAL-backed internal/db
 // partitions, wrapped in an overload-protection layer — token-bucket +
-// queue-depth admission control with typed router.ErrOverload shedding,
+// queue-depth admission control shedding into the session's retries,
 // per-partition circuit breakers (closed/open/half-open, driven by
 // error rate and p99 from obs.HDR), per-request virtual deadlines
 // propagated via context with a per-session retry *budget* and capped
@@ -221,7 +221,7 @@ const (
 	// workers is the execution worker-pool size.
 	workers = 4
 	// queueDepth caps the worker queue under admission control; admitted
-	// requests beyond it are shed with router.ErrOverload.
+	// requests beyond it are shed.
 	queueDepth = 8 * workers
 	// deadlineSec is the per-request virtual deadline: commits past it
 	// count toward throughput but not goodput, and queued requests past

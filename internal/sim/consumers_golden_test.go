@@ -153,7 +153,7 @@ func consumerPins(t *testing.T, name string, seed int64) [5]string {
 	// The drift replays run the test half grouped by class, so the class
 	// mix shifts from window to window and the adaptive detector has
 	// something to react to.
-	split := test.Split()
+	split := byClass(test)
 	classes := test.Classes()
 	drifted := split[classes[0]]
 	for _, c := range classes[1:] {
@@ -216,4 +216,16 @@ func writeJSON(t *testing.T, h hash.Hash, v any) {
 	}
 	h.Write(data)
 	h.Write([]byte{'\n'})
+}
+
+// byClass groups tr's transactions by class, keeping their order.
+func byClass(tr *trace.Trace) map[string]*trace.Trace {
+	out := map[string]*trace.Trace{}
+	for _, txn := range tr.All() {
+		if out[txn.Class] == nil {
+			out[txn.Class] = &trace.Trace{}
+		}
+		out[txn.Class].Append(*txn)
+	}
+	return out
 }

@@ -34,10 +34,14 @@ func TestFlightTraceCompleteness(t *testing.T) {
 		t.Fatalf("recorder overflowed (%d dropped); grow the test capacity", rec.Dropped())
 	}
 
+	byTxn := map[uint64][]obs.Event{}
+	for _, e := range rec.Events() {
+		byTxn[e.Txn] = append(byTxn[e.Txn], e)
+	}
 	commits, giveUps := 0, 0
 	for i := 0; i < tr.Len(); i++ {
 		id := obs.TxnID(seed, i)
-		evs := rec.EventsFor(id)
+		evs := byTxn[id]
 		if len(evs) < 3 {
 			t.Fatalf("txn %d: only %d events, want >= 3 (begin, route, decision)", i, len(evs))
 		}

@@ -98,9 +98,6 @@ type StatementInfo struct {
 	Bindings      []ParamBinding
 }
 
-// Writes reports whether the statement modifies data.
-func (si *StatementInfo) Writes() bool { return si.WriteTable != "" }
-
 // Analysis is the whole-procedure analysis the join-graph builder consumes.
 type Analysis struct {
 	Proc       *Procedure

@@ -126,8 +126,8 @@ func TestAnalyzeWriteTables(t *testing.T) {
 	if len(a.WriteTables) != 2 || a.WriteTables[0] != "HOLDING_SUMMARY" || a.WriteTables[1] != "TRADE" {
 		t.Errorf("write tables = %v", a.WriteTables)
 	}
-	if !a.Statements[1].Writes() || a.Statements[0].Writes() {
-		t.Error("Writes() flags wrong")
+	if !(a.Statements[1].WriteTable != "") || (a.Statements[0].WriteTable != "") {
+		t.Error("write flags wrong")
 	}
 }
 

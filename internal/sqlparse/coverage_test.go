@@ -106,7 +106,7 @@ func TestColumnsInResolutionError(t *testing.T) {
 }
 
 func TestExprStringRendering(t *testing.T) {
-	stmt, err := ParseOne(`
+	stmt, err := parseOne(`
 		SELECT A FROM W
 		WHERE NOT A = 1 AND B IN (1, 2) AND C IS NULL AND D IS NOT NULL
 		  AND A BETWEEN 1 AND 2 AND C LIKE 'x'`)
@@ -127,7 +127,7 @@ func TestExprStringRendering(t *testing.T) {
 		`SELECT DISTINCT A FROM W x`,
 		`SELECT COUNT(*) FROM W`,
 	} {
-		st, err := ParseOne(src)
+		st, err := parseOne(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
@@ -141,7 +141,7 @@ func TestOperatorVariants(t *testing.T) {
 	// != normalizes to <>; all comparison operators parse.
 	for _, op := range []string{"=", "<>", "!=", "<", ">", "<=", ">="} {
 		src := "SELECT A FROM W WHERE A " + op + " 1"
-		stmt, err := ParseOne(src)
+		stmt, err := parseOne(src)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
@@ -155,7 +155,7 @@ func TestOperatorVariants(t *testing.T) {
 		}
 	}
 	// Arithmetic with precedence: a + b * c.
-	stmt, err := ParseOne(`SELECT A + B * D FROM W`)
+	stmt, err := parseOne(`SELECT A + B * D FROM W`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +194,8 @@ func TestStatementInfoAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Statements[0].Writes() || !a.Statements[1].Writes() {
-		t.Error("Writes() flags wrong")
+	if (a.Statements[0].WriteTable != "") || !(a.Statements[1].WriteTable != "") {
+		t.Error("write flags wrong")
 	}
 	// EquiJoin canonicalization + String.
 	j := EquiJoin{

@@ -31,28 +31,6 @@ func Parse(src string) ([]Statement, error) {
 	}
 }
 
-// ParseOne parses exactly one statement and errors on trailing input.
-func ParseOne(src string) (Statement, error) {
-	stmts, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("sqlparse: expected 1 statement, got %d", len(stmts))
-	}
-	return stmts[0], nil
-}
-
-// MustParse parses statically known SQL (benchmark definitions) and panics
-// on error.
-func MustParse(src string) []Statement {
-	stmts, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return stmts
-}
-
 type parser struct {
 	toks []token
 	i    int

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestParseSelectJoin(t *testing.T) {
 	// The first query of the paper's CustInfo procedure (§3 Example 1).
-	stmt, err := ParseOne(`
+	stmt, err := parseOne(`
 		SELECT SUM(HS_QTY)
 		FROM HOLDING_SUMMARY join CUSTOMER_ACCOUNT on HS_CA_ID = CA_ID
 		WHERE CA_C_ID = @cust_id`)
@@ -47,7 +48,7 @@ func TestParseSelectJoin(t *testing.T) {
 }
 
 func TestParseAssignmentSelect(t *testing.T) {
-	stmt, err := ParseOne(`SELECT @cust_acct = T_CA_ID FROM TRADE WHERE T_ID = @t_id`)
+	stmt, err := parseOne(`SELECT @cust_acct = T_CA_ID FROM TRADE WHERE T_ID = @t_id`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestParseAssignmentSelect(t *testing.T) {
 }
 
 func TestParseInsert(t *testing.T) {
-	stmt, err := ParseOne(`INSERT INTO TRADE (T_ID, T_CA_ID, T_QTY) VALUES (@id, @ca, 5)`)
+	stmt, err := parseOne(`INSERT INTO TRADE (T_ID, T_CA_ID, T_QTY) VALUES (@id, @ca, 5)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +76,13 @@ func TestParseInsert(t *testing.T) {
 }
 
 func TestParseInsertArityMismatch(t *testing.T) {
-	if _, err := ParseOne(`INSERT INTO T (A, B) VALUES (1)`); err == nil {
+	if _, err := parseOne(`INSERT INTO T (A, B) VALUES (1)`); err == nil {
 		t.Error("expected arity error")
 	}
 }
 
 func TestParseUpdateDelete(t *testing.T) {
-	stmt, err := ParseOne(`UPDATE CUSTOMER_ACCOUNT SET CA_BAL = CA_BAL + @amt WHERE CA_ID = @id`)
+	stmt, err := parseOne(`UPDATE CUSTOMER_ACCOUNT SET CA_BAL = CA_BAL + @amt WHERE CA_ID = @id`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestParseUpdateDelete(t *testing.T) {
 	if u.Table.Table != "CUSTOMER_ACCOUNT" || len(u.Set) != 1 || u.Where == nil {
 		t.Errorf("update = %+v", u)
 	}
-	stmt, err = ParseOne(`DELETE FROM TRADE_REQUEST WHERE TR_T_ID = @tid`)
+	stmt, err = parseOne(`DELETE FROM TRADE_REQUEST WHERE TR_T_ID = @tid`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestParseMultiStatement(t *testing.T) {
 }
 
 func TestParsePredicates(t *testing.T) {
-	stmt, err := ParseOne(`
+	stmt, err := parseOne(`
 		SELECT A FROM T
 		WHERE A = @x AND (B BETWEEN @lo AND @hi OR C IN (@a, @b, 3))
 		  AND D IS NOT NULL AND NOT E = 1 AND F LIKE 'x%'
@@ -134,7 +135,7 @@ func TestParsePredicates(t *testing.T) {
 }
 
 func TestParseAliasesAndQualified(t *testing.T) {
-	stmt, err := ParseOne(`SELECT t.A, u.B FROM T t JOIN U u ON t.A = u.A WHERE t.C = @x`)
+	stmt, err := parseOne(`SELECT t.A, u.B FROM T t JOIN U u ON t.A = u.A WHERE t.C = @x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestParseAliasesAndQualified(t *testing.T) {
 }
 
 func TestParseTopGroupByCountStar(t *testing.T) {
-	stmt, err := ParseOne(`SELECT TOP 5 A, COUNT(*), MAX(B) FROM T GROUP BY A`)
+	stmt, err := parseOne(`SELECT TOP 5 A, COUNT(*), MAX(B) FROM T GROUP BY A`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestParseTopGroupByCountStar(t *testing.T) {
 }
 
 func TestParseComments(t *testing.T) {
-	stmt, err := ParseOne("SELECT A -- trailing comment\nFROM T -- another\nWHERE A = 1")
+	stmt, err := parseOne("SELECT A -- trailing comment\nFROM T -- another\nWHERE A = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,18 +173,18 @@ func TestParseComments(t *testing.T) {
 }
 
 func TestParseStringLiteralEscapes(t *testing.T) {
-	stmt, err := ParseOne(`SELECT A FROM T WHERE B = 'it''s'`)
+	stmt, err := parseOne(`SELECT A FROM T WHERE B = 'it''s'`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := stmt.(*SelectStmt).Where.(BinaryExpr)
-	if lit := w.R.(LiteralExpr); lit.Val.Str() != "it's" {
-		t.Errorf("lit = %q", lit.Val.Str())
+	if lit := w.R.(LiteralExpr); lit.Val != value.NewString("it's") {
+		t.Errorf("lit = %v", lit.Val)
 	}
 }
 
 func TestParseNegativeAndFloatLiterals(t *testing.T) {
-	stmt, err := ParseOne(`SELECT A FROM T WHERE B = -5 AND C = 2.5`)
+	stmt, err := parseOne(`SELECT A FROM T WHERE B = -5 AND C = 2.5`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +219,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT A FROM T WHERE B ~ 1",
 	}
 	for _, src := range bad {
-		if _, err := ParseOne(src); err == nil {
-			t.Errorf("ParseOne(%q): expected error", src)
+		if _, err := parseOne(src); err == nil {
+			t.Errorf("parseOne(%q): expected error", src)
 		}
 	}
 }
@@ -233,11 +234,11 @@ func TestStringRoundTripReparses(t *testing.T) {
 		`SELECT @v = A FROM T WHERE B IN (@x, 2) AND C BETWEEN 1 AND 9`,
 	}
 	for _, src := range srcs {
-		s1, err := ParseOne(src)
+		s1, err := parseOne(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		s2, err := ParseOne(s1.String())
+		s2, err := parseOne(s1.String())
 		if err != nil {
 			t.Fatalf("reparse %q: %v", s1.String(), err)
 		}
@@ -245,4 +246,16 @@ func TestStringRoundTripReparses(t *testing.T) {
 			t.Errorf("not canonical: %q vs %q", s1.String(), s2.String())
 		}
 	}
+}
+
+// parseOne parses exactly one statement and errors on trailing input.
+func parseOne(src string) (Statement, error) {
+	stmts, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(stmts) != 1 {
+		return nil, fmt.Errorf("sqlparse: expected 1 statement, got %d", len(stmts))
+	}
+	return stmts[0], nil
 }

@@ -114,28 +114,18 @@ type pendingTxn struct {
 	accs    []uint64    // localKeyIdx<<1 | writeBit
 }
 
-// NewColumnarWriter returns a writer emitting the columnar format to w
-// with the default chunk size.
-func NewColumnarWriter(w io.Writer) *ColumnarWriter {
+// NewColumnarWriter returns a writer emitting the columnar format to w,
+// chunkTxns transactions per chunk (WriteColumnar uses DefaultChunkTxns).
+func NewColumnarWriter(w io.Writer, chunkTxns int) *ColumnarWriter {
 	cw := &ColumnarWriter{
 		bw:        bufio.NewWriterSize(w, 1<<16),
 		tables:    NewDict(),
 		classes:   NewDict(),
-		chunkTxns: DefaultChunkTxns,
+		chunkTxns: chunkTxns,
 		keyIdx:    make(map[string]int),
 	}
 	cw.writeRaw([]byte(colMagic))
 	return cw
-}
-
-// SetChunkTxns overrides the transactions-per-chunk (for tests and the
-// big-trace generator). It panics on n <= 0 and must be called before
-// the first Add.
-func (cw *ColumnarWriter) SetChunkTxns(n int) {
-	if n <= 0 {
-		panic(fmt.Sprintf("trace: SetChunkTxns(%d)", n))
-	}
-	cw.chunkTxns = n
 }
 
 func (cw *ColumnarWriter) writeRaw(b []byte) {
@@ -287,7 +277,7 @@ func (cw *ColumnarWriter) BytesWritten() int64 { return cw.n }
 // WriteColumnar writes any trace representation to w in the columnar
 // on-disk format, returning the byte count.
 func WriteColumnar(w io.Writer, src Workload) (int64, error) {
-	cw := NewColumnarWriter(w)
+	cw := NewColumnarWriter(w, DefaultChunkTxns)
 	for _, t := range src.All() {
 		if err := cw.Add(t); err != nil {
 			return cw.BytesWritten(), err
@@ -606,9 +596,6 @@ func OpenColumnar(path string) (*Stream, error) {
 	return &Stream{path: path}, nil
 }
 
-// Path returns the file the stream reads.
-func (s *Stream) Path() string { return s.path }
-
 // Err returns the first error a Workload cursor (All, Class, or a cached
 // view pass) encountered, or nil.
 func (s *Stream) Err() error { return s.err }
@@ -725,66 +712,6 @@ func (s *Stream) All() iter.Seq2[int, *Txn] {
 				}
 				idx++
 			}
-		}
-	}
-}
-
-// Materialize reads the whole file into a row Trace.
-func (s *Stream) Materialize() (*Trace, error) {
-	tr := &Trace{}
-	for chunk, err := range s.Chunks() {
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < chunk.NumTxns(); i++ {
-			var t Txn
-			var buf []Access
-			chunk.fill(&t, &buf, i)
-			tr.txns = append(tr.txns, t)
-		}
-	}
-	return tr, nil
-}
-
-// ReadColumnar decodes a complete columnar byte stream (already in
-// memory) into one in-memory Columnar. It is the in-memory counterpart
-// of OpenColumnar, used by round-trip tests and the fuzzer; large files
-// should stream instead.
-func ReadColumnar(r io.Reader) (*Columnar, error) {
-	br := bufio.NewReader(r)
-	var magic [len(colMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing magic header", ErrTornTail)
-	}
-	if string(magic[:]) != colMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic[:])
-	}
-	dec := newColDecoder()
-	out := NewColumnar()
-	// Rebuild through Add-equivalent appends so the output is one
-	// contiguous Columnar with its own dictionaries.
-	var scratch Txn
-	var accBuf []Access
-	var buf []byte
-	for {
-		body, err := readFrame(br, buf)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		buf = body[:0]
-		chunk, err := dec.apply(body)
-		if err != nil {
-			return nil, err
-		}
-		if chunk == nil {
-			continue
-		}
-		for i := 0; i < chunk.NumTxns(); i++ {
-			chunk.fill(&scratch, &accBuf, i)
-			out.Add(&scratch)
 		}
 	}
 }

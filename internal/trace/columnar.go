@@ -139,14 +139,6 @@ func (c *Columnar) internKey(tableID uint32, key value.Key) uint32 {
 	return c.keys.IDBytes(appendComposite(buf[:0], tableID, key))
 }
 
-// LookupKey returns the key id for (table, key) without interning, for
-// read paths resolving external lookups against an existing trace. It
-// does not allocate.
-func (c *Columnar) LookupKey(tableID uint32, key value.Key) (uint32, bool) {
-	var buf [compositeBufSize]byte
-	return c.keys.LookupBytes(appendComposite(buf[:0], tableID, key))
-}
-
 // compositeBufSize is the stack buffer a composite key is built in; a
 // longer key (a long string key column) spills it to the heap.
 const compositeBufSize = 64
@@ -184,20 +176,10 @@ func (c *Columnar) ClassName(id uint32) string { return c.classes.Name(id) }
 // ClassID returns the class id of transaction i.
 func (c *Columnar) ClassID(i int) uint32 { return c.classIDs[i] }
 
-// TxnID returns the external id of transaction i.
-func (c *Columnar) TxnID(i int) int { return int(c.ids[i]) }
-
-// Params returns transaction i's stored-procedure parameters (may be
-// nil). Shared storage — callers must not mutate.
-func (c *Columnar) Params(i int) map[string]value.Value { return c.params[i] }
-
 // AccessRange returns the [lo, hi) access-column indices of txn i.
 func (c *Columnar) AccessRange(i int) (lo, hi int) {
 	return int(c.offsets[i]), int(c.offsets[i+1])
 }
-
-// AccessTable returns the table id of access j.
-func (c *Columnar) AccessTable(j int) uint32 { return c.accTable[j] }
 
 // AccessKey returns the key id of access j.
 func (c *Columnar) AccessKey(j int) uint32 { return c.accKey[j] }
@@ -286,19 +268,6 @@ func (c *Columnar) All() iter.Seq2[int, *Txn] {
 			}
 		}
 	}
-}
-
-// Materialize converts back to the row representation (a full copy).
-func (c *Columnar) Materialize() *Trace {
-	txns := make([]Txn, 0, len(c.ids))
-	for i := range c.ids {
-		var t Txn
-		var buf []Access
-		c.fill(&t, &buf, i)
-		t.Accesses = append([]Access(nil), t.Accesses...)
-		txns = append(txns, t)
-	}
-	return FromTxns(txns)
 }
 
 // String summarizes the columnar trace for debugging.

@@ -42,13 +42,6 @@ func (d *Dict) IDBytes(b []byte) uint32 {
 	return d.ID(string(b))
 }
 
-// LookupBytes returns the id of the string b holds without interning
-// it; it does not allocate.
-func (d *Dict) LookupBytes(b []byte) (uint32, bool) {
-	id, ok := d.ids[string(b)]
-	return id, ok
-}
-
 // Name returns the string with the given id. It panics on an out-of-range
 // id: ids come from the owning trace, never from external input.
 func (d *Dict) Name(id uint32) string { return d.names[id] }

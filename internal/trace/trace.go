@@ -54,16 +54,6 @@ type Txn struct {
 	tables []string
 }
 
-// Writes reports whether the transaction wrote any tuple.
-func (t *Txn) Writes() bool {
-	for _, a := range t.Accesses {
-		if a.Write {
-			return true
-		}
-	}
-	return false
-}
-
 // Tables returns the distinct tables the transaction touched, sorted.
 // The result is cached on the transaction (and shared between calls):
 // callers must not mutate it, and must not mutate Accesses afterwards.
@@ -171,23 +161,6 @@ func (tr *Trace) Classes() []string { return tr.cached().classes }
 // trace). The map is cached and shared between calls: callers must not
 // mutate it.
 func (tr *Trace) Mix() map[string]float64 { return tr.cached().mix }
-
-// Split partitions the trace into one homogeneous sub-trace per
-// transaction class (Phase 1, "splitting the trace into different
-// streams"). Transactions keep their order and identity.
-func (tr *Trace) Split() map[string]*Trace {
-	out := map[string]*Trace{}
-	for i := range tr.txns {
-		c := tr.txns[i].Class
-		sub, ok := out[c]
-		if !ok {
-			sub = &Trace{}
-			out[c] = sub
-		}
-		sub.txns = append(sub.txns, tr.txns[i])
-	}
-	return out
-}
 
 // TrainTest splits the trace into a training part with the given fraction
 // of transactions and a testing part with the remainder. The split is a

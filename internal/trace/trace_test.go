@@ -39,9 +39,6 @@ func TestCollectorBasics(t *testing.T) {
 	if tr.txns[0].ID != 0 || tr.txns[2].ID != 2 {
 		t.Errorf("ids = %d, %d", tr.txns[0].ID, tr.txns[2].ID)
 	}
-	if !tr.txns[0].Writes() || tr.txns[1].Writes() {
-		t.Error("Writes() wrong")
-	}
 	if got := tr.txns[0].Tables(); !reflect.DeepEqual(got, []string{"T", "U"}) {
 		t.Errorf("tables = %v", got)
 	}
@@ -152,14 +149,6 @@ func TestCollectorPanics(t *testing.T) {
 	mustPanic("access outside txn", func() { NewCollector().Read("T", key(1)) })
 	mustPanic("commit outside txn", func() { NewCollector().Commit() })
 	mustPanic("abort outside txn", func() { NewCollector().Abort() })
-}
-
-func TestSplit(t *testing.T) {
-	tr := sampleTrace()
-	parts := tr.Split()
-	if len(parts) != 2 || parts["A"].Len() != 2 || parts["B"].Len() != 1 {
-		t.Errorf("split = %v", parts)
-	}
 }
 
 func TestMix(t *testing.T) {

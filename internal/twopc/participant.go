@@ -89,9 +89,6 @@ type Participant struct {
 
 	crashArm atomic.Int64 // faults.PhaseCode of the armed crash, 0 when disarmed
 	crashed  atomic.Bool
-
-	// Post-run accounting, read only after Serve returns.
-	presumedAborts int
 }
 
 // NewParticipant creates partition id's server over dir's WAL.
@@ -109,9 +106,6 @@ func NewParticipant(id int, sc *schema.Schema, dir string, ep transport.Transpor
 		terms:     map[uint64]*termination{},
 	}, nil
 }
-
-// ID returns the partition id.
-func (p *Participant) ID() int { return p.id }
 
 // ArmCrash schedules a scripted crash: the participant dies on the next
 // message the phase targets (before-prepare on a PREPARE, before-commit
@@ -136,10 +130,6 @@ func (p *Participant) Checkpoints() int { return p.m.Checkpoints() }
 // WALBytes returns the durable log length, 0 for a crashed participant
 // (read after Serve returns).
 func (p *Participant) WALBytes() int64 { return p.m.WALBytes() }
-
-// PresumedAborts counts in-doubt transactions this participant resolved
-// via the presumed-abort termination protocol (read after Serve).
-func (p *Participant) PresumedAborts() int { return p.presumedAborts }
 
 // InDoubt returns the in-doubt pairs still held, in prepare order (read
 // after Serve returns).
@@ -388,7 +378,6 @@ func (p *Participant) resolveInDoubt(txn uint64, commit, presumed bool) error {
 		return err
 	}
 	if presumed {
-		p.presumedAborts++
 		cPresumedAborts.Inc()
 	}
 	return nil

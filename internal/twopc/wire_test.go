@@ -184,8 +184,8 @@ func checkPayloadErr(t *testing.T, decoder string, err error) {
 func checkBodies(t *testing.T, bodies [][]byte) {
 	t.Helper()
 	for i, b := range bodies {
-		if _, err := db.DecodeOp(b); err != nil {
-			t.Fatalf("accepted body %d does not decode: %v", i, err)
+		if _, err := db.CheckOp(b); err != nil {
+			t.Fatalf("accepted body %d does not check: %v", i, err)
 		}
 	}
 }

@@ -9,19 +9,11 @@
 package value
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 )
-
-// ErrKind is the typed error the checked As* accessors wrap when a value
-// holds a different kind than requested. Use the As* forms wherever the
-// value originates from external input (trace files, routing parameters);
-// the panicking Int/Float/Str forms are reserved for code paths whose kind
-// is a programmer-enforced invariant (DESIGN.md, "Error-handling policy").
-var ErrKind = errors.New("value: wrong kind")
 
 // Kind enumerates the scalar types supported by the engine.
 type Kind uint8
@@ -83,8 +75,7 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether the value is null.
 func (v Value) IsNull() bool { return v.kind == Null }
 
-// Int returns the integer payload. It panics if the value is not an Int;
-// callers handling external input use AsInt instead.
+// Int returns the integer payload. It panics if the value is not an Int.
 func (v Value) Int() int64 {
 	if v.kind != Int {
 		panic(fmt.Sprintf("value: Int() on %s value", v.kind))
@@ -92,8 +83,8 @@ func (v Value) Int() int64 {
 	return v.i
 }
 
-// Float returns the float payload. It panics if the value is not a Float;
-// callers handling external input use AsFloat instead.
+// Float returns the float payload. It panics if the value is not a
+// Float.
 func (v Value) Float() float64 {
 	if v.kind != Float {
 		panic(fmt.Sprintf("value: Float() on %s value", v.kind))
@@ -103,42 +94,6 @@ func (v Value) Float() float64 {
 
 // float returns a Float's payload as a float64.
 func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
-
-// Str returns the string payload. It panics if the value is not a Str;
-// callers handling external input use AsStr instead.
-func (v Value) Str() string {
-	if v.kind != Str {
-		panic(fmt.Sprintf("value: Str() on %s value", v.kind))
-	}
-	return v.s
-}
-
-// AsInt returns the integer payload, or an error wrapping ErrKind when the
-// value is not an Int.
-func (v Value) AsInt() (int64, error) {
-	if v.kind != Int {
-		return 0, fmt.Errorf("%w: AsInt on %s value", ErrKind, v.kind)
-	}
-	return v.i, nil
-}
-
-// AsFloat returns the float payload, or an error wrapping ErrKind when the
-// value is not a Float.
-func (v Value) AsFloat() (float64, error) {
-	if v.kind != Float {
-		return 0, fmt.Errorf("%w: AsFloat on %s value", ErrKind, v.kind)
-	}
-	return v.float(), nil
-}
-
-// AsStr returns the string payload, or an error wrapping ErrKind when the
-// value is not a Str.
-func (v Value) AsStr() (string, error) {
-	if v.kind != Str {
-		return "", fmt.Errorf("%w: AsStr on %s value", ErrKind, v.kind)
-	}
-	return v.s, nil
-}
 
 // Numeric returns the value as a float64 for Int and Float kinds and
 // reports whether the conversion applied.

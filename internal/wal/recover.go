@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"repro/internal/db"
-	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/schema"
 )
@@ -303,9 +302,8 @@ func CombineDigests(stores []*db.DB) map[string]uint64 {
 }
 
 // ScanDir recovers every partition-*.wal log in dir WITHOUT resolving
-// in-doubt transactions: a read-only post-mortem. The returned recovery's
-// InDoubtNodes is the health view a router consumes while resolution is
-// still pending — in-doubt partitions must refuse new writes.
+// in-doubt transactions: the read-only half of RecoverDir, which then
+// resolves them.
 func ScanDir(sc *schema.Schema, dir string) (*ClusterRecovery, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "partition-*.wal"))
 	if err != nil {
@@ -329,19 +327,6 @@ func ScanDir(sc *schema.Schema, dir string) (*ClusterRecovery, error) {
 		}
 	}
 	return cr, nil
-}
-
-// InDoubtNodes returns the partitions still holding a prepared-undecided
-// transaction, as a health set: those partitions must block new writes
-// (their keys are conservatively locked) until resolution completes.
-func (cr *ClusterRecovery) InDoubtNodes() faults.NodeSet {
-	s := faults.NodeSet{}
-	for id, rec := range cr.Parts {
-		if len(rec.InDoubt) > 0 {
-			s[id] = true
-		}
-	}
-	return s
 }
 
 // RecoverDir recovers every partition-*.wal log in dir: per-partition

@@ -199,7 +199,6 @@ func ParseFile(path string) ([]Record, int64, error) {
 // crash mid-append. AppendTxn and AppendBatch frame one protocol step's
 // records into one buffer and issue a single write for all of them.
 type Log struct {
-	path string
 	f    *os.File
 	n    int64
 	obsv func(typ RecType, txn uint64, frameBytes int)
@@ -240,7 +239,7 @@ func Create(path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Log{path: path, f: f}, nil
+	return &Log{f: f}, nil
 }
 
 // OpenAt opens the log for appending after truncating it to cleanLen —
@@ -259,11 +258,8 @@ func OpenAt(path string, cleanLen int64) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Log{path: path, f: f, n: cleanLen}, nil
+	return &Log{f: f, n: cleanLen}, nil
 }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // Bytes returns the number of bytes written (the durable log length).
 func (l *Log) Bytes() int64 { return l.n }

@@ -32,6 +32,24 @@ func touchOp(table string, id int64) db.Op {
 	return db.Op{Kind: db.OpTouch, Table: table, Key: key(id)}
 }
 
+// checkDigests fails unless got's table digests are those of a fresh
+// store that applied want.
+func checkDigests(t *testing.T, sc *schema.Schema, got *db.DB, want ...db.Op) {
+	t.Helper()
+	d := db.New(sc)
+	for _, op := range want {
+		if err := d.Apply(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gd := got.TableDigests()
+	for name, dg := range d.TableDigests() {
+		if gd[name] != dg {
+			t.Errorf("table %s digest %x, want %x", name, gd[name], dg)
+		}
+	}
+}
+
 // appendTxn writes one committed transaction's records.
 func appendTxn(t *testing.T, l *Log, txn uint64, ops ...db.Op) {
 	t.Helper()
@@ -75,16 +93,8 @@ func TestParseRoundTripAndReplay(t *testing.T) {
 	if len(rec.Committed) != 2 {
 		t.Fatalf("committed = %v", rec.Committed)
 	}
-	acct := rec.DB.Table("ACCOUNT")
-	if acct.Version(key(10)) != 2 {
-		t.Errorf("ACCOUNT/10 version = %d, want 2", acct.Version(key(10)))
-	}
-	if acct.Version(key(99)) != 0 {
-		t.Errorf("aborted write applied: ACCOUNT/99 version = %d", acct.Version(key(99)))
-	}
-	if rec.DB.Table("ORDERS").Version(key(20)) != 1 {
-		t.Error("ORDERS/20 touch lost")
-	}
+	// ACCOUNT/10 twice and ORDERS/20 once; the aborted ACCOUNT/99 never.
+	checkDigests(t, sc, rec.DB, touchOp("ACCOUNT", 10), touchOp("ORDERS", 20), touchOp("ACCOUNT", 10))
 }
 
 func TestRecoveryFromCheckpointMatchesFullReplay(t *testing.T) {
@@ -152,9 +162,7 @@ func TestTornTailRecoversPrefix(t *testing.T) {
 	if len(rec.Committed) != 1 || rec.Committed[0] != 1 {
 		t.Fatalf("committed = %v", rec.Committed)
 	}
-	if rec.DB.Table("ACCOUNT").Version(key(2)) != 0 {
-		t.Error("uncommitted write applied from torn log")
-	}
+	checkDigests(t, sc, rec.DB, touchOp("ACCOUNT", 1)) // not txn 2's write
 	if rec.Discarded != 1 {
 		t.Errorf("discarded = %d, want 1 (txn 2 presumed aborted)", rec.Discarded)
 	}
@@ -220,13 +228,9 @@ func TestRecoverDirResolvesInDoubt(t *testing.T) {
 	if cr.TornTails != 1 {
 		t.Errorf("torn tails = %d, want 1", cr.TornTails)
 	}
-	p1 := cr.Parts[1].DB.Table("ORDERS")
-	if p1.Version(key(50)) != 1 {
-		t.Error("in-doubt txn 5 (coordinator committed) not applied")
-	}
-	if p1.Version(key(60)) != 0 {
-		t.Error("in-doubt txn 6 (presumed abort) applied")
-	}
+	// In-doubt txn 5 (coordinator committed) applied, txn 6 (presumed
+	// abort) not.
+	checkDigests(t, sc, cr.Parts[1].DB, touchOp("ORDERS", 50))
 
 	// Resolution is durable: a second recovery finds nothing in doubt
 	// and the same digests.

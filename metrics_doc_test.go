@@ -23,7 +23,7 @@ const spanPattern = "span.<name>.ns"
 // against the module's non-test Go in both directions: every metric name
 // the code registers has a row, and every name a row lists is registered
 // somewhere. A registered name is the string literal passed first to
-// obs.Inc/Add/Set/Observe/ObserveHDR or to a registry's
+// obs.Inc/Add/Set/Observe or to a registry's
 // Counter/Gauge/Histogram/HDR method. Outside package obs a metric name
 // must be such a literal, so no name escapes the check.
 func TestMetricReferenceMatchesCode(t *testing.T) {
@@ -53,7 +53,7 @@ func TestMetricReferenceMatchesCode(t *testing.T) {
 // metricCalls maps the package-level obs helpers and the registry
 // methods that take a metric name first.
 var (
-	obsHelpers      = map[string]bool{"Inc": true, "Add": true, "Set": true, "Observe": true, "ObserveHDR": true}
+	obsHelpers      = map[string]bool{"Inc": true, "Add": true, "Set": true, "Observe": true}
 	registryMethods = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true, "HDR": true}
 )
 
