@@ -15,7 +15,9 @@ import (
 // the Makefile and fails when an alternative of a -run, -bench or -fuzz
 // pattern matches no Test, Benchmark or Fuzz function of the packages the
 // command names: a test renamed or deleted under such a command leaves it
-// selecting nothing, and passing.
+// selecting nothing, and passing. The reverse holds for fuzz targets:
+// every Fuzz function of the module must be one that a -fuzz command of
+// the Makefile runs, or make fuzz never explores it.
 func TestCINamesExist(t *testing.T) {
 	for _, file := range []string{".github/workflows/ci.yml", "Makefile"} {
 		data, err := os.ReadFile(file)
@@ -49,6 +51,36 @@ func TestCINamesExist(t *testing.T) {
 						t.Errorf("%s: %s: -%s alternative %q matches no function in %v", file, cmd.line, flag, alt, cmd.pkgs)
 					}
 				}
+			}
+		}
+	}
+
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzed := map[string]bool{} // "dir.FuzzName"
+	for _, cmd := range goTestCommands(string(data)) {
+		re, err := regexp.Compile(cmd.patterns["fuzz"])
+		if cmd.patterns["fuzz"] == "" || err != nil {
+			continue
+		}
+		for _, p := range cmd.pkgs {
+			for _, name := range testFuncs(t, []string{p}) {
+				if selects("fuzz", name) && re.MatchString(name) {
+					fuzzed[filepath.Clean(p)+"."+name] = true
+				}
+			}
+		}
+	}
+	dirs, err := packageDirs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		for _, name := range testFuncs(t, []string{dir}) {
+			if selects("fuzz", name) && !fuzzed[dir+"."+name] {
+				t.Errorf("%s: fuzz target %s is not run by make fuzz", dir, name)
 			}
 		}
 	}

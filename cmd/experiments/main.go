@@ -348,8 +348,7 @@ func chaos(quick bool, seed int64) error {
 		row := fmt.Sprintf("| %s | %.0f |", r.Approach, r.BaselineTPS)
 		for _, c := range r.Cells {
 			row += fmt.Sprintf(" %.0f tps (-%.0f%%, %.1f%% avail, p99 %.0fms) |",
-				c.Result.EffectiveTPS, c.Result.DegradationPct, c.Result.AvailabilityPct,
-				1e3*c.Result.LatencyP99)
+				c.EffectiveTPS, c.DegradationPct, c.AvailabilityPct, 1e3*c.LatencyP99)
 		}
 		fmt.Println(row)
 	}

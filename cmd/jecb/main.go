@@ -460,13 +460,14 @@ func run(ctx context.Context, benchmark, algo string, k, scale, txns int, trainF
 	var r *eval.Result
 	if stream != nil {
 		// Streaming path: the evaluator indexes and scores one chunk at a
-		// time; the whole trace is never resident.
+		// time, past the training prefix; the whole trace is never
+		// resident.
 		a, aerr := eval.NewAssigner(d, sol)
 		if aerr != nil {
 			sEval.End()
 			return nil, aerr
 		}
-		r, err = a.EvaluateStream(stream)
+		r, err = a.EvaluateStream(stream, train.Len())
 	} else {
 		r, err = eval.Evaluate(d, sol, test)
 	}
@@ -482,11 +483,12 @@ func run(ctx context.Context, benchmark, algo string, k, scale, txns int, trainF
 	// Routing stage: build the runtime router from the code analysis and
 	// route every test transaction, reporting how many go to one partition.
 	var routeSrc trace.Workload = test
+	skip := 0
 	if stream != nil {
-		routeSrc = stream
+		routeSrc, skip = stream, train.Len()
 	}
 	_, sRoute := obs.StartSpan(ctx, "route")
-	err = routeStage(ctx, d, sol, b, routeSrc, seed)
+	err = routeStage(ctx, d, sol, b, routeSrc, skip, seed)
 	sRoute.End()
 	if err != nil {
 		return nil, err
@@ -750,7 +752,8 @@ func recoverStage(ctx context.Context, b workloads.Benchmark, scale int, seed in
 // loadTraceInput reads -trace-in, auto-detecting the format. A columnar
 // file becomes a streaming workload: the leading -train fraction is
 // materialized for the partitioner (which needs random access) and the
-// returned Stream drives evaluation and routing chunk-by-chunk. A
+// returned Stream drives evaluation and routing of the transactions
+// after it, chunk-by-chunk. A
 // JSON-lines file is loaded whole and split exactly like a generated
 // trace.
 func loadTraceInput(path string, trainFrac float64, seed int64) (train, test *trace.Trace, stream *trace.Stream, err error) {
@@ -793,11 +796,12 @@ func loadTraceInput(path string, trainFrac float64, seed int64) (train, test *tr
 }
 
 // routeStage builds a router for the solution and routes the test trace's
-// invocations, printing the local / multi-partition / broadcast mix. Each
-// invocation is routed under its deterministic flight-recorder trace id
-// (seed + arrival index), so a -flight-dump of a plain run records the
-// routing decision stream.
-func routeStage(ctx context.Context, d *db.DB, sol *partition.Solution, b workloads.Benchmark, test trace.Workload, seed int64) error {
+// invocations after its first skip, printing the local / multi-partition
+// / broadcast mix. Each invocation is routed under its deterministic
+// flight-recorder trace id (seed + arrival index, counted from the first
+// routed one), so a -flight-dump of a plain run records the routing
+// decision stream.
+func routeStage(ctx context.Context, d *db.DB, sol *partition.Solution, b workloads.Benchmark, test trace.Workload, skip int, seed int64) error {
 	var analyses []*sqlparse.Analysis
 	for _, proc := range workloads.Procedures(b) {
 		a, err := sqlparse.Analyze(proc, d.Schema())
@@ -813,6 +817,9 @@ func routeStage(ctx context.Context, d *db.DB, sol *partition.Solution, b worklo
 	rec := obs.ContextRecorder(ctx)
 	local, multi, broadcast := 0, 0, 0
 	for i, t := range test.All() {
+		if i -= skip; i < 0 {
+			continue
+		}
 		dec, err := rt.Route(ctx, router.Request{Class: t.Class, Params: t.Params,
 			TxnID: obs.TxnID(seed, i), VT: float64(i), Recorder: rec})
 		if err != nil {
@@ -827,7 +834,7 @@ func routeStage(ctx context.Context, d *db.DB, sol *partition.Solution, b worklo
 			multi++
 		}
 	}
-	if n := test.Len(); n > 0 {
+	if n := test.Len() - skip; n > 0 {
 		fmt.Printf("  router: %.1f%% single-partition, %.1f%% multi, %.1f%% broadcast (%d invocations)\n",
 			100*float64(local)/float64(n), 100*float64(multi)/float64(n),
 			100*float64(broadcast)/float64(n), n)

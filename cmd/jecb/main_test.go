@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -219,13 +221,24 @@ func TestRunTraceInput(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := run(context.Background(), "synthetic", "jecb", 2, 0, 0, 0.5, 1, 0, false,
-		chaosOpts{}, driftOpts{}, serveOpts{}, colPath, "")
+	// Training takes the first 0.3·300 = 90 transactions; evaluation
+	// and routing see only the 210 after them.
+	var sol *partition.Solution
+	out := stdout(t, func() {
+		sol, err = run(context.Background(), "synthetic", "jecb", 2, 0, 0, 0.3, 1, 0, false,
+			chaosOpts{}, driftOpts{}, serveOpts{}, colPath, "")
+	})
 	if err != nil {
 		t.Fatalf("columnar -trace-in: %v", err)
 	}
 	if sol == nil || sol.K != 2 {
 		t.Errorf("columnar -trace-in: solution = %+v", sol)
+	}
+	if !regexp.MustCompile(`jecb \(k=2\): .* \(\d+/210\)\n`).MatchString(out) {
+		t.Errorf("columnar -trace-in must evaluate the 210 transactions after training:\n%s", out)
+	}
+	if !strings.Contains(out, "(210 invocations)") {
+		t.Errorf("columnar -trace-in must route the 210 transactions after training:\n%s", out)
 	}
 
 	jsonlPath := filepath.Join(dir, "t.trace")
@@ -335,4 +348,24 @@ func TestRealMainError(t *testing.T) {
 		false, "", "", false, "", chaosOpts{}, driftOpts{}, flightOpts{}, serveOpts{}, "", ""); err == nil {
 		t.Error("unknown benchmark must propagate from realMain")
 	}
+}
+
+// stdout returns what f writes to the process's standard output.
+func stdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	f()
+	os.Stdout = saved
+	w.Close()
+	return <-out
 }

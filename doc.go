@@ -25,7 +25,7 @@
 //	Assigner.PlaceTrace(tr, w)      a window's, filled ahead of its reader
 //	Assigner.Index(c).Evaluate()    score a columnar trace via its key index
 //	Assigner.EvaluateColumnar(c)    the same, index build included
-//	Assigner.EvaluateStream(s)      score an on-disk columnar trace by chunk
+//	Assigner.EvaluateStream(s, i)   score an on-disk columnar trace by chunk, from txn i
 //
 // Every form returns the same Result for the same transactions, for any
 // worker count — see DESIGN.md, "Columnar traces & the zero-alloc

@@ -17,7 +17,6 @@ import (
 // referencing R1.X — are NOT equivalent: a tuple's X1 and X2 values
 // differ even though their domains coincide.
 type attrCompat struct {
-	sc *schema.Schema
 	// fwd is the directed FK-component adjacency: source column →
 	// referenced column, for every component of every foreign key.
 	fwd map[schema.ColumnRef][]schema.ColumnRef
@@ -36,7 +35,6 @@ type attrCompat struct {
 
 func newAttrCompat(sc *schema.Schema) *attrCompat {
 	c := &attrCompat{
-		sc:       sc,
 		fwd:      map[schema.ColumnRef][]schema.ColumnRef{},
 		proj:     map[schema.ColumnRef][]schema.ColumnRef{},
 		hops:     map[schema.ColumnRef][]schema.ColumnRef{},

@@ -21,16 +21,12 @@ import (
 // join tree plus (when the tree is not mapping independent) an explicit
 // mapping function found by the statistics-based fallback.
 type ClassSolution struct {
-	Class string
-	Tree  *joingraph.Tree
+	Tree *joingraph.Tree
 	// MappingIndependent marks Definition 7 solutions, whose quality does
 	// not depend on the mapping function.
 	MappingIndependent bool
 	// Mapper is non-nil for statistics-based solutions (§5.3).
 	Mapper partition.Mapper
-	// Partial marks solutions covering only a subset of the class's
-	// partitioned tables.
-	Partial bool
 	// Cost is the class-local cost (0 for mapping-independent solutions).
 	Cost float64
 }
@@ -41,7 +37,6 @@ func (cs *ClassSolution) Root() schema.ColumnRef { return cs.Tree.Root }
 // ClassResult is Phase 2's outcome for one transaction class — one row of
 // the paper's Table 3.
 type ClassResult struct {
-	Class string
 	// Mix is the class's fraction of the training workload.
 	Mix float64
 	// ReadOnly marks classes touching no partitioned table.
@@ -123,7 +118,7 @@ func (p *Partitioner) phase2(ctx context.Context, pre *preprocessed) (map[string
 }
 
 func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class string, stream resolvedStream) (*ClassResult, error) {
-	res := &ClassResult{Class: class, Mix: pre.Mix[class]}
+	res := &ClassResult{Mix: pre.Mix[class]}
 	a := pre.Analyses[class]
 	g := joingraph.Build(a, p.in.DB.Schema(), pre.Replicated)
 	if len(g.Tables) == 0 {
@@ -180,8 +175,7 @@ func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class s
 		exact := bestFrac == 1
 		for _, t := range keep {
 			res.Total = append(res.Total, &ClassSolution{
-				Class: class, Tree: t, MappingIndependent: exact,
-				Cost: 1 - bestFrac,
+				Tree: t, MappingIndependent: exact, Cost: 1 - bestFrac,
 			})
 		}
 		// Partial solutions from the sub-join trees of each total
@@ -408,9 +402,7 @@ func (p *Partitioner) minCutSolution(ctx context.Context, pre *preprocessed, cla
 			continue // not meaningful
 		}
 		if best == nil || lookupCost < best.Cost {
-			best = &ClassSolution{
-				Class: class, Tree: tree, Mapper: lookup, Cost: lookupCost,
-			}
+			best = &ClassSolution{Tree: tree, Mapper: lookup, Cost: lookupCost}
 		}
 	}
 	return best, nil
@@ -531,7 +523,7 @@ func (p *Partitioner) addPartialsFromSubtrees(ctx context.Context, res *ClassRes
 			continue
 		}
 		res.Partial = append(res.Partial, &ClassSolution{
-			Class: res.Class, Tree: sub, MappingIndependent: true, Partial: true,
+			Tree: sub, MappingIndependent: true,
 		})
 		queue = append(queue, subTrees(sub)...)
 	}
@@ -580,8 +572,7 @@ func (p *Partitioner) addPartialsFromSplit(ctx context.Context, res *ClassResult
 		}
 		for _, t := range keep {
 			res.Partial = append(res.Partial, &ClassSolution{
-				Class: res.Class, Tree: t, MappingIndependent: bestFrac == 1,
-				Partial: true, Cost: 1 - bestFrac,
+				Tree: t, MappingIndependent: bestFrac == 1, Cost: 1 - bestFrac,
 			})
 		}
 	}

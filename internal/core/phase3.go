@@ -14,12 +14,10 @@ import (
 // class solution: a join path from the table's key to a partitioning
 // attribute (Definition 10 without the mapping function).
 type tableCandidate struct {
-	table  string
 	path   schema.JoinPath
 	attr   schema.ColumnRef
 	mi     bool
 	mapper partition.Mapper // non-nil when a statistics-based mapping exists
-	class  string
 }
 
 // phase3 combines per-class solutions into the global solution (§6).
@@ -149,8 +147,7 @@ func harvestTableCandidates(classes map[string]*ClassResult) map[string][]*table
 		for _, sol := range append(append([]*ClassSolution{}, cr.Total...), cr.Partial...) {
 			for tbl, path := range sol.Tree.Paths {
 				byTable[tbl] = append(byTable[tbl], &tableCandidate{
-					table: tbl, path: path, attr: sol.Tree.Root,
-					mi: sol.MappingIndependent, mapper: sol.Mapper, class: name,
+					path: path, attr: sol.Tree.Root, mi: sol.MappingIndependent, mapper: sol.Mapper,
 				})
 			}
 		}

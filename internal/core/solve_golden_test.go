@@ -134,8 +134,22 @@ func solvePins(t *testing.T, name string, seed int64) [3]string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// touch sums, over the distributed test transactions, the partitions
+	// each touches (Span.Touched); the evaluation hash covers it.
+	a, err := eval.NewAssigner(d, sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := d.View()
+	touch := 0
+	for _, txn := range test.All() {
+		if s := a.Span(v, txn); s.Distributed() {
+			touch += s.Touched(sol.K)
+		}
+	}
+	v.Close()
 	eh := sha256.New()
-	fmt.Fprintf(eh, "%s k=%d total=%d dist=%d touch=%d\n", res.Solution, res.K, res.Total, res.Distributed, res.TouchSum)
+	fmt.Fprintf(eh, "%s k=%d total=%d dist=%d touch=%d\n", res.Solution, res.K, res.Total, res.Distributed, touch)
 	for _, c := range res.Classes() {
 		fmt.Fprintf(eh, "%s %d %d\n", c.Class, c.Total, c.Distributed)
 	}

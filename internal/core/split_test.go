@@ -191,7 +191,7 @@ func TestSplitFailsOnUncompilablePath(t *testing.T) {
 	if len(g.Trees(maxTreesPerRoot)) != 0 {
 		t.Fatal("MarketWatch has a root attribute: the split path is not taken")
 	}
-	res := &ClassResult{Class: "MarketWatch"}
+	res := &ClassResult{}
 	if err := p.addPartialsFromSplit(ctx, res, g, pre.Streams["MarketWatch"]); err != nil || len(res.Partial) == 0 {
 		t.Fatalf("on its own database: %d partials, err %v; want partials and no error", len(res.Partial), err)
 	}
@@ -207,7 +207,7 @@ func TestSplitFailsOnUncompilablePath(t *testing.T) {
 	s.AddFK("HOLDING_SUMMARY", []string{"HS_CA_ID"}, "CUSTOMER_ACCOUNT", []string{"CA_ID"})
 	s.AddFK("HOLDING_SUMMARY", []string{"HS_SYMB"}, "LAST_TRADE", []string{"LT_SYMBOL"})
 	p.in.DB = db.New(s.MustValidate())
-	res = &ClassResult{Class: "MarketWatch"}
+	res = &ClassResult{}
 	err = p.addPartialsFromSplit(ctx, res, g, pre.Streams["MarketWatch"])
 	if err == nil || !strings.Contains(err.Error(), "LT_SYMB") {
 		t.Fatalf("uncompilable path: err %v; want the compile error naming LT_SYMB", err)

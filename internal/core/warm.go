@@ -31,9 +31,6 @@ type RepartitionResult struct {
 	// Solution is the accepted solution for the new window: the previous
 	// solution when its trees still fit, otherwise the full-search winner.
 	Solution *partition.Solution
-	// Report is the full-search report (nil when the warm path accepted
-	// the previous trees without searching).
-	Report *Report
 	// Warm is set when the previous solution was kept as-is.
 	Warm bool
 	// PrevCost is the previous solution's distributed fraction on the new
@@ -102,7 +99,7 @@ func Repartition(ctx context.Context, in Input, opts Options, prev *partition.So
 	if err != nil {
 		return nil, err
 	}
-	out := &RepartitionResult{Solution: sol, Report: rep, PrevCost: prevCost, Cost: rep.TrainCost}
+	out := &RepartitionResult{Solution: sol, PrevCost: prevCost, Cost: rep.TrainCost}
 	if rep.TrainCost >= prevCost {
 		// The search could not improve on the deployed trees (the warm
 		// incumbent won): keep the previous solution's identity so the

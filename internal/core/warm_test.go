@@ -19,6 +19,7 @@ func TestRepartitionWarmAccept(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same workload shape: the deployed trees still cost 0.
+	searches := cFullSearches.Value()
 	res, err := Repartition(context.Background(), in, Options{K: 2}, prev, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +30,7 @@ func TestRepartitionWarmAccept(t *testing.T) {
 	if res.Solution != prev {
 		t.Error("warm accept must keep the previous solution's identity")
 	}
-	if res.Report != nil {
+	if cFullSearches.Value() != searches {
 		t.Error("warm accept must not run the full search")
 	}
 	if res.Cost != res.PrevCost {
@@ -55,6 +56,7 @@ func TestRepartitionRegressionRunsSearch(t *testing.T) {
 	), partition.NewHash(2)))
 	bad.Set(partition.NewByPath("HOLDING_SUMMARY", fixture.HSPath(), partition.NewHash(2)))
 	bad.Set(partition.NewByPath("CUSTOMER_ACCOUNT", fixture.CAPath(), partition.NewHash(2)))
+	searches := cFullSearches.Value()
 	res, err := Repartition(context.Background(), in, Options{K: 2}, bad, 0.01)
 	if err != nil {
 		t.Fatal(err)
@@ -62,11 +64,8 @@ func TestRepartitionRegressionRunsSearch(t *testing.T) {
 	if res.Warm {
 		t.Fatalf("regressed deployment must trigger a search: %+v", res)
 	}
-	if res.Report == nil {
-		t.Fatal("full search must produce a report")
-	}
-	if !res.Report.WarmSeeded {
-		t.Error("search must record the warm seed")
+	if cFullSearches.Value() != searches+1 {
+		t.Fatal("a regressed deployment must run one full search")
 	}
 	if res.Cost >= res.PrevCost {
 		t.Errorf("search cost %v must beat the regressed deployment %v", res.Cost, res.PrevCost)

@@ -42,7 +42,6 @@ const keyBufSize = 128
 // tables as Table.GetAny does: live rows first, then the graveyard of
 // deleted rows.
 type Nav struct {
-	path  schema.JoinPath
 	src   *Table
 	guard []int // the source's key columns, when a leading hop out of them compiled away
 	hops  []navHop
@@ -84,7 +83,7 @@ func (d *DB) Compile(p schema.JoinPath) (*Nav, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Nav{path: p, src: src}
+	n := &Nav{src: src}
 	from := src // the table the carried values are read from
 	for i := 0; i+1 < p.Len(); i++ {
 		cur, next := p.Nodes[i], p.Nodes[i+1]

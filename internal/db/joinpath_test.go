@@ -213,6 +213,7 @@ func TestHopMemoSharedEdges(t *testing.T) {
 	trade := d.Table("TRADE")
 	trade.MustInsert(value.NewNull(), value.NewInt(1), value.NewInt(5))
 	type walk struct {
+		name string
 		n    *Nav
 		slot int
 		v    value.Value
@@ -220,10 +221,10 @@ func TestHopMemoSharedEdges(t *testing.T) {
 	}
 	var walks []walk
 	rv := d.View()
-	for _, n := range []*Nav{withFK, guarded} {
+	for name, n := range map[string]*Nav{"with FK": withFK, "guarded": guarded} {
 		for slot := range rv.Slots(trade) {
 			v, ok := rv.FromRow(n, rv.RowAt(trade, slot))
-			walks = append(walks, walk{n, slot, v, ok})
+			walks = append(walks, walk{name, n, slot, v, ok})
 		}
 	}
 	rv.Close() // FromRow fills no memo; FromSlot below starts a fresh one
@@ -231,7 +232,7 @@ func TestHopMemoSharedEdges(t *testing.T) {
 	defer v.Close()
 	for _, w := range walks {
 		if got, ok := v.FromSlot(w.n, w.slot); got != w.v || ok != w.ok {
-			t.Errorf("%v: FromSlot(%d) = %v, %v; FromRow = %v, %v", w.n.path, w.slot, got, ok, w.v, w.ok)
+			t.Errorf("%s: FromSlot(%d) = %v, %v; FromRow = %v, %v", w.name, w.slot, got, ok, w.v, w.ok)
 		}
 	}
 }

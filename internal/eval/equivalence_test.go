@@ -53,9 +53,8 @@ func canonicalResult(t *testing.T, r *eval.Result) string {
 		K           int         `json:"k"`
 		Total       int         `json:"total"`
 		Distributed int         `json:"distributed"`
-		TouchSum    int         `json:"touch_sum"`
 		Classes     []classJSON `json:"classes"`
-	}{r.Solution, r.K, r.Total, r.Distributed, r.TouchSum, classes})
+	}{r.Solution, r.K, r.Total, r.Distributed, classes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestEvaluateRepresentationEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sr, err := a.EvaluateStream(s)
+			sr, err := a.EvaluateStream(s, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,11 +51,7 @@ type Result struct {
 	K           int
 	Total       int
 	Distributed int
-	// TouchSum accumulates, over distributed transactions, the number of
-	// partitions each touched (Span.Touched; Horticulture's cost model
-	// weighs the same count).
-	TouchSum int
-	ByClass  map[string]*ClassResult
+	ByClass     map[string]*ClassResult
 }
 
 // Cost is Definition 6: the fraction of distributed transactions.
@@ -325,7 +321,6 @@ func (r *Result) tally(s *Span) bool {
 		return false
 	}
 	r.Distributed++
-	r.TouchSum += s.Touched(r.K)
 	return true
 }
 
@@ -361,7 +356,6 @@ func (a *Assigner) evalShard(v *db.View, tr *trace.Trace, lo, hi int) *Result {
 func (r *Result) merge(o *Result) {
 	r.Total += o.Total
 	r.Distributed += o.Distributed
-	r.TouchSum += o.TouchSum
 	for name, oc := range o.ByClass {
 		cr, ok := r.ByClass[name]
 		if !ok {

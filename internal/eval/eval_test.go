@@ -78,7 +78,19 @@ func TestNaiveIsImperfect(t *testing.T) {
 	if r.Cost() < 0.5 {
 		t.Errorf("naive cost = %v, expected high", r.Cost())
 	}
-	if avg := float64(r.TouchSum) / float64(r.Distributed); avg < 1.5 {
+	a, err := NewAssigner(d, naiveSolution(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := d.View()
+	defer v.Close()
+	touched := 0
+	for _, txn := range tr.All() {
+		if s := a.Span(v, txn); s.Distributed() {
+			touched += s.Touched(8)
+		}
+	}
+	if avg := float64(touched) / float64(r.Distributed); avg < 1.5 {
 		t.Errorf("avg touched = %v", avg)
 	}
 }
@@ -261,8 +273,8 @@ func TestEmptyTraceCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Cost() != 0 || r.TouchSum != 0 {
-		t.Errorf("empty trace: cost=%v touch sum=%v", r.Cost(), r.TouchSum)
+	if r.Cost() != 0 || r.Distributed != 0 {
+		t.Errorf("empty trace: cost=%v distributed=%v", r.Cost(), r.Distributed)
 	}
 }
 

@@ -30,9 +30,8 @@ func resultFingerprint(t *testing.T, r *Result) string {
 		K           int         `json:"k"`
 		Total       int         `json:"total"`
 		Distributed int         `json:"distributed"`
-		TouchSum    int         `json:"touch_sum"`
 		Classes     []classJSON `json:"classes"`
-	}{r.Solution, r.K, r.Total, r.Distributed, r.TouchSum, classes})
+	}{r.Solution, r.K, r.Total, r.Distributed, classes})
 	if err != nil {
 		t.Fatal(err)
 	}

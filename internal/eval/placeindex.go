@@ -53,16 +53,17 @@ func (idx *PlaceIndex) Span(i int) Span {
 // arrays indexed by interned class id; the ByClass map is built once at
 // the end, so the per-transaction loop does not allocate.
 func (idx *PlaceIndex) Evaluate() *Result {
-	return idx.evaluate().scored()
+	return idx.evaluate(0).scored()
 }
 
-func (idx *PlaceIndex) evaluate() *Result {
+// evaluate tallies the indexed trace's transactions from index lo on.
+func (idx *PlaceIndex) evaluate(lo int) *Result {
 	c := idx.c
 	nc := c.NumClasses()
 	totals := make([]int, nc)
 	dist := make([]int, nc)
 	r := &Result{Solution: idx.a.sol.Name, K: idx.a.sol.K}
-	for i := 0; i < c.NumTxns(); i++ {
+	for i := lo; i < c.NumTxns(); i++ {
 		cid := c.ClassID(i)
 		totals[cid]++
 		if s := idx.Span(i); r.tally(&s) {
@@ -86,19 +87,24 @@ func (a *Assigner) EvaluateColumnar(c *trace.Columnar) *Result {
 	return a.Index(c).Evaluate()
 }
 
-// EvaluateStream scores the bound solution on a streaming columnar
-// trace, one chunk at a time: each chunk gets a fresh PlaceIndex over
-// its own key table (read through a view of its own, as Index takes
-// one) and its tallies merge in chunk order, so the Result is identical
-// to loading the whole trace and evaluating it in memory — without ever
-// holding more than one chunk.
-func (a *Assigner) EvaluateStream(s *trace.Stream) (*Result, error) {
+// EvaluateStream scores the bound solution on the transactions of a
+// streaming columnar trace from index from on (0 scores them all), one
+// chunk at a time: each chunk gets a fresh PlaceIndex over its own key
+// table (read through a view of its own, as Index takes one) and its
+// tallies merge in chunk order, so the Result is identical to loading
+// the scored transactions and evaluating them in memory — without ever
+// holding more than one chunk. Chunks wholly before from are not indexed.
+func (a *Assigner) EvaluateStream(s *trace.Stream, from int) (*Result, error) {
 	r := &Result{Solution: a.sol.Name, K: a.sol.K, ByClass: make(map[string]*ClassResult)}
+	base := 0 // the trace index of the chunk's first transaction
 	for chunk, err := range s.Chunks() {
 		if err != nil {
 			return nil, err
 		}
-		r.merge(a.Index(chunk).evaluate())
+		if n := chunk.NumTxns(); base+n > from {
+			r.merge(a.Index(chunk).evaluate(max(0, from-base)))
+		}
+		base += chunk.NumTxns()
 	}
 	return r.scored(), nil
 }

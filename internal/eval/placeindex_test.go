@@ -44,7 +44,8 @@ func TestPlaceIndexMatchesEvaluate(t *testing.T) {
 }
 
 // TestEvaluateStreamMatchesEvaluate: chunked streaming evaluation merges
-// to the identical result.
+// to the identical result, from the first transaction and from offsets
+// inside a chunk, on a chunk boundary and past the end.
 func TestEvaluateStreamMatchesEvaluate(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 300, 11)
@@ -73,13 +74,15 @@ func TestEvaluateStreamMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := resultFingerprint(t, a.Evaluate(tr, runtime.GOMAXPROCS(0)))
-	got, err := a.EvaluateStream(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := resultFingerprint(t, got); g != want {
-		t.Errorf("stream diverged\n got %s\nwant %s", g, want)
+	for _, from := range []int{0, 5, 34, 299, 300} {
+		want := resultFingerprint(t, a.Evaluate(tr.Window(from, tr.Len()), runtime.GOMAXPROCS(0)))
+		got, err := a.EvaluateStream(s, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := resultFingerprint(t, got); g != want {
+			t.Errorf("stream from %d diverged\n got %s\nwant %s", from, g, want)
+		}
 	}
 }
 
@@ -128,7 +131,7 @@ func TestEvaluateStreamPeakRSS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := a.EvaluateStream(s)
+	r, err := a.EvaluateStream(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 // platform provides it, with CPUKnown reporting availability.
 type Resources struct {
 	AllocBytes uint64
-	HeapDelta  int64
 	// Wall is the elapsed wall-clock time of the run.
 	Wall time.Duration
 	// CPU is the best-effort process CPU time (user+system) consumed
@@ -58,7 +57,6 @@ func Measure(f func() error) (Resources, error) {
 	runtime.ReadMemStats(&after)
 	res := Resources{
 		AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		HeapDelta:  int64(after.HeapAlloc) - int64(before.HeapAlloc),
 		Wall:       wall,
 	}
 	if cpuOK && cpuOK2 {

@@ -18,19 +18,15 @@ import (
 	"repro/internal/sim"
 )
 
-// DegradationCell is one (approach, scenario) outcome.
-type DegradationCell struct {
-	Scenario string
-	Result   *sim.ChaosResult
-}
-
 // DegradationRow is one partitioner's line in the degradation table.
 type DegradationRow struct {
 	Approach string
 	// BaselineTPS is the failure-free analytic throughput of the
 	// approach's solution (identical across the row's cells).
 	BaselineTPS float64
-	Cells       []DegradationCell
+	// Cells holds the approach's outcome under each scenario, in the
+	// order the scenarios were given.
+	Cells []*sim.ChaosResult
 }
 
 // Degradation compares how the three partitioners' solutions survive each
@@ -77,7 +73,7 @@ func Degradation(benchmark string, scenarios []string, k, scale, txns int, seed 
 				return nil, fmt.Errorf("experiments: %s under %q: %w", ap.name, sc.Name, err)
 			}
 			row.BaselineTPS = res.BaselineTPS
-			row.Cells = append(row.Cells, DegradationCell{Scenario: sc.Name, Result: res})
+			row.Cells = append(row.Cells, res)
 		}
 		rows = append(rows, row)
 	}

@@ -26,8 +26,6 @@ import (
 // DriftRow is one scenario's line in the drift-adaptation table.
 type DriftRow struct {
 	Scenario string
-	// DriftAt is the index of the first post-drift transaction.
-	DriftAt int
 	// Static, Adaptive, Oracle are the three replays of the same trace.
 	Static, Adaptive, Oracle *sim.DriftResult
 }
@@ -82,7 +80,7 @@ func Drift(scenarios []string, k, scale, txns, window, budget int, seed int64) (
 			return res.Solution, nil
 		}
 
-		row := DriftRow{Scenario: name, DriftAt: driftAt}
+		row := DriftRow{Scenario: name}
 		row.Static, row.Adaptive, row.Oracle, err = sim.CompareDrift(ctx, d, sol0, tr,
 			sim.DriftConfig{WindowSize: window, Budget: budget, DriftAt: driftAt}, repart)
 		if err != nil {

@@ -42,7 +42,6 @@ func withParallelism(o core.Options) core.Options {
 type run struct {
 	bench workloads.Benchmark
 	db    *db.DB
-	full  *trace.Trace
 	train *trace.Trace
 	test  *trace.Trace
 }
@@ -61,9 +60,8 @@ func loadBench(b workloads.Benchmark, scale, txns int, trainFrac float64, seed i
 	if err != nil {
 		return nil, err
 	}
-	full := workloads.GenerateTrace(b, d, txns, seed+1)
-	train, test := full.TrainTest(trainFrac, rand.New(rand.NewSource(seed+2)))
-	return &run{bench: b, db: d, full: full, train: train, test: test}, nil
+	train, test := workloads.GenerateTrace(b, d, txns, seed+1).TrainTest(trainFrac, rand.New(rand.NewSource(seed+2)))
+	return &run{bench: b, db: d, train: train, test: test}, nil
 }
 
 func (r *run) jecb(k int) (*partition.Solution, *core.Report, error) {
@@ -96,9 +94,8 @@ type ScalingPoint struct {
 // ScalingResult holds the Figure 5/6 series: JECB plus one Schism series
 // per training coverage.
 type ScalingResult struct {
-	Warehouses int
-	JECB       []ScalingPoint
-	Schism     map[string][]ScalingPoint
+	JECB   []ScalingPoint
+	Schism map[string][]ScalingPoint
 	// TrainTxns records how many training transactions each coverage
 	// label used.
 	TrainTxns map[string]int
@@ -139,9 +136,8 @@ func TPCCScaling(warehouses int, coverages []float64, partitions []int, seed int
 	test := full.Window(maxTrain, full.Len())
 
 	out := &ScalingResult{
-		Warehouses: warehouses,
-		Schism:     map[string][]ScalingPoint{},
-		TrainTxns:  map[string]int{},
+		Schism:    map[string][]ScalingPoint{},
+		TrainTxns: map[string]int{},
 	}
 	for _, k := range partitions {
 		// JECB uses a fixed modest trace: its outcome is independent of
@@ -189,8 +185,6 @@ type ResourceRow struct {
 	// CPUSeconds is the OS-reported process CPU time of the run where the
 	// platform provides it, else wall time (see eval.Resources.CPUSeconds).
 	CPUSeconds float64
-	// WallSeconds is the elapsed wall-clock time of the run.
-	WallSeconds float64
 }
 
 // TrainSize names one Schism training-set size for the resource tables
@@ -231,10 +225,9 @@ func TPCCResources(warehouses int, sizes []TrainSize, k int, seed int64) ([]Reso
 			return nil, err
 		}
 		rows = append(rows, ResourceRow{
-			Approach:    "schism " + s.Label,
-			RAMMB:       res.AllocMB(),
-			CPUSeconds:  res.CPUSeconds(),
-			WallSeconds: res.Wall.Seconds(),
+			Approach:   "schism " + s.Label,
+			RAMMB:      res.AllocMB(),
+			CPUSeconds: res.CPUSeconds(),
 		})
 	}
 	// JECB's trace requirement does not grow with the database: a fixed
@@ -254,10 +247,7 @@ func TPCCResources(warehouses int, sizes []TrainSize, k int, seed int64) ([]Reso
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, ResourceRow{
-		Approach: "JECB", RAMMB: res.AllocMB(),
-		CPUSeconds: res.CPUSeconds(), WallSeconds: res.Wall.Seconds(),
-	})
+	rows = append(rows, ResourceRow{Approach: "JECB", RAMMB: res.AllocMB(), CPUSeconds: res.CPUSeconds()})
 	return rows, nil
 }
 

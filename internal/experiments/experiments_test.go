@@ -14,7 +14,7 @@ func TestTPCCScalingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Warehouses != 16 || len(res.JECB) != 3 {
+	if len(res.JECB) != 3 {
 		t.Fatalf("result shape: %+v", res)
 	}
 	// JECB stays flat and low across partition counts (Figure 5's line).
@@ -175,7 +175,7 @@ func TestDegradationShape(t *testing.T) {
 		if r.BaselineTPS <= 0 {
 			t.Errorf("%s: baseline = %v", r.Approach, r.BaselineTPS)
 		}
-		none, crash := r.Cells[0].Result, r.Cells[1].Result
+		none, crash := r.Cells[0], r.Cells[1]
 		if none.Aborts != 0 || none.AvailabilityPct != 100 {
 			t.Errorf("%s: none scenario not clean: %+v", r.Approach, none)
 		}

@@ -2,7 +2,8 @@
 // partitioner. It stands in for METIS in the Schism baseline (paper §2)
 // and in JECB's statistics-based mapping fallback (§5.3): both build a
 // co-access graph and ask for a k-way partition that cuts as little edge
-// weight as possible while keeping partition weights balanced.
+// weight as possible while keeping partition sizes (vertex counts)
+// balanced.
 //
 // The heuristic is: (1) decompose into connected components; (2) split
 // components too heavy for one partition by breadth-first region growing;
@@ -24,23 +25,18 @@ import (
 	"repro/internal/partition"
 )
 
-// Graph is an undirected weighted graph with weighted vertices.
+// Graph is an undirected graph with weighted edges.
 type Graph struct {
-	vw  []float64
 	adj []map[int]float64
 }
 
-// New returns a graph with n vertices of weight 1 and no edges.
+// New returns a graph with n vertices and no edges.
 func New(n int) *Graph {
-	g := &Graph{vw: make([]float64, n), adj: make([]map[int]float64, n)}
-	for i := range g.vw {
-		g.vw[i] = 1
-	}
-	return g
+	return &Graph{adj: make([]map[int]float64, n)}
 }
 
 // Len returns the number of vertices.
-func (g *Graph) Len() int { return len(g.vw) }
+func (g *Graph) Len() int { return len(g.adj) }
 
 // AddEdge adds weight w to the undirected edge {u, v}; parallel additions
 // accumulate. Self-loops are ignored.
@@ -80,15 +76,6 @@ func (g *Graph) sortedNeighbors(u int) []int {
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
-// TotalVertexWeight returns the sum of vertex weights.
-func (g *Graph) TotalVertexWeight() float64 {
-	t := 0.0
-	for _, w := range g.vw {
-		t += w
-	}
-	return t
-}
-
 // EdgeCut returns the total weight of edges crossing partitions under the
 // given assignment.
 func EdgeCut(g *Graph, parts []int) float64 {
@@ -103,17 +90,17 @@ func EdgeCut(g *Graph, parts []int) float64 {
 	return cut
 }
 
-// PartWeights returns the vertex weight of each partition.
-func PartWeights(g *Graph, parts []int, k int) []float64 {
-	out := make([]float64, k)
-	for i, p := range parts {
-		out[p] += g.vw[i]
+// PartWeights returns the number of vertices in each partition.
+func PartWeights(parts []int, k int) []int {
+	out := make([]int, k)
+	for _, p := range parts {
+		out[p]++
 	}
 	return out
 }
 
 const (
-	// balance is the maximum allowed ratio of a partition's weight to the
+	// balance is the maximum allowed ratio of a partition's size to the
 	// average, matching the slack conventional min-cut tools allow;
 	// tightening it trades edge cut for balance.
 	balance float64 = 1.25
@@ -142,14 +129,14 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	blocks := components(g)
-	target := g.TotalVertexWeight() / float64(k)
+	target := float64(n) / float64(k)
 	blocks = splitHeavyBlocks(g, blocks, target, rng)
 
 	// Bin-pack blocks largest-first onto the lightest partition. When the
 	// packing is too imbalanced — block granularity does not divide the
 	// target — split the largest block of the heaviest bin and repack.
 	for iter := 0; ; iter++ {
-		weights := pack(g, blocks, parts, k)
+		weights := pack(blocks, parts, k)
 		if imbalanceOf(weights) <= balance || iter >= 2*k {
 			break
 		}
@@ -164,7 +151,7 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 			if parts[b[0]] != heavy || len(b) < 2 {
 				continue
 			}
-			if li < 0 || blockWeight(g, b) > blockWeight(g, blocks[li]) {
+			if li < 0 || len(b) > len(blocks[li]) {
 				li = i
 			}
 		}
@@ -172,7 +159,7 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 			break
 		}
 		big := blocks[li]
-		half := grow(g, big, blockWeight(g, big)/2, rng)
+		half := grow(g, big, float64(len(big))/2, rng)
 		var inHalf partition.Set
 		for _, v := range half {
 			inHalf.Add(v)
@@ -195,12 +182,10 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 }
 
 // pack assigns blocks to partitions largest-first onto the lightest bin,
-// writing the assignment into parts and returning the bin weights.
-func pack(g *Graph, blocks [][]int, parts []int, k int) []float64 {
-	sort.Slice(blocks, func(i, j int) bool {
-		return blockWeight(g, blocks[i]) > blockWeight(g, blocks[j])
-	})
-	weights := make([]float64, k)
+// writing the assignment into parts and returning the bin sizes.
+func pack(blocks [][]int, parts []int, k int) []int {
+	sort.Slice(blocks, func(i, j int) bool { return len(blocks[i]) > len(blocks[j]) })
+	weights := make([]int, k)
 	for _, b := range blocks {
 		best := 0
 		for p := 1; p < k; p++ {
@@ -211,14 +196,14 @@ func pack(g *Graph, blocks [][]int, parts []int, k int) []float64 {
 		for _, v := range b {
 			parts[v] = best
 		}
-		weights[best] += blockWeight(g, b)
+		weights[best] += len(b)
 	}
 	return weights
 }
 
-// imbalanceOf returns max weight over mean weight.
-func imbalanceOf(weights []float64) float64 {
-	total, maxw := 0.0, 0.0
+// imbalanceOf returns max size over mean size.
+func imbalanceOf(weights []int) float64 {
+	total, maxw := 0, 0
 	for _, w := range weights {
 		total += w
 		if w > maxw {
@@ -228,15 +213,7 @@ func imbalanceOf(weights []float64) float64 {
 	if total == 0 {
 		return 1
 	}
-	return maxw / (total / float64(len(weights)))
-}
-
-func blockWeight(g *Graph, b []int) float64 {
-	w := 0.0
-	for _, v := range b {
-		w += g.vw[v]
-	}
-	return w
+	return float64(maxw) / (float64(total) / float64(len(weights)))
 }
 
 // blockComponents returns the connected components of the subgraph
@@ -299,9 +276,9 @@ func components(g *Graph) [][]int {
 	return out
 }
 
-// splitHeavyBlocks recursively splits any block heavier than the target
-// partition weight using greedy region growing: grow a region of about
-// half the block's weight from a low-degree seed, rolling back to the
+// splitHeavyBlocks recursively splits any block larger than the target
+// partition size using greedy region growing: grow a region of about
+// half the block's size from a low-degree seed, rolling back to the
 // minimum-cut prefix. Splitting can disconnect a block, so each block is
 // first decomposed into its connected components — growing across a
 // disconnected block would glue unrelated clusters into one region.
@@ -311,7 +288,7 @@ func splitHeavyBlocks(g *Graph, blocks [][]int, target float64, rng *rand.Rand) 
 	for len(queue) > 0 {
 		b := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		if blockWeight(g, b) <= target*1.05 || len(b) < 2 {
+		if float64(len(b)) <= target*1.05 || len(b) < 2 {
 			out = append(out, b)
 			continue
 		}
@@ -319,7 +296,7 @@ func splitHeavyBlocks(g *Graph, blocks [][]int, target float64, rng *rand.Rand) 
 			queue = append(queue, comps...)
 			continue
 		}
-		half := grow(g, b, blockWeight(g, b)/2, rng)
+		half := grow(g, b, float64(len(b))/2, rng)
 		var inHalf partition.Set
 		for _, v := range half {
 			inHalf.Add(v)
@@ -340,7 +317,7 @@ func splitHeavyBlocks(g *Graph, blocks [][]int, target float64, rng *rand.Rand) 
 }
 
 // grow returns a connected region of the block of roughly the requested
-// weight, grown greedily from the block's lowest-degree vertex: at each
+// size, grown greedily from the block's lowest-degree vertex: at each
 // step the frontier vertex most heavily connected to the region joins it.
 // Heavy intra-cluster edges therefore pull whole clusters in before any
 // light cross-cluster edge is followed, keeping the implied cut small.
@@ -363,11 +340,11 @@ func grow(g *Graph, block []int, want float64, rng *rand.Rand) []int {
 		h.push(gainEntry{v: v, gain: gain[v]})
 	}
 	var region []int
-	w, cut := 0.0, 0.0
+	w, cut := 0.0, 0.0 // the region's size and cut weight
 	add := func(u int) {
 		inRegion.Add(u)
 		region = append(region, u)
-		w += g.vw[u]
+		w++
 		// Adding u converts its region edges from cut to internal and
 		// exposes its block-internal external edges as new cut.
 		for _, v := range g.sortedNeighbors(u) {
@@ -385,7 +362,7 @@ func grow(g *Graph, block []int, want float64, rng *rand.Rand) []int {
 		}
 	}
 	// Grow past the target and remember the minimum-cut prefix whose
-	// weight lies near the target — rolling back to a natural cluster
+	// size lies near the target — rolling back to a natural cluster
 	// boundary instead of slicing through one.
 	overshoot := want * 1.3
 	bestLen, bestCut, bestW := 0, 0.0, 0.0
@@ -412,7 +389,7 @@ func grow(g *Graph, block []int, want float64, rng *rand.Rand) []int {
 		record()
 	}
 	// If growth exhausted a sub-component before reaching the target
-	// weight, top up with arbitrary remaining vertices.
+	// size, top up with arbitrary remaining vertices.
 	if w < want {
 		for _, v := range block {
 			if w >= want {
@@ -489,8 +466,8 @@ func (h *gainHeap) pop() gainEntry {
 // refine performs FM-style passes: move boundary vertices to the neighbor
 // partition with the highest cut gain, subject to the balance constraint.
 func refine(g *Graph, parts []int, k int) {
-	weights := PartWeights(g, parts, k)
-	maxW := g.TotalVertexWeight() / float64(k) * balance
+	weights := PartWeights(parts, k)
+	maxW := float64(g.Len()) / float64(k) * balance
 	for pass := 0; pass < refinePasses; pass++ {
 		obs.Inc("graphpart.refine_passes")
 		moved := 0
@@ -515,13 +492,13 @@ func refine(g *Graph, parts []int, k int) {
 					continue
 				}
 				gain := conn[p] - conn[cur]
-				if gain > bestGain && weights[p]+g.vw[u] <= maxW {
+				if gain > bestGain && float64(weights[p]+1) <= maxW {
 					best, bestGain = p, gain
 				}
 			}
 			if best != cur {
-				weights[cur] -= g.vw[u]
-				weights[best] += g.vw[u]
+				weights[cur]--
+				weights[best]++
 				parts[u] = best
 				moved++
 			}

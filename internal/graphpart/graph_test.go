@@ -2,6 +2,7 @@ package graphpart
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -117,26 +118,6 @@ func TestPartitionK1AndEmpty(t *testing.T) {
 	}
 }
 
-func TestVertexWeights(t *testing.T) {
-	g := New(3)
-	g.vw[0] = 10
-	if g.TotalVertexWeight() != 12 {
-		t.Errorf("total weight = %v", g.TotalVertexWeight())
-	}
-	// Heavy vertex alone, two light ones together.
-	g.AddEdge(1, 2, 5)
-	parts, err := Partition(g, 2, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parts[1] != parts[2] {
-		t.Error("connected light vertices must co-locate")
-	}
-	if parts[0] == parts[1] {
-		t.Error("heavy isolated vertex must take its own partition")
-	}
-}
-
 func TestEdgeAccumulationAndSelfLoop(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1, 1)
@@ -167,7 +148,7 @@ func TestEdgeCutAndPartWeights(t *testing.T) {
 	if cut := EdgeCut(g, parts); cut != 7 {
 		t.Errorf("cut = %v, want 7", cut)
 	}
-	w := PartWeights(g, parts, 2)
+	w := PartWeights(parts, 2)
 	if w[0] != 2 || w[1] != 2 {
 		t.Errorf("part weights = %v", w)
 	}
@@ -242,19 +223,12 @@ func TestDeriveSeedStable(t *testing.T) {
 	}
 }
 
-// imbalance returns max partition weight over average partition weight
+// imbalance returns max partition size over average partition size
 // (1.0 = perfectly balanced).
 func imbalance(g *Graph, parts []int, k int) float64 {
-	w := PartWeights(g, parts, k)
-	avg := g.TotalVertexWeight() / float64(k)
+	avg := float64(g.Len()) / float64(k)
 	if avg == 0 {
 		return 1
 	}
-	maxw := 0.0
-	for _, x := range w {
-		if x > maxw {
-			maxw = x
-		}
-	}
-	return maxw / avg
+	return float64(slices.Max(PartWeights(parts, k))) / avg
 }

@@ -64,23 +64,11 @@ type Unit struct {
 	// Flows breaks the movement down by (source, destination) node pair,
 	// sorted by (From, To).
 	Flows []Flow
-	// Benefit is the reduction of the distributed-transaction fraction
-	// this unit contributed when it was selected (measured on the
-	// planning trace against the hybrid solution of the time). Negative
-	// benefits are possible: a unit may only pay off combined with later
-	// units. The greedy order schedules such a unit only when the whole
-	// remaining migration still fits the budget — otherwise the plan
-	// stops there and defers the rest, so a hybrid never ends strictly
-	// worse than the deployed solution.
-	Benefit float64
-	// PerTuple is Benefit/Tuples (math.Inf(1) for free units).
-	PerTuple float64
 }
 
 // Plan is a bounded migration between two solutions on the same cluster.
 type Plan struct {
 	OldName, NewName string
-	K                int
 	Budget           int
 	// Units are the selected migration units, in execution order
 	// (best-benefit-per-tuple first).
@@ -266,7 +254,7 @@ func Compute(d *db.DB, old, new *partition.Solution, tr *trace.Trace, budget int
 	if err := new.Validate(d.Schema()); err != nil {
 		return nil, fmt.Errorf("migrate: new solution: %w", err)
 	}
-	plan := &Plan{OldName: old.Name, NewName: new.Name, K: old.K, Budget: budget}
+	plan := &Plan{OldName: old.Name, NewName: new.Name, Budget: budget}
 
 	costOf := func(sol *partition.Solution) (float64, error) {
 		r, err := eval.Evaluate(d, sol, tr)
@@ -328,8 +316,6 @@ func Compute(d *db.DB, old, new *partition.Solution, tr *trace.Trace, budget int
 				score = benefit / float64(u.Tuples)
 			}
 			if bestIdx < 0 || score > bestScore {
-				u.Benefit = benefit
-				u.PerTuple = score
 				bestIdx, bestUnit, bestScore, bestCost = i, u, score, c
 			}
 		}

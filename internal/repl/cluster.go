@@ -187,7 +187,6 @@ func (e *journalEntry) seq(g int) int64 {
 
 // group bundles one partition's replica-group state on the driver side.
 type group struct {
-	id int
 	pr *primary
 	// members holds the backup servers by member slot; the current
 	// primary's slot is absent. dead marks slots whose server exited
@@ -213,11 +212,8 @@ func (g *group) liveBackups() []int {
 type harness struct {
 	cfg Config
 	k   int
-	sc  *faults.Scenario
-	inj *faults.Injector
 	rec *obs.Recorder
 
-	bus    *transport.Bus // nil under tcp
 	eps    []transport.Transport
 	groups []*group
 	det    []*detector
@@ -487,7 +483,7 @@ func (h *harness) promoteGroup(ctx context.Context, g int, traceID uint64, vt fl
 	}
 	// The winner's chain — its unapplied backlog included — is the
 	// group's chain now.
-	grp.pr = &primary{group: g, member: pm, epoch: prom.Epoch, chain: b.chain, acked: acked}
+	grp.pr = &primary{member: pm, epoch: prom.Epoch, chain: b.chain, acked: acked}
 	delete(grp.members, pm)
 
 	h.res.Promotions++
@@ -512,7 +508,7 @@ func (h *harness) newDetectorFor(g int) *detector {
 			cands = append(cands, memberID(g, m, h.cfg.Replicas))
 		}
 	}
-	return newDetector(g, h.detID(g), h.eps[h.detID(g)], h.driverID, cands,
+	return newDetector(h.detID(g), h.eps[h.detID(g)], h.driverID, cands,
 		grp.pr.epoch, cluster.LeaseTimeout, cluster.WireRetry, cluster.ReplyWait)
 }
 

@@ -30,7 +30,6 @@ type promotion struct {
 // from the driver renews it, and any other frame merely consumes what is
 // left of the window.
 type detector struct {
-	group      int
 	id         int
 	ep         transport.Transport
 	driverID   int
@@ -42,9 +41,8 @@ type detector struct {
 	report     chan promotion
 }
 
-func newDetector(group, id int, ep transport.Transport, driverID int, candidates []int, epoch int, lease time.Duration, wire faults.RetryPolicy, ackWait time.Duration) *detector {
+func newDetector(id int, ep transport.Transport, driverID int, candidates []int, epoch int, lease time.Duration, wire faults.RetryPolicy, ackWait time.Duration) *detector {
 	return &detector{
-		group:      group,
 		id:         id,
 		ep:         ep,
 		driverID:   driverID,

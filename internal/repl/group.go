@@ -189,7 +189,6 @@ func (c *chain) install(base int64, snap []byte) error {
 // twopc, where the driver is the protocol's sequencer) and ships them to
 // the group's backups over the transport.
 type primary struct {
-	group  int
 	member int // which member slot holds the chain (changes on promotion)
 	epoch  int
 
@@ -270,10 +269,8 @@ const (
 // by messages; all state is goroutine-local until serve exits (done
 // closed), after which the driver may adopt it.
 type backup struct {
-	group  int
-	member int
-	id     int // flat endpoint id
-	ep     transport.Transport
+	id int // flat endpoint id
+	ep transport.Transport
 
 	// chain.seq is the member's watermark: the chain records it has
 	// logged, which is what it acknowledges.
@@ -298,12 +295,10 @@ func newBackup(g, m, replicas int, sc *schema.Schema, dir string, ep transport.T
 		return nil, err
 	}
 	return &backup{
-		group:  g,
-		member: m,
-		id:     memberID(g, m, replicas),
-		ep:     ep,
-		chain:  newChain(sc, log),
-		done:   make(chan struct{}),
+		id:    memberID(g, m, replicas),
+		ep:    ep,
+		chain: newChain(sc, log),
+		done:  make(chan struct{}),
 	}, nil
 }
 

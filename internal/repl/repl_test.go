@@ -546,7 +546,7 @@ func TestDetectorPromotion(t *testing.T) {
 	}
 
 	wire := faults.RetryPolicy{MaxAttempts: 2, BaseBackoffSec: 0.01, MaxBackoffSec: 0.02}
-	dt := newDetector(0, 7, eps[7], 9, []int{1, 2}, 0, 80*time.Millisecond, wire, 10*time.Millisecond)
+	dt := newDetector(7, eps[7], 9, []int{1, 2}, 0, 80*time.Millisecond, wire, 10*time.Millisecond)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

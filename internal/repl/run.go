@@ -49,9 +49,9 @@ func removeGroupLogs(dir string) error {
 // buildHarness wires k replica groups (each N=R+1 member endpoints), the
 // driver, and one detector endpoint per group over the configured
 // transport, chaos-wrapped per scenario.
-func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Injector, rec *obs.Recorder, res *Result) (*harness, error) {
+func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, rec *obs.Recorder, res *Result) (*harness, error) {
 	k := sol.K
-	bus, eps, err := transport.NewChaosEndpoints(cfg.Transport, k*(cfg.Replicas+1)+1+k, transport.FaultPolicy{
+	_, eps, err := transport.NewChaosEndpoints(cfg.Transport, k*(cfg.Replicas+1)+1+k, transport.FaultPolicy{
 		Seed:       cfg.Seed,
 		LossProb:   cfg.Scenario.MsgLossProb,
 		SpikeProb:  cfg.Scenario.LatencySpikeProb,
@@ -64,10 +64,7 @@ func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Inj
 	h := &harness{
 		cfg:      cfg,
 		k:        k,
-		sc:       cfg.Scenario,
-		inj:      inj,
 		rec:      rec,
-		bus:      bus,
 		eps:      eps,
 		driverID: k * (cfg.Replicas + 1),
 		res:      res,
@@ -81,9 +78,7 @@ func buildHarness(d *db.DB, sol *partition.Solution, cfg Config, inj *faults.Inj
 			return nil, err
 		}
 		grp := &group{
-			id: g,
 			pr: &primary{
-				group:  g,
 				member: 0,
 				chain:  newChain(d.Schema(), log),
 				acked:  make(map[int]int64, cfg.Replicas),
@@ -424,7 +419,7 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	// groups start.
 	placed := a.PlaceTrace(tr, cluster.PlaceWorkers())
 	defer placed.Stop()
-	h, err := buildHarness(d, sol, cfg, inj, obs.ContextRecorder(ctx), res)
+	h, err := buildHarness(d, sol, cfg, obs.ContextRecorder(ctx), res)
 	if err != nil {
 		return nil, err
 	}

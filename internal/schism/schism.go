@@ -75,10 +75,6 @@ type Stats struct {
 	GraphNodes int
 	GraphEdges int
 	EdgeCut    float64
-	// RuleCounts is the size of each table's learned rule table.
-	RuleCounts map[string]int
-	// Columns is each table's chosen classification attribute.
-	Columns map[string]string
 }
 
 // Partition runs the full Schism pipeline.
@@ -130,8 +126,6 @@ func PartitionContext(ctx context.Context, in Input, opts Options) (*partition.S
 		tuples = append(tuples, id)
 		return n
 	}
-	g := graphpart.New(0)
-	_ = g
 	// Two passes: first collect nodes so the graph can be sized, then add
 	// edges (graphpart graphs are fixed-size).
 	for _, t := range in.Train.All() {
@@ -141,9 +135,8 @@ func PartitionContext(ctx context.Context, in Input, opts Options) (*partition.S
 			}
 		}
 	}
-	g = graphpart.New(len(tuples))
-	st := &Stats{RuleCounts: map[string]int{}, Columns: map[string]string{}}
-	st.GraphNodes = len(tuples)
+	g := graphpart.New(len(tuples))
+	st := &Stats{GraphNodes: len(tuples)}
 	for _, t := range in.Train.All() {
 		var ids []int
 		for _, acc := range t.Accesses {
@@ -202,10 +195,8 @@ func PartitionContext(ctx context.Context, in Input, opts Options) (*partition.S
 			sol.Set(partition.NewReplicated(t.Name))
 			continue
 		}
-		ts, col, rules := classify(in.DB, t.Name, labeled[t.Name], opts.K)
+		ts, rules := classify(in.DB, t.Name, labeled[t.Name], opts.K)
 		sol.Set(ts)
-		st.Columns[t.Name] = col
-		st.RuleCounts[t.Name] = rules
 		cRulesLearned.Add(int64(rules))
 	}
 	sClassify.End()
@@ -214,8 +205,9 @@ func PartitionContext(ctx context.Context, in Input, opts Options) (*partition.S
 
 // classify learns the per-table routing rule: pick the column whose
 // values best predict the partition labels of the trained tuples, then
-// memorize value → majority partition. Unseen values hash.
-func classify(d *db.DB, table string, labels map[value.Key]int, k int) (*partition.TableSolution, string, int) {
+// memorize value → majority partition. Unseen values hash. It returns
+// the table's solution and the number of rules learned.
+func classify(d *db.DB, table string, labels map[value.Key]int, k int) (*partition.TableSolution, int) {
 	t := d.Table(table)
 	meta := t.Meta()
 	type colStat struct {
@@ -244,7 +236,7 @@ func classify(d *db.DB, table string, labels map[value.Key]int, k int) (*partiti
 		}
 	}
 	if total == 0 {
-		return partition.NewReplicated(table), "", 0
+		return partition.NewReplicated(table), 0
 	}
 	// Score each column by purity (fraction of tuples whose label matches
 	// the majority label of their value) discounted by rule-table size
@@ -309,5 +301,5 @@ func classify(d *db.DB, table string, labels map[value.Key]int, k int) (*partiti
 	// of the decision trees the original Schism learns over ordered
 	// attributes. Values outside every run hash.
 	mapper := partition.NewIntervals(k, rules, partition.NewHash(k))
-	return partition.NewByPath(table, path, mapper), colName, mapper.Runs()
+	return partition.NewByPath(table, path, mapper), mapper.Runs()
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/fixture"
+	"repro/internal/partition"
 	"repro/internal/schema"
 	"repro/internal/trace"
 	"repro/internal/value"
@@ -52,12 +53,13 @@ func TestSchismFindsWarehousePartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Columns["ORDERS"] != "O_W_ID" {
-		t.Errorf("classifier column = %q, want O_W_ID", st.Columns["ORDERS"])
+	orders := sol.Table("ORDERS")
+	if col := orders.Path.Dest().Column; col != "O_W_ID" {
+		t.Errorf("classifier column = %q, want O_W_ID", col)
 	}
 	// Interval collapsing caps the rule table at the warehouse count
 	// (adjacent same-label warehouses merge).
-	if rc := st.RuleCounts["ORDERS"]; rc < 4 || rc > 16 {
+	if rc := orders.Mapper.(partition.IntervalMapper).Runs(); rc < 4 || rc > 16 {
 		t.Errorf("rules = %d, want within [4,16]", rc)
 	}
 	if st.GraphNodes == 0 || st.GraphEdges == 0 {

@@ -48,7 +48,6 @@ func VTDeadline(ctx context.Context) (float64, bool) {
 
 // request is one generated client request's lifecycle state.
 type request struct {
-	idx     int // arrival index; the trace transaction is idx mod len
 	session int
 	t       *trace.Txn
 	traceID uint64
@@ -121,7 +120,6 @@ const (
 
 type engine struct {
 	cfg    Config
-	d      *db.DB
 	sol    *partition.Solution
 	tr     *trace.Trace
 	rt     *router.Router
@@ -136,7 +134,6 @@ type engine struct {
 	slo    *obs.SLOMonitor
 	rec    *obs.Recorder
 	rng    *rand.Rand
-	capTPS float64
 
 	events eventHeap
 	seq    uint64
@@ -188,7 +185,6 @@ func newEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace
 	}
 	e := &engine{
 		cfg:    cfg,
-		d:      d,
 		sol:    sol,
 		tr:     tr,
 		rt:     rt,
@@ -199,7 +195,6 @@ func newEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace
 		slo:    obs.NewSLOMonitor(sloPolicy),
 		rec:    rec,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		capTPS: capTPS,
 		budget: make([]int, cfg.Load.Sessions),
 		res: &Result{
 			Scenario:    cfg.Scenario.Name,
@@ -234,7 +229,6 @@ func (e *engine) push(vt float64, kind evKind, req *request, info *doneInfo) {
 // newRequest mints the idx-th request arriving at vt.
 func (e *engine) newRequest(idx, session int, vt float64) *request {
 	r := &request{
-		idx:     idx,
 		session: session,
 		t:       e.tr.At(idx % e.tr.Len()),
 		traceID: obs.TxnID(e.cfg.Seed, idx),

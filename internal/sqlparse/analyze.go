@@ -24,7 +24,6 @@ var (
 type Procedure struct {
 	Name       string
 	Params     []string // input parameter names, without '@'
-	SQL        string
 	Statements []Statement
 }
 
@@ -37,7 +36,7 @@ func NewProcedure(name string, params []string, sql string) (*Procedure, error) 
 	if len(stmts) == 0 {
 		return nil, fmt.Errorf("procedure %s: empty body", name)
 	}
-	return &Procedure{Name: name, Params: params, SQL: sql, Statements: stmts}, nil
+	return &Procedure{Name: name, Params: params, Statements: stmts}, nil
 }
 
 // MustProcedure is NewProcedure for statically known benchmark SQL; it
@@ -89,7 +88,6 @@ type ParamBinding struct {
 
 // StatementInfo is the per-statement analysis result.
 type StatementInfo struct {
-	Stmt          Statement
 	Tables        []string // accessed tables, deduplicated
 	WriteTable    string   // "" for SELECT
 	WhereColumns  []schema.ColumnRef
@@ -300,7 +298,7 @@ func (s *scope) resolve(e ColumnExpr) (schema.ColumnRef, error) {
 }
 
 func analyzeStatement(stmt Statement, sc *schema.Schema) (*StatementInfo, error) {
-	si := &StatementInfo{Stmt: stmt}
+	si := &StatementInfo{}
 	sco := newScope(sc)
 	switch s := stmt.(type) {
 	case *SelectStmt:

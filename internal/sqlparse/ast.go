@@ -145,7 +145,9 @@ type SelectItem struct {
 	Expr     Expr
 }
 
-// SelectStmt is a (possibly joining, possibly aggregating) SELECT.
+// SelectStmt is a (possibly joining, possibly aggregating) SELECT. The
+// parser accepts ORDER BY, LIMIT n and TOP n but keeps none of them: they
+// do not change which rows a statement's predicates reach.
 type SelectStmt struct {
 	Distinct bool
 	Items    []SelectItem
@@ -153,14 +155,6 @@ type SelectStmt struct {
 	Joins    []JoinClause
 	Where    Expr // nil if absent
 	GroupBy  []Expr
-	OrderBy  []OrderItem
-	Limit    int // -1 if absent (covers LIMIT n and TOP n)
-}
-
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
 }
 
 // InsertStmt is "INSERT INTO table (cols) VALUES (exprs)".

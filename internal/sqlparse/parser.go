@@ -100,7 +100,7 @@ func (p *parser) statement() (Statement, error) {
 
 func (p *parser) selectStmt() (*SelectStmt, error) {
 	p.advance() // SELECT
-	s := &SelectStmt{Limit: -1}
+	s := &SelectStmt{}
 	if p.atKeyword("DISTINCT") {
 		p.advance()
 		s.Distinct = true
@@ -111,11 +111,9 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		lim, err := strconv.Atoi(n.text)
-		if err != nil {
+		if _, err := strconv.Atoi(n.text); err != nil {
 			return nil, p.errorf("bad TOP count %q", n.text)
 		}
-		s.Limit = lim
 	}
 	// Select list.
 	for {
@@ -202,18 +200,12 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 			return nil, err
 		}
 		for {
-			e, err := p.primaryExpr()
-			if err != nil {
+			if _, err := p.primaryExpr(); err != nil {
 				return nil, err
 			}
-			item := OrderItem{Expr: e}
-			if p.atKeyword("DESC") {
-				p.advance()
-				item.Desc = true
-			} else if p.atKeyword("ASC") {
+			if p.atKeyword("DESC") || p.atKeyword("ASC") {
 				p.advance()
 			}
-			s.OrderBy = append(s.OrderBy, item)
 			if p.peek().kind != tokComma {
 				break
 			}
@@ -226,11 +218,9 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		lim, err := strconv.Atoi(n.text)
-		if err != nil {
+		if _, err := strconv.Atoi(n.text); err != nil {
 			return nil, p.errorf("bad LIMIT %q", n.text)
 		}
-		s.Limit = lim
 	}
 	return s, nil
 }

@@ -246,12 +246,9 @@ func (tr *Trace) Concat(others ...*Trace) *Trace {
 	return out
 }
 
-// TableStats aggregates per-table read/write behaviour over a trace; JECB
+// TableStats aggregates per-table write behaviour over a trace; JECB
 // Phase 1 uses it to pick replicated (read-only / read-mostly) tables.
 type TableStats struct {
-	Table     string
-	Reads     int
-	Writes    int
 	WriteTxns int // transactions that wrote this table at least once
 }
 
@@ -264,35 +261,27 @@ func (s TableStats) WriteTxnFraction(totalTxns int) float64 {
 	return float64(s.WriteTxns) / float64(totalTxns)
 }
 
-// Stats computes per-table access statistics, keyed by table name. The
-// map is cached and shared between calls: callers must not mutate it.
+// Stats computes per-table access statistics, keyed by table name, with
+// an entry for every table the trace accesses. The map is cached and
+// shared between calls: callers must not mutate it.
 func (tr *Trace) Stats() map[string]*TableStats {
 	c := tr.cached()
 	if c.stats != nil {
 		return c.stats
 	}
 	out := map[string]*TableStats{}
-	get := func(tbl string) *TableStats {
-		s, ok := out[tbl]
-		if !ok {
-			s = &TableStats{Table: tbl}
-			out[tbl] = s
-		}
-		return s
-	}
+	last := map[*TableStats]int{} // 1 + the last transaction counted in WriteTxns
 	for i := range tr.txns {
-		wrote := map[string]bool{}
 		for _, a := range tr.txns[i].Accesses {
-			s := get(a.Table)
-			if a.Write {
-				s.Writes++
-				wrote[a.Table] = true
-			} else {
-				s.Reads++
+			s, ok := out[a.Table]
+			if !ok {
+				s = &TableStats{}
+				out[a.Table] = s
 			}
-		}
-		for tbl := range wrote {
-			get(tbl).WriteTxns++
+			if a.Write && last[s] != i+1 {
+				last[s] = i + 1
+				s.WriteTxns++
+			}
 		}
 	}
 	c.stats = out

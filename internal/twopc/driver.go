@@ -31,12 +31,6 @@ func newDriver(id int, ep transport.Transport) *driver {
 // roundOutcome is what one 2PC round left behind.
 type roundOutcome struct {
 	committed bool
-	blocked   bool // a participant refused with ReasonBlocked
-	// noAck: the commit decision was never acknowledged by the
-	// coordinator partition. With loss-exempt acks this means either the
-	// decision never arrived (safe to presume abort) or the partition
-	// crashed while handling it (the harness knows which crash it armed).
-	noAck bool
 	// yes lists participants that voted yes, ascending.
 	yes []int
 	// unresolved lists participants left holding an in-doubt
@@ -79,7 +73,7 @@ func (d *driver) await(ctx context.Context, base time.Duration, attempt int, mat
 // gatherVotes broadcasts MsgPrepare to parts and collects votes,
 // retransmitting to silent participants with bumped attempts. It fails
 // as soon as any participant votes no or a pending participant is dead.
-func (d *driver) gatherVotes(ctx context.Context, txn uint64, coord int, w *cluster.Writes, dead func(int) bool) (yes []int, blocked, ok bool) {
+func (d *driver) gatherVotes(ctx context.Context, txn uint64, coord int, w *cluster.Writes, dead func(int) bool) (yes []int, ok bool) {
 	parts := w.Parts
 	pending := make(map[int]bool, len(parts))
 	for _, pt := range parts {
@@ -106,29 +100,26 @@ func (d *driver) gatherVotes(ctx context.Context, txn uint64, coord int, w *clus
 				yes = append(yes, m.From)
 			case MsgVoteNo:
 				cancel()
-				if len(m.Payload) > 0 && m.Payload[0] == ReasonBlocked {
-					blocked = true
-				}
 				sort.Ints(yes)
-				return yes, blocked, false
+				return yes, false
 			}
 		}
 		cancel()
 		if len(pending) == 0 {
 			sort.Ints(yes)
-			return yes, blocked, true
+			return yes, true
 		}
 		for pt := range pending {
 			if dead(pt) {
 				// A pending participant died mid-round (scripted crash):
 				// its vote is never coming.
 				sort.Ints(yes)
-				return yes, blocked, false
+				return yes, false
 			}
 		}
 	}
 	sort.Ints(yes)
-	return yes, blocked, false
+	return yes, false
 }
 
 // decide ships one decision and waits for its ack, retransmitting with
@@ -160,20 +151,20 @@ func (d *driver) decide(ctx context.Context, txn uint64, typ uint8, to int, dead
 // first (that append is the durability point), then the rest.
 func (d *driver) round2PC(ctx context.Context, txn uint64, coord int, w *cluster.Writes, dead func(int) bool) roundOutcome {
 	parts := w.Parts
-	yes, blocked, allYes := d.gatherVotes(ctx, txn, coord, w, dead)
+	yes, allYes := d.gatherVotes(ctx, txn, coord, w, dead)
 	if !allYes {
 		// Reliable abort fan-out: the decision record goes to the
 		// coordinator partition and every write participant (prepared or
 		// not — a participant whose VoteYes was lost is still prepared).
 		d.fanOut(ctx, txn, MsgDecideAbort, coord, parts, dead)
-		return roundOutcome{blocked: blocked, yes: yes, unresolved: deadOf(yes, dead)}
+		return roundOutcome{yes: yes, unresolved: deadOf(yes, dead)}
 	}
 	if !d.decide(ctx, txn, MsgDecideCommit, coord, dead, d.wire.MaxAttempts) {
 		if dead(coord) {
 			// The partition crashed handling the decision; the harness
 			// disambiguates (torn vs durable) via the crash it armed.
 			// Everyone prepared stays in doubt for the standby / recovery.
-			return roundOutcome{noAck: true, yes: yes, unresolved: yes}
+			return roundOutcome{yes: yes, unresolved: yes}
 		}
 		// The coordinator partition is alive but every decision frame was
 		// lost. Acks are loss-exempt, so no ack means the decision never

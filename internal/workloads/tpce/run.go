@@ -83,8 +83,7 @@ func runCustomerPosition(d *db.DB, col *trace.Collector, rng *rand.Rand) {
 }
 
 func runMarketWatch(d *db.DB, col *trace.Collector, rng *rand.Rand) {
-	k, row := randomAccount(d, rng)
-	_ = k
+	_, row := randomAccount(d, rng)
 	acct := row[0]
 	cust := row[2]
 	col.Begin("Market-Watch", map[string]value.Value{"acct_id": acct, "c_id": cust})
